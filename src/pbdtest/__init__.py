@@ -20,7 +20,6 @@ from .distributions import (
     ell2_sq_distance,
     ell_inf_distance,
     indicator_chernoff_bound,
-    pbd_moments,
     pbd_pmf,
     poisson_tail_bound,
     tp_approx_bounds,
@@ -54,7 +53,6 @@ from .tester import (
     coarsen_to_interval,
     heavy_case_test,
     l2_statistic,
-    numeric_tv_tp_vs_hypothesis,
     simple_tolerant_identity_test,
     test_pbd,
 )

@@ -11,18 +11,17 @@ ends in rejection.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import distspec
-from .calibrated import CALIBRATION_VERSION
-from .distributions import Pbd, binomial_pmf, pbd_pmf, tv_distance
-from .learner import learn_pbd
-from .lowerbound import detection_experiment
+from .distributions import ExplicitDistribution, Pbd, binomial_pmf, pbd_pmf, tv_distance
+from .learner import LEARN_SAMPLE_CONST, SPARSE_LEN_CONST, SPARSE_THRESHOLD_CONST, learn_pbd
+from .lowerbound import detection_experiment, unimodal_distance_lb
 from .oracles import (
     brute_force_pbd_pmf,
     calibration_report,
@@ -35,22 +34,8 @@ from .tester import TestConfig, Verdict, l2_statistic, test_pbd
 __all__ = ["main"]
 
 _CONFIG_ENV = "PBDTEST_CONFIG"
-_CONFIG_FIELDS = {
-    "var_threshold_const",
-    "closeness_const",
-    "l2_sample_const",
-    "l2_far_const",
-    "tolerant_sample_const",
-    "moment_sample_const",
-    "learn_sample_const",
-    "learn_sparse_threshold_const",
-    "sparse_len_const",
-    "amplification_const",
-    "amplification_reps",
-    "tail_cut",
-    "poissonized_overdraw",
-    "max_redraws",
-}
+# Every TestConfig constant except the ones set by their own flags.
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TestConfig)} - {"eps", "delta", "seed"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,9 +111,11 @@ def _cmd_learn(args) -> int:
         stream,
         args.n,
         args.eps,
-        learn_sample_const=overrides.get("learn_sample_const", 200.0),
-        sparse_threshold_const=overrides.get("learn_sparse_threshold_const", 16.0),
-        sparse_len_const=overrides.get("sparse_len_const", 4.0),
+        learn_sample_const=overrides.get("learn_sample_const", LEARN_SAMPLE_CONST),
+        sparse_threshold_const=overrides.get(
+            "learn_sparse_threshold_const", SPARSE_THRESHOLD_CONST
+        ),
+        sparse_len_const=overrides.get("sparse_len_const", SPARSE_LEN_CONST),
     )
     if learned.is_sparse:
         hyp_spec = distspec.explicit_spec(learned.hypothesis.dist)
@@ -243,15 +230,11 @@ def _oracle_suite(name: str, seed: int) -> list[dict]:
         q = binomial_pmf(20, 0.5)
         return [r.to_dict() for r in monte_carlo_moment_check(p, q, 50.0, 20_000, seed=seed)]
     if name == "unimodal":
-        from .lowerbound import unimodal_distance_lb
-
         reports = []
         for case in range(10):
             m = int(rng.integers(3, 12))
             probs = rng.random(m)
             probs /= probs.sum()
-            from .distributions import ExplicitDistribution
-
             d = ExplicitDistribution(0, probs)
             lb = unimodal_distance_lb(d)
             exact = exact_tv_to_unimodal(d)
@@ -277,33 +260,6 @@ def _cmd_oracle(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    dist = pbd_pmf(Pbd(np.full(2000, 0.3)), tail_cut=1e-9)
-    timings["pbd_pmf_n2000_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    stream = SampleStream.from_distribution(dist, args.seed)
-    hist = stream.draw_histogram(1_000_000)
-    timings["histogram_1e6_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    config = TestConfig(eps=0.2, delta=0.5, seed=args.seed, amplification_reps=1)
-    verdict = test_pbd(stream.split(1), 2000, config)
-    timings["base_test_s"] = time.perf_counter() - t0
-    artifact = {
-        "schema": "pbdtest.bench/1",
-        "command": "bench",
-        "seed": args.seed,
-        "pmf_support": dist.support_len,
-        "histogram_total": hist.total,
-        "verdict": verdict.verdict.value,
-        "calibration_version": CALIBRATION_VERSION,
-    }
-    _emit(artifact, args.out)
-    print("# timings " + _dump({k: round(v, 4) for k, v in timings.items()}), file=sys.stderr)
     return 0
 
 
@@ -360,11 +316,6 @@ def _build_parser() -> _Parser:
     o.add_argument("--seed", type=int, required=True)
     o.add_argument("--out")
     o.set_defaults(fn=_cmd_oracle)
-
-    b = sub.add_parser("bench", help="time representative operations")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bench)
 
     return parser
 

@@ -1,5 +1,8 @@
 """Exact distribution machinery: PMFs, moments, distances and tail bounds.
 
+Besides the Bernoulli-sum, binomial and shifted-Poisson PMFs this holds
+the sign-perturbed fair binomial behind the lower-bound family.
+
 Everything here is a pure function of immutable values; no global state,
 safe to call concurrently.  All PMFs live in linear space but are computed
 from log-space terms so they stay usable up to seven-digit supports.
@@ -29,7 +32,6 @@ __all__ = [
     "pbd_pmf",
     "binomial_pmf",
     "translated_poisson_pmf",
-    "pbd_moments",
     "tv_distance",
     "ell1_distance",
     "ell2_sq_distance",
@@ -39,6 +41,8 @@ __all__ = [
     "indicator_chernoff_bound",
     "tp_approx_bounds",
     "tp_pair_tv_bound",
+    "PerturbedBinomial",
+    "construct_perturbed_binomial",
 ]
 
 # Mass-conservation tolerance beyond any declared truncation slack.
@@ -288,11 +292,6 @@ def translated_poisson_pmf(
     return ExplicitDistribution(tp.shift + z_lo, probs, tail_slack=slack)
 
 
-def pbd_moments(pbd: Pbd) -> tuple[float, float]:
-    """(sum p_i, sum p_i (1 - p_i))."""
-    return pbd.mean(), pbd.variance()
-
-
 def _aligned(p: ExplicitDistribution, q: ExplicitDistribution) -> tuple[np.ndarray, np.ndarray]:
     lo = min(p.lo, q.lo)
     hi = max(p.hi, q.hi)
@@ -402,3 +401,40 @@ def tp_pair_tv_bound(tp1: TranslatedPoissonParams, tp2: TranslatedPoissonParams)
     return abs(tp1.mu - tp2.mu) / min(s1, s2) + (abs(tp1.sigma2 - tp2.sigma2) + 1.0) / min(
         tp1.sigma2, tp2.sigma2
     )
+
+
+@dataclass(frozen=True)
+class PerturbedBinomial:
+    """Sign-perturbed fair binomial; requires c * eps < 1 so masses stay positive."""
+
+    n: int
+    c: float
+    eps: float
+    z: np.ndarray
+
+    def __post_init__(self):
+        if self.n <= 0 or self.n % 2 != 0:
+            raise ValueError("n must be a positive even integer")
+        if self.c < 0 or self.eps < 0:
+            raise ValueError("c and eps must be nonnegative")
+        if self.c * self.eps >= 1.0:
+            raise ValueError("need c * eps < 1 for nonnegative masses")
+        z = np.ascontiguousarray(self.z, dtype=np.int8)
+        if z.shape != (self.n // 2,):
+            raise ValueError("z must have length n/2")
+        if not np.all(np.abs(z) == 1):
+            raise ValueError("z entries must be +1 or -1")
+        object.__setattr__(self, "z", z)
+
+
+def construct_perturbed_binomial(pb: PerturbedBinomial) -> ExplicitDistribution:
+    """Exact PMF of the perturbed binomial on [0, n]."""
+    base = binomial_pmf(pb.n, 0.5).probs
+    q = base.copy()
+    half = pb.n // 2
+    a = pb.c * pb.eps
+    scale = a * pb.z.astype(np.float64)
+    q[:half] *= 1.0 - scale
+    # Point n - i mirrors point i with the opposite sign of the same z_i.
+    q[half + 1 :] *= 1.0 + scale[::-1]
+    return ExplicitDistribution(0, q)

@@ -22,12 +22,13 @@ import numpy as np
 from .distributions import (
     ExplicitDistribution,
     Pbd,
+    PerturbedBinomial,
     TranslatedPoissonParams,
     binomial_pmf,
+    construct_perturbed_binomial,
     pbd_pmf,
     translated_poisson_pmf,
 )
-from .lowerbound import PerturbedBinomial, construct_perturbed_binomial
 
 __all__ = ["KINDS", "normalize_spec", "realize", "spec_to_json", "spec_from_json", "explicit_spec"]
 

@@ -91,11 +91,6 @@ class LearnedPbd:
             return self.hypothesis.dist.variance()
         return self.hypothesis.n * self.hypothesis.p * (1.0 - self.hypothesis.p)
 
-    def mean(self) -> float:
-        if self.is_sparse:
-            return self.hypothesis.dist.mean()
-        return self.hypothesis.n * self.hypothesis.p
-
 
 def estimate_mean_var(
     stream: SampleStream,
@@ -170,7 +165,6 @@ def learn_pbd(
     learn_sample_const: float = LEARN_SAMPLE_CONST,
     sparse_threshold_const: float = SPARSE_THRESHOLD_CONST,
     sparse_len_const: float = SPARSE_LEN_CONST,
-    fit_check_mult: float = FIT_CHECK_MULT,
     max_samples: int | None = None,
 ) -> LearnedPbd:
     """Learn a Bernoulli-sum hypothesis from one seeded sample pool.
@@ -213,7 +207,7 @@ def learn_pbd(
     if sigma2_hat >= 1.0:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
         noise = 0.4 * math.sqrt(emp.support_len / budget)
-        tolerance = max(eps / 8.0, fit_check_mult * noise)
+        tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
         if tv_distance(emp, binomial_pmf(fit.n, fit.p)) <= tolerance:
             return LearnedPbd(fit, budget, mu_hat, sigma2_hat)
 

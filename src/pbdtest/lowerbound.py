@@ -3,7 +3,8 @@
 The family perturbs a fair binomial by a sign pattern: mass below the
 midpoint is scaled by ``1 - c * eps * z_i``, the mirror point above by
 ``1 + c * eps * z_i``, the midpoint untouched.  Antisymmetry conserves
-mass exactly for every sign vector.
+mass exactly for every sign vector.  The family's PMF lives in
+``distributions`` (the spec format realizes it) and is re-exported here.
 
 Two certificates matter:
 
@@ -25,7 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import ExplicitDistribution, binomial_pmf
+from .distributions import (
+    ExplicitDistribution,
+    PerturbedBinomial,
+    binomial_pmf,
+    construct_perturbed_binomial,
+)
+from .sampling import SampleStream
+from .tester import TestConfig, Verdict, run_budgeted_test
 
 __all__ = [
     "PerturbedBinomial",
@@ -37,43 +45,6 @@ __all__ = [
     "DetectionRow",
     "detection_experiment",
 ]
-
-
-@dataclass(frozen=True)
-class PerturbedBinomial:
-    """Sign-perturbed fair binomial; requires c * eps < 1 so masses stay positive."""
-
-    n: int
-    c: float
-    eps: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        if self.n <= 0 or self.n % 2 != 0:
-            raise ValueError("n must be a positive even integer")
-        if self.c < 0 or self.eps < 0:
-            raise ValueError("c and eps must be nonnegative")
-        if self.c * self.eps >= 1.0:
-            raise ValueError("need c * eps < 1 for nonnegative masses")
-        z = np.ascontiguousarray(self.z, dtype=np.int8)
-        if z.shape != (self.n // 2,):
-            raise ValueError("z must have length n/2")
-        if not np.all(np.abs(z) == 1):
-            raise ValueError("z entries must be +1 or -1")
-        object.__setattr__(self, "z", z)
-
-
-def construct_perturbed_binomial(pb: PerturbedBinomial) -> ExplicitDistribution:
-    """Exact PMF of the perturbed binomial on [0, n]."""
-    base = binomial_pmf(pb.n, 0.5).probs
-    q = base.copy()
-    half = pb.n // 2
-    a = pb.c * pb.eps
-    scale = a * pb.z.astype(np.float64)
-    q[:half] *= 1.0 - scale
-    # Point n - i mirrors point i with the opposite sign of the same z_i.
-    q[half + 1 :] *= 1.0 + scale[::-1]
-    return ExplicitDistribution(0, q)
 
 
 def random_sign_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -193,9 +164,6 @@ def detection_experiment(
     scale that forces c * eps >= 1, so the harness scales c down to keep
     masses positive and reports ``regime_met`` accordingly.
     """
-    from .sampling import SampleStream
-    from .tester import TestConfig, run_budgeted_test, Verdict
-
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     c_used = c

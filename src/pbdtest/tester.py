@@ -31,7 +31,15 @@ from .distributions import (
     truncated_log,
     tv_distance,
 )
-from .learner import MomentEstimates, estimate_mean_var, learn_pbd
+from .learner import (
+    LEARN_SAMPLE_CONST,
+    MOMENT_SAMPLE_CONST,
+    SPARSE_LEN_CONST,
+    SPARSE_THRESHOLD_CONST,
+    MomentEstimates,
+    estimate_mean_var,
+    learn_pbd,
+)
 from .sampling import SampleHistogram, SampleStream, empirical_distribution
 
 __all__ = [
@@ -46,7 +54,6 @@ __all__ = [
     "Coarsener",
     "l2_statistic",
     "l2_statistic_counts",
-    "numeric_tv_tp_vs_hypothesis",
     "heavy_case_test",
     "run_budgeted_test",
     "test_pbd",
@@ -74,6 +81,8 @@ _STAGE_TOLERANT = 1
 _STAGE_MOMENTS = 2
 _STAGE_L2 = 3
 
+TOLERANT_SAMPLE_CONST = 10.0  # A_tol: sparse-branch samples per |I|/eps^2
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -90,14 +99,13 @@ class TestConfig:
     delta: float
     seed: int = 0
     var_threshold_const: float = 4.0  # C: sparse/heavy variance split
-    closeness_const: float = 10.0  # C': pivot closeness budget, must be >= 10
     l2_sample_const: float = L2_SAMPLE_CONST  # C1: Poissonized rate multiplier
     l2_far_const: float = L2_FAR_CONST  # c: statistic threshold constant
-    tolerant_sample_const: float = 10.0  # A_tol: sparse-branch samples per |I|/eps^2
-    moment_sample_const: float = 200.0  # A_m: moment-stage samples per 1/eps'^2
-    learn_sample_const: float = 200.0  # A_L: learn-stage budget constant
-    learn_sparse_threshold_const: float = 16.0  # A_t: learner sparse routing
-    sparse_len_const: float = 4.0  # A_s: sparse hypothesis support cap
+    tolerant_sample_const: float = TOLERANT_SAMPLE_CONST  # A_tol
+    moment_sample_const: float = MOMENT_SAMPLE_CONST  # A_m
+    learn_sample_const: float = LEARN_SAMPLE_CONST  # A_L
+    learn_sparse_threshold_const: float = SPARSE_THRESHOLD_CONST  # A_t
+    sparse_len_const: float = SPARSE_LEN_CONST  # A_s
     amplification_const: float = 18.0  # B: majority repetitions ceil(B ln(1/delta))
     amplification_reps: int | None = None  # explicit override (experiments)
     tail_cut: float = 1e-9
@@ -109,8 +117,6 @@ class TestConfig:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.closeness_const < 10.0:
-            raise ValueError("closeness_const must be at least 10")
         if not 0.0 < self.tail_cut <= 1e-6:
             raise ValueError("tail_cut must lie in (0, 1e-6]")
 
@@ -185,9 +191,6 @@ class Coarsener:
             self.lo, probs, overflow=dist.overflow + out, tail_slack=dist.tail_slack
         )
 
-    def apply_to_samples(self, samples: np.ndarray) -> ExplicitDistribution:
-        return empirical_distribution(samples, (self.lo, self.hi))
-
     def apply_to_histogram(self, hist: SampleHistogram) -> ExplicitDistribution:
         k = hist.total
         if k == 0:
@@ -217,8 +220,12 @@ def coarsen_to_interval(
     return (lo, hi), Coarsener(lo, hi)
 
 
+def _tolerant_closeness(tv: float, eps: float) -> Closeness:
+    return Closeness.CLOSE if tv < 0.25 * eps else Closeness.FAR
+
+
 def simple_tolerant_identity_test(
-    q: ExplicitDistribution, samples, eps: float, sample_const: float = 10.0
+    q: ExplicitDistribution, samples, eps: float, sample_const: float = TOLERANT_SAMPLE_CONST
 ) -> Closeness:
     """Close iff the empirical distribution sits within 0.25 eps of q in TV.
 
@@ -230,11 +237,7 @@ def simple_tolerant_identity_test(
     if xs.size < required:
         raise ValueError(f"need at least {required} samples, got {xs.size}")
     emp = empirical_distribution(xs, (q.lo, q.hi))
-    return Closeness.CLOSE if tv_distance(emp, q) < 0.25 * eps else Closeness.FAR
-
-
-def _tolerant_verdict(q: ExplicitDistribution, emp: ExplicitDistribution, eps: float) -> Closeness:
-    return Closeness.CLOSE if tv_distance(emp, q) < 0.25 * eps else Closeness.FAR
+    return _tolerant_closeness(tv_distance(emp, q), eps)
 
 
 def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
@@ -261,18 +264,6 @@ def l2_statistic(hist: SampleHistogram, q: ExplicitDistribution) -> float:
     if not hist.poissonized:
         raise ValueError("the statistic requires Poissonized sampling")
     return l2_statistic_counts(hist.counts, hist.lo, q, hist.nominal_rate)
-
-
-def numeric_tv_tp_vs_hypothesis(
-    tp: TranslatedPoissonParams, hypothesis: ExplicitDistribution, eps: float, tail_cut: float = 1e-9
-) -> float:
-    """Deterministic TV estimate between the pivot and the hypothesis.
-
-    Both are explicit, so no samples are spent; pivot truncation keeps the
-    numeric error at most tail_cut, far inside the eps/5 accuracy budget.
-    """
-    cut = min(tail_cut, 1e-6)
-    return tv_distance(translated_poisson_pmf(tp, tail_cut=cut), hypothesis)
 
 
 def _poissonized_draw(stream: SampleStream, k: float, config: TestConfig) -> tuple[SampleHistogram, int]:
@@ -312,15 +303,18 @@ def heavy_case_test(
         # No Bernoulli-sum law on [0, n] has variance beyond n/4.
         diag["reason"] = "variance above n/2"
         return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
-    tp = TranslatedPoissonParams(moments.mu_hat, moments.sigma2_hat)
-    d_tv = numeric_tv_tp_vs_hypothesis(tp, hypothesis, eps, config.tail_cut)
+    # Pivot and hypothesis are both explicit, so their TV costs no samples;
+    # truncating the pivot at tail_cut keeps it inside the eps/5 budget.
+    pivot = translated_poisson_pmf(
+        TranslatedPoissonParams(moments.mu_hat, moments.sigma2_hat), tail_cut=config.tail_cut
+    )
+    d_tv = tv_distance(pivot, hypothesis)
     diag["d_tv_pivot_vs_hypothesis"] = d_tv
     if d_tv > eps / 2.0:
         diag["reason"] = "pivot far from hypothesis"
         return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
     sigma_hat = math.sqrt(moments.sigma2_hat)
     k = math.ceil(config.l2_sample_rate(sigma_hat))
-    pivot = translated_poisson_pmf(tp, tail_cut=min(config.tail_cut, 1e-6))
     hist, spent = _poissonized_draw(stream, float(k), config)
     t_n = l2_statistic(hist, pivot)
     threshold = config.l2_threshold(sigma_hat)
@@ -354,20 +348,20 @@ def _sparse_case(
         return Verdict.YES_PBD, diag, 0
     hist = stream.split(_STAGE_TOLERANT).draw_histogram(k_tol)
     emp = coarsener.apply_to_histogram(hist)
-    coarse_hyp = coarsener.apply(hypothesis)
-    closeness = _tolerant_verdict(coarse_hyp, emp, eps)
-    diag["tv_empirical_vs_hypothesis"] = tv_distance(emp, coarse_hyp)
+    tv = tv_distance(emp, coarsener.apply(hypothesis))
+    closeness = _tolerant_closeness(tv, eps)
+    diag["tv_empirical_vs_hypothesis"] = tv
     diag["tolerant_outcome"] = closeness.value
     verdict = Verdict.YES_PBD if closeness is Closeness.CLOSE else Verdict.NO_PBD
     return verdict, diag, k_tol
 
 
-def _base_test(
-    stream: SampleStream, n: int, config: TestConfig, budget: int | None = None
+def run_budgeted_test(
+    stream: SampleStream, n: int, config: TestConfig, sample_budget: int | None = None
 ) -> TestVerdict:
-    """One unamplified run; ``budget`` caps total sample consumption."""
+    """One unamplified run; ``sample_budget`` caps total sample consumption."""
     eps = config.eps
-    remaining = budget
+    remaining = sample_budget
     # Under a hard cap, reserve half for the post-learning stage so partial
     # budgets degrade both stages instead of starving the second one.
     learn_cap = None if remaining is None else remaining // 2
@@ -408,13 +402,6 @@ def _base_test(
     return TestVerdict(heavy.verdict, Branch.HEAVY, used + heavy.samples_used, diag)
 
 
-def run_budgeted_test(
-    stream: SampleStream, n: int, config: TestConfig, sample_budget: int | None = None
-) -> TestVerdict:
-    """Single base run with a hard cap on total samples (experiment harness)."""
-    return _base_test(stream, n, config, budget=sample_budget)
-
-
 def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
     """Majority-amplified membership test.
 
@@ -428,7 +415,7 @@ def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
     samples = 0
     branches = {Branch.SPARSE: 0, Branch.HEAVY: 0}
     for r in range(reps):
-        res = _base_test(stream.split(r), n, config)
+        res = run_budgeted_test(stream.split(r), n, config)
         runs.append(res)
         samples += res.samples_used
         branches[res.branch] += 1

@@ -1,6 +1,9 @@
 """CLI contract tests: artifacts, determinism, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -242,12 +245,18 @@ class TestOracleCommand:
         assert {entry["case"] for entry in lines} == {"tn_mean", "tn_variance"}
 
 
-class TestBenchCommand:
-    def test_artifact_is_seed_deterministic(self, tmp_path, capsys):
-        outs = []
-        for name in ("b1.json", "b2.json"):
-            out = tmp_path / name
-            assert run(["bench", "--seed", "4", "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        capsys.readouterr()
-        assert outs[0] == outs[1]
+class TestReadmeExamples:
+    def test_sample_file_example_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        """The README's spec, ``stat --draw`` and ``test --samples`` lines, verbatim."""
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+
+        def readme_line(prefix, *parts):
+            return next(ln for ln in lines if ln.startswith(prefix) and all(p in ln for p in parts))
+
+        spec, spec_path = re.fullmatch(r"echo '(.*)' > (\S+)", readme_line("echo ")).groups()
+        monkeypatch.chdir(tmp_path)
+        Path(spec_path).write_text(spec)
+        assert run(shlex.split(readme_line("pbdtest stat", "--draw"))[1:]) == 0
+        assert run(shlex.split(readme_line("pbdtest test --samples"))[1:]) == 0
+        verdict = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert verdict["verdict"] == "yes_pbd"

@@ -15,7 +15,6 @@ from pbdtest.distributions import (
     ell2_sq_distance,
     ell_inf_distance,
     indicator_chernoff_bound,
-    pbd_moments,
     pbd_pmf,
     poisson_tail_bound,
     tp_approx_bounds,
@@ -158,10 +157,12 @@ class TestTranslatedPoissonPmf:
 
 class TestMomentsAndDistances:
     def test_pbd_moments(self):
-        assert pbd_moments(Pbd(np.array([0.5, 0.5]))) == (1.0, 0.5)
-        assert pbd_moments(Pbd(np.array([]))) == (0.0, 0.0)
-        mean, var = pbd_moments(Pbd(np.array([0.1, 0.2, 0.3])))
-        assert mean == pytest.approx(0.6) and var == pytest.approx(0.46)
+        two = Pbd(np.array([0.5, 0.5]))
+        assert (two.mean(), two.variance()) == (1.0, 0.5)
+        empty = Pbd(np.array([]))
+        assert (empty.mean(), empty.variance()) == (0.0, 0.0)
+        three = Pbd(np.array([0.1, 0.2, 0.3]))
+        assert three.mean() == pytest.approx(0.6) and three.variance() == pytest.approx(0.46)
 
     def test_tv_identity_and_disjoint(self):
         d = binomial_pmf(4, 0.3)
@@ -302,7 +303,7 @@ class TestApproximationBounds:
             n = int(rng.integers(420, 800))
             ps = rng.uniform(0.3, 0.7, size=n)
             pbd = Pbd(ps)
-            mean, var = pbd_moments(pbd)
+            mean, var = pbd.mean(), pbd.variance()
             exact = pbd_pmf(pbd, tail_cut=1e-10)
             tp = translated_poisson_pmf(TranslatedPoissonParams(mean, var), tail_cut=1e-10)
             rep = tp_approx_bounds(pbd, q_max=exact.max_prob())

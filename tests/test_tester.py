@@ -26,7 +26,6 @@ from pbdtest.tester import (
     heavy_case_test,
     l2_statistic,
     l2_statistic_counts,
-    numeric_tv_tp_vs_hypothesis,
     run_budgeted_test,
     simple_tolerant_identity_test,
 )
@@ -44,10 +43,6 @@ def heavy_inputs(src, n, eps, seed):
 
 
 class TestConfigValidation:
-    def test_closeness_const_floor(self):
-        with pytest.raises(ValueError, match="closeness_const"):
-            TestConfig(eps=0.1, delta=0.1, closeness_const=5.0)
-
     def test_repetition_formula(self):
         cfg = TestConfig(eps=0.1, delta=0.1)
         assert cfg.repetitions() == math.ceil(18.0 * math.log(10.0))
@@ -161,16 +156,16 @@ class TestNumericTv:
     def test_pivot_against_itself(self):
         tp = TranslatedPoissonParams(30.0, 25.0)
         pmf = translated_poisson_pmf(tp, tail_cut=1e-9)
-        assert numeric_tv_tp_vs_hypothesis(tp, pmf, 0.1) <= 1e-8
+        assert tv_distance(translated_poisson_pmf(tp), pmf) <= 1e-8
 
     def test_disjoint_supports(self):
         tp = TranslatedPoissonParams(1000.0, 25.0)
         point = ExplicitDistribution(0, np.array([1.0]))
-        assert numeric_tv_tp_vs_hypothesis(tp, point, 0.1) == pytest.approx(1.0, abs=1e-6)
+        assert tv_distance(translated_poisson_pmf(tp), point) == pytest.approx(1.0, abs=1e-6)
 
     def test_binomial_vs_matched_pivot(self):
         tp = TranslatedPoissonParams(5000.0, 2500.0)
-        assert numeric_tv_tp_vs_hypothesis(tp, binomial_pmf(10_000, 0.5), 0.1) < 0.05
+        assert tv_distance(translated_poisson_pmf(tp), binomial_pmf(10_000, 0.5)) < 0.05
 
 
 class TestHeavyCase:
@@ -237,7 +232,8 @@ class TestHeavyCase:
                 TranslatedPoissonParams(m.mu_hat, m.sigma2_hat), tail_cut=1e-9
             )
             sigma_hat = math.sqrt(m.sigma2_hat)
-            ceiling = (5.3 / sigma_hat) * (2.0 * eps**2 / (cfg.closeness_const * math.sqrt(cfg.logt)))
+            # 10.0 is the paper's pivot closeness constant C'.
+            ceiling = (5.3 / sigma_hat) * (2.0 * eps**2 / (10.0 * math.sqrt(cfg.logt)))
             hits += ell2_sq_distance(src, pivot) <= ceiling
         assert hits >= 0.95 * trials
 
@@ -307,6 +303,40 @@ class TestTestPbd:
         cfg = TestConfig(eps=0.15, delta=0.3, seed=7, amplification_reps=1)
         res = run_budgeted_test(SampleStream.from_distribution(src, seed=7), 500, cfg, 0)
         assert res.verdict is Verdict.YES_PBD
+
+
+class TestSampleAccounting:
+    """Unbudgeted ``test_pbd`` reports exactly the samples its streams drew."""
+
+    N, EPS = 2_000, 0.2
+
+    @pytest.fixture()
+    def drawn(self, monkeypatch):
+        counted = []
+        for name in ("draw_histogram", "draw_poissonized"):
+            def counting(stream, k, _draw=getattr(SampleStream, name)):
+                hist = _draw(stream, k)
+                counted.append(hist.total)
+                return hist
+
+            monkeypatch.setattr(SampleStream, name, counting)
+        return counted
+
+    def _far_source(self):
+        pivot = translated_poisson_pmf(TranslatedPoissonParams(self.N / 2, self.N / 4))
+        far, _ = paired_perturbation(pivot, 0.35 * self.EPS)
+        return far
+
+    @pytest.mark.parametrize("branch", [Branch.SPARSE, Branch.HEAVY])
+    @pytest.mark.parametrize("source", ["binomial", "far"])
+    def test_samples_used_matches_draws(self, drawn, branch, source):
+        src = binomial_pmf(self.N, 0.5) if source == "binomial" else self._far_source()
+        cfg = TestConfig(eps=self.EPS, delta=0.3, seed=5, amplification_reps=3)
+        if branch is Branch.HEAVY:
+            cfg = cfg.replace(var_threshold_const=1e-12)
+        res = run_membership_test(SampleStream.from_distribution(src, seed=5), self.N, cfg)
+        assert res.diagnostics["branch_counts"][branch.value] == 3
+        assert res.samples_used == sum(drawn)
 
 
 class TestPoissonizedOverdrawGuard:
