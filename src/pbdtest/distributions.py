@@ -4,8 +4,11 @@ Besides the Bernoulli-sum, binomial and shifted-Poisson PMFs this holds
 the sign-perturbed fair binomial behind the lower-bound family.
 
 Everything here is a pure function of immutable values; no global state,
-safe to call concurrently.  All PMFs live in linear space but are computed
-from log-space terms so they stay usable up to seven-digit supports.
+safe to call concurrently.  All PMFs live in linear space.  The binomial
+and shifted-Poisson PMFs are computed from log-space terms in time linear
+in the support, so they stay usable up to seven-digit supports.  The
+Bernoulli-sum PMF is a sequential convolution whose cost grows as n^2,
+which limits it to supports of a few times 10^4.
 
 Distance conventions: ``tv_distance`` carries the 1/2 factor.  The raw
 (unhalved) sum of absolute differences is exposed separately as
@@ -43,6 +46,7 @@ __all__ = [
     "tp_pair_tv_bound",
     "PerturbedBinomial",
     "construct_perturbed_binomial",
+    "perturb_fair_binomial",
 ]
 
 # Mass-conservation tolerance beyond any declared truncation slack.
@@ -264,9 +268,11 @@ def binomial_pmf(n: int, p: float) -> ExplicitDistribution:
         out[n] = 1.0
         return ExplicitDistribution(0, out)
     ks = np.arange(n + 1, dtype=np.float64)
-    # Grouping the two factorial terms keeps the expression, hence the PMF,
-    # bit-exactly symmetric under i <-> n - i.
-    log_binom = gammaln(n + 1.0) - (gammaln(ks + 1.0) + gammaln(n - ks + 1.0))
+    # gammaln(n - k + 1) is gammaln(k + 1) read backwards: the arguments are
+    # the same exact integers.  Grouping the two factorial terms keeps the
+    # expression, hence the PMF, bit-exactly symmetric under i <-> n - i.
+    log_fact = gammaln(ks + 1.0)
+    log_binom = gammaln(n + 1.0) - (log_fact + log_fact[::-1])
     if p == 0.5:
         # Constant term keeps P(i) == P(n-i) bit-exact.
         log_pmf = log_binom - n * math.log(2.0)
@@ -429,8 +435,19 @@ class PerturbedBinomial:
 
 def construct_perturbed_binomial(pb: PerturbedBinomial) -> ExplicitDistribution:
     """Exact PMF of the perturbed binomial on [0, n]."""
-    base = binomial_pmf(pb.n, 0.5).probs
-    q = base.copy()
+    return perturb_fair_binomial(pb, binomial_pmf(pb.n, 0.5))
+
+
+def perturb_fair_binomial(
+    pb: PerturbedBinomial, base: ExplicitDistribution
+) -> ExplicitDistribution:
+    """``construct_perturbed_binomial`` on a prebuilt ``base = binomial_pmf(pb.n, 0.5)``.
+
+    Callers drawing many members of one family build the base once.
+    """
+    if base.lo != 0 or base.support_len != pb.n + 1:
+        raise ValueError("base must be the Binomial(n, 1/2) PMF on [0, n]")
+    q = base.probs.copy()
     half = pb.n // 2
     a = pb.c * pb.eps
     scale = a * pb.z.astype(np.float64)

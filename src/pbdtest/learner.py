@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -84,6 +85,11 @@ class LearnedPbd:
     def to_explicit(self) -> ExplicitDistribution:
         if self.is_sparse:
             return self.hypothesis.dist
+        return self._binomial_pmf
+
+    @cached_property
+    def _binomial_pmf(self) -> ExplicitDistribution:
+        # Built once: the fit check and the tester's stage share it.
         return binomial_pmf(self.hypothesis.n, self.hypothesis.p)
 
     def variance(self) -> float:
@@ -206,10 +212,11 @@ def learn_pbd(
     emp = hist.to_empirical()
     if sigma2_hat >= 1.0:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
+        learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat)
         noise = 0.4 * math.sqrt(emp.support_len / budget)
         tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
-        if tv_distance(emp, binomial_pmf(fit.n, fit.p)) <= tolerance:
-            return LearnedPbd(fit, budget, mu_hat, sigma2_hat)
+        if tv_distance(emp, learned.to_explicit()) <= tolerance:
+            return learned
 
     lo, hi = effective_support_interval(emp, eps / 10.0)
     cap = math.ceil(sparse_len_const / eps**3)

@@ -31,6 +31,7 @@ from .distributions import (
     PerturbedBinomial,
     binomial_pmf,
     construct_perturbed_binomial,
+    perturb_fair_binomial,
 )
 from .sampling import SampleStream
 from .tester import TestConfig, Verdict, run_budgeted_test
@@ -53,16 +54,27 @@ def random_sign_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _max_matching_prefix(weights: np.ndarray) -> np.ndarray:
-    """out[t] = max weight of a vertex-disjoint set of edges among edges < t."""
-    m = len(weights)
-    out = np.zeros(m + 1)
+    """out[t] = max weight of a vertex-disjoint set of edges among edges < t.
+
+    The recurrence runs only from the first to the last nonzero weight: a
+    zero-weight edge leaves the running maximum unchanged, so ``out`` is 0
+    before that span and holds its last value after it.
+    """
+    out = np.zeros(len(weights) + 1)
+    nonzero = np.flatnonzero(weights)
+    if nonzero.size == 0:
+        return out
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    span = []
     prev2 = 0.0
     prev1 = 0.0
-    for t in range(1, m + 1):
-        cur = max(prev1, prev2 + weights[t - 1])
-        out[t] = cur
+    for w in weights[first : last + 1].tolist():
+        cur = max(prev1, prev2 + w)
+        span.append(cur)
         prev2 = prev1
         prev1 = cur
+    out[first + 1 : last + 2] = span
+    out[last + 2 :] = prev1
     return out
 
 
@@ -79,7 +91,9 @@ def unimodal_distance_lb(
     returned here halved so it is on the TV scale.
 
     Credit is only taken inside ``window`` (absolute coordinates); outside
-    it all weights are zero, which keeps the bound valid.
+    it all weights are zero, which keeps the bound valid.  The matching
+    recurrence walks only the span of edges with nonzero credit, so a
+    narrow window costs its own width, not the support's.
     """
     p = q.probs
     m = len(p)
@@ -95,13 +109,11 @@ def unimodal_distance_lb(
         rises = np.where(inside, rises, 0.0)
     f = _max_matching_prefix(drops)
     g = _max_matching_prefix(rises[::-1])[::-1]
-    # g[t] = max matching among rise-edges with index >= t.
-    best = math.inf
-    for j in range(m):
-        opt_a = f[j] + (g[j + 1] if j + 1 <= m - 1 else 0.0)
-        opt_b = (f[j - 1] if j >= 1 else 0.0) + g[j]
-        best = min(best, max(opt_a, opt_b))
-    return 0.5 * float(best)
+    # g[t] = max matching among rise-edges with index >= t.  For mode j:
+    # opt_a = f[j] + g[j + 1] and opt_b = f[j - 1] + g[j], missing terms 0.
+    opt_a = f + np.append(g[1:], 0.0)
+    opt_b = np.insert(f[:-1], 0, 0.0) + g
+    return 0.5 * float(np.maximum(opt_a, opt_b).min())
 
 
 @lru_cache(maxsize=64)
@@ -199,7 +211,7 @@ def detection_experiment(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k_idx, trial, 1)))
         )
         pb = PerturbedBinomial(n, c_used, eps, random_sign_vector(n, sign_rng))
-        q = construct_perturbed_binomial(pb)
+        q = perturb_fair_binomial(pb, p0)
         certified = unimodal_distance_lb(q, window=_center_window(n)) > eps
         budget_p0 = int(budget_rng.poisson(k))
         budget_q = int(budget_rng.poisson(k))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from pbdtest.distributions import (
     ExplicitDistribution,
@@ -116,6 +117,18 @@ class TestBinomialPmf:
         # Direct summation on n = 1000: sum of squared masses stays below 1/sqrt(n).
         probs = binomial_pmf(1000, 0.5).probs
         assert (probs**2).sum() <= 1.0 / math.sqrt(1000)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.30012, 1e-3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 4096, 9987, 10_000])
+    def test_matches_two_gammaln_formula(self, n, p):
+        # Reference: both factorial terms from their own gammaln call.
+        ks = np.arange(n + 1, dtype=np.float64)
+        log_binom = gammaln(n + 1.0) - (gammaln(ks + 1.0) + gammaln(n - ks + 1.0))
+        if p == 0.5:
+            log_pmf = log_binom - n * math.log(2.0)
+        else:
+            log_pmf = log_binom + ks * math.log(p) + (n - ks) * math.log1p(-p)
+        assert np.array_equal(binomial_pmf(n, p).probs, np.exp(log_pmf))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -5,18 +5,61 @@ import math
 import numpy as np
 import pytest
 
+import pbdtest.distributions as distributions
+import pbdtest.lowerbound as lowerbound
 from pbdtest.distributions import ExplicitDistribution, binomial_pmf
 from pbdtest.lowerbound import (
     PerturbedBinomial,
+    _center_window,
+    _max_matching_prefix,
     chi2_indistinguishability_bound,
     construct_perturbed_binomial,
     detection_experiment,
     half_square_sum,
+    perturb_fair_binomial,
     random_sign_vector,
     unimodal_distance_lb,
 )
 from pbdtest.oracles import exact_tv_to_unimodal
 from pbdtest.tester import TestConfig
+
+
+def loop_max_matching_prefix(weights):
+    """Reference: the recurrence over every edge, one element at a time."""
+    m = len(weights)
+    out = np.zeros(m + 1)
+    prev2 = 0.0
+    prev1 = 0.0
+    for t in range(1, m + 1):
+        cur = max(prev1, prev2 + weights[t - 1])
+        out[t] = cur
+        prev2 = prev1
+        prev1 = cur
+    return out
+
+
+def loop_unimodal_distance_lb(q, window=None):
+    """Reference: the certificate with a per-mode Python min-max loop."""
+    p = q.probs
+    m = len(p)
+    if m == 1:
+        return 0.0
+    drops = np.maximum(p[:-1] - p[1:], 0.0)
+    rises = np.maximum(p[1:] - p[:-1], 0.0)
+    if window is not None:
+        w_lo, w_hi = window
+        edge_left = q.lo + np.arange(m - 1)
+        inside = (edge_left >= w_lo) & (edge_left + 1 <= w_hi)
+        drops = np.where(inside, drops, 0.0)
+        rises = np.where(inside, rises, 0.0)
+    f = loop_max_matching_prefix(drops)
+    g = loop_max_matching_prefix(rises[::-1])[::-1]
+    best = math.inf
+    for j in range(m):
+        opt_a = f[j] + (g[j + 1] if j + 1 <= m - 1 else 0.0)
+        opt_b = (f[j - 1] if j >= 1 else 0.0) + g[j]
+        best = min(best, max(opt_a, opt_b))
+    return 0.5 * float(best)
 
 
 class TestConstruction:
@@ -88,6 +131,60 @@ class TestUnimodalCertificate:
             q = construct_perturbed_binomial(pb)
             hits += unimodal_distance_lb(q, window=window) > 0.0
         assert hits >= 0.99 * trials
+
+
+class TestCertificateMatchesLoopReference:
+    """The vectorized certificate equals the per-element loops exactly."""
+
+    def test_random_inputs_with_windows(self):
+        rng = np.random.Generator(np.random.Philox(17))
+        for _ in range(2000):
+            m = int(rng.integers(1, 41))
+            lo = int(rng.integers(-50, 51))
+            # Quantized masses give ties and zero-credit edges.
+            p = rng.integers(0, 4, size=m).astype(float) if rng.random() < 0.5 else rng.random(m)
+            p[int(rng.integers(0, m))] += 1.0
+            d = ExplicitDistribution(lo, p / p.sum())
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                window = None
+            elif kind == 1:  # overlaps the support, possibly partially
+                a = lo + int(rng.integers(-5, m + 5))
+                window = (a, a + int(rng.integers(0, m + 5)))
+            else:  # disjoint from the support
+                window = (lo + m + 1, lo + m + 1 + int(rng.integers(0, 10)))
+            assert unimodal_distance_lb(d, window) == loop_unimodal_distance_lb(d, window)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3], [0.7]],
+        ids=["empty", "all-zero", "first-only", "last-only", "single"],
+    )
+    def test_prefix_edge_cases(self, weights):
+        w = np.array(weights, dtype=float)
+        out = _max_matching_prefix(w)
+        ref = loop_max_matching_prefix(w)
+        assert out.shape == ref.shape
+        assert out.tolist() == ref.tolist()
+
+    def test_family_members_with_and_without_window(self):
+        n = 4096
+        rng = np.random.Generator(np.random.Philox(23))
+        for _ in range(50):
+            q = construct_perturbed_binomial(
+                PerturbedBinomial(n, 8.0, 0.1, random_sign_vector(n, rng))
+            )
+            for window in (_center_window(n), None):
+                assert unimodal_distance_lb(q, window) == loop_unimodal_distance_lb(q, window)
+
+    def test_prebuilt_base_gives_same_member(self):
+        n = 256
+        z = random_sign_vector(n, np.random.Generator(np.random.Philox(2)))
+        pb = PerturbedBinomial(n, 8.0, 0.1, z)
+        q = perturb_fair_binomial(pb, binomial_pmf(n, 0.5))
+        np.testing.assert_array_equal(q.probs, construct_perturbed_binomial(pb).probs)
+        with pytest.raises(ValueError, match="base"):
+            perturb_fair_binomial(pb, binomial_pmf(n - 2, 0.5))
 
 
 class TestChi2Bound:
@@ -176,3 +273,20 @@ class TestDetectionExperiment:
         r = rows[0]
         se = math.sqrt(2.0 * 0.25 / 30)
         assert r.advantage <= r.chi2_bound + 3.0 * se
+
+    def test_fair_binomial_built_once_per_call(self, monkeypatch):
+        n = 128
+        half_square_sum(n)  # warm the cache so only the experiment's own builds count
+        builds = []
+        for module in (lowerbound, distributions):
+
+            def counting(n_, p_, _orig=module.binomial_pmf):
+                if (n_, p_) == (n, 0.5):
+                    builds.append(n_)
+                return _orig(n_, p_)
+
+            monkeypatch.setattr(module, "binomial_pmf", counting)
+        cfg = TestConfig(eps=0.2, delta=0.5, seed=3, amplification_reps=1)
+        detection_experiment(n, 2.0, 0.2, [50.0, 500.0], trials=5, config=cfg, seed=3)
+        # A build per trial would make 1 + 2 * 5.
+        assert len(builds) == 1

@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import pbdtest.learner as learner
 from pbdtest.distributions import (
     ExplicitDistribution,
+    PerturbedBinomial,
     TranslatedPoissonParams,
     binomial_pmf,
+    construct_perturbed_binomial,
     ell2_sq_distance,
     translated_poisson_pmf,
     truncated_log,
     tv_distance,
 )
 from pbdtest.learner import MomentEstimates, estimate_mean_var, fit_binomial_by_moments
+from pbdtest.lowerbound import random_sign_vector
 from pbdtest.oracles import paired_perturbation, tn_closed_form_moments
 from pbdtest.sampling import SampleHistogram, SampleStream
 from pbdtest.tester import (
@@ -337,6 +341,40 @@ class TestSampleAccounting:
         res = run_membership_test(SampleStream.from_distribution(src, seed=5), self.N, cfg)
         assert res.diagnostics["branch_counts"][branch.value] == 3
         assert res.samples_used == sum(drawn)
+
+    @pytest.mark.parametrize("budget", [0, 1, 5, 100, 5_000, 500_000, 5_000_000, 42_564_185])
+    @pytest.mark.parametrize("source", ["binomial", "member"])
+    def test_budgeted_sparse_run_stays_within_budget(self, drawn, budget, source):
+        # The lower-bound experiment's operating point: n = 4096, eps = 0.1,
+        # one unamplified run per arm, against the fair binomial or a c = 8
+        # family member.
+        n = 4096
+        src = binomial_pmf(n, 0.5)
+        if source == "member":
+            z = random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
+            src = construct_perturbed_binomial(PerturbedBinomial(n, 8.0, 0.1, z))
+        cfg = TestConfig(eps=0.1, delta=0.5, seed=7, amplification_reps=1)
+        res = run_budgeted_test(SampleStream.from_distribution(src, seed=7), n, cfg, budget)
+        assert res.branch is Branch.SPARSE
+        assert res.samples_used <= budget
+        assert res.samples_used == sum(drawn)
+
+
+class TestHypothesisPmfBuiltOnce:
+    def test_binomial_fit_route_builds_one_pmf(self, monkeypatch):
+        calls = []
+
+        def counting(n, p, _orig=learner.binomial_pmf):
+            calls.append((n, p))
+            return _orig(n, p)
+
+        monkeypatch.setattr(learner, "binomial_pmf", counting)
+        src = binomial_pmf(2_000, 0.5)
+        cfg = TestConfig(eps=0.2, delta=0.3, seed=5)
+        res = run_budgeted_test(SampleStream.from_distribution(src, seed=5), 2_000, cfg)
+        assert res.diagnostics["hypothesis_kind"] == "binomial"
+        # The fit check and the sparse stage share one build.
+        assert len(calls) == 1
 
 
 class TestPoissonizedOverdrawGuard:
