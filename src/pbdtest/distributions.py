@@ -46,7 +46,6 @@ __all__ = [
     "tp_pair_tv_bound",
     "PerturbedBinomial",
     "construct_perturbed_binomial",
-    "perturb_fair_binomial",
 ]
 
 # Mass-conservation tolerance beyond any declared truncation slack.
@@ -435,18 +434,14 @@ class PerturbedBinomial:
 
 def construct_perturbed_binomial(pb: PerturbedBinomial) -> ExplicitDistribution:
     """Exact PMF of the perturbed binomial on [0, n]."""
-    return perturb_fair_binomial(pb, binomial_pmf(pb.n, 0.5))
+    return _perturb_fair_binomial(pb, binomial_pmf(pb.n, 0.5))
 
 
-def perturb_fair_binomial(
+def _perturb_fair_binomial(
     pb: PerturbedBinomial, base: ExplicitDistribution
 ) -> ExplicitDistribution:
-    """``construct_perturbed_binomial`` on a prebuilt ``base = binomial_pmf(pb.n, 0.5)``.
-
-    Callers drawing many members of one family build the base once.
-    """
-    if base.lo != 0 or base.support_len != pb.n + 1:
-        raise ValueError("base must be the Binomial(n, 1/2) PMF on [0, n]")
+    # ``base`` is binomial_pmf(pb.n, 0.5): callers drawing many members of
+    # one family build it once.
     q = base.probs.copy()
     half = pb.n // 2
     a = pb.c * pb.eps

@@ -11,7 +11,10 @@ Two certificates matter:
 * ``unimodal_distance_lb`` - a lower bound on the TV distance to *every*
   unimodal distribution (hence to every Bernoulli-sum law, which is
   log-concave and unimodal), built from drops/rises that fight any
-  candidate mode direction.
+  candidate mode direction.  ``unimodal_regression_lb`` is a tighter and
+  slower bound of the same kind, the exact l1 distance to unimodal
+  sequences; the detection experiment falls back to it for the few
+  members the first bound does not certify.
 * ``chi2_indistinguishability_bound`` - an upper bound on the TV distance
   between the Poissonized sample processes of the fair binomial and a
   uniformly drawn member of the family, so no tester on that few samples
@@ -30,8 +33,8 @@ from .distributions import (
     ExplicitDistribution,
     PerturbedBinomial,
     binomial_pmf,
+    _perturb_fair_binomial,
     construct_perturbed_binomial,
-    perturb_fair_binomial,
 )
 from .sampling import SampleStream
 from .tester import TestConfig, Verdict, run_budgeted_test
@@ -41,6 +44,7 @@ __all__ = [
     "construct_perturbed_binomial",
     "random_sign_vector",
     "unimodal_distance_lb",
+    "unimodal_regression_lb",
     "chi2_indistinguishability_bound",
     "half_square_sum",
     "DetectionRow",
@@ -114,6 +118,45 @@ def unimodal_distance_lb(
     opt_a = f + np.append(g[1:], 0.0)
     opt_b = np.insert(f[:-1], 0, 0.0) + g
     return 0.5 * float(np.maximum(opt_a, opt_b).min())
+
+
+def _isotonic_l1_prefix(y: np.ndarray) -> np.ndarray:
+    """out[t] = least l1 distance from y[:t] to a nondecreasing sequence.
+
+    Some least-l1 nondecreasing fit takes only values found in y, so the
+    recurrence runs over the sorted distinct values: ``cost[v]`` is the
+    least error of the prefix with its last fitted value at most ``v``.
+    """
+    values = np.unique(y)
+    out = np.zeros(len(y) + 1)
+    cost = np.zeros(len(values))
+    for t, x in enumerate(y.tolist(), start=1):
+        cost = np.minimum.accumulate(cost + np.abs(x - values))
+        out[t] = cost[-1]
+    return out
+
+
+def unimodal_regression_lb(
+    q: ExplicitDistribution, window: tuple[int, int] | None = None
+) -> float:
+    """Half the least l1 distance from q, inside ``window``, to a unimodal sequence.
+
+    A unimodal distribution restricted to the window is a nonnegative
+    unimodal sequence there, and dropping the unit-mass constraint only
+    lowers the minimum, so this is a lower bound on TV(q, U) over all
+    unimodal U.  It is never below ``unimodal_distance_lb`` with the same
+    window, whose disjoint pairs each bound part of the same l1 error.
+    Cost grows as the square of the window's width.
+    """
+    p = q.probs
+    if window is not None:
+        a = max(window[0] - q.lo, 0)
+        b = min(window[1] - q.lo + 1, len(p))
+        p = p[a:b] if a < b else p[:0]
+    # A split at t fits y[:t] nondecreasing and y[t:] nonincreasing.
+    f = _isotonic_l1_prefix(p)
+    g = _isotonic_l1_prefix(p[::-1])[::-1]
+    return 0.5 * float((f + g).min())
 
 
 @lru_cache(maxsize=64)
@@ -211,8 +254,13 @@ def detection_experiment(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k_idx, trial, 1)))
         )
         pb = PerturbedBinomial(n, c_used, eps, random_sign_vector(n, sign_rng))
-        q = perturb_fair_binomial(pb, p0)
-        certified = unimodal_distance_lb(q, window=_center_window(n)) > eps
+        q = _perturb_fair_binomial(pb, p0)
+        # The matching bound certifies all but about 1 in 3000 members at
+        # n = 4096, c = 8; the regression bound is tighter and costlier.
+        window = _center_window(n)
+        certified = (
+            unimodal_distance_lb(q, window) > eps or unimodal_regression_lb(q, window) > eps
+        )
         budget_p0 = int(budget_rng.poisson(k))
         budget_q = int(budget_rng.poisson(k))
         s0 = SampleStream.from_distribution(p0, seed, spawn_key=(k_idx, trial, 2))

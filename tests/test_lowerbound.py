@@ -7,7 +7,7 @@ import pytest
 
 import pbdtest.distributions as distributions
 import pbdtest.lowerbound as lowerbound
-from pbdtest.distributions import ExplicitDistribution, binomial_pmf
+from pbdtest.distributions import ExplicitDistribution, _perturb_fair_binomial, binomial_pmf
 from pbdtest.lowerbound import (
     PerturbedBinomial,
     _center_window,
@@ -15,10 +15,11 @@ from pbdtest.lowerbound import (
     chi2_indistinguishability_bound,
     construct_perturbed_binomial,
     detection_experiment,
+    _isotonic_l1_prefix,
     half_square_sum,
-    perturb_fair_binomial,
     random_sign_vector,
     unimodal_distance_lb,
+    unimodal_regression_lb,
 )
 from pbdtest.oracles import exact_tv_to_unimodal
 from pbdtest.tester import TestConfig
@@ -181,10 +182,63 @@ class TestCertificateMatchesLoopReference:
         n = 256
         z = random_sign_vector(n, np.random.Generator(np.random.Philox(2)))
         pb = PerturbedBinomial(n, 8.0, 0.1, z)
-        q = perturb_fair_binomial(pb, binomial_pmf(n, 0.5))
+        q = _perturb_fair_binomial(pb, binomial_pmf(n, 0.5))
         np.testing.assert_array_equal(q.probs, construct_perturbed_binomial(pb).probs)
-        with pytest.raises(ValueError, match="base"):
-            perturb_fair_binomial(pb, binomial_pmf(n - 2, 0.5))
+
+
+class TestRegressionCertificate:
+    """The l1-regression bound: valid, never below the matching bound, and
+    certifies the members the matching bound misses."""
+
+    @staticmethod
+    def _missed_member():
+        # Trial 0 of the first budget point of detection_experiment at this
+        # seed: the matching bound gives 0.0972 against eps = 0.1.
+        n = 4096
+        seq = np.random.SeedSequence(entropy=(3 << 32) + 100, spawn_key=(0, 0, 1))
+        z = random_sign_vector(n, np.random.Generator(np.random.Philox(seq)))
+        return construct_perturbed_binomial(PerturbedBinomial(n, 8.0, 0.1, z))
+
+    def test_isotonic_prefix_hand_values(self):
+        # A decreasing run costs its distances to the median; a rising one is free.
+        assert _isotonic_l1_prefix(np.array([3.0, 2.0, 1.0, 0.0])).tolist() == [
+            0.0, 0.0, 1.0, 2.0, 4.0
+        ]
+        assert _isotonic_l1_prefix(np.array([0.0, 1.0, 1.0, 5.0])).tolist() == [0.0] * 5
+        assert _isotonic_l1_prefix(np.array([])).tolist() == [0.0]
+
+    def test_two_spikes_hand_value(self):
+        d = ExplicitDistribution(0, np.array([0.5, 0.0, 0.5]))
+        assert unimodal_regression_lb(d) == pytest.approx(0.25)
+        assert unimodal_regression_lb(binomial_pmf(30, 0.5)) == 0.0
+
+    def test_between_matching_bound_and_exact_distance(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        for _ in range(40):
+            m = int(rng.integers(1, 13))
+            lo = int(rng.integers(-5, 6))
+            p = rng.integers(0, 4, size=m).astype(float) if rng.random() < 0.5 else rng.random(m)
+            p[int(rng.integers(0, m))] += 1.0
+            d = ExplicitDistribution(lo, p / p.sum())
+            a = lo + int(rng.integers(-3, m + 3))
+            for window in (None, (a, a + int(rng.integers(0, m + 3)))):
+                reg = unimodal_regression_lb(d, window)
+                assert unimodal_distance_lb(d, window) <= reg + 1e-12
+                assert reg <= exact_tv_to_unimodal(d) + 1e-7
+
+    def test_certifies_member_the_matching_bound_misses(self):
+        q = self._missed_member()
+        window = _center_window(4096)
+        assert unimodal_distance_lb(q, window) <= 0.1
+        assert unimodal_regression_lb(q, window) > 0.2
+
+    def test_detection_counts_that_member_certified(self):
+        cfg = TestConfig(eps=0.1, delta=0.5, seed=0, amplification_reps=1)
+        rows, _ = detection_experiment(
+            4096, 8.0, 0.1, [5.0], trials=2, config=cfg, seed=(3 << 32) + 100
+        )
+        # The matching bound alone certifies only trial 1.
+        assert rows[0].certified_far_rate == 1.0
 
 
 class TestChi2Bound:

@@ -310,7 +310,9 @@ class TestTestPbd:
 
 
 class TestSampleAccounting:
-    """Unbudgeted ``test_pbd`` reports exactly the samples its streams drew."""
+    """``samples_used`` equals the samples the streams drew: unbudgeted
+    ``test_pbd`` on both branches, and budgeted sparse-branch runs, which
+    also stay within their budget."""
 
     N, EPS = 2_000, 0.2
 
