@@ -32,8 +32,8 @@ import numpy as np
 from .distributions import (
     ExplicitDistribution,
     PerturbedBinomial,
-    binomial_pmf,
     _perturb_fair_binomial,
+    binomial_pmf,
     construct_perturbed_binomial,
 )
 from .sampling import SampleStream
@@ -153,7 +153,7 @@ def unimodal_regression_lb(
         a = max(window[0] - q.lo, 0)
         b = min(window[1] - q.lo + 1, len(p))
         p = p[a:b] if a < b else p[:0]
-    # A split at t fits y[:t] nondecreasing and y[t:] nonincreasing.
+    # A split at t fits p[:t] nondecreasing and p[t:] nonincreasing.
     f = _isotonic_l1_prefix(p)
     g = _isotonic_l1_prefix(p[::-1])[::-1]
     return 0.5 * float((f + g).min())
