@@ -112,6 +112,7 @@ def _random_pbd(rng, sigma2_target: float) -> Pbd:
 
 def test_criterion_03_approximation_bounds_dominate():
     """Closed-form pivot bounds dominate exact distances, zero violations."""
+    t0 = time.time()
     rng = np.random.Generator(np.random.Philox(303))
     sigma2s = np.exp(rng.uniform(math.log(25.0), math.log(1e4), size=100))
     for s2 in sigma2s:
@@ -132,7 +133,9 @@ def test_criterion_03_approximation_bounds_dominate():
         a, b = TranslatedPoissonParams(mu1, s1), TranslatedPoissonParams(mu2, s2)
         exact = tv_distance(translated_poisson_pmf(a, 1e-10), translated_poisson_pmf(b, 1e-10))
         assert exact <= tp_pair_tv_bound(a, b) + 1e-9
-    report("criterion-03", "100 pivot bounds + 100 pair bounds, zero violations")
+    elapsed = time.time() - t0
+    assert elapsed < 10.0
+    report("criterion-03", f"100 pivot bounds + 100 pair bounds, zero violations, {elapsed:.1f}s")
 
 
 def test_criterion_04_empirical_learning_rate():

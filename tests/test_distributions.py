@@ -1,6 +1,7 @@
 """Unit tests for the exact distribution machinery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pbdtest.distributions import (
     truncated_log,
     tv_distance,
 )
+from pbdtest.distspec import normalize_spec
 from pbdtest.oracles import brute_force_pbd_pmf
 
 
@@ -99,6 +101,96 @@ class TestPbdPmf:
     def test_deterministic_p_one(self):
         d = pbd_pmf(Pbd(np.array([1.0, 1.0, 1.0])))
         assert d.prob_at(3) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probabilities(self, bad):
+        with pytest.raises(ValueError, match=r"all p_i must lie in \[0, 1\]"):
+            normalize_spec({"kind": "pbd", "ps": [0.5, bad]})
+        with pytest.raises(ValueError, match=r"all p_i must lie in \[0, 1\]"):
+            pbd_pmf(Pbd(np.array([bad, 0.5])))
+
+    def test_hundred_thousand_coins_under_a_second(self):
+        ps = np.random.Generator(np.random.Philox(5)).uniform(0.05, 0.95, size=100_000)
+        pbd = Pbd(ps)
+        t0 = time.perf_counter()
+        d = pbd_pmf(pbd, tail_cut=1e-9)
+        elapsed = time.perf_counter() - t0
+        assert d.tail_slack <= 1e-9
+        assert abs(d.mean() - pbd.mean()) <= 1e-6 * pbd.mean()
+        assert elapsed < 1.0
+
+
+def sequential_pbd_pmf(ps, tail_cut: float = 0.0) -> ExplicitDistribution:
+    """Reference: multiply the factors (1 - p + p x) in one coin at a time,
+    greedily dropping end mass after every coin while the budget lasts."""
+    v = np.array([1.0])
+    lo = 0
+    budget = float(tail_cut)
+    dropped = 0.0
+    for p in ps:
+        new = np.empty(len(v) + 1)
+        new[: len(v)] = v * (1.0 - p)
+        new[len(v)] = 0.0
+        new[1:] += v * p
+        start = 0
+        end = len(new)
+        while end - start > 1 and new[start] <= budget:
+            budget -= new[start]
+            dropped += new[start]
+            start += 1
+        while end - start > 1 and new[end - 1] <= budget:
+            budget -= new[end - 1]
+            dropped += new[end - 1]
+            end -= 1
+        lo += start
+        v = new[start:end]
+    return ExplicitDistribution(lo, v, tail_slack=dropped if dropped > 0.0 else 0.0)
+
+
+class TestPbdPmfMatchesSequentialReference:
+    def test_bit_identical_up_to_one_block(self):
+        rng = np.random.Generator(np.random.Philox(64))
+        for _ in range(1000):
+            n = int(rng.integers(0, 65))
+            ps = rng.random(n)
+            u = rng.random(n)
+            ps[u < 0.1] = 0.0
+            ps[u > 0.9] = 1.0
+            fast = pbd_pmf(Pbd(ps))
+            ref = sequential_pbd_pmf(ps)
+            assert fast.lo == ref.lo and fast.tail_slack == ref.tail_slack
+            assert np.array_equal(fast.probs, ref.probs)
+
+    @pytest.mark.parametrize("n", [65, 127, 128, 129, 1000, 3000, 20_000])
+    def test_close_to_reference_beyond_one_block(self, n):
+        ps = np.random.Generator(np.random.Philox(n)).random(n)
+        fast = pbd_pmf(Pbd(ps))
+        ref = sequential_pbd_pmf(ps)
+        assert fast.tail_slack == 0.0
+        assert ell_inf_distance(fast, ref) <= 1e-15
+        assert tv_distance(fast, ref) <= 1e-13
+
+    @pytest.mark.parametrize("tail_cut", [1e-12, 1e-9, 1e-6])
+    @pytest.mark.parametrize("n", [40, 500, 5000])
+    def test_truncation_stays_within_budget(self, n, tail_cut):
+        ps = np.random.Generator(np.random.Philox(n)).uniform(0.05, 0.95, size=n)
+        d = pbd_pmf(Pbd(ps), tail_cut=tail_cut)
+        assert d.tail_slack <= tail_cut
+        assert d.probs.sum() >= 1.0 - d.tail_slack - 1e-12
+        assert tv_distance(d, sequential_pbd_pmf(ps)) <= d.tail_slack + 1e-13
+
+    def test_budget_trims_beyond_the_per_coin_greedy(self):
+        # The per-coin greedy spends the budget on far tails; the tree
+        # spends it where the final law has negligible mass.
+        ps = np.random.Generator(np.random.Philox(3)).uniform(0.05, 0.95, size=5000)
+        assert pbd_pmf(Pbd(ps), 1e-9).support_len < sequential_pbd_pmf(ps, 1e-9).support_len / 2
+
+    @pytest.mark.parametrize("p, point", [(0.0, 0), (1.0, 1000)])
+    def test_deterministic_coins_give_point_mass(self, p, point):
+        d = pbd_pmf(Pbd(np.full(1000, p)))
+        assert d.lo == point
+        np.testing.assert_array_equal(d.probs, [1.0])
+        assert d.tail_slack == 0.0
 
 
 class TestBinomialPmf:
