@@ -47,12 +47,15 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(obj: dict, out_path: str | None):
-    text = _dump(obj)
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+            fh.write(text)
+    sys.stdout.write(text)
+
+
+def _emit(obj: dict, out_path: str | None):
+    _write(_dump(obj) + "\n", out_path)
 
 
 def _load_config_overrides(path: str | None) -> dict:
@@ -203,11 +206,7 @@ def _cmd_lowerbound(args) -> int:
             f"{r.k!r},{r.detect_rate!r},{r.false_reject_rate!r},"
             f"{r.advantage!r},{r.chi2_bound!r},{r.certified_far_rate!r},{r.trials}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -255,11 +254,7 @@ def _oracle_suite(name: str, seed: int) -> list[dict]:
 def _cmd_oracle(args) -> int:
     reports = _oracle_suite(args.suite, args.seed)
     lines = [_dump({"schema": "pbdtest.oracle/1", "suite": args.suite, **r}) for r in reports]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

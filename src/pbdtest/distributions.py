@@ -467,9 +467,10 @@ class PerturbedBinomial:
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
             raise ValueError("n must be a positive even integer")
-        if self.c < 0 or self.eps < 0:
-            raise ValueError("c and eps must be nonnegative")
-        if self.c * self.eps >= 1.0:
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not (0.0 <= self.c < math.inf and 0.0 <= self.eps < math.inf):
+            raise ValueError("c and eps must be finite and nonnegative")
+        if not self.c * self.eps < 1.0:
             raise ValueError("need c * eps < 1 for nonnegative masses")
         z = np.ascontiguousarray(self.z, dtype=np.int8)
         if z.shape != (self.n // 2,):

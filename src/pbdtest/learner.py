@@ -115,8 +115,6 @@ def estimate_mean_var(
     k = math.ceil(sample_const / eps_prime**2)
     if max_samples is not None:
         k = min(k, max_samples)
-    if k < 1:
-        return MomentEstimates(0.0, 0.0, eps_prime, 0)
     hist = stream.draw_histogram(k)
     mu, var = hist.moments()
     return MomentEstimates(mu, var, eps_prime, k)

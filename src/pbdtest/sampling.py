@@ -40,7 +40,7 @@ _FRAC_ONE = 1 << _FRAC_BITS
 
 
 class StreamExhausted(RuntimeError):
-    """An externally supplied sample pool ran out of fresh samples."""
+    """A sample pool ran out, or a draw would exceed the cap its caller set."""
 
 
 @dataclass(frozen=True)
@@ -253,16 +253,19 @@ class SampleStream:
         counts = self._generator().multinomial(k, self._pvals())
         return SampleHistogram(self._source.lo, counts, nominal_rate=float(k))
 
-    def draw_poissonized(self, k: float) -> SampleHistogram:
+    def draw_poissonized(self, k: float, cap: int | None = None) -> SampleHistogram:
         """Histogram of K ~ Poisson(k) fresh samples.
 
         Under this draw the per-symbol counts are independent Poisson
-        variables with means k * P(i); tests check that equivalence.
+        variables with means k * P(i); tests check that equivalence.  A
+        total K above ``cap`` raises ``StreamExhausted`` before any draw.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         rng = self._generator()
         total = int(rng.poisson(k))
+        if cap is not None and total > cap:
+            raise StreamExhausted(f"Poisson total {total} exceeds the cap of {cap} samples")
         if self._pool is not None:
             hist = self.draw_histogram(total)
             return SampleHistogram(hist.lo, hist.counts, nominal_rate=k, poissonized=True)

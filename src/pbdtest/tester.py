@@ -40,7 +40,7 @@ from .learner import (
     estimate_mean_var,
     learn_pbd,
 )
-from .sampling import SampleHistogram, SampleStream, empirical_distribution
+from .sampling import SampleHistogram, SampleStream, StreamExhausted, empirical_distribution
 
 __all__ = [
     "Verdict",
@@ -91,6 +91,8 @@ class TestConfig:
     Short names in comments give the conventional symbol for each knob.
     ``tail_cut`` doubles as the numeric tolerance of the deterministic
     pivot-vs-hypothesis TV estimate, which must stay within eps/5.
+    ``seed`` is never read by the test: verdicts follow the stream's seed,
+    and the field is only echoed into the artifact's ``config`` block.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -109,8 +111,6 @@ class TestConfig:
     amplification_const: float = 18.0  # B: majority repetitions ceil(B ln(1/delta))
     amplification_reps: int | None = None  # explicit override (experiments)
     tail_cut: float = 1e-9
-    poissonized_overdraw: float = 4.0  # redraw when K > overdraw * k
-    max_redraws: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -266,29 +266,20 @@ def l2_statistic(hist: SampleHistogram, q: ExplicitDistribution) -> float:
     return l2_statistic_counts(hist.counts, hist.lo, q, hist.nominal_rate)
 
 
-def _poissonized_draw(stream: SampleStream, k: float, config: TestConfig) -> tuple[SampleHistogram, int]:
-    """Poissonized histogram with the overdraw guard; returns (hist, samples_spent)."""
-    spent = 0
-    for _ in range(config.max_redraws):
-        hist = stream.draw_poissonized(k)
-        spent += hist.total
-        if hist.total <= config.poissonized_overdraw * k:
-            return hist, spent
-    raise RuntimeError("poissonized draw exceeded the overdraw guard repeatedly")
-
-
 def heavy_case_test(
     stream: SampleStream,
     n: int,
     config: TestConfig,
     moments: MomentEstimates,
     hypothesis: ExplicitDistribution,
+    budget: int | None = None,
 ) -> TestVerdict:
     """Heavy-branch decision given moment estimates and the learned hypothesis.
 
     Rejects when the pivot sits far from the hypothesis or the variance
     estimate exceeds n/2; otherwise thresholds the Poissonized statistic.
-    A tie at the threshold resolves to acceptance.
+    A tie at the threshold resolves to acceptance; a Poisson total above
+    ``budget`` draws nothing and ends the run as budget-exhausted.
     """
     eps = config.eps
     diag: dict = {
@@ -315,14 +306,24 @@ def heavy_case_test(
         return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
     sigma_hat = math.sqrt(moments.sigma2_hat)
     k = math.ceil(config.l2_sample_rate(sigma_hat))
-    hist, spent = _poissonized_draw(stream, float(k), config)
+    diag["k_poissonized"] = k
+    try:
+        hist = stream.draw_poissonized(float(k), cap=budget)
+    except StreamExhausted:
+        if budget is None:
+            raise
+        return _budget_exhausted(Branch.HEAVY, moments.samples_used, diag)
     t_n = l2_statistic(hist, pivot)
     threshold = config.l2_threshold(sigma_hat)
-    diag.update(
-        {"k_poissonized": k, "realized_count": hist.total, "t_n": t_n, "t_n_threshold": threshold}
-    )
+    diag.update({"realized_count": hist.total, "t_n": t_n, "t_n_threshold": threshold})
     verdict = Verdict.YES_PBD if t_n <= threshold else Verdict.NO_PBD
-    return TestVerdict(verdict, Branch.HEAVY, moments.samples_used + spent, diag)
+    return TestVerdict(verdict, Branch.HEAVY, moments.samples_used + hist.total, diag)
+
+
+def _budget_exhausted(branch: Branch, used: int, diag: dict) -> TestVerdict:
+    # A run that cannot pay for its next stage has no evidence against membership.
+    diag["budget_exhausted"] = True
+    return TestVerdict(Verdict.YES_PBD, branch, used, diag)
 
 
 def _sparse_case(
@@ -330,7 +331,7 @@ def _sparse_case(
     config: TestConfig,
     hypothesis: ExplicitDistribution,
     budget: int | None,
-) -> tuple[Verdict, dict, int]:
+) -> TestVerdict:
     eps = config.eps
     (i_lo, i_hi), coarsener = coarsen_to_interval(hypothesis, eps)
     length = i_hi - i_lo + 1
@@ -342,29 +343,28 @@ def _sparse_case(
         "interval_len_ceiling": config.logt**2.5 / eps**4,
         "tolerant_samples": k_tol,
     }
-    if k_tol < 1:
-        # No budget left: no evidence against membership.
-        diag["budget_exhausted"] = True
-        return Verdict.YES_PBD, diag, 0
-    hist = stream.split(_STAGE_TOLERANT).draw_histogram(k_tol)
+    hist = stream.draw_histogram(k_tol)
     emp = coarsener.apply_to_histogram(hist)
     tv = tv_distance(emp, coarsener.apply(hypothesis))
     closeness = _tolerant_closeness(tv, eps)
     diag["tv_empirical_vs_hypothesis"] = tv
     diag["tolerant_outcome"] = closeness.value
     verdict = Verdict.YES_PBD if closeness is Closeness.CLOSE else Verdict.NO_PBD
-    return verdict, diag, k_tol
+    return TestVerdict(verdict, Branch.SPARSE, k_tol, diag)
 
 
 def run_budgeted_test(
     stream: SampleStream, n: int, config: TestConfig, sample_budget: int | None = None
 ) -> TestVerdict:
-    """One unamplified run; ``sample_budget`` caps total sample consumption."""
+    """One unamplified run; ``sample_budget`` is a hard cap on the samples it draws.
+
+    Each stage gets what the ones before it left (learning at most half).
+    A run with nothing left after learning, or whose l2 Poisson total does
+    not fit, draws no more and returns ``YES_PBD`` with ``budget_exhausted``.
+    """
     eps = config.eps
-    remaining = sample_budget
-    # Under a hard cap, reserve half for the post-learning stage so partial
-    # budgets degrade both stages instead of starving the second one.
-    learn_cap = None if remaining is None else remaining // 2
+    # Under a hard cap, reserve half for the post-learning stages so partial
+    # budgets degrade learning and testing instead of starving the tests.
     learned = learn_pbd(
         stream.split(_STAGE_LEARN),
         n,
@@ -372,11 +372,10 @@ def run_budgeted_test(
         learn_sample_const=config.learn_sample_const,
         sparse_threshold_const=config.learn_sparse_threshold_const,
         sparse_len_const=config.sparse_len_const,
-        max_samples=learn_cap,
+        max_samples=None if sample_budget is None else sample_budget // 2,
     )
     used = learned.samples_used
-    if remaining is not None:
-        remaining -= used
+    remaining = None if sample_budget is None else sample_budget - used
     hyp_var = learned.variance()
     diag: dict = {
         "hypothesis_kind": "sparse" if learned.is_sparse else "binomial",
@@ -384,22 +383,26 @@ def run_budgeted_test(
         "variance_threshold": config.variance_threshold(),
         "learn_samples": used,
     }
-    if hyp_var < config.variance_threshold():
-        verdict, sparse_diag, spent = _sparse_case(
-            stream, config, learned.to_explicit(), remaining
+    branch = Branch.SPARSE if hyp_var < config.variance_threshold() else Branch.HEAVY
+    if remaining == 0:
+        return _budget_exhausted(branch, used, diag)
+    hypothesis = learned.to_explicit()
+    if branch is Branch.SPARSE:
+        stage = _sparse_case(stream.split(_STAGE_TOLERANT), config, hypothesis, remaining)
+    else:
+        eps_prime = eps / max(n / 4.0, 1.0) ** 0.125
+        moments = estimate_mean_var(
+            stream.split(_STAGE_MOMENTS),
+            min(eps_prime, 0.999),
+            sample_const=config.moment_sample_const,
+            max_samples=remaining,
         )
-        diag.update(sparse_diag)
-        return TestVerdict(verdict, Branch.SPARSE, used + spent, diag)
-    eps_prime = eps / max(n / 4.0, 1.0) ** 0.125
-    moments = estimate_mean_var(
-        stream.split(_STAGE_MOMENTS),
-        min(eps_prime, 0.999),
-        sample_const=config.moment_sample_const,
-        max_samples=remaining,
-    )
-    heavy = heavy_case_test(stream.split(_STAGE_L2), n, config, moments, learned.to_explicit())
-    diag.update(heavy.diagnostics)
-    return TestVerdict(heavy.verdict, Branch.HEAVY, used + heavy.samples_used, diag)
+        l2_budget = None if remaining is None else remaining - moments.samples_used
+        stage = heavy_case_test(
+            stream.split(_STAGE_L2), n, config, moments, hypothesis, budget=l2_budget
+        )
+    diag.update(stage.diagnostics)
+    return TestVerdict(stage.verdict, branch, used + stage.samples_used, diag)
 
 
 def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:

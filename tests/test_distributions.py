@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from pbdtest.distributions import (
     ExplicitDistribution,
     Pbd,
+    PerturbedBinomial,
     TranslatedPoissonParams,
     binomial_pmf,
     effective_support_interval,
@@ -191,6 +192,18 @@ class TestPbdPmfMatchesSequentialReference:
         assert d.lo == point
         np.testing.assert_array_equal(d.probs, [1.0])
         assert d.tail_slack == 0.0
+
+
+class TestPerturbedBinomialValidation:
+    @pytest.mark.parametrize(
+        "c, eps",
+        [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.0), (0.0, math.inf), (-math.inf, 0.1)],
+    )
+    def test_rejects_non_finite_c_and_eps(self, c, eps):
+        with pytest.raises(ValueError, match="c and eps must be finite and nonnegative"):
+            normalize_spec({"kind": "perturbed_binomial", "n": 4, "c": c, "eps": eps, "z": [1, -1]})
+        with pytest.raises(ValueError, match="c and eps must be finite and nonnegative"):
+            PerturbedBinomial(4, c, eps, np.array([1, -1], dtype=np.int8))
 
 
 class TestBinomialPmf:

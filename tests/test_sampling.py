@@ -137,6 +137,17 @@ class TestPoissonized:
         p_value = 1.0 - stats.chi2.cdf(chi2, len(probs) - 1)
         assert p_value > 1e-3
 
+    def test_cap_refuses_before_drawing(self):
+        d = make_dist([0.3, 0.7])
+        free = SampleStream.from_distribution(d, seed=5).draw_poissonized(100.0)
+        capped = SampleStream.from_distribution(d, seed=5)
+        with pytest.raises(StreamExhausted, match="cap"):
+            capped.draw_poissonized(100.0, cap=free.total - 1)
+        assert capped.samples_drawn == 0
+        # A total that fits draws exactly what an uncapped call draws.
+        fits = SampleStream.from_distribution(d, seed=5).draw_poissonized(100.0, cap=free.total)
+        np.testing.assert_array_equal(fits.counts, free.counts)
+
     def test_total_concentration_bound(self):
         # K <= 2k with frequency at least 1 - (e/4)^k.
         d = make_dist([0.3, 0.7])

@@ -311,8 +311,8 @@ class TestTestPbd:
 
 class TestSampleAccounting:
     """``samples_used`` equals the samples the streams drew: unbudgeted
-    ``test_pbd`` on both branches, and budgeted sparse-branch runs, which
-    also stay within their budget."""
+    ``test_pbd`` on both branches, and budgeted runs on both branches,
+    which also stay within their budget."""
 
     N, EPS = 2_000, 0.2
 
@@ -320,8 +320,8 @@ class TestSampleAccounting:
     def drawn(self, monkeypatch):
         counted = []
         for name in ("draw_histogram", "draw_poissonized"):
-            def counting(stream, k, _draw=getattr(SampleStream, name)):
-                hist = _draw(stream, k)
+            def counting(stream, k, _draw=getattr(SampleStream, name), **kw):
+                hist = _draw(stream, k, **kw)
                 counted.append(hist.total)
                 return hist
 
@@ -361,6 +361,40 @@ class TestSampleAccounting:
         assert res.samples_used <= budget
         assert res.samples_used == sum(drawn)
 
+    @pytest.mark.parametrize(
+        "budget", [0, 1, 5, 100, 10**4, 10**5, 5 * 10**6, 42_564_185, 10**8]
+    )
+    def test_budgeted_heavy_run_stays_within_budget(self, drawn, budget):
+        # The same operating point forced heavy; the l2 stage's Poisson
+        # total (about 69,000 here) must fit what the moments stage left.
+        n = 4096
+        cfg = TestConfig(
+            eps=0.1, delta=0.5, seed=1, amplification_reps=1, var_threshold_const=1e-12
+        )
+        stream = SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1)
+        res = run_budgeted_test(stream, n, cfg, budget)
+        assert res.samples_used <= budget
+        assert res.samples_used == sum(drawn)
+        if budget >= 5:
+            assert res.branch is Branch.HEAVY
+        if budget == 10**8:
+            assert "t_n" in res.diagnostics
+
+    @pytest.mark.parametrize("branch", [Branch.SPARSE, Branch.HEAVY])
+    def test_exhausted_run_accepts_on_either_branch(self, branch):
+        n = 4096
+        cfg = TestConfig(eps=0.1, delta=0.5, seed=1, amplification_reps=1)
+        # Budget 0 leaves nothing after learning; budget 10^4 leaves the
+        # heavy l2 stage too little for its Poisson total.
+        budget = 0
+        if branch is Branch.HEAVY:
+            cfg, budget = cfg.replace(var_threshold_const=1e-12), 10**4
+        stream = SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1)
+        res = run_budgeted_test(stream, n, cfg, budget)
+        assert res.branch is branch
+        assert res.verdict is Verdict.YES_PBD
+        assert res.diagnostics["budget_exhausted"] is True
+
 
 class TestHypothesisPmfBuiltOnce:
     def test_binomial_fit_route_builds_one_pmf(self, monkeypatch):
@@ -377,26 +411,3 @@ class TestHypothesisPmfBuiltOnce:
         assert res.diagnostics["hypothesis_kind"] == "binomial"
         # The fit check and the sparse stage share one build.
         assert len(calls) == 1
-
-
-class TestPoissonizedOverdrawGuard:
-    class _OverdrawStream:
-        """Stub whose Poissonized draws always land far above the rate."""
-
-        def __init__(self):
-            self.calls = 0
-
-        def draw_poissonized(self, k):
-            self.calls += 1
-            return SampleHistogram(
-                0, np.array([int(10 * k)]), nominal_rate=k, poissonized=True
-            )
-
-    def test_redraw_limit_raises(self):
-        from pbdtest.tester import _poissonized_draw
-
-        cfg = TestConfig(eps=0.1, delta=0.1, max_redraws=3)
-        stream = self._OverdrawStream()
-        with pytest.raises(RuntimeError, match="overdraw"):
-            _poissonized_draw(stream, 10.0, cfg)
-        assert stream.calls == 3
