@@ -20,7 +20,7 @@ import numpy as np
 
 from . import distspec
 from .distributions import ExplicitDistribution, Pbd, binomial_pmf, pbd_pmf, tv_distance
-from .learner import LEARN_SAMPLE_CONST, SPARSE_LEN_CONST, SPARSE_THRESHOLD_CONST, learn_pbd
+from .learner import learn_pbd
 from .lowerbound import detection_experiment, unimodal_distance_lb
 from .oracles import (
     brute_force_pbd_pmf,
@@ -108,17 +108,16 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    overrides = _load_config_overrides(args.config)
+    # Learning reads no delta; the config only checks and carries the constants.
+    config = TestConfig(eps=args.eps, delta=0.5, **_load_config_overrides(args.config))
     stream = _make_stream(args, args.seed)
     learned = learn_pbd(
         stream,
         args.n,
         args.eps,
-        learn_sample_const=overrides.get("learn_sample_const", LEARN_SAMPLE_CONST),
-        sparse_threshold_const=overrides.get(
-            "learn_sparse_threshold_const", SPARSE_THRESHOLD_CONST
-        ),
-        sparse_len_const=overrides.get("sparse_len_const", SPARSE_LEN_CONST),
+        learn_sample_const=config.learn_sample_const,
+        sparse_threshold_const=config.learn_sparse_threshold_const,
+        sparse_len_const=config.sparse_len_const,
     )
     if learned.is_sparse:
         hyp_spec = distspec.explicit_spec(learned.hypothesis.dist)
@@ -178,14 +177,7 @@ def _cmd_stat(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     k_grid = [float(v) for v in args.k_grid.split(",") if v]
-    overrides = _load_config_overrides(args.config)
-    config = TestConfig(
-        eps=args.eps,
-        delta=0.5,
-        seed=args.seed,
-        amplification_reps=1,
-        **overrides,
-    )
+    config = TestConfig(eps=args.eps, delta=0.5, **_load_config_overrides(args.config))
     rows, meta = detection_experiment(
         args.n,
         args.c,

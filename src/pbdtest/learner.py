@@ -102,7 +102,6 @@ def estimate_mean_var(
     stream: SampleStream,
     eps_prime: float,
     sample_const: float = MOMENT_SAMPLE_CONST,
-    max_samples: int | None = None,
 ) -> MomentEstimates:
     """Empirical mean and unbiased variance from ceil(sample_const / eps'^2) samples.
 
@@ -113,8 +112,6 @@ def estimate_mean_var(
     if not 0.0 < eps_prime < 1.0:
         raise ValueError("eps_prime must lie in (0, 1)")
     k = math.ceil(sample_const / eps_prime**2)
-    if max_samples is not None:
-        k = min(k, max_samples)
     hist = stream.draw_histogram(k)
     mu, var = hist.moments()
     return MomentEstimates(mu, var, eps_prime, k)

@@ -212,8 +212,12 @@ def detection_experiment(
     For each sample budget ``k`` the tester runs once (no amplification)
     against the fair binomial and against a fresh random family member,
     with its total consumption capped by a Poisson(k) draw so the analytic
-    chi-squared bound applies verbatim.  Rates are NoPbd frequencies over
-    ``trials`` runs per arm; ``advantage = detect - false_reject``.
+    chi-squared bound applies verbatim.  A run whose next stage does not fit
+    its cap stops and accepts (``budget_exhausted``), so both rates are 0
+    until k/2 covers the tolerant stage.  Rates are NoPbd frequencies over
+    ``trials`` runs per arm; ``advantage = detect - false_reject``.  Only
+    the constants of ``config`` are read: each run is a single
+    ``run_budgeted_test``, which neither amplifies nor reads the seed.
 
     The asymptotic regime wants c > 200 and eps > 100 / sqrt(n); at desk
     scale that forces c * eps >= 1, so the harness scales c down to keep
@@ -238,7 +242,7 @@ def detection_experiment(
         "seed": seed,
     }
     if config is None:
-        config = TestConfig(eps=eps, delta=0.5, seed=seed, amplification_reps=1)
+        config = TestConfig(eps=eps, delta=0.5)
     p0 = binomial_pmf(n, 0.5)
     rows: list[DetectionRow] = []
     if trials == 0:

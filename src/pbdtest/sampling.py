@@ -16,12 +16,16 @@ sequence:
   same law as binning ``draw(k)`` but orders of magnitude faster when only
   counts matter.
 
-A stream is single-owner: never share one across threads.  Independent
-children from ``split`` may run in parallel.
+A root stream and all its splits share one count of samples drawn
+(``samples_drawn``, also the cursor of a file pool), which
+``capped(budget)`` bounds; a draw past the cap or the end of the pool
+raises ``StreamExhausted`` before drawing anything.  Because of the shared
+count, never use splits of one stream on parallel threads.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +44,7 @@ _FRAC_ONE = 1 << _FRAC_BITS
 
 
 class StreamExhausted(RuntimeError):
-    """A sample pool ran out, or a draw would exceed the cap its caller set."""
+    """A sample pool ran out, or a draw would pass the stream's sample cap."""
 
 
 @dataclass(frozen=True)
@@ -150,15 +154,15 @@ _CDF_CUTOVER = 64
 class SampleStream:
     """Single-owner source of i.i.d. samples from a distribution or a file pool."""
 
-    def __init__(self, *, _source, _seed, _spawn_key, _pool=None, _cursor=None):
+    def __init__(self, *, _source, _seed, _spawn_key, _pool=None):
         self._source = _source
         self._seed = _seed
         self._spawn_key = tuple(_spawn_key)
         self._pool = _pool
-        self._cursor = _cursor  # shared single-element list for pool streams
+        self._drawn = [0]  # shared by a root stream and all its splits
+        self._ceiling = None
         self._rng = None
         self._table = None
-        self.samples_drawn = 0
 
     # -- construction -----------------------------------------------------
 
@@ -175,27 +179,33 @@ class SampleStream:
         pool = np.ascontiguousarray(samples, dtype=np.int64)
         if pool.ndim != 1:
             raise ValueError("sample pool must be 1-D")
-        return cls(_source=None, _seed=seed, _spawn_key=(), _pool=pool, _cursor=[0])
+        return cls(_source=None, _seed=seed, _spawn_key=(), _pool=pool)
 
     def split(self, index: int) -> "SampleStream":
-        """Independent child stream.
+        """Child stream with its own randomness, sharing this stream's count and cap.
 
-        Distribution-backed streams get genuinely independent randomness via
-        the spawn key.  Pool-backed streams share the cursor, so children
-        consume disjoint, consecutive slices in call order.
+        Distribution-backed children get independent randomness via the
+        spawn key; pool-backed children consume disjoint, consecutive slices
+        in call order.  All splits of a root share one count, so they must
+        not run on parallel threads.
         """
-        if self._pool is not None:
-            child = SampleStream(
-                _source=None,
-                _seed=self._seed,
-                _spawn_key=self._spawn_key + (index,),
-                _pool=self._pool,
-                _cursor=self._cursor,
-            )
-            return child
-        return SampleStream(
-            _source=self._source, _seed=self._seed, _spawn_key=self._spawn_key + (index,)
-        )
+        child = copy.copy(self)
+        child._spawn_key = self._spawn_key + (index,)
+        child._rng = None
+        return child
+
+    def capped(self, budget: int) -> "SampleStream":
+        """This stream, with at most ``budget`` more samples for it and its splits."""
+        self._generator()  # built before the copy, so the view continues this stream
+        view = copy.copy(self)
+        ceiling = self.samples_drawn + budget
+        view._ceiling = ceiling if self._ceiling is None else min(ceiling, self._ceiling)
+        return view
+
+    @property
+    def samples_drawn(self) -> int:
+        """Samples drawn so far by the root stream and all its splits."""
+        return self._drawn[0]
 
     # -- internals ----------------------------------------------------------
 
@@ -215,26 +225,41 @@ class SampleStream:
             self._table = _CdfTable(p) if len(p) < _CDF_CUTOVER else _AliasTable(p)
         return self._table
 
-    def _take_pool(self, k: int) -> np.ndarray:
-        start = self._cursor[0]
-        if start + k > len(self._pool):
+    def _take(self, k: int) -> np.ndarray | None:
+        """Count k draws, refusing past the cap or the pool; the pool's next k, if any."""
+        start = self._drawn[0]
+        if self._ceiling is not None and start + k > self._ceiling:
+            raise StreamExhausted(
+                f"sample cap reached: need {k}, have {self._ceiling - start} left"
+            )
+        if self._pool is not None and start + k > len(self._pool):
             raise StreamExhausted(
                 f"sample pool exhausted: need {k}, have {len(self._pool) - start} left"
             )
-        self._cursor[0] = start + k
-        return self._pool[start : start + k]
+        self._drawn[0] = start + k
+        return None if self._pool is None else self._pool[start : start + k]
+
+    def _counts(self, k: int) -> tuple[int, np.ndarray]:
+        """(lo, per-symbol counts) of k fresh samples."""
+        xs = self._take(k)
+        if xs is None:
+            return self._source.lo, self._generator().multinomial(k, self._pvals())
+        if k == 0:
+            return 0, np.zeros(1, dtype=np.int64)
+        lo = int(xs.min())
+        return lo, np.bincount(xs - lo)
 
     # -- draws ---------------------------------------------------------------
 
     def draw(self, k: int) -> np.ndarray:
-        """k i.i.d. samples as an int64 array; advances the cursor by k."""
+        """k i.i.d. samples as an int64 array."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         if k == 0:
             return np.empty(0, dtype=np.int64)
-        self.samples_drawn += k
-        if self._pool is not None:
-            return self._take_pool(k).copy()
+        xs = self._take(k)
+        if xs is not None:
+            return xs.copy()
         table = self._sampler()
         words = 2 * k if isinstance(table, _AliasTable) else k
         raw = self._generator().bit_generator.random_raw(words)
@@ -244,34 +269,20 @@ class SampleStream:
         """Counts of k fresh i.i.d. samples (multinomial fast path)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if self._pool is not None:
-            xs = self.draw(k)
-            lo = int(xs.min()) if k else 0
-            counts = np.bincount(xs - lo) if k else np.zeros(1, dtype=np.int64)
-            return SampleHistogram(lo, counts, nominal_rate=float(k))
-        self.samples_drawn += k
-        counts = self._generator().multinomial(k, self._pvals())
-        return SampleHistogram(self._source.lo, counts, nominal_rate=float(k))
+        lo, counts = self._counts(k)
+        return SampleHistogram(lo, counts, nominal_rate=float(k))
 
-    def draw_poissonized(self, k: float, cap: int | None = None) -> SampleHistogram:
+    def draw_poissonized(self, k: float) -> SampleHistogram:
         """Histogram of K ~ Poisson(k) fresh samples.
 
         Under this draw the per-symbol counts are independent Poisson
         variables with means k * P(i); tests check that equivalence.  A
-        total K above ``cap`` raises ``StreamExhausted`` before any draw.
+        total K past the cap raises ``StreamExhausted`` before any draw.
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        rng = self._generator()
-        total = int(rng.poisson(k))
-        if cap is not None and total > cap:
-            raise StreamExhausted(f"Poisson total {total} exceeds the cap of {cap} samples")
-        if self._pool is not None:
-            hist = self.draw_histogram(total)
-            return SampleHistogram(hist.lo, hist.counts, nominal_rate=k, poissonized=True)
-        self.samples_drawn += total
-        counts = rng.multinomial(total, self._pvals())
-        return SampleHistogram(self._source.lo, counts, nominal_rate=k, poissonized=True)
+        lo, counts = self._counts(int(self._generator().poisson(k)))
+        return SampleHistogram(lo, counts, nominal_rate=k, poissonized=True)
 
 
 def empirical_distribution(samples, support: tuple[int, int] | None = None) -> ExplicitDistribution:

@@ -17,7 +17,7 @@ stream, so verdicts replay bit-for-bit from (seed, config).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -119,6 +119,10 @@ class TestConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.tail_cut <= 1e-6:
             raise ValueError("tail_cut must lie in (0, 1e-6]")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name.endswith("_const") and not (isinstance(v, (int, float)) and 0 < v < math.inf):
+                raise ValueError(f"{f.name} must be finite and positive, got {v!r}")
 
     def replace(self, **kw) -> "TestConfig":
         return replace(self, **kw)
@@ -272,21 +276,21 @@ def heavy_case_test(
     config: TestConfig,
     moments: MomentEstimates,
     hypothesis: ExplicitDistribution,
-    budget: int | None = None,
+    diag: dict | None = None,
 ) -> TestVerdict:
     """Heavy-branch decision given moment estimates and the learned hypothesis.
 
     Rejects when the pivot sits far from the hypothesis or the variance
     estimate exceeds n/2; otherwise thresholds the Poissonized statistic.
-    A tie at the threshold resolves to acceptance; a Poisson total above
-    ``budget`` draws nothing and ends the run as budget-exhausted.
+    A tie at the threshold resolves to acceptance.  Diagnostics go into
+    ``diag`` as they are known, so a caller whose stream runs out at the
+    Poissonized draw still holds the earlier ones.
     """
     eps = config.eps
-    diag: dict = {
-        "mu_hat": moments.mu_hat,
-        "sigma2_hat": moments.sigma2_hat,
-        "moment_samples": moments.samples_used,
-    }
+    diag = {} if diag is None else diag
+    diag.update(
+        mu_hat=moments.mu_hat, sigma2_hat=moments.sigma2_hat, moment_samples=moments.samples_used
+    )
     if moments.sigma2_hat <= 0.0:
         diag["reason"] = "nonpositive variance estimate in heavy branch"
         return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
@@ -307,12 +311,7 @@ def heavy_case_test(
     sigma_hat = math.sqrt(moments.sigma2_hat)
     k = math.ceil(config.l2_sample_rate(sigma_hat))
     diag["k_poissonized"] = k
-    try:
-        hist = stream.draw_poissonized(float(k), cap=budget)
-    except StreamExhausted:
-        if budget is None:
-            raise
-        return _budget_exhausted(Branch.HEAVY, moments.samples_used, diag)
+    hist = stream.draw_poissonized(float(k))
     t_n = l2_statistic(hist, pivot)
     threshold = config.l2_threshold(sigma_hat)
     diag.update({"realized_count": hist.total, "t_n": t_n, "t_n_threshold": threshold})
@@ -320,37 +319,23 @@ def heavy_case_test(
     return TestVerdict(verdict, Branch.HEAVY, moments.samples_used + hist.total, diag)
 
 
-def _budget_exhausted(branch: Branch, used: int, diag: dict) -> TestVerdict:
-    # A run that cannot pay for its next stage has no evidence against membership.
-    diag["budget_exhausted"] = True
-    return TestVerdict(Verdict.YES_PBD, branch, used, diag)
-
-
 def _sparse_case(
-    stream: SampleStream,
-    config: TestConfig,
-    hypothesis: ExplicitDistribution,
-    budget: int | None,
-) -> TestVerdict:
+    stream: SampleStream, config: TestConfig, hypothesis: ExplicitDistribution, diag: dict
+) -> Verdict:
     eps = config.eps
     (i_lo, i_hi), coarsener = coarsen_to_interval(hypothesis, eps)
     length = i_hi - i_lo + 1
     k_tol = math.ceil(config.tolerant_sample_const * length / eps**2)
-    if budget is not None:
-        k_tol = min(k_tol, budget)
-    diag = {
-        "interval": [i_lo, i_hi],
-        "interval_len_ceiling": config.logt**2.5 / eps**4,
-        "tolerant_samples": k_tol,
-    }
+    diag["interval"] = [i_lo, i_hi]
+    diag["interval_len_ceiling"] = config.logt**2.5 / eps**4
+    diag["tolerant_samples"] = k_tol
     hist = stream.draw_histogram(k_tol)
     emp = coarsener.apply_to_histogram(hist)
     tv = tv_distance(emp, coarsener.apply(hypothesis))
     closeness = _tolerant_closeness(tv, eps)
     diag["tv_empirical_vs_hypothesis"] = tv
     diag["tolerant_outcome"] = closeness.value
-    verdict = Verdict.YES_PBD if closeness is Closeness.CLOSE else Verdict.NO_PBD
-    return TestVerdict(verdict, Branch.SPARSE, k_tol, diag)
+    return Verdict.YES_PBD if closeness is Closeness.CLOSE else Verdict.NO_PBD
 
 
 def run_budgeted_test(
@@ -358,13 +343,16 @@ def run_budgeted_test(
 ) -> TestVerdict:
     """One unamplified run; ``sample_budget`` is a hard cap on the samples it draws.
 
-    Each stage gets what the ones before it left (learning at most half).
-    A run with nothing left after learning, or whose l2 Poisson total does
-    not fit, draws no more and returns ``YES_PBD`` with ``budget_exhausted``.
+    Learning gets at most half the budget and may degrade; every later stage
+    asks for its full count.  A stage that does not fit what is left draws
+    nothing, and the run returns ``YES_PBD`` with ``budget_exhausted`` (a
+    starved run has no evidence against membership).  Without a budget, a
+    stream that runs out, such as a short sample file, raises ``StreamExhausted``.
     """
     eps = config.eps
-    # Under a hard cap, reserve half for the post-learning stages so partial
-    # budgets degrade learning and testing instead of starving the tests.
+    start = stream.samples_drawn
+    if sample_budget is not None:
+        stream = stream.capped(sample_budget)
     learned = learn_pbd(
         stream.split(_STAGE_LEARN),
         n,
@@ -374,35 +362,33 @@ def run_budgeted_test(
         sparse_len_const=config.sparse_len_const,
         max_samples=None if sample_budget is None else sample_budget // 2,
     )
-    used = learned.samples_used
-    remaining = None if sample_budget is None else sample_budget - used
     hyp_var = learned.variance()
     diag: dict = {
         "hypothesis_kind": "sparse" if learned.is_sparse else "binomial",
         "hypothesis_variance": hyp_var,
         "variance_threshold": config.variance_threshold(),
-        "learn_samples": used,
+        "learn_samples": learned.samples_used,
     }
     branch = Branch.SPARSE if hyp_var < config.variance_threshold() else Branch.HEAVY
-    if remaining == 0:
-        return _budget_exhausted(branch, used, diag)
     hypothesis = learned.to_explicit()
-    if branch is Branch.SPARSE:
-        stage = _sparse_case(stream.split(_STAGE_TOLERANT), config, hypothesis, remaining)
-    else:
-        eps_prime = eps / max(n / 4.0, 1.0) ** 0.125
-        moments = estimate_mean_var(
-            stream.split(_STAGE_MOMENTS),
-            min(eps_prime, 0.999),
-            sample_const=config.moment_sample_const,
-            max_samples=remaining,
-        )
-        l2_budget = None if remaining is None else remaining - moments.samples_used
-        stage = heavy_case_test(
-            stream.split(_STAGE_L2), n, config, moments, hypothesis, budget=l2_budget
-        )
-    diag.update(stage.diagnostics)
-    return TestVerdict(stage.verdict, branch, used + stage.samples_used, diag)
+    try:
+        if branch is Branch.SPARSE:
+            verdict = _sparse_case(stream.split(_STAGE_TOLERANT), config, hypothesis, diag)
+        else:
+            eps_prime = eps / max(n / 4.0, 1.0) ** 0.125
+            moments = estimate_mean_var(
+                stream.split(_STAGE_MOMENTS),
+                min(eps_prime, 0.999),
+                sample_const=config.moment_sample_const,
+            )
+            stage = heavy_case_test(stream.split(_STAGE_L2), n, config, moments, hypothesis, diag)
+            verdict = stage.verdict
+    except StreamExhausted:
+        if sample_budget is None:
+            raise
+        diag["budget_exhausted"] = True
+        verdict = Verdict.YES_PBD
+    return TestVerdict(verdict, branch, stream.samples_drawn - start, diag)
 
 
 def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:

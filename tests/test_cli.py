@@ -1,6 +1,7 @@
 """CLI contract tests: artifacts, determinism, exit codes."""
 
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -123,6 +124,27 @@ class TestTestCommand:
         )
         capsys.readouterr()
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["test", "learn"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("learn_sample_const", 0), ("var_threshold_const", math.nan), ("tolerant_sample_const", -1)],
+)
+def test_bad_config_constant_exits_1(binomial_spec, tmp_path, capsys, command, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    args = [
+        command, "--spec", binomial_spec, "--n", "400", "--eps", "0.1", "--seed", "7",
+        "--config", str(cfg),
+    ]
+    if command == "test":
+        args += ["--delta", "0.3"]
+    code = run(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert field in captured.err
+    assert captured.out == ""
 
 
 class TestLearnCommand:

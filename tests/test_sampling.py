@@ -137,17 +137,6 @@ class TestPoissonized:
         p_value = 1.0 - stats.chi2.cdf(chi2, len(probs) - 1)
         assert p_value > 1e-3
 
-    def test_cap_refuses_before_drawing(self):
-        d = make_dist([0.3, 0.7])
-        free = SampleStream.from_distribution(d, seed=5).draw_poissonized(100.0)
-        capped = SampleStream.from_distribution(d, seed=5)
-        with pytest.raises(StreamExhausted, match="cap"):
-            capped.draw_poissonized(100.0, cap=free.total - 1)
-        assert capped.samples_drawn == 0
-        # A total that fits draws exactly what an uncapped call draws.
-        fits = SampleStream.from_distribution(d, seed=5).draw_poissonized(100.0, cap=free.total)
-        np.testing.assert_array_equal(fits.counts, free.counts)
-
     def test_total_concentration_bound(self):
         # K <= 2k with frequency at least 1 - (e/4)^k.
         d = make_dist([0.3, 0.7])
@@ -158,6 +147,58 @@ class TestPoissonized:
         freq = (totals <= 2 * k).mean()
         bound = 1.0 - (math.e / 4.0) ** k
         assert freq >= bound - 3.0 * math.sqrt(bound * (1 - bound) / trials) - 0.01
+
+
+class TestCapped:
+    def test_refuses_poisson_total_before_drawing(self):
+        d = make_dist([0.3, 0.7])
+        free = SampleStream.from_distribution(d, seed=5).draw_poissonized(100.0)
+        root = SampleStream.from_distribution(d, seed=5)
+        capped = root.capped(free.total - 1)
+        with pytest.raises(StreamExhausted, match="cap"):
+            capped.draw_poissonized(100.0)
+        assert capped.samples_drawn == root.samples_drawn == 0
+
+    def test_fitting_draw_matches_uncapped(self):
+        d = make_dist([0.3, 0.7])
+        free = SampleStream.from_distribution(d, seed=5).draw_poissonized(100.0)
+        fits = SampleStream.from_distribution(d, seed=5).capped(free.total).draw_poissonized(100.0)
+        np.testing.assert_array_equal(fits.counts, free.counts)
+        d = binomial_pmf(100, 0.5)
+        free_xs = SampleStream.from_distribution(d, seed=8).split(2).draw(50)
+        capped_xs = SampleStream.from_distribution(d, seed=8).capped(50).split(2).draw(50)
+        np.testing.assert_array_equal(capped_xs, free_xs)
+
+    def test_splits_share_the_cap(self):
+        root = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
+        capped = root.capped(10)
+        a, b = capped.split(0), capped.split(1)
+        a.draw_histogram(6)
+        with pytest.raises(StreamExhausted, match="cap"):
+            b.draw_histogram(5)
+        b.split(3).draw_histogram(4)
+        assert root.samples_drawn == capped.samples_drawn == 10
+        with pytest.raises(StreamExhausted, match="cap"):
+            a.draw(1)
+        # A second cap never loosens the first.
+        with pytest.raises(StreamExhausted, match="cap"):
+            capped.capped(100).draw(1)
+        assert root.draw(5).size == 5  # the uncapped stream is not limited
+
+    def test_continues_where_the_stream_left_off(self):
+        pool = SampleStream.from_samples(np.arange(10), seed=0)
+        pool.draw(3)
+        capped = pool.capped(4)
+        np.testing.assert_array_equal(capped.split(0).draw(2), [3, 4])
+        np.testing.assert_array_equal(capped.draw(2), [5, 6])
+        with pytest.raises(StreamExhausted, match="cap"):
+            capped.draw(1)
+        np.testing.assert_array_equal(pool.draw(3), [7, 8, 9])
+        d = binomial_pmf(100, 0.5)
+        whole = SampleStream.from_distribution(d, seed=4).draw(10)
+        s = SampleStream.from_distribution(d, seed=4)
+        s.draw(4)
+        np.testing.assert_array_equal(s.capped(6).draw(6), whole[4:])
 
 
 class TestHistogram:

@@ -1,5 +1,6 @@
 """Unit tests for the membership test and its pieces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,6 +55,14 @@ class TestConfigValidation:
 
     def test_truncated_log_reexport(self):
         assert truncated_log(0.5) == 1.0
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(TestConfig) if f.name.endswith("_const")]
+    )
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, "4"])
+    def test_bad_constant_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TestConfig(eps=0.1, delta=0.1, **{field: value})
 
 
 class TestSimpleTolerantIdentityTest:
@@ -344,7 +353,19 @@ class TestSampleAccounting:
         assert res.diagnostics["branch_counts"][branch.value] == 3
         assert res.samples_used == sum(drawn)
 
-    @pytest.mark.parametrize("budget", [0, 1, 5, 100, 5_000, 500_000, 5_000_000, 42_564_185])
+    # Budgets below every testing stage's full count (the tolerant stage
+    # alone needs about 233,000 samples here): such a run must stop and
+    # accept instead of deciding on a clipped sample.
+    STARVED = (1, 5, 100, 5_000, 10**4)
+
+    def _assert_starved(self, res, budget):
+        if budget in self.STARVED:
+            assert res.verdict is Verdict.YES_PBD
+            assert res.diagnostics["budget_exhausted"] is True
+
+    @pytest.mark.parametrize(
+        "budget", [0, 1, 5, 100, 5_000, 10**4, 500_000, 5_000_000, 42_564_185]
+    )
     @pytest.mark.parametrize("source", ["binomial", "member"])
     def test_budgeted_sparse_run_stays_within_budget(self, drawn, budget, source):
         # The lower-bound experiment's operating point: n = 4096, eps = 0.1,
@@ -360,13 +381,16 @@ class TestSampleAccounting:
         assert res.branch is Branch.SPARSE
         assert res.samples_used <= budget
         assert res.samples_used == sum(drawn)
+        self._assert_starved(res, budget)
 
     @pytest.mark.parametrize(
-        "budget", [0, 1, 5, 100, 10**4, 10**5, 5 * 10**6, 42_564_185, 10**8]
+        "budget",
+        [0, 1, 5, 100, 5_000, 10**4, 10**5, 3 * 10**5, 5 * 10**6, 42_564_185, 10**8],
     )
     def test_budgeted_heavy_run_stays_within_budget(self, drawn, budget):
         # The same operating point forced heavy; the l2 stage's Poisson
-        # total (about 69,000 here) must fit what the moments stage left.
+        # total (about 69,000 here) must fit what learning (half the
+        # budget) and the moments stage (about 113,000) left.
         n = 4096
         cfg = TestConfig(
             eps=0.1, delta=0.5, seed=1, amplification_reps=1, var_threshold_const=1e-12
@@ -377,6 +401,13 @@ class TestSampleAccounting:
         assert res.samples_used == sum(drawn)
         if budget >= 5:
             assert res.branch is Branch.HEAVY
+        self._assert_starved(res, budget)
+        if budget == 3 * 10**5:
+            # Out at the l2 draw: the finished moments stage still reports.
+            assert res.diagnostics["budget_exhausted"] is True
+            for key in ("mu_hat", "d_tv_pivot_vs_hypothesis", "k_poissonized"):
+                assert key in res.diagnostics
+            assert "t_n" not in res.diagnostics
         if budget == 10**8:
             assert "t_n" in res.diagnostics
 
