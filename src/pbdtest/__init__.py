@@ -43,14 +43,13 @@ from .lowerbound import (
     detection_experiment,
     unimodal_distance_lb,
 )
-from .sampling import SampleHistogram, SampleStream, StreamExhausted, empirical_distribution
+from .sampling import SampleHistogram, SampleStream, StreamExhausted
 from .tester import (
     Branch,
     Closeness,
     TestConfig,
     TestVerdict,
     Verdict,
-    coarsen_to_interval,
     heavy_case_test,
     l2_statistic,
     simple_tolerant_identity_test,

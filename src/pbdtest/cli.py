@@ -28,7 +28,7 @@ from .oracles import (
     exact_tv_to_unimodal,
     monte_carlo_moment_check,
 )
-from .sampling import SampleHistogram, SampleStream, empirical_distribution
+from .sampling import SampleHistogram, SampleStream
 from .tester import TestConfig, Verdict, l2_statistic, test_pbd
 
 __all__ = ["main"]
@@ -162,14 +162,13 @@ def _cmd_stat(args) -> int:
     hist = SampleHistogram(
         lo, np.bincount(xs - lo), nominal_rate=rate, poissonized=True
     )
-    emp = empirical_distribution(xs, (q.lo, q.hi))
     artifact = {
         "schema": "pbdtest.stat/1",
         "command": "stat",
         "samples": int(xs.size),
         "rate": rate,
         "t_n": l2_statistic(hist, q),
-        "tv_empirical_vs_spec": tv_distance(emp, q),
+        "tv_empirical_vs_spec": tv_distance(hist.to_empirical((q.lo, q.hi)), q),
     }
     _emit(artifact, args.out)
     return 0

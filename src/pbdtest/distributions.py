@@ -63,7 +63,7 @@ class ExplicitDistribution:
     """A PMF on the contiguous integer interval ``[lo, lo + len(probs) - 1]``.
 
     ``overflow`` is mass sitting on a single sentinel point outside the
-    interval (think of it as index ``lo - 1``); coarsening parks everything
+    interval (think of it as index ``lo - 1``); ``restrict`` parks everything
     a restricted test ignores there.  The sentinel is the *same* abstract
     point for every distribution, so distances compare overflow to overflow.
 
@@ -118,6 +118,24 @@ class ExplicitDistribution:
         if b < a:
             return 0.0
         return float(self.probs[a : b + 1].sum())
+
+    def restrict(self, lo: int, hi: int) -> "ExplicitDistribution":
+        """This PMF on [lo, hi]; the mass outside moves to the overflow sentinel.
+
+        Truncated mass (``tail_slack``) stays dropped and is carried over.
+        """
+        a = max(lo, self.lo)
+        b = min(hi, self.hi)
+        probs = np.zeros(hi - lo + 1)
+        inside = 0.0
+        if b >= a:
+            seg = self.probs[a - self.lo : b - self.lo + 1]
+            probs[a - lo : b - lo + 1] = seg
+            inside = float(seg.sum())
+        out = max(0.0, 1.0 - self.tail_slack - inside - self.overflow)
+        return ExplicitDistribution(
+            lo, probs, overflow=self.overflow + out, tail_slack=self.tail_slack
+        )
 
     def mean(self) -> float:
         if self.overflow > MASS_TOL:

@@ -18,7 +18,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.optimize import linprog
 
-from .distributions import ExplicitDistribution, truncated_log
+from .distributions import (
+    ExplicitDistribution,
+    TranslatedPoissonParams,
+    effective_support_interval,
+    translated_poisson_pmf,
+    truncated_log,
+)
 
 __all__ = [
     "OracleReport",
@@ -284,12 +290,6 @@ def calibration_report(
     under ``spread_cap`` while the acceptance threshold clears the
     close-case statistic noise by ``close_margin`` standard deviations.
     """
-    from .distributions import (
-        TranslatedPoissonParams,
-        effective_support_interval,
-        translated_poisson_pmf,
-    )
-
     cases = []
     for sigma_hat, eps in corpus:
         logt = truncated_log(1.0 / eps)

@@ -5,16 +5,13 @@ are split explicitly: ``stream.split(i)`` derives an independent child via
 the seed sequence spawn key, so every stage and Monte Carlo trial owns its
 own reproducible randomness regardless of execution order.
 
-Two draw paths exist and are deterministic given the stream and the call
-sequence:
-
-* ``draw(k)`` materializes k individual samples through an alias table
-  (inverse CDF below 64 symbols).  All sampling *decisions* are integer
-  comparisons against precomputed 53-bit thresholds.
-* ``draw_histogram(k)`` / ``draw_poissonized(k)`` produce per-symbol counts
-  directly (multinomial, and Poisson for the sample size), which is the
-  same law as binning ``draw(k)`` but orders of magnitude faster when only
-  counts matter.
+All draws follow one law, deterministic given the stream and the call
+sequence: ``draw_histogram(k)`` returns the per-symbol counts of k i.i.d.
+samples (one multinomial draw), ``draw_poissonized(k)`` the same counts
+for a Poisson(k) sample size, and ``draw(k)`` the multinomial counts of
+``draw_histogram(k)`` expanded into k samples put in random order.  Given
+the counts every order is equally likely, so these are i.i.d. samples.
+A stream over a file pool hands out the pool's samples in file order.
 
 A root stream and all its splits share one count of samples drawn
 (``samples_drawn``, also the cursor of a file pool), which
@@ -36,11 +33,7 @@ __all__ = [
     "StreamExhausted",
     "SampleHistogram",
     "SampleStream",
-    "empirical_distribution",
 ]
-
-_FRAC_BITS = 53
-_FRAC_ONE = 1 << _FRAC_BITS
 
 
 class StreamExhausted(RuntimeError):
@@ -95,60 +88,27 @@ class SampleHistogram:
         var = float((self.counts * (xs - mu) ** 2).sum() / (k - 1))
         return mu, var
 
-    def to_empirical(self) -> ExplicitDistribution:
+    def to_empirical(self, support: tuple[int, int] | None = None) -> ExplicitDistribution:
+        """Empirical PMF on ``support`` (default: the observed range).
+
+        Samples outside ``support`` go to the overflow sentinel, as a
+        restricted test treats out-of-interval mass.
+        """
         k = self.total
         if k == 0:
             raise ValueError("cannot form an empirical distribution from zero samples")
-        return ExplicitDistribution(self.lo, self.counts / k)
-
-
-class _AliasTable:
-    """Vose alias table with 53-bit integer acceptance thresholds."""
-
-    def __init__(self, probs: np.ndarray):
-        m = len(probs)
-        if m >= 1 << 20:
-            raise ValueError("alias table supports fewer than 2^20 symbols")
-        weights = probs * (m / probs.sum())
-        prob = np.ones(m)
-        alias = np.arange(m, dtype=np.int64)
-        small = [i for i in range(m) if weights[i] < 1.0]
-        large = [i for i in range(m) if weights[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = weights[s]
-            alias[s] = g
-            weights[g] -= 1.0 - weights[s]
-            (small if weights[g] < 1.0 else large).append(g)
-        self.m = m
-        self.threshold = np.minimum(np.round(prob * _FRAC_ONE), _FRAC_ONE).astype(np.uint64)
-        self.alias = alias
-
-    def draw(self, raw: np.ndarray) -> np.ndarray:
-        """Map 2k raw 64-bit words to k symbols (indices into the support)."""
-        u1 = raw[0::2]
-        u2 = raw[1::2]
-        idx = (((u1 >> np.uint64(20)) * np.uint64(self.m)) >> np.uint64(44)).astype(np.int64)
-        accept = (u2 >> np.uint64(64 - _FRAC_BITS)) < self.threshold[idx]
-        return np.where(accept, idx, self.alias[idx])
-
-
-class _CdfTable:
-    """Inverse-CDF table for small supports, again integer thresholds."""
-
-    def __init__(self, probs: np.ndarray):
-        cum = np.cumsum(probs / probs.sum())
-        cum_int = np.minimum(np.round(cum * _FRAC_ONE), _FRAC_ONE).astype(np.uint64)
-        cum_int[-1] = _FRAC_ONE
-        self.cum = cum_int
-
-    def draw(self, raw: np.ndarray) -> np.ndarray:
-        u = raw >> np.uint64(64 - _FRAC_BITS)
-        return np.searchsorted(self.cum, u, side="right").astype(np.int64)
-
-
-_CDF_CUTOVER = 64
+        lo, hi = (self.lo, self.hi) if support is None else support
+        if hi < lo:
+            raise ValueError("support interval is empty")
+        probs = np.zeros(hi - lo + 1)
+        a = max(lo, self.lo)
+        b = min(hi, self.hi)
+        inside = 0
+        if b >= a:
+            seg = self.counts[a - self.lo : b - self.lo + 1]
+            probs[a - lo : b - lo + 1] = seg / k
+            inside = int(seg.sum())
+        return ExplicitDistribution(lo, probs, overflow=(k - inside) / k)
 
 
 class SampleStream:
@@ -162,7 +122,6 @@ class SampleStream:
         self._drawn = [0]  # shared by a root stream and all its splits
         self._ceiling = None
         self._rng = None
-        self._table = None
 
     # -- construction -----------------------------------------------------
 
@@ -219,12 +178,6 @@ class SampleStream:
         p = self._source.probs
         return p / p.sum()
 
-    def _sampler(self):
-        if self._table is None:
-            p = self._pvals()
-            self._table = _CdfTable(p) if len(p) < _CDF_CUTOVER else _AliasTable(p)
-        return self._table
-
     def _take(self, k: int) -> np.ndarray | None:
         """Count k draws, refusing past the cap or the pool; the pool's next k, if any."""
         start = self._drawn[0]
@@ -252,21 +205,21 @@ class SampleStream:
     # -- draws ---------------------------------------------------------------
 
     def draw(self, k: int) -> np.ndarray:
-        """k i.i.d. samples as an int64 array."""
+        """k i.i.d. samples as an int64 array.
+
+        From a distribution: the multinomial counts of ``draw_histogram(k)``
+        in random order.  From a pool: its next k samples in file order.
+        """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        xs = self._take(k)
-        if xs is not None:
-            return xs.copy()
-        table = self._sampler()
-        words = 2 * k if isinstance(table, _AliasTable) else k
-        raw = self._generator().bit_generator.random_raw(words)
-        return table.draw(np.asarray(raw, dtype=np.uint64)) + self._source.lo
+        if self._pool is not None:
+            return self._take(k).copy()
+        lo, counts = self._counts(k)
+        xs = np.repeat(np.arange(lo, lo + len(counts), dtype=np.int64), counts)
+        return self._generator().permutation(xs)
 
     def draw_histogram(self, k: int) -> SampleHistogram:
-        """Counts of k fresh i.i.d. samples (multinomial fast path)."""
+        """Counts of k fresh i.i.d. samples (one multinomial draw)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         lo, counts = self._counts(k)
@@ -283,23 +236,3 @@ class SampleStream:
             raise ValueError("k must be positive")
         lo, counts = self._counts(int(self._generator().poisson(k)))
         return SampleHistogram(lo, counts, nominal_rate=k, poissonized=True)
-
-
-def empirical_distribution(samples, support: tuple[int, int] | None = None) -> ExplicitDistribution:
-    """Empirical PMF of the samples on a contiguous support interval.
-
-    Samples falling outside ``support`` are parked on the overflow
-    sentinel, matching how coarsened tests treat out-of-interval mass.
-    """
-    xs = np.ascontiguousarray(samples, dtype=np.int64)
-    if xs.size == 0:
-        raise ValueError("empirical distribution needs at least one sample")
-    if support is None:
-        support = (int(xs.min()), int(xs.max()))
-    lo, hi = support
-    if hi < lo:
-        raise ValueError("support interval is empty")
-    inside = (xs >= lo) & (xs <= hi)
-    counts = np.bincount(xs[inside] - lo, minlength=hi - lo + 1)
-    k = xs.size
-    return ExplicitDistribution(lo, counts / k, overflow=float((~inside).sum()) / k)

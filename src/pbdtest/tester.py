@@ -40,7 +40,7 @@ from .learner import (
     estimate_mean_var,
     learn_pbd,
 )
-from .sampling import SampleHistogram, SampleStream, StreamExhausted, empirical_distribution
+from .sampling import SampleHistogram, SampleStream, StreamExhausted
 
 __all__ = [
     "Verdict",
@@ -50,8 +50,6 @@ __all__ = [
     "TestVerdict",
     "truncated_log",
     "simple_tolerant_identity_test",
-    "coarsen_to_interval",
-    "Coarsener",
     "l2_statistic",
     "l2_statistic_counts",
     "heavy_case_test",
@@ -82,6 +80,11 @@ _STAGE_MOMENTS = 2
 _STAGE_L2 = 3
 
 TOLERANT_SAMPLE_CONST = 10.0  # A_tol: sparse-branch samples per |I|/eps^2
+
+
+def _is_real(v) -> bool:
+    """A config number: an int or float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,14 @@ class TestConfig:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.tail_cut <= 1e-6:
-            raise ValueError("tail_cut must lie in (0, 1e-6]")
+        if not (_is_real(self.tail_cut) and 0.0 < self.tail_cut <= 1e-6):
+            raise ValueError(f"tail_cut must be a number in (0, 1e-6], got {self.tail_cut!r}")
+        reps = self.amplification_reps
+        if reps is not None and not (type(reps) is int and reps >= 1):  # bool is not int here
+            raise ValueError(f"amplification_reps must be null or an integer >= 1, got {reps!r}")
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name.endswith("_const") and not (isinstance(v, (int, float)) and 0 < v < math.inf):
+            if f.name.endswith("_const") and not (_is_real(v) and 0 < v < math.inf):
                 raise ValueError(f"{f.name} must be finite and positive, got {v!r}")
 
     def replace(self, **kw) -> "TestConfig":
@@ -149,8 +155,6 @@ class TestConfig:
 
     def repetitions(self) -> int:
         if self.amplification_reps is not None:
-            if self.amplification_reps < 1:
-                raise ValueError("amplification_reps must be positive")
             return self.amplification_reps
         return max(1, math.ceil(self.amplification_const * math.log(1.0 / self.delta)))
 
@@ -173,75 +177,24 @@ class TestVerdict:
         }
 
 
-@dataclass(frozen=True)
-class Coarsener:
-    """Restriction to an interval; everything else goes to the sentinel."""
-
-    lo: int
-    hi: int
-
-    def apply(self, dist: ExplicitDistribution) -> ExplicitDistribution:
-        a = max(self.lo, dist.lo)
-        b = min(self.hi, dist.hi)
-        width = self.hi - self.lo + 1
-        probs = np.zeros(width)
-        inside = 0.0
-        if b >= a:
-            seg = dist.probs[a - dist.lo : b - dist.lo + 1]
-            probs[a - self.lo : b - self.lo + 1] = seg
-            inside = float(seg.sum())
-        out = max(0.0, 1.0 - dist.tail_slack - inside - dist.overflow)
-        return ExplicitDistribution(
-            self.lo, probs, overflow=dist.overflow + out, tail_slack=dist.tail_slack
-        )
-
-    def apply_to_histogram(self, hist: SampleHistogram) -> ExplicitDistribution:
-        k = hist.total
-        if k == 0:
-            raise ValueError("cannot coarsen an empty histogram")
-        width = self.hi - self.lo + 1
-        probs = np.zeros(width)
-        a = max(self.lo, hist.lo)
-        b = min(self.hi, hist.hi)
-        inside = 0
-        if b >= a:
-            seg = hist.counts[a - hist.lo : b - hist.lo + 1]
-            probs[a - self.lo : b - self.lo + 1] = seg / k
-            inside = int(seg.sum())
-        return ExplicitDistribution(self.lo, probs, overflow=(k - inside) / k)
-
-
-def coarsen_to_interval(
-    hypothesis: ExplicitDistribution, eps: float
-) -> tuple[tuple[int, int], Coarsener]:
-    """Smallest interval I with hypothesis mass >= 1 - eps/5, plus its coarsener.
-
-    The interval comes from exact hypothesis quantiles rather than the
-    worst-case length bound; the bound is still recorded by the caller as
-    a sanity ceiling for genuinely binomial hypotheses.
-    """
-    lo, hi = effective_support_interval(hypothesis, eps / 5.0)
-    return (lo, hi), Coarsener(lo, hi)
-
-
-def _tolerant_closeness(tv: float, eps: float) -> Closeness:
-    return Closeness.CLOSE if tv < 0.25 * eps else Closeness.FAR
-
-
 def simple_tolerant_identity_test(
-    q: ExplicitDistribution, samples, eps: float, sample_const: float = TOLERANT_SAMPLE_CONST
-) -> Closeness:
-    """Close iff the empirical distribution sits within 0.25 eps of q in TV.
+    q: ExplicitDistribution,
+    hist: SampleHistogram,
+    eps: float,
+    sample_const: float = TOLERANT_SAMPLE_CONST,
+) -> tuple[Closeness, float]:
+    """Close iff the empirical distribution on q's support sits within 0.25 eps of q.
 
-    Distinguishes TV <= eps/10 from TV > 2 eps/5 with frequency >= 0.99
-    given ceil(sample_const * m / eps^2) samples on a support of size m.
+    Samples outside q's support count on the overflow sentinel.  Returns the
+    outcome and the TV distance.  Distinguishes TV <= eps/10 from TV > 2 eps/5
+    with frequency >= 0.99 given ceil(sample_const * m / eps^2) samples on a
+    support of size m.
     """
-    xs = np.ascontiguousarray(samples, dtype=np.int64)
     required = math.ceil(sample_const * q.support_len / eps**2)
-    if xs.size < required:
-        raise ValueError(f"need at least {required} samples, got {xs.size}")
-    emp = empirical_distribution(xs, (q.lo, q.hi))
-    return _tolerant_closeness(tv_distance(emp, q), eps)
+    if hist.total < required:
+        raise ValueError(f"need at least {required} samples, got {hist.total}")
+    tv = tv_distance(hist.to_empirical((q.lo, q.hi)), q)
+    return (Closeness.CLOSE if tv < 0.25 * eps else Closeness.FAR), tv
 
 
 def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
@@ -323,16 +276,17 @@ def _sparse_case(
     stream: SampleStream, config: TestConfig, hypothesis: ExplicitDistribution, diag: dict
 ) -> Verdict:
     eps = config.eps
-    (i_lo, i_hi), coarsener = coarsen_to_interval(hypothesis, eps)
-    length = i_hi - i_lo + 1
-    k_tol = math.ceil(config.tolerant_sample_const * length / eps**2)
+    # The interval comes from exact hypothesis quantiles rather than the
+    # worst-case length bound; the bound is recorded only as a sanity
+    # ceiling for genuinely binomial hypotheses.
+    i_lo, i_hi = effective_support_interval(hypothesis, eps / 5.0)
+    q = hypothesis.restrict(i_lo, i_hi)
+    k_tol = math.ceil(config.tolerant_sample_const * q.support_len / eps**2)
     diag["interval"] = [i_lo, i_hi]
     diag["interval_len_ceiling"] = config.logt**2.5 / eps**4
     diag["tolerant_samples"] = k_tol
     hist = stream.draw_histogram(k_tol)
-    emp = coarsener.apply_to_histogram(hist)
-    tv = tv_distance(emp, coarsener.apply(hypothesis))
-    closeness = _tolerant_closeness(tv, eps)
+    closeness, tv = simple_tolerant_identity_test(q, hist, eps, config.tolerant_sample_const)
     diag["tv_empirical_vs_hypothesis"] = tv
     diag["tolerant_outcome"] = closeness.value
     return Verdict.YES_PBD if closeness is Closeness.CLOSE else Verdict.NO_PBD

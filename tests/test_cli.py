@@ -129,7 +129,15 @@ class TestTestCommand:
 @pytest.mark.parametrize("command", ["test", "learn"])
 @pytest.mark.parametrize(
     "field, value",
-    [("learn_sample_const", 0), ("var_threshold_const", math.nan), ("tolerant_sample_const", -1)],
+    [
+        ("learn_sample_const", 0),
+        ("var_threshold_const", math.nan),
+        ("tolerant_sample_const", -1),
+        ("amplification_reps", 2.5),
+        ("amplification_reps", True),
+        ("tail_cut", "x"),
+        ("tail_cut", None),
+    ],
 )
 def test_bad_config_constant_exits_1(binomial_spec, tmp_path, capsys, command, field, value):
     cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Layering guard: no module of the package imports from a layer above it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pbdtest
@@ -51,3 +52,19 @@ def test_no_upward_imports():
             if LEVEL[target] > LEVEL[importer]:
                 upward.append(f"{importer} -> {target}")
     assert upward == []
+
+
+def test_public_names_resolve():
+    """Every ``__all__`` entry and every name the package root imports exists."""
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "pbdtest" if path.stem == "__init__" else f"pbdtest.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    for node in ast.walk(ast.parse((PACKAGE / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = importlib.import_module(f"pbdtest.{node.module}")
+            missing += [
+                f"pbdtest.{node.module}.{a.name}" for a in node.names if not hasattr(source, a.name)
+            ]
+    assert missing == []

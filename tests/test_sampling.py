@@ -7,17 +7,17 @@ import pytest
 from scipy import stats
 
 from pbdtest.distributions import ExplicitDistribution, binomial_pmf, tv_distance
-from pbdtest.sampling import (
-    SampleHistogram,
-    SampleStream,
-    StreamExhausted,
-    empirical_distribution,
-)
+from pbdtest.sampling import SampleHistogram, SampleStream, StreamExhausted
 
 
 def make_dist(probs, lo=0):
     p = np.asarray(probs, dtype=float)
     return ExplicitDistribution(lo, p / p.sum())
+
+
+def hist_of(samples):
+    """Histogram of all the given samples, read back through a pool stream."""
+    return SampleStream.from_samples(samples).draw_histogram(len(samples))
 
 
 class TestDeterminism:
@@ -80,27 +80,30 @@ class TestDrawBasics:
 
 
 class TestSamplerFidelity:
-    def test_alias_path_chi2(self):
-        # Support size 101 forces the alias table.
-        d = binomial_pmf(100, 0.5)
-        xs = SampleStream.from_distribution(d, seed=1234).draw(200_000)
-        counts = np.bincount(xs, minlength=101)
+    @pytest.mark.parametrize("n, p, seed", [(100, 0.5, 1234), (30, 0.3, 77)])
+    def test_draw_chi2(self, n, p, seed):
+        d = binomial_pmf(n, p)
+        xs = SampleStream.from_distribution(d, seed=seed).draw(200_000)
+        counts = np.bincount(xs, minlength=n + 1)
         expected = 200_000 * d.probs
         mask = expected > 5
         chi2 = ((counts[mask] - expected[mask]) ** 2 / expected[mask]).sum()
         p_value = 1.0 - stats.chi2.cdf(chi2, mask.sum() - 1)
         assert p_value > 1e-3
 
-    def test_inverse_cdf_path_chi2(self):
-        # Support size below 64 uses the inverse-CDF table.
-        d = binomial_pmf(30, 0.3)
-        xs = SampleStream.from_distribution(d, seed=77).draw(200_000)
-        counts = np.bincount(xs, minlength=31)
-        expected = 200_000 * d.probs
-        mask = expected > 5
-        chi2 = ((counts[mask] - expected[mask]) ** 2 / expected[mask]).sum()
-        p_value = 1.0 - stats.chi2.cdf(chi2, mask.sum() - 1)
-        assert p_value > 1e-3
+    @pytest.mark.parametrize("lo, seed", [(0, 3), (-7, 11), (40, 5)])
+    def test_draw_bins_to_the_histogram_draw(self, lo, seed):
+        d = make_dist(np.linspace(1.0, 3.0, 90), lo=lo)
+        xs = SampleStream.from_distribution(d, seed=seed).draw(5000)
+        hist = SampleStream.from_distribution(d, seed=seed).draw_histogram(5000)
+        np.testing.assert_array_equal(np.bincount(xs - lo, minlength=90), hist.counts)
+
+    def test_draw_from_a_support_past_2_to_the_20(self):
+        m = (1 << 20) + 1
+        d = make_dist(np.ones(m), lo=3)
+        xs = SampleStream.from_distribution(d, seed=2).draw(1000)
+        assert xs.size == 1000
+        assert xs.min() >= 3 and xs.max() <= m + 2
 
 
 class TestPoissonized:
@@ -195,10 +198,11 @@ class TestCapped:
             capped.draw(1)
         np.testing.assert_array_equal(pool.draw(3), [7, 8, 9])
         d = binomial_pmf(100, 0.5)
-        whole = SampleStream.from_distribution(d, seed=4).draw(10)
+        twin = SampleStream.from_distribution(d, seed=4)
+        twin.draw(4)
         s = SampleStream.from_distribution(d, seed=4)
         s.draw(4)
-        np.testing.assert_array_equal(s.capped(6).draw(6), whole[4:])
+        np.testing.assert_array_equal(s.capped(6).draw(6), twin.draw(6))
 
 
 class TestHistogram:
@@ -222,20 +226,20 @@ class TestHistogram:
 
 class TestEmpiricalDistribution:
     def test_small_example(self):
-        emp = empirical_distribution([0, 0, 1], support=(0, 1))
+        emp = hist_of([0, 0, 1]).to_empirical(support=(0, 1))
         np.testing.assert_allclose(emp.probs, [2 / 3, 1 / 3])
 
     def test_constant_samples(self):
-        emp = empirical_distribution([5, 5, 5])
+        emp = hist_of([5, 5, 5]).to_empirical()
         assert emp.lo == 5 and emp.probs[0] == 1.0
 
     def test_out_of_support_goes_to_sentinel(self):
-        emp = empirical_distribution([0, 1, 9], support=(0, 1))
+        emp = hist_of([0, 1, 9]).to_empirical(support=(0, 1))
         assert emp.overflow == pytest.approx(1 / 3)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            empirical_distribution([])
+        with pytest.raises(ValueError, match="zero samples"):
+            hist_of([]).to_empirical()
 
     def test_learning_rate_on_uniform(self):
         # ceil(10 m / eps^2) samples put the empirical within eps, here with

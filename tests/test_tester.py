@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import pbdtest.learner as learner
+import pbdtest.tester as tester
 from pbdtest.distributions import (
     ExplicitDistribution,
     PerturbedBinomial,
     TranslatedPoissonParams,
     binomial_pmf,
     construct_perturbed_binomial,
+    effective_support_interval,
     ell2_sq_distance,
     translated_poisson_pmf,
     truncated_log,
@@ -27,7 +29,6 @@ from pbdtest.tester import (
     Closeness,
     TestConfig,
     Verdict,
-    coarsen_to_interval,
     heavy_case_test,
     l2_statistic,
     l2_statistic_counts,
@@ -57,9 +58,23 @@ class TestConfigValidation:
         assert truncated_log(0.5) == 1.0
 
     @pytest.mark.parametrize(
-        "field", [f.name for f in dataclasses.fields(TestConfig) if f.name.endswith("_const")]
+        "field, value",
+        [
+            (f.name, v)
+            for v in [0, -1.0, math.nan, math.inf, "4", True]
+            for f in dataclasses.fields(TestConfig)
+            if f.name.endswith("_const")
+        ]
+        + [
+            ("amplification_reps", 2.5),
+            ("amplification_reps", True),
+            ("amplification_reps", 0),
+            ("tail_cut", "x"),
+            ("tail_cut", None),
+            ("tail_cut", True),
+            ("tail_cut", 0.0),
+        ],
     )
-    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, "4"])
     def test_bad_constant_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TestConfig(eps=0.1, delta=0.1, **{field: value})
@@ -68,13 +83,15 @@ class TestConfigValidation:
 class TestSimpleTolerantIdentityTest:
     def test_exact_match_is_close(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
-        samples = np.array([0, 1] * 500)
-        assert simple_tolerant_identity_test(q, samples, 0.2) is Closeness.CLOSE
+        hist = SampleHistogram(0, np.array([500, 500]), nominal_rate=1000.0)
+        closeness, tv = simple_tolerant_identity_test(q, hist, 0.2)
+        assert closeness is Closeness.CLOSE
+        assert tv == 0.0
 
     def test_sample_count_enforced(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="samples"):
-            simple_tolerant_identity_test(q, [0, 1, 0], 0.2)
+            simple_tolerant_identity_test(q, SampleHistogram(0, np.array([2, 1]), 3.0), 0.2)
 
     def test_close_and_far_rates(self):
         m, eps = 50, 0.2
@@ -93,32 +110,50 @@ class TestSimpleTolerantIdentityTest:
         assert tv_distance(far, q) > 2 * eps / 5
         root_far = SampleStream.from_distribution(far, seed=9)
         for t in range(trials):
-            xs = root_q.split(t).draw(k)
-            close_hits += simple_tolerant_identity_test(q, xs, eps) is Closeness.CLOSE
-            ys = root_far.split(t).draw(k)
-            far_hits += simple_tolerant_identity_test(q, ys, eps) is Closeness.FAR
+            xs = root_q.split(t).draw_histogram(k)
+            close_hits += simple_tolerant_identity_test(q, xs, eps)[0] is Closeness.CLOSE
+            ys = root_far.split(t).draw_histogram(k)
+            far_hits += simple_tolerant_identity_test(q, ys, eps)[0] is Closeness.FAR
         assert close_hits >= 0.95 * trials
         assert far_hits >= 0.95 * trials
+
+    def test_sparse_stage_runs_it_once_per_sparse_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args, _orig=tester.simple_tolerant_identity_test, **kw):
+            out = _orig(*args, **kw)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(tester, "simple_tolerant_identity_test", counting)
+        cfg = TestConfig(eps=0.2, delta=0.3, seed=5, amplification_reps=3)
+        stream = SampleStream.from_distribution(binomial_pmf(2_000, 0.5), seed=5)
+        res = run_membership_test(stream, 2_000, cfg)
+        assert res.diagnostics["branch_counts"] == {"sparse": 3, "heavy": 0}
+        assert len(calls) == 3
+        runs = res.diagnostics["runs"]
+        for (closeness, tv), run in zip(calls, runs):
+            assert run["diagnostics"]["tv_empirical_vs_hypothesis"] == tv
+            assert run["diagnostics"]["tolerant_outcome"] == closeness.value
 
 
 class TestCoarsen:
     def test_point_mass_interval(self):
         d = ExplicitDistribution(4, np.array([1.0]))
-        (lo, hi), _ = coarsen_to_interval(d, 0.2)
-        assert (lo, hi) == (4, 4)
+        assert effective_support_interval(d, 0.2 / 5) == (4, 4)
 
     def test_binomial_interval_mass(self):
         d = binomial_pmf(100, 0.5)
-        (lo, hi), coarsener = coarsen_to_interval(d, 0.5)
+        lo, hi = effective_support_interval(d, 0.5 / 5)
         assert d.mass_on(lo, hi) >= 0.9
         assert lo + hi == pytest.approx(100, abs=3)  # near-symmetric around the mean
-        coarse = coarsener.apply(d)
+        coarse = d.restrict(lo, hi)
         assert coarse.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_coarsened_histogram_sentinel(self):
-        coarsener = coarsen_to_interval(binomial_pmf(10, 0.5), 0.5)[1]
+        lo, hi = effective_support_interval(binomial_pmf(10, 0.5), 0.5 / 5)
         hist = SampleHistogram(0, np.array([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]), nominal_rate=4.0)
-        emp = coarsener.apply_to_histogram(hist)
+        emp = hist.to_empirical((lo, hi))
         assert emp.overflow > 0.0
         assert emp.total_mass == pytest.approx(1.0)
 
