@@ -65,6 +65,8 @@ def _load_config_overrides(path: str | None) -> dict:
             continue
         with open(candidate) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {candidate} must hold a JSON object")
         unknown = set(data) - _CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -118,6 +120,7 @@ def _cmd_learn(args) -> int:
         learn_sample_const=config.learn_sample_const,
         sparse_threshold_const=config.learn_sparse_threshold_const,
         sparse_len_const=config.sparse_len_const,
+        tail_cut=config.tail_cut,
     )
     if learned.is_sparse:
         hyp_spec = distspec.explicit_spec(learned.hypothesis.dist)

@@ -77,6 +77,7 @@ class LearnedPbd:
     samples_used: int
     mu_hat: float
     sigma2_hat: float
+    tail_cut: float = 0.0  # mass the binomial fit's PMF may drop off its ends
 
     @property
     def is_sparse(self) -> bool:
@@ -90,7 +91,7 @@ class LearnedPbd:
     @cached_property
     def _binomial_pmf(self) -> ExplicitDistribution:
         # Built once: the fit check and the tester's stage share it.
-        return binomial_pmf(self.hypothesis.n, self.hypothesis.p)
+        return binomial_pmf(self.hypothesis.n, self.hypothesis.p, tail_cut=self.tail_cut)
 
     def variance(self) -> float:
         if self.is_sparse:
@@ -167,6 +168,7 @@ def learn_pbd(
     sparse_threshold_const: float = SPARSE_THRESHOLD_CONST,
     sparse_len_const: float = SPARSE_LEN_CONST,
     max_samples: int | None = None,
+    tail_cut: float = 0.0,
 ) -> LearnedPbd:
     """Learn a Bernoulli-sum hypothesis from one seeded sample pool.
 
@@ -181,6 +183,9 @@ def learn_pbd(
     projected onto the unimodal cone.  Both routes are safe for the
     downstream membership test - a binomial is itself a Bernoulli-sum law,
     and far sources stay far from any unimodal hypothesis.
+
+    A binomial fit's PMF is built on the window missing at most
+    ``tail_cut`` mass (see ``binomial_pmf``); 0 keeps all of [0, n].
 
     Always returns a well-formed hypothesis; distance guarantees are
     conditional on the source being a Bernoulli-sum law.
@@ -202,12 +207,12 @@ def learn_pbd(
 
     if sigma2_hat >= sparse_threshold_const / eps**6:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
-        return LearnedPbd(fit, budget, mu_hat, sigma2_hat)
+        return LearnedPbd(fit, budget, mu_hat, sigma2_hat, tail_cut)
 
     emp = hist.to_empirical()
     if sigma2_hat >= 1.0:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
-        learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat)
+        learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat, tail_cut)
         noise = 0.4 * math.sqrt(emp.support_len / budget)
         tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
         if tv_distance(emp, learned.to_explicit()) <= tolerance:

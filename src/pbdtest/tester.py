@@ -92,8 +92,10 @@ class TestConfig:
     """All tunable absolute constants of the test, plus eps, delta and seed.
 
     Short names in comments give the conventional symbol for each knob.
-    ``tail_cut`` doubles as the numeric tolerance of the deterministic
-    pivot-vs-hypothesis TV estimate, which must stay within eps/5.
+    ``tail_cut`` bounds the mass dropped off the ends of the learned binomial
+    hypothesis and of the heavy branch's pivot, so it doubles as the numeric
+    tolerance of the deterministic pivot-vs-hypothesis TV estimate, which
+    must stay within eps/5.
     ``seed`` is never read by the test: verdicts follow the stream's seed,
     and the field is only echoed into the artifact's ``config`` block.
     """
@@ -251,8 +253,10 @@ def heavy_case_test(
         # No Bernoulli-sum law on [0, n] has variance beyond n/4.
         diag["reason"] = "variance above n/2"
         return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
-    # Pivot and hypothesis are both explicit, so their TV costs no samples;
-    # truncating the pivot at tail_cut keeps it inside the eps/5 budget.
+    # Pivot and hypothesis are both explicit, so their TV costs no samples.
+    # Each may drop up to tail_cut off its ends (the pivot here, a binomial
+    # fit in the learner), which moves the TV by at most 2 tail_cut, far
+    # inside the eps/5 budget.
     pivot = translated_poisson_pmf(
         TranslatedPoissonParams(moments.mu_hat, moments.sigma2_hat), tail_cut=config.tail_cut
     )
@@ -315,6 +319,7 @@ def run_budgeted_test(
         sparse_threshold_const=config.learn_sparse_threshold_const,
         sparse_len_const=config.sparse_len_const,
         max_samples=None if sample_budget is None else sample_budget // 2,
+        tail_cut=config.tail_cut,
     )
     hyp_var = learned.variance()
     diag: dict = {

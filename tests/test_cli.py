@@ -137,11 +137,16 @@ class TestTestCommand:
         ("amplification_reps", True),
         ("tail_cut", "x"),
         ("tail_cut", None),
+        # A field of None stands for a file holding ``value`` itself.
+        (None, 3),
+        (None, []),
+        (None, ["tail_cut"]),
+        (None, None),
     ],
 )
 def test_bad_config_constant_exits_1(binomial_spec, tmp_path, capsys, command, field, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({field: value}))
+    cfg.write_text(json.dumps(value if field is None else {field: value}))
     args = [
         command, "--spec", binomial_spec, "--n", "400", "--eps", "0.1", "--seed", "7",
         "--config", str(cfg),
@@ -151,8 +156,24 @@ def test_bad_config_constant_exits_1(binomial_spec, tmp_path, capsys, command, f
     code = run(args)
     captured = capsys.readouterr()
     assert code == 1
-    assert field in captured.err
+    assert captured.err.startswith("pbdtest: error")
+    assert (field or "must hold a JSON object") in captured.err
     assert captured.out == ""
+
+
+def test_non_object_env_config_exits_1(binomial_spec, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "env.json"
+    cfg.write_text("3")
+    monkeypatch.setenv("PBDTEST_CONFIG", str(cfg))
+    code = run(
+        [
+            "test", "--spec", binomial_spec, "--n", "400", "--eps", "0.1", "--delta", "0.3",
+            "--seed", "7",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"pbdtest: error: config file {cfg} must hold a JSON object\n"
 
 
 class TestLearnCommand:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.stats import binom
 
 from pbdtest.distributions import (
     ExplicitDistribution,
@@ -240,6 +241,53 @@ class TestBinomialPmf:
             binomial_pmf(-1, 0.5)
         with pytest.raises(ValueError):
             binomial_pmf(3, 1.5)
+
+
+class TestWindowedBinomialPmf:
+    CUTS = [1e-9, 1e-6]
+    PS = [0.5, 0.3, 1e-3]
+    NS = [1, 5, 4096, 10_000, 100_000]
+
+    @staticmethod
+    def reference(n, p):
+        ks = np.arange(n + 1, dtype=np.float64)
+        log_binom = gammaln(n + 1.0) - (gammaln(ks + 1.0) + gammaln(n - ks + 1.0))
+        if p == 0.5:
+            return np.exp(log_binom - n * math.log(2.0))
+        return np.exp(log_binom + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+    @pytest.mark.parametrize("tail_cut", CUTS)
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("n", NS)
+    def test_window_is_a_bit_exact_slice_missing_at_most_tail_cut(self, n, p, tail_cut):
+        d = binomial_pmf(n, p, tail_cut=tail_cut)
+        assert 0 <= d.lo <= d.hi <= n
+        assert np.array_equal(d.probs, self.reference(n, p)[d.lo : d.hi + 1])
+        dropped = binom.cdf(d.lo - 1, n, p) + binom.sf(d.hi, n, p)
+        assert dropped <= tail_cut
+        assert 0.0 <= d.tail_slack <= tail_cut
+
+    @pytest.mark.parametrize("tail_cut", CUTS)
+    @pytest.mark.parametrize("n", NS)
+    def test_fair_window_is_mirror_exact(self, n, tail_cut):
+        d = binomial_pmf(n, 0.5, tail_cut=tail_cut)
+        assert d.lo == n - d.hi
+        assert np.array_equal(d.probs, d.probs[::-1])
+
+    def test_window_is_short_at_large_n(self):
+        # The Bernstein window at 1e-9 is about 13 sigma wide.
+        assert binomial_pmf(10_000, 0.5, tail_cut=1e-9).support_len == 673
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_p_is_a_point_mass_inside_the_window(self, p):
+        d = binomial_pmf(10_000, p, tail_cut=1e-9)
+        assert d.prob_at(int(p * 10_000)) == 1.0
+        assert d.total_mass == 1.0 and d.tail_slack == 0.0
+
+    @pytest.mark.parametrize("tail_cut", [-1e-12, 2e-6])
+    def test_tail_cut_out_of_range_rejected(self, tail_cut):
+        with pytest.raises(ValueError, match="tail_cut"):
+            binomial_pmf(100, 0.5, tail_cut=tail_cut)
 
 
 class TestTranslatedPoissonPmf:

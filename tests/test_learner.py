@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import pbdtest.tester as tester
 from pbdtest.distributions import (
     ExplicitDistribution,
     Pbd,
     binomial_pmf,
+    effective_support_interval,
     pbd_pmf,
     truncated_log,
     tv_distance,
@@ -22,6 +24,7 @@ from pbdtest.learner import (
     unimodal_projection,
 )
 from pbdtest.sampling import SampleStream
+from pbdtest.tester import TestConfig, run_budgeted_test
 
 
 class TestEstimateMeanVar:
@@ -158,3 +161,27 @@ class TestLearnPbd:
         lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 6, 0.1, max_samples=0)
         assert lr.samples_used == 0
         assert lr.to_explicit().prob_at(0) == 1.0
+
+
+class TestBinomialFitWindow:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_tester_builds_the_fit_on_its_tail_cut_window(self, monkeypatch, seed):
+        learned_fits = []
+
+        def recording(*args, _orig=tester.learn_pbd, **kw):
+            learned_fits.append(_orig(*args, **kw))
+            return learned_fits[-1]
+
+        monkeypatch.setattr(tester, "learn_pbd", recording)
+        n, eps = 10_000, 0.1
+        cfg = TestConfig(eps=eps, delta=0.1)
+        src = binomial_pmf(n, 0.5)
+        res = run_budgeted_test(SampleStream.from_distribution(src, seed=seed), n, cfg)
+        (learned,) = learned_fits
+        assert isinstance(learned.hypothesis, BinomialHypothesis)
+        hyp = learned.to_explicit()
+        assert hyp.support_len < 1000
+        assert hyp.tail_slack <= cfg.tail_cut
+        # The sparse stage's interval is the one the full support gives.
+        full = binomial_pmf(learned.hypothesis.n, learned.hypothesis.p)
+        assert res.diagnostics["interval"] == list(effective_support_interval(full, eps / 5.0))

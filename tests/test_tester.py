@@ -466,9 +466,9 @@ class TestHypothesisPmfBuiltOnce:
     def test_binomial_fit_route_builds_one_pmf(self, monkeypatch):
         calls = []
 
-        def counting(n, p, _orig=learner.binomial_pmf):
+        def counting(n, p, _orig=learner.binomial_pmf, **kw):
             calls.append((n, p))
-            return _orig(n, p)
+            return _orig(n, p, **kw)
 
         monkeypatch.setattr(learner, "binomial_pmf", counting)
         src = binomial_pmf(2_000, 0.5)
