@@ -84,12 +84,22 @@ def _read_samples(path: str) -> np.ndarray:
 
 
 def _make_stream(args, seed: int) -> SampleStream:
-    if getattr(args, "spec", None):
+    """The source of ``test`` and ``learn``; it must lie inside [0, n]."""
+    if args.spec:
         with open(args.spec) as fh:
             spec = json.load(fh)
         dist = distspec.realize(spec)
+        support = dist.lo + np.flatnonzero(dist.probs)
+        if support[0] < 0 or support[-1] > args.n:
+            raise ValueError(
+                f"spec has mass outside [0, {args.n}]: "
+                f"its support is [{support[0]}, {support[-1]}]"
+            )
         return SampleStream.from_distribution(dist, seed)
-    return SampleStream.from_samples(_read_samples(args.samples), seed)
+    xs = _read_samples(args.samples)
+    if xs.max() > args.n:
+        raise ValueError(f"sample file holds {xs.max()}, above n = {args.n}")
+    return SampleStream.from_samples(xs, seed)
 
 
 def _cmd_test(args) -> int:

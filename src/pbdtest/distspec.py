@@ -16,6 +16,7 @@ canonically so equal specs give byte-identical text.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -35,39 +36,74 @@ __all__ = ["KINDS", "normalize_spec", "realize", "spec_to_json", "spec_from_json
 KINDS = ("pbd", "binomial", "tp", "explicit", "perturbed_binomial")
 
 
+def _required(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"{obj['kind']} spec is missing field {name!r}")
+    return obj[name]
+
+
+def _field(obj: dict, name: str, integer: bool = False, default=None):
+    """A JSON number as float (int when ``integer``); errors name the field."""
+    if name not in obj and default is not None:
+        return default
+    value = _required(obj, name)
+    want = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, want):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"spec field {name!r} must be {kind}, got {type(value).__name__}")
+    return int(value) if integer else float(value)
+
+
+def _list_field(obj: dict, name: str, integer: bool = False) -> list:
+    """A JSON list of numbers, checked in one numpy pass (pbd specs hold 10^5)."""
+    values = _required(obj, name)
+    try:
+        arr = np.asarray(values) if isinstance(values, list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in ("iu" if integer else "iuf"):
+        kind = "integers" if integer else "numbers"
+        raise ValueError(f"spec field {name!r} must be a list of {kind}")
+    return arr.tolist() if integer else arr.astype(float).tolist()
+
+
 def normalize_spec(obj: dict) -> dict:
-    """Validate a spec dict and return a canonical copy (plain python types)."""
+    """Validate a spec dict and return a canonical copy (plain python types).
+
+    A missing field, or one of the wrong JSON type, raises ``ValueError``
+    naming the field.
+    """
     if not isinstance(obj, dict):
         raise ValueError("distribution spec must be a JSON object")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
     if kind == "pbd":
-        ps = [float(p) for p in obj["ps"]]
+        ps = _list_field(obj, "ps")
         Pbd(np.array(ps))
         return {"kind": "pbd", "ps": ps}
     if kind == "binomial":
-        n = int(obj["n"])
-        p = float(obj["p"])
+        n = _field(obj, "n", integer=True)
+        p = _field(obj, "p")
         if n < 0 or not 0.0 <= p <= 1.0:
             raise ValueError("binomial spec requires n >= 0 and p in [0, 1]")
         return {"kind": "binomial", "n": n, "p": p}
     if kind == "tp":
-        params = TranslatedPoissonParams(float(obj["mu"]), float(obj["sigma2"]))
+        params = TranslatedPoissonParams(_field(obj, "mu"), _field(obj, "sigma2"))
         return {"kind": "tp", "mu": params.mu, "sigma2": params.sigma2}
     if kind == "explicit":
-        lo = int(obj.get("lo", 0))
-        probs = [float(v) for v in obj["probs"]]
-        overflow = float(obj.get("overflow", 0.0))
+        lo = _field(obj, "lo", integer=True, default=0)
+        probs = _list_field(obj, "probs")
+        overflow = _field(obj, "overflow", default=0.0)
         ExplicitDistribution(lo, np.array(probs), overflow=overflow)
         out = {"kind": "explicit", "lo": lo, "probs": probs}
         if overflow:
             out["overflow"] = overflow
         return out
     # perturbed_binomial
-    n = int(obj["n"])
-    z = [int(v) for v in obj["z"]]
-    pb = PerturbedBinomial(n, float(obj["c"]), float(obj["eps"]), np.array(z, dtype=np.int8))
+    n = _field(obj, "n", integer=True)
+    z = _list_field(obj, "z", integer=True)
+    pb = PerturbedBinomial(n, _field(obj, "c"), _field(obj, "eps"), np.array(z, dtype=np.int8))
     return {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": z}
 
 

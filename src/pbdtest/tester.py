@@ -205,8 +205,9 @@ def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k:
     Sums (K_i - k Q(i))^2 - K_i over the union of the observed range and
     q's support; q is 0 outside its support.  May be negative.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not 0.0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     u_lo = min(lo, q.lo)
     u_hi = max(lo + len(counts) - 1, q.hi)

@@ -176,6 +176,59 @@ def test_non_object_env_config_exits_1(binomial_spec, tmp_path, capsys, monkeypa
     assert captured.err == f"pbdtest: error: config file {cfg} must hold a JSON object\n"
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "binomial", "n": 10}, "p"),
+        ({"kind": "tp", "mu": 5}, "sigma2"),
+        ({"kind": "pbd", "ps": 5}, "ps"),
+    ],
+)
+def test_malformed_spec_exits_1(tmp_path, capsys, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = run(
+        [
+            "test", "--spec", str(path), "--n", "10", "--eps", "0.2", "--delta", "0.3",
+            "--seed", "0",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("pbdtest: error") and repr(field) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["test", "learn"])
+@pytest.mark.parametrize(
+    "source",
+    [
+        {"kind": "binomial", "n": 100, "p": 0.5},
+        {"kind": "explicit", "lo": -3, "probs": [0.25, 0.25, 0.25, 0.25]},
+        "samples",
+    ],
+    ids=["binomial-above-n", "explicit-below-0", "sample-above-n"],
+)
+def test_source_outside_support_exits_1(tmp_path, capsys, command, source):
+    if source == "samples":
+        path = tmp_path / "samples.txt"
+        path.write_text("3\n11\n4\n")
+        args = ["--samples", str(path)]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(source))
+        args = ["--spec", str(path)]
+    args = [command, *args, "--n", "10", "--eps", "0.2", "--seed", "0"]
+    if command == "test":
+        args += ["--delta", "0.3"]
+    code = run(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("pbdtest: error")
+    assert ("above n = 10" if source == "samples" else "outside [0, 10]") in captured.err
+    assert captured.out == ""
+
+
 class TestLearnCommand:
     def test_hypothesis_artifact(self, binomial_spec, tmp_path, capsys):
         out = tmp_path / "hyp.json"
@@ -212,6 +265,21 @@ class TestStatCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["samples"] == 5000
         assert report["tv_empirical_vs_spec"] < 0.2
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_bad_rate_exits_1(self, binomial_spec, tmp_path, capsys, rate):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("200\n201\n")
+        code = run(
+            [
+                "stat", "--spec", binomial_spec, "--samples", str(samples), "--rate", rate,
+                "--seed", "0",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("pbdtest: error")
+        assert captured.out == ""
 
     def test_sample_round_trip_through_test(self, binomial_spec, tmp_path, capsys):
         # The pool must cover the learn stage budget at eps/10 plus the
@@ -268,6 +336,18 @@ class TestLowerboundCommand:
         text = outs[0].decode()
         assert text.startswith("# pbdtest.lowerbound/1")
         assert "k,detect_rate,false_reject_rate,advantage,chi2_bound" in text
+
+    @pytest.mark.parametrize("n, trials", [("0", "4"), ("7", "4"), ("64", "-1")])
+    def test_bad_n_or_trials_exits_1(self, capsys, n, trials):
+        code = run(
+            [
+                "lowerbound", "--n", n, "--c", "300", "--eps", "0.001", "--k-grid", "20",
+                "--trials", trials, "--seed", "0",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("pbdtest: error")
 
 
 class TestOracleCommand:

@@ -16,6 +16,30 @@ class TestNormalize:
         with pytest.raises(ValueError):
             distspec.normalize_spec({"kind": "pbd", "ps": [0.5, 1.5]})
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "pbd"}, "ps"),
+            ({"kind": "pbd", "ps": 5}, "ps"),
+            ({"kind": "pbd", "ps": [0.5, "x"]}, "ps"),
+            ({"kind": "binomial", "n": 10}, "p"),
+            ({"kind": "binomial", "n": "10", "p": 0.5}, "n"),
+            ({"kind": "binomial", "n": 10.5, "p": 0.5}, "n"),
+            ({"kind": "binomial", "n": True, "p": 0.5}, "n"),
+            ({"kind": "tp", "mu": 5}, "sigma2"),
+            ({"kind": "tp", "mu": None, "sigma2": 9.0}, "mu"),
+            ({"kind": "explicit", "lo": 0}, "probs"),
+            ({"kind": "explicit", "lo": 0.5, "probs": [1.0]}, "lo"),
+            ({"kind": "explicit", "probs": [1.0], "overflow": [0.0]}, "overflow"),
+            ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5}, "z"),
+            ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [1.0, -1]}, "z"),
+            ({"kind": "perturbed_binomial", "n": 4, "eps": 0.5, "z": [1, -1]}, "c"),
+        ],
+    )
+    def test_missing_or_mistyped_field_named(self, spec, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            distspec.normalize_spec(spec)
+
     def test_round_trip_all_kinds(self):
         specs = [
             {"kind": "pbd", "ps": [0.1, 0.9]},

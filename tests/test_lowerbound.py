@@ -11,18 +11,44 @@ from pbdtest.distributions import ExplicitDistribution, _perturb_fair_binomial, 
 from pbdtest.lowerbound import (
     PerturbedBinomial,
     _center_window,
-    _max_matching_prefix,
+    _isotonic_l1_prefix,
     chi2_indistinguishability_bound,
     construct_perturbed_binomial,
     detection_experiment,
-    _isotonic_l1_prefix,
     half_square_sum,
     random_sign_vector,
     unimodal_distance_lb,
-    unimodal_regression_lb,
 )
 from pbdtest.oracles import exact_tv_to_unimodal
 from pbdtest.tester import TestConfig
+
+# Supports up to this size get the exact LP distance as an upper reference.
+_LP_MAX_SUPPORT = 6
+
+
+def distinct_value_isotonic_l1_prefix(y):
+    """Reference: the least-l1 nondecreasing prefix fit as a recurrence over
+    the sorted distinct values of y (some optimal fit takes only those);
+    ``cost[v]`` is the least error with the last fitted value at most ``v``."""
+    values = np.unique(y)
+    out = np.zeros(len(y) + 1)
+    cost = np.zeros(len(values))
+    for t, x in enumerate(y.tolist(), start=1):
+        cost = np.minimum.accumulate(cost + np.abs(x - values))
+        out[t] = cost[-1]
+    return out
+
+
+def distinct_value_unimodal_lb(q, window=None):
+    """Reference: the certificate built on the distinct-value recurrence."""
+    p = q.probs
+    if window is not None:
+        a = max(window[0] - q.lo, 0)
+        b = min(window[1] - q.lo + 1, len(p))
+        p = p[a:b] if a < b else p[:0]
+    f = distinct_value_isotonic_l1_prefix(p)
+    g = distinct_value_isotonic_l1_prefix(p[::-1])[::-1]
+    return 0.5 * float((f + g).min())
 
 
 def loop_max_matching_prefix(weights):
@@ -40,7 +66,9 @@ def loop_max_matching_prefix(weights):
 
 
 def loop_unimodal_distance_lb(q, window=None):
-    """Reference: the certificate with a per-mode Python min-max loop."""
+    """Reference: a weaker lower bound on the same l1 distance, a max-weight
+    matching of drops before a candidate mode and rises after it, with a
+    per-mode Python min-max loop.  The certificate is never below it."""
     p = q.probs
     m = len(p)
     if m == 1:
@@ -135,7 +163,16 @@ class TestUnimodalCertificate:
 
 
 class TestCertificateMatchesLoopReference:
-    """The vectorized certificate equals the per-element loops exactly."""
+    """The certificate equals the distinct-value recurrence, is never below
+    the matching bound and never above the exact LP distance."""
+
+    @staticmethod
+    def check(d, window, exact=None):
+        lb = unimodal_distance_lb(d, window)
+        assert lb == pytest.approx(distinct_value_unimodal_lb(d, window), rel=0.0, abs=1e-12)
+        assert loop_unimodal_distance_lb(d, window) <= lb + 1e-12
+        if exact is not None:
+            assert lb <= exact + 1e-7
 
     def test_random_inputs_with_windows(self):
         rng = np.random.Generator(np.random.Philox(17))
@@ -154,19 +191,8 @@ class TestCertificateMatchesLoopReference:
                 window = (a, a + int(rng.integers(0, m + 5)))
             else:  # disjoint from the support
                 window = (lo + m + 1, lo + m + 1 + int(rng.integers(0, 10)))
-            assert unimodal_distance_lb(d, window) == loop_unimodal_distance_lb(d, window)
-
-    @pytest.mark.parametrize(
-        "weights",
-        [[], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3], [0.7]],
-        ids=["empty", "all-zero", "first-only", "last-only", "single"],
-    )
-    def test_prefix_edge_cases(self, weights):
-        w = np.array(weights, dtype=float)
-        out = _max_matching_prefix(w)
-        ref = loop_max_matching_prefix(w)
-        assert out.shape == ref.shape
-        assert out.tolist() == ref.tolist()
+            # One LP per mode makes the oracle slow beyond a few points.
+            self.check(d, window, exact_tv_to_unimodal(d) if m <= _LP_MAX_SUPPORT else None)
 
     def test_family_members_with_and_without_window(self):
         n = 4096
@@ -176,7 +202,7 @@ class TestCertificateMatchesLoopReference:
                 PerturbedBinomial(n, 8.0, 0.1, random_sign_vector(n, rng))
             )
             for window in (_center_window(n), None):
-                assert unimodal_distance_lb(q, window) == loop_unimodal_distance_lb(q, window)
+                self.check(q, window)
 
     def test_prebuilt_base_gives_same_member(self):
         n = 256
@@ -187,8 +213,8 @@ class TestCertificateMatchesLoopReference:
 
 
 class TestRegressionCertificate:
-    """The l1-regression bound: valid, never below the matching bound, and
-    certifies the members the matching bound misses."""
+    """The l1-regression certificate's hand values, and the members the
+    matching bound misses."""
 
     @staticmethod
     def _missed_member():
@@ -207,30 +233,11 @@ class TestRegressionCertificate:
         assert _isotonic_l1_prefix(np.array([0.0, 1.0, 1.0, 5.0])).tolist() == [0.0] * 5
         assert _isotonic_l1_prefix(np.array([])).tolist() == [0.0]
 
-    def test_two_spikes_hand_value(self):
-        d = ExplicitDistribution(0, np.array([0.5, 0.0, 0.5]))
-        assert unimodal_regression_lb(d) == pytest.approx(0.25)
-        assert unimodal_regression_lb(binomial_pmf(30, 0.5)) == 0.0
-
-    def test_between_matching_bound_and_exact_distance(self):
-        rng = np.random.Generator(np.random.Philox(31))
-        for _ in range(40):
-            m = int(rng.integers(1, 13))
-            lo = int(rng.integers(-5, 6))
-            p = rng.integers(0, 4, size=m).astype(float) if rng.random() < 0.5 else rng.random(m)
-            p[int(rng.integers(0, m))] += 1.0
-            d = ExplicitDistribution(lo, p / p.sum())
-            a = lo + int(rng.integers(-3, m + 3))
-            for window in (None, (a, a + int(rng.integers(0, m + 3)))):
-                reg = unimodal_regression_lb(d, window)
-                assert unimodal_distance_lb(d, window) <= reg + 1e-12
-                assert reg <= exact_tv_to_unimodal(d) + 1e-7
-
     def test_certifies_member_the_matching_bound_misses(self):
         q = self._missed_member()
         window = _center_window(4096)
-        assert unimodal_distance_lb(q, window) <= 0.1
-        assert unimodal_regression_lb(q, window) > 0.2
+        assert loop_unimodal_distance_lb(q, window) <= 0.1
+        assert unimodal_distance_lb(q, window) > 0.2
 
     def test_detection_counts_that_member_certified(self):
         cfg = TestConfig(eps=0.1, delta=0.5, seed=0, amplification_reps=1)

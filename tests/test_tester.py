@@ -170,6 +170,12 @@ class TestL2Statistic:
         with pytest.raises(ValueError, match="Poissonized"):
             l2_statistic(hist, q)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+    def test_rate_must_be_positive_and_finite(self, k):
+        q = ExplicitDistribution(0, np.array([1.0]))
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            l2_statistic_counts(np.array([3]), 0, q, k)
+
     def test_counts_route_matches_independent_arithmetic(self):
         rng = np.random.Generator(np.random.Philox(3))
         q_probs = rng.random(12)
