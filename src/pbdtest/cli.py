@@ -89,13 +89,15 @@ def _make_stream(args, seed: int) -> SampleStream:
         with open(args.spec) as fh:
             spec = json.load(fh)
         dist = distspec.realize(spec)
+        # Built first: it rejects a spec whose mass is all on the sentinel.
+        stream = SampleStream.from_distribution(dist, seed)
         support = dist.lo + np.flatnonzero(dist.probs)
         if support[0] < 0 or support[-1] > args.n:
             raise ValueError(
                 f"spec has mass outside [0, {args.n}]: "
                 f"its support is [{support[0]}, {support[-1]}]"
             )
-        return SampleStream.from_distribution(dist, seed)
+        return stream
     xs = _read_samples(args.samples)
     if xs.max() > args.n:
         raise ValueError(f"sample file holds {xs.max()}, above n = {args.n}")

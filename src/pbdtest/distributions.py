@@ -512,12 +512,13 @@ class PerturbedBinomial:
             raise ValueError("c and eps must be finite and nonnegative")
         if not self.c * self.eps < 1.0:
             raise ValueError("need c * eps < 1 for nonnegative masses")
-        z = np.ascontiguousarray(self.z, dtype=np.int8)
+        z = np.asarray(self.z)
         if z.shape != (self.n // 2,):
             raise ValueError("z must have length n/2")
-        if not np.all(np.abs(z) == 1):
+        # Checked before the int8 cast, which would wrap 257 to 1.
+        if not np.all((z == 1) | (z == -1)):
             raise ValueError("z entries must be +1 or -1")
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", np.ascontiguousarray(z, dtype=np.int8))
 
 
 def construct_perturbed_binomial(pb: PerturbedBinomial) -> ExplicitDistribution:

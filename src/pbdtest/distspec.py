@@ -103,6 +103,8 @@ def normalize_spec(obj: dict) -> dict:
     # perturbed_binomial
     n = _field(obj, "n", integer=True)
     z = _list_field(obj, "z", integer=True)
+    if any(v not in (-1, 1) for v in z):
+        raise ValueError("spec field 'z' must hold only +1 and -1")
     pb = PerturbedBinomial(n, _field(obj, "c"), _field(obj, "eps"), np.array(z, dtype=np.int8))
     return {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": z}
 

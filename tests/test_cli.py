@@ -201,15 +201,16 @@ def test_malformed_spec_exits_1(tmp_path, capsys, spec, field):
 
 @pytest.mark.parametrize("command", ["test", "learn"])
 @pytest.mark.parametrize(
-    "source",
+    "source, message",
     [
-        {"kind": "binomial", "n": 100, "p": 0.5},
-        {"kind": "explicit", "lo": -3, "probs": [0.25, 0.25, 0.25, 0.25]},
-        "samples",
+        ({"kind": "binomial", "n": 100, "p": 0.5}, "outside [0, 10]"),
+        ({"kind": "explicit", "lo": -3, "probs": [0.25, 0.25, 0.25, 0.25]}, "outside [0, 10]"),
+        ({"kind": "explicit", "probs": [0.0], "overflow": 1.0}, "sentinel mass"),
+        ("samples", "above n = 10"),
     ],
-    ids=["binomial-above-n", "explicit-below-0", "sample-above-n"],
+    ids=["binomial-above-n", "explicit-below-0", "all-sentinel", "sample-above-n"],
 )
-def test_source_outside_support_exits_1(tmp_path, capsys, command, source):
+def test_source_outside_support_exits_1(tmp_path, capsys, command, source, message):
     if source == "samples":
         path = tmp_path / "samples.txt"
         path.write_text("3\n11\n4\n")
@@ -225,7 +226,7 @@ def test_source_outside_support_exits_1(tmp_path, capsys, command, source):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("pbdtest: error")
-    assert ("above n = 10" if source == "samples" else "outside [0, 10]") in captured.err
+    assert message in captured.err
     assert captured.out == ""
 
 

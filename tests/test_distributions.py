@@ -206,6 +206,11 @@ class TestPerturbedBinomialValidation:
         with pytest.raises(ValueError, match="c and eps must be finite and nonnegative"):
             PerturbedBinomial(4, c, eps, np.array([1, -1], dtype=np.int8))
 
+    @pytest.mark.parametrize("z", [[257, -1], [1, -129], [1.5, -1], [0, 1]])
+    def test_rejects_z_entries_that_int8_would_wrap(self, z):
+        with pytest.raises(ValueError, match="z entries must be"):
+            PerturbedBinomial(4, 1.0, 0.1, np.array(z))
+
 
 class TestBinomialPmf:
     def test_two_flips(self):

@@ -34,6 +34,8 @@ class TestNormalize:
             ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5}, "z"),
             ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [1.0, -1]}, "z"),
             ({"kind": "perturbed_binomial", "n": 4, "eps": 0.5, "z": [1, -1]}, "c"),
+            ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [300, -1]}, "z"),
+            ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [0, -1]}, "z"),
         ],
     )
     def test_missing_or_mistyped_field_named(self, spec, field):

@@ -213,7 +213,8 @@ class TestCertificateMatchesLoopReference:
 
 
 class TestRegressionCertificate:
-    """The l1-regression certificate's hand values, and the members the
+    """The l1-regression certificate: hand values, never below the matching
+    bound nor above the exact distance, and it certifies the members the
     matching bound misses."""
 
     @staticmethod
@@ -232,6 +233,20 @@ class TestRegressionCertificate:
         ]
         assert _isotonic_l1_prefix(np.array([0.0, 1.0, 1.0, 5.0])).tolist() == [0.0] * 5
         assert _isotonic_l1_prefix(np.array([])).tolist() == [0.0]
+
+    def test_between_matching_bound_and_exact_distance(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        for _ in range(40):
+            m = int(rng.integers(1, 13))
+            lo = int(rng.integers(-5, 6))
+            p = rng.integers(0, 4, size=m).astype(float) if rng.random() < 0.5 else rng.random(m)
+            p[int(rng.integers(0, m))] += 1.0
+            d = ExplicitDistribution(lo, p / p.sum())
+            a = lo + int(rng.integers(-3, m + 3))
+            for window in (None, (a, a + int(rng.integers(0, m + 3)))):
+                lb = unimodal_distance_lb(d, window)
+                assert loop_unimodal_distance_lb(d, window) <= lb + 1e-12
+                assert lb <= exact_tv_to_unimodal(d) + 1e-7
 
     def test_certifies_member_the_matching_bound_misses(self):
         q = self._missed_member()
