@@ -9,6 +9,7 @@ sampling, an adversarial indistinguishable family, and brute-force
 oracles that validate all of it.
 """
 
+from .calibrated import TestConfig
 from .distributions import (
     BoundReport,
     ExplicitDistribution,
@@ -47,7 +48,6 @@ from .sampling import SampleHistogram, SampleStream, StreamExhausted
 from .tester import (
     Branch,
     Closeness,
-    TestConfig,
     TestVerdict,
     Verdict,
     heavy_case_test,

@@ -1,7 +1,12 @@
-"""Calibrated absolute constants for the membership test.
+"""Every tunable constant of the membership test and its learner.
 
-Fixed by the pre-build sweep in ``oracles.calibration_report`` (regenerate
-via ``pbdtest oracle --suite calibration --seed 0``) over a corpus of
+``TestConfig``'s field defaults are the only place a tunable constant is
+written; the learner and every stage of the test read them from the
+config they are handed.
+
+The two statistic constants were fixed by the pre-build sweep in
+``oracles.calibration_report`` (regenerate via
+``pbdtest oracle --suite calibration --seed 0``) over a corpus of
 pivot/perturbation pairs at TV = 0.35 eps with sigma_hat in {16, 25, 50}
 and eps in {0.1, 0.15, 0.2}:
 
@@ -14,13 +19,97 @@ and eps in {0.1, 0.15, 0.2}:
   constant, 0.177) divided by a 1.5x safety margin and rounded down to
   0.1, leaving the far cases 5.7+ standard deviations above threshold.
 
-Bump CALIBRATION_VERSION whenever either value changes.
+Bump CALIBRATION_VERSION whenever a calibrated value changes.
 """
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass, fields, replace
+
+from .distributions import truncated_log
+
+__all__ = ["CALIBRATION_VERSION", "TestConfig"]
 
 CALIBRATION_VERSION = 1
 
-# C1: Poissonized sample rate multiplier, k = ceil(C1 * sqrt(sigma_hat * logt(1/eps)) / eps^2).
-L2_SAMPLE_CONST = 80.0
 
-# c: statistic acceptance threshold is 0.25 * c * eps^2 / (sigma_hat * sqrt(logt(1/eps))).
-L2_FAR_CONST = 0.1
+def _is_real(v) -> bool:
+    """A config number: an int or float, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+@dataclass(frozen=True)
+class TestConfig:
+    """Every tunable absolute constant of the test, plus eps, delta and seed.
+
+    Short names in comments give the conventional symbol for each knob.
+    ``tail_cut`` bounds the mass dropped off the ends of the learned binomial
+    hypothesis and of the heavy branch's pivot, so it doubles as the numeric
+    tolerance of the deterministic pivot-vs-hypothesis TV estimate, which
+    must stay within eps/5.
+    ``seed`` is never read by the test: verdicts follow the stream's seed,
+    and the field is only echoed into the artifact's ``config`` block.
+    """
+
+    __test__ = False  # keep pytest from collecting this as a test class
+
+    eps: float
+    delta: float
+    seed: int = 0
+    var_threshold_const: float = 4.0  # C: sparse/heavy variance split
+    # C1: Poissonized rate multiplier, k = ceil(C1 * sqrt(sigma_hat * logt(1/eps)) / eps^2)
+    l2_sample_const: float = 80.0
+    # c: acceptance threshold 0.25 * c * eps^2 / (sigma_hat * sqrt(logt(1/eps)))
+    l2_far_const: float = 0.1
+    tolerant_sample_const: float = 10.0  # A_tol: sparse-branch samples per |I|/eps^2
+    moment_sample_const: float = 200.0  # A_m: moment samples ceil(A_m / eps'^2)
+    learn_sample_const: float = 200.0  # A_L: learn budget ceil(A_L * logt^2(1/eps) / eps^2)
+    learn_sparse_threshold_const: float = 16.0  # A_t: binomial route at sigma2_hat >= A_t/eps^6
+    sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
+    amplification_const: float = 18.0  # B: majority repetitions ceil(B ln(1/delta))
+    amplification_reps: int | None = None  # explicit override (experiments)
+    tail_cut: float = 1e-9
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError("eps must lie in (0, 1)")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if not (_is_real(self.tail_cut) and 0.0 < self.tail_cut <= 1e-6):
+            raise ValueError(f"tail_cut must be a number in (0, 1e-6], got {self.tail_cut!r}")
+        reps = self.amplification_reps
+        if reps is not None and not (type(reps) is int and reps >= 1):  # bool is not int here
+            raise ValueError(f"amplification_reps must be null or an integer >= 1, got {reps!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name.endswith("_const") and not (_is_real(v) and 0 < v < math.inf):
+                raise ValueError(f"{f.name} must be finite and positive, got {v!r}")
+
+    def replace(self, **kw) -> "TestConfig":
+        return replace(self, **kw)
+
+    def to_dict(self) -> dict:
+        out = asdict(self)
+        out["calibration_version"] = CALIBRATION_VERSION
+        return out
+
+    # -- derived quantities -------------------------------------------------
+
+    @property
+    def logt(self) -> float:
+        return truncated_log(1.0 / self.eps)
+
+    def variance_threshold(self) -> float:
+        return self.var_threshold_const * self.logt**4 / self.eps**8
+
+    def l2_sample_rate(self, sigma_hat: float) -> float:
+        return self.l2_sample_const * math.sqrt(sigma_hat * self.logt) / self.eps**2
+
+    def l2_threshold(self, sigma_hat: float) -> float:
+        return 0.25 * self.l2_far_const * self.eps**2 / (sigma_hat * math.sqrt(self.logt))
+
+    def repetitions(self) -> int:
+        if self.amplification_reps is not None:
+            return self.amplification_reps
+        return max(1, math.ceil(self.amplification_const * math.log(1.0 / self.delta)))

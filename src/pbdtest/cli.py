@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import distspec
+from .calibrated import TestConfig
 from .distributions import ExplicitDistribution, Pbd, binomial_pmf, pbd_pmf, tv_distance
 from .learner import learn_pbd
 from .lowerbound import detection_experiment, unimodal_distance_lb
@@ -29,7 +30,7 @@ from .oracles import (
     monte_carlo_moment_check,
 )
 from .sampling import SampleHistogram, SampleStream
-from .tester import TestConfig, Verdict, l2_statistic, test_pbd
+from .tester import Verdict, l2_statistic, test_pbd
 
 __all__ = ["main"]
 
@@ -125,15 +126,7 @@ def _cmd_learn(args) -> int:
     # Learning reads no delta; the config only checks and carries the constants.
     config = TestConfig(eps=args.eps, delta=0.5, **_load_config_overrides(args.config))
     stream = _make_stream(args, args.seed)
-    learned = learn_pbd(
-        stream,
-        args.n,
-        args.eps,
-        learn_sample_const=config.learn_sample_const,
-        sparse_threshold_const=config.learn_sparse_threshold_const,
-        sparse_len_const=config.sparse_len_const,
-        tail_cut=config.tail_cut,
-    )
+    learned = learn_pbd(stream, args.n, args.eps, config)
     if learned.is_sparse:
         hyp_spec = distspec.explicit_spec(learned.hypothesis.dist)
     else:

@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import isotonic_regression
 
+from .calibrated import TestConfig
 from .distributions import (
     ExplicitDistribution,
     binomial_pmf,
@@ -43,10 +44,6 @@ __all__ = [
     "learn_pbd",
 ]
 
-MOMENT_SAMPLE_CONST = 200.0  # A_m: samples = ceil(A_m / eps'^2)
-LEARN_SAMPLE_CONST = 200.0  # A_L: learn budget = ceil(A_L * logt^2(1/eps) / eps^2)
-SPARSE_THRESHOLD_CONST = 16.0  # A_t: binomial route forced at sigma2_hat >= A_t / eps^6
-SPARSE_LEN_CONST = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
 FIT_CHECK_MULT = 3.0  # binomial fit accepted within this many noise widths
 
 
@@ -100,15 +97,14 @@ class LearnedPbd:
 
 
 def estimate_mean_var(
-    stream: SampleStream,
-    eps_prime: float,
-    sample_const: float = MOMENT_SAMPLE_CONST,
+    stream: SampleStream, eps_prime: float, sample_const: float
 ) -> MomentEstimates:
     """Empirical mean and unbiased variance from ceil(sample_const / eps'^2) samples.
 
     For Bernoulli-sum sources the estimates satisfy |mu - mu_hat| < eps' * sigma
     and |sigma^2 - sigma2_hat| < eps' * sigma^2 * sqrt(4 + 1/sigma^2) with
-    frequency >= 0.99 at the default constant (Monte Carlo checked).
+    frequency >= 0.99 at the default ``TestConfig.moment_sample_const``
+    (Monte Carlo checked).
     """
     if not 0.0 < eps_prime < 1.0:
         raise ValueError("eps_prime must lie in (0, 1)")
@@ -127,7 +123,8 @@ def fit_binomial_by_moments(mu_hat: float, sigma2_hat: float, n: int) -> Binomia
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if mu_hat <= 0.0:
+    if mu_hat <= 0.0 or n == 1:
+        # One trial leaves nothing to fit: its p is the mean itself.
         return BinomialHypothesis(1, min(max(0.0, mu_hat), 1.0))
     p = 1.0 - sigma2_hat / mu_hat
     p = min(max(p, 1.0 / n), 1.0 - 1.0 / n)
@@ -161,31 +158,27 @@ def unimodal_projection(probs: np.ndarray) -> np.ndarray:
 
 
 def learn_pbd(
-    stream: SampleStream,
-    n: int,
-    eps: float,
-    learn_sample_const: float = LEARN_SAMPLE_CONST,
-    sparse_threshold_const: float = SPARSE_THRESHOLD_CONST,
-    sparse_len_const: float = SPARSE_LEN_CONST,
-    max_samples: int | None = None,
-    tail_cut: float = 0.0,
+    stream: SampleStream, n: int, eps: float, config: TestConfig, max_samples: int | None = None
 ) -> LearnedPbd:
     """Learn a Bernoulli-sum hypothesis from one seeded sample pool.
 
-    One histogram of ceil(learn_sample_const * logt^2(1/eps) / eps^2)
-    samples feeds the moment estimates, the binomial goodness check and,
-    on the sparse route, the empirical distribution; a single pool keeps
-    the total inside the advertised sample budget.
+    The constants come from ``config``, whose own eps is not read: the
+    tester learns at eps/10 of the eps it tests at.  One histogram of
+    ceil(A_L * logt^2(1/eps) / eps^2) samples, capped at ``max_samples``,
+    feeds the moment estimates, the binomial goodness check and, on the
+    sparse route, the empirical distribution; a single pool keeps the
+    total inside the advertised sample budget.
 
-    Routing: variance at or above sparse_threshold_const / eps^6 forces a
-    binomial fit; otherwise the moment fit is kept when it explains the
-    empirical within noise, and the fallback is the empirical distribution
-    projected onto the unimodal cone.  Both routes are safe for the
-    downstream membership test - a binomial is itself a Bernoulli-sum law,
-    and far sources stay far from any unimodal hypothesis.
+    Routing: variance at or above A_t / eps^6 forces a binomial fit;
+    otherwise the moment fit is kept when it explains the empirical within
+    noise, and the fallback is the empirical distribution on at most
+    ceil(A_s / eps^3) points, projected onto the unimodal cone.  Both
+    routes are safe for the downstream membership test - a binomial is
+    itself a Bernoulli-sum law, and far sources stay far from any unimodal
+    hypothesis.
 
     A binomial fit's PMF is built on the window missing at most
-    ``tail_cut`` mass (see ``binomial_pmf``); 0 keeps all of [0, n].
+    ``config.tail_cut`` mass (see ``binomial_pmf``).
 
     Always returns a well-formed hypothesis; distance guarantees are
     conditional on the source being a Bernoulli-sum law.
@@ -194,7 +187,7 @@ def learn_pbd(
         raise ValueError("eps must lie in (0, 1)")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    budget = math.ceil(learn_sample_const * truncated_log(1.0 / eps) ** 2 / eps**2)
+    budget = math.ceil(config.learn_sample_const * truncated_log(1.0 / eps) ** 2 / eps**2)
     if max_samples is not None:
         budget = min(budget, max_samples)
     if budget < 1:
@@ -205,21 +198,21 @@ def learn_pbd(
     hist = stream.draw_histogram(budget)
     mu_hat, sigma2_hat = hist.moments()
 
-    if sigma2_hat >= sparse_threshold_const / eps**6:
+    if sigma2_hat >= config.learn_sparse_threshold_const / eps**6:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
-        return LearnedPbd(fit, budget, mu_hat, sigma2_hat, tail_cut)
+        return LearnedPbd(fit, budget, mu_hat, sigma2_hat, config.tail_cut)
 
     emp = hist.to_empirical()
     if sigma2_hat >= 1.0:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
-        learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat, tail_cut)
+        learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat, config.tail_cut)
         noise = 0.4 * math.sqrt(emp.support_len / budget)
         tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
         if tv_distance(emp, learned.to_explicit()) <= tolerance:
             return learned
 
     lo, hi = effective_support_interval(emp, eps / 10.0)
-    cap = math.ceil(sparse_len_const / eps**3)
+    cap = math.ceil(config.sparse_len_const / eps**3)
     if hi - lo + 1 > cap:
         lo, hi = _densest_window(emp, cap)
     window = emp.probs[lo - emp.lo : hi - emp.lo + 1]

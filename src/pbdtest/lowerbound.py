@@ -27,6 +27,7 @@ from heapq import heappush, heappushpop
 
 import numpy as np
 
+from .calibrated import TestConfig
 from .distributions import (
     ExplicitDistribution,
     PerturbedBinomial,
@@ -35,7 +36,7 @@ from .distributions import (
     construct_perturbed_binomial,
 )
 from .sampling import SampleStream
-from .tester import TestConfig, Verdict, run_budgeted_test
+from .tester import Verdict, run_budgeted_test
 
 __all__ = [
     "PerturbedBinomial",

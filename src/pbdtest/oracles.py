@@ -4,7 +4,8 @@ Every oracle takes an independent arithmetic route from the code it
 checks: the Bernoulli-sum PMF enumerates outcome vectors instead of
 convolving, the statistic moments are simulated from raw per-symbol
 Poisson counts with their own accumulation, and the unimodal distance is
-a per-mode linear program rather than the matching certificate.
+a per-mode linear program rather than the l1 isotonic certificate of
+``lowerbound.unimodal_distance_lb``.
 
 Caps are enforced so each oracle finishes in well under a minute.
 """

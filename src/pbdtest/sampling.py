@@ -155,6 +155,8 @@ class SampleStream:
 
     def capped(self, budget: int) -> "SampleStream":
         """This stream, with at most ``budget`` more samples for it and its splits."""
+        if budget < 0:
+            raise ValueError(f"sample budget must be nonnegative, got {budget}")
         self._generator()  # built before the copy, so the view continues this stream
         view = copy.copy(self)
         ceiling = self.samples_drawn + budget

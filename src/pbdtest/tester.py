@@ -17,12 +17,12 @@ stream, so verdicts replay bit-for-bit from (seed, config).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .calibrated import CALIBRATION_VERSION, L2_FAR_CONST, L2_SAMPLE_CONST
+from .calibrated import TestConfig
 from .distributions import (
     ExplicitDistribution,
     TranslatedPoissonParams,
@@ -31,15 +31,7 @@ from .distributions import (
     truncated_log,
     tv_distance,
 )
-from .learner import (
-    LEARN_SAMPLE_CONST,
-    MOMENT_SAMPLE_CONST,
-    SPARSE_LEN_CONST,
-    SPARSE_THRESHOLD_CONST,
-    MomentEstimates,
-    estimate_mean_var,
-    learn_pbd,
-)
+from .learner import MomentEstimates, estimate_mean_var, learn_pbd
 from .sampling import SampleHistogram, SampleStream, StreamExhausted
 
 __all__ = [
@@ -79,87 +71,6 @@ _STAGE_TOLERANT = 1
 _STAGE_MOMENTS = 2
 _STAGE_L2 = 3
 
-TOLERANT_SAMPLE_CONST = 10.0  # A_tol: sparse-branch samples per |I|/eps^2
-
-
-def _is_real(v) -> bool:
-    """A config number: an int or float, but not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-@dataclass(frozen=True)
-class TestConfig:
-    """All tunable absolute constants of the test, plus eps, delta and seed.
-
-    Short names in comments give the conventional symbol for each knob.
-    ``tail_cut`` bounds the mass dropped off the ends of the learned binomial
-    hypothesis and of the heavy branch's pivot, so it doubles as the numeric
-    tolerance of the deterministic pivot-vs-hypothesis TV estimate, which
-    must stay within eps/5.
-    ``seed`` is never read by the test: verdicts follow the stream's seed,
-    and the field is only echoed into the artifact's ``config`` block.
-    """
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    eps: float
-    delta: float
-    seed: int = 0
-    var_threshold_const: float = 4.0  # C: sparse/heavy variance split
-    l2_sample_const: float = L2_SAMPLE_CONST  # C1: Poissonized rate multiplier
-    l2_far_const: float = L2_FAR_CONST  # c: statistic threshold constant
-    tolerant_sample_const: float = TOLERANT_SAMPLE_CONST  # A_tol
-    moment_sample_const: float = MOMENT_SAMPLE_CONST  # A_m
-    learn_sample_const: float = LEARN_SAMPLE_CONST  # A_L
-    learn_sparse_threshold_const: float = SPARSE_THRESHOLD_CONST  # A_t
-    sparse_len_const: float = SPARSE_LEN_CONST  # A_s
-    amplification_const: float = 18.0  # B: majority repetitions ceil(B ln(1/delta))
-    amplification_reps: int | None = None  # explicit override (experiments)
-    tail_cut: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not (_is_real(self.tail_cut) and 0.0 < self.tail_cut <= 1e-6):
-            raise ValueError(f"tail_cut must be a number in (0, 1e-6], got {self.tail_cut!r}")
-        reps = self.amplification_reps
-        if reps is not None and not (type(reps) is int and reps >= 1):  # bool is not int here
-            raise ValueError(f"amplification_reps must be null or an integer >= 1, got {reps!r}")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name.endswith("_const") and not (_is_real(v) and 0 < v < math.inf):
-                raise ValueError(f"{f.name} must be finite and positive, got {v!r}")
-
-    def replace(self, **kw) -> "TestConfig":
-        return replace(self, **kw)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["calibration_version"] = CALIBRATION_VERSION
-        return out
-
-    # -- derived quantities -------------------------------------------------
-
-    @property
-    def logt(self) -> float:
-        return truncated_log(1.0 / self.eps)
-
-    def variance_threshold(self) -> float:
-        return self.var_threshold_const * self.logt**4 / self.eps**8
-
-    def l2_sample_rate(self, sigma_hat: float) -> float:
-        return self.l2_sample_const * math.sqrt(sigma_hat * self.logt) / self.eps**2
-
-    def l2_threshold(self, sigma_hat: float) -> float:
-        return 0.25 * self.l2_far_const * self.eps**2 / (sigma_hat * math.sqrt(self.logt))
-
-    def repetitions(self) -> int:
-        if self.amplification_reps is not None:
-            return self.amplification_reps
-        return max(1, math.ceil(self.amplification_const * math.log(1.0 / self.delta)))
-
 
 @dataclass(frozen=True)
 class TestVerdict:
@@ -183,7 +94,7 @@ def simple_tolerant_identity_test(
     q: ExplicitDistribution,
     hist: SampleHistogram,
     eps: float,
-    sample_const: float = TOLERANT_SAMPLE_CONST,
+    sample_const: float,
 ) -> tuple[Closeness, float]:
     """Close iff the empirical distribution on q's support sits within 0.25 eps of q.
 
@@ -312,16 +223,8 @@ def run_budgeted_test(
     start = stream.samples_drawn
     if sample_budget is not None:
         stream = stream.capped(sample_budget)
-    learned = learn_pbd(
-        stream.split(_STAGE_LEARN),
-        n,
-        eps / 10.0,
-        learn_sample_const=config.learn_sample_const,
-        sparse_threshold_const=config.learn_sparse_threshold_const,
-        sparse_len_const=config.sparse_len_const,
-        max_samples=None if sample_budget is None else sample_budget // 2,
-        tail_cut=config.tail_cut,
-    )
+    learn_cap = None if sample_budget is None else sample_budget // 2
+    learned = learn_pbd(stream.split(_STAGE_LEARN), n, eps / 10.0, config, learn_cap)
     hyp_var = learned.variance()
     diag: dict = {
         "hypothesis_kind": "sparse" if learned.is_sparse else "binomial",

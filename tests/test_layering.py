@@ -68,3 +68,38 @@ def test_public_names_resolve():
                 f"pbdtest.{node.module}.{a.name}" for a in node.names if not hasattr(source, a.name)
             ]
     assert missing == []
+
+
+# PMF builders whose ``tail_cut`` default (full support, or the realised
+# spec's truncation) is their own contract, not the test's constant.
+PMF_BUILDERS = {"pbd_pmf", "binomial_pmf", "translated_poisson_pmf", "realize"}
+
+
+def test_constants_live_in_test_config():
+    """Tunable constants have one home: the field defaults of ``calibrated.TestConfig``."""
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_names = [
+            t.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name)
+        ]
+        if path.stem != "calibrated":
+            stray += [f"{path.stem}.{name}" for name in module_names if name.endswith("_CONST")]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name in PMF_BUILDERS:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            stray += [
+                f"{path.stem}.{node.name}({a.arg}=...)"
+                for a in defaulted
+                if a.arg.endswith("_const") or a.arg == "tail_cut"
+            ]
+    assert stray == []

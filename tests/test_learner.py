@@ -26,16 +26,19 @@ from pbdtest.learner import (
 from pbdtest.sampling import SampleStream
 from pbdtest.tester import TestConfig, run_budgeted_test
 
+CFG = TestConfig(eps=0.1, delta=0.1)  # the learner reads its constants, not its eps
+A_M = TestConfig.moment_sample_const
+
 
 class TestEstimateMeanVar:
     def test_point_mass(self):
         d = ExplicitDistribution(3, np.array([1.0]))
-        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), 0.1)
+        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), 0.1, A_M)
         assert m.mu_hat == 3.0 and m.sigma2_hat == 0.0
 
     def test_sample_count_formula(self):
         d = binomial_pmf(10, 0.5)
-        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), 0.05)
+        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), 0.05, A_M)
         assert m.samples_used == math.ceil(200 / 0.05**2)
 
     def test_heavy_branch_sample_count(self):
@@ -43,7 +46,7 @@ class TestEstimateMeanVar:
         n, eps = 10_000, 0.1
         eps_prime = eps / (n / 4.0) ** 0.125
         m = estimate_mean_var(
-            SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1), eps_prime
+            SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1), eps_prime, A_M
         )
         assert m.samples_used == math.ceil(200.0 * (n / 4.0) ** 0.25 / eps**2)
 
@@ -54,7 +57,7 @@ class TestEstimateMeanVar:
         hits = 0
         trials = 100
         for t in range(trials):
-            m = estimate_mean_var(root.split(t), 0.05)
+            m = estimate_mean_var(root.split(t), 0.05, A_M)
             ok_mu = abs(m.mu_hat - 5000.0) < 0.05 * 50.0
             ok_var = abs(m.sigma2_hat - 2500.0) < 0.05 * 2500.0 * math.sqrt(4.0 + 1.0 / 2500.0)
             hits += ok_mu and ok_var
@@ -63,7 +66,7 @@ class TestEstimateMeanVar:
     def test_eps_prime_validation(self):
         d = binomial_pmf(4, 0.5)
         with pytest.raises(ValueError):
-            estimate_mean_var(SampleStream.from_distribution(d, seed=0), 1.5)
+            estimate_mean_var(SampleStream.from_distribution(d, seed=0), 1.5, A_M)
 
 
 class TestBinomialFit:
@@ -75,6 +78,16 @@ class TestBinomialFit:
     def test_clamps(self):
         fit = fit_binomial_by_moments(5000.0, 2.5e7, 10_000)
         assert 1 <= fit.n <= 10_000 and 0.0 < fit.p < 1.0
+
+    @pytest.mark.parametrize("mu_hat, p", [(0.0, 0.0), (0.3, 0.3), (1.0, 1.0), (50.0, 1.0)])
+    def test_one_trial_fits_the_mean(self, mu_hat, p):
+        assert fit_binomial_by_moments(mu_hat, 0.25, 1) == BinomialHypothesis(1, p)
+
+    def test_one_trial_run_completes(self):
+        # The learner's moment fit at n = 1 used to divide by zero.
+        stream = SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=0)
+        res = run_budgeted_test(stream, 1, CFG)
+        assert res.samples_used == stream.samples_drawn
 
 
 class TestUnimodalProjection:
@@ -97,14 +110,14 @@ class TestUnimodalProjection:
 class TestLearnPbd:
     def test_point_mass_source(self):
         d = ExplicitDistribution(0, np.array([1.0]))
-        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 10, 0.1)
+        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 10, 0.1, CFG)
         assert isinstance(lr.hypothesis, SparseHypothesis)
         assert lr.to_explicit().prob_at(0) == 1.0
 
     def test_sample_budget_cap(self):
         d = binomial_pmf(20, 0.5)
         eps = 0.1
-        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 20, eps)
+        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 20, eps, CFG)
         assert lr.samples_used <= math.ceil(200 * truncated_log(1 / eps) ** 2 / eps**2)
 
     def test_binomial_source_gets_binomial_fit(self):
@@ -114,7 +127,7 @@ class TestLearnPbd:
         good_var = 0
         trials = 60
         for t in range(trials):
-            lr = learn_pbd(SampleStream.from_distribution(src, seed=100 + t), 10_000, 0.1)
+            lr = learn_pbd(SampleStream.from_distribution(src, seed=100 + t), 10_000, 0.1, CFG)
             if isinstance(lr.hypothesis, BinomialHypothesis):
                 hits += 1
                 good_var += sigma2 / 4.0 <= lr.variance() <= 4.0 * sigma2
@@ -128,7 +141,7 @@ class TestLearnPbd:
         hits = 0
         trials = 40
         for t in range(trials):
-            lr = learn_pbd(SampleStream.from_distribution(src, seed=300 + t), 20, 0.1)
+            lr = learn_pbd(SampleStream.from_distribution(src, seed=300 + t), 20, 0.1, CFG)
             hits += isinstance(lr.hypothesis, SparseHypothesis) and (
                 tv_distance(lr.to_explicit(), src) < 0.1
             )
@@ -140,7 +153,7 @@ class TestLearnPbd:
         cap = math.ceil(4.0 / eps**3)
         probs = np.ones(3 * cap)
         wide = ExplicitDistribution(0, probs / probs.sum())
-        lr = learn_pbd(SampleStream.from_distribution(wide, seed=9), 3 * cap, eps)
+        lr = learn_pbd(SampleStream.from_distribution(wide, seed=9), 3 * cap, eps, CFG)
         if isinstance(lr.hypothesis, SparseHypothesis):
             assert lr.to_explicit().support_len <= cap
 
@@ -149,7 +162,8 @@ class TestLearnPbd:
         probs = np.zeros(n + 1)
         probs[0] = 0.5
         probs[n] = 0.5
-        lr = learn_pbd(SampleStream.from_distribution(ExplicitDistribution(0, probs), seed=4), n, 0.1)
+        stream = SampleStream.from_distribution(ExplicitDistribution(0, probs), seed=4)
+        lr = learn_pbd(stream, n, 0.1, CFG)
         hyp = lr.to_explicit()
         assert hyp.total_mass == pytest.approx(1.0, abs=1e-9)
         # The hypothesis is unimodal or binomial, so it stays far from the
@@ -158,7 +172,7 @@ class TestLearnPbd:
 
     def test_zero_budget_degenerates_gracefully(self):
         d = binomial_pmf(6, 0.5)
-        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 6, 0.1, max_samples=0)
+        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 6, 0.1, CFG, max_samples=0)
         assert lr.samples_used == 0
         assert lr.to_explicit().prob_at(0) == 1.0
 

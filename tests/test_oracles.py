@@ -119,11 +119,11 @@ class TestPairedPerturbation:
 
 class TestCalibrationReport:
     def test_report_reproduces_frozen_constants(self):
-        from pbdtest.calibrated import L2_FAR_CONST, L2_SAMPLE_CONST
+        from pbdtest.calibrated import TestConfig
 
         report = calibration_report()
-        assert report["chosen_sample_const"] == L2_SAMPLE_CONST
-        assert report["chosen_threshold_const"] == L2_FAR_CONST
+        assert report["chosen_sample_const"] == TestConfig.l2_sample_const
+        assert report["chosen_threshold_const"] == TestConfig.l2_far_const
 
 
 class TestOracleReport:

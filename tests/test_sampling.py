@@ -204,6 +204,12 @@ class TestCapped:
         s.draw(4)
         np.testing.assert_array_equal(s.capped(6).draw(6), twin.draw(6))
 
+    def test_negative_budget_is_refused(self):
+        root = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            root.capped(-5)
+        assert root.capped(0).samples_drawn == 0
+
 
 class TestHistogram:
     def test_fixed_size_invariant(self):

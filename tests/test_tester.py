@@ -37,13 +37,16 @@ from pbdtest.tester import (
 )
 from pbdtest.tester import test_pbd as run_membership_test
 
+A_M = TestConfig.moment_sample_const
+A_TOL = TestConfig.tolerant_sample_const
+
 
 def heavy_inputs(src, n, eps, seed):
     """Moments and a binomial hypothesis from fresh stream splits."""
     root = SampleStream.from_distribution(src, seed=seed)
     eps_prime = eps / (n / 4.0) ** 0.125
-    moments = estimate_mean_var(root.split(0), eps_prime)
-    hyp_moments = estimate_mean_var(root.split(1), eps_prime)
+    moments = estimate_mean_var(root.split(0), eps_prime, A_M)
+    hyp_moments = estimate_mean_var(root.split(1), eps_prime, A_M)
     fit = fit_binomial_by_moments(hyp_moments.mu_hat, hyp_moments.sigma2_hat, n)
     return root, moments, binomial_pmf(fit.n, fit.p)
 
@@ -84,14 +87,14 @@ class TestSimpleTolerantIdentityTest:
     def test_exact_match_is_close(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         hist = SampleHistogram(0, np.array([500, 500]), nominal_rate=1000.0)
-        closeness, tv = simple_tolerant_identity_test(q, hist, 0.2)
+        closeness, tv = simple_tolerant_identity_test(q, hist, 0.2, A_TOL)
         assert closeness is Closeness.CLOSE
         assert tv == 0.0
 
     def test_sample_count_enforced(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="samples"):
-            simple_tolerant_identity_test(q, SampleHistogram(0, np.array([2, 1]), 3.0), 0.2)
+            simple_tolerant_identity_test(q, SampleHistogram(0, np.array([2, 1]), 3.0), 0.2, A_TOL)
 
     def test_close_and_far_rates(self):
         m, eps = 50, 0.2
@@ -111,9 +114,9 @@ class TestSimpleTolerantIdentityTest:
         root_far = SampleStream.from_distribution(far, seed=9)
         for t in range(trials):
             xs = root_q.split(t).draw_histogram(k)
-            close_hits += simple_tolerant_identity_test(q, xs, eps)[0] is Closeness.CLOSE
+            close_hits += simple_tolerant_identity_test(q, xs, eps, A_TOL)[0] is Closeness.CLOSE
             ys = root_far.split(t).draw_histogram(k)
-            far_hits += simple_tolerant_identity_test(q, ys, eps)[0] is Closeness.FAR
+            far_hits += simple_tolerant_identity_test(q, ys, eps, A_TOL)[0] is Closeness.FAR
         assert close_hits >= 0.95 * trials
         assert far_hits >= 0.95 * trials
 
@@ -281,7 +284,7 @@ class TestHeavyCase:
         hits = 0
         trials = 40
         for t in range(trials):
-            m = estimate_mean_var(root.split(t), eps_prime)
+            m = estimate_mean_var(root.split(t), eps_prime, A_M)
             pivot = translated_poisson_pmf(
                 TranslatedPoissonParams(m.mu_hat, m.sigma2_hat), tail_cut=1e-9
             )
@@ -466,6 +469,13 @@ class TestSampleAccounting:
         assert res.branch is branch
         assert res.verdict is Verdict.YES_PBD
         assert res.diagnostics["budget_exhausted"] is True
+
+    def test_negative_budget_is_refused(self, drawn):
+        cfg = TestConfig(eps=0.1, delta=0.5, seed=1, amplification_reps=1)
+        stream = SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_budgeted_test(stream, 100, cfg, sample_budget=-5)
+        assert drawn == [] and stream.samples_drawn == 0
 
 
 class TestHypothesisPmfBuiltOnce:
