@@ -181,12 +181,14 @@ def learn_pbd(
     ``config.tail_cut`` mass (see ``binomial_pmf``).
 
     Always returns a well-formed hypothesis; distance guarantees are
-    conditional on the source being a Bernoulli-sum law.
+    conditional on the source being a Bernoulli-sum law.  A stream that
+    can draw a value outside [0, n] raises ``ValueError`` before any draw.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    stream.require_within(n)
     budget = math.ceil(config.learn_sample_const * truncated_log(1.0 / eps) ** 2 / eps**2)
     if max_samples is not None:
         budget = min(budget, max_samples)

@@ -18,6 +18,10 @@ A root stream and all its splits share one count of samples drawn
 ``capped(budget)`` bounds; a draw past the cap or the end of the pool
 raises ``StreamExhausted`` before drawing anything.  Because of the shared
 count, never use splits of one stream on parallel threads.
+
+A root stream also knows its support, the smallest and largest value it
+can draw, and its splits carry it; ``require_within(n)`` is the one check
+that a source lies in [0, n].
 """
 
 from __future__ import annotations
@@ -114,8 +118,9 @@ class SampleHistogram:
 class SampleStream:
     """Single-owner source of i.i.d. samples from a distribution or a file pool."""
 
-    def __init__(self, *, _source, _seed, _spawn_key, _pool=None):
+    def __init__(self, *, _source, _seed, _spawn_key, _support, _pool=None):
         self._source = _source
+        self._support = _support
         self._seed = _seed
         self._spawn_key = tuple(_spawn_key)
         self._pool = _pool
@@ -131,14 +136,19 @@ class SampleStream:
     ) -> "SampleStream":
         if dist.overflow > MASS_TOL:
             raise ValueError("cannot sample a distribution with sentinel mass")
-        return cls(_source=dist, _seed=seed, _spawn_key=spawn_key)
+        mass = np.flatnonzero(dist.probs)
+        support = (dist.lo + int(mass[0]), dist.lo + int(mass[-1]))
+        return cls(_source=dist, _seed=seed, _spawn_key=spawn_key, _support=support)
 
     @classmethod
     def from_samples(cls, samples, seed: int = 0) -> "SampleStream":
         pool = np.ascontiguousarray(samples, dtype=np.int64)
         if pool.ndim != 1:
             raise ValueError("sample pool must be 1-D")
-        return cls(_source=None, _seed=seed, _spawn_key=(), _pool=pool)
+        support = (int(pool.min()), int(pool.max())) if pool.size else None
+        if support is not None and support[0] < 0:
+            raise ValueError(f"sample pool holds {support[0]}; samples must be nonnegative")
+        return cls(_source=None, _seed=seed, _spawn_key=(), _support=support, _pool=pool)
 
     def split(self, index: int) -> "SampleStream":
         """Child stream with its own randomness, sharing this stream's count and cap.
@@ -162,6 +172,22 @@ class SampleStream:
         ceiling = self.samples_drawn + budget
         view._ceiling = ceiling if self._ceiling is None else min(ceiling, self._ceiling)
         return view
+
+    @property
+    def support(self) -> tuple[int, int] | None:
+        """(smallest, largest) value this stream can draw; None for an empty pool.
+
+        The ends of a distribution's nonzero mass, or the min and max of a pool.
+        """
+        return self._support
+
+    def require_within(self, n: int) -> None:
+        """Raise ``ValueError`` unless every value this stream can draw lies in [0, n]."""
+        if self._support is None:
+            return
+        lo, hi = self._support
+        if lo < 0 or hi > n:
+            raise ValueError(f"source lies outside [0, {n}]: its support is [{lo}, {hi}]")
 
     @property
     def samples_drawn(self) -> int:

@@ -10,8 +10,9 @@ The base test learns a hypothesis, then branches on its variance:
   statistic under Poissonized sampling.
 
 ``test_pbd`` amplifies the base test by majority over independent
-sub-streams.  Every stage draws from its own split of the caller's
-stream, so verdicts replay bit-for-bit from (seed, config).
+sub-streams and stops once the majority is decided.  Every stage draws
+from its own split of the caller's stream, so verdicts replay bit-for-bit
+from (seed, config).
 """
 
 from __future__ import annotations
@@ -218,6 +219,8 @@ def run_budgeted_test(
     nothing, and the run returns ``YES_PBD`` with ``budget_exhausted`` (a
     starved run has no evidence against membership).  Without a budget, a
     stream that runs out, such as a short sample file, raises ``StreamExhausted``.
+    A stream that can draw a value outside [0, n] raises ``ValueError`` from
+    the learning stage, before any draw.
     """
     eps = config.eps
     start = stream.samples_drawn
@@ -255,11 +258,16 @@ def run_budgeted_test(
 
 
 def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
-    """Majority-amplified membership test.
+    """Majority-amplified membership test, stopped once the majority is decided.
 
-    Runs the base test ceil(B ln(1/delta)) times on fresh sub-streams and
-    returns the majority verdict (a tie counts as rejection).  Diagnostics
-    carry every per-run verdict so the decision replays deterministically.
+    Plans ceil(B ln(1/delta)) runs of the base test on fresh sub-streams
+    and returns their majority verdict (a tie counts as rejection).  Run
+    ``r`` always reads ``stream.split(r)``, so stopping as soon as the
+    remaining runs cannot change the majority gives the verdict of all
+    planned runs, for every seed.  ``repetitions`` is the planned count and
+    ``repetitions_run`` the number run; ``runs``, ``yes_votes``,
+    ``branch_counts`` and ``samples_used`` cover the runs made.  A stream
+    with values outside [0, n] raises ``ValueError`` before any draw.
     """
     reps = config.repetitions()
     runs = []
@@ -273,10 +281,14 @@ def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
         branches[res.branch] += 1
         if res.verdict is Verdict.YES_PBD:
             yes_votes += 1
+        # The runs left cannot change a decided majority; a tie rejects.
+        if yes_votes * 2 > reps or (len(runs) - yes_votes) * 2 >= reps:
+            break
     verdict = Verdict.YES_PBD if yes_votes * 2 > reps else Verdict.NO_PBD
     branch = Branch.SPARSE if branches[Branch.SPARSE] >= branches[Branch.HEAVY] else Branch.HEAVY
     diag = {
         "repetitions": reps,
+        "repetitions_run": len(runs),
         "yes_votes": yes_votes,
         "branch_counts": {b.value: c for b, c in branches.items()},
         "runs": [r.to_dict() for r in runs],

@@ -206,14 +206,18 @@ def test_malformed_spec_exits_1(tmp_path, capsys, spec, field):
         ({"kind": "binomial", "n": 100, "p": 0.5}, "outside [0, 10]"),
         ({"kind": "explicit", "lo": -3, "probs": [0.25, 0.25, 0.25, 0.25]}, "outside [0, 10]"),
         ({"kind": "explicit", "probs": [0.0], "overflow": 1.0}, "sentinel mass"),
-        ("samples", "above n = 10"),
+        ("3\n11\n4\n", "outside [0, 10]"),
+        ("3\n-1\n4\n", "nonnegative"),
     ],
-    ids=["binomial-above-n", "explicit-below-0", "all-sentinel", "sample-above-n"],
+    ids=[
+        "binomial-above-n", "explicit-below-0", "all-sentinel", "sample-above-n",
+        "sample-below-0",
+    ],
 )
 def test_source_outside_support_exits_1(tmp_path, capsys, command, source, message):
-    if source == "samples":
+    if isinstance(source, str):
         path = tmp_path / "samples.txt"
-        path.write_text("3\n11\n4\n")
+        path.write_text(source)
         args = ["--samples", str(path)]
     else:
         path = tmp_path / "spec.json"
@@ -281,6 +285,13 @@ class TestStatCommand:
         assert code == 1
         assert captured.err.startswith("pbdtest: error")
         assert captured.out == ""
+
+    def test_negative_sample_exits_1(self, binomial_spec, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("200\n-1\n")
+        code = run(["stat", "--spec", binomial_spec, "--samples", str(samples), "--seed", "0"])
+        assert code == 1
+        assert "nonnegative" in capsys.readouterr().err
 
     def test_sample_round_trip_through_test(self, binomial_spec, tmp_path, capsys):
         # The pool must cover the learn stage budget at eps/10 plus the

@@ -278,3 +278,34 @@ class TestExternalPool:
         s = SampleStream.from_samples([4, 4, 5, 6], seed=0)
         h = s.draw_histogram(4)
         assert h.counts_map() == {4: 2, 5: 1, 6: 1}
+
+
+class TestSupport:
+    def test_distribution_support_is_its_nonzero_mass(self):
+        root = SampleStream.from_distribution(make_dist([0, 0, 1, 3, 0, 2, 0], lo=-2), seed=0)
+        assert root.support == (0, 3)
+        # Splits and capped views carry the root's support.
+        assert root.split(4).split(1).support == (0, 3)
+        assert root.capped(10).support == (0, 3)
+
+    def test_pool_support_is_its_range(self):
+        assert SampleStream.from_samples([7, 2, 9, 2]).split(0).support == (2, 9)
+        assert SampleStream.from_samples([]).support is None
+
+    def test_negative_pool_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SampleStream.from_samples([3, -1, 4])
+
+    @pytest.mark.parametrize("n, ok", [(3, True), (10, True), (2, False)])
+    def test_require_within(self, n, ok):
+        root = SampleStream.from_distribution(make_dist([0, 1, 1, 1]), seed=0)
+        if ok:
+            root.require_within(n)
+        else:
+            with pytest.raises(ValueError, match=r"outside \[0, 2\]: its support is \[1, 3\]"):
+                root.require_within(n)
+
+    def test_negative_support_fails_require_within(self):
+        root = SampleStream.from_distribution(make_dist([1, 1], lo=-1), seed=0)
+        with pytest.raises(ValueError, match=r"outside \[0, 5\]"):
+            root.require_within(5)

@@ -132,9 +132,9 @@ class TestSimpleTolerantIdentityTest:
         cfg = TestConfig(eps=0.2, delta=0.3, seed=5, amplification_reps=3)
         stream = SampleStream.from_distribution(binomial_pmf(2_000, 0.5), seed=5)
         res = run_membership_test(stream, 2_000, cfg)
-        assert res.diagnostics["branch_counts"] == {"sparse": 3, "heavy": 0}
-        assert len(calls) == 3
         runs = res.diagnostics["runs"]
+        assert res.diagnostics["branch_counts"] == {"sparse": len(runs), "heavy": 0}
+        assert len(calls) == len(runs) == res.diagnostics["repetitions_run"]
         for (closeness, tv), run in zip(calls, runs):
             assert run["diagnostics"]["tv_empirical_vs_hypothesis"] == tv
             assert run["diagnostics"]["tolerant_outcome"] == closeness.value
@@ -393,9 +393,25 @@ class TestSampleAccounting:
         cfg = TestConfig(eps=self.EPS, delta=0.3, seed=5, amplification_reps=3)
         if branch is Branch.HEAVY:
             cfg = cfg.replace(var_threshold_const=1e-12)
-        res = run_membership_test(SampleStream.from_distribution(src, seed=5), self.N, cfg)
-        assert res.diagnostics["branch_counts"][branch.value] == 3
-        assert res.samples_used == sum(drawn)
+        stream = SampleStream.from_distribution(src, seed=5)
+        res = run_membership_test(stream, self.N, cfg)
+        runs_made = res.diagnostics["repetitions_run"]
+        assert runs_made == len(res.diagnostics["runs"])
+        assert res.diagnostics["branch_counts"][branch.value] == runs_made
+        assert res.samples_used == sum(drawn) == stream.samples_drawn
+
+    def test_pool_cursor_stops_with_the_vote(self):
+        # A decided 3-0 vote of 5 planned runs reads the pool only up to its
+        # third run; the next sample drawn is the first one the vote left.
+        src = binomial_pmf(200, 0.5)
+        cfg = TestConfig(eps=0.5, delta=0.3, amplification_reps=5, learn_sample_const=2.0)
+        xs = SampleStream.from_distribution(src, seed=3).draw(300_000)
+        pool = SampleStream.from_samples(xs)
+        res = run_membership_test(pool, 200, cfg)
+        assert res.verdict is Verdict.YES_PBD
+        assert res.diagnostics["repetitions_run"] == 3
+        assert res.samples_used == pool.samples_drawn < len(xs)
+        np.testing.assert_array_equal(pool.draw(1), xs[res.samples_used : res.samples_used + 1])
 
     # Budgets below every testing stage's full count (the tolerant stage
     # alone needs about 233,000 samples here): such a run must stop and
@@ -476,6 +492,94 @@ class TestSampleAccounting:
         with pytest.raises(ValueError, match="nonnegative"):
             run_budgeted_test(stream, 100, cfg, sample_budget=-5)
         assert drawn == [] and stream.samples_drawn == 0
+
+
+def full_majority(stream, n, config):
+    """Reference: the majority over every planned run, with no early stop."""
+    reps = config.repetitions()
+    runs = [run_budgeted_test(stream.split(r), n, config) for r in range(reps)]
+    yes_votes = sum(r.verdict is Verdict.YES_PBD for r in runs)
+    return (Verdict.YES_PBD if 2 * yes_votes > reps else Verdict.NO_PBD), runs
+
+
+class TestEarlyStoppedMajority:
+    """The stopped vote gives the full majority's verdict from a prefix of its runs."""
+
+    N, EPS = 2_000, 0.2
+
+    def _sources(self):
+        n, eps = self.N, self.EPS
+        bimodal = np.zeros(n + 1)
+        bimodal[0] = bimodal[n] = 0.5
+        z = random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
+        pivot = translated_poisson_pmf(TranslatedPoissonParams(n / 2, n / 4))
+        near, _ = paired_perturbation(binomial_pmf(n, 0.5), 0.15 * eps)
+        return {
+            "binomial": (binomial_pmf(n, 0.5), False),
+            "bimodal": (ExplicitDistribution(0, bimodal), False),
+            "criterion-07-member": (
+                construct_perturbed_binomial(PerturbedBinomial(n, 8.0, 0.1, z)),
+                False,
+            ),
+            "heavy-far": (paired_perturbation(pivot, 0.35 * eps)[0], True),
+            # About half of its heavy runs accept, so votes stay open late.
+            "heavy-boundary": (near, True),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["binomial", "bimodal", "criterion-07-member", "heavy-far", "heavy-boundary"]
+    )
+    def test_verdict_and_runs_match_full_majority(self, name):
+        src, heavy = self._sources()[name]
+        for seed in range(50):
+            # Odd and even planned counts; None is ceil(B ln(1/delta)) = 22.
+            reps = (1, 2, 5, None)[seed % 4]
+            cfg = TestConfig(eps=self.EPS, delta=0.3, seed=seed, amplification_reps=reps)
+            if heavy:
+                cfg = cfg.replace(var_threshold_const=1e-12)
+            res = run_membership_test(SampleStream.from_distribution(src, seed=seed), self.N, cfg)
+            verdict, full_runs = full_majority(
+                SampleStream.from_distribution(src, seed=seed), self.N, cfg
+            )
+            assert res.verdict is verdict
+            runs = res.diagnostics["runs"]
+            made = len(runs)
+            assert runs == [r.to_dict() for r in full_runs[:made]]
+            assert res.diagnostics["repetitions"] == len(full_runs)
+            assert res.diagnostics["repetitions_run"] == made
+            assert res.samples_used == sum(r.samples_used for r in full_runs[:made])
+            # Stopped at the first decided prefix: one run fewer left both outcomes open.
+            planned = len(full_runs)
+            yes_before = sum(r["verdict"] == "yes_pbd" for r in runs[:-1])
+            left = planned - (made - 1)
+            assert 2 * (yes_before + left) > planned and 2 * yes_before <= planned
+
+
+class TestSourceSupport:
+    """A source with values outside [0, n] is refused before anything is drawn."""
+
+    @pytest.mark.parametrize(
+        "stream, n",
+        [
+            (SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=0), 1),
+            (SampleStream.from_distribution(ExplicitDistribution(-3, np.full(4, 0.25)), 0), 10),
+            (SampleStream.from_samples([3, 11, 4]), 10),
+        ],
+        ids=["binomial-above-n", "explicit-below-0", "pool-above-n"],
+    )
+    @pytest.mark.parametrize("entry", ["test_pbd", "run_budgeted_test", "budgeted", "learn_pbd"])
+    def test_refused_by_every_entry_point(self, stream, n, entry):
+        cfg = TestConfig(eps=0.1, delta=0.1, amplification_reps=3)
+        call = {
+            "test_pbd": lambda: run_membership_test(stream, n, cfg),
+            "run_budgeted_test": lambda: run_budgeted_test(stream, n, cfg),
+            # A zero budget skips learning's draw, not the check.
+            "budgeted": lambda: run_budgeted_test(stream, n, cfg, sample_budget=0),
+            "learn_pbd": lambda: learner.learn_pbd(stream, n, 0.1, cfg),
+        }[entry]
+        with pytest.raises(ValueError, match=rf"outside \[0, {n}\]"):
+            call()
+        assert stream.samples_drawn == 0
 
 
 class TestHypothesisPmfBuiltOnce:
