@@ -27,6 +27,7 @@ from .oracles import (
     brute_force_pbd_pmf,
     calibration_report,
     exact_tv_to_unimodal,
+    learning_calibration_report,
     monte_carlo_moment_check,
 )
 from .sampling import SampleHistogram, SampleStream
@@ -232,6 +233,8 @@ def _oracle_suite(name: str, seed: int) -> list[dict]:
         return reports
     if name == "calibration":
         return [{"case": "calibration", **calibration_report()}]
+    if name == "learning":
+        return [{"case": "learning", **learning_calibration_report(seed)}]
     raise ValueError(f"unknown oracle suite {name!r}")
 
 
@@ -291,7 +294,11 @@ def _build_parser() -> _Parser:
     lb.set_defaults(fn=_cmd_lowerbound)
 
     o = sub.add_parser("oracle", help="run a brute-force validation suite")
-    o.add_argument("--suite", required=True, choices=["pmf", "tn-moments", "unimodal", "calibration"])
+    o.add_argument(
+        "--suite",
+        required=True,
+        choices=["pmf", "tn-moments", "unimodal", "calibration", "learning"],
+    )
     o.add_argument("--seed", type=int, required=True)
     o.add_argument("--out")
     o.set_defaults(fn=_cmd_oracle)

@@ -163,11 +163,11 @@ def learn_pbd(
     """Learn a Bernoulli-sum hypothesis from one seeded sample pool.
 
     The constants come from ``config``, whose own eps is not read: the
-    tester learns at eps/10 of the eps it tests at.  One histogram of
-    ceil(A_L * logt^2(1/eps) / eps^2) samples, capped at ``max_samples``,
-    feeds the moment estimates, the binomial goodness check and, on the
-    sparse route, the empirical distribution; a single pool keeps the
-    total inside the advertised sample budget.
+    tester learns at eps / ``config.learn_accuracy_const`` of the eps it
+    tests at.  One histogram of ceil(A_L * logt^2(1/eps) / eps^2) samples,
+    capped at ``max_samples``, feeds the moment estimates, the binomial
+    goodness check and, on the sparse route, the empirical distribution; a
+    single pool keeps the total inside the advertised sample budget.
 
     Routing: variance at or above A_t / eps^6 forces a binomial fit;
     otherwise the moment fit is kept when it explains the empirical within
@@ -208,7 +208,9 @@ def learn_pbd(
     if sigma2_hat >= 1.0:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
         learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat, config.tail_cut)
-        noise = 0.4 * math.sqrt(emp.support_len / budget)
+        # Plug-in width of E TV(empirical, source) ~ sum_i sqrt(p_i / (2 pi k)):
+        # points never drawn add nothing, however far the histogram is padded.
+        noise = 0.4 * float(np.sqrt(emp.probs).sum()) / math.sqrt(budget)
         tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
         if tv_distance(emp, learned.to_explicit()) <= tolerance:
             return learned

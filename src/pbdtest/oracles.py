@@ -8,6 +8,10 @@ a per-mode linear program rather than the l1 isotonic certificate of
 ``lowerbound.unimodal_distance_lb``.
 
 Caps are enforced so each oracle finishes in well under a minute.
+
+``learning_calibration_report`` is the Monte-Carlo sweep that fixes the
+learner's sample constant: it runs the base test itself, seeded, on a
+corpus of sources whose membership is known.
 """
 
 from __future__ import annotations
@@ -19,13 +23,22 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.optimize import linprog
 
+from .calibrated import TestConfig
 from .distributions import (
     ExplicitDistribution,
+    Pbd,
+    PerturbedBinomial,
     TranslatedPoissonParams,
+    binomial_pmf,
+    construct_perturbed_binomial,
     effective_support_interval,
+    pbd_pmf,
     translated_poisson_pmf,
     truncated_log,
 )
+from .lowerbound import random_sign_vector
+from .sampling import SampleStream
+from .tester import Verdict, run_budgeted_test
 
 __all__ = [
     "OracleReport",
@@ -36,6 +49,7 @@ __all__ = [
     "monte_carlo_moment_check",
     "paired_perturbation",
     "calibration_report",
+    "learning_calibration_report",
 ]
 
 
@@ -348,4 +362,86 @@ def calibration_report(
             ]
             for c1, per in diagnostics.items()
         },
+    }
+
+
+def _learning_corpus(
+    seed: int, n: int, eps: float
+) -> list[tuple[str, ExplicitDistribution, bool, TestConfig]]:
+    """The sources of the learner sweep: (name, law, is a member, config).
+
+    Members under the default config:
+    Binomial(n, 1/2), Binomial(n, 0.3), a heterogeneous Bernoulli sum with
+    p_i ~ U(0.05, 0.95) drawn from ``seed``, and 16 fair coins (sigma^2 = 4,
+    acceptance criterion 08).  Far sources: the half/half law on {0, n} and
+    the certified c = 8 member of the perturbed family (acceptance
+    criterion 07).  Under ``var_threshold_const=1e-12``, which sends every
+    run down the heavy branch: Binomial(n, 1/2), and the paired
+    perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    default = TestConfig(eps=eps, delta=0.1)
+    heavy = default.replace(var_threshold_const=1e-12)
+    bimodal = np.zeros(n + 1)
+    bimodal[0] = bimodal[n] = 0.5
+    z = random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
+    pivot = translated_poisson_pmf(TranslatedPoissonParams(n / 2, n / 4), tail_cut=1e-9)
+    paired, _ = paired_perturbation(pivot, 0.35 * eps)
+    return [
+        ("binomial-0.5", binomial_pmf(n, 0.5), True, default),
+        ("binomial-0.3", binomial_pmf(n, 0.3), True, default),
+        ("heterogeneous", pbd_pmf(Pbd(rng.uniform(0.05, 0.95, size=n)), 1e-9), True, default),
+        ("fair-coins-16", pbd_pmf(Pbd(np.full(16, 0.5))), True, default),
+        ("bimodal", ExplicitDistribution(0, bimodal), False, default),
+        ("perturbed-c8", construct_perturbed_binomial(PerturbedBinomial(n, 8.0, eps, z)), False,
+         default),
+        ("heavy-binomial-0.5", binomial_pmf(n, 0.5), True, heavy),
+        ("heavy-paired", paired, False, heavy),
+    ]
+
+
+def learning_calibration_report(
+    seed: int, grid=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0), runs: int = 200
+) -> dict:
+    """Monte-Carlo sweep that fixes ``TestConfig.learn_sample_const`` (A_L).
+
+    At n = 10^4 and eps = 0.1, for every grid value and every source of the
+    corpus (see ``_learning_corpus``), runs ``runs`` unamplified ``run_budgeted_test``
+    calls and records the base-run error rate (rejections of a member,
+    acceptances of a far source) and the mean samples drawn.  Run ``t`` of
+    a source reads the same split at every grid value, so the values are
+    compared on common samples.  The smallest passing value is the smallest
+    at which every error rate is at most 0.2; the chosen value is the next
+    grid value above it, as a margin (the passing value itself when it is
+    the last).  Both are None when no value passes.
+    """
+    n, eps, max_error_rate = 10_000, 0.1, 0.2
+    corpus = _learning_corpus(seed, n, eps)
+    sweep = []
+    for a_l in grid:
+        sources = {}
+        for i, (name, source, member, config) in enumerate(corpus):
+            root = SampleStream.from_distribution(source, seed, spawn_key=(i,))
+            cfg = config.replace(learn_sample_const=a_l)
+            errors = 0
+            for t in range(runs):
+                res = run_budgeted_test(root.split(t), n, cfg)
+                errors += (res.verdict is Verdict.YES_PBD) != member
+            sources[name] = {"error_rate": errors / runs, "mean_samples": root.samples_drawn / runs}
+        passes = all(r["error_rate"] <= max_error_rate for r in sources.values())
+        sweep.append({"learn_sample_const": a_l, "passes": passes, "sources": sources})
+    passing = [row["learn_sample_const"] for row in sweep if row["passes"]]
+    smallest = min(passing, default=None)
+    chosen = None
+    if smallest is not None:
+        chosen = min((a for a in grid if a > smallest), default=smallest)
+    return {
+        "n": n,
+        "eps": eps,
+        "runs": runs,
+        "max_error_rate": max_error_rate,
+        "members": {name: member for name, _, member, _ in corpus},
+        "sweep": sweep,
+        "smallest_passing_learn_sample_const": smallest,
+        "chosen_learn_sample_const": chosen,
     }

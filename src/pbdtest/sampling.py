@@ -142,7 +142,17 @@ class SampleStream:
 
     @classmethod
     def from_samples(cls, samples, seed: int = 0) -> "SampleStream":
-        pool = np.ascontiguousarray(samples, dtype=np.int64)
+        """A stream over a pool of integer samples, handed out in order.
+
+        Integer-valued floats are accepted; any other value raises ``ValueError``.
+        """
+        raw = np.asarray(samples)
+        if raw.dtype.kind == "f":
+            integral = np.isfinite(raw) & (raw == np.trunc(raw))
+            if not integral.all():
+                bad = raw.flat[int(np.argmin(integral))]
+                raise ValueError(f"sample pool holds {bad}; samples must be integers")
+        pool = np.ascontiguousarray(raw, dtype=np.int64)
         if pool.ndim != 1:
             raise ValueError("sample pool must be 1-D")
         support = (int(pool.min()), int(pool.max())) if pool.size else None

@@ -1,5 +1,6 @@
 """CLI contract tests: artifacts, determinism, exit codes."""
 
+import functools
 import json
 import math
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pbdtest import cli, oracles
 from pbdtest.cli import main
 
 
@@ -131,6 +133,7 @@ class TestTestCommand:
     "field, value",
     [
         ("learn_sample_const", 0),
+        ("learn_accuracy_const", 0.05),
         ("var_threshold_const", math.nan),
         ("tolerant_sample_const", -1),
         ("amplification_reps", 2.5),
@@ -374,6 +377,20 @@ class TestOracleCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["chosen_sample_const"] is not None
+
+    def test_learning_suite_is_deterministic(self, capsys, monkeypatch):
+        # One seed, one report, byte for byte.  The full sweep takes about
+        # 15 s; a small grid checks the wiring.
+        small = functools.partial(oracles.learning_calibration_report, grid=(0.5, 1.0), runs=2)
+        monkeypatch.setattr(cli, "learning_calibration_report", small)
+        outputs = []
+        for _ in range(2):
+            assert run(["oracle", "--suite", "learning", "--seed", "0"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0])
+        assert report["suite"] == "learning"
+        assert report["chosen_learn_sample_const"] == 1.0
 
     def test_unimodal_suite(self, capsys):
         code = run(["oracle", "--suite", "unimodal", "--seed", "2"])

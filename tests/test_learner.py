@@ -115,11 +115,18 @@ class TestLearnPbd:
         assert isinstance(lr.hypothesis, SparseHypothesis)
         assert lr.to_explicit().prob_at(0) == 1.0
 
+    @pytest.mark.parametrize("eps", [0.01, 0.04, 0.1])
+    def test_draws_the_calibrated_budget(self, eps):
+        # ceil(A_L logt^2(1/eps) / eps^2) samples, A_L the calibrated default.
+        stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
+        lr = learn_pbd(stream, 20, eps, CFG)
+        need = math.ceil(TestConfig.learn_sample_const * truncated_log(1 / eps) ** 2 / eps**2)
+        assert lr.samples_used == stream.samples_drawn == need
+
     def test_sample_budget_cap(self):
-        d = binomial_pmf(20, 0.5)
-        eps = 0.1
-        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 20, eps, CFG)
-        assert lr.samples_used <= math.ceil(200 * truncated_log(1 / eps) ** 2 / eps**2)
+        stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
+        lr = learn_pbd(stream, 20, 0.1, CFG, max_samples=100)
+        assert lr.samples_used == stream.samples_drawn == 100
 
     def test_binomial_source_gets_binomial_fit(self):
         src = binomial_pmf(10_000, 0.3)
@@ -147,6 +154,19 @@ class TestLearnPbd:
                 tv_distance(lr.to_explicit(), src) < 0.1
             )
         assert hits >= 0.95 * trials
+
+    def test_pool_and_distribution_streams_learn_alike(self):
+        # The same counts arrive padded to the source's support from a
+        # distribution and to the observed range from a pool; the fit check
+        # must not depend on the padding.
+        src = pbd_pmf(Pbd(np.concatenate([np.full(10, 0.05), np.full(10, 0.95)])))
+        need = math.ceil(TestConfig.learn_sample_const * truncated_log(10.0) ** 2 / 0.1**2)
+        for seed in range(300, 340):
+            pool = SampleStream.from_distribution(src, seed=seed).draw(need)
+            a = learn_pbd(SampleStream.from_distribution(src, seed=seed), 20, 0.1, CFG)
+            b = learn_pbd(SampleStream.from_samples(pool), 20, 0.1, CFG)
+            assert a.is_sparse == b.is_sparse, seed
+            assert tv_distance(a.to_explicit(), b.to_explicit()) < 1e-12, seed
 
     def test_sparse_support_cap(self):
         # A wide far source must still respect the sparse support-length cap.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pbdtest.calibrated import TestConfig
 from pbdtest.distributions import ExplicitDistribution, Pbd, binomial_pmf, pbd_pmf
 from pbdtest.oracles import (
     OracleReport,
@@ -10,6 +11,7 @@ from pbdtest.oracles import (
     calibration_report,
     exact_tv_to_pbd_class,
     exact_tv_to_unimodal,
+    learning_calibration_report,
     monte_carlo_moment_check,
     paired_perturbation,
     tn_closed_form_moments,
@@ -119,11 +121,31 @@ class TestPairedPerturbation:
 
 class TestCalibrationReport:
     def test_report_reproduces_frozen_constants(self):
-        from pbdtest.calibrated import TestConfig
-
         report = calibration_report()
         assert report["chosen_sample_const"] == TestConfig.l2_sample_const
         assert report["chosen_threshold_const"] == TestConfig.l2_far_const
+
+
+class TestLearningCalibration:
+    def test_default_learn_sample_const_keeps_every_error_rate(self):
+        # Drift guard: 100 base runs per corpus source at the calibrated A_L
+        # (seed 1, apart from the sweep's seed 0) stay within the sweep's rule.
+        default = TestConfig.learn_sample_const
+        report = learning_calibration_report(1, grid=(default,), runs=100)
+        (row,) = report["sweep"]
+        rates = {name: r["error_rate"] for name, r in row["sources"].items()}
+        assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
+
+    def test_rule_takes_the_next_grid_value(self):
+        # Every value passes on two runs, so the smallest is 0.5 and the choice 1.0.
+        report = learning_calibration_report(5, grid=(0.5, 1.0, 2.0), runs=2)
+        assert [row["learn_sample_const"] for row in report["sweep"]] == [0.5, 1.0, 2.0]
+        assert all(len(row["sources"]) == 8 for row in report["sweep"])
+        assert report["smallest_passing_learn_sample_const"] == 0.5
+        assert report["chosen_learn_sample_const"] == 1.0
+        # A passing last value is its own choice: the grid has nothing above it.
+        report = learning_calibration_report(5, grid=(2.0,), runs=2)
+        assert report["chosen_learn_sample_const"] == 2.0
 
 
 class TestOracleReport:

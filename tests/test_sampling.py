@@ -296,6 +296,17 @@ class TestSupport:
         with pytest.raises(ValueError, match="nonnegative"):
             SampleStream.from_samples([3, -1, 4])
 
+    @pytest.mark.parametrize("bad", [1.7, 0.5, np.nan, np.inf])
+    def test_non_integral_pool_refused(self, bad):
+        with pytest.raises(ValueError, match=f"holds {bad}; samples must be integers"):
+            SampleStream.from_samples([1.0, 2.0, bad, 2.9])
+
+    def test_integral_pools_accepted(self):
+        for pool in ([1.0, 2.0, 2.0], np.array([1, 2, 2], dtype=np.int32), [1, 2, 2]):
+            stream = SampleStream.from_samples(pool)
+            assert stream.support == (1, 2)
+            np.testing.assert_array_equal(stream.draw(3), [1, 2, 2])
+
     @pytest.mark.parametrize("n, ok", [(3, True), (10, True), (2, False)])
     def test_require_within(self, n, ok):
         root = SampleStream.from_distribution(make_dist([0, 1, 1, 1]), seed=0)
