@@ -163,11 +163,11 @@ def learn_pbd(
     """Learn a Bernoulli-sum hypothesis from one seeded sample pool.
 
     The constants come from ``config``, whose own eps is not read: the
-    tester learns at eps / ``config.learn_accuracy_const`` of the eps it
-    tests at.  One histogram of ceil(A_L * logt^2(1/eps) / eps^2) samples,
-    capped at ``max_samples``, feeds the moment estimates, the binomial
-    goodness check and, on the sparse route, the empirical distribution; a
-    single pool keeps the total inside the advertised sample budget.
+    tester learns at eps/10 of the eps it tests at.  One histogram of
+    ceil(A_L * logt^2(1/eps) / eps^2) samples, capped at ``max_samples``,
+    feeds the moment estimates, the binomial goodness check and, on the
+    sparse route, the empirical distribution; a single pool keeps the
+    total inside the advertised sample budget.
 
     Routing: variance at or above A_t / eps^6 forces a binomial fit;
     otherwise the moment fit is kept when it explains the empirical within

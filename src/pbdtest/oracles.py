@@ -35,7 +35,9 @@ from .distributions import (
     pbd_pmf,
     translated_poisson_pmf,
     truncated_log,
+    tv_distance,
 )
+from .learner import learn_pbd
 from .lowerbound import random_sign_vector
 from .sampling import SampleStream
 from .tester import Verdict, run_budgeted_test
@@ -372,8 +374,10 @@ def _learning_corpus(
 
     Members under the default config:
     Binomial(n, 1/2), Binomial(n, 0.3), a heterogeneous Bernoulli sum with
-    p_i ~ U(0.05, 0.95) drawn from ``seed``, and 16 fair coins (sigma^2 = 4,
-    acceptance criterion 08).  Far sources: the half/half law on {0, n} and
+    p_i ~ U(0.05, 0.95) drawn from ``seed``, 16 fair coins (sigma^2 = 4,
+    acceptance criterion 08), and ten coins at 0.05 with ten at 0.95, a
+    narrow law no binomial fits, which the learner must take down its
+    sparse route.  Far sources: the half/half law on {0, n} and
     the certified c = 8 member of the perturbed family (acceptance
     criterion 07).  Under ``var_threshold_const=1e-12``, which sends every
     run down the heavy branch: Binomial(n, 1/2), and the paired
@@ -392,6 +396,7 @@ def _learning_corpus(
         ("binomial-0.3", binomial_pmf(n, 0.3), True, default),
         ("heterogeneous", pbd_pmf(Pbd(rng.uniform(0.05, 0.95, size=n)), 1e-9), True, default),
         ("fair-coins-16", pbd_pmf(Pbd(np.full(16, 0.5))), True, default),
+        ("skewed-20", pbd_pmf(Pbd(np.repeat([0.05, 0.95], 10))), True, default),
         ("bimodal", ExplicitDistribution(0, bimodal), False, default),
         ("perturbed-c8", construct_perturbed_binomial(PerturbedBinomial(n, 8.0, eps, z)), False,
          default),
@@ -401,47 +406,76 @@ def _learning_corpus(
 
 
 def learning_calibration_report(
-    seed: int, grid=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0), runs: int = 200
+    seed: int,
+    grid=(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0),
+    runs: int = 200,
 ) -> dict:
     """Monte-Carlo sweep that fixes ``TestConfig.learn_sample_const`` (A_L).
 
-    At n = 10^4 and eps = 0.1, for every grid value and every source of the
-    corpus (see ``_learning_corpus``), runs ``runs`` unamplified ``run_budgeted_test``
-    calls and records the base-run error rate (rejections of a member,
-    acceptances of a far source) and the mean samples drawn.  Run ``t`` of
-    a source reads the same split at every grid value, so the values are
-    compared on common samples.  The smallest passing value is the smallest
-    at which every error rate is at most 0.2; the chosen value is the next
-    grid value above it, as a margin (the passing value itself when it is
-    the last).  Both are None when no value passes.
+    At n = 10^4 and eps = 0.1, for every value of the ascending ``grid``
+    and every source of the corpus (see ``_learning_corpus``), runs
+    ``runs`` unamplified ``run_budgeted_test`` calls and records the
+    base-run error rate (rejections of a member, acceptances of a far
+    source) and the mean samples drawn.  On every member it also runs
+    ``runs`` ``learn_pbd`` calls at the learner's own eps (0.1, as
+    ``pbdtest learn --eps 0.1`` does) and records the miss rate: the share
+    of hypotheses more than eps from the source in TV.
+    Run ``t`` of a source reads the same split at every grid value, so the
+    values are compared on common samples.
+
+    A value passes when every error rate is at most 0.2 and every miss rate
+    at most 0.1 (the learner's 9/10 confidence).  The smallest passing value
+    is the smallest from which every larger grid value passes too; the
+    chosen value is the next grid value above it, as a margin (the passing
+    value itself when it is the last).  Both are None when the largest value
+    fails.  ``largest_failing_learn_sample_const`` is the grid value just
+    below the smallest passing one; when it is None nothing failed, and the
+    grid's lower end, not the error rates, placed the choice.
     """
-    n, eps, max_error_rate = 10_000, 0.1, 0.2
+    grid = tuple(float(a) for a in grid)
+    if list(grid) != sorted(set(grid)):
+        raise ValueError("grid must be strictly ascending")
+    n, eps, max_error_rate, max_miss_rate = 10_000, 0.1, 0.2, 0.1
     corpus = _learning_corpus(seed, n, eps)
     sweep = []
     for a_l in grid:
         sources = {}
         for i, (name, source, member, config) in enumerate(corpus):
-            root = SampleStream.from_distribution(source, seed, spawn_key=(i,))
+            root = SampleStream.from_distribution(source, seed, spawn_key=(0, i))
             cfg = config.replace(learn_sample_const=a_l)
             errors = 0
             for t in range(runs):
                 res = run_budgeted_test(root.split(t), n, cfg)
                 errors += (res.verdict is Verdict.YES_PBD) != member
-            sources[name] = {"error_rate": errors / runs, "mean_samples": root.samples_drawn / runs}
-        passes = all(r["error_rate"] <= max_error_rate for r in sources.values())
+            row = {"error_rate": errors / runs, "mean_samples": root.samples_drawn / runs}
+            if member:
+                learn_root = SampleStream.from_distribution(source, seed, spawn_key=(1, i))
+                misses = sum(
+                    tv_distance(learn_pbd(learn_root.split(t), n, eps, cfg).to_explicit(), source)
+                    > eps
+                    for t in range(runs)
+                )
+                row["learn_miss_rate"] = misses / runs
+            sources[name] = row
+        passes = all(
+            r["error_rate"] <= max_error_rate and r.get("learn_miss_rate", 0.0) <= max_miss_rate
+            for r in sources.values()
+        )
         sweep.append({"learn_sample_const": a_l, "passes": passes, "sources": sources})
-    passing = [row["learn_sample_const"] for row in sweep if row["passes"]]
-    smallest = min(passing, default=None)
-    chosen = None
-    if smallest is not None:
-        chosen = min((a for a in grid if a > smallest), default=smallest)
+    edge = len(sweep)
+    while edge > 0 and sweep[edge - 1]["passes"]:
+        edge -= 1
+    smallest = grid[edge] if edge < len(grid) else None
+    chosen = grid[min(edge + 1, len(grid) - 1)] if smallest is not None else None
     return {
         "n": n,
         "eps": eps,
         "runs": runs,
         "max_error_rate": max_error_rate,
+        "max_learn_miss_rate": max_miss_rate,
         "members": {name: member for name, _, member, _ in corpus},
         "sweep": sweep,
+        "largest_failing_learn_sample_const": grid[edge - 1] if edge > 0 else None,
         "smallest_passing_learn_sample_const": smallest,
         "chosen_learn_sample_const": chosen,
     }

@@ -133,7 +133,6 @@ class TestTestCommand:
     "field, value",
     [
         ("learn_sample_const", 0),
-        ("learn_accuracy_const", 0.05),
         ("var_threshold_const", math.nan),
         ("tolerant_sample_const", -1),
         ("amplification_reps", 2.5),
@@ -381,7 +380,7 @@ class TestOracleCommand:
     def test_learning_suite_is_deterministic(self, capsys, monkeypatch):
         # One seed, one report, byte for byte.  The full sweep takes about
         # 15 s; a small grid checks the wiring.
-        small = functools.partial(oracles.learning_calibration_report, grid=(0.5, 1.0), runs=2)
+        small = functools.partial(oracles.learning_calibration_report, grid=(0.01, 2.0), runs=2)
         monkeypatch.setattr(cli, "learning_calibration_report", small)
         outputs = []
         for _ in range(2):
@@ -390,7 +389,7 @@ class TestOracleCommand:
         assert outputs[0] == outputs[1]
         report = json.loads(outputs[0])
         assert report["suite"] == "learning"
-        assert report["chosen_learn_sample_const"] == 1.0
+        assert report["chosen_learn_sample_const"] == 2.0
 
     def test_unimodal_suite(self, capsys):
         code = run(["oracle", "--suite", "unimodal", "--seed", "2"])

@@ -127,25 +127,40 @@ class TestCalibrationReport:
 
 
 class TestLearningCalibration:
-    def test_default_learn_sample_const_keeps_every_error_rate(self):
-        # Drift guard: 100 base runs per corpus source at the calibrated A_L
-        # (seed 1, apart from the sweep's seed 0) stay within the sweep's rule.
+    def test_default_learn_sample_const_keeps_every_rate(self):
+        # Drift guard: 100 base runs and 100 learner runs per corpus source at
+        # the calibrated A_L (seed 1, apart from the sweep's seed 0) stay
+        # within the sweep's rule.
         default = TestConfig.learn_sample_const
         report = learning_calibration_report(1, grid=(default,), runs=100)
         (row,) = report["sweep"]
+        assert row["passes"], row["sources"]
         rates = {name: r["error_rate"] for name, r in row["sources"].items()}
         assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
+        misses = {
+            name: r["learn_miss_rate"] for name, r in row["sources"].items() if "learn_miss_rate" in r
+        }
+        assert set(misses) == {name for name, member in report["members"].items() if member}
+        assert all(rate <= report["max_learn_miss_rate"] for rate in misses.values()), misses
 
-    def test_rule_takes_the_next_grid_value(self):
-        # Every value passes on two runs, so the smallest is 0.5 and the choice 1.0.
-        report = learning_calibration_report(5, grid=(0.5, 1.0, 2.0), runs=2)
-        assert [row["learn_sample_const"] for row in report["sweep"]] == [0.5, 1.0, 2.0]
-        assert all(len(row["sources"]) == 8 for row in report["sweep"])
-        assert report["smallest_passing_learn_sample_const"] == 0.5
-        assert report["chosen_learn_sample_const"] == 1.0
+    def test_rule_takes_the_next_grid_value_above_the_edge(self):
+        # At A_L = 0.01 the learner sees 6 samples and misses on most runs.
+        report = learning_calibration_report(5, grid=(0.01, 2.0, 5.0), runs=4)
+        assert [row["passes"] for row in report["sweep"]] == [False, True, True]
+        assert all(len(row["sources"]) == 9 for row in report["sweep"])
+        assert report["largest_failing_learn_sample_const"] == 0.01
+        assert report["smallest_passing_learn_sample_const"] == 2.0
+        assert report["chosen_learn_sample_const"] == 5.0
         # A passing last value is its own choice: the grid has nothing above it.
-        report = learning_calibration_report(5, grid=(2.0,), runs=2)
+        report = learning_calibration_report(5, grid=(0.01, 2.0), runs=4)
         assert report["chosen_learn_sample_const"] == 2.0
+        report = learning_calibration_report(5, grid=(0.01,), runs=4)
+        assert report["smallest_passing_learn_sample_const"] is None
+        assert report["chosen_learn_sample_const"] is None
+
+    def test_grid_must_ascend(self):
+        with pytest.raises(ValueError, match="ascending"):
+            learning_calibration_report(0, grid=(2.0, 1.0), runs=1)
 
 
 class TestOracleReport:
