@@ -38,8 +38,9 @@ every larger one passes and chooses the next grid value above it, as a
 margin.  The base-run error rates never bind (at most 0.015 at every
 value: the tester learns at eps/10, so even A_L = 0.1 draws 21k learning
 samples).  The learner's own accuracy does: 0.5 fails (17% misses on the
-0.05/0.95 coins), 1 passes (1%), and the choice is 2, where no source misses: about 657k samples per base run
-on Binomial(n, 1/2) instead of 42.6M at the former 200.
+0.05/0.95 coins), 1 passes (1%), and the choice is 2, where no source
+misses: about 657k samples per base run on Binomial(n, 1/2) instead of
+42.6M at the former 200.
 
 Bump CALIBRATION_VERSION whenever a calibrated value changes (version 2:
 A_L from 200 to 2).

@@ -134,12 +134,11 @@ class TestLearningCalibration:
         default = TestConfig.learn_sample_const
         report = learning_calibration_report(1, grid=(default,), runs=100)
         (row,) = report["sweep"]
-        assert row["passes"], row["sources"]
-        rates = {name: r["error_rate"] for name, r in row["sources"].items()}
+        sources = row["sources"]
+        assert row["passes"], sources
+        rates = {name: r["error_rate"] for name, r in sources.items()}
         assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
-        misses = {
-            name: r["learn_miss_rate"] for name, r in row["sources"].items() if "learn_miss_rate" in r
-        }
+        misses = {n: r["learn_miss_rate"] for n, r in sources.items() if "learn_miss_rate" in r}
         assert set(misses) == {name for name, member in report["members"].items() if member}
         assert all(rate <= report["max_learn_miss_rate"] for rate in misses.values()), misses
 
