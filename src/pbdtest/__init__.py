@@ -11,20 +11,13 @@ oracles that validate all of it.
 
 from .calibrated import TestConfig
 from .distributions import (
-    BoundReport,
     ExplicitDistribution,
     Pbd,
     TranslatedPoissonParams,
     binomial_pmf,
     effective_support_interval,
     ell1_distance,
-    ell2_sq_distance,
-    ell_inf_distance,
-    indicator_chernoff_bound,
     pbd_pmf,
-    poisson_tail_bound,
-    tp_approx_bounds,
-    tp_pair_tv_bound,
     translated_poisson_pmf,
     truncated_log,
     tv_distance,

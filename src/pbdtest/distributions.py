@@ -1,4 +1,4 @@
-"""Exact distribution machinery: PMFs, moments, distances and tail bounds.
+"""Exact distribution machinery: PMFs, moments, distances and support intervals.
 
 Besides the Bernoulli-sum, binomial and shifted-Poisson PMFs this holds
 the sign-perturbed fair binomial behind the lower-bound family.
@@ -15,16 +15,14 @@ accuracy by n = 10^6, where the mass check rejects the full-support
 Bernoulli-sum PMF is a blocked product tree whose cost grows about as n
 times the realized support (under 0.1 s for 10^5 coins at ``tail_cut=1e-9``).
 
-Distance conventions: ``tv_distance`` carries the 1/2 factor.  The raw
-(unhalved) sum of absolute differences is exposed separately as
-``ell1_distance`` because the inequality ``l2^2 <= l_inf * l1`` needs the
-unhalved quantity.
+Distance conventions: ``tv_distance`` carries the 1/2 factor; the raw
+(unhalved) sum of absolute differences is ``ell1_distance``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -34,21 +32,13 @@ __all__ = [
     "ExplicitDistribution",
     "Pbd",
     "TranslatedPoissonParams",
-    "BoundReport",
-    "TpApproxBounds",
     "truncated_log",
     "pbd_pmf",
     "binomial_pmf",
     "translated_poisson_pmf",
     "tv_distance",
     "ell1_distance",
-    "ell2_sq_distance",
-    "ell_inf_distance",
     "effective_support_interval",
-    "poisson_tail_bound",
-    "indicator_chernoff_bound",
-    "tp_approx_bounds",
-    "tp_pair_tv_bound",
     "PerturbedBinomial",
     "construct_perturbed_binomial",
 ]
@@ -111,19 +101,6 @@ class ExplicitDistribution:
     def total_mass(self) -> float:
         return float(self.probs.sum()) + self.overflow
 
-    def prob_at(self, i: int) -> float:
-        if self.lo <= i <= self.hi:
-            return float(self.probs[i - self.lo])
-        return 0.0
-
-    def mass_on(self, lo: int, hi: int) -> float:
-        """Mass of the interval [lo, hi]; the sentinel is never inside."""
-        a = max(lo, self.lo) - self.lo
-        b = min(hi, self.hi) - self.lo
-        if b < a:
-            return 0.0
-        return float(self.probs[a : b + 1].sum())
-
     def restrict(self, lo: int, hi: int) -> "ExplicitDistribution":
         """This PMF on [lo, hi]; the mass outside moves to the overflow sentinel.
 
@@ -142,13 +119,6 @@ class ExplicitDistribution:
             lo, probs, overflow=self.overflow + out, tail_slack=self.tail_slack
         )
 
-    def mean(self) -> float:
-        if self.overflow > MASS_TOL:
-            raise ValueError("moments undefined with sentinel mass present")
-        xs = self.lo + np.arange(len(self.probs))
-        total = float(self.probs.sum())
-        return float((xs * self.probs).sum() / total)
-
     def variance(self) -> float:
         if self.overflow > MASS_TOL:
             raise ValueError("moments undefined with sentinel mass present")
@@ -156,9 +126,6 @@ class ExplicitDistribution:
         total = float(self.probs.sum())
         mu = float((xs * self.probs).sum() / total)
         return float(((xs - mu) ** 2 * self.probs).sum() / total)
-
-    def max_prob(self) -> float:
-        return float(self.probs.max())
 
 
 @dataclass(frozen=True)
@@ -213,28 +180,6 @@ class TranslatedPoissonParams:
     @property
     def rate(self) -> float:
         return self.sigma2 + ((self.mu - self.sigma2) - math.floor(self.mu - self.sigma2))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A closed-form bound value together with its named constituent terms."""
-
-    bound_value: float
-    terms: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.bound_value < 0.0:
-            raise ValueError("bound_value must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TpApproxBounds:
-    """The three closed-form error bounds for the matched-moment Poisson shift."""
-
-    tv: BoundReport
-    ell_inf: BoundReport
-    q_max_cap: BoundReport
-    q_max: float
 
 
 def truncated_log(x: float) -> float:
@@ -407,18 +352,6 @@ def tv_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
     return 0.5 * ell1_distance(p, q)
 
 
-def ell2_sq_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
-    a, b = _aligned(p, q)
-    d = a - b
-    return float((d * d).sum()) + (p.overflow - q.overflow) ** 2
-
-
-def ell_inf_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
-    a, b = _aligned(p, q)
-    base = float(np.abs(a - b).max())
-    return max(base, abs(p.overflow - q.overflow))
-
-
 def effective_support_interval(p: ExplicitDistribution, eps: float) -> tuple[int, int]:
     """Smallest contiguous interval holding at least ``1 - eps`` mass.
 
@@ -436,63 +369,6 @@ def effective_support_interval(p: ExplicitDistribution, eps: float) -> tuple[int
     start = int(np.argmin(lengths))
     end = int(ends[start])
     return p.lo + start, p.lo + end - 1
-
-
-def poisson_tail_bound(lam: float, x: float) -> float:
-    """Chernoff-style Poisson tail bound, upper tail for x >= lam, lower otherwise."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if x >= lam:
-        return math.exp(-((x - lam) ** 2) / (2.0 * x))
-    return math.exp(-((x - lam) ** 2) / (2.0 * lam))
-
-
-def indicator_chernoff_bound(sigma: float, lam: float) -> float:
-    """Two-sided tail bound 2 exp(-lam^2 / 4) for a Bernoulli sum, 0 < lam < 2 sigma."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if not 0.0 < lam < 2.0 * sigma:
-        raise ValueError("lam must lie in (0, 2 sigma)")
-    return 2.0 * math.exp(-lam * lam / 4.0)
-
-
-def tp_approx_bounds(pbd: Pbd, q_max: float | None = None) -> TpApproxBounds:
-    """Closed-form bounds on how far a Bernoulli sum sits from its matched
-    shifted Poisson: a TV bound, an l_inf bound, and a cap on the mode mass.
-
-    ``q_max`` is the distribution's largest point mass; when omitted it is
-    computed from the exact PMF, truncated at ``tail_cut=1e-12`` (under
-    0.1 s for 10^5 coins).
-    """
-    sigma2 = pbd.variance()
-    if sigma2 <= 0.0:
-        raise ValueError("variance must be positive")
-    s3 = float((pbd.ps**3 * (1.0 - pbd.ps)).sum())
-    tv_value = (2.0 + math.sqrt(s3)) / sigma2
-    if q_max is None:
-        q_max = pbd_pmf(pbd, tail_cut=1e-12).max_prob()
-    linf_value = (2.0 + 2.0 * math.sqrt(q_max * s3)) / sigma2
-    qmax_cap = tv_value + 1.0 / (2.3 * math.sqrt(sigma2))
-    return TpApproxBounds(
-        tv=BoundReport(tv_value, {"numerator": 2.0 + math.sqrt(s3), "denominator": sigma2}),
-        ell_inf=BoundReport(
-            linf_value,
-            {"numerator": 2.0 + 2.0 * math.sqrt(q_max * s3), "denominator": sigma2, "q_max": q_max},
-        ),
-        q_max_cap=BoundReport(
-            qmax_cap, {"tv_bound": tv_value, "sigma_term": 1.0 / (2.3 * math.sqrt(sigma2))}
-        ),
-        q_max=q_max,
-    )
-
-
-def tp_pair_tv_bound(tp1: TranslatedPoissonParams, tp2: TranslatedPoissonParams) -> float:
-    """TV bound between two shifted Poissons from their parameter gaps."""
-    s1 = math.sqrt(tp1.sigma2)
-    s2 = math.sqrt(tp2.sigma2)
-    return abs(tp1.mu - tp2.mu) / min(s1, s2) + (abs(tp1.sigma2 - tp2.sigma2) + 1.0) / min(
-        tp1.sigma2, tp2.sigma2
-    )
 
 
 @dataclass(frozen=True)

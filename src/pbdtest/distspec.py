@@ -9,13 +9,11 @@ A spec is a plain dict with a ``kind`` field::
     {"kind": "perturbed_binomial", "n": 8, "c": 1.0, "eps": 0.2, "z": [1, -1, ...]}
 
 ``normalize_spec`` validates and returns a canonical copy; ``realize``
-turns a spec into an ExplicitDistribution; ``spec_to_json`` serializes
-canonically so equal specs give byte-identical text.
+turns a spec into an ExplicitDistribution.
 """
 
 from __future__ import annotations
 
-import json
 import numbers
 
 import numpy as np
@@ -31,7 +29,7 @@ from .distributions import (
     translated_poisson_pmf,
 )
 
-__all__ = ["KINDS", "normalize_spec", "realize", "spec_to_json", "spec_from_json", "explicit_spec"]
+__all__ = ["KINDS", "normalize_spec", "realize", "explicit_spec"]
 
 KINDS = ("pbd", "binomial", "tp", "explicit", "perturbed_binomial")
 
@@ -139,11 +137,3 @@ def explicit_spec(dist: ExplicitDistribution) -> dict:
     if dist.overflow:
         out["overflow"] = dist.overflow / total
     return out
-
-
-def spec_to_json(obj: dict) -> str:
-    return json.dumps(normalize_spec(obj), sort_keys=True, separators=(",", ":"))
-
-
-def spec_from_json(text: str) -> dict:
-    return normalize_spec(json.loads(text))

@@ -9,6 +9,11 @@ a per-mode linear program rather than the l1 isotonic certificate of
 
 Caps are enforced so each oracle finishes in well under a minute.
 
+It also holds acceptance criterion 03's closed-form shifted-Poisson
+approximation bounds (Röllin, *Translated Poisson approximation using
+exchangeable pair couplings*, 2007) and the l2 and l_inf distances they
+are checked with.  They justify the heavy branch; no run reads them.
+
 ``learning_calibration_report`` is the Monte-Carlo sweep that fixes the
 learner's sample constant: it runs the base test itself, seeded, on a
 corpus of sources whose membership is known.
@@ -48,6 +53,10 @@ __all__ = [
     "exact_tv_to_pbd_class",
     "exact_tv_to_unimodal",
     "tn_closed_form_moments",
+    "ell2_sq_distance",
+    "ell_inf_distance",
+    "tp_approx_bounds",
+    "tp_pair_tv_bound",
     "monte_carlo_moment_check",
     "paired_perturbation",
     "calibration_report",
@@ -205,6 +214,47 @@ def _union_lambdas(
     lam[p.lo - lo : p.lo - lo + p.support_len] = k * p.probs
     lam_p[q.lo - lo : q.lo - lo + q.support_len] = k * q.probs
     return lam, lam_p
+
+
+def ell2_sq_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
+    """Squared l2 distance, sentinel compared to sentinel."""
+    a, b = _union_lambdas(p, q, 1.0)
+    return float(((a - b) ** 2).sum()) + (p.overflow - q.overflow) ** 2
+
+
+def ell_inf_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
+    """Largest pointwise gap, sentinel compared to sentinel."""
+    a, b = _union_lambdas(p, q, 1.0)
+    return max(float(np.abs(a - b).max()), abs(p.overflow - q.overflow))
+
+
+def tp_approx_bounds(pbd: Pbd, q_max: float | None = None) -> tuple[float, float, float]:
+    """Closed-form bounds on how far a Bernoulli sum sits from its matched
+    shifted Poisson: ``(tv, ell_inf, q_max_cap)``, a TV bound, an l_inf
+    bound, and a cap on the mode mass.
+
+    ``q_max`` is the distribution's largest point mass; when omitted it is
+    computed from the exact PMF, truncated at ``tail_cut=1e-12`` (under
+    0.1 s for 10^5 coins).
+    """
+    sigma2 = pbd.variance()
+    if sigma2 <= 0.0:
+        raise ValueError("variance must be positive")
+    s3 = float((pbd.ps**3 * (1.0 - pbd.ps)).sum())
+    tv = (2.0 + math.sqrt(s3)) / sigma2
+    if q_max is None:
+        q_max = float(pbd_pmf(pbd, tail_cut=1e-12).probs.max())
+    ell_inf = (2.0 + 2.0 * math.sqrt(q_max * s3)) / sigma2
+    return tv, ell_inf, tv + 1.0 / (2.3 * math.sqrt(sigma2))
+
+
+def tp_pair_tv_bound(tp1: TranslatedPoissonParams, tp2: TranslatedPoissonParams) -> float:
+    """TV bound between two shifted Poissons from their parameter gaps."""
+    s1 = math.sqrt(tp1.sigma2)
+    s2 = math.sqrt(tp2.sigma2)
+    return abs(tp1.mu - tp2.mu) / min(s1, s2) + (abs(tp1.sigma2 - tp2.sigma2) + 1.0) / min(
+        tp1.sigma2, tp2.sigma2
+    )
 
 
 def tn_closed_form_moments(

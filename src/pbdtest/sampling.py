@@ -76,10 +76,6 @@ class SampleHistogram:
     def hi(self) -> int:
         return self.lo + len(self.counts) - 1
 
-    def counts_map(self) -> dict[int, int]:
-        nz = np.nonzero(self.counts)[0]
-        return {int(self.lo + i): int(self.counts[i]) for i in nz}
-
     def moments(self) -> tuple[float, float]:
         """Sample mean and unbiased sample variance."""
         k = self.total

@@ -29,7 +29,6 @@ from .distributions import (
     TranslatedPoissonParams,
     effective_support_interval,
     translated_poisson_pmf,
-    truncated_log,
     tv_distance,
 )
 from .learner import MomentEstimates, estimate_mean_var, learn_pbd
@@ -41,7 +40,6 @@ __all__ = [
     "Closeness",
     "TestConfig",
     "TestVerdict",
-    "truncated_log",
     "simple_tolerant_identity_test",
     "l2_statistic",
     "l2_statistic_counts",
@@ -193,14 +191,10 @@ def _sparse_case(
     stream: SampleStream, config: TestConfig, hypothesis: ExplicitDistribution, diag: dict
 ) -> Verdict:
     eps = config.eps
-    # The interval comes from exact hypothesis quantiles rather than the
-    # worst-case length bound; the bound is recorded only as a sanity
-    # ceiling for genuinely binomial hypotheses.
     i_lo, i_hi = effective_support_interval(hypothesis, eps / 5.0)
     q = hypothesis.restrict(i_lo, i_hi)
     k_tol = math.ceil(config.tolerant_sample_const * q.support_len / eps**2)
     diag["interval"] = [i_lo, i_hi]
-    diag["interval_len_ceiling"] = config.logt**2.5 / eps**4
     diag["tolerant_samples"] = k_tol
     hist = stream.draw_histogram(k_tol)
     closeness, tv = simple_tolerant_identity_test(q, hist, eps, config.tolerant_sample_const)

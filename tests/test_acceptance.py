@@ -16,12 +16,9 @@ from pbdtest.distributions import (
     Pbd,
     TranslatedPoissonParams,
     binomial_pmf,
-    ell_inf_distance,
     pbd_pmf,
     translated_poisson_pmf,
     truncated_log,
-    tp_approx_bounds,
-    tp_pair_tv_bound,
     tv_distance,
 )
 from pbdtest.lowerbound import (
@@ -35,9 +32,12 @@ from pbdtest.lowerbound import (
 )
 from pbdtest.oracles import (
     brute_force_pbd_pmf,
+    ell_inf_distance,
     monte_carlo_moment_check,
     paired_perturbation,
     tn_closed_form_moments,
+    tp_approx_bounds,
+    tp_pair_tv_bound,
 )
 from pbdtest.sampling import SampleStream
 from pbdtest.tester import Branch, TestConfig, Verdict, l2_statistic_counts
@@ -121,10 +121,10 @@ def test_criterion_03_approximation_bounds_dominate():
         assert 20.0 <= var <= 1.2e4
         exact = pbd_pmf(pbd, tail_cut=1e-10)
         pivot = translated_poisson_pmf(TranslatedPoissonParams(mean, var), tail_cut=1e-10)
-        rep = tp_approx_bounds(pbd, q_max=exact.max_prob())
-        assert tv_distance(exact, pivot) <= rep.tv.bound_value
-        assert ell_inf_distance(exact, pivot) <= rep.ell_inf.bound_value
-        assert exact.max_prob() <= rep.q_max_cap.bound_value
+        tv, ell_inf, q_max_cap = tp_approx_bounds(pbd, q_max=exact.probs.max())
+        assert tv_distance(exact, pivot) <= tv
+        assert ell_inf_distance(exact, pivot) <= ell_inf
+        assert exact.probs.max() <= q_max_cap
     for _ in range(100):
         s1 = float(np.exp(rng.uniform(math.log(25.0), math.log(1e4))))
         s2 = float(np.exp(rng.uniform(math.log(25.0), math.log(1e4))))

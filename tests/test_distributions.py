@@ -16,23 +16,13 @@ from pbdtest.distributions import (
     binomial_pmf,
     effective_support_interval,
     ell1_distance,
-    ell2_sq_distance,
-    ell_inf_distance,
-    indicator_chernoff_bound,
     pbd_pmf,
-    poisson_tail_bound,
-    tp_approx_bounds,
-    tp_pair_tv_bound,
     translated_poisson_pmf,
     truncated_log,
     tv_distance,
 )
 from pbdtest.distspec import normalize_spec
-from pbdtest.oracles import brute_force_pbd_pmf
-
-
-def aligned_max_abs(a: ExplicitDistribution, b: ExplicitDistribution) -> float:
-    return ell_inf_distance(a, b)
+from pbdtest.oracles import brute_force_pbd_pmf, ell2_sq_distance, ell_inf_distance
 
 
 class TestExplicitDistribution:
@@ -50,14 +40,14 @@ class TestExplicitDistribution:
 
     def test_overflow_counts_toward_total(self):
         d = ExplicitDistribution(3, np.array([0.7]), overflow=0.3)
-        assert d.prob_at(3) == 0.7
-        assert d.prob_at(2) == 0.0  # sentinel is not an ordinary point
+        assert (d.lo, d.hi) == (3, 3)  # the sentinel is not an ordinary point
+        assert d.probs[3 - d.lo] == 0.7
         assert d.total_mass == pytest.approx(1.0)
 
     def test_moments_refuse_sentinel_mass(self):
         d = ExplicitDistribution(0, np.array([0.7]), overflow=0.3)
         with pytest.raises(ValueError, match="sentinel"):
-            d.mean()
+            d.variance()
 
 
 class TestPbdPmf:
@@ -102,7 +92,7 @@ class TestPbdPmf:
 
     def test_deterministic_p_one(self):
         d = pbd_pmf(Pbd(np.array([1.0, 1.0, 1.0])))
-        assert d.prob_at(3) == pytest.approx(1.0)
+        assert d.probs[3 - d.lo] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_probabilities(self, bad):
@@ -118,7 +108,8 @@ class TestPbdPmf:
         d = pbd_pmf(pbd, tail_cut=1e-9)
         elapsed = time.perf_counter() - t0
         assert d.tail_slack <= 1e-9
-        assert abs(d.mean() - pbd.mean()) <= 1e-6 * pbd.mean()
+        mean = float((np.arange(d.lo, d.hi + 1) * d.probs).sum())
+        assert abs(mean - pbd.mean()) <= 1e-6 * pbd.mean()
         assert elapsed < 1.0
 
 
@@ -218,7 +209,7 @@ class TestBinomialPmf:
 
     def test_p_zero_is_point_mass(self):
         d = binomial_pmf(5, 0.0)
-        assert d.prob_at(0) == 1.0 and d.probs.sum() == 1.0
+        assert d.probs[0 - d.lo] == 1.0 and d.probs.sum() == 1.0
 
     def test_symmetry_exact_at_half(self):
         probs = binomial_pmf(1001, 0.5).probs
@@ -286,7 +277,7 @@ class TestWindowedBinomialPmf:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_p_is_a_point_mass_inside_the_window(self, p):
         d = binomial_pmf(10_000, p, tail_cut=1e-9)
-        assert d.prob_at(int(p * 10_000)) == 1.0
+        assert d.probs[int(p * 10_000) - d.lo] == 1.0
         assert d.total_mass == 1.0 and d.tail_slack == 0.0
 
     @pytest.mark.parametrize("tail_cut", [-1e-12, 2e-6])
@@ -319,7 +310,7 @@ class TestTranslatedPoissonPmf:
             d = translated_poisson_pmf(
                 TranslatedPoissonParams(sigma**2 + 0.3, sigma**2), tail_cut=1e-9
             )
-            assert d.max_prob() <= 1.5 / sigma
+            assert float(d.probs.max()) <= 1.5 / sigma
 
     def test_requires_positive_variance(self):
         with pytest.raises(ValueError):
@@ -358,22 +349,6 @@ class TestMomentsAndDistances:
             assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-12
             assert 0.0 <= tv_distance(a, b) <= 1.0
 
-    def test_ell2_and_inf_on_point_masses(self):
-        d0 = ExplicitDistribution(0, np.array([1.0]))
-        d1 = ExplicitDistribution(1, np.array([1.0]))
-        assert ell2_sq_distance(d0, d1) == 2.0
-        assert ell_inf_distance(d0, d1) == 1.0
-        assert ell2_sq_distance(d0, d0) == 0.0
-
-    def test_ell2_matches_elementwise_oracle(self):
-        rng = np.random.Generator(np.random.Philox(5))
-        p = rng.random(10)
-        q = rng.random(10)
-        a = ExplicitDistribution(0, p / p.sum())
-        b = ExplicitDistribution(0, q / q.sum())
-        direct = float(((a.probs - b.probs) ** 2).sum())
-        assert ell2_sq_distance(a, b) == pytest.approx(direct, rel=1e-12)
-
     def test_l2_sq_bounded_by_inf_times_l1(self):
         rng = np.random.Generator(np.random.Philox(11))
         for _ in range(50):
@@ -402,7 +377,7 @@ class TestEffectiveSupport:
             d = ExplicitDistribution(0, p / p.sum())
             eps = float(rng.uniform(0.05, 0.5))
             lo, hi = effective_support_interval(d, eps)
-            got = d.mass_on(lo, hi)
+            got = float(d.probs[lo - d.lo : hi - d.lo + 1].sum())
             assert got >= 1.0 - eps - 1e-12
             cs = np.concatenate(([0.0], np.cumsum(d.probs)))
             window = np.array([cs[l + (hi - lo) + 1] - cs[l] for l in range(m - (hi - lo))])
@@ -421,89 +396,6 @@ class TestEffectiveSupport:
         d = ExplicitDistribution(0, np.array([0.5]), overflow=0.5)
         with pytest.raises(ValueError, match="interval"):
             effective_support_interval(d, 0.1)
-
-
-class TestTailBounds:
-    def test_poisson_bound_at_mean_is_one(self):
-        assert poisson_tail_bound(7.0, 7.0) == 1.0
-
-    def test_poisson_bound_plugin(self):
-        assert poisson_tail_bound(100.0, 200.0) == pytest.approx(math.exp(-25.0))
-
-    def test_poisson_bound_dominates_exact_tails(self):
-        lam = 25.0
-        d = translated_poisson_pmf(TranslatedPoissonParams(lam, lam), tail_cut=1e-9)
-        ks = np.arange(d.lo, d.hi + 1)
-        cdf = np.cumsum(d.probs)
-        for x in range(0, 80):
-            upper = float(d.probs[ks >= x].sum())
-            lower = float(cdf[ks <= x][-1]) if (ks <= x).any() else 0.0
-            if x >= lam:
-                assert upper <= poisson_tail_bound(lam, x) + 1e-9
-            else:
-                assert lower <= poisson_tail_bound(lam, x) + 1e-9
-
-    def test_chernoff_plugin_and_range(self):
-        assert indicator_chernoff_bound(10.0, 4.0) == pytest.approx(2.0 * math.exp(-4.0))
-        assert indicator_chernoff_bound(1.0, 1e-9) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            indicator_chernoff_bound(1.0, 2.5)
-
-    def test_chernoff_dominates_exact_binomial_tail(self):
-        d = binomial_pmf(400, 0.5)
-        sigma = math.sqrt(100.0)
-        lam = 2.0
-        ks = np.arange(401)
-        exact = float(d.probs[np.abs(ks - 200.0) > lam * sigma].sum())
-        assert exact <= indicator_chernoff_bound(sigma, lam)
-
-
-class TestApproximationBounds:
-    def test_tv_bound_closed_form_hundred_fair_coins(self):
-        rep = tp_approx_bounds(Pbd(np.full(100, 0.5)))
-        assert rep.tv.bound_value == pytest.approx(0.18)
-        assert rep.tv.terms["denominator"] == pytest.approx(25.0)
-
-    def test_zero_variance_errors(self):
-        with pytest.raises(ValueError, match="variance"):
-            tp_approx_bounds(Pbd(np.array([0.0, 1.0])))
-
-    def test_bounds_dominate_exact_distances(self):
-        rng = np.random.Generator(np.random.Philox(17))
-        for _ in range(10):
-            n = int(rng.integers(420, 800))
-            ps = rng.uniform(0.3, 0.7, size=n)
-            pbd = Pbd(ps)
-            mean, var = pbd.mean(), pbd.variance()
-            exact = pbd_pmf(pbd, tail_cut=1e-10)
-            tp = translated_poisson_pmf(TranslatedPoissonParams(mean, var), tail_cut=1e-10)
-            rep = tp_approx_bounds(pbd, q_max=exact.max_prob())
-            assert tv_distance(exact, tp) <= rep.tv.bound_value
-            assert aligned_max_abs(exact, tp) <= rep.ell_inf.bound_value
-            assert exact.max_prob() <= rep.q_max_cap.bound_value
-
-    def test_pair_bound_identical_params(self):
-        tp = TranslatedPoissonParams(10.0, 4.0)
-        assert tp_pair_tv_bound(tp, tp) == pytest.approx(0.25)
-
-    def test_pair_bound_plugin(self):
-        a = TranslatedPoissonParams(0.0, 4.0)
-        b = TranslatedPoissonParams(1.0, 4.0)
-        assert tp_pair_tv_bound(a, b) == pytest.approx(0.75)
-
-    def test_pair_bound_dominates_exact(self):
-        rng = np.random.Generator(np.random.Philox(19))
-        for _ in range(30):
-            s1 = float(rng.uniform(25.0, 400.0))
-            s2 = float(rng.uniform(25.0, 400.0))
-            mu1 = float(rng.uniform(500.0, 600.0))
-            mu2 = mu1 + float(rng.uniform(-5.0, 5.0))
-            a = TranslatedPoissonParams(mu1, s1)
-            b = TranslatedPoissonParams(mu2, s2)
-            exact = tv_distance(
-                translated_poisson_pmf(a, 1e-10), translated_poisson_pmf(b, 1e-10)
-            )
-            assert exact <= tp_pair_tv_bound(a, b) + 1e-9
 
 
 class TestTruncatedLog:

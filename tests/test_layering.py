@@ -103,3 +103,51 @@ def test_constants_live_in_test_config():
                 if a.arg.endswith("_const") or a.arg == "tail_cut"
             ]
     assert stray == []
+
+
+# Layers 0-3: the modules a run of the test reads.
+RUNTIME = ("calibrated", "distributions", "sampling", "distspec", "learner", "tester")
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names and attributes read at module level, outside ``__all__``.
+
+    A name read inside the def, class or assignment that binds it, such as
+    a recursive call or a constructor call in a method, does not count.
+    """
+    read = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound = {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            bound = set()
+        if "__all__" in bound:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in bound:
+                read.add(name)
+    return read
+
+
+def test_runtime_names_are_read():
+    """Every public name of layers 0-3 is read by some module of the package."""
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            read |= names_read(ast.parse(path.read_text()))
+    unread = [
+        f"{stem}.{name}"
+        for stem in RUNTIME
+        for name in importlib.import_module(f"pbdtest.{stem}").__all__
+        if name not in read
+    ]
+    assert unread == []

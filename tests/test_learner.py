@@ -113,7 +113,8 @@ class TestLearnPbd:
         d = ExplicitDistribution(0, np.array([1.0]))
         lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 10, 0.1, CFG)
         assert isinstance(lr.hypothesis, SparseHypothesis)
-        assert lr.to_explicit().prob_at(0) == 1.0
+        d = lr.to_explicit()
+        assert (d.lo, d.probs[0]) == (0, 1.0)
 
     @pytest.mark.parametrize("eps", [0.01, 0.04, 0.1])
     def test_draws_the_calibrated_budget(self, eps):
@@ -195,7 +196,8 @@ class TestLearnPbd:
         d = binomial_pmf(6, 0.5)
         lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 6, 0.1, CFG, max_samples=0)
         assert lr.samples_used == 0
-        assert lr.to_explicit().prob_at(0) == 1.0
+        d = lr.to_explicit()
+        assert (d.lo, d.probs[0]) == (0, 1.0)
 
 
 class TestBinomialFitWindow:

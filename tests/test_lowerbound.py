@@ -110,7 +110,7 @@ class TestConstruction:
             pb = PerturbedBinomial(64, 1.5, 0.3, random_sign_vector(64, rng))
             q = construct_perturbed_binomial(pb)
             assert abs(q.probs.sum() - 1.0) <= 1e-12
-            assert q.prob_at(32) == binomial_pmf(64, 0.5).prob_at(32)
+            assert q.probs[32] == binomial_pmf(64, 0.5).probs[32]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="even"):

@@ -4,17 +4,29 @@ import numpy as np
 import pytest
 
 from pbdtest.calibrated import TestConfig
-from pbdtest.distributions import ExplicitDistribution, Pbd, binomial_pmf, pbd_pmf
+from pbdtest.distributions import (
+    ExplicitDistribution,
+    Pbd,
+    TranslatedPoissonParams,
+    binomial_pmf,
+    pbd_pmf,
+    translated_poisson_pmf,
+    tv_distance,
+)
 from pbdtest.oracles import (
     OracleReport,
     brute_force_pbd_pmf,
     calibration_report,
+    ell2_sq_distance,
+    ell_inf_distance,
     exact_tv_to_pbd_class,
     exact_tv_to_unimodal,
     learning_calibration_report,
     monte_carlo_moment_check,
     paired_perturbation,
     tn_closed_form_moments,
+    tp_approx_bounds,
+    tp_pair_tv_bound,
 )
 
 
@@ -25,7 +37,7 @@ class TestBruteForcePmf:
 
     def test_all_ones(self):
         d = brute_force_pbd_pmf([1.0, 1.0, 1.0])
-        assert d.prob_at(3) == pytest.approx(1.0)
+        assert d.probs[3 - d.lo] == pytest.approx(1.0)
 
     def test_cap(self):
         with pytest.raises(ValueError, match="n = 20"):
@@ -104,13 +116,9 @@ class TestTnMoments:
 
 class TestPairedPerturbation:
     def test_tv_is_exact(self):
-        from pbdtest.distributions import tv_distance
-
         base = binomial_pmf(60, 0.5)
         far, ell2 = paired_perturbation(base, 0.05)
         assert tv_distance(far, base) == pytest.approx(0.05, rel=1e-9)
-        from pbdtest.distributions import ell2_sq_distance
-
         assert ell2_sq_distance(far, base) == pytest.approx(ell2, rel=1e-9)
 
     def test_target_too_large(self):
@@ -168,3 +176,79 @@ class TestOracleReport:
         assert r.abs_error == 1.0
         assert r.rel_error == 0.5
         assert r.to_dict()["case"] == "case"
+
+
+class TestDistances:
+    def test_ell2_and_inf_on_point_masses(self):
+        d0 = ExplicitDistribution(0, np.array([1.0]))
+        d1 = ExplicitDistribution(1, np.array([1.0]))
+        assert ell2_sq_distance(d0, d1) == 2.0
+        assert ell_inf_distance(d0, d1) == 1.0
+        assert ell2_sq_distance(d0, d0) == 0.0
+
+    def test_ell2_matches_elementwise_oracle(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        p = rng.random(10)
+        q = rng.random(10)
+        a = ExplicitDistribution(0, p / p.sum())
+        b = ExplicitDistribution(0, q / q.sum())
+        direct = float(((a.probs - b.probs) ** 2).sum())
+        assert ell2_sq_distance(a, b) == pytest.approx(direct, rel=1e-12)
+
+    def test_sentinels_are_compared(self):
+        a = ExplicitDistribution(0, np.array([0.5]), overflow=0.5)
+        b = ExplicitDistribution(0, np.array([0.9]), overflow=0.1)
+        assert ell2_sq_distance(a, b) == pytest.approx(2 * 0.4**2)
+        assert ell_inf_distance(a, b) == pytest.approx(0.4)
+
+
+class TestApproximationBounds:
+    def test_tv_bound_closed_form_hundred_fair_coins(self):
+        pbd = Pbd(np.full(100, 0.5))
+        bounds = tp_approx_bounds(pbd)
+        assert bounds[0] == pytest.approx(0.18)
+        # Without q_max the mode mass comes from the exact PMF.
+        q_max = float(pbd_pmf(pbd, tail_cut=1e-12).probs.max())
+        assert bounds == tp_approx_bounds(pbd, q_max=q_max)
+
+    def test_zero_variance_errors(self):
+        with pytest.raises(ValueError, match="variance"):
+            tp_approx_bounds(Pbd(np.array([0.0, 1.0])))
+
+    def test_bounds_dominate_exact_distances(self):
+        rng = np.random.Generator(np.random.Philox(17))
+        for _ in range(10):
+            n = int(rng.integers(420, 800))
+            ps = rng.uniform(0.3, 0.7, size=n)
+            pbd = Pbd(ps)
+            mean, var = pbd.mean(), pbd.variance()
+            exact = pbd_pmf(pbd, tail_cut=1e-10)
+            tp = translated_poisson_pmf(TranslatedPoissonParams(mean, var), tail_cut=1e-10)
+            q_max = float(exact.probs.max())
+            tv, ell_inf, q_max_cap = tp_approx_bounds(pbd, q_max=q_max)
+            assert tv_distance(exact, tp) <= tv
+            assert ell_inf_distance(exact, tp) <= ell_inf
+            assert q_max <= q_max_cap
+
+    def test_pair_bound_identical_params(self):
+        tp = TranslatedPoissonParams(10.0, 4.0)
+        assert tp_pair_tv_bound(tp, tp) == pytest.approx(0.25)
+
+    def test_pair_bound_plugin(self):
+        a = TranslatedPoissonParams(0.0, 4.0)
+        b = TranslatedPoissonParams(1.0, 4.0)
+        assert tp_pair_tv_bound(a, b) == pytest.approx(0.75)
+
+    def test_pair_bound_dominates_exact(self):
+        rng = np.random.Generator(np.random.Philox(19))
+        for _ in range(30):
+            s1 = float(rng.uniform(25.0, 400.0))
+            s2 = float(rng.uniform(25.0, 400.0))
+            mu1 = float(rng.uniform(500.0, 600.0))
+            mu2 = mu1 + float(rng.uniform(-5.0, 5.0))
+            a = TranslatedPoissonParams(mu1, s1)
+            b = TranslatedPoissonParams(mu2, s2)
+            exact = tv_distance(
+                translated_poisson_pmf(a, 1e-10), translated_poisson_pmf(b, 1e-10)
+            )
+            assert exact <= tp_pair_tv_bound(a, b) + 1e-9
