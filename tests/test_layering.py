@@ -151,3 +151,19 @@ def test_runtime_names_are_read():
         if name not in read
     ]
     assert unread == []
+
+
+# Moved to ``oracles`` or deleted; the package root no longer exports them.
+REMOVED_FROM_ROOT = (
+    "BoundReport",
+    "ell2_sq_distance",
+    "ell_inf_distance",
+    "indicator_chernoff_bound",
+    "poisson_tail_bound",
+    "tp_approx_bounds",
+    "tp_pair_tv_bound",
+)
+
+
+def test_removed_names_stay_out_of_the_root():
+    assert [name for name in REMOVED_FROM_ROOT if hasattr(pbdtest, name)] == []

@@ -1,5 +1,7 @@
 """Unit tests for the brute-force oracles themselves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,27 @@ class TestDistances:
         assert ell2_sq_distance(a, b) == pytest.approx(2 * 0.4**2)
         assert ell_inf_distance(a, b) == pytest.approx(0.4)
 
+    def test_shifted_supports_match_pointwise_oracle(self):
+        rng = np.random.Generator(np.random.Philox(23))
+        p = rng.random(8)
+        q = rng.random(10)
+        a = ExplicitDistribution(3, p / p.sum())
+        b = ExplicitDistribution(7, q / q.sum())
+        gaps = [
+            (a.probs[i - a.lo] if a.lo <= i <= a.hi else 0.0)
+            - (b.probs[i - b.lo] if b.lo <= i <= b.hi else 0.0)
+            for i in range(3, 17)
+        ]
+        assert ell2_sq_distance(a, b) == pytest.approx(sum(g * g for g in gaps), rel=1e-12)
+        assert ell_inf_distance(a, b) == pytest.approx(max(abs(g) for g in gaps), rel=1e-12)
+
+    def test_symmetric_and_zero_on_self(self):
+        a = binomial_pmf(30, 0.3)
+        b = binomial_pmf(40, 0.6)
+        for dist in (ell2_sq_distance, ell_inf_distance):
+            assert dist(a, b) == dist(b, a) > 0.0
+            assert dist(a, a) == 0.0
+
 
 class TestApproximationBounds:
     def test_tv_bound_closed_form_hundred_fair_coins(self):
@@ -210,6 +233,12 @@ class TestApproximationBounds:
         # Without q_max the mode mass comes from the exact PMF.
         q_max = float(pbd_pmf(pbd, tail_cut=1e-12).probs.max())
         assert bounds == tp_approx_bounds(pbd, q_max=q_max)
+
+    def test_plain_floats_with_cap_above_tv(self):
+        pbd = Pbd(np.linspace(0.2, 0.8, 200))
+        tv, ell_inf, q_max_cap = tp_approx_bounds(pbd, q_max=0.05)
+        assert all(type(x) is float for x in (tv, ell_inf, q_max_cap))
+        assert q_max_cap == pytest.approx(tv + 1.0 / (2.3 * math.sqrt(pbd.variance())))
 
     def test_zero_variance_errors(self):
         with pytest.raises(ValueError, match="variance"):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import pbdtest
 import pbdtest.learner as learner
 import pbdtest.tester as tester
 from pbdtest.distributions import (
@@ -54,6 +55,10 @@ class TestConfigValidation:
         cfg = TestConfig(eps=0.1, delta=0.1)
         assert cfg.repetitions() == math.ceil(18.0 * math.log(10.0))
         assert TestConfig(eps=0.1, delta=0.1, amplification_reps=3).repetitions() == 3
+
+    def test_truncated_log_reexport(self):
+        assert pbdtest.truncated_log(0.5) == 1.0
+        assert not hasattr(tester, "truncated_log")  # the package root is its one re-export
 
     @pytest.mark.parametrize(
         "field, value",
@@ -335,6 +340,15 @@ class TestTestPbd:
         a = run_membership_test(SampleStream.from_distribution(src, seed=7), 500, cfg)
         b = run_membership_test(SampleStream.from_distribution(src, seed=7), 500, cfg)
         assert a == b
+
+    def test_interval_within_ceiling(self):
+        src = binomial_pmf(500, 0.4)
+        cfg = TestConfig(eps=0.15, delta=0.3, seed=7, amplification_reps=1)
+        res = run_membership_test(SampleStream.from_distribution(src, seed=7), 500, cfg)
+        run = res.diagnostics["runs"][0]["diagnostics"]
+        lo, hi = run["interval"]
+        assert 0 < hi - lo + 1 <= cfg.logt**2.5 / cfg.eps**4
+        assert "interval_len_ceiling" not in run
 
     def test_budgeted_run_consumes_at_most_budget(self):
         src = binomial_pmf(500, 0.4)
