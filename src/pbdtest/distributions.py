@@ -364,11 +364,13 @@ def effective_support_interval(p: ExplicitDistribution, eps: float) -> tuple[int
     cs = np.concatenate(([0.0], np.cumsum(p.probs)))
     if cs[-1] < target:
         raise ValueError("no contiguous interval reaches 1 - eps mass")
-    ends = np.searchsorted(cs, cs[:-1] + target, side="left")
-    lengths = np.where(ends <= len(p.probs), ends - np.arange(len(p.probs)), np.iinfo(np.int64).max)
-    start = int(np.argmin(lengths))
-    end = int(ends[start])
-    return p.lo + start, p.lo + end - 1
+    # A shortest interval starts on mass: one starting on a zero ends where
+    # the next start with mass ends, so it is longer.
+    starts = np.flatnonzero(p.probs)
+    ends = np.searchsorted(cs, cs[starts] + target, side="left")
+    lengths = np.where(ends <= len(p.probs), ends - starts, np.iinfo(np.int64).max)
+    best = int(np.argmin(lengths))
+    return p.lo + int(starts[best]), p.lo + int(ends[best]) - 1
 
 
 @dataclass(frozen=True)

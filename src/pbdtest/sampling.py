@@ -13,6 +13,12 @@ for a Poisson(k) sample size, and ``draw(k)`` the multinomial counts of
 the counts every order is equally likely, so these are i.i.d. samples.
 A stream over a file pool hands out the pool's samples in file order.
 
+A histogram drawn from a stream spans exactly its observed range, from the
+smallest sample to the largest, so every later stage works on the points
+drawn rather than the source's whole array.  A distribution stream
+normalises its source once, when it is built, and keeps only the stretch
+that carries mass; draws from it are the same as from the whole array.
+
 A root stream and all its splits share one count of samples drawn
 (``samples_drawn``, also the cursor of a file pool), which
 ``capped(budget)`` bounds; a draw past the cap or the end of the pool
@@ -50,7 +56,9 @@ class SampleHistogram:
 
     ``counts[i]`` is the number of samples equal to ``lo + i``; ``total``
     is the realized sample count K and ``nominal_rate`` the requested k
-    (the Poisson mean when ``poissonized``).
+    (the Poisson mean when ``poissonized``).  A histogram drawn from a
+    stream spans its observed range: ``counts[0]`` and ``counts[-1]`` are
+    nonzero, or, for zero samples, ``counts`` is one zero bin.
     """
 
     lo: int
@@ -114,8 +122,8 @@ class SampleHistogram:
 class SampleStream:
     """Single-owner source of i.i.d. samples from a distribution or a file pool."""
 
-    def __init__(self, *, _source, _seed, _spawn_key, _support, _pool=None):
-        self._source = _source
+    def __init__(self, *, _law, _seed, _spawn_key, _support, _pool=None):
+        self._law = _law  # (lo, pvals) of a distribution, shared by all splits
         self._support = _support
         self._seed = _seed
         self._spawn_key = tuple(_spawn_key)
@@ -133,8 +141,17 @@ class SampleStream:
         if dist.overflow > MASS_TOL:
             raise ValueError("cannot sample a distribution with sentinel mass")
         mass = np.flatnonzero(dist.probs)
-        support = (dist.lo + int(mass[0]), dist.lo + int(mass[-1]))
-        return cls(_source=dist, _seed=seed, _spawn_key=spawn_key, _support=support)
+        if mass.size == 0:
+            raise ValueError("distribution has no mass to sample")
+        first, last = int(mass[0]), int(mass[-1])
+        # Normalised on the whole array, then cut to the mass plus one
+        # trailing zero: the multinomial draws a binomial for every category
+        # but the last and none for a leading zero, so the cut law consumes
+        # the same random numbers and gives the same counts.
+        pvals = dist.probs / dist.probs.sum()
+        law = (dist.lo + first, pvals[first : last + 2])
+        support = (dist.lo + first, dist.lo + last)
+        return cls(_law=law, _seed=seed, _spawn_key=spawn_key, _support=support)
 
     @classmethod
     def from_samples(cls, samples, seed: int = 0) -> "SampleStream":
@@ -154,7 +171,7 @@ class SampleStream:
         support = (int(pool.min()), int(pool.max())) if pool.size else None
         if support is not None and support[0] < 0:
             raise ValueError(f"sample pool holds {support[0]}; samples must be nonnegative")
-        return cls(_source=None, _seed=seed, _spawn_key=(), _support=support, _pool=pool)
+        return cls(_law=None, _seed=seed, _spawn_key=(), _support=support, _pool=pool)
 
     def split(self, index: int) -> "SampleStream":
         """Child stream with its own randomness, sharing this stream's count and cap.
@@ -208,10 +225,6 @@ class SampleStream:
             self._rng = np.random.Generator(np.random.Philox(ss))
         return self._rng
 
-    def _pvals(self) -> np.ndarray:
-        p = self._source.probs
-        return p / p.sum()
-
     def _take(self, k: int) -> np.ndarray | None:
         """Count k draws, refusing past the cap or the pool; the pool's next k, if any."""
         start = self._drawn[0]
@@ -227,12 +240,15 @@ class SampleStream:
         return None if self._pool is None else self._pool[start : start + k]
 
     def _counts(self, k: int) -> tuple[int, np.ndarray]:
-        """(lo, per-symbol counts) of k fresh samples."""
+        """(lo, per-symbol counts) of k fresh samples, cut to their observed range."""
         xs = self._take(k)
-        if xs is None:
-            return self._source.lo, self._generator().multinomial(k, self._pvals())
         if k == 0:
             return 0, np.zeros(1, dtype=np.int64)
+        if xs is None:
+            lo, pvals = self._law
+            counts = self._generator().multinomial(k, pvals)
+            seen = np.flatnonzero(counts)
+            return lo + int(seen[0]), counts[seen[0] : seen[-1] + 1]
         lo = int(xs.min())
         return lo, np.bincount(xs - lo)
 

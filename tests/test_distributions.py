@@ -387,6 +387,43 @@ class TestEffectiveSupport:
                 assert shorter.max() < 1.0 - eps
             assert window.max() >= 1.0 - eps - 1e-12
 
+    @staticmethod
+    def _search_every_start(d, eps):
+        """Reference: the same search over every start, zeros included."""
+        cs = np.concatenate(([0.0], np.cumsum(d.probs)))
+        if cs[-1] < 1.0 - eps:
+            return None
+        ends = np.searchsorted(cs, cs[:-1] + (1.0 - eps), side="left")
+        m = len(d.probs)
+        lengths = np.where(ends <= m, ends - np.arange(m), np.iinfo(np.int64).max)
+        start = int(np.argmin(lengths))
+        return d.lo + start, d.lo + int(ends[start]) - 1
+
+    def test_mass_starts_match_every_start(self):
+        rng = np.random.Generator(np.random.Philox(29))
+        for trial in range(400):
+            m = int(rng.integers(1, 60))
+            has_mass = rng.random(m) < rng.uniform(0.1, 0.9)  # runs of zeros
+            has_mass[int(rng.integers(m))] = True
+            overflow = [0.0, 0.125, 0.25][trial % 3]
+            if trial % 2:
+                # Masses and eps in 1/64ths: every window sum is exact, so
+                # windows of equal mass tie exactly.
+                units = rng.multinomial(64 - int(64 * overflow), has_mass / has_mass.sum())
+                probs = units / 64.0
+                eps = int(rng.integers(1, 40)) / 64.0
+            else:
+                probs = np.where(has_mass, rng.random(m), 0.0)
+                probs *= (1.0 - overflow) / probs.sum()
+                eps = float(rng.uniform(0.02, 0.6))
+            d = ExplicitDistribution(int(rng.integers(-5, 5)), probs, overflow=overflow)
+            expected = self._search_every_start(d, eps)
+            if expected is None:
+                with pytest.raises(ValueError, match="interval"):
+                    effective_support_interval(d, eps)
+            else:
+                assert effective_support_interval(d, eps) == expected
+
     def test_binomial_length_within_chernoff_ceiling(self):
         for n, eps in [(400, 0.1), (1600, 0.05)]:
             lo, hi = effective_support_interval(binomial_pmf(n, 0.5), eps)

@@ -152,6 +152,92 @@ class TestPoissonized:
         assert freq >= bound - 3.0 * math.sqrt(bound * (1 - bound) / trials) - 0.01
 
 
+def halves_on_ends(n):
+    probs = np.zeros(n + 1)
+    probs[[0, n]] = 0.5
+    return ExplicitDistribution(0, probs)
+
+
+# Sources whose arrays carry zeros: at both ends, inside, or between two far points.
+ZERO_ENDED = [binomial_pmf(10**4, 0.5), make_dist([0, 0, 1, 3, 0, 2, 0], lo=-2), halves_on_ends(10**4)]
+ZERO_ENDED_IDS = ["binomial", "small", "halves"]
+
+
+def reference_generator(seed, spawn_key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+
+
+def reference_counts(rng, k, d):
+    """Multinomial counts of k draws over the whole array, as (lo, counts)."""
+    return d.lo, rng.multinomial(k, d.probs / d.probs.sum())
+
+
+def cut_to_observed(lo, counts):
+    seen = np.flatnonzero(counts)
+    return lo + int(seen[0]), counts[seen[0] : seen[-1] + 1]
+
+
+class TestObservedRange:
+    """Draws equal the multinomial over the source's whole array, cut to the samples seen."""
+
+    @pytest.mark.parametrize("d", ZERO_ENDED, ids=ZERO_ENDED_IDS)
+    @pytest.mark.parametrize("seed, index", [(3, 0), (11, 5)])
+    def test_histogram_matches_whole_array_draw(self, d, seed, index):
+        stream = SampleStream.from_distribution(d, seed=seed).split(index)
+        rng = reference_generator(seed, (index,))
+        for k in (1, 7, 5000, 5000):
+            h = stream.draw_histogram(k)
+            lo, counts = cut_to_observed(*reference_counts(rng, k, d))
+            assert h.lo == lo
+            np.testing.assert_array_equal(h.counts, counts)
+
+    @pytest.mark.parametrize("d", ZERO_ENDED, ids=ZERO_ENDED_IDS)
+    def test_draw_matches_whole_array_expand_and_permute(self, d):
+        # Two draws in a row: equal second draws pin the generator state
+        # the multinomial leaves behind.
+        stream = SampleStream.from_distribution(d, seed=8).split(2)
+        rng = reference_generator(8, (2,))
+        for k in (3000, 1000):
+            lo, counts = reference_counts(rng, k, d)
+            xs = np.repeat(np.arange(lo, lo + len(counts), dtype=np.int64), counts)
+            np.testing.assert_array_equal(stream.draw(k), rng.permutation(xs))
+
+    @pytest.mark.parametrize("d", ZERO_ENDED, ids=ZERO_ENDED_IDS)
+    def test_poissonized_matches_whole_array_draw(self, d):
+        stream = SampleStream.from_distribution(d, seed=4)
+        rng = reference_generator(4, ())
+        for k in (2.5, 800.0):
+            h = stream.draw_poissonized(k)
+            lo, counts = cut_to_observed(*reference_counts(rng, int(rng.poisson(k)), d))
+            assert h.total == counts.sum()
+            assert h.lo == lo
+            np.testing.assert_array_equal(h.counts, counts)
+
+    def test_counts_end_on_samples(self):
+        pools = [[4, 4, 9, 6] * 5, [0] * 20, list(range(0, 40, 3)) * 2]
+        streams = [SampleStream.from_distribution(d, seed=6) for d in ZERO_ENDED]
+        streams += [SampleStream.from_samples(xs) for xs in pools]
+        for stream in streams:
+            for h in (stream.draw_histogram(1), stream.split(1).draw_poissonized(3.0)):
+                if h.total > 0:
+                    assert h.counts[0] > 0 and h.counts[-1] > 0
+        for stream in streams[:3]:
+            for k in (2, 50, 4000):
+                h = stream.draw_histogram(k)
+                assert h.counts[0] > 0 and h.counts[-1] > 0
+
+    @pytest.mark.parametrize("d", ZERO_ENDED, ids=ZERO_ENDED_IDS)
+    def test_zero_draw_is_one_zero_bin(self, d):
+        h = SampleStream.from_distribution(d, seed=1).draw_histogram(0)
+        assert h.total == 0
+        np.testing.assert_array_equal(h.counts, [0])
+
+    def test_no_mass_to_sample(self):
+        d = ExplicitDistribution(0, np.zeros(4), tail_slack=1.0)
+        with pytest.raises(ValueError, match="no mass to sample"):
+            SampleStream.from_distribution(d, seed=0)
+
+
 class TestCapped:
     def test_refuses_poisson_total_before_drawing(self):
         d = make_dist([0.3, 0.7])
