@@ -19,31 +19,41 @@ and eps in {0.1, 0.15, 0.2}:
   constant, 0.177) divided by a 1.5x safety margin and rounded down to
   0.1, leaving the far cases 5.7+ standard deviations above threshold.
 
-The learner's sample constant A_L (``learn_sample_const``) was fixed by
-the Monte-Carlo sweep in ``oracles.learning_calibration_report``
-(regenerate via ``pbdtest oracle --suite learning --seed 0``, about 25 s).
-At n = 10^4 and eps = 0.1, for every grid value A_L in {0.1, 0.2, 0.5, 1,
-2, 5, 10, 20, 50, 100, 200}, it runs 200 seeded unamplified base tests
-per source: Binomial(n, 1/2), Binomial(n, 0.3), a heterogeneous Bernoulli
-sum with p_i ~ U(0.05, 0.95), 16 fair coins and ten coins at 0.05 with
-ten at 0.95 as members; the half/half law on {0, n} and the certified
-c = 8 perturbed binomial as far sources; and, with every run sent down
-the heavy branch, Binomial(n, 1/2) and a paired perturbation of the
-(n/2, n/4) shifted-Poisson pivot at TV 0.35 eps.  On every member it
-also runs 200 ``learn_pbd`` calls at the learner's own eps = 0.1 and
-counts the hypotheses more than eps from the source in TV.  A grid value
-passes when every base-run error rate is at most 0.2 and every learner
-miss rate at most 0.1; the rule takes the smallest value from which
-every larger one passes and chooses the next grid value above it, as a
-margin.  The base-run error rates never bind (at most 0.015 at every
-value: the tester learns at eps/10, so even A_L = 0.1 draws 21k learning
-samples).  The learner's own accuracy does: 0.5 fails (17% misses on the
-0.05/0.95 coins), 1 passes (1%), and the choice is 2, where no source
-misses: about 657k samples per base run on Binomial(n, 1/2) instead of
-42.6M at the former 200.
+The two learning constants were fixed by the Monte-Carlo sweeps in
+``oracles.learning_calibration_report`` (regenerate both via
+``pbdtest oracle --suite learning --seed 0``, about 45 s).  A sweep runs,
+for every value of its grid, 200 seeded unamplified base tests per
+source of a nine-source corpus: Binomial(n, 1/2), Binomial(n, 0.3), a
+heterogeneous Bernoulli sum with p_i ~ U(0.05, 0.95), 16 fair coins and
+ten coins at 0.05 with ten at 0.95 as members; the half/half law on
+{0, n} and the certified c = 8 perturbed binomial as far sources; and,
+with every run sent down the heavy branch, Binomial(n, 1/2) and a paired
+perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps.  A
+grid value passes when every base-run error rate is at most 0.2 and, for
+a constant the learner reads, every learner miss rate at most 0.1; the
+rule takes the smallest value from which every larger one passes and
+chooses the next grid value above it, as a margin.
+
+* The learner's sample constant A_L (``learn_sample_const``) is swept
+  over {0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200} at n = 10^4 and
+  eps = 0.1.  On every member the sweep also runs 200 ``learn_pbd`` calls
+  at the learner's own eps = 0.1 and counts the hypotheses more than eps
+  from the source in TV.  The learner's own accuracy binds: 0.5 fails
+  (24% misses on the 0.05/0.95 coins), 1 passes (at most 1.5%), and
+  the choice is 2 (it was 200 before calibration version 2).
+* The learning-accuracy divisor D (``learn_accuracy_const``; the tester
+  learns at eps / D) is swept over {1, 2, 3, 4, 5, 6, 8, 10} at n = 10^4
+  with eps = 0.1 and with eps = 0.05, and passes only where it passes at
+  both.  ``learn_pbd`` does not read D, so no miss rate is run.  D = 1
+  fails: it rejects the 0.05/0.95 coins on 55% of runs at eps = 0.1
+  (35% at 0.05).  D = 2 passes (at most 2.5%), and the choice is 3
+  (it was 10 before calibration version 3), whose error rates equal those
+  of D = 10 at eps = 0.1 (at most 1.5%, the heavy binomial's own rate).
+  A base run on Binomial(n, 1/2) at eps = 0.1 then draws about 253k
+  samples, 21k of them to learn, instead of 657k at D = 10.
 
 Bump CALIBRATION_VERSION whenever a calibrated value changes (version 2:
-A_L from 200 to 2).
+A_L from 200 to 2; version 3: D from 10 to 3).
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from .distributions import truncated_log
 
 __all__ = ["CALIBRATION_VERSION", "TestConfig"]
 
-CALIBRATION_VERSION = 2
+CALIBRATION_VERSION = 3
 
 
 def _is_real(v) -> bool:
@@ -89,6 +99,7 @@ class TestConfig:
     tolerant_sample_const: float = 10.0  # A_tol: sparse-branch samples per |I|/eps^2
     moment_sample_const: float = 200.0  # A_m: moment samples ceil(A_m / eps'^2)
     learn_sample_const: float = 2.0  # A_L: learn budget ceil(A_L * logt^2(1/eps) / eps^2)
+    learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
     learn_sparse_threshold_const: float = 16.0  # A_t: binomial route at sigma2_hat >= A_t/eps^6
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
     amplification_const: float = 18.0  # B: majority repetitions ceil(B ln(1/delta))
@@ -109,6 +120,10 @@ class TestConfig:
             v = getattr(self, f.name)
             if f.name.endswith("_const") and not (_is_real(v) and 0 < v < math.inf):
                 raise ValueError(f"{f.name} must be finite and positive, got {v!r}")
+        if self.learn_accuracy_const < 1.0:  # the learner needs an eps below 1
+            raise ValueError(
+                f"learn_accuracy_const must be at least 1, got {self.learn_accuracy_const!r}"
+            )
 
     def replace(self, **kw) -> "TestConfig":
         return replace(self, **kw)

@@ -24,6 +24,7 @@ from .distributions import ExplicitDistribution, Pbd, binomial_pmf, pbd_pmf, tv_
 from .learner import learn_pbd
 from .lowerbound import detection_experiment, unimodal_distance_lb
 from .oracles import (
+    LEARNING_SWEEPS,
     brute_force_pbd_pmf,
     calibration_report,
     exact_tv_to_unimodal,
@@ -234,7 +235,10 @@ def _oracle_suite(name: str, seed: int) -> list[dict]:
     if name == "calibration":
         return [{"case": "calibration", **calibration_report()}]
     if name == "learning":
-        return [{"case": "learning", **learning_calibration_report(seed)}]
+        return [
+            {"case": "learning", **learning_calibration_report(seed, field)}
+            for field in LEARNING_SWEEPS
+        ]
     raise ValueError(f"unknown oracle suite {name!r}")
 
 

@@ -15,8 +15,9 @@ exchangeable pair couplings*, 2007) and the l2 and l_inf distances they
 are checked with.  They justify the heavy branch; no run reads them.
 
 ``learning_calibration_report`` is the Monte-Carlo sweep that fixes the
-learner's sample constant: it runs the base test itself, seeded, on a
-corpus of sources whose membership is known.
+learning constants (the learner's sample constant and the accuracy the
+tester learns at): it runs the base test itself, seeded, on a corpus of
+sources whose membership is known.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "monte_carlo_moment_check",
     "paired_perturbation",
     "calibration_report",
+    "LEARNING_SWEEPS",
     "learning_calibration_report",
 ]
 
@@ -455,77 +457,111 @@ def _learning_corpus(
     ]
 
 
+# The fields the learning sweep calibrates: (default grid, corpus points
+# (n, eps), whether ``learn_pbd`` reads the field).  Only a field the
+# learner reads can move its own miss rate, so only such a sweep measures it.
+LEARNING_SWEEPS = {
+    "learn_sample_const": (
+        (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0),
+        ((10_000, 0.1),),
+        True,
+    ),
+    "learn_accuracy_const": (
+        (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0),
+        ((10_000, 0.1), (10_000, 0.05)),
+        False,
+    ),
+}
+
+
 def learning_calibration_report(
     seed: int,
-    grid=(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0),
+    field: str = "learn_sample_const",
+    grid=None,
+    points=None,
     runs: int = 200,
 ) -> dict:
-    """Monte-Carlo sweep that fixes ``TestConfig.learn_sample_const`` (A_L).
+    """Monte-Carlo sweep that fixes one learning constant of ``TestConfig``.
 
-    At n = 10^4 and eps = 0.1, for every value of the ascending ``grid``
-    and every source of the corpus (see ``_learning_corpus``), runs
-    ``runs`` unamplified ``run_budgeted_test`` calls and records the
-    base-run error rate (rejections of a member, acceptances of a far
-    source) and the mean samples drawn.  On every member it also runs
-    ``runs`` ``learn_pbd`` calls at the learner's own eps (0.1, as
-    ``pbdtest learn --eps 0.1`` does) and records the miss rate: the share
-    of hypotheses more than eps from the source in TV.
+    ``field`` is a key of ``LEARNING_SWEEPS``: ``learn_sample_const`` (A_L)
+    or ``learn_accuracy_const`` (D); ``grid`` and ``points`` default to its
+    entry there.  At every corpus point (n, eps), for every value of the
+    ascending ``grid`` and every source of the corpus (see
+    ``_learning_corpus``), runs ``runs`` unamplified ``run_budgeted_test``
+    calls with ``field`` set to the value and records the base-run error
+    rate (rejections of a member, acceptances of a far source) and the mean
+    samples drawn.  When ``learn_pbd`` reads ``field``, it also runs
+    ``runs`` ``learn_pbd`` calls on every member at the learner's own eps
+    (the point's eps, as ``pbdtest learn --eps 0.1`` does) and records the
+    miss rate: the share of hypotheses more than eps from the source in TV.
     Run ``t`` of a source reads the same split at every grid value, so the
     values are compared on common samples.
 
-    A value passes when every error rate is at most 0.2 and every miss rate
-    at most 0.1 (the learner's 9/10 confidence).  The smallest passing value
-    is the smallest from which every larger grid value passes too; the
-    chosen value is the next grid value above it, as a margin (the passing
-    value itself when it is the last).  Both are None when the largest value
-    fails.  ``largest_failing_learn_sample_const`` is the grid value just
-    below the smallest passing one; when it is None nothing failed, and the
-    grid's lower end, not the error rates, placed the choice.
+    A value passes at a point when every error rate there is at most 0.2
+    and every miss rate at most 0.1 (the learner's 9/10 confidence), and
+    passes when it passes at every point.  The smallest passing value is
+    the smallest from which every larger grid value passes too; the chosen
+    value is the next grid value above it, as a margin (the passing value
+    itself when it is the last).  Both are None when the largest value
+    fails.  ``largest_failing_<field>`` is the grid value just below the
+    smallest passing one; when it is None nothing failed, and the grid's
+    lower end, not the error rates, placed the choice.
     """
-    grid = tuple(float(a) for a in grid)
+    if field not in LEARNING_SWEEPS:
+        raise ValueError(f"no learning sweep for {field!r}; choose from {sorted(LEARNING_SWEEPS)}")
+    default_grid, default_points, learner_reads = LEARNING_SWEEPS[field]
+    grid = tuple(float(v) for v in (default_grid if grid is None else grid))
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly ascending")
-    n, eps, max_error_rate, max_miss_rate = 10_000, 0.1, 0.2, 0.1
-    corpus = _learning_corpus(seed, n, eps)
+    points = default_points if points is None else points
+    max_error_rate, max_miss_rate = 0.2, 0.1
+    corpora = [_learning_corpus(seed, n, eps) for n, eps in points]
     sweep = []
-    for a_l in grid:
-        sources = {}
-        for i, (name, source, member, config) in enumerate(corpus):
-            root = SampleStream.from_distribution(source, seed, spawn_key=(0, i))
-            cfg = config.replace(learn_sample_const=a_l)
-            errors = 0
-            for t in range(runs):
-                res = run_budgeted_test(root.split(t), n, cfg)
-                errors += (res.verdict is Verdict.YES_PBD) != member
-            row = {"error_rate": errors / runs, "mean_samples": root.samples_drawn / runs}
-            if member:
-                learn_root = SampleStream.from_distribution(source, seed, spawn_key=(1, i))
-                misses = sum(
-                    tv_distance(learn_pbd(learn_root.split(t), n, eps, cfg).to_explicit(), source)
-                    > eps
-                    for t in range(runs)
-                )
-                row["learn_miss_rate"] = misses / runs
-            sources[name] = row
-        passes = all(
-            r["error_rate"] <= max_error_rate and r.get("learn_miss_rate", 0.0) <= max_miss_rate
-            for r in sources.values()
-        )
-        sweep.append({"learn_sample_const": a_l, "passes": passes, "sources": sources})
+    for value in grid:
+        at_points = []
+        for j, ((n, eps), corpus) in enumerate(zip(points, corpora)):
+            sources = {}
+            for i, (name, source, member, config) in enumerate(corpus):
+                root = SampleStream.from_distribution(source, seed, spawn_key=(0, j, i))
+                cfg = config.replace(**{field: value})
+                errors = 0
+                for t in range(runs):
+                    res = run_budgeted_test(root.split(t), n, cfg)
+                    errors += (res.verdict is Verdict.YES_PBD) != member
+                row = {"error_rate": errors / runs, "mean_samples": root.samples_drawn / runs}
+                if member and learner_reads:
+                    learn_root = SampleStream.from_distribution(source, seed, spawn_key=(1, j, i))
+                    misses = sum(
+                        tv_distance(
+                            learn_pbd(learn_root.split(t), n, eps, cfg).to_explicit(), source
+                        )
+                        > eps
+                        for t in range(runs)
+                    )
+                    row["learn_miss_rate"] = misses / runs
+                sources[name] = row
+            passes = all(
+                r["error_rate"] <= max_error_rate
+                and r.get("learn_miss_rate", 0.0) <= max_miss_rate
+                for r in sources.values()
+            )
+            at_points.append({"n": n, "eps": eps, "passes": passes, "sources": sources})
+        passes = all(p["passes"] for p in at_points)
+        sweep.append({field: value, "passes": passes, "points": at_points})
     edge = len(sweep)
     while edge > 0 and sweep[edge - 1]["passes"]:
         edge -= 1
     smallest = grid[edge] if edge < len(grid) else None
     chosen = grid[min(edge + 1, len(grid) - 1)] if smallest is not None else None
     return {
-        "n": n,
-        "eps": eps,
+        "field": field,
+        "points": [{"n": n, "eps": eps} for n, eps in points],
         "runs": runs,
         "max_error_rate": max_error_rate,
-        "max_learn_miss_rate": max_miss_rate,
-        "members": {name: member for name, _, member, _ in corpus},
+        "max_learn_miss_rate": max_miss_rate if learner_reads else None,
+        "members": {name: member for name, _, member, _ in corpora[0]},
         "sweep": sweep,
-        "largest_failing_learn_sample_const": grid[edge - 1] if edge > 0 else None,
-        "smallest_passing_learn_sample_const": smallest,
-        "chosen_learn_sample_const": chosen,
+        f"largest_failing_{field}": grid[edge - 1] if edge > 0 else None,
+        f"smallest_passing_{field}": smallest,
+        f"chosen_{field}": chosen,
     }

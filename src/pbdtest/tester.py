@@ -221,7 +221,9 @@ def run_budgeted_test(
     if sample_budget is not None:
         stream = stream.capped(sample_budget)
     learn_cap = None if sample_budget is None else sample_budget // 2
-    learned = learn_pbd(stream.split(_STAGE_LEARN), n, eps / 10.0, config, learn_cap)
+    learned = learn_pbd(
+        stream.split(_STAGE_LEARN), n, eps / config.learn_accuracy_const, config, learn_cap
+    )
     hyp_var = learned.variance()
     diag: dict = {
         "hypothesis_kind": "sparse" if learned.is_sparse else "binomial",

@@ -270,14 +270,15 @@ def test_criterion_10_indistinguishability_experiment():
     0.8 at the full budget."""
     n, eps, c = 4096, 0.1, 8.0
     cfg = TestConfig(eps=eps, delta=0.5, seed=0, amplification_reps=1)
-    acc = eps / 10.0  # run_budgeted_test learns at eps / 10
+    acc = eps / cfg.learn_accuracy_const  # run_budgeted_test learns at eps / D
     k_learn = math.ceil(cfg.learn_sample_const * truncated_log(1.0 / acc) ** 2 / acc**2)
     p0 = binomial_pmf(n, 0.5)
     from pbdtest.distributions import effective_support_interval
 
     i_lo, i_hi = effective_support_interval(p0, eps / 5.0)
     k_full = k_learn + math.ceil(cfg.tolerant_sample_const * (i_hi - i_lo + 1) / eps**2)
-    grid = [5.0, 100.0, 5e3, 5e4, 2e5, float(k_full)]
+    # Every point but the last lies below the full need, where a run starves.
+    grid = [5.0, 100.0, 5e3, 5e4, k_full / 2, float(k_full)]
     trials = 200
     rows, meta = detection_experiment(n, c, eps, grid, trials=trials, config=cfg, seed=1010)
     assert meta["c_used"] == c

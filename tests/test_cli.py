@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from pbdtest import cli, oracles
+from pbdtest import TestConfig, cli, oracles, truncated_log
 from pbdtest.cli import main
+from pbdtest.distributions import binomial_pmf, effective_support_interval
 
 
 @pytest.fixture()
@@ -99,6 +100,26 @@ class TestTestCommand:
         artifact = json.loads(out.read_text())
         assert artifact["diagnostics"]["repetitions"] == 1
 
+    def test_config_file_sets_learning_accuracy(self, binomial_spec, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"amplification_reps": 1, "learn_accuracy_const": 6.0}))
+        out = tmp_path / "v.json"
+        code = run(
+            [
+                "test", "--spec", binomial_spec, "--n", "400", "--eps", "0.2",
+                "--delta", "0.3", "--seed", "7", "--config", str(cfg), "--out", str(out),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["config"]["learn_accuracy_const"] == 6.0
+        assert diagnostics["config"]["calibration_version"] == 3
+        # The run learned at eps / 6 = 1/30: A_L logt^2(30) 30^2 samples.
+        (only,) = diagnostics["runs"]
+        need = math.ceil(diagnostics["config"]["learn_sample_const"] * math.log(30.0) ** 2 * 900)
+        assert only["diagnostics"]["learn_samples"] == need
+
     def test_env_config_defaults(self, binomial_spec, tmp_path, capsys, monkeypatch):
         env_cfg = tmp_path / "env.json"
         env_cfg.write_text(json.dumps({"amplification_reps": 1, "tolerant_sample_const": 12.0}))
@@ -133,6 +154,7 @@ class TestTestCommand:
     "field, value",
     [
         ("learn_sample_const", 0),
+        ("learn_accuracy_const", 0.5),
         ("var_threshold_const", math.nan),
         ("tolerant_sample_const", -1),
         ("amplification_reps", 2.5),
@@ -296,12 +318,13 @@ class TestStatCommand:
         assert "nonnegative" in capsys.readouterr().err
 
     def test_sample_round_trip_through_test(self, binomial_spec, tmp_path, capsys):
-        # The pool must cover the learn stage budget at eps/10 plus the
-        # tolerant stage, so a single-repetition test can finish on it.
+        # The pool must cover the learn stage at eps / D (457 samples at the
+        # default D = 3) plus the tolerant stage (about 2,200), so a
+        # single-repetition test can finish on it.
         samples = tmp_path / "samples.txt"
         run(
             [
-                "stat", "--spec", binomial_spec, "--draw", "1350000",
+                "stat", "--spec", binomial_spec, "--draw", "4000",
                 "--emit", str(samples), "--seed", "13",
             ]
         )
@@ -378,18 +401,26 @@ class TestOracleCommand:
         assert report["chosen_sample_const"] is not None
 
     def test_learning_suite_is_deterministic(self, capsys, monkeypatch):
-        # One seed, one report, byte for byte.  The full sweep takes about
-        # 15 s; a small grid checks the wiring.
-        small = functools.partial(oracles.learning_calibration_report, grid=(0.01, 2.0), runs=2)
-        monkeypatch.setattr(cli, "learning_calibration_report", small)
+        # One seed, one line per swept field, byte for byte.  The full
+        # sweeps take about a minute; small grids at one point check the wiring.
+        small = {"learn_sample_const": (0.01, 2.0), "learn_accuracy_const": (1.0, 3.0)}
+
+        def sweep(seed, field):
+            return oracles.learning_calibration_report(
+                seed, field, grid=small[field], points=((10_000, 0.1),), runs=2
+            )
+
+        monkeypatch.setattr(cli, "learning_calibration_report", sweep)
         outputs = []
         for _ in range(2):
             assert run(["oracle", "--suite", "learning", "--seed", "0"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        report = json.loads(outputs[0])
-        assert report["suite"] == "learning"
-        assert report["chosen_learn_sample_const"] == 2.0
+        reports = [json.loads(line) for line in outputs[0].splitlines()]
+        assert [r["suite"] for r in reports] == ["learning", "learning"]
+        assert [r["field"] for r in reports] == list(oracles.LEARNING_SWEEPS)
+        assert reports[0]["chosen_learn_sample_const"] == 2.0
+        assert reports[1]["chosen_learn_accuracy_const"] == 3.0
 
     def test_unimodal_suite(self, capsys):
         code = run(["oracle", "--suite", "unimodal", "--seed", "2"])
@@ -419,3 +450,19 @@ class TestReadmeExamples:
         assert run(shlex.split(readme_line("pbdtest test --samples"))[1:]) == 0
         verdict = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert verdict["verdict"] == "yes_pbd"
+
+    def test_lowerbound_example_ends_at_a_runs_full_need(self):
+        """The README ``lowerbound`` grid's last point is one run's full need at its
+        n and eps under the default config: learning at eps / D plus the tolerant
+        stage on the interval of Binomial(n, 1/2)."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = text.replace("\\\n", " ").splitlines()  # join the continued lines
+        line = next(ln for ln in lines if ln.startswith("pbdtest lowerbound"))
+        args = shlex.split(line)
+        n, eps = int(args[args.index("--n") + 1]), float(args[args.index("--eps") + 1])
+        last = float(args[args.index("--k-grid") + 1].split(",")[-1])
+        cfg = TestConfig(eps=eps, delta=0.5)
+        acc = eps / cfg.learn_accuracy_const
+        learn = math.ceil(cfg.learn_sample_const * truncated_log(1.0 / acc) ** 2 / acc**2)
+        lo, hi = effective_support_interval(binomial_pmf(n, 0.5), eps / 5.0)
+        assert last == learn + math.ceil(cfg.tolerant_sample_const * (hi - lo + 1) / eps**2)

@@ -29,7 +29,7 @@ COMMANDS = {
     "stat --draw": "stat --spec binomial.json --draw 50000 --emit samples.txt --seed 7",
     "test --samples": "test --samples samples.txt --n 10000 --eps 0.5 --delta 0.9 --seed 7 --out test-samples.json",
     "learn": "learn --spec binomial.json --n 10000 --eps 0.1 --seed 7 --out learn.json",
-    "lowerbound": "lowerbound --n 4096 --c 8 --eps 0.1 --k-grid 5,100,5000,50000,200000,500000,573152 --trials 20 --seed 7 --out curve.csv",
+    "lowerbound": "lowerbound --n 4096 --c 8 --eps 0.1 --k-grid 5,100,5000,50000,100000,150000,169823 --trials 20 --seed 7 --out curve.csv",
 }
 ARTIFACTS = {
     "test --spec": "test-spec.json",
@@ -39,11 +39,11 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "5a0b32c82c153f788e4db017b10e3e4bd2616532684a9d8193e161895d4df8c6",
+    "test --spec": "4238a768d9f8d13e4ea2544ca31670ae87ac05c625d882b92e07ae36b85322f5",
     "stat --draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
-    "test --samples": "d32075291a200d7c3ee1621621840e9a02f65d91141a53c5bf49b50263e2ea33",
+    "test --samples": "82acced151667543273ce89f3e90ae2e3293ab868347e5987b061ecb3f0c57d8",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
-    "lowerbound": "a8d9b29780a0d4a55578780937305a4249823e641033bd4c4441dcbb23b0465b",
+    "lowerbound": "78a361f153182c04b8598384d7f9a366214e072470450dd586443c3e2a4a0648",
 }
 
 pytestmark = pytest.mark.skipif(

@@ -144,7 +144,8 @@ class TestLearningCalibration:
         default = TestConfig.learn_sample_const
         report = learning_calibration_report(1, grid=(default,), runs=100)
         (row,) = report["sweep"]
-        sources = row["sources"]
+        (point,) = row["points"]
+        sources = point["sources"]
         assert row["passes"], sources
         rates = {name: r["error_rate"] for name, r in sources.items()}
         assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
@@ -152,11 +153,24 @@ class TestLearningCalibration:
         assert set(misses) == {name for name, member in report["members"].items() if member}
         assert all(rate <= report["max_learn_miss_rate"] for rate in misses.values()), misses
 
+    def test_default_learn_accuracy_const_keeps_every_rate(self):
+        # Drift guard: 100 base runs per corpus source at the calibrated D,
+        # at both corpus points (seed 1, apart from the sweep's seed 0), stay
+        # within the sweep's rule.
+        default = TestConfig.learn_accuracy_const
+        report = learning_calibration_report(1, "learn_accuracy_const", grid=(default,), runs=100)
+        (row,) = report["sweep"]
+        assert [(p["n"], p["eps"]) for p in row["points"]] == [(10_000, 0.1), (10_000, 0.05)]
+        for point in row["points"]:
+            rates = {name: r["error_rate"] for name, r in point["sources"].items()}
+            assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
+        assert row["passes"]
+
     def test_rule_takes_the_next_grid_value_above_the_edge(self):
         # At A_L = 0.01 the learner sees 6 samples and misses on most runs.
         report = learning_calibration_report(5, grid=(0.01, 2.0, 5.0), runs=4)
         assert [row["passes"] for row in report["sweep"]] == [False, True, True]
-        assert all(len(row["sources"]) == 9 for row in report["sweep"])
+        assert all(len(row["points"][0]["sources"]) == 9 for row in report["sweep"])
         assert report["largest_failing_learn_sample_const"] == 0.01
         assert report["smallest_passing_learn_sample_const"] == 2.0
         assert report["chosen_learn_sample_const"] == 5.0
@@ -167,9 +181,36 @@ class TestLearningCalibration:
         assert report["smallest_passing_learn_sample_const"] is None
         assert report["chosen_learn_sample_const"] is None
 
+    def test_accuracy_sweep_passes_only_where_every_point_passes(self):
+        # At D = 1 the tester learns at its own eps and rejects the twenty
+        # skewed coins on most runs; at D = 1.5 it rejects them on one of the
+        # four runs at eps = 0.1 and on none at eps = 0.05.
+        report = learning_calibration_report(
+            5, "learn_accuracy_const", grid=(1.0, 1.5, 3.0, 10.0), runs=4
+        )
+        assert report["field"] == "learn_accuracy_const"
+        assert report["points"] == [{"n": 10_000, "eps": 0.1}, {"n": 10_000, "eps": 0.05}]
+        for row in report["sweep"]:
+            assert [p["eps"] for p in row["points"]] == [0.1, 0.05]
+            assert row["passes"] == all(p["passes"] for p in row["points"])
+            for point in row["points"]:
+                assert len(point["sources"]) == 9
+                # learn_pbd does not read D, so the learner's own miss rate is not run.
+                assert all("learn_miss_rate" not in r for r in point["sources"].values())
+        assert report["max_learn_miss_rate"] is None
+        assert [p["passes"] for p in report["sweep"][1]["points"]] == [False, True]
+        assert [row["passes"] for row in report["sweep"]] == [False, False, True, True]
+        assert report["largest_failing_learn_accuracy_const"] == 1.5
+        assert report["smallest_passing_learn_accuracy_const"] == 3.0
+        assert report["chosen_learn_accuracy_const"] == 10.0
+
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
             learning_calibration_report(0, grid=(2.0, 1.0), runs=1)
+
+    def test_unknown_field_is_refused(self):
+        with pytest.raises(ValueError, match="tolerant_sample_const"):
+            learning_calibration_report(0, "tolerant_sample_const", runs=1)
 
 
 class TestOracleReport:

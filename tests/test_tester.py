@@ -40,6 +40,18 @@ A_M = TestConfig.moment_sample_const
 A_TOL = TestConfig.tolerant_sample_const
 
 
+# A heavy run at n = 4096, eps = 0.1 stops at its l2 draw on this budget: it
+# pays for learning at eps / D and for the moments stage (at eps' = eps /
+# (n/4)^(1/8), about 113,000 samples), not for the l2 stage's Poisson total
+# (about 69,000).
+_ACC = 0.1 / TestConfig.learn_accuracy_const
+STOPS_AT_L2 = (
+    math.ceil(TestConfig.learn_sample_const * pbdtest.truncated_log(1 / _ACC) ** 2 / _ACC**2)
+    + math.ceil(A_M / (0.1 / 1024**0.125) ** 2)
+    + 30_000
+)
+
+
 def heavy_inputs(src, n, eps, seed):
     """Moments and a binomial hypothesis from fresh stream splits."""
     root = SampleStream.from_distribution(src, seed=seed)
@@ -76,6 +88,8 @@ class TestConfigValidation:
             ("tail_cut", None),
             ("tail_cut", True),
             ("tail_cut", 0.0),
+            ("learn_accuracy_const", 0.5),
+            ("learn_accuracy_const", 0.999),
         ],
     )
     def test_bad_constant_rejected(self, field, value):
@@ -447,11 +461,11 @@ class TestSampleAccounting:
 
     @pytest.mark.parametrize(
         "budget",
-        [0, 1, 5, 100, 5_000, 10**4, 10**5, 3 * 10**5, 5 * 10**6, 42_564_185, 10**8],
+        [0, 1, 5, 100, 5_000, 10**4, 10**5, STOPS_AT_L2, 5 * 10**6, 42_564_185, 10**8],
     )
     def test_budgeted_heavy_run_stays_within_budget(self, drawn, budget):
         # The same operating point forced heavy; the l2 stage's Poisson
-        # total (about 69,000 here) must fit what learning (half the
+        # total (about 69,000 here) must fit what learning (at most half the
         # budget) and the moments stage (about 113,000) left.
         n = 4096
         cfg = TestConfig(
@@ -464,7 +478,7 @@ class TestSampleAccounting:
         if budget >= 5:
             assert res.branch is Branch.HEAVY
         self._assert_starved(res, budget)
-        if budget == 3 * 10**5:
+        if budget == STOPS_AT_L2:
             # Out at the l2 draw: the finished moments stage still reports.
             assert res.diagnostics["budget_exhausted"] is True
             for key in ("mu_hat", "d_tv_pivot_vs_hypothesis", "k_poissonized"):
@@ -487,6 +501,19 @@ class TestSampleAccounting:
         assert res.branch is branch
         assert res.verdict is Verdict.YES_PBD
         assert res.diagnostics["budget_exhausted"] is True
+
+    @pytest.mark.parametrize("accuracy", [1.0, 3.0, 10.0])
+    def test_learning_stage_runs_at_eps_over_d(self, drawn, accuracy):
+        # The learning stage asks for A_L logt^2(D/eps) D^2 / eps^2 samples
+        # and draws them as the run's first histogram.
+        cfg = TestConfig(eps=self.EPS, delta=0.3, learn_accuracy_const=accuracy)
+        stream = SampleStream.from_distribution(binomial_pmf(self.N, 0.5), seed=2)
+        res = run_budgeted_test(stream, self.N, cfg)
+        d_over_eps = accuracy / self.EPS
+        need = math.ceil(
+            cfg.learn_sample_const * pbdtest.truncated_log(d_over_eps) ** 2 * d_over_eps**2
+        )
+        assert res.diagnostics["learn_samples"] == need == drawn[0]
 
     def test_negative_budget_is_refused(self, drawn):
         cfg = TestConfig(eps=0.1, delta=0.5, seed=1, amplification_reps=1)
