@@ -1,7 +1,10 @@
 """Exact distribution machinery: PMFs, moments, distances and support intervals.
 
 Besides the Bernoulli-sum, binomial and shifted-Poisson PMFs this holds
-the sign-perturbed fair binomial behind the lower-bound family.
+the sign-perturbed fair binomial behind the lower-bound family, and the
+unimodal certificate: a lower bound on the TV distance to every unimodal
+law, hence to every Bernoulli-sum law, which the learner reads on its
+learning sample and the lower-bound experiment on each family member.
 
 Everything here is a pure function of immutable values; no global state,
 safe to call concurrently.  All PMFs live in linear space.  The binomial
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappush, heappushpop
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,6 +43,8 @@ __all__ = [
     "tv_distance",
     "ell1_distance",
     "effective_support_interval",
+    "unimodal_distance_lb",
+    "merged_unimodal_distance_lb",
     "PerturbedBinomial",
     "construct_perturbed_binomial",
 ]
@@ -371,6 +377,69 @@ def effective_support_interval(p: ExplicitDistribution, eps: float) -> tuple[int
     lengths = np.where(ends <= len(p.probs), ends - starts, np.iinfo(np.int64).max)
     best = int(np.argmin(lengths))
     return p.lo + int(starts[best]), p.lo + int(ends[best]) - 1
+
+
+def _isotonic_l1_prefix(y: np.ndarray) -> np.ndarray:
+    """out[t] = least l1 distance from y[:t] to a nondecreasing sequence.
+
+    One pass with a max-heap of kept values (Stout, *Unimodal regression
+    via prefix isotonic regression*, CSDA 2008): a new value below the
+    largest kept one pays the gap, and that kept value is lowered to it.
+    heapq is a min-heap, so the heap holds negated values.
+    """
+    heap: list[float] = []
+    cost = 0.0
+    out = [cost]
+    for x in (-y).tolist():
+        # Pops the largest kept value when it exceeds the new one, else x itself.
+        cost += x - heappushpop(heap, x)
+        heappush(heap, x)
+        out.append(cost)
+    return np.array(out)
+
+
+def _half_unimodal_l1(p: np.ndarray) -> float:
+    # A split at t fits p[:t] nondecreasing and p[t:] nonincreasing.
+    f = _isotonic_l1_prefix(p)
+    g = _isotonic_l1_prefix(p[::-1])[::-1]
+    return 0.5 * float((f + g).min())
+
+
+def unimodal_distance_lb(
+    q: ExplicitDistribution, window: tuple[int, int] | None = None
+) -> float:
+    """Half the least l1 distance from q, inside ``window``, to a unimodal sequence.
+
+    A unimodal distribution restricted to the window is a nonnegative
+    unimodal sequence there, and dropping the unit-mass constraint only
+    lowers the minimum, so this is a certified lower bound on TV(q, U)
+    over all unimodal U.  ``window`` is in absolute coordinates; None
+    takes the whole support.  Cost is O(w log w) in the window's width w.
+    """
+    p = q.probs
+    if window is not None:
+        a = max(window[0] - q.lo, 0)
+        b = min(window[1] - q.lo + 1, len(p))
+        p = p[a:b] if a < b else p[:0]
+    return _half_unimodal_l1(p)
+
+
+def merged_unimodal_distance_lb(q: ExplicitDistribution) -> float:
+    """``unimodal_distance_lb`` on q's support after merging each run of zeros into one zero.
+
+    Block sums of a unimodal sequence are unimodal and cannot raise an l1
+    distance, so the merged value is still a certified lower bound on
+    TV(q, U) over all unimodal U.  It can be smaller than the unmerged
+    value, but its cost is O(m log m) in the m points with mass plus one
+    pass over the support: an empirical law with mass only at 0 and n
+    costs three points, not n + 1.
+    """
+    nonzero = q.probs != 0.0
+    # Keep every point with mass and the first zero of every zero run.
+    keep = nonzero.copy()
+    keep[0] = True
+    keep[1:] |= nonzero[:-1]
+    return _half_unimodal_l1(q.probs[keep])
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,16 @@ is eps-close in TV with high frequency (checked by Monte Carlo, not
 guaranteed per call).
 
 The sparse hypothesis is the empirical distribution projected onto the
-unimodal cone.  The projection is what keeps the downstream membership
-test sound: every Bernoulli-sum law is log-concave hence unimodal, so a
-source far from all of them stays far from any unimodal hypothesis, while
-for true sources the projection moves the empirical by at most the order
-of its own estimation error.
+unimodal cone.  Unimodality keeps the downstream membership test sound in
+two ways, since every Bernoulli-sum law is log-concave hence unimodal.
+On the sparse route the learner reads the unimodal certificate
+(``distributions.merged_unimodal_distance_lb``) of its own learning
+sample, and flags the draw as not unimodal when the certificate clears
+``FIT_CHECK_MULT`` plug-in noise widths: the tester then rejects on that
+sample alone.  Otherwise the projection keeps a source far from all
+Bernoulli-sum laws far from any unimodal hypothesis, while for true
+sources it moves the empirical by at most the order of its own
+estimation error.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .distributions import (
     ExplicitDistribution,
     binomial_pmf,
     effective_support_interval,
+    merged_unimodal_distance_lb,
     truncated_log,
     tv_distance,
 )
@@ -44,7 +50,7 @@ __all__ = [
     "learn_pbd",
 ]
 
-FIT_CHECK_MULT = 3.0  # binomial fit accepted within this many noise widths
+FIT_CHECK_MULT = 3.0  # binomial fit accepted, unimodality refused, at this many noise widths
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,14 @@ class LearnedPbd:
     mu_hat: float
     sigma2_hat: float
     tail_cut: float = 0.0  # mass the binomial fit's PMF may drop off its ends
+    # Sparse route only: the learning sample's unimodal certificate and the
+    # limit above which the sample is certifiably not from a unimodal law.
+    unimodal_lb: float | None = None
+    unimodal_lb_threshold: float | None = None
+
+    @property
+    def not_unimodal(self) -> bool:
+        return self.unimodal_lb is not None and self.unimodal_lb > self.unimodal_lb_threshold
 
     @property
     def is_sparse(self) -> bool:
@@ -176,7 +190,10 @@ def learn_pbd(
     ceil(A_s / eps^3) points, projected onto the unimodal cone.  Both
     routes are safe for the downstream membership test - a binomial is
     itself a Bernoulli-sum law, and far sources stay far from any unimodal
-    hypothesis.
+    hypothesis.  The sparse route also records the zero-merged unimodal
+    certificate of the histogram and its threshold, ``FIT_CHECK_MULT``
+    plug-in noise widths; ``not_unimodal`` is set when the certificate
+    exceeds it.
 
     A binomial fit's PMF is built on the window missing at most
     ``config.tail_cut`` mass (see ``binomial_pmf``).
@@ -206,12 +223,12 @@ def learn_pbd(
         return LearnedPbd(fit, budget, mu_hat, sigma2_hat, config.tail_cut)
 
     emp = hist.to_empirical()
+    # Plug-in width of E TV(empirical, source) ~ sum_i sqrt(p_i / (2 pi k)):
+    # points never drawn add nothing, however far the histogram is padded.
+    noise = 0.4 * float(np.sqrt(emp.probs).sum()) / math.sqrt(budget)
     if sigma2_hat >= 1.0:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
         learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat, config.tail_cut)
-        # Plug-in width of E TV(empirical, source) ~ sum_i sqrt(p_i / (2 pi k)):
-        # points never drawn add nothing, however far the histogram is padded.
-        noise = 0.4 * float(np.sqrt(emp.probs).sum()) / math.sqrt(budget)
         tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
         if tv_distance(emp, learned.to_explicit()) <= tolerance:
             return learned
@@ -223,7 +240,16 @@ def learn_pbd(
     window = emp.probs[lo - emp.lo : hi - emp.lo + 1]
     projected = unimodal_projection(window)
     hyp = SparseHypothesis(ExplicitDistribution(lo, projected))
-    return LearnedPbd(hyp, budget, mu_hat, sigma2_hat)
+    # Every Bernoulli-sum law P is unimodal, so the certificate is at most
+    # TV(empirical, P), which stays within a few noise widths.
+    return LearnedPbd(
+        hyp,
+        budget,
+        mu_hat,
+        sigma2_hat,
+        unimodal_lb=merged_unimodal_distance_lb(emp),
+        unimodal_lb_threshold=FIT_CHECK_MULT * noise,
+    )
 
 
 def _densest_window(dist: ExplicitDistribution, length: int) -> tuple[int, int]:

@@ -11,7 +11,9 @@ Two certificates matter:
 * ``unimodal_distance_lb`` - a lower bound on the TV distance to *every*
   unimodal distribution (hence to every Bernoulli-sum law, which is
   log-concave and unimodal): half the exact l1 distance, inside a window,
-  to unimodal sequences.
+  to unimodal sequences.  It lives in ``distributions``, below the
+  learner, which reads its zero-merged form on every learning sample that
+  falls to the sparse route; it is re-exported here.
 * ``chi2_indistinguishability_bound`` - an upper bound on the TV distance
   between the Poissonized sample processes of the fair binomial and a
   uniformly drawn member of the family, so no tester on that few samples
@@ -23,17 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappush, heappushpop
 
 import numpy as np
 
 from .calibrated import TestConfig
 from .distributions import (
-    ExplicitDistribution,
     PerturbedBinomial,
+    _isotonic_l1_prefix,  # re-exported with the certificate it builds
     _perturb_fair_binomial,
     binomial_pmf,
     construct_perturbed_binomial,
+    unimodal_distance_lb,
 )
 from .sampling import SampleStream
 from .tester import Verdict, run_budgeted_test
@@ -53,47 +55,6 @@ __all__ = [
 def random_sign_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     """A uniform +-1 vector of length n/2 for drawing family members."""
     return (2 * rng.integers(0, 2, size=n // 2) - 1).astype(np.int8)
-
-
-def _isotonic_l1_prefix(y: np.ndarray) -> np.ndarray:
-    """out[t] = least l1 distance from y[:t] to a nondecreasing sequence.
-
-    One pass with a max-heap of kept values (Stout, *Unimodal regression
-    via prefix isotonic regression*, CSDA 2008): a new value below the
-    largest kept one pays the gap, and that kept value is lowered to it.
-    heapq is a min-heap, so the heap holds negated values.
-    """
-    heap: list[float] = []
-    cost = 0.0
-    out = [cost]
-    for x in (-y).tolist():
-        # Pops the largest kept value when it exceeds the new one, else x itself.
-        cost += x - heappushpop(heap, x)
-        heappush(heap, x)
-        out.append(cost)
-    return np.array(out)
-
-
-def unimodal_distance_lb(
-    q: ExplicitDistribution, window: tuple[int, int] | None = None
-) -> float:
-    """Half the least l1 distance from q, inside ``window``, to a unimodal sequence.
-
-    A unimodal distribution restricted to the window is a nonnegative
-    unimodal sequence there, and dropping the unit-mass constraint only
-    lowers the minimum, so this is a certified lower bound on TV(q, U)
-    over all unimodal U.  ``window`` is in absolute coordinates; None
-    takes the whole support.  Cost is O(w log w) in the window's width w.
-    """
-    p = q.probs
-    if window is not None:
-        a = max(window[0] - q.lo, 0)
-        b = min(window[1] - q.lo + 1, len(p))
-        p = p[a:b] if a < b else p[:0]
-    # A split at t fits p[:t] nondecreasing and p[t:] nonincreasing.
-    f = _isotonic_l1_prefix(p)
-    g = _isotonic_l1_prefix(p[::-1])[::-1]
-    return 0.5 * float((f + g).min())
 
 
 @lru_cache(maxsize=64)
@@ -149,13 +110,16 @@ def detection_experiment(
     For each sample budget ``k`` the tester runs once (no amplification)
     against the fair binomial and against a fresh random family member,
     with its total consumption capped by a Poisson(k) draw so the analytic
-    chi-squared bound applies verbatim.  A run whose next stage does not fit
-    its cap stops and accepts (``budget_exhausted``), so both rates are 0
-    until k/2 covers the tolerant stage.  Rates are NoPbd frequencies over
-    ``trials`` runs per arm; ``advantage = detect - false_reject``;
-    ``certified_far_rate`` is the share of members whose
-    ``unimodal_distance_lb`` on the centre window exceeds eps.  Only
-    the constants of ``config`` are read: each run is a single
+    chi-squared bound applies verbatim.  A run rejects on its learning
+    sample (at most k/2) when that sample is certifiably not unimodal;
+    otherwise a run whose next stage does not fit its cap stops and accepts
+    (``budget_exhausted``).  So the false-reject rate is 0 until the cap
+    covers the tolerant stage, while members whose learning sample shows
+    their extra modes are detected from well below it.  Rates are NoPbd
+    frequencies over ``trials`` runs per arm; ``advantage = detect -
+    false_reject``; ``certified_far_rate`` is the share of members whose
+    ``unimodal_distance_lb`` on the centre window exceeds eps.  Only the
+    constants of ``config`` are read: each run is a single
     ``run_budgeted_test``, which neither amplifies nor reads the seed.
 
     The asymptotic regime wants c > 200 and eps > 100 / sqrt(n); at desk

@@ -277,7 +277,9 @@ def test_criterion_10_indistinguishability_experiment():
 
     i_lo, i_hi = effective_support_interval(p0, eps / 5.0)
     k_full = k_learn + math.ceil(cfg.tolerant_sample_const * (i_hi - i_lo + 1) / eps**2)
-    # Every point but the last lies below the full need, where a run starves.
+    # Every point but the last lies below the full need: a run on the fair
+    # binomial starves there, while a member's learning sample may already
+    # be certified not unimodal, from k = 5e3 on.
     grid = [5.0, 100.0, 5e3, 5e4, k_full / 2, float(k_full)]
     trials = 200
     rows, meta = detection_experiment(n, c, eps, grid, trials=trials, config=cfg, seed=1010)

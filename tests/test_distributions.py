@@ -8,18 +8,22 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import binom
 
+import pbdtest.lowerbound as lowerbound
 from pbdtest.distributions import (
     ExplicitDistribution,
     Pbd,
     PerturbedBinomial,
     TranslatedPoissonParams,
+    _isotonic_l1_prefix,
     binomial_pmf,
     effective_support_interval,
     ell1_distance,
+    merged_unimodal_distance_lb,
     pbd_pmf,
     translated_poisson_pmf,
     truncated_log,
     tv_distance,
+    unimodal_distance_lb,
 )
 from pbdtest.distspec import normalize_spec
 from pbdtest.oracles import brute_force_pbd_pmf, ell2_sq_distance, ell_inf_distance
@@ -444,3 +448,55 @@ class TestTruncatedLog:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             truncated_log(0.0)
+
+
+class TestUnimodalCertificateForms:
+    """The exact certificate moved here unchanged; its zero-merged form is
+    never above it (so never above the exact distance to the unimodal laws
+    either) and equals it without zero runs."""
+
+    def test_lowerbound_reexports_the_moved_functions(self):
+        # tests/test_lowerbound.py checks these very objects against its loop
+        # references and hand values.
+        assert lowerbound.unimodal_distance_lb is unimodal_distance_lb
+        assert lowerbound._isotonic_l1_prefix is _isotonic_l1_prefix
+
+    @staticmethod
+    def _with_zero_runs(rng, m):
+        p = rng.random(m)
+        for _ in range(int(rng.integers(1, 4))):
+            a = int(rng.integers(0, m))
+            p[a : a + int(rng.integers(2, 8))] = 0.0
+        p[int(rng.integers(0, m))] += 1.0
+        return ExplicitDistribution(int(rng.integers(-5, 6)), p / p.sum())
+
+    def test_merged_never_above_unmerged(self):
+        rng = np.random.Generator(np.random.Philox(41))
+        below = 0
+        for _ in range(500):
+            d = self._with_zero_runs(rng, int(rng.integers(2, 60)))
+            merged, full = merged_unimodal_distance_lb(d), unimodal_distance_lb(d)
+            assert merged <= full + 1e-12
+            below += merged < full - 1e-12
+        # Merging does lose something on some inputs: the two forms differ.
+        assert below > 0
+
+    def test_equal_without_zero_runs(self):
+        rng = np.random.Generator(np.random.Philox(47))
+        for _ in range(200):
+            m = int(rng.integers(1, 60))
+            p = rng.random(m) + 1e-3
+            # Isolated zeros are runs of length one: merging keeps them as they are.
+            p[rng.random(m) < 0.2] = 0.0
+            p[1:][(p[1:] == 0.0) & (p[:-1] == 0.0)] = 1e-3
+            p[int(rng.integers(0, m))] += 1.0
+            d = ExplicitDistribution(0, p / p.sum())
+            assert merged_unimodal_distance_lb(d) == unimodal_distance_lb(d)
+
+    def test_two_spikes_merge_to_three_points(self):
+        # Half at 0 and half at n: any unimodal law pays 1/4, merged or not.
+        probs = np.zeros(10_001)
+        probs[0] = probs[-1] = 0.5
+        d = ExplicitDistribution(0, probs)
+        assert merged_unimodal_distance_lb(d) == unimodal_distance_lb(d) == 0.25
+        assert merged_unimodal_distance_lb(binomial_pmf(30, 0.5)) == 0.0

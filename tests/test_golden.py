@@ -43,7 +43,7 @@ GOLDEN_SHA256 = {
     "stat --draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
     "test --samples": "82acced151667543273ce89f3e90ae2e3293ab868347e5987b061ecb3f0c57d8",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
-    "lowerbound": "78a361f153182c04b8598384d7f9a366214e072470450dd586443c3e2a4a0648",
+    "lowerbound": "b9c15f0fb3601b6177931c9bcb49dca502df8e40bc0515985d7f08128ddec962",
 }
 
 pytestmark = pytest.mark.skipif(

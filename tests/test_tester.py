@@ -21,7 +21,12 @@ from pbdtest.distributions import (
 )
 from pbdtest.learner import MomentEstimates, estimate_mean_var, fit_binomial_by_moments
 from pbdtest.lowerbound import random_sign_vector
-from pbdtest.oracles import ell2_sq_distance, paired_perturbation, tn_closed_form_moments
+from pbdtest.oracles import (
+    _learning_corpus,
+    ell2_sq_distance,
+    paired_perturbation,
+    tn_closed_form_moments,
+)
 from pbdtest.sampling import SampleHistogram, SampleStream
 from pbdtest.tester import (
     Branch,
@@ -430,12 +435,22 @@ class TestSampleAccounting:
         np.testing.assert_array_equal(pool.draw(1), xs[res.samples_used : res.samples_used + 1])
 
     # Budgets below every testing stage's full count (the tolerant stage
-    # alone needs about 233,000 samples here): such a run must stop and
-    # accept instead of deciding on a clipped sample.
+    # alone needs about 149,000 samples here).  Such a run may reject on its
+    # learning sample, but it must never decide on a clipped later stage:
+    # it stops and accepts instead.
     STARVED = (1, 5, 100, 5_000, 10**4)
+    # From these budgets on, the half that learning gets certifies the
+    # c = 8 member not unimodal.
+    LEARNING_REJECTS = (5_000, 10**4)
 
-    def _assert_starved(self, res, budget):
-        if budget in self.STARVED:
+    def _assert_starved(self, res, budget, source):
+        if budget not in self.STARVED:
+            return
+        if source == "member" and budget in self.LEARNING_REJECTS:
+            assert res.verdict is Verdict.NO_PBD
+            assert "budget_exhausted" not in res.diagnostics
+            assert res.samples_used == res.diagnostics["learn_samples"] <= budget // 2
+        else:
             assert res.verdict is Verdict.YES_PBD
             assert res.diagnostics["budget_exhausted"] is True
 
@@ -457,7 +472,7 @@ class TestSampleAccounting:
         assert res.branch is Branch.SPARSE
         assert res.samples_used <= budget
         assert res.samples_used == sum(drawn)
-        self._assert_starved(res, budget)
+        self._assert_starved(res, budget, source)
 
     @pytest.mark.parametrize(
         "budget",
@@ -477,7 +492,7 @@ class TestSampleAccounting:
         assert res.samples_used == sum(drawn)
         if budget >= 5:
             assert res.branch is Branch.HEAVY
-        self._assert_starved(res, budget)
+        self._assert_starved(res, budget, "binomial")
         if budget == STOPS_AT_L2:
             # Out at the l2 draw: the finished moments stage still reports.
             assert res.diagnostics["budget_exhausted"] is True
@@ -626,3 +641,59 @@ class TestHypothesisPmfBuiltOnce:
         assert res.diagnostics["hypothesis_kind"] == "binomial"
         # The fit check and the sparse stage share one build.
         assert len(calls) == 1
+
+
+class TestLearningSampleCertificate:
+    """The learner's unimodal check on its own sample: no member of the
+    learning sweep's corpus trips it, and the two far sources the default
+    config sends down the sparse route reject on the learning draw alone."""
+
+    RUNS = 100
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    def test_no_member_is_refused(self, eps):
+        # 100 learns per member at the tester's learning accuracy eps / D,
+        # seed 1, apart from the learning sweep's seed 0.
+        n = 10_000
+        checked = {}
+        for i, (name, source, member, cfg) in enumerate(_learning_corpus(1, n, eps)):
+            if not member:
+                continue
+            root = SampleStream.from_distribution(source, 1, spawn_key=(2, i))
+            learns = [
+                learner.learn_pbd(root.split(t), n, eps / cfg.learn_accuracy_const, cfg)
+                for t in range(self.RUNS)
+            ]
+            assert not any(learned.not_unimodal for learned in learns), name
+            checked[name] = sum(learned.unimodal_lb is not None for learned in learns)
+        # No binomial fits the 0.05/0.95 coins, so every one of their learns
+        # reaches the check and the guard is not vacuous.
+        assert checked["skewed-20"] == self.RUNS
+
+    @pytest.mark.parametrize("name", ["bimodal", "perturbed-c8"])
+    def test_far_source_rejects_on_its_learning_draw(self, name):
+        # perturbed-c8 at eps = 0.1 is criterion 07's certified member.
+        n = 10_000
+        corpus = {row[0]: row for row in _learning_corpus(1, n, 0.1)}
+        _, source, member, cfg = corpus[name]
+        assert not member
+        root = SampleStream.from_distribution(source, seed=3)
+        for t in range(10):
+            res = run_budgeted_test(root.split(t), n, cfg)
+            diag = res.diagnostics
+            assert res.verdict is Verdict.NO_PBD
+            assert diag["reason"] == "learning sample not unimodal"
+            assert diag["unimodal_lb"] > diag["unimodal_lb_threshold"]
+            assert res.samples_used == diag["learn_samples"]
+            assert "tolerant_samples" not in diag and "moment_samples" not in diag
+        amplified = run_membership_test(SampleStream.from_distribution(source, seed=4), n, cfg)
+        assert amplified.verdict is Verdict.NO_PBD
+        learned = [r["diagnostics"]["learn_samples"] for r in amplified.diagnostics["runs"]]
+        assert amplified.samples_used == sum(learned)
+
+    def test_binomial_fit_route_skips_the_check(self):
+        cfg = TestConfig(eps=0.1, delta=0.1, seed=2)
+        stream = SampleStream.from_distribution(binomial_pmf(10_000, 0.5), seed=2)
+        res = run_budgeted_test(stream, 10_000, cfg)
+        assert res.diagnostics["hypothesis_kind"] == "binomial"
+        assert "unimodal_lb" not in res.diagnostics
