@@ -52,6 +52,12 @@ chooses the next grid value above it, as a margin.
   A base run on Binomial(n, 1/2) at eps = 0.1 then draws about 253k
   samples, 21k of them to learn, instead of 657k at D = 10.
 
+The majority is not calibrated: ``BASE_ERROR`` is the base test's
+guarantee, an error of at most 1/3 per run, and ``TestConfig.repetitions``
+plans the smallest vote whose exact binomial tail at that error is at most
+delta (15 runs at delta = 0.1, where Hoeffding's ceil(18 ln(1/delta)) gave
+42).
+
 Bump CALIBRATION_VERSION whenever a calibrated value changes (version 2:
 A_L from 200 to 2; version 3: D from 10 to 3).
 """
@@ -60,12 +66,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from fractions import Fraction
 
 from .distributions import truncated_log
 
 __all__ = ["CALIBRATION_VERSION", "TestConfig"]
 
 CALIBRATION_VERSION = 3
+
+# q: the base test's error bound that the majority is planned for.
+BASE_ERROR = Fraction(1, 3)
 
 
 def _is_real(v) -> bool:
@@ -102,8 +112,7 @@ class TestConfig:
     learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
     learn_sparse_threshold_const: float = 16.0  # A_t: binomial route at sigma2_hat >= A_t/eps^6
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
-    amplification_const: float = 18.0  # B: majority repetitions ceil(B ln(1/delta))
-    amplification_reps: int | None = None  # explicit override (experiments)
+    amplification_reps: int | None = None  # R: majority runs; None plans them from delta
     tail_cut: float = 1e-9
 
     def __post_init__(self):
@@ -149,6 +158,26 @@ class TestConfig:
         return 0.25 * self.l2_far_const * self.eps**2 / (sigma_hat * math.sqrt(self.logt))
 
     def repetitions(self) -> int:
+        """The majority's planned runs: ``amplification_reps`` when set, else
+        the smallest R whose vote errs with probability at most delta when
+        each base run errs with probability at most ``BASE_ERROR``.
+
+        A member loses with probability P[Bin(R, q) >= ceil(R/2)] (a tie
+        rejects) and a far source wins with P[Bin(R, q) > R/2]; both tails
+        grow with q, so the bound holds for every base error up to q.  The first tail is the
+        larger, and at even R = 2m it is at least its value at 2m - 1, so the
+        smallest R is odd, where the two tails are equal.  From odd R to
+        R + 2 the tail falls by C(R, m) (q(1 - q))^(m+1) (1 - 2q), m = (R-1)/2,
+        which the scan subtracts in exact integers scaled by the denominator
+        of q to the power R.
+        """
         if self.amplification_reps is not None:
             return self.amplification_reps
-        return max(1, math.ceil(self.amplification_const * math.log(1.0 / self.delta)))
+        a, b = BASE_ERROR.numerator, BASE_ERROR.denominator
+        delta = Fraction(self.delta)
+        reps, tail = 1, a  # P[Bin(1, q) >= 1] * b
+        while tail * delta.denominator > delta.numerator * b**reps:
+            m = reps // 2
+            tail = tail * b * b - math.comb(reps, m) * (a * (b - a)) ** (m + 1) * (b - 2 * a)
+            reps += 2
+        return reps

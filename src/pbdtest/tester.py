@@ -276,9 +276,11 @@ def run_budgeted_test(
 def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
     """Majority-amplified membership test, stopped once the majority is decided.
 
-    Plans ceil(B ln(1/delta)) runs of the base test on fresh sub-streams
-    and returns their majority verdict (a tie counts as rejection).  Run
-    ``r`` always reads ``stream.split(r)``, so stopping as soon as the
+    Plans ``config.repetitions()`` runs of the base test on fresh
+    sub-streams (the smallest odd count whose exact binomial tail at base
+    error 1/3 is at most delta: 15 at delta = 0.1) and returns their
+    majority verdict (a tie counts as rejection).  Run ``r`` always
+    reads ``stream.split(r)``, so stopping as soon as the
     remaining runs cannot change the majority gives the verdict of all
     planned runs, for every seed.  ``repetitions`` is the planned count and
     ``repetitions_run`` the number run; ``runs``, ``yes_votes``,

@@ -137,16 +137,19 @@ class TestTestCommand:
         assert artifact["diagnostics"]["config"]["tolerant_sample_const"] == 12.0
 
     def test_unknown_config_field_rejected(self, binomial_spec, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"not_a_field": 1}))
-        code = run(
-            [
-                "test", "--spec", binomial_spec, "--n", "400", "--eps", "0.2",
-                "--delta", "0.3", "--seed", "7", "--config", str(cfg),
-            ]
-        )
-        capsys.readouterr()
-        assert code == 1
+        # amplification_const, Hoeffding's deleted constant, may linger in old files.
+        for field in ("not_a_field", "amplification_const"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({field: 18.0}))
+            code = run(
+                [
+                    "test", "--spec", binomial_spec, "--n", "400", "--eps", "0.2",
+                    "--delta", "0.3", "--seed", "7", "--config", str(cfg),
+                ]
+            )
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "unknown config fields" in err and field in err
 
 
 @pytest.mark.parametrize("command", ["test", "learn"])
@@ -450,6 +453,17 @@ class TestReadmeExamples:
         assert run(shlex.split(readme_line("pbdtest test --samples"))[1:]) == 0
         verdict = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert verdict["verdict"] == "yes_pbd"
+
+    def test_majority_run_counts_match_the_config(self):
+        """The README's planned runs at delta = 0.1, and the agreeing runs
+        that decide the vote, are the default config's."""
+        text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        planned = int(re.search(r"\(`repetitions`, (\d+) at delta = 0\.1", text).group(1))
+        decided, of = map(int, re.search(r"the first (\d+) agreeing runs of (\d+)", text).groups())
+        run_all = int(re.search(r"had it run all (\d+)", text).group(1))
+        reps = TestConfig(eps=0.1, delta=0.1).repetitions()
+        assert planned == of == run_all == reps
+        assert decided == reps // 2 + 1
 
     def test_lowerbound_example_ends_at_a_runs_full_need(self):
         """The README ``lowerbound`` grid's last point is one run's full need at its

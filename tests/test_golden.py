@@ -39,9 +39,9 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "4238a768d9f8d13e4ea2544ca31670ae87ac05c625d882b92e07ae36b85322f5",
+    "test --spec": "cffe790de57ef09e9d241d5445c7399829b97d4ad9e58dd2bb28c56975dcee40",
     "stat --draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
-    "test --samples": "82acced151667543273ce89f3e90ae2e3293ab868347e5987b061ecb3f0c57d8",
+    "test --samples": "6f5f2e69bd4daf01e43896a1bf8c660ea313a0c1512c2ff5109de3bbff03357c",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
     "lowerbound": "b9c15f0fb3601b6177931c9bcb49dca502df8e40bc0515985d7f08128ddec962",
 }

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,11 +68,53 @@ def heavy_inputs(src, n, eps, seed):
     return root, moments, binomial_pmf(fit.n, fit.p)
 
 
+def exact_majority_runs(delta):
+    """Reference: the smallest R at which a member loses the vote
+    (P[Bin(R, 1/3) >= ceil(R/2)], a tie rejects) and a far source wins it
+    (P[Bin(R, 1/3) > R/2]) each with probability at most delta, scanning
+    every R and summing each tail in exact rationals."""
+
+    def tail(r, k):  # P[Bin(r, 1/3) >= k]
+        return Fraction(sum(math.comb(r, j) * 2 ** (r - j) for j in range(k, r + 1)), 3**r)
+
+    r = 1
+    while tail(r, -(-r // 2)) > Fraction(delta) or tail(r, r // 2 + 1) > Fraction(delta):
+        r += 1
+    return r
+
+
 class TestConfigValidation:
     def test_repetition_formula(self):
         cfg = TestConfig(eps=0.1, delta=0.1)
-        assert cfg.repetitions() == math.ceil(18.0 * math.log(10.0))
+        assert cfg.repetitions() == 15
         assert TestConfig(eps=0.1, delta=0.1, amplification_reps=3).repetitions() == 3
+
+    # delta: the exact-tail run count at base error 1/3.  7/27 is the tail at
+    # R = 3 and 1/3 the tail at R = 1, each rounded by its float.
+    EXACT_REPS = {
+        0.9: 1, 0.5: 1, 1 / 3: 3, 0.3: 3, 7 / 27: 5, 0.2: 7, 0.1: 15,
+        0.05: 23, 0.01: 47, 1e-3: 81, 1e-6: 193,
+    }
+
+    @pytest.mark.parametrize("delta", list(EXACT_REPS))
+    def test_repetitions_match_exact_tail_scan(self, delta):
+        expected = exact_majority_runs(delta)
+        assert expected == self.EXACT_REPS[delta]
+        assert TestConfig(eps=0.1, delta=delta).repetitions() == expected
+
+    def test_repetitions_nonincreasing_in_delta(self):
+        reps = [TestConfig(eps=0.1, delta=d).repetitions() for d in np.geomspace(1e-6, 0.99, 300)]
+        assert all(a >= b for a, b in zip(reps, reps[1:]))
+        assert reps[0] == 193 and reps[-1] == 1
+
+    @pytest.mark.parametrize("delta", [1e-6, 0.1, 0.9])
+    def test_explicit_repetitions_win(self, delta):
+        for reps in (1, 2, 22, 300):
+            assert TestConfig(eps=0.1, delta=delta, amplification_reps=reps).repetitions() == reps
+
+    def test_hoeffding_constant_is_gone(self):
+        with pytest.raises(TypeError, match="amplification_const"):
+            TestConfig(eps=0.1, delta=0.1, amplification_const=18.0)
 
     def test_truncated_log_reexport(self):
         assert pbdtest.truncated_log(0.5) == 1.0
@@ -576,8 +619,9 @@ class TestEarlyStoppedMajority:
     def test_verdict_and_runs_match_full_majority(self, name):
         src, heavy = self._sources()[name]
         for seed in range(50):
-            # Odd and even planned counts; None is ceil(B ln(1/delta)) = 22.
-            reps = (1, 2, 5, None)[seed % 4]
+            # Odd and even planned counts, 22 for votes that stay open over
+            # many runs; None is the exact-tail count at delta = 0.3, 3.
+            reps = (1, 2, 5, 22, None)[seed % 5]
             cfg = TestConfig(eps=self.EPS, delta=0.3, seed=seed, amplification_reps=reps)
             if heavy:
                 cfg = cfg.replace(var_threshold_const=1e-12)
