@@ -23,10 +23,8 @@ from .distributions import (
     tv_distance,
 )
 from .learner import (
-    BinomialHypothesis,
     LearnedPbd,
     MomentEstimates,
-    SparseHypothesis,
     estimate_mean_var,
     learn_pbd,
 )
@@ -40,7 +38,6 @@ from .lowerbound import (
 from .sampling import SampleHistogram, SampleStream, StreamExhausted
 from .tester import (
     Branch,
-    Closeness,
     TestVerdict,
     Verdict,
     heavy_case_test,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -36,7 +35,6 @@ from .tester import Verdict, l2_statistic, test_pbd
 
 __all__ = ["main"]
 
-_CONFIG_ENV = "PBDTEST_CONFIG"
 # Every TestConfig constant except the ones set by their own flags.
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TestConfig)} - {"eps", "delta", "seed"}
 
@@ -62,19 +60,16 @@ def _emit(obj: dict, out_path: str | None):
 
 
 def _load_config_overrides(path: str | None) -> dict:
-    overrides = {}
-    for candidate in (os.environ.get(_CONFIG_ENV), path):
-        if not candidate:
-            continue
-        with open(candidate) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {candidate} must hold a JSON object")
-        unknown = set(data) - _CONFIG_FIELDS
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        overrides.update(data)
-    return overrides
+    if not path:
+        return {}
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = set(data) - _CONFIG_FIELDS
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    return data
 
 
 def _read_samples(path: str) -> np.ndarray:
@@ -115,10 +110,11 @@ def _cmd_learn(args) -> int:
     config = TestConfig(eps=args.eps, delta=0.5, **_load_config_overrides(args.config))
     stream = _make_stream(args, args.seed)
     learned = learn_pbd(stream, args.n, args.eps, config)
-    if learned.is_sparse:
-        hyp_spec = distspec.explicit_spec(learned.hypothesis.dist)
+    if learned.binomial is None:
+        hyp_spec = distspec.explicit_spec(learned.dist)
     else:
-        hyp_spec = {"kind": "binomial", "n": learned.hypothesis.n, "p": learned.hypothesis.p}
+        trials, p = learned.binomial
+        hyp_spec = {"kind": "binomial", "n": trials, "p": p}
     artifact = {
         "schema": "pbdtest.hypothesis/1",
         "command": "learn",

@@ -107,17 +107,17 @@ def normalize_spec(obj: dict) -> dict:
     return {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": z}
 
 
-def realize(obj: dict, tail_cut: float = 1e-9) -> ExplicitDistribution:
-    """Turn a spec into an ExplicitDistribution (truncated families use tail_cut)."""
+def realize(obj: dict) -> ExplicitDistribution:
+    """Turn a spec into an ExplicitDistribution (pbd and tp drop at most 1e-9 mass)."""
     spec = normalize_spec(obj)
     kind = spec["kind"]
     if kind == "pbd":
-        return pbd_pmf(Pbd(np.array(spec["ps"])), tail_cut=min(tail_cut, 1e-6))
+        return pbd_pmf(Pbd(np.array(spec["ps"])), tail_cut=1e-9)
     if kind == "binomial":
         return binomial_pmf(spec["n"], spec["p"])
     if kind == "tp":
         return translated_poisson_pmf(
-            TranslatedPoissonParams(spec["mu"], spec["sigma2"]), tail_cut=min(tail_cut, 1e-6)
+            TranslatedPoissonParams(spec["mu"], spec["sigma2"]), tail_cut=1e-9
         )
     if kind == "explicit":
         return ExplicitDistribution(

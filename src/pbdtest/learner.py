@@ -1,10 +1,10 @@
 """Moment estimation and a proper-learning stage for Bernoulli-sum laws.
 
-``learn_pbd`` mirrors the interface of the cited Õ(1/eps^2) learner: it
-returns either a sparse explicit hypothesis on a short interval or a
-binomial fit, and when the source really is a Bernoulli sum the hypothesis
-is eps-close in TV with high frequency (checked by Monte Carlo, not
-guaranteed per call).
+``learn_pbd`` mirrors the interface of the cited Õ(1/eps^2) learner: its
+hypothesis is either a sparse explicit distribution on a short interval or
+a binomial fit, and when the source really is a Bernoulli sum the
+hypothesis is eps-close in TV with high frequency (checked by Monte Carlo,
+not guaranteed per call).  Either way it is handed on as one explicit PMF.
 
 The sparse hypothesis is the empirical distribution projected onto the
 unimodal cone.  Unimodality keeps the downstream membership test sound in
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -41,8 +40,6 @@ from .sampling import SampleStream
 
 __all__ = [
     "MomentEstimates",
-    "SparseHypothesis",
-    "BinomialHypothesis",
     "LearnedPbd",
     "estimate_mean_var",
     "fit_binomial_by_moments",
@@ -57,30 +54,23 @@ FIT_CHECK_MULT = 3.0  # binomial fit accepted, unimodality refused, at this many
 class MomentEstimates:
     mu_hat: float
     sigma2_hat: float
-    eps_prime: float
     samples_used: int
-
-
-@dataclass(frozen=True)
-class SparseHypothesis:
-    dist: ExplicitDistribution
-
-
-@dataclass(frozen=True)
-class BinomialHypothesis:
-    n: int
-    p: float
 
 
 @dataclass(frozen=True)
 class LearnedPbd:
-    """Learner output: a sparse explicit hypothesis or a binomial fit."""
+    """Learner output: the hypothesis as one explicit PMF.
 
-    hypothesis: SparseHypothesis | BinomialHypothesis
+    ``binomial`` is the (trials, p) of a binomial fit, whose PMF ``dist``
+    is built on the window missing at most ``config.tail_cut`` mass; it is
+    ``None`` for a sparse hypothesis, which ``dist`` holds as it is.
+    """
+
+    dist: ExplicitDistribution
+    binomial: tuple[int, float] | None
     samples_used: int
     mu_hat: float
     sigma2_hat: float
-    tail_cut: float = 0.0  # mass the binomial fit's PMF may drop off its ends
     # Sparse route only: the learning sample's unimodal certificate and the
     # limit above which the sample is certifiably not from a unimodal law.
     unimodal_lb: float | None = None
@@ -90,24 +80,12 @@ class LearnedPbd:
     def not_unimodal(self) -> bool:
         return self.unimodal_lb is not None and self.unimodal_lb > self.unimodal_lb_threshold
 
-    @property
-    def is_sparse(self) -> bool:
-        return isinstance(self.hypothesis, SparseHypothesis)
-
-    def to_explicit(self) -> ExplicitDistribution:
-        if self.is_sparse:
-            return self.hypothesis.dist
-        return self._binomial_pmf
-
-    @cached_property
-    def _binomial_pmf(self) -> ExplicitDistribution:
-        # Built once: the fit check and the tester's stage share it.
-        return binomial_pmf(self.hypothesis.n, self.hypothesis.p, tail_cut=self.tail_cut)
-
     def variance(self) -> float:
-        if self.is_sparse:
-            return self.hypothesis.dist.variance()
-        return self.hypothesis.n * self.hypothesis.p * (1.0 - self.hypothesis.p)
+        """The hypothesis variance; exact n p (1 - p) for a binomial fit."""
+        if self.binomial is None:
+            return self.dist.variance()
+        n, p = self.binomial
+        return n * p * (1.0 - p)
 
 
 def estimate_mean_var(
@@ -125,11 +103,11 @@ def estimate_mean_var(
     k = math.ceil(sample_const / eps_prime**2)
     hist = stream.draw_histogram(k)
     mu, var = hist.moments()
-    return MomentEstimates(mu, var, eps_prime, k)
+    return MomentEstimates(mu, var, k)
 
 
-def fit_binomial_by_moments(mu_hat: float, sigma2_hat: float, n: int) -> BinomialHypothesis:
-    """Method-of-moments binomial fit, clamped to a valid parameterization.
+def fit_binomial_by_moments(mu_hat: float, sigma2_hat: float, n: int) -> tuple[int, float]:
+    """Method-of-moments binomial fit (trials, p), clamped to a valid parameterization.
 
     After rounding and clamping the trial count, p is re-solved against it
     so the fitted mean tracks mu_hat exactly; a mean offset costs far more
@@ -139,13 +117,13 @@ def fit_binomial_by_moments(mu_hat: float, sigma2_hat: float, n: int) -> Binomia
         raise ValueError("n must be at least 1")
     if mu_hat <= 0.0 or n == 1:
         # One trial leaves nothing to fit: its p is the mean itself.
-        return BinomialHypothesis(1, min(max(0.0, mu_hat), 1.0))
+        return 1, min(max(0.0, mu_hat), 1.0)
     p = 1.0 - sigma2_hat / mu_hat
     p = min(max(p, 1.0 / n), 1.0 - 1.0 / n)
     n_fit = int(round(mu_hat / p))
     n_fit = min(max(n_fit, 1), n)
     p = min(max(mu_hat / n_fit, 0.0), 1.0)
-    return BinomialHypothesis(n_fit, p)
+    return n_fit, p
 
 
 def unimodal_projection(probs: np.ndarray) -> np.ndarray:
@@ -195,8 +173,10 @@ def learn_pbd(
     plug-in noise widths; ``not_unimodal`` is set when the certificate
     exceeds it.
 
-    A binomial fit's PMF is built on the window missing at most
-    ``config.tail_cut`` mass (see ``binomial_pmf``).
+    The result's ``dist`` is the hypothesis either way: a binomial fit's
+    PMF is built here, once, on the window missing at most
+    ``config.tail_cut`` mass (see ``binomial_pmf``), and ``binomial``
+    keeps its (trials, p).
 
     Always returns a well-formed hypothesis; distance guarantees are
     conditional on the source being a Bernoulli-sum law.  A stream that
@@ -213,24 +193,26 @@ def learn_pbd(
     if budget < 1:
         # Degenerate budget: fall back to the point mass at 0 so callers
         # never see a half-built hypothesis.
-        hyp = SparseHypothesis(ExplicitDistribution(0, np.array([1.0])))
-        return LearnedPbd(hyp, 0, 0.0, 0.0)
+        return LearnedPbd(ExplicitDistribution(0, np.array([1.0])), None, 0, 0.0, 0.0)
     hist = stream.draw_histogram(budget)
     mu_hat, sigma2_hat = hist.moments()
 
-    if sigma2_hat >= config.learn_sparse_threshold_const / eps**6:
+    def binomial_fit() -> LearnedPbd:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
-        return LearnedPbd(fit, budget, mu_hat, sigma2_hat, config.tail_cut)
+        dist = binomial_pmf(*fit, tail_cut=config.tail_cut)
+        return LearnedPbd(dist, fit, budget, mu_hat, sigma2_hat)
+
+    if sigma2_hat >= config.learn_sparse_threshold_const / eps**6:
+        return binomial_fit()
 
     emp = hist.to_empirical()
     # Plug-in width of E TV(empirical, source) ~ sum_i sqrt(p_i / (2 pi k)):
     # points never drawn add nothing, however far the histogram is padded.
     noise = 0.4 * float(np.sqrt(emp.probs).sum()) / math.sqrt(budget)
     if sigma2_hat >= 1.0:
-        fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
-        learned = LearnedPbd(fit, budget, mu_hat, sigma2_hat, config.tail_cut)
+        learned = binomial_fit()
         tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
-        if tv_distance(emp, learned.to_explicit()) <= tolerance:
+        if tv_distance(emp, learned.dist) <= tolerance:
             return learned
 
     lo, hi = effective_support_interval(emp, eps / 10.0)
@@ -239,11 +221,11 @@ def learn_pbd(
         lo, hi = _densest_window(emp, cap)
     window = emp.probs[lo - emp.lo : hi - emp.lo + 1]
     projected = unimodal_projection(window)
-    hyp = SparseHypothesis(ExplicitDistribution(lo, projected))
     # Every Bernoulli-sum law P is unimodal, so the certificate is at most
     # TV(empirical, P), which stays within a few noise widths.
     return LearnedPbd(
-        hyp,
+        ExplicitDistribution(lo, projected),
+        None,
         budget,
         mu_hat,
         sigma2_hat,

@@ -31,7 +31,6 @@ import numpy as np
 from .calibrated import TestConfig
 from .distributions import (
     PerturbedBinomial,
-    _isotonic_l1_prefix,  # re-exported with the certificate it builds
     _perturb_fair_binomial,
     binomial_pmf,
     construct_perturbed_binomial,

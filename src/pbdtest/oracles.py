@@ -5,7 +5,7 @@ checks: the Bernoulli-sum PMF enumerates outcome vectors instead of
 convolving, the statistic moments are simulated from raw per-symbol
 Poisson counts with their own accumulation, and the unimodal distance is
 a per-mode linear program rather than the l1 isotonic certificate of
-``lowerbound.unimodal_distance_lb``.
+``distributions.unimodal_distance_lb``.
 
 Caps are enforced so each oracle finishes in well under a minute.
 
@@ -532,9 +532,7 @@ def learning_calibration_report(
                 if member and learner_reads:
                     learn_root = SampleStream.from_distribution(source, seed, spawn_key=(1, j, i))
                     misses = sum(
-                        tv_distance(
-                            learn_pbd(learn_root.split(t), n, eps, cfg).to_explicit(), source
-                        )
+                        tv_distance(learn_pbd(learn_root.split(t), n, eps, cfg).dist, source)
                         > eps
                         for t in range(runs)
                     )

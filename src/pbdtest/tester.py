@@ -39,7 +39,6 @@ from .sampling import SampleHistogram, SampleStream, StreamExhausted
 __all__ = [
     "Verdict",
     "Branch",
-    "Closeness",
     "TestConfig",
     "TestVerdict",
     "simple_tolerant_identity_test",
@@ -59,11 +58,6 @@ class Verdict(str, Enum):
 class Branch(str, Enum):
     SPARSE = "sparse"
     HEAVY = "heavy"
-
-
-class Closeness(str, Enum):
-    CLOSE = "close"
-    FAR = "far"
 
 
 # Stage indices for stream splitting inside one base run.
@@ -96,13 +90,13 @@ def simple_tolerant_identity_test(
     hist: SampleHistogram,
     eps: float,
     sample_const: float,
-) -> tuple[Closeness, float]:
+) -> tuple[bool, float]:
     """Close iff the empirical distribution on q's support sits within 0.25 eps of q.
 
-    Samples outside q's support count on the overflow sentinel.  Returns the
-    outcome and the TV distance.  Distinguishes TV <= eps/10 from TV > 2 eps/5
-    with frequency >= 0.99 given ceil(sample_const * m / eps^2) samples on a
-    support of size m.
+    Samples outside q's support count on the overflow sentinel.  Returns
+    whether it is close and the TV distance.  Distinguishes TV <= eps/10
+    from TV > 2 eps/5 with frequency >= 0.99 given ceil(sample_const * m /
+    eps^2) samples on a support of size m.
 
     In ``run_budgeted_test`` q is learned at eps / D (D = 3 by default), so
     no argument puts a member within eps/10 of q; the rate in use is
@@ -115,7 +109,7 @@ def simple_tolerant_identity_test(
     if hist.total < required:
         raise ValueError(f"need at least {required} samples, got {hist.total}")
     tv = tv_distance(hist.to_empirical((q.lo, q.hi)), q)
-    return (Closeness.CLOSE if tv < 0.25 * eps else Closeness.FAR), tv
+    return tv < 0.25 * eps, tv
 
 
 def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
@@ -151,28 +145,28 @@ def heavy_case_test(
     config: TestConfig,
     moments: MomentEstimates,
     hypothesis: ExplicitDistribution,
-    diag: dict | None = None,
-) -> TestVerdict:
+    diag: dict,
+) -> Verdict:
     """Heavy-branch decision given moment estimates and the learned hypothesis.
 
     Rejects when the pivot sits far from the hypothesis or the variance
     estimate exceeds n/2; otherwise thresholds the Poissonized statistic.
     A tie at the threshold resolves to acceptance.  Diagnostics go into
     ``diag`` as they are known, so a caller whose stream runs out at the
-    Poissonized draw still holds the earlier ones.
+    Poissonized draw still holds the earlier ones.  The samples drawn are
+    counted by the stream, not returned.
     """
     eps = config.eps
-    diag = {} if diag is None else diag
     diag.update(
         mu_hat=moments.mu_hat, sigma2_hat=moments.sigma2_hat, moment_samples=moments.samples_used
     )
     if moments.sigma2_hat <= 0.0:
         diag["reason"] = "nonpositive variance estimate in heavy branch"
-        return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
+        return Verdict.NO_PBD
     if moments.sigma2_hat > n / 2.0:
         # No Bernoulli-sum law on [0, n] has variance beyond n/4.
         diag["reason"] = "variance above n/2"
-        return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
+        return Verdict.NO_PBD
     # Pivot and hypothesis are both explicit, so their TV costs no samples.
     # Each may drop up to tail_cut off its ends (the pivot here, a binomial
     # fit in the learner), which moves the TV by at most 2 tail_cut, far
@@ -184,7 +178,7 @@ def heavy_case_test(
     diag["d_tv_pivot_vs_hypothesis"] = d_tv
     if d_tv > eps / 2.0:
         diag["reason"] = "pivot far from hypothesis"
-        return TestVerdict(Verdict.NO_PBD, Branch.HEAVY, moments.samples_used, diag)
+        return Verdict.NO_PBD
     sigma_hat = math.sqrt(moments.sigma2_hat)
     k = math.ceil(config.l2_sample_rate(sigma_hat))
     diag["k_poissonized"] = k
@@ -192,8 +186,7 @@ def heavy_case_test(
     t_n = l2_statistic(hist, pivot)
     threshold = config.l2_threshold(sigma_hat)
     diag.update({"realized_count": hist.total, "t_n": t_n, "t_n_threshold": threshold})
-    verdict = Verdict.YES_PBD if t_n <= threshold else Verdict.NO_PBD
-    return TestVerdict(verdict, Branch.HEAVY, moments.samples_used + hist.total, diag)
+    return Verdict.YES_PBD if t_n <= threshold else Verdict.NO_PBD
 
 
 def _sparse_case(
@@ -206,10 +199,10 @@ def _sparse_case(
     diag["interval"] = [i_lo, i_hi]
     diag["tolerant_samples"] = k_tol
     hist = stream.draw_histogram(k_tol)
-    closeness, tv = simple_tolerant_identity_test(q, hist, eps, config.tolerant_sample_const)
+    close, tv = simple_tolerant_identity_test(q, hist, eps, config.tolerant_sample_const)
     diag["tv_empirical_vs_hypothesis"] = tv
-    diag["tolerant_outcome"] = closeness.value
-    return Verdict.YES_PBD if closeness is Closeness.CLOSE else Verdict.NO_PBD
+    diag["tolerant_outcome"] = "close" if close else "far"
+    return Verdict.YES_PBD if close else Verdict.NO_PBD
 
 
 def run_budgeted_test(
@@ -240,7 +233,7 @@ def run_budgeted_test(
     )
     hyp_var = learned.variance()
     diag: dict = {
-        "hypothesis_kind": "sparse" if learned.is_sparse else "binomial",
+        "hypothesis_kind": "sparse" if learned.binomial is None else "binomial",
         "hypothesis_variance": hyp_var,
         "variance_threshold": config.variance_threshold(),
         "learn_samples": learned.samples_used,
@@ -252,10 +245,9 @@ def run_budgeted_test(
     if learned.not_unimodal:
         diag["reason"] = "learning sample not unimodal"
         return TestVerdict(Verdict.NO_PBD, branch, stream.samples_drawn - start, diag)
-    hypothesis = learned.to_explicit()
     try:
         if branch is Branch.SPARSE:
-            verdict = _sparse_case(stream.split(_STAGE_TOLERANT), config, hypothesis, diag)
+            verdict = _sparse_case(stream.split(_STAGE_TOLERANT), config, learned.dist, diag)
         else:
             eps_prime = eps / max(n / 4.0, 1.0) ** 0.125
             moments = estimate_mean_var(
@@ -263,8 +255,9 @@ def run_budgeted_test(
                 min(eps_prime, 0.999),
                 sample_const=config.moment_sample_const,
             )
-            stage = heavy_case_test(stream.split(_STAGE_L2), n, config, moments, hypothesis, diag)
-            verdict = stage.verdict
+            verdict = heavy_case_test(
+                stream.split(_STAGE_L2), n, config, moments, learned.dist, diag
+            )
     except StreamExhausted:
         if sample_budget is None:
             raise

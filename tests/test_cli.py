@@ -120,22 +120,6 @@ class TestTestCommand:
         need = math.ceil(diagnostics["config"]["learn_sample_const"] * math.log(30.0) ** 2 * 900)
         assert only["diagnostics"]["learn_samples"] == need
 
-    def test_env_config_defaults(self, binomial_spec, tmp_path, capsys, monkeypatch):
-        env_cfg = tmp_path / "env.json"
-        env_cfg.write_text(json.dumps({"amplification_reps": 1, "tolerant_sample_const": 12.0}))
-        monkeypatch.setenv("PBDTEST_CONFIG", str(env_cfg))
-        out = tmp_path / "v.json"
-        run(
-            [
-                "test", "--spec", binomial_spec, "--n", "400", "--eps", "0.2",
-                "--delta", "0.3", "--seed", "7", "--out", str(out),
-            ]
-        )
-        capsys.readouterr()
-        artifact = json.loads(out.read_text())
-        assert artifact["diagnostics"]["repetitions"] == 1
-        assert artifact["diagnostics"]["config"]["tolerant_sample_const"] == 12.0
-
     def test_unknown_config_field_rejected(self, binomial_spec, tmp_path, capsys):
         # amplification_const, Hoeffding's deleted constant, may linger in old files.
         for field in ("not_a_field", "amplification_const"):
@@ -186,21 +170,6 @@ def test_bad_config_constant_exits_1(binomial_spec, tmp_path, capsys, command, f
     assert captured.err.startswith("pbdtest: error")
     assert (field or "must hold a JSON object") in captured.err
     assert captured.out == ""
-
-
-def test_non_object_env_config_exits_1(binomial_spec, tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "env.json"
-    cfg.write_text("3")
-    monkeypatch.setenv("PBDTEST_CONFIG", str(cfg))
-    code = run(
-        [
-            "test", "--spec", binomial_spec, "--n", "400", "--eps", "0.1", "--delta", "0.3",
-            "--seed", "7",
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == f"pbdtest: error: config file {cfg} must hold a JSON object\n"
 
 
 @pytest.mark.parametrize(

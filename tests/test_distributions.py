@@ -14,7 +14,6 @@ from pbdtest.distributions import (
     Pbd,
     PerturbedBinomial,
     TranslatedPoissonParams,
-    _isotonic_l1_prefix,
     binomial_pmf,
     effective_support_interval,
     ell1_distance,
@@ -455,11 +454,10 @@ class TestUnimodalCertificateForms:
     never above it (so never above the exact distance to the unimodal laws
     either) and equals it without zero runs."""
 
-    def test_lowerbound_reexports_the_moved_functions(self):
-        # tests/test_lowerbound.py checks these very objects against its loop
-        # references and hand values.
+    def test_lowerbound_reexports_the_certificate(self):
+        # tests/test_lowerbound.py checks this very object against its loop
+        # reference, and perfbench times it under the lowerbound name.
         assert lowerbound.unimodal_distance_lb is unimodal_distance_lb
-        assert lowerbound._isotonic_l1_prefix is _isotonic_l1_prefix
 
     @staticmethod
     def _with_zero_runs(rng, m):

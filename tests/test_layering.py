@@ -70,9 +70,9 @@ def test_public_names_resolve():
     assert missing == []
 
 
-# PMF builders whose ``tail_cut`` default (full support, or the realised
-# spec's truncation) is their own contract, not the test's constant.
-PMF_BUILDERS = {"pbd_pmf", "binomial_pmf", "translated_poisson_pmf", "realize"}
+# PMF builders whose ``tail_cut`` default (full support, or the shifted
+# Poisson's truncation) is their own contract, not the test's constant.
+PMF_BUILDERS = {"pbd_pmf", "binomial_pmf", "translated_poisson_pmf"}
 
 
 def test_constants_live_in_test_config():
@@ -155,7 +155,10 @@ def test_runtime_names_are_read():
 
 # Moved to ``oracles`` or deleted; the package root no longer exports them.
 REMOVED_FROM_ROOT = (
+    "BinomialHypothesis",
     "BoundReport",
+    "Closeness",
+    "SparseHypothesis",
     "ell2_sq_distance",
     "ell_inf_distance",
     "indicator_chernoff_bound",

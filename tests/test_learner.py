@@ -16,8 +16,6 @@ from pbdtest.distributions import (
     tv_distance,
 )
 from pbdtest.learner import (
-    BinomialHypothesis,
-    SparseHypothesis,
     estimate_mean_var,
     fit_binomial_by_moments,
     learn_pbd,
@@ -71,17 +69,17 @@ class TestEstimateMeanVar:
 
 class TestBinomialFit:
     def test_recovers_binomial_parameters(self):
-        fit = fit_binomial_by_moments(3000.0, 2100.0, 10_000)
-        assert fit.p == pytest.approx(0.3)
-        assert fit.n == 10_000
+        trials, p = fit_binomial_by_moments(3000.0, 2100.0, 10_000)
+        assert p == pytest.approx(0.3)
+        assert trials == 10_000
 
     def test_clamps(self):
-        fit = fit_binomial_by_moments(5000.0, 2.5e7, 10_000)
-        assert 1 <= fit.n <= 10_000 and 0.0 < fit.p < 1.0
+        trials, p = fit_binomial_by_moments(5000.0, 2.5e7, 10_000)
+        assert 1 <= trials <= 10_000 and 0.0 < p < 1.0
 
     @pytest.mark.parametrize("mu_hat, p", [(0.0, 0.0), (0.3, 0.3), (1.0, 1.0), (50.0, 1.0)])
     def test_one_trial_fits_the_mean(self, mu_hat, p):
-        assert fit_binomial_by_moments(mu_hat, 0.25, 1) == BinomialHypothesis(1, p)
+        assert fit_binomial_by_moments(mu_hat, 0.25, 1) == (1, p)
 
     def test_one_trial_run_completes(self):
         # The fit at n = 1 itself is checked above; a source on [0, 1]
@@ -112,8 +110,8 @@ class TestLearnPbd:
     def test_point_mass_source(self):
         d = ExplicitDistribution(0, np.array([1.0]))
         lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 10, 0.1, CFG)
-        assert isinstance(lr.hypothesis, SparseHypothesis)
-        d = lr.to_explicit()
+        assert lr.binomial is None
+        d = lr.dist
         assert (d.lo, d.probs[0]) == (0, 1.0)
 
     @pytest.mark.parametrize("eps", [0.01, 0.04, 0.1])
@@ -137,7 +135,7 @@ class TestLearnPbd:
         trials = 60
         for t in range(trials):
             lr = learn_pbd(SampleStream.from_distribution(src, seed=100 + t), 10_000, 0.1, CFG)
-            if isinstance(lr.hypothesis, BinomialHypothesis):
+            if lr.binomial is not None:
                 hits += 1
                 good_var += sigma2 / 4.0 <= lr.variance() <= 4.0 * sigma2
         assert hits >= 0.95 * trials
@@ -151,9 +149,7 @@ class TestLearnPbd:
         trials = 40
         for t in range(trials):
             lr = learn_pbd(SampleStream.from_distribution(src, seed=300 + t), 20, 0.1, CFG)
-            hits += isinstance(lr.hypothesis, SparseHypothesis) and (
-                tv_distance(lr.to_explicit(), src) < 0.1
-            )
+            hits += lr.binomial is None and tv_distance(lr.dist, src) < 0.1
         assert hits >= 0.95 * trials
 
     def test_pool_and_distribution_streams_learn_alike(self):
@@ -166,8 +162,8 @@ class TestLearnPbd:
             pool = SampleStream.from_distribution(src, seed=seed).draw(need)
             a = learn_pbd(SampleStream.from_distribution(src, seed=seed), 20, 0.1, CFG)
             b = learn_pbd(SampleStream.from_samples(pool), 20, 0.1, CFG)
-            assert a.is_sparse == b.is_sparse, seed
-            assert tv_distance(a.to_explicit(), b.to_explicit()) < 1e-12, seed
+            assert (a.binomial is None) == (b.binomial is None), seed
+            assert tv_distance(a.dist, b.dist) < 1e-12, seed
 
     def test_sparse_support_cap(self):
         # A wide far source must still respect the sparse support-length cap.
@@ -176,8 +172,8 @@ class TestLearnPbd:
         probs = np.ones(3 * cap)
         wide = ExplicitDistribution(0, probs / probs.sum())
         lr = learn_pbd(SampleStream.from_distribution(wide, seed=9), 3 * cap, eps, CFG)
-        if isinstance(lr.hypothesis, SparseHypothesis):
-            assert lr.to_explicit().support_len <= cap
+        if lr.binomial is None:
+            assert lr.dist.support_len <= cap
 
     def test_far_source_still_returns_wellformed(self):
         n = 2000
@@ -186,7 +182,7 @@ class TestLearnPbd:
         probs[n] = 0.5
         stream = SampleStream.from_distribution(ExplicitDistribution(0, probs), seed=4)
         lr = learn_pbd(stream, n, 0.1, CFG)
-        hyp = lr.to_explicit()
+        hyp = lr.dist
         assert hyp.total_mass == pytest.approx(1.0, abs=1e-9)
         # The hypothesis is unimodal or binomial, so it stays far from the
         # bimodal source; the membership test's soundness rests on this.
@@ -196,7 +192,7 @@ class TestLearnPbd:
         d = binomial_pmf(6, 0.5)
         lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 6, 0.1, CFG, max_samples=0)
         assert lr.samples_used == 0
-        d = lr.to_explicit()
+        d = lr.dist
         assert (d.lo, d.probs[0]) == (0, 1.0)
 
 
@@ -215,10 +211,27 @@ class TestBinomialFitWindow:
         src = binomial_pmf(n, 0.5)
         res = run_budgeted_test(SampleStream.from_distribution(src, seed=seed), n, cfg)
         (learned,) = learned_fits
-        assert isinstance(learned.hypothesis, BinomialHypothesis)
-        hyp = learned.to_explicit()
+        assert learned.binomial is not None
+        hyp = learned.dist
         assert hyp.support_len < 1000
         assert hyp.tail_slack <= cfg.tail_cut
         # The sparse stage's interval is the one the full support gives.
-        full = binomial_pmf(learned.hypothesis.n, learned.hypothesis.p)
+        full = binomial_pmf(*learned.binomial)
         assert res.diagnostics["interval"] == list(effective_support_interval(full, eps / 5.0))
+
+    def test_forced_binomial_route_builds_the_fit_at_tail_cut(self):
+        # A tiny sparse threshold sends every learning sample to the binomial
+        # fit; its PMF is the one binomial_pmf builds at the config's tail_cut.
+        cfg = TestConfig(eps=0.1, delta=0.1, learn_sparse_threshold_const=1e-12)
+        n = 200
+        stream = SampleStream.from_distribution(binomial_pmf(n, 0.3), seed=7)
+        learned = learn_pbd(stream, n, 0.1, cfg)
+        assert learned.binomial is not None
+        assert learned.unimodal_lb is None and not learned.not_unimodal
+        trials, p = learned.binomial
+        assert 1 <= trials <= n and 0.0 < p < 1.0
+        want = binomial_pmf(*learned.binomial, tail_cut=cfg.tail_cut)
+        assert learned.dist.lo == want.lo
+        assert learned.dist.probs.tobytes() == want.probs.tobytes()
+        assert learned.dist.tail_slack == want.tail_slack
+        assert learned.variance() == trials * p * (1.0 - p)

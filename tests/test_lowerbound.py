@@ -7,11 +7,15 @@ import pytest
 
 import pbdtest.distributions as distributions
 import pbdtest.lowerbound as lowerbound
-from pbdtest.distributions import ExplicitDistribution, _perturb_fair_binomial, binomial_pmf
+from pbdtest.distributions import (
+    ExplicitDistribution,
+    _isotonic_l1_prefix,
+    _perturb_fair_binomial,
+    binomial_pmf,
+)
 from pbdtest.lowerbound import (
     PerturbedBinomial,
     _center_window,
-    _isotonic_l1_prefix,
     chi2_indistinguishability_bound,
     construct_perturbed_binomial,
     detection_experiment,
