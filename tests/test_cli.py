@@ -120,6 +120,22 @@ class TestTestCommand:
         need = math.ceil(diagnostics["config"]["learn_sample_const"] * math.log(30.0) ** 2 * 900)
         assert only["diagnostics"]["learn_samples"] == need
 
+    def test_pbdtest_config_env_is_ignored(self, binomial_spec, tmp_path, capsys, monkeypatch):
+        # The variable no longer names a config file: a non-object file there changes nothing.
+        args = [
+            "test", "--spec", binomial_spec, "--n", "400", "--eps", "0.2",
+            "--delta", "0.3", "--seed", "7", "--out",
+        ]
+        plain = tmp_path / "plain.json"
+        assert run(args + [str(plain)]) == 0
+        env_cfg = tmp_path / "env.json"
+        env_cfg.write_text("3")
+        monkeypatch.setenv("PBDTEST_CONFIG", str(env_cfg))
+        with_env = tmp_path / "env_out.json"
+        assert run(args + [str(with_env)]) == 0
+        assert capsys.readouterr().err == ""
+        assert with_env.read_bytes() == plain.read_bytes()
+
     def test_unknown_config_field_rejected(self, binomial_spec, tmp_path, capsys):
         # amplification_const, Hoeffding's deleted constant, may linger in old files.
         for field in ("not_a_field", "amplification_const"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pbdtest import distspec
-from pbdtest.distributions import binomial_pmf, tv_distance
+from pbdtest.distributions import Pbd, binomial_pmf, pbd_pmf, tv_distance
 
 
 def canonical_json(spec: dict) -> str:
@@ -70,6 +70,15 @@ class TestRealize:
     def test_pbd(self):
         d = distspec.realize({"kind": "pbd", "ps": [0.5, 0.5]})
         np.testing.assert_allclose(d.probs, [0.25, 0.5, 0.25], atol=1e-15)
+
+    def test_pbd_realized_at_fixed_tail_cut(self):
+        ps = [0.02 * (i % 40) + 0.1 for i in range(200)]
+        d = distspec.realize({"kind": "pbd", "ps": ps})
+        ref = pbd_pmf(Pbd(np.array(ps)), tail_cut=1e-9)
+        assert (d.lo, d.overflow) == (ref.lo, ref.overflow)
+        np.testing.assert_array_equal(d.probs, ref.probs)
+        with pytest.raises(TypeError):
+            distspec.realize({"kind": "pbd", "ps": ps}, tail_cut=1e-6)
 
     def test_explicit_overflow(self):
         d = distspec.realize({"kind": "explicit", "lo": 0, "probs": [0.9], "overflow": 0.1})
