@@ -159,7 +159,7 @@ def _cmd_stat(args) -> int:
         "samples": int(xs.size),
         "rate": rate,
         "t_n": l2_statistic(hist, q),
-        "tv_empirical_vs_spec": tv_distance(hist.to_empirical((q.lo, q.hi)), q),
+        "tv_empirical_vs_spec": tv_distance(hist.to_empirical(), q),
     }
     _emit(artifact, args.out)
     return 0

@@ -63,11 +63,6 @@ _PBD_BLOCK = 64
 class ExplicitDistribution:
     """A PMF on the contiguous integer interval ``[lo, lo + len(probs) - 1]``.
 
-    ``overflow`` is mass sitting on a single sentinel point outside the
-    interval (think of it as index ``lo - 1``); ``restrict`` parks everything
-    a restricted test ignores there.  The sentinel is the *same* abstract
-    point for every distribution, so distances compare overflow to overflow.
-
     ``tail_slack`` is mass that a truncated construction dropped outright.
     It is reported, never folded back into the endpoints, and callers that
     care about exactness must budget for it.
@@ -75,7 +70,6 @@ class ExplicitDistribution:
 
     lo: int
     probs: np.ndarray
-    overflow: float = 0.0
     tail_slack: float = 0.0
 
     def __post_init__(self):
@@ -87,9 +81,9 @@ class ExplicitDistribution:
         probs = np.maximum(probs, 0.0)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "lo", int(self.lo))
-        if self.overflow < 0 or self.tail_slack < 0:
-            raise ValueError("overflow and tail_slack must be nonnegative")
-        total = float(probs.sum()) + self.overflow
+        if self.tail_slack < 0:
+            raise ValueError("tail_slack must be nonnegative")
+        total = float(probs.sum())
         if not (1.0 - self.tail_slack - MASS_TOL <= total <= 1.0 + MASS_TOL):
             raise ValueError(
                 f"total mass {total} outside [1 - {self.tail_slack} - {MASS_TOL}, 1 + {MASS_TOL}]"
@@ -103,31 +97,7 @@ class ExplicitDistribution:
     def support_len(self) -> int:
         return len(self.probs)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.probs.sum()) + self.overflow
-
-    def restrict(self, lo: int, hi: int) -> "ExplicitDistribution":
-        """This PMF on [lo, hi]; the mass outside moves to the overflow sentinel.
-
-        Truncated mass (``tail_slack``) stays dropped and is carried over.
-        """
-        a = max(lo, self.lo)
-        b = min(hi, self.hi)
-        probs = np.zeros(hi - lo + 1)
-        inside = 0.0
-        if b >= a:
-            seg = self.probs[a - self.lo : b - self.lo + 1]
-            probs[a - lo : b - lo + 1] = seg
-            inside = float(seg.sum())
-        out = max(0.0, 1.0 - self.tail_slack - inside - self.overflow)
-        return ExplicitDistribution(
-            lo, probs, overflow=self.overflow + out, tail_slack=self.tail_slack
-        )
-
     def variance(self) -> float:
-        if self.overflow > MASS_TOL:
-            raise ValueError("moments undefined with sentinel mass present")
         xs = self.lo + np.arange(len(self.probs))
         total = float(self.probs.sum())
         mu = float((xs * self.probs).sum() / total)
@@ -334,23 +304,23 @@ def translated_poisson_pmf(
     return ExplicitDistribution(tp.shift + z_lo, probs, tail_slack=slack)
 
 
-def _aligned(p: ExplicitDistribution, q: ExplicitDistribution) -> tuple[np.ndarray, np.ndarray]:
-    lo = min(p.lo, q.lo)
-    hi = max(p.hi, q.hi)
-    width = hi - lo + 1
-    if width > _MAX_ALIGN_WIDTH:
-        raise ValueError(f"union support of width {width} is too large to align")
-    a = np.zeros(width)
-    b = np.zeros(width)
-    a[p.lo - lo : p.lo - lo + len(p.probs)] = p.probs
-    b[q.lo - lo : q.lo - lo + len(q.probs)] = q.probs
-    return a, b
+def _on_interval(values: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
+    """``values``, whose first entry sits at ``lo``, placed on [a, b] with zero padding."""
+    out = np.zeros(b - a + 1, dtype=values.dtype)
+    start, end = max(a, lo), min(b, lo + len(values) - 1)
+    if start <= end:
+        out[start - a : end - a + 1] = values[start - lo : end - lo + 1]
+    return out
 
 
 def ell1_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
-    """Unhalved sum of absolute differences, sentinel compared to sentinel."""
-    a, b = _aligned(p, q)
-    return float(np.abs(a - b).sum()) + abs(p.overflow - q.overflow)
+    """Unhalved sum of absolute differences over the union of the supports."""
+    lo, hi = min(p.lo, q.lo), max(p.hi, q.hi)
+    if hi - lo + 1 > _MAX_ALIGN_WIDTH:
+        raise ValueError(f"union support of width {hi - lo + 1} is too large to align")
+    a = _on_interval(p.probs, p.lo, lo, hi)
+    b = _on_interval(q.probs, q.lo, lo, hi)
+    return float(np.abs(a - b).sum())
 
 
 def tv_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
@@ -362,7 +332,8 @@ def effective_support_interval(p: ExplicitDistribution, eps: float) -> tuple[int
     """Smallest contiguous interval holding at least ``1 - eps`` mass.
 
     Ties go to the smallest left endpoint.  Raises when no interval can
-    reach the target (e.g. too much sentinel mass).
+    reach the target, as when ``tail_slack`` leaves less than ``1 - eps``
+    on the support.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")

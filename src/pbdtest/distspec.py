@@ -5,11 +5,12 @@ A spec is a plain dict with a ``kind`` field::
     {"kind": "pbd", "ps": [0.1, 0.5, ...]}
     {"kind": "binomial", "n": 100, "p": 0.5}
     {"kind": "tp", "mu": 12.5, "sigma2": 9.0}
-    {"kind": "explicit", "lo": 0, "probs": [...], "overflow": 0.0}
+    {"kind": "explicit", "lo": 0, "probs": [...]}
     {"kind": "perturbed_binomial", "n": 8, "c": 1.0, "eps": 0.2, "z": [1, -1, ...]}
 
-``normalize_spec`` validates and returns a canonical copy; ``realize``
-turns a spec into an ExplicitDistribution.
+Each kind takes exactly the fields shown (an explicit spec's ``lo``
+defaults to 0).  ``normalize_spec`` validates and returns a canonical
+copy; ``realize`` turns a spec into an ExplicitDistribution.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from .distributions import (
 
 __all__ = ["KINDS", "normalize_spec", "realize", "explicit_spec"]
 
-KINDS = ("pbd", "binomial", "tp", "explicit", "perturbed_binomial")
+# The fields each kind takes besides ``kind``.
+_FIELDS = {
+    "pbd": ("ps",),
+    "binomial": ("n", "p"),
+    "tp": ("mu", "sigma2"),
+    "explicit": ("lo", "probs"),
+    "perturbed_binomial": ("n", "c", "eps", "z"),
+}
+KINDS = tuple(_FIELDS)
 
 
 def _required(obj: dict, name: str):
@@ -68,14 +77,17 @@ def _list_field(obj: dict, name: str, integer: bool = False) -> list:
 def normalize_spec(obj: dict) -> dict:
     """Validate a spec dict and return a canonical copy (plain python types).
 
-    A missing field, or one of the wrong JSON type, raises ``ValueError``
-    naming the field.
+    A missing field, one of the wrong JSON type, or one the kind does not
+    define raises ``ValueError`` naming the field.
     """
     if not isinstance(obj, dict):
         raise ValueError("distribution spec must be a JSON object")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
+    stray = [name for name in obj if name != "kind" and name not in _FIELDS[kind]]
+    if stray:
+        raise ValueError(f"{kind} spec has unknown field(s) {', '.join(map(repr, stray))}")
     if kind == "pbd":
         ps = _list_field(obj, "ps")
         Pbd(np.array(ps))
@@ -92,12 +104,8 @@ def normalize_spec(obj: dict) -> dict:
     if kind == "explicit":
         lo = _field(obj, "lo", integer=True, default=0)
         probs = _list_field(obj, "probs")
-        overflow = _field(obj, "overflow", default=0.0)
-        ExplicitDistribution(lo, np.array(probs), overflow=overflow)
-        out = {"kind": "explicit", "lo": lo, "probs": probs}
-        if overflow:
-            out["overflow"] = overflow
-        return out
+        ExplicitDistribution(lo, np.array(probs))
+        return {"kind": "explicit", "lo": lo, "probs": probs}
     # perturbed_binomial
     n = _field(obj, "n", integer=True)
     z = _list_field(obj, "z", integer=True)
@@ -120,9 +128,7 @@ def realize(obj: dict) -> ExplicitDistribution:
             TranslatedPoissonParams(spec["mu"], spec["sigma2"]), tail_cut=1e-9
         )
     if kind == "explicit":
-        return ExplicitDistribution(
-            spec["lo"], np.array(spec["probs"]), overflow=spec.get("overflow", 0.0)
-        )
+        return ExplicitDistribution(spec["lo"], np.array(spec["probs"]))
     pb = PerturbedBinomial(
         spec["n"], spec["c"], spec["eps"], np.array(spec["z"], dtype=np.int8)
     )
@@ -131,9 +137,5 @@ def realize(obj: dict) -> ExplicitDistribution:
 
 def explicit_spec(dist: ExplicitDistribution) -> dict:
     """Spec dict for an explicit distribution (drops tail_slack; it is mass, not shape)."""
-    total = dist.total_mass
-    probs = (dist.probs / total).tolist()
-    out = {"kind": "explicit", "lo": dist.lo, "probs": probs}
-    if dist.overflow:
-        out["overflow"] = dist.overflow / total
-    return out
+    probs = (dist.probs / dist.probs.sum()).tolist()
+    return {"kind": "explicit", "lo": dist.lo, "probs": probs}

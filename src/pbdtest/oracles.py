@@ -146,8 +146,7 @@ def exact_tv_to_pbd_class(p: ExplicitDistribution, n: int, grid_step: float) -> 
     target[p.lo - lo : p.lo - lo + p.support_len] = p.probs
     cand = np.zeros((len(pmfs), hi - lo + 1))
     cand[:, -lo : -lo + n + 1] = pmfs
-    tvs = 0.5 * (np.abs(cand - target).sum(axis=1) + p.overflow)
-    return float(tvs.min())
+    return float(0.5 * np.abs(cand - target).sum(axis=1).min())
 
 
 def exact_tv_to_unimodal(p: ExplicitDistribution, tol: float = 1e-9) -> float:
@@ -202,8 +201,7 @@ def exact_tv_to_unimodal(p: ExplicitDistribution, tol: float = 1e-9) -> float:
         if not res.success:
             raise RuntimeError(f"unimodal projection LP failed at mode {mode}: {res.message}")
         best = min(best, res.fun)
-    # Sentinel mass cannot be matched by a unimodal law on the interval.
-    return float(best + 0.5 * p.overflow if best != math.inf else 0.5 * p.overflow)
+    return float(best)
 
 
 def _union_lambdas(
@@ -219,15 +217,15 @@ def _union_lambdas(
 
 
 def ell2_sq_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
-    """Squared l2 distance, sentinel compared to sentinel."""
+    """Squared l2 distance over the union of the supports."""
     a, b = _union_lambdas(p, q, 1.0)
-    return float(((a - b) ** 2).sum()) + (p.overflow - q.overflow) ** 2
+    return float(((a - b) ** 2).sum())
 
 
 def ell_inf_distance(p: ExplicitDistribution, q: ExplicitDistribution) -> float:
-    """Largest pointwise gap, sentinel compared to sentinel."""
+    """Largest pointwise gap over the union of the supports."""
     a, b = _union_lambdas(p, q, 1.0)
-    return max(float(np.abs(a - b).max()), abs(p.overflow - q.overflow))
+    return float(np.abs(a - b).max())
 
 
 def tp_approx_bounds(pbd: Pbd, q_max: float | None = None) -> tuple[float, float, float]:
@@ -334,10 +332,7 @@ def paired_perturbation(
     p[0 : 2 * len(deltas) : 2] += deltas
     p[1 : 2 * len(deltas) + 1 : 2] -= deltas
     ell2_sq = float(2.0 * (deltas**2).sum())
-    return (
-        ExplicitDistribution(base.lo, p, overflow=base.overflow, tail_slack=base.tail_slack),
-        ell2_sq,
-    )
+    return ExplicitDistribution(base.lo, p, tail_slack=base.tail_slack), ell2_sq
 
 
 def calibration_report(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ExplicitDistribution, MASS_TOL
+from .distributions import ExplicitDistribution
 
 __all__ = [
     "StreamExhausted",
@@ -96,27 +96,12 @@ class SampleHistogram:
         var = float((self.counts * (xs - mu) ** 2).sum() / (k - 1))
         return mu, var
 
-    def to_empirical(self, support: tuple[int, int] | None = None) -> ExplicitDistribution:
-        """Empirical PMF on ``support`` (default: the observed range).
-
-        Samples outside ``support`` go to the overflow sentinel, as a
-        restricted test treats out-of-interval mass.
-        """
+    def to_empirical(self) -> ExplicitDistribution:
+        """Empirical PMF on the histogram's range [lo, hi]."""
         k = self.total
         if k == 0:
             raise ValueError("cannot form an empirical distribution from zero samples")
-        lo, hi = (self.lo, self.hi) if support is None else support
-        if hi < lo:
-            raise ValueError("support interval is empty")
-        probs = np.zeros(hi - lo + 1)
-        a = max(lo, self.lo)
-        b = min(hi, self.hi)
-        inside = 0
-        if b >= a:
-            seg = self.counts[a - self.lo : b - self.lo + 1]
-            probs[a - lo : b - lo + 1] = seg / k
-            inside = int(seg.sum())
-        return ExplicitDistribution(lo, probs, overflow=(k - inside) / k)
+        return ExplicitDistribution(self.lo, self.counts / k)
 
 
 class SampleStream:
@@ -138,8 +123,6 @@ class SampleStream:
     def from_distribution(
         cls, dist: ExplicitDistribution, seed: int, spawn_key: tuple[int, ...] = ()
     ) -> "SampleStream":
-        if dist.overflow > MASS_TOL:
-            raise ValueError("cannot sample a distribution with sentinel mass")
         mass = np.flatnonzero(dist.probs)
         if mass.size == 0:
             raise ValueError("distribution has no mass to sample")

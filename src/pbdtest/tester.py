@@ -29,6 +29,7 @@ from .calibrated import TestConfig
 from .distributions import (
     ExplicitDistribution,
     TranslatedPoissonParams,
+    _on_interval,
     effective_support_interval,
     translated_poisson_pmf,
     tv_distance,
@@ -87,16 +88,19 @@ class TestVerdict:
 
 def simple_tolerant_identity_test(
     q: ExplicitDistribution,
+    interval: tuple[int, int],
     hist: SampleHistogram,
     eps: float,
     sample_const: float,
 ) -> tuple[bool, float]:
-    """Close iff the empirical distribution on q's support sits within 0.25 eps of q.
+    """Close iff the empirical law, coarsened to ``interval``, sits within 0.25 eps of q's.
 
-    Samples outside q's support count on the overflow sentinel.  Returns
-    whether it is close and the TV distance.  Distinguishes TV <= eps/10
-    from TV > 2 eps/5 with frequency >= 0.99 given ceil(sample_const * m /
-    eps^2) samples on a support of size m.
+    Coarsening keeps the m points of ``interval`` and lumps everything
+    outside it into one point: q's outside mass is ``1 - tail_slack`` less
+    its mass inside, the empirical's the share of samples outside.  Returns
+    whether it is close and the TV distance between the two (m + 1)-point
+    laws.  Distinguishes TV <= eps/10 from TV > 2 eps/5 with frequency
+    >= 0.99 given ceil(sample_const * m / eps^2) samples.
 
     In ``run_budgeted_test`` q is learned at eps / D (D = 3 by default), so
     no argument puts a member within eps/10 of q; the rate in use is
@@ -105,10 +109,18 @@ def simple_tolerant_identity_test(
     branch rejected no member at eps = 0.1 and one run in 200 of the
     0.05/0.95 coins at eps = 0.05.
     """
-    required = math.ceil(sample_const * q.support_len / eps**2)
-    if hist.total < required:
-        raise ValueError(f"need at least {required} samples, got {hist.total}")
-    tv = tv_distance(hist.to_empirical((q.lo, q.hi)), q)
+    a, b = interval
+    if b < a:
+        raise ValueError(f"interval [{a}, {b}] is empty")
+    required = math.ceil(sample_const * (b - a + 1) / eps**2)
+    k = hist.total
+    if k < required:
+        raise ValueError(f"need at least {required} samples, got {k}")
+    q_in = _on_interval(q.probs, q.lo, a, b)
+    counts_in = _on_interval(hist.counts, hist.lo, a, b)
+    q_out = max(0.0, 1.0 - q.tail_slack - float(q_in.sum()))
+    emp_out = (k - int(counts_in.sum())) / k
+    tv = 0.5 * (float(np.abs(counts_in / k - q_in).sum()) + abs(emp_out - q_out))
     return tv < 0.25 * eps, tv
 
 
@@ -124,11 +136,8 @@ def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k:
     counts = np.ascontiguousarray(counts, dtype=np.float64)
     u_lo = min(lo, q.lo)
     u_hi = max(lo + len(counts) - 1, q.hi)
-    width = u_hi - u_lo + 1
-    c = np.zeros(width)
-    c[lo - u_lo : lo - u_lo + len(counts)] = counts
-    lam_p = np.zeros(width)
-    lam_p[q.lo - u_lo : q.lo - u_lo + q.support_len] = k * q.probs
+    c = _on_interval(counts, lo, u_lo, u_hi)
+    lam_p = k * _on_interval(q.probs, q.lo, u_lo, u_hi)
     return float((((c - lam_p) ** 2) - c).sum() / (k * k))
 
 
@@ -194,12 +203,13 @@ def _sparse_case(
 ) -> Verdict:
     eps = config.eps
     i_lo, i_hi = effective_support_interval(hypothesis, eps / 5.0)
-    q = hypothesis.restrict(i_lo, i_hi)
-    k_tol = math.ceil(config.tolerant_sample_const * q.support_len / eps**2)
+    k_tol = math.ceil(config.tolerant_sample_const * (i_hi - i_lo + 1) / eps**2)
     diag["interval"] = [i_lo, i_hi]
     diag["tolerant_samples"] = k_tol
     hist = stream.draw_histogram(k_tol)
-    close, tv = simple_tolerant_identity_test(q, hist, eps, config.tolerant_sample_const)
+    close, tv = simple_tolerant_identity_test(
+        hypothesis, (i_lo, i_hi), hist, eps, config.tolerant_sample_const
+    )
     diag["tv_empirical_vs_hypothesis"] = tv
     diag["tolerant_outcome"] = "close" if close else "far"
     return Verdict.YES_PBD if close else Verdict.NO_PBD

@@ -194,6 +194,7 @@ def test_bad_config_constant_exits_1(binomial_spec, tmp_path, capsys, command, f
         ({"kind": "binomial", "n": 10}, "p"),
         ({"kind": "tp", "mu": 5}, "sigma2"),
         ({"kind": "pbd", "ps": 5}, "ps"),
+        ({"kind": "explicit", "probs": [0.5, 0.5], "overflow": 0.0}, "overflow"),
     ],
 )
 def test_malformed_spec_exits_1(tmp_path, capsys, spec, field):
@@ -217,13 +218,11 @@ def test_malformed_spec_exits_1(tmp_path, capsys, spec, field):
     [
         ({"kind": "binomial", "n": 100, "p": 0.5}, "outside [0, 10]"),
         ({"kind": "explicit", "lo": -3, "probs": [0.25, 0.25, 0.25, 0.25]}, "outside [0, 10]"),
-        ({"kind": "explicit", "probs": [0.0], "overflow": 1.0}, "sentinel mass"),
         ("3\n11\n4\n", "outside [0, 10]"),
         ("3\n-1\n4\n", "nonnegative"),
     ],
     ids=[
-        "binomial-above-n", "explicit-below-0", "all-sentinel", "sample-above-n",
-        "sample-below-0",
+        "binomial-above-n", "explicit-below-0", "sample-above-n", "sample-below-0",
     ],
 )
 def test_source_outside_support_exits_1(tmp_path, capsys, command, source, message):
@@ -282,6 +281,17 @@ class TestStatCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["samples"] == 5000
         assert report["tv_empirical_vs_spec"] < 0.2
+
+    def test_samples_off_the_spec_support_count_in_full(self, tmp_path, capsys):
+        spec = tmp_path / "coin.json"
+        spec.write_text(json.dumps({"kind": "explicit", "probs": [0.5, 0.5]}))
+        samples = tmp_path / "samples.txt"
+        samples.write_text("0\n1\n9\n")
+        code = run(["stat", "--spec", str(spec), "--samples", str(samples), "--seed", "0"])
+        assert code == 0
+        # 1/6 short at each of 0 and 1, and 1/3 at 9 where the spec has none.
+        report = json.loads(capsys.readouterr().out)
+        assert report["tv_empirical_vs_spec"] == pytest.approx(1 / 3, abs=1e-15)
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
     def test_bad_rate_exits_1(self, binomial_spec, tmp_path, capsys, rate):

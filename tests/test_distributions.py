@@ -39,18 +39,11 @@ class TestExplicitDistribution:
 
     def test_tail_slack_widens_total_window(self):
         d = ExplicitDistribution(0, np.array([0.5, 0.4999999]), tail_slack=1e-6)
-        assert d.total_mass < 1.0
+        assert d.probs.sum() < 1.0
 
-    def test_overflow_counts_toward_total(self):
-        d = ExplicitDistribution(3, np.array([0.7]), overflow=0.3)
-        assert (d.lo, d.hi) == (3, 3)  # the sentinel is not an ordinary point
-        assert d.probs[3 - d.lo] == 0.7
-        assert d.total_mass == pytest.approx(1.0)
-
-    def test_moments_refuse_sentinel_mass(self):
-        d = ExplicitDistribution(0, np.array([0.7]), overflow=0.3)
-        with pytest.raises(ValueError, match="sentinel"):
-            d.variance()
+    def test_overflow_field_is_gone(self):
+        with pytest.raises(TypeError, match="overflow"):
+            ExplicitDistribution(0, np.array([1.0]), overflow=0.0)
 
 
 class TestPbdPmf:
@@ -281,7 +274,7 @@ class TestWindowedBinomialPmf:
     def test_degenerate_p_is_a_point_mass_inside_the_window(self, p):
         d = binomial_pmf(10_000, p, tail_cut=1e-9)
         assert d.probs[int(p * 10_000) - d.lo] == 1.0
-        assert d.total_mass == 1.0 and d.tail_slack == 0.0
+        assert d.probs.sum() == 1.0 and d.tail_slack == 0.0
 
     @pytest.mark.parametrize("tail_cut", [-1e-12, 2e-6])
     def test_tail_cut_out_of_range_rejected(self, tail_cut):
@@ -408,18 +401,18 @@ class TestEffectiveSupport:
             m = int(rng.integers(1, 60))
             has_mass = rng.random(m) < rng.uniform(0.1, 0.9)  # runs of zeros
             has_mass[int(rng.integers(m))] = True
-            overflow = [0.0, 0.125, 0.25][trial % 3]
+            slack = [0.0, 0.125, 0.25][trial % 3]
             if trial % 2:
                 # Masses and eps in 1/64ths: every window sum is exact, so
                 # windows of equal mass tie exactly.
-                units = rng.multinomial(64 - int(64 * overflow), has_mass / has_mass.sum())
+                units = rng.multinomial(64 - int(64 * slack), has_mass / has_mass.sum())
                 probs = units / 64.0
                 eps = int(rng.integers(1, 40)) / 64.0
             else:
                 probs = np.where(has_mass, rng.random(m), 0.0)
-                probs *= (1.0 - overflow) / probs.sum()
+                probs *= (1.0 - slack) / probs.sum()
                 eps = float(rng.uniform(0.02, 0.6))
-            d = ExplicitDistribution(int(rng.integers(-5, 5)), probs, overflow=overflow)
+            d = ExplicitDistribution(int(rng.integers(-5, 5)), probs, tail_slack=slack)
             expected = self._search_every_start(d, eps)
             if expected is None:
                 with pytest.raises(ValueError, match="interval"):
@@ -433,7 +426,7 @@ class TestEffectiveSupport:
             assert hi - lo + 1 <= 8.0 * math.sqrt(n * math.log(2.0 / eps))
 
     def test_unreachable_mass_raises(self):
-        d = ExplicitDistribution(0, np.array([0.5]), overflow=0.5)
+        d = ExplicitDistribution(0, np.array([0.5]), tail_slack=0.5)
         with pytest.raises(ValueError, match="interval"):
             effective_support_interval(d, 0.1)
 

@@ -43,6 +43,16 @@ class TestNormalize:
             ({"kind": "perturbed_binomial", "n": 4, "eps": 0.5, "z": [1, -1]}, "c"),
             ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [300, -1]}, "z"),
             ({"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [0, -1]}, "z"),
+            # A field the kind does not define.
+            ({"kind": "pbd", "ps": [0.5], "n": 1}, "n"),
+            ({"kind": "binomial", "n": 10, "p": 0.5, "P": 0.9}, "P"),
+            ({"kind": "tp", "mu": 5.0, "sigma2": 4.0, "lo": 0}, "lo"),
+            ({"kind": "explicit", "Lo": 5, "probs": [1.0]}, "Lo"),
+            (
+                {"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [1, -1],
+                 "p": 0.5},
+                "p",
+            ),
         ],
     )
     def test_missing_or_mistyped_field_named(self, spec, field):
@@ -75,14 +85,10 @@ class TestRealize:
         ps = [0.02 * (i % 40) + 0.1 for i in range(200)]
         d = distspec.realize({"kind": "pbd", "ps": ps})
         ref = pbd_pmf(Pbd(np.array(ps)), tail_cut=1e-9)
-        assert (d.lo, d.overflow) == (ref.lo, ref.overflow)
+        assert (d.lo, d.tail_slack) == (ref.lo, ref.tail_slack)
         np.testing.assert_array_equal(d.probs, ref.probs)
         with pytest.raises(TypeError):
             distspec.realize({"kind": "pbd", "ps": ps}, tail_cut=1e-6)
-
-    def test_explicit_overflow(self):
-        d = distspec.realize({"kind": "explicit", "lo": 0, "probs": [0.9], "overflow": 0.1})
-        assert d.overflow == pytest.approx(0.1)
 
     def test_perturbed(self):
         d = distspec.realize(

@@ -238,12 +238,6 @@ class TestDistances:
         direct = float(((a.probs - b.probs) ** 2).sum())
         assert ell2_sq_distance(a, b) == pytest.approx(direct, rel=1e-12)
 
-    def test_sentinels_are_compared(self):
-        a = ExplicitDistribution(0, np.array([0.5]), overflow=0.5)
-        b = ExplicitDistribution(0, np.array([0.9]), overflow=0.1)
-        assert ell2_sq_distance(a, b) == pytest.approx(2 * 0.4**2)
-        assert ell_inf_distance(a, b) == pytest.approx(0.4)
-
     def test_shifted_supports_match_pointwise_oracle(self):
         rng = np.random.Generator(np.random.Philox(23))
         p = rng.random(8)

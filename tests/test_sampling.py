@@ -73,11 +73,6 @@ class TestDrawBasics:
         s.draw_histogram(20)
         assert s.samples_drawn == 30
 
-    def test_cannot_sample_sentinel_mass(self):
-        d = ExplicitDistribution(0, np.array([0.5]), overflow=0.5)
-        with pytest.raises(ValueError, match="sentinel"):
-            SampleStream.from_distribution(d, seed=0)
-
 
 class TestSamplerFidelity:
     @pytest.mark.parametrize("n, p, seed", [(100, 0.5, 1234), (30, 0.3, 77)])
@@ -318,16 +313,12 @@ class TestHistogram:
 
 class TestEmpiricalDistribution:
     def test_small_example(self):
-        emp = hist_of([0, 0, 1]).to_empirical(support=(0, 1))
+        emp = hist_of([0, 0, 1]).to_empirical()
         np.testing.assert_allclose(emp.probs, [2 / 3, 1 / 3])
 
     def test_constant_samples(self):
         emp = hist_of([5, 5, 5]).to_empirical()
         assert emp.lo == 5 and emp.probs[0] == 1.0
-
-    def test_out_of_support_goes_to_sentinel(self):
-        emp = hist_of([0, 1, 9]).to_empirical(support=(0, 1))
-        assert emp.overflow == pytest.approx(1 / 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="zero samples"):

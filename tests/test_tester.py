@@ -148,14 +148,77 @@ class TestSimpleTolerantIdentityTest:
     def test_exact_match_is_close(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         hist = SampleHistogram(0, np.array([500, 500]), nominal_rate=1000.0)
-        close, tv = simple_tolerant_identity_test(q, hist, 0.2, A_TOL)
+        close, tv = simple_tolerant_identity_test(q, (q.lo, q.hi), hist, 0.2, A_TOL)
         assert close is True
         assert tv == 0.0
 
     def test_sample_count_enforced(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
+        hist = SampleHistogram(0, np.array([2, 1]), 3.0)
         with pytest.raises(ValueError, match="samples"):
-            simple_tolerant_identity_test(q, SampleHistogram(0, np.array([2, 1]), 3.0), 0.2, A_TOL)
+            simple_tolerant_identity_test(q, (q.lo, q.hi), hist, 0.2, A_TOL)
+
+    def test_sample_count_uses_the_interval_length(self):
+        q = binomial_pmf(100, 0.5)
+        eps, const = 0.5, 0.25
+        interval = (45, 54)  # 10 of q's 101 points
+        need = math.ceil(const * 10 / eps**2)
+        assert need < math.ceil(const * q.support_len / eps**2)
+        enough = SampleHistogram(50, np.array([need]), nominal_rate=float(need))
+        simple_tolerant_identity_test(q, interval, enough, eps, const)
+        short = SampleHistogram(50, np.array([need - 1]), nominal_rate=float(need - 1))
+        with pytest.raises(ValueError, match=f"need at least {need} samples"):
+            simple_tolerant_identity_test(q, interval, short, eps, const)
+        with pytest.raises(ValueError, match="empty"):
+            simple_tolerant_identity_test(q, (54, 45), enough, eps, const)
+
+    @staticmethod
+    def _coarsened_tv(q, interval, hist):
+        """Reference: build both (m + 1)-point laws point by point, in exact sums."""
+        a, b = interval
+        k = hist.total
+        q_pts = [q.probs[i - q.lo] if q.lo <= i <= q.hi else 0.0 for i in range(a, b + 1)]
+        e_pts = [hist.counts[i - hist.lo] / k if hist.lo <= i <= hist.hi else 0.0
+                 for i in range(a, b + 1)]
+        outside = sum(int(c) for i, c in enumerate(hist.counts) if not a <= hist.lo + i <= b)
+        q_pts.append(max(0.0, 1.0 - q.tail_slack - math.fsum(q_pts)))
+        e_pts.append(outside / k)
+        return 0.5 * math.fsum(abs(e - f) for e, f in zip(e_pts, q_pts))
+
+    def test_coarsened_tv_matches_reference(self):
+        rng = np.random.Generator(np.random.Philox(41))
+        slacked = 0
+        for trial in range(300):
+            if trial % 2:
+                n = int(rng.integers(50, 3000))
+                q = binomial_pmf(n, float(rng.uniform(0.05, 0.95)), tail_cut=1e-9)
+            else:
+                m = int(rng.integers(1, 80))
+                probs = np.where(rng.random(m) < 0.7, rng.random(m), 0.0)
+                probs[int(rng.integers(len(probs)))] = 1.0
+                q = ExplicitDistribution(int(rng.integers(-20, 20)), probs / probs.sum())
+            slacked += q.tail_slack > 0.0
+            # Intervals inside q's support, as the sparse stage forms them,
+            # and intervals that reach past it.
+            a = q.lo + int(rng.integers(-3, q.support_len))
+            b = a + 1 + int(rng.integers(0, min(q.support_len, 60) + 3))
+            r1, r2 = (int(r) for r in rng.integers(0, 5, size=2))
+            placement = ("cover", "overlap", "miss")[trial % 3]
+            if placement == "cover":
+                h_lo, h_hi = a - r1, b + r2
+            elif placement == "overlap":
+                h_lo, h_hi = (a - r1, b - 1) if trial % 2 else (a + 1, b + r2)
+            else:
+                h_lo, h_hi = (a - 1 - r1 - 30, a - 1 - r1) if trial % 2 else (b + 1 + r2, b + 9)
+            counts = rng.integers(0, 50, size=h_hi - h_lo + 1)
+            counts[[0, -1]] += 1
+            hist = SampleHistogram(h_lo, counts, nominal_rate=float(counts.sum()))
+            covers = h_lo <= a and h_hi >= b
+            misses = h_hi < a or h_lo > b
+            assert placement == ("cover" if covers else "miss" if misses else "overlap")
+            _, tv = simple_tolerant_identity_test(q, (a, b), hist, 0.5, 1e-6)
+            assert abs(tv - self._coarsened_tv(q, (a, b), hist)) <= 1e-15
+        assert slacked >= 100
 
     def test_close_and_far_rates(self):
         m, eps = 50, 0.2
@@ -175,9 +238,9 @@ class TestSimpleTolerantIdentityTest:
         root_far = SampleStream.from_distribution(far, seed=9)
         for t in range(trials):
             xs = root_q.split(t).draw_histogram(k)
-            close_hits += simple_tolerant_identity_test(q, xs, eps, A_TOL)[0]
+            close_hits += simple_tolerant_identity_test(q, (q.lo, q.hi), xs, eps, A_TOL)[0]
             ys = root_far.split(t).draw_histogram(k)
-            far_hits += not simple_tolerant_identity_test(q, ys, eps, A_TOL)[0]
+            far_hits += not simple_tolerant_identity_test(q, (q.lo, q.hi), ys, eps, A_TOL)[0]
         assert close_hits >= 0.95 * trials
         assert far_hits >= 0.95 * trials
 
@@ -211,15 +274,17 @@ class TestCoarsen:
         lo, hi = effective_support_interval(d, 0.5 / 5)
         assert d.probs[lo - d.lo : hi - d.lo + 1].sum() >= 0.9
         assert lo + hi == pytest.approx(100, abs=3)  # near-symmetric around the mean
-        coarse = d.restrict(lo, hi)
-        assert coarse.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_coarsened_histogram_sentinel(self):
-        lo, hi = effective_support_interval(binomial_pmf(10, 0.5), 0.5 / 5)
+    def test_coarsened_histogram_outside_mass(self):
+        d = binomial_pmf(10, 0.5)
+        lo, hi = effective_support_interval(d, 0.5 / 5)
+        assert 0 < lo and hi < 10
         hist = SampleHistogram(0, np.array([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]), nominal_rate=4.0)
-        emp = hist.to_empirical((lo, hi))
-        assert emp.overflow > 0.0
-        assert emp.total_mass == pytest.approx(1.0)
+        # Every sample lands on the lumped outside point, so the coarsened TV
+        # is q's mass on the interval.
+        _, tv = simple_tolerant_identity_test(d, (lo, hi), hist, 0.5, 1e-6)
+        assert tv == pytest.approx(d.probs[lo : hi + 1].sum(), abs=1e-15)
 
 
 class TestL2Statistic:
