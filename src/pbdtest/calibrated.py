@@ -1,8 +1,10 @@
 """Every tunable constant of the membership test and its learner.
 
 ``TestConfig``'s field defaults are the only place a tunable constant is
-written; the learner and every stage of the test read them from the
-config they are handed.
+written.  Its methods derive the thresholds and each stage's sample count
+(``learn_samples``, ``tolerant_samples``, ``moment_samples`` and
+``l2_sample_rate``); the learner and every stage read both from the
+config they are handed, and draw exactly those counts.
 
 The two statistic constants were fixed by the pre-build sweep in
 ``oracles.calibration_report`` (regenerate via
@@ -102,13 +104,12 @@ class TestConfig:
     delta: float
     seed: int = 0
     var_threshold_const: float = 4.0  # C: sparse/heavy variance split
-    # C1: Poissonized rate multiplier, k = ceil(C1 * sqrt(sigma_hat * logt(1/eps)) / eps^2)
-    l2_sample_const: float = 80.0
+    l2_sample_const: float = 80.0  # C1: Poissonized rate multiplier, see l2_sample_rate
     # c: acceptance threshold 0.25 * c * eps^2 / (sigma_hat * sqrt(logt(1/eps)))
     l2_far_const: float = 0.1
-    tolerant_sample_const: float = 10.0  # A_tol: sparse-branch samples per |I|/eps^2
-    moment_sample_const: float = 200.0  # A_m: moment samples ceil(A_m / eps'^2)
-    learn_sample_const: float = 2.0  # A_L: learn budget ceil(A_L * logt^2(1/eps) / eps^2)
+    tolerant_sample_const: float = 10.0  # A_tol: see tolerant_samples
+    moment_sample_const: float = 200.0  # A_m: see moment_samples
+    learn_sample_const: float = 2.0  # A_L: see learn_samples
     learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
     learn_sparse_threshold_const: float = 16.0  # A_t: binomial route at sigma2_hat >= A_t/eps^6
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
@@ -151,8 +152,22 @@ class TestConfig:
     def variance_threshold(self) -> float:
         return self.var_threshold_const * self.logt**4 / self.eps**8
 
-    def l2_sample_rate(self, sigma_hat: float) -> float:
-        return self.l2_sample_const * math.sqrt(sigma_hat * self.logt) / self.eps**2
+    def learn_samples(self, eps: float) -> int:
+        """The learner's draw at its own eps: ceil(A_L logt^2(1/eps) / eps^2)."""
+        return math.ceil(self.learn_sample_const * truncated_log(1.0 / eps) ** 2 / eps**2)
+
+    def tolerant_samples(self, m: int) -> int:
+        """The sparse branch's draw on an interval of m points: ceil(A_tol m / eps^2)."""
+        return math.ceil(self.tolerant_sample_const * m / self.eps**2)
+
+    def moment_samples(self, n: int) -> int:
+        """The heavy branch's moments draw: ceil(A_m / eps'^2), eps' = eps / max(n/4, 1)^(1/8)."""
+        eps_prime = self.eps / max(n / 4.0, 1.0) ** 0.125
+        return math.ceil(self.moment_sample_const / eps_prime**2)
+
+    def l2_sample_rate(self, sigma_hat: float) -> int:
+        """The heavy branch's Poissonized rate: ceil(C1 sqrt(sigma_hat logt) / eps^2)."""
+        return math.ceil(self.l2_sample_const * math.sqrt(sigma_hat * self.logt) / self.eps**2)
 
     def l2_threshold(self, sigma_hat: float) -> float:
         return 0.25 * self.l2_far_const * self.eps**2 / (sigma_hat * math.sqrt(self.logt))

@@ -33,7 +33,6 @@ from .distributions import (
     binomial_pmf,
     effective_support_interval,
     merged_unimodal_distance_lb,
-    truncated_log,
     tv_distance,
 )
 from .sampling import SampleStream
@@ -54,7 +53,6 @@ FIT_CHECK_MULT = 3.0  # binomial fit accepted, unimodality refused, at this many
 class MomentEstimates:
     mu_hat: float
     sigma2_hat: float
-    samples_used: int
 
 
 @dataclass(frozen=True)
@@ -88,22 +86,17 @@ class LearnedPbd:
         return n * p * (1.0 - p)
 
 
-def estimate_mean_var(
-    stream: SampleStream, eps_prime: float, sample_const: float
-) -> MomentEstimates:
-    """Empirical mean and unbiased variance from ceil(sample_const / eps'^2) samples.
+def estimate_mean_var(stream: SampleStream, k: int) -> MomentEstimates:
+    """Empirical mean and unbiased variance of k samples.
 
-    For Bernoulli-sum sources the estimates satisfy |mu - mu_hat| < eps' * sigma
-    and |sigma^2 - sigma2_hat| < eps' * sigma^2 * sqrt(4 + 1/sigma^2) with
-    frequency >= 0.99 at the default ``TestConfig.moment_sample_const``
-    (Monte Carlo checked).
+    At the heavy branch's k, ``config.moment_samples(n)``, the estimates
+    for a Bernoulli-sum source satisfy |mu - mu_hat| < eps' * sigma and
+    |sigma^2 - sigma2_hat| < eps' * sigma^2 * sqrt(4 + 1/sigma^2) with
+    frequency >= 0.99 at the default ``moment_sample_const`` (Monte Carlo
+    checked).
     """
-    if not 0.0 < eps_prime < 1.0:
-        raise ValueError("eps_prime must lie in (0, 1)")
-    k = math.ceil(sample_const / eps_prime**2)
-    hist = stream.draw_histogram(k)
-    mu, var = hist.moments()
-    return MomentEstimates(mu, var, k)
+    mu, var = stream.draw_histogram(k).moments()
+    return MomentEstimates(mu, var)
 
 
 def fit_binomial_by_moments(mu_hat: float, sigma2_hat: float, n: int) -> tuple[int, float]:
@@ -156,11 +149,11 @@ def learn_pbd(
 
     The constants come from ``config``, whose own eps is not read: the
     tester learns at eps / D of the eps it tests at, D being
-    ``config.learn_accuracy_const``.  One histogram of ceil(A_L *
-    logt^2(1/eps) / eps^2) samples, capped at ``max_samples``, feeds the
-    moment estimates, the binomial goodness check and, on the
-    sparse route, the empirical distribution; a single pool keeps the
-    total inside the advertised sample budget.
+    ``config.learn_accuracy_const``.  One histogram of
+    ``config.learn_samples(eps)`` samples, capped at ``max_samples``, feeds
+    the moment estimates, the binomial goodness check and, on the sparse
+    route, the empirical distribution; a single pool keeps the total inside
+    the advertised sample budget.
 
     Routing: variance at or above A_t / eps^6 forces a binomial fit;
     otherwise the moment fit is kept when it explains the empirical within
@@ -187,7 +180,7 @@ def learn_pbd(
     if n < 0:
         raise ValueError("n must be nonnegative")
     stream.require_within(n)
-    budget = math.ceil(config.learn_sample_const * truncated_log(1.0 / eps) ** 2 / eps**2)
+    budget = config.learn_samples(eps)
     if max_samples is not None:
         budget = min(budget, max_samples)
     if budget < 1:

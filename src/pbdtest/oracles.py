@@ -382,7 +382,8 @@ def calibration_report(
         ok = True
         per_case = []
         for case in cases:
-            k = math.ceil(c1 * math.sqrt(case["sigma_hat"] * case["logt"]) / case["eps"] ** 2)
+            cfg = TestConfig(eps=case["eps"], delta=0.5, l2_sample_const=c1)
+            k = cfg.l2_sample_rate(case["sigma_hat"])
             mean, var = tn_closed_form_moments(case["far"], case["pivot"], float(k))
             spread = var / mean**2
             sd_close = math.sqrt(2.0 * float((case["pivot"].probs ** 2).sum())) / k

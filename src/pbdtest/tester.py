@@ -87,11 +87,7 @@ class TestVerdict:
 
 
 def simple_tolerant_identity_test(
-    q: ExplicitDistribution,
-    interval: tuple[int, int],
-    hist: SampleHistogram,
-    eps: float,
-    sample_const: float,
+    q: ExplicitDistribution, interval: tuple[int, int], hist: SampleHistogram, config: TestConfig
 ) -> tuple[bool, float]:
     """Close iff the empirical law, coarsened to ``interval``, sits within 0.25 eps of q's.
 
@@ -99,8 +95,9 @@ def simple_tolerant_identity_test(
     outside it into one point: q's outside mass is ``1 - tail_slack`` less
     its mass inside, the empirical's the share of samples outside.  Returns
     whether it is close and the TV distance between the two (m + 1)-point
-    laws.  Distinguishes TV <= eps/10 from TV > 2 eps/5 with frequency
-    >= 0.99 given ceil(sample_const * m / eps^2) samples.
+    laws, eps being ``config.eps``.  Distinguishes TV <= eps/10 from TV >
+    2 eps/5 with frequency >= 0.99 given ``config.tolerant_samples(m)``
+    samples; a histogram of fewer raises ``ValueError``.
 
     In ``run_budgeted_test`` q is learned at eps / D (D = 3 by default), so
     no argument puts a member within eps/10 of q; the rate in use is
@@ -112,7 +109,7 @@ def simple_tolerant_identity_test(
     a, b = interval
     if b < a:
         raise ValueError(f"interval [{a}, {b}] is empty")
-    required = math.ceil(sample_const * (b - a + 1) / eps**2)
+    required = config.tolerant_samples(b - a + 1)
     k = hist.total
     if k < required:
         raise ValueError(f"need at least {required} samples, got {k}")
@@ -121,7 +118,7 @@ def simple_tolerant_identity_test(
     q_out = max(0.0, 1.0 - q.tail_slack - float(q_in.sum()))
     emp_out = (k - int(counts_in.sum())) / k
     tv = 0.5 * (float(np.abs(counts_in / k - q_in).sum()) + abs(emp_out - q_out))
-    return tv < 0.25 * eps, tv
+    return tv < 0.25 * config.eps, tv
 
 
 def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
@@ -165,10 +162,8 @@ def heavy_case_test(
     Poissonized draw still holds the earlier ones.  The samples drawn are
     counted by the stream, not returned.
     """
-    eps = config.eps
-    diag.update(
-        mu_hat=moments.mu_hat, sigma2_hat=moments.sigma2_hat, moment_samples=moments.samples_used
-    )
+    diag.update(mu_hat=moments.mu_hat, sigma2_hat=moments.sigma2_hat)
+    diag["moment_samples"] = config.moment_samples(n)
     if moments.sigma2_hat <= 0.0:
         diag["reason"] = "nonpositive variance estimate in heavy branch"
         return Verdict.NO_PBD
@@ -185,11 +180,11 @@ def heavy_case_test(
     )
     d_tv = tv_distance(pivot, hypothesis)
     diag["d_tv_pivot_vs_hypothesis"] = d_tv
-    if d_tv > eps / 2.0:
+    if d_tv > config.eps / 2.0:
         diag["reason"] = "pivot far from hypothesis"
         return Verdict.NO_PBD
     sigma_hat = math.sqrt(moments.sigma2_hat)
-    k = math.ceil(config.l2_sample_rate(sigma_hat))
+    k = config.l2_sample_rate(sigma_hat)
     diag["k_poissonized"] = k
     hist = stream.draw_poissonized(float(k))
     t_n = l2_statistic(hist, pivot)
@@ -201,15 +196,12 @@ def heavy_case_test(
 def _sparse_case(
     stream: SampleStream, config: TestConfig, hypothesis: ExplicitDistribution, diag: dict
 ) -> Verdict:
-    eps = config.eps
-    i_lo, i_hi = effective_support_interval(hypothesis, eps / 5.0)
-    k_tol = math.ceil(config.tolerant_sample_const * (i_hi - i_lo + 1) / eps**2)
+    i_lo, i_hi = effective_support_interval(hypothesis, config.eps / 5.0)
+    k_tol = config.tolerant_samples(i_hi - i_lo + 1)
     diag["interval"] = [i_lo, i_hi]
     diag["tolerant_samples"] = k_tol
     hist = stream.draw_histogram(k_tol)
-    close, tv = simple_tolerant_identity_test(
-        hypothesis, (i_lo, i_hi), hist, eps, config.tolerant_sample_const
-    )
+    close, tv = simple_tolerant_identity_test(hypothesis, (i_lo, i_hi), hist, config)
     diag["tv_empirical_vs_hypothesis"] = tv
     diag["tolerant_outcome"] = "close" if close else "far"
     return Verdict.YES_PBD if close else Verdict.NO_PBD
@@ -220,26 +212,28 @@ def run_budgeted_test(
 ) -> TestVerdict:
     """One unamplified run; ``sample_budget`` is a hard cap on the samples it draws.
 
-    Learning gets at most half the budget and may degrade.  When the
-    learner flags its sample as certifiably not unimodal (see
-    ``learn_pbd``), the run returns ``NO_PBD`` on that sample alone, with
-    the certificate and its threshold in the diagnostics; no later stage
-    runs, so ``samples_used`` is the learning draw.  Every later stage asks
-    for its full count.  A stage that does not fit what is left draws
-    nothing, and the run returns ``YES_PBD`` with ``budget_exhausted`` (a
-    starved run has no evidence against membership): a run may reject on
-    its learning sample, but it never decides on a clipped later stage.
-    Without a budget, a stream that runs out, such as a short sample file,
-    raises ``StreamExhausted``.  A stream that can draw a value outside
-    [0, n] raises ``ValueError`` from the learning stage, before any draw.
+    Each stage draws the count ``config`` plans for it: learning
+    ``learn_samples(eps / D)``, capped at half the budget (it may degrade),
+    then ``tolerant_samples(m)`` on the sparse branch, or
+    ``moment_samples(n)`` and a Poisson total at ``l2_sample_rate(sigma_hat)``
+    on the heavy one.  When the learner flags its sample as certifiably not
+    unimodal (see ``learn_pbd``), the run returns ``NO_PBD`` on that sample
+    alone, with the certificate and its threshold in the diagnostics; no
+    later stage runs, so ``samples_used`` is the learning draw.  A later
+    stage that does not fit what is left draws nothing, and the run returns
+    ``YES_PBD`` with ``budget_exhausted`` (a starved run has no evidence
+    against membership): a run may reject on its learning sample, but it
+    never decides on a clipped later stage.  Without a budget, a stream
+    that runs out, such as a short sample file, raises ``StreamExhausted``.
+    A stream that can draw a value outside [0, n] raises ``ValueError``
+    from the learning stage, before any draw.
     """
-    eps = config.eps
     start = stream.samples_drawn
     if sample_budget is not None:
         stream = stream.capped(sample_budget)
     learn_cap = None if sample_budget is None else sample_budget // 2
     learned = learn_pbd(
-        stream.split(_STAGE_LEARN), n, eps / config.learn_accuracy_const, config, learn_cap
+        stream.split(_STAGE_LEARN), n, config.eps / config.learn_accuracy_const, config, learn_cap
     )
     hyp_var = learned.variance()
     diag: dict = {
@@ -259,12 +253,7 @@ def run_budgeted_test(
         if branch is Branch.SPARSE:
             verdict = _sparse_case(stream.split(_STAGE_TOLERANT), config, learned.dist, diag)
         else:
-            eps_prime = eps / max(n / 4.0, 1.0) ** 0.125
-            moments = estimate_mean_var(
-                stream.split(_STAGE_MOMENTS),
-                min(eps_prime, 0.999),
-                sample_const=config.moment_sample_const,
-            )
+            moments = estimate_mean_var(stream.split(_STAGE_MOMENTS), config.moment_samples(n))
             verdict = heavy_case_test(
                 stream.split(_STAGE_L2), n, config, moments, learned.dist, diag
             )

@@ -162,7 +162,7 @@ def test_criterion_05_statistic_spread_in_far_regime():
     )
     far, _ = paired_perturbation(pivot, 0.35 * eps)
     assert tv_distance(far, pivot) == pytest.approx(0.35 * eps, rel=1e-9)
-    k = math.ceil(cfg.l2_sample_rate(sigma_hat))
+    k = cfg.l2_sample_rate(sigma_hat)
     assert k == math.ceil(
         cfg.l2_sample_const * math.sqrt(sigma_hat * truncated_log(1 / eps)) / eps**2
     )
@@ -270,13 +270,12 @@ def test_criterion_10_indistinguishability_experiment():
     0.8 at the full budget."""
     n, eps, c = 4096, 0.1, 8.0
     cfg = TestConfig(eps=eps, delta=0.5, seed=0, amplification_reps=1)
-    acc = eps / cfg.learn_accuracy_const  # run_budgeted_test learns at eps / D
-    k_learn = math.ceil(cfg.learn_sample_const * truncated_log(1.0 / acc) ** 2 / acc**2)
+    k_learn = cfg.learn_samples(eps / cfg.learn_accuracy_const)  # a run learns at eps / D
     p0 = binomial_pmf(n, 0.5)
     from pbdtest.distributions import effective_support_interval
 
     i_lo, i_hi = effective_support_interval(p0, eps / 5.0)
-    k_full = k_learn + math.ceil(cfg.tolerant_sample_const * (i_hi - i_lo + 1) / eps**2)
+    k_full = k_learn + cfg.tolerant_samples(i_hi - i_lo + 1)
     # Every point but the last lies below the full need: a run on the fair
     # binomial starves there, while a member's learning sample may already
     # be certified not unimodal, from k = 5e3 on.

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pbdtest import TestConfig, cli, oracles, truncated_log
+from pbdtest import TestConfig, cli, oracles
 from pbdtest.cli import main
 from pbdtest.distributions import binomial_pmf, effective_support_interval
 
@@ -117,8 +117,9 @@ class TestTestCommand:
         assert diagnostics["config"]["calibration_version"] == 3
         # The run learned at eps / 6 = 1/30: A_L logt^2(30) 30^2 samples.
         (only,) = diagnostics["runs"]
-        need = math.ceil(diagnostics["config"]["learn_sample_const"] * math.log(30.0) ** 2 * 900)
-        assert only["diagnostics"]["learn_samples"] == need
+        fields = {k: v for k, v in diagnostics["config"].items() if k != "calibration_version"}
+        cfg = TestConfig(**fields)
+        assert only["diagnostics"]["learn_samples"] == cfg.learn_samples(cfg.eps / 6.0)
 
     def test_pbdtest_config_env_is_ignored(self, binomial_spec, tmp_path, capsys, monkeypatch):
         # The variable no longer names a config file: a non-object file there changes nothing.
@@ -471,7 +472,6 @@ class TestReadmeExamples:
         n, eps = int(args[args.index("--n") + 1]), float(args[args.index("--eps") + 1])
         last = float(args[args.index("--k-grid") + 1].split(",")[-1])
         cfg = TestConfig(eps=eps, delta=0.5)
-        acc = eps / cfg.learn_accuracy_const
-        learn = math.ceil(cfg.learn_sample_const * truncated_log(1.0 / acc) ** 2 / acc**2)
         lo, hi = effective_support_interval(binomial_pmf(n, 0.5), eps / 5.0)
-        assert last == learn + math.ceil(cfg.tolerant_sample_const * (hi - lo + 1) / eps**2)
+        learn = cfg.learn_samples(eps / cfg.learn_accuracy_const)
+        assert last == learn + cfg.tolerant_samples(hi - lo + 1)

@@ -12,7 +12,6 @@ from pbdtest.distributions import (
     binomial_pmf,
     effective_support_interval,
     pbd_pmf,
-    truncated_log,
     tv_distance,
 )
 from pbdtest.learner import (
@@ -25,28 +24,27 @@ from pbdtest.sampling import SampleStream
 from pbdtest.tester import TestConfig, run_budgeted_test
 
 CFG = TestConfig(eps=0.1, delta=0.1)  # the learner reads its constants, not its eps
-A_M = TestConfig.moment_sample_const
+# The moments draw at eps' = 0.05: eps' is eps itself for n <= 4.
+K_05 = TestConfig(eps=0.05, delta=0.1).moment_samples(4)
 
 
 class TestEstimateMeanVar:
     def test_point_mass(self):
         d = ExplicitDistribution(3, np.array([1.0]))
-        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), 0.1, A_M)
+        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), CFG.moment_samples(4))
         assert m.mu_hat == 3.0 and m.sigma2_hat == 0.0
 
     def test_sample_count_formula(self):
-        d = binomial_pmf(10, 0.5)
-        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), 0.05, A_M)
-        assert m.samples_used == math.ceil(200 / 0.05**2)
+        stream = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
+        estimate_mean_var(stream, K_05)
+        assert stream.samples_drawn == K_05 == math.ceil(200 / 0.05**2)
 
     def test_heavy_branch_sample_count(self):
         # eps' = eps / (n/4)^(1/8) turns the budget into ceil(A_m (n/4)^(1/4) / eps^2).
         n, eps = 10_000, 0.1
-        eps_prime = eps / (n / 4.0) ** 0.125
-        m = estimate_mean_var(
-            SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1), eps_prime, A_M
-        )
-        assert m.samples_used == math.ceil(200.0 * (n / 4.0) ** 0.25 / eps**2)
+        stream = SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1)
+        estimate_mean_var(stream, TestConfig(eps=eps, delta=0.1).moment_samples(n))
+        assert stream.samples_drawn == math.ceil(200.0 * (n / 4.0) ** 0.25 / eps**2)
 
     def test_accuracy_rate_on_binomial(self):
         # |mu - mu_hat| < eps' sigma should hold almost always at this scale.
@@ -55,16 +53,11 @@ class TestEstimateMeanVar:
         hits = 0
         trials = 100
         for t in range(trials):
-            m = estimate_mean_var(root.split(t), 0.05, A_M)
+            m = estimate_mean_var(root.split(t), K_05)
             ok_mu = abs(m.mu_hat - 5000.0) < 0.05 * 50.0
             ok_var = abs(m.sigma2_hat - 2500.0) < 0.05 * 2500.0 * math.sqrt(4.0 + 1.0 / 2500.0)
             hits += ok_mu and ok_var
         assert hits >= 99
-
-    def test_eps_prime_validation(self):
-        d = binomial_pmf(4, 0.5)
-        with pytest.raises(ValueError):
-            estimate_mean_var(SampleStream.from_distribution(d, seed=0), 1.5, A_M)
 
 
 class TestBinomialFit:
@@ -119,8 +112,7 @@ class TestLearnPbd:
         # ceil(A_L logt^2(1/eps) / eps^2) samples, A_L the calibrated default.
         stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
         lr = learn_pbd(stream, 20, eps, CFG)
-        need = math.ceil(TestConfig.learn_sample_const * truncated_log(1 / eps) ** 2 / eps**2)
-        assert lr.samples_used == stream.samples_drawn == need
+        assert lr.samples_used == stream.samples_drawn == CFG.learn_samples(eps)
 
     def test_sample_budget_cap(self):
         stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
@@ -157,7 +149,7 @@ class TestLearnPbd:
         # distribution and to the observed range from a pool; the fit check
         # must not depend on the padding.
         src = pbd_pmf(Pbd(np.concatenate([np.full(10, 0.05), np.full(10, 0.95)])))
-        need = math.ceil(TestConfig.learn_sample_const * truncated_log(10.0) ** 2 / 0.1**2)
+        need = CFG.learn_samples(0.1)
         for seed in range(300, 340):
             pool = SampleStream.from_distribution(src, seed=seed).draw(need)
             a = learn_pbd(SampleStream.from_distribution(src, seed=seed), 20, 0.1, CFG)

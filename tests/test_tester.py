@@ -41,28 +41,21 @@ from pbdtest.tester import (
 )
 from pbdtest.tester import test_pbd as run_membership_test
 
-A_M = TestConfig.moment_sample_const
-A_TOL = TestConfig.tolerant_sample_const
-
-
 # A heavy run at n = 4096, eps = 0.1 stops at its l2 draw on this budget: it
-# pays for learning at eps / D and for the moments stage (at eps' = eps /
-# (n/4)^(1/8), about 113,000 samples), not for the l2 stage's Poisson total
-# (about 69,000).
-_ACC = 0.1 / TestConfig.learn_accuracy_const
+# pays for learning at eps / D and for the moments stage (113,138 samples),
+# not for the l2 stage's Poisson total (about 69,000).
+_CFG = TestConfig(eps=0.1, delta=0.5)
 STOPS_AT_L2 = (
-    math.ceil(TestConfig.learn_sample_const * pbdtest.truncated_log(1 / _ACC) ** 2 / _ACC**2)
-    + math.ceil(A_M / (0.1 / 1024**0.125) ** 2)
-    + 30_000
+    _CFG.learn_samples(0.1 / _CFG.learn_accuracy_const) + _CFG.moment_samples(4096) + 30_000
 )
 
 
 def heavy_inputs(src, n, eps, seed):
     """Moments and a binomial hypothesis from fresh stream splits."""
     root = SampleStream.from_distribution(src, seed=seed)
-    eps_prime = eps / (n / 4.0) ** 0.125
-    moments = estimate_mean_var(root.split(0), eps_prime, A_M)
-    hyp_moments = estimate_mean_var(root.split(1), eps_prime, A_M)
+    k = TestConfig(eps=eps, delta=0.1).moment_samples(n)
+    moments = estimate_mean_var(root.split(0), k)
+    hyp_moments = estimate_mean_var(root.split(1), k)
     fit = fit_binomial_by_moments(hyp_moments.mu_hat, hyp_moments.sigma2_hat, n)
     return root, moments, binomial_pmf(*fit)
 
@@ -144,11 +137,40 @@ class TestConfigValidation:
             TestConfig(eps=0.1, delta=0.1, **{field: value})
 
 
+class TestSampleCounts:
+    # n: (tolerant stage on Binomial(n, 1/2)'s eps/5 interval, moments + l2
+    # at sigma_hat = sqrt(n/4)), at eps = 0.1 and the default constants.
+    QUOTED = {
+        10**3: (74_000, 127_799),
+        4096: (149_000, 181_809),
+        10**4: (233_000, 227_261),
+        10**5: (736_000, 404_133),
+    }
+
+    def test_counts_match_the_quoted_figures(self):
+        """The per-stage counts that README and ROADMAP quote come from the
+        config's methods, the one place each formula is written."""
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        assert cfg.learn_samples(0.1 / 3) == 20_823
+        assert cfg.moment_samples(4096) == 113_138
+        assert cfg.l2_sample_rate(32.0) == 68_671
+        for n, (tolerant, heavy) in self.QUOTED.items():
+            lo, hi = effective_support_interval(binomial_pmf(n, 0.5), cfg.eps / 5.0)
+            assert cfg.tolerant_samples(hi - lo + 1) == tolerant, n
+            assert cfg.moment_samples(n) + cfg.l2_sample_rate(math.sqrt(n / 4)) == heavy, n
+
+
+# The tolerant stage at the default constants, and with a sample count so
+# small that any histogram meets it.
+TOL_CFG = TestConfig(eps=0.2, delta=0.1)
+ANY_COUNT = TestConfig(eps=0.5, delta=0.1, tolerant_sample_const=1e-6)
+
+
 class TestSimpleTolerantIdentityTest:
     def test_exact_match_is_close(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         hist = SampleHistogram(0, np.array([500, 500]), nominal_rate=1000.0)
-        close, tv = simple_tolerant_identity_test(q, (q.lo, q.hi), hist, 0.2, A_TOL)
+        close, tv = simple_tolerant_identity_test(q, (q.lo, q.hi), hist, TOL_CFG)
         assert close is True
         assert tv == 0.0
 
@@ -156,21 +178,22 @@ class TestSimpleTolerantIdentityTest:
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         hist = SampleHistogram(0, np.array([2, 1]), 3.0)
         with pytest.raises(ValueError, match="samples"):
-            simple_tolerant_identity_test(q, (q.lo, q.hi), hist, 0.2, A_TOL)
+            simple_tolerant_identity_test(q, (q.lo, q.hi), hist, TOL_CFG)
 
     def test_sample_count_uses_the_interval_length(self):
         q = binomial_pmf(100, 0.5)
-        eps, const = 0.5, 0.25
+        cfg = TestConfig(eps=0.5, delta=0.1, tolerant_sample_const=0.25)
         interval = (45, 54)  # 10 of q's 101 points
-        need = math.ceil(const * 10 / eps**2)
-        assert need < math.ceil(const * q.support_len / eps**2)
+        need = cfg.tolerant_samples(10)
+        assert need == math.ceil(0.25 * 10 / 0.5**2)
+        assert need < cfg.tolerant_samples(q.support_len)
         enough = SampleHistogram(50, np.array([need]), nominal_rate=float(need))
-        simple_tolerant_identity_test(q, interval, enough, eps, const)
+        simple_tolerant_identity_test(q, interval, enough, cfg)
         short = SampleHistogram(50, np.array([need - 1]), nominal_rate=float(need - 1))
         with pytest.raises(ValueError, match=f"need at least {need} samples"):
-            simple_tolerant_identity_test(q, interval, short, eps, const)
+            simple_tolerant_identity_test(q, interval, short, cfg)
         with pytest.raises(ValueError, match="empty"):
-            simple_tolerant_identity_test(q, (54, 45), enough, eps, const)
+            simple_tolerant_identity_test(q, (54, 45), enough, cfg)
 
     @staticmethod
     def _coarsened_tv(q, interval, hist):
@@ -216,15 +239,15 @@ class TestSimpleTolerantIdentityTest:
             covers = h_lo <= a and h_hi >= b
             misses = h_hi < a or h_lo > b
             assert placement == ("cover" if covers else "miss" if misses else "overlap")
-            _, tv = simple_tolerant_identity_test(q, (a, b), hist, 0.5, 1e-6)
+            _, tv = simple_tolerant_identity_test(q, (a, b), hist, ANY_COUNT)
             assert abs(tv - self._coarsened_tv(q, (a, b), hist)) <= 1e-15
         assert slacked >= 100
 
     def test_close_and_far_rates(self):
-        m, eps = 50, 0.2
+        m, eps = 50, TOL_CFG.eps
         probs = np.linspace(1.0, 2.0, m)
         q = ExplicitDistribution(0, probs / probs.sum())
-        k = math.ceil(10 * m / eps**2)
+        k = TOL_CFG.tolerant_samples(m)
         close_hits = 0
         far_hits = 0
         trials = 60
@@ -238,9 +261,9 @@ class TestSimpleTolerantIdentityTest:
         root_far = SampleStream.from_distribution(far, seed=9)
         for t in range(trials):
             xs = root_q.split(t).draw_histogram(k)
-            close_hits += simple_tolerant_identity_test(q, (q.lo, q.hi), xs, eps, A_TOL)[0]
+            close_hits += simple_tolerant_identity_test(q, (q.lo, q.hi), xs, TOL_CFG)[0]
             ys = root_far.split(t).draw_histogram(k)
-            far_hits += not simple_tolerant_identity_test(q, (q.lo, q.hi), ys, eps, A_TOL)[0]
+            far_hits += not simple_tolerant_identity_test(q, (q.lo, q.hi), ys, TOL_CFG)[0]
         assert close_hits >= 0.95 * trials
         assert far_hits >= 0.95 * trials
 
@@ -283,7 +306,7 @@ class TestCoarsen:
         hist = SampleHistogram(0, np.array([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]), nominal_rate=4.0)
         # Every sample lands on the lumped outside point, so the coarsened TV
         # is q's mass on the interval.
-        _, tv = simple_tolerant_identity_test(d, (lo, hi), hist, 0.5, 1e-6)
+        _, tv = simple_tolerant_identity_test(d, (lo, hi), hist, ANY_COUNT)
         assert tv == pytest.approx(d.probs[lo : hi + 1].sum(), abs=1e-15)
 
 
@@ -355,7 +378,7 @@ class TestHeavyCase:
     def test_variance_above_half_n_rejects(self):
         src = binomial_pmf(100, 0.5)
         stream = SampleStream.from_distribution(src, seed=0)
-        moments = MomentEstimates(mu_hat=50.0, sigma2_hat=60.0, samples_used=10)
+        moments = MomentEstimates(mu_hat=50.0, sigma2_hat=60.0)
         diag = {}
         verdict = heavy_case_test(stream, 100, TestConfig(eps=0.1, delta=0.1), moments, src, diag)
         assert verdict is Verdict.NO_PBD
@@ -364,7 +387,7 @@ class TestHeavyCase:
     def test_pivot_far_from_hypothesis_rejects(self):
         n = 10_000
         hyp = binomial_pmf(n, 0.5)
-        moments = MomentEstimates(mu_hat=2000.0, sigma2_hat=1600.0, samples_used=10)
+        moments = MomentEstimates(mu_hat=2000.0, sigma2_hat=1600.0)
         stream = SampleStream.from_distribution(hyp, seed=0)
         diag = {}
         verdict = heavy_case_test(stream, n, TestConfig(eps=0.1, delta=0.1), moments, hyp, diag)
@@ -406,12 +429,11 @@ class TestHeavyCase:
         n, eps = 10_000, 0.1
         src = binomial_pmf(n, 0.5)
         cfg = TestConfig(eps=eps, delta=0.1)
-        eps_prime = eps / (n / 4.0) ** 0.125
         root = SampleStream.from_distribution(src, seed=31)
         hits = 0
         trials = 40
         for t in range(trials):
-            m = estimate_mean_var(root.split(t), eps_prime, A_M)
+            m = estimate_mean_var(root.split(t), cfg.moment_samples(n))
             pivot = translated_poisson_pmf(
                 TranslatedPoissonParams(m.mu_hat, m.sigma2_hat), tail_cut=1e-9
             )
@@ -448,7 +470,7 @@ class TestHeavyCase:
             TranslatedPoissonParams(sigma_hat**2, sigma_hat**2), tail_cut=1e-9
         )
         far, _ = paired_perturbation(pivot, 0.35 * eps)
-        k = math.ceil(cfg.l2_sample_rate(sigma_hat))
+        k = cfg.l2_sample_rate(sigma_hat)
         mean, var = tn_closed_form_moments(far, pivot, float(k))
         assert var / mean**2 <= 1.5 / 20.0
 
@@ -510,24 +532,72 @@ class TestSampleAccounting:
             monkeypatch.setattr(SampleStream, name, counting)
         return counted
 
-    def _far_source(self):
+    @pytest.fixture()
+    def poisson_rates(self, drawn, monkeypatch):
+        """The rates the Poissonized draws asked for, on top of ``drawn``."""
+        rates = []
+
+        def asking(stream, k, _draw=SampleStream.draw_poissonized, **kw):
+            rates.append(k)
+            return _draw(stream, k, **kw)
+
+        monkeypatch.setattr(SampleStream, "draw_poissonized", asking)
+        return rates
+
+    def _source(self, name):
+        if name == "binomial":
+            return binomial_pmf(self.N, 0.5)
+        if name == "bimodal":  # every run stops after its learning draw
+            probs = np.zeros(self.N + 1)
+            probs[0] = probs[self.N] = 0.5
+            return ExplicitDistribution(0, probs)
         pivot = translated_poisson_pmf(TranslatedPoissonParams(self.N / 2, self.N / 4))
         far, _ = paired_perturbation(pivot, 0.35 * self.EPS)
         return far
 
+    def _planned_draws(self, cfg, diag):
+        """The draws a run's config plans for it, given what its diagnostics
+        say it learned: the learning draw, then the tolerant draw on the
+        interval, or the moments draw and the Poisson total at the planned
+        rate."""
+        plan = [cfg.learn_samples(cfg.eps / cfg.learn_accuracy_const)]
+        if diag.get("reason") == "learning sample not unimodal":
+            return plan
+        if "interval" in diag:
+            lo, hi = diag["interval"]
+            return plan + [cfg.tolerant_samples(hi - lo + 1)]
+        plan.append(cfg.moment_samples(self.N))
+        if "k_poissonized" in diag:
+            assert diag["k_poissonized"] == cfg.l2_sample_rate(math.sqrt(diag["sigma2_hat"]))
+            plan.append(diag["realized_count"])
+        return plan
+
     @pytest.mark.parametrize("branch", [Branch.SPARSE, Branch.HEAVY])
-    @pytest.mark.parametrize("source", ["binomial", "far"])
-    def test_samples_used_matches_draws(self, drawn, branch, source):
-        src = binomial_pmf(self.N, 0.5) if source == "binomial" else self._far_source()
+    @pytest.mark.parametrize("source", ["binomial", "far", "bimodal"])
+    def test_samples_used_matches_draws(self, drawn, poisson_rates, branch, source):
         cfg = TestConfig(eps=self.EPS, delta=0.3, seed=5, amplification_reps=3)
         if branch is Branch.HEAVY:
             cfg = cfg.replace(var_threshold_const=1e-12)
-        stream = SampleStream.from_distribution(src, seed=5)
+        stream = SampleStream.from_distribution(self._source(source), seed=5)
         res = run_membership_test(stream, self.N, cfg)
+        runs = [run["diagnostics"] for run in res.diagnostics["runs"]]
         runs_made = res.diagnostics["repetitions_run"]
-        assert runs_made == len(res.diagnostics["runs"])
+        assert runs_made == len(runs)
         assert res.diagnostics["branch_counts"][branch.value] == runs_made
         assert res.samples_used == sum(drawn) == stream.samples_drawn
+        # Draw by draw, each run drew exactly what its config planned, and its
+        # diagnostics report the planned counts.
+        plans = [self._planned_draws(cfg, diag) for diag in runs]
+        assert drawn == [k for plan in plans for k in plan]
+        assert poisson_rates == [diag["k_poissonized"] for diag in runs if "k_poissonized" in diag]
+        for diag, plan in zip(runs, plans):
+            assert diag["learn_samples"] == plan[0]
+            stage_key = "tolerant_samples" if branch is Branch.SPARSE else "moment_samples"
+            assert diag.get(stage_key) == (plan[1] if len(plan) > 1 else None)
+        if source == "bimodal":
+            assert all(len(plan) == 1 for plan in plans)
+        else:
+            assert all(len(plan) > 1 for plan in plans)
 
     def test_pool_cursor_stops_with_the_vote(self):
         # A decided 3-0 vote of 5 planned runs reads the pool only up to its
@@ -632,10 +702,7 @@ class TestSampleAccounting:
         cfg = TestConfig(eps=self.EPS, delta=0.3, learn_accuracy_const=accuracy)
         stream = SampleStream.from_distribution(binomial_pmf(self.N, 0.5), seed=2)
         res = run_budgeted_test(stream, self.N, cfg)
-        d_over_eps = accuracy / self.EPS
-        need = math.ceil(
-            cfg.learn_sample_const * pbdtest.truncated_log(d_over_eps) ** 2 * d_over_eps**2
-        )
+        need = cfg.learn_samples(self.EPS / accuracy)
         assert res.diagnostics["learn_samples"] == need == drawn[0]
 
     def test_negative_budget_is_refused(self, drawn):
