@@ -4,7 +4,9 @@ Besides the Bernoulli-sum, binomial and shifted-Poisson PMFs this holds
 the sign-perturbed fair binomial behind the lower-bound family, and the
 unimodal certificate: a lower bound on the TV distance to every unimodal
 law, hence to every Bernoulli-sum law, which the learner reads on its
-learning sample and the lower-bound experiment on each family member.
+learning sample.  The lower-bound experiment only asks whether each family
+member's certificate exceeds eps; ``unimodal_distance_exceeds`` answers
+that exactly, with prefix passes that stop once their cost passes 2 eps.
 
 Everything here is a pure function of immutable values; no global state,
 safe to call concurrently.  All PMFs live in linear space.  The binomial
@@ -25,6 +27,7 @@ Distance conventions: ``tv_distance`` carries the 1/2 factor; the raw
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from heapq import heappush, heappushpop
 
@@ -44,6 +47,7 @@ __all__ = [
     "ell1_distance",
     "effective_support_interval",
     "unimodal_distance_lb",
+    "unimodal_distance_exceeds",
     "merged_unimodal_distance_lb",
     "PerturbedBinomial",
     "construct_perturbed_binomial",
@@ -350,13 +354,15 @@ def effective_support_interval(p: ExplicitDistribution, eps: float) -> tuple[int
     return p.lo + int(starts[best]), p.lo + int(ends[best]) - 1
 
 
-def _isotonic_l1_prefix(y: np.ndarray) -> np.ndarray:
+def _isotonic_l1_prefix(y: np.ndarray, stop_above: float = math.inf) -> np.ndarray:
     """out[t] = least l1 distance from y[:t] to a nondecreasing sequence.
 
     One pass with a max-heap of kept values (Stout, *Unimodal regression
     via prefix isotonic regression*, CSDA 2008): a new value below the
     largest kept one pays the gap, and that kept value is lowered to it.
-    heapq is a min-heap, so the heap holds negated values.
+    heapq is a min-heap, so the heap holds negated values.  The pass stops
+    after the first t whose cost exceeds ``stop_above``, so ``out`` may be
+    shorter than ``len(y) + 1``; the costs it holds are the full pass's.
     """
     heap: list[float] = []
     cost = 0.0
@@ -366,7 +372,18 @@ def _isotonic_l1_prefix(y: np.ndarray) -> np.ndarray:
         cost += x - heappushpop(heap, x)
         heappush(heap, x)
         out.append(cost)
+        if cost > stop_above:
+            break
     return np.array(out)
+
+
+def _in_window(q: ExplicitDistribution, window: tuple[int, int] | None) -> np.ndarray:
+    p = q.probs
+    if window is None:
+        return p
+    a = max(window[0] - q.lo, 0)
+    b = min(window[1] - q.lo + 1, len(p))
+    return p[a:b] if a < b else p[:0]
 
 
 def _half_unimodal_l1(p: np.ndarray) -> float:
@@ -386,13 +403,35 @@ def unimodal_distance_lb(
     lowers the minimum, so this is a certified lower bound on TV(q, U)
     over all unimodal U.  ``window`` is in absolute coordinates; None
     takes the whole support.  Cost is O(w log w) in the window's width w.
+    A caller that only compares the value with a level should call
+    ``unimodal_distance_exceeds``, which decides it with less work.
     """
-    p = q.probs
-    if window is not None:
-        a = max(window[0] - q.lo, 0)
-        b = min(window[1] - q.lo + 1, len(p))
-        p = p[a:b] if a < b else p[:0]
-    return _half_unimodal_l1(p)
+    return _half_unimodal_l1(_in_window(q, window))
+
+
+def unimodal_distance_exceeds(
+    q: ExplicitDistribution, level: float, window: tuple[int, int] | None = None
+) -> bool:
+    """Exactly ``unimodal_distance_lb(q, window) > level``, from shorter passes.
+
+    Each prefix pass stops once its cost exceeds 2 * level.  The forward
+    cost f[t] never falls as t grows, nor the backward cost g[t] as t
+    falls, and adding a nonnegative float never lowers a sum, so every
+    split past either stop already sums above 2 * level.  Only the splits
+    that both passes reached are summed, as ``unimodal_distance_lb`` sums
+    them; when there are none, the answer is True.  Doubling the level and
+    halving a sum above it are exact once the level is at least the
+    smallest normal float; below that both passes run in full.
+    """
+    p = _in_window(q, window)
+    bound = 2.0 * level if level >= sys.float_info.min else math.inf
+    f = _isotonic_l1_prefix(p, bound)  # f[t] for t in [0, i]
+    h = _isotonic_l1_prefix(p[::-1], bound)  # g[t] = h[m - t] for t in [m - j, m]
+    m, i, j = len(p), len(f) - 1, len(h) - 1
+    if m - j > i:
+        return True
+    both = f[m - j : i + 1] + h[m - i : j + 1][::-1]
+    return 0.5 * float(both.min()) > level
 
 
 def merged_unimodal_distance_lb(q: ExplicitDistribution) -> float:

@@ -13,7 +13,9 @@ Two certificates matter:
   log-concave and unimodal): half the exact l1 distance, inside a window,
   to unimodal sequences.  It lives in ``distributions``, below the
   learner, which reads its zero-merged form on every learning sample that
-  falls to the sparse route; it is re-exported here.
+  falls to the sparse route; it is re-exported here.  The detection
+  experiment decides ``certified_far_rate`` with its decision form,
+  ``distributions.unimodal_distance_exceeds``.
 * ``chi2_indistinguishability_bound`` - an upper bound on the TV distance
   between the Poissonized sample processes of the fair binomial and a
   uniformly drawn member of the family, so no tester on that few samples
@@ -34,6 +36,7 @@ from .distributions import (
     _perturb_fair_binomial,
     binomial_pmf,
     construct_perturbed_binomial,
+    unimodal_distance_exceeds,
     unimodal_distance_lb,
 )
 from .sampling import SampleStream
@@ -117,7 +120,8 @@ def detection_experiment(
     their extra modes are detected from well below it.  Rates are NoPbd
     frequencies over ``trials`` runs per arm; ``advantage = detect -
     false_reject``; ``certified_far_rate`` is the share of members whose
-    ``unimodal_distance_lb`` on the centre window exceeds eps.  Only the
+    ``unimodal_distance_lb`` on the centre window exceeds eps, decided
+    exactly by ``unimodal_distance_exceeds`` without the value.  Only the
     constants of ``config`` are read: each run is a single
     ``run_budgeted_test``, which neither amplifies nor reads the seed.
 
@@ -163,7 +167,7 @@ def detection_experiment(
         )
         pb = PerturbedBinomial(n, c_used, eps, random_sign_vector(n, sign_rng))
         q = _perturb_fair_binomial(pb, p0)
-        certified = unimodal_distance_lb(q, _center_window(n)) > eps
+        certified = unimodal_distance_exceeds(q, eps, _center_window(n))
         budget_p0 = int(budget_rng.poisson(k))
         budget_q = int(budget_rng.poisson(k))
         s0 = SampleStream.from_distribution(p0, seed, spawn_key=(k_idx, trial, 2))

@@ -368,7 +368,6 @@ def calibration_report(
             {
                 "sigma_hat": sigma_hat,
                 "eps": eps,
-                "logt": logt,
                 "pivot": pivot,
                 "far": far,
                 "implied_threshold_const": restricted * sigma_hat * math.sqrt(logt) / eps**2,
@@ -376,21 +375,20 @@ def calibration_report(
         )
     floor = min(case["implied_threshold_const"] for case in cases)
     chosen_c = max((c for c in threshold_const_grid if c <= floor / far_margin), default=None)
+    # TestConfig refuses a zero l2_far_const, so no chosen constant means a zero threshold.
+    far_const = {} if chosen_c is None else {"l2_far_const": chosen_c}
     chosen_c1 = None
     diagnostics = {}
     for c1 in sample_const_grid:
         ok = True
         per_case = []
         for case in cases:
-            cfg = TestConfig(eps=case["eps"], delta=0.5, l2_sample_const=c1)
+            cfg = TestConfig(eps=case["eps"], delta=0.5, l2_sample_const=c1, **far_const)
             k = cfg.l2_sample_rate(case["sigma_hat"])
             mean, var = tn_closed_form_moments(case["far"], case["pivot"], float(k))
             spread = var / mean**2
             sd_close = math.sqrt(2.0 * float((case["pivot"].probs ** 2).sum())) / k
-            thr = (
-                0.25 * (chosen_c or 0.0) * case["eps"] ** 2
-                / (case["sigma_hat"] * math.sqrt(case["logt"]))
-            )
+            thr = 0.0 if chosen_c is None else cfg.l2_threshold(case["sigma_hat"])
             per_case.append({"k": k, "spread": spread, "close_z": thr / sd_close})
             if spread > spread_cap or thr < close_margin * sd_close:
                 ok = False

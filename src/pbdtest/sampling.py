@@ -3,7 +3,9 @@
 Randomness comes from the Philox counter-based 64-bit generator.  Streams
 are split explicitly: ``stream.split(i)`` derives an independent child via
 the seed sequence spawn key, so every stage and Monte Carlo trial owns its
-own reproducible randomness regardless of execution order.
+own reproducible randomness regardless of execution order.  A stream's
+generator is seeded on its first draw and shared with its capped views,
+so a stream whose draws all go through its splits never builds one.
 
 All draws follow one law, deterministic given the stream and the call
 sequence: ``draw_histogram(k)`` returns the per-symbol counts of k i.i.d.
@@ -115,7 +117,7 @@ class SampleStream:
         self._pool = _pool
         self._drawn = [0]  # shared by a root stream and all its splits
         self._ceiling = None
-        self._rng = None
+        self._rng = [None]  # built on first draw; shared with capped views
 
     # -- construction -----------------------------------------------------
 
@@ -166,14 +168,17 @@ class SampleStream:
         """
         child = copy.copy(self)
         child._spawn_key = self._spawn_key + (index,)
-        child._rng = None
+        child._rng = [None]
         return child
 
     def capped(self, budget: int) -> "SampleStream":
-        """This stream, with at most ``budget`` more samples for it and its splits."""
+        """This stream, with at most ``budget`` more samples for it and its splits.
+
+        The view shares this stream's generator, built on whichever of the
+        two draws first, so their draws continue one sequence.
+        """
         if budget < 0:
             raise ValueError(f"sample budget must be nonnegative, got {budget}")
-        self._generator()  # built before the copy, so the view continues this stream
         view = copy.copy(self)
         ceiling = self.samples_drawn + budget
         view._ceiling = ceiling if self._ceiling is None else min(ceiling, self._ceiling)
@@ -203,10 +208,10 @@ class SampleStream:
     # -- internals ----------------------------------------------------------
 
     def _generator(self) -> np.random.Generator:
-        if self._rng is None:
+        if self._rng[0] is None:
             ss = np.random.SeedSequence(entropy=self._seed, spawn_key=self._spawn_key)
-            self._rng = np.random.Generator(np.random.Philox(ss))
-        return self._rng
+            self._rng[0] = np.random.Generator(np.random.Philox(ss))
+        return self._rng[0]
 
     def _take(self, k: int) -> np.ndarray | None:
         """Count k draws, refusing past the cap or the pool; the pool's next k, if any."""

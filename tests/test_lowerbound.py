@@ -12,6 +12,7 @@ from pbdtest.distributions import (
     _isotonic_l1_prefix,
     _perturb_fair_binomial,
     binomial_pmf,
+    unimodal_distance_exceeds,
 )
 from pbdtest.lowerbound import (
     PerturbedBinomial,
@@ -214,6 +215,60 @@ class TestCertificateMatchesLoopReference:
         pb = PerturbedBinomial(n, 8.0, 0.1, z)
         q = _perturb_fair_binomial(pb, binomial_pmf(n, 0.5))
         np.testing.assert_array_equal(q.probs, construct_perturbed_binomial(pb).probs)
+
+
+class TestDecisionMatchesValue:
+    """``unimodal_distance_exceeds`` decides ``unimodal_distance_lb > level``
+    exactly, ties and the float just below the value included."""
+
+    @staticmethod
+    def random_inputs_with_windows():
+        # Built as in TestCertificateMatchesLoopReference.test_random_inputs_with_windows.
+        rng = np.random.Generator(np.random.Philox(17))
+        for _ in range(2000):
+            m = int(rng.integers(1, 41))
+            lo = int(rng.integers(-50, 51))
+            p = rng.integers(0, 4, size=m).astype(float) if rng.random() < 0.5 else rng.random(m)
+            p[int(rng.integers(0, m))] += 1.0
+            d = ExplicitDistribution(lo, p / p.sum())
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                window = None
+            elif kind == 1:
+                a = lo + int(rng.integers(-5, m + 5))
+                window = (a, a + int(rng.integers(0, m + 5)))
+            else:
+                window = (lo + m + 1, lo + m + 1 + int(rng.integers(0, 10)))
+            yield d, window
+
+    def test_random_inputs_at_levels_around_the_value(self):
+        for d, window in self.random_inputs_with_windows():
+            lb = unimodal_distance_lb(d, window)
+            # The tie must give False, and the float just below lb True when lb > 0.
+            for level in (0.0, lb / 2, lb, np.nextafter(lb, 0.0), 2 * lb):
+                assert unimodal_distance_exceeds(d, level, window) == (lb > level)
+
+    def test_family_members_on_the_centre_window(self):
+        n = 4096
+        window = _center_window(n)
+        rng = np.random.Generator(np.random.Philox(29))
+        decided = set()
+        for c in (8.0, 2.0, 1.0, 0.5, 0.3):
+            for _ in range(40):
+                q = construct_perturbed_binomial(
+                    PerturbedBinomial(n, c, 0.1, random_sign_vector(n, rng))
+                )
+                far = unimodal_distance_lb(q, window) > 0.1
+                assert unimodal_distance_exceeds(q, 0.1, window) == far
+                decided.add(far)
+        assert decided == {True, False}
+
+    def test_empty_and_disjoint_windows_are_not_far(self):
+        d = ExplicitDistribution(3, np.array([0.5, 0.0, 0.5]))
+        for window in ((5, 4), (10, 20), (-8, 2)):
+            assert unimodal_distance_lb(d, window) == 0.0
+            assert not unimodal_distance_exceeds(d, 0.0, window)
+            assert not unimodal_distance_exceeds(d, 0.1, window)
 
 
 class TestRegressionCertificate:

@@ -285,6 +285,24 @@ class TestCapped:
         s.draw(4)
         np.testing.assert_array_equal(s.capped(6).draw(6), twin.draw(6))
 
+    def test_view_taken_before_any_draw_shares_the_generator(self):
+        d = binomial_pmf(100, 0.5)
+        twin = SampleStream.from_distribution(d, seed=4, spawn_key=(1, 2))
+        s = SampleStream.from_distribution(d, seed=4, spawn_key=(1, 2))
+        view = s.capped(10)
+        got = np.concatenate([view.draw(3), s.draw(3)])
+        np.testing.assert_array_equal(got, np.concatenate([twin.draw(3), twin.draw(3)]))
+        assert s.samples_drawn == view.samples_drawn == 6
+
+    def test_view_splits_match_an_uncapped_twin(self):
+        d = binomial_pmf(100, 0.5)
+        twin = SampleStream.from_distribution(d, seed=6, spawn_key=(3,))
+        view = SampleStream.from_distribution(d, seed=6, spawn_key=(3,)).capped(100)
+        for i in (0, 1, 2):
+            np.testing.assert_array_equal(view.split(i).draw(20), twin.split(i).draw(20))
+        view.draw(5)
+        np.testing.assert_array_equal(view.split(4).draw(20), twin.split(4).draw(20))
+
     def test_negative_budget_is_refused(self):
         root = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
