@@ -10,7 +10,10 @@ A spec is a plain dict with a ``kind`` field::
 
 Each kind takes exactly the fields shown (an explicit spec's ``lo``
 defaults to 0).  ``normalize_spec`` validates and returns a canonical
-copy; ``realize`` turns a spec into an ExplicitDistribution.
+copy in plain python types; ``realize`` turns a spec into an
+ExplicitDistribution.  Both validate once, in one numpy pass per list
+field; ``realize`` keeps the list fields as arrays and never builds the
+canonical list form.
 """
 
 from __future__ import annotations
@@ -61,8 +64,11 @@ def _field(obj: dict, name: str, integer: bool = False, default=None):
     return int(value) if integer else float(value)
 
 
-def _list_field(obj: dict, name: str, integer: bool = False) -> list:
-    """A JSON list of numbers, checked in one numpy pass (pbd specs hold 10^5)."""
+def _list_field(obj: dict, name: str, integer: bool = False) -> np.ndarray:
+    """A JSON list of numbers as an array, checked in one numpy pass.
+
+    A pbd spec can hold 10^5 entries.
+    """
     values = _required(obj, name)
     try:
         arr = np.asarray(values) if isinstance(values, list) else None
@@ -71,15 +77,11 @@ def _list_field(obj: dict, name: str, integer: bool = False) -> list:
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in ("iu" if integer else "iuf"):
         kind = "integers" if integer else "numbers"
         raise ValueError(f"spec field {name!r} must be a list of {kind}")
-    return arr.tolist() if integer else arr.astype(float).tolist()
+    return arr if integer else arr.astype(float, copy=False)
 
 
-def normalize_spec(obj: dict) -> dict:
-    """Validate a spec dict and return a canonical copy (plain python types).
-
-    A missing field, one of the wrong JSON type, or one the kind does not
-    define raises ``ValueError`` naming the field.
-    """
+def _checked(obj: dict) -> dict:
+    """Validate a spec dict once and return its fields, list fields as arrays."""
     if not isinstance(obj, dict):
         raise ValueError("distribution spec must be a JSON object")
     kind = obj.get("kind")
@@ -89,9 +91,7 @@ def normalize_spec(obj: dict) -> dict:
     if stray:
         raise ValueError(f"{kind} spec has unknown field(s) {', '.join(map(repr, stray))}")
     if kind == "pbd":
-        ps = _list_field(obj, "ps")
-        Pbd(np.array(ps))
-        return {"kind": "pbd", "ps": ps}
+        return {"kind": "pbd", "ps": Pbd(_list_field(obj, "ps")).ps}
     if kind == "binomial":
         n = _field(obj, "n", integer=True)
         p = _field(obj, "p")
@@ -104,23 +104,33 @@ def normalize_spec(obj: dict) -> dict:
     if kind == "explicit":
         lo = _field(obj, "lo", integer=True, default=0)
         probs = _list_field(obj, "probs")
-        ExplicitDistribution(lo, np.array(probs))
+        ExplicitDistribution(lo, probs)
         return {"kind": "explicit", "lo": lo, "probs": probs}
     # perturbed_binomial
     n = _field(obj, "n", integer=True)
     z = _list_field(obj, "z", integer=True)
-    if any(v not in (-1, 1) for v in z):
+    if not np.all((z == 1) | (z == -1)):
         raise ValueError("spec field 'z' must hold only +1 and -1")
-    pb = PerturbedBinomial(n, _field(obj, "c"), _field(obj, "eps"), np.array(z, dtype=np.int8))
-    return {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": z}
+    pb = PerturbedBinomial(n, _field(obj, "c"), _field(obj, "eps"), z)
+    return {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": pb.z}
+
+
+def normalize_spec(obj: dict) -> dict:
+    """Validate a spec dict and return a canonical copy (plain python types).
+
+    A missing field, one of the wrong JSON type, or one the kind does not
+    define raises ``ValueError`` naming the field.
+    """
+    spec = _checked(obj)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in spec.items()}
 
 
 def realize(obj: dict) -> ExplicitDistribution:
     """Turn a spec into an ExplicitDistribution (pbd and tp drop at most 1e-9 mass)."""
-    spec = normalize_spec(obj)
+    spec = _checked(obj)
     kind = spec["kind"]
     if kind == "pbd":
-        return pbd_pmf(Pbd(np.array(spec["ps"])), tail_cut=1e-9)
+        return pbd_pmf(Pbd(spec["ps"]), tail_cut=1e-9)
     if kind == "binomial":
         return binomial_pmf(spec["n"], spec["p"])
     if kind == "tp":
@@ -128,10 +138,8 @@ def realize(obj: dict) -> ExplicitDistribution:
             TranslatedPoissonParams(spec["mu"], spec["sigma2"]), tail_cut=1e-9
         )
     if kind == "explicit":
-        return ExplicitDistribution(spec["lo"], np.array(spec["probs"]))
-    pb = PerturbedBinomial(
-        spec["n"], spec["c"], spec["eps"], np.array(spec["z"], dtype=np.int8)
-    )
+        return ExplicitDistribution(spec["lo"], spec["probs"])
+    pb = PerturbedBinomial(spec["n"], spec["c"], spec["eps"], spec["z"])
     return construct_perturbed_binomial(pb)
 
 

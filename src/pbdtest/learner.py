@@ -1,4 +1,4 @@
-"""Moment estimation and a proper-learning stage for Bernoulli-sum laws.
+"""Moment estimation and a learning stage for Bernoulli-sum laws.
 
 ``learn_pbd`` mirrors the interface of the cited Õ(1/eps^2) learner: its
 hypothesis is either a sparse explicit distribution on a short interval or
@@ -13,10 +13,13 @@ On the sparse route the learner reads the unimodal certificate
 (``distributions.merged_unimodal_distance_lb``) of its own learning
 sample, and flags the draw as not unimodal when the certificate clears
 ``FIT_CHECK_MULT`` plug-in noise widths: the tester then rejects on that
-sample alone.  Otherwise the projection keeps a source far from all
-Bernoulli-sum laws far from any unimodal hypothesis, while for true
-sources it moves the empirical by at most the order of its own
-estimation error.
+sample alone.  Otherwise the projection keeps a source that is far from
+every unimodal law far from the hypothesis, while for true sources it
+moves the empirical by at most the order of its own estimation error.
+That is the whole guarantee: the projection is unimodal, not a
+Bernoulli-sum law, so a unimodal source far from every Bernoulli-sum law,
+such as the uniform law on {0, 1, 2} at n = 3, can be learned closely and
+then accepted.  The learner is proper on the binomial route only.
 """
 
 from __future__ import annotations
@@ -158,13 +161,14 @@ def learn_pbd(
     Routing: variance at or above A_t / eps^6 forces a binomial fit;
     otherwise the moment fit is kept when it explains the empirical within
     noise, and the fallback is the empirical distribution on at most
-    ceil(A_s / eps^3) points, projected onto the unimodal cone.  Both
-    routes are safe for the downstream membership test - a binomial is
-    itself a Bernoulli-sum law, and far sources stay far from any unimodal
-    hypothesis.  The sparse route also records the zero-merged unimodal
-    certificate of the histogram and its threshold, ``FIT_CHECK_MULT``
-    plug-in noise widths; ``not_unimodal`` is set when the certificate
-    exceeds it.
+    ceil(A_s / eps^3) points, projected onto the unimodal cone.  A
+    binomial is itself a Bernoulli-sum law, but the projection keeps only
+    sources far from every unimodal law far from the hypothesis: a unimodal
+    source far from every Bernoulli-sum law can pass the downstream
+    membership test (a known gap).  The sparse route also records the
+    zero-merged unimodal certificate of the histogram and its threshold,
+    ``FIT_CHECK_MULT`` plug-in noise widths; ``not_unimodal`` is set when
+    the certificate exceeds it.
 
     The result's ``dist`` is the hypothesis either way: a binomial fit's
     PMF is built here, once, on the window missing at most

@@ -1,5 +1,6 @@
 """Unit tests for the exact distribution machinery."""
 
+import hashlib
 import math
 import time
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 from scipy.stats import binom
+# Skips under numpy/scipy versions other than those the golden hashes pin.
+from test_golden import pytestmark as pinned_versions
 
 import pbdtest.lowerbound as lowerbound
 from pbdtest.distributions import (
@@ -149,6 +152,41 @@ class TestPbdPmfMatchesSequentialReference:
             ref = sequential_pbd_pmf(ps)
             assert fast.lo == ref.lo and fast.tail_slack == ref.tail_slack
             assert np.array_equal(fast.probs, ref.probs)
+
+    @pinned_versions
+    @pytest.mark.parametrize(
+        "n, tail_cut, digest",
+        [
+            (65, 0.0, "21b8a2ea37b5aba5"),
+            (65, 1e-9, "1b1155977bf10eda"),
+            (129, 0.0, "cce4b74d737dd9db"),
+            (129, 1e-9, "5202e47af4c3045b"),
+            (1000, 0.0, "a7a6fd563e46567e"),
+            (1000, 1e-9, "6438ec6cc0c40934"),
+            (20_000, 0.0, "27e2bb4410d75338"),
+            (20_000, 1e-9, "26d6c19dbc2bbe45"),
+        ],
+    )
+    def test_bit_identical_beyond_one_block(self, n, tail_cut, digest):
+        """Beyond one block there is no exact reference, so the output is
+        pinned by sha256 of ``(lo, tail_slack)`` and the probability bytes.
+
+        The digests were taken while the leaf recurrence still ran on a
+        ``(blocks, steps + 1)`` array, before it moved to ``(steps + 1,
+        blocks)``: a layout change must not move a bit.  Up to 1000 coins
+        about 10% are 0 and 10% are 1, so exact zeros are trimmed at every
+        level.  ``np.convolve`` sums with numpy's (possibly BLAS) dot, so the
+        pins hold for the pinned numpy build.
+        """
+        rng = np.random.Generator(np.random.Philox(n))
+        ps = rng.random(n)
+        if n <= 1000:
+            u = rng.random(n)
+            ps[u < 0.1] = 0.0
+            ps[u > 0.9] = 1.0
+        d = pbd_pmf(Pbd(ps), tail_cut=tail_cut)
+        got = hashlib.sha256(repr((d.lo, d.tail_slack)).encode() + d.probs.tobytes())
+        assert got.hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("n", [65, 127, 128, 129, 1000, 3000, 20_000])
     def test_close_to_reference_beyond_one_block(self, n):

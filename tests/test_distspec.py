@@ -59,6 +59,34 @@ class TestNormalize:
         with pytest.raises(ValueError, match=f"'{field}'"):
             distspec.normalize_spec(spec)
 
+    def test_canonical_lists_hold_python_scalars(self):
+        ps = distspec.normalize_spec({"kind": "pbd", "ps": [0, 1, 0.5]})["ps"]
+        assert type(ps) is list and ps == [0.0, 1.0, 0.5]
+        assert all(type(v) is float for v in ps)
+        z = distspec.normalize_spec(
+            {"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [1, -1]}
+        )["z"]
+        assert type(z) is list and z == [1, -1]
+        assert all(type(v) is int for v in z)
+        probs = distspec.normalize_spec({"kind": "explicit", "probs": [1, 0]})["probs"]
+        assert type(probs) is list and probs == [1.0, 0.0]
+        assert all(type(v) is float for v in probs)
+
+    @pytest.mark.parametrize(
+        "ps, message",
+        [
+            ([0.5, float("nan")], r"all p_i must lie in \[0, 1\]"),
+            ([0.5, 1.5], r"all p_i must lie in \[0, 1\]"),
+            ([-0.1], r"all p_i must lie in \[0, 1\]"),
+            ([[0.1], [0.2, 0.3]], "spec field 'ps' must be a list of numbers"),
+            ([True, False], "spec field 'ps' must be a list of numbers"),
+        ],
+    )
+    def test_bad_ps_messages(self, ps, message):
+        for parse in (distspec.normalize_spec, distspec.realize):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                parse({"kind": "pbd", "ps": ps})
+
     def test_round_trip_all_kinds(self):
         specs = [
             {"kind": "pbd", "ps": [0.1, 0.9]},
@@ -83,10 +111,13 @@ class TestRealize:
 
     def test_pbd_realized_at_fixed_tail_cut(self):
         ps = [0.02 * (i % 40) + 0.1 for i in range(200)]
-        d = distspec.realize({"kind": "pbd", "ps": ps})
-        ref = pbd_pmf(Pbd(np.array(ps)), tail_cut=1e-9)
-        assert (d.lo, d.tail_slack) == (ref.lo, ref.tail_slack)
-        np.testing.assert_array_equal(d.probs, ref.probs)
+        # Integer entries too, as JSON writes certain coins.
+        with_ints = [i % 2 if i % 7 == 0 else p for i, p in enumerate(ps)]
+        for coins in (ps, with_ints):
+            d = distspec.realize({"kind": "pbd", "ps": coins})
+            ref = pbd_pmf(Pbd(np.array(coins)), tail_cut=1e-9)
+            assert (d.lo, d.tail_slack) == (ref.lo, ref.tail_slack)
+            np.testing.assert_array_equal(d.probs, ref.probs)
         with pytest.raises(TypeError):
             distspec.realize({"kind": "pbd", "ps": ps}, tail_cut=1e-6)
 
