@@ -30,8 +30,8 @@ from .oracles import (
     learning_calibration_report,
     monte_carlo_moment_check,
 )
-from .sampling import SampleHistogram, SampleStream
-from .tester import Verdict, l2_statistic, test_pbd
+from .sampling import SampleStream
+from .tester import Verdict, l2_statistic_counts, test_pbd
 
 __all__ = ["main"]
 
@@ -151,14 +151,13 @@ def _cmd_stat(args) -> int:
     xs = _read_samples(args.samples)
     rate = args.rate if args.rate is not None else float(xs.size)
     # Through a pool stream, which refuses negative samples.
-    drawn = SampleStream.from_samples(xs).draw_histogram(xs.size)
-    hist = SampleHistogram(drawn.lo, drawn.counts, nominal_rate=rate, poissonized=True)
+    hist = SampleStream.from_samples(xs).draw_histogram(xs.size)
     artifact = {
         "schema": "pbdtest.stat/1",
         "command": "stat",
         "samples": int(xs.size),
         "rate": rate,
-        "t_n": l2_statistic(hist, q),
+        "t_n": l2_statistic_counts(hist.counts, hist.lo, q, rate),
         "tv_empirical_vs_spec": tv_distance(hist.to_empirical(), q),
     }
     _emit(artifact, args.out)
@@ -249,12 +248,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pbdtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p, need_n=True):
+    def add_source(p):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--spec", help="distribution spec JSON file")
         group.add_argument("--samples", help="sample file, one integer per line")
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="support bound n")
+        p.add_argument("--n", type=int, required=True, help="support bound n")
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--config", help="JSON file overriding test constants")
         p.add_argument("--out", help="write the JSON artifact here as well")
@@ -273,9 +271,10 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("stat", help="statistics against a known spec, or emit samples")
     s.add_argument("--spec", required=True)
-    s.add_argument("--samples", help="compute statistics for these samples")
+    mode = s.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--samples", help="compute statistics for these samples")
+    mode.add_argument("--draw", type=int, help="emit this many samples instead")
     s.add_argument("--rate", type=float, help="nominal Poissonized rate (defaults to count)")
-    s.add_argument("--draw", type=int, help="emit this many samples instead")
     s.add_argument("--emit", help="sample output path (with --draw)")
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out")
@@ -309,11 +308,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "stat":
-        if (args.draw is None) == (args.samples is None):
-            parser.error("stat needs exactly one of --samples or --draw")
-        if args.draw is not None and not args.emit:
-            parser.error("--draw requires --emit PATH")
+    if args.command == "stat" and args.draw is not None and not args.emit:
+        parser.error("--draw requires --emit PATH")
     try:
         return args.fn(args)
     except (ValueError, OSError, RuntimeError) as exc:

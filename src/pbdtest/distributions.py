@@ -393,11 +393,29 @@ def _in_window(q: ExplicitDistribution, window: tuple[int, int] | None) -> np.nd
     return p[a:b] if a < b else p[:0]
 
 
-def _half_unimodal_l1(p: np.ndarray) -> float:
-    # A split at t fits p[:t] nondecreasing and p[t:] nonincreasing.
-    f = _isotonic_l1_prefix(p)
-    g = _isotonic_l1_prefix(p[::-1])[::-1]
-    return 0.5 * float((f + g).min())
+def _half_unimodal_l1(p: np.ndarray, level: float = math.inf) -> float:
+    """Half the least l1 distance from p to a unimodal sequence, up to ``level``.
+
+    A split at t fits p[:t] nondecreasing and p[t:] nonincreasing, at cost
+    f[t] + g[t] from a forward and a backward prefix pass.  Each pass stops
+    once its cost exceeds 2 * level.  The forward cost f[t] never falls as
+    t grows, nor the backward cost g[t] as t falls, and adding a
+    nonnegative float never lowers a sum, so every split past either stop
+    already sums above 2 * level.  Only the splits that both passes reached
+    are summed, so the value is exact when it is at most ``level`` and
+    above ``level`` otherwise; it is inf when no split was reached by both.
+    Doubling the level and halving a sum above it are exact once the level
+    is at least the smallest normal float; below that both passes run in
+    full, as they do at the default level, where every split is summed.
+    """
+    bound = 2.0 * level if level >= sys.float_info.min else math.inf
+    f = _isotonic_l1_prefix(p, bound)  # f[t] for t in [0, i]
+    h = _isotonic_l1_prefix(p[::-1], bound)  # g[t] = h[m - t] for t in [m - j, m]
+    m, i, j = len(p), len(f) - 1, len(h) - 1
+    if m - j > i:
+        return math.inf
+    both = f[m - j : i + 1] + h[m - i : j + 1][::-1]
+    return 0.5 * float(both.min())
 
 
 def unimodal_distance_lb(
@@ -419,26 +437,9 @@ def unimodal_distance_lb(
 def unimodal_distance_exceeds(
     q: ExplicitDistribution, level: float, window: tuple[int, int] | None = None
 ) -> bool:
-    """Exactly ``unimodal_distance_lb(q, window) > level``, from shorter passes.
-
-    Each prefix pass stops once its cost exceeds 2 * level.  The forward
-    cost f[t] never falls as t grows, nor the backward cost g[t] as t
-    falls, and adding a nonnegative float never lowers a sum, so every
-    split past either stop already sums above 2 * level.  Only the splits
-    that both passes reached are summed, as ``unimodal_distance_lb`` sums
-    them; when there are none, the answer is True.  Doubling the level and
-    halving a sum above it are exact once the level is at least the
-    smallest normal float; below that both passes run in full.
-    """
-    p = _in_window(q, window)
-    bound = 2.0 * level if level >= sys.float_info.min else math.inf
-    f = _isotonic_l1_prefix(p, bound)  # f[t] for t in [0, i]
-    h = _isotonic_l1_prefix(p[::-1], bound)  # g[t] = h[m - t] for t in [m - j, m]
-    m, i, j = len(p), len(f) - 1, len(h) - 1
-    if m - j > i:
-        return True
-    both = f[m - j : i + 1] + h[m - i : j + 1][::-1]
-    return 0.5 * float(both.min()) > level
+    """Exactly ``unimodal_distance_lb(q, window) > level``, from passes that
+    stop once their cost exceeds 2 * level (see ``_half_unimodal_l1``)."""
+    return _half_unimodal_l1(_in_window(q, window), level) > level
 
 
 def merged_unimodal_distance_lb(q: ExplicitDistribution) -> float:
@@ -481,7 +482,8 @@ class PerturbedBinomial:
             raise ValueError("z must have length n/2")
         # Checked before the int8 cast, which would wrap 257 to 1.
         if not np.all((z == 1) | (z == -1)):
-            raise ValueError("z entries must be +1 or -1")
+            # Names the field as a spec's errors do: distspec has no z check of its own.
+            raise ValueError("z entries must be +1 or -1 (field 'z')")
         object.__setattr__(self, "z", np.ascontiguousarray(z, dtype=np.int8))
 
 

@@ -12,13 +12,15 @@ Each kind takes exactly the fields shown (an explicit spec's ``lo``
 defaults to 0).  ``normalize_spec`` validates and returns a canonical
 copy in plain python types; ``realize`` turns a spec into an
 ExplicitDistribution.  Both validate once, in one numpy pass per list
-field; ``realize`` keeps the list fields as arrays and never builds the
-canonical list form.
+field, by building the kind's object (``Pbd``, ``PerturbedBinomial``,
+...); ``realize`` builds the law from those same objects and never builds
+the canonical list form.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections.abc import Callable
 
 import numpy as np
 
@@ -80,8 +82,12 @@ def _list_field(obj: dict, name: str, integer: bool = False) -> np.ndarray:
     return arr if integer else arr.astype(float, copy=False)
 
 
-def _checked(obj: dict) -> dict:
-    """Validate a spec dict once and return its fields, list fields as arrays."""
+def _checked(obj: dict) -> tuple[dict, Callable[[], ExplicitDistribution]]:
+    """Validate a spec dict once.
+
+    Returns its fields, list fields as arrays, and a builder of the law
+    over the objects that validation built.
+    """
     if not isinstance(obj, dict):
         raise ValueError("distribution spec must be a JSON object")
     kind = obj.get("kind")
@@ -91,28 +97,29 @@ def _checked(obj: dict) -> dict:
     if stray:
         raise ValueError(f"{kind} spec has unknown field(s) {', '.join(map(repr, stray))}")
     if kind == "pbd":
-        return {"kind": "pbd", "ps": Pbd(_list_field(obj, "ps")).ps}
+        pbd = Pbd(_list_field(obj, "ps"))
+        return {"kind": "pbd", "ps": pbd.ps}, lambda: pbd_pmf(pbd, tail_cut=1e-9)
     if kind == "binomial":
         n = _field(obj, "n", integer=True)
         p = _field(obj, "p")
         if n < 0 or not 0.0 <= p <= 1.0:
             raise ValueError("binomial spec requires n >= 0 and p in [0, 1]")
-        return {"kind": "binomial", "n": n, "p": p}
+        return {"kind": "binomial", "n": n, "p": p}, lambda: binomial_pmf(n, p)
     if kind == "tp":
-        params = TranslatedPoissonParams(_field(obj, "mu"), _field(obj, "sigma2"))
-        return {"kind": "tp", "mu": params.mu, "sigma2": params.sigma2}
+        tp = TranslatedPoissonParams(_field(obj, "mu"), _field(obj, "sigma2"))
+        fields = {"kind": "tp", "mu": tp.mu, "sigma2": tp.sigma2}
+        return fields, lambda: translated_poisson_pmf(tp, tail_cut=1e-9)
     if kind == "explicit":
         lo = _field(obj, "lo", integer=True, default=0)
         probs = _list_field(obj, "probs")
-        ExplicitDistribution(lo, probs)
-        return {"kind": "explicit", "lo": lo, "probs": probs}
+        dist = ExplicitDistribution(lo, probs)
+        return {"kind": "explicit", "lo": lo, "probs": probs}, lambda: dist
     # perturbed_binomial
     n = _field(obj, "n", integer=True)
     z = _list_field(obj, "z", integer=True)
-    if not np.all((z == 1) | (z == -1)):
-        raise ValueError("spec field 'z' must hold only +1 and -1")
     pb = PerturbedBinomial(n, _field(obj, "c"), _field(obj, "eps"), z)
-    return {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": pb.z}
+    fields = {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": pb.z}
+    return fields, lambda: construct_perturbed_binomial(pb)
 
 
 def normalize_spec(obj: dict) -> dict:
@@ -121,26 +128,14 @@ def normalize_spec(obj: dict) -> dict:
     A missing field, one of the wrong JSON type, or one the kind does not
     define raises ``ValueError`` naming the field.
     """
-    spec = _checked(obj)
+    spec, _ = _checked(obj)
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in spec.items()}
 
 
 def realize(obj: dict) -> ExplicitDistribution:
     """Turn a spec into an ExplicitDistribution (pbd and tp drop at most 1e-9 mass)."""
-    spec = _checked(obj)
-    kind = spec["kind"]
-    if kind == "pbd":
-        return pbd_pmf(Pbd(spec["ps"]), tail_cut=1e-9)
-    if kind == "binomial":
-        return binomial_pmf(spec["n"], spec["p"])
-    if kind == "tp":
-        return translated_poisson_pmf(
-            TranslatedPoissonParams(spec["mu"], spec["sigma2"]), tail_cut=1e-9
-        )
-    if kind == "explicit":
-        return ExplicitDistribution(spec["lo"], spec["probs"])
-    pb = PerturbedBinomial(spec["n"], spec["c"], spec["eps"], spec["z"])
-    return construct_perturbed_binomial(pb)
+    _, build = _checked(obj)
+    return build()
 
 
 def explicit_spec(dist: ExplicitDistribution) -> dict:

@@ -103,7 +103,7 @@ def detection_experiment(
     eps: float,
     k_grid,
     trials: int,
-    config=None,
+    config: TestConfig,
     seed: int = 0,
     threads: int = 1,
 ) -> tuple[list[DetectionRow], dict]:
@@ -149,8 +149,6 @@ def detection_experiment(
         "trials": trials,
         "seed": seed,
     }
-    if config is None:
-        config = TestConfig(eps=eps, delta=0.5)
     p0 = binomial_pmf(n, 0.5)
     rows: list[DetectionRow] = []
     if trials == 0:

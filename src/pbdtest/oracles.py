@@ -129,14 +129,18 @@ def _tiny_pbd_pmf_columns(grid: np.ndarray) -> np.ndarray:
 def exact_tv_to_pbd_class(p: ExplicitDistribution, n: int, grid_step: float) -> float:
     """Min TV from p to any Bernoulli-sum law over [0, n], by exhaustive grid.
 
-    An upper bound on the true infimum within Lipschitz slack n * grid_step.
-    Capped at n <= 3 and grid_step >= 0.01.
+    The grid on [0, 1] has step 1/m with m = ceil(1/grid_step), never above
+    ``grid_step``, so the value is an upper bound on the true infimum
+    within Lipschitz slack n * grid_step.  Capped at n <= 3 and grid_step
+    in [0.01, 1].
     """
     if n > 3 or n < 0:
         raise ValueError("grid search is capped at n <= 3")
-    if grid_step < 0.01:
-        raise ValueError("grid_step must be at least 0.01")
-    m = round(1.0 / grid_step)
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not 0.01 <= grid_step <= 1.0:
+        raise ValueError("grid_step must lie in [0.01, 1]")
+    # The 1e-9 keeps a step that divides 1, such as 0.05, at m = 1/step.
+    m = math.ceil(1.0 / grid_step - 1e-9)
     pts = np.arange(m + 1) / m
     combos = np.array(list(combinations_with_replacement(pts, n))) if n else np.zeros((1, 0))
     pmfs = _tiny_pbd_pmf_columns(combos)
@@ -149,7 +153,7 @@ def exact_tv_to_pbd_class(p: ExplicitDistribution, n: int, grid_step: float) -> 
     return float(0.5 * np.abs(cand - target).sum(axis=1).min())
 
 
-def exact_tv_to_unimodal(p: ExplicitDistribution, tol: float = 1e-9) -> float:
+def exact_tv_to_unimodal(p: ExplicitDistribution) -> float:
     """Exact TV projection distance onto unimodal distributions (support <= 60).
 
     For each candidate mode the projection is a linear program: minimize
@@ -160,39 +164,31 @@ def exact_tv_to_unimodal(p: ExplicitDistribution, tol: float = 1e-9) -> float:
     if m > 60:
         raise ValueError("exact unimodal projection is capped at support 60")
     q = p.probs
+    # Variables [r_0..r_{m-1}, t_0..t_{m-1}]; minimize 0.5 * sum t.
+    cost = np.concatenate([np.zeros(m), 0.5 * np.ones(m)])
+    # Rows 2i and 2i + 1 bound the residual: r_i - t_i <= q_i and
+    # -r_i - t_i <= -q_i.  Row 2m + i orders r_i and r_{i+1} by the mode.
+    i = np.arange(m)
+    a_ub = np.zeros((3 * m - 1, 2 * m))
+    a_ub[2 * i, i] = 1.0
+    a_ub[2 * i + 1, i] = -1.0
+    a_ub[2 * i, m + i] = -1.0
+    a_ub[2 * i + 1, m + i] = -1.0
+    b_ub = np.zeros(3 * m - 1)
+    b_ub[0 : 2 * m : 2] = q
+    b_ub[1 : 2 * m : 2] = -q
+    a_eq = np.zeros((1, 2 * m))
+    a_eq[0, :m] = 1.0
     best = math.inf
     for mode in range(m):
-        # Variables [r_0..r_{m-1}, t_0..t_{m-1}]; minimize 0.5 * sum t.
-        cost = np.concatenate([np.zeros(m), 0.5 * np.ones(m)])
-        rows = []
-        rhs = []
-        for i in range(m):
-            row = np.zeros(2 * m)
-            row[i] = 1.0
-            row[m + i] = -1.0
-            rows.append(row)
-            rhs.append(q[i])
-            row = np.zeros(2 * m)
-            row[i] = -1.0
-            row[m + i] = -1.0
-            rows.append(row)
-            rhs.append(-q[i])
-        for i in range(m - 1):
-            row = np.zeros(2 * m)
-            if i < mode:
-                row[i] = 1.0
-                row[i + 1] = -1.0
-            else:
-                row[i] = -1.0
-                row[i + 1] = 1.0
-            rows.append(row)
-            rhs.append(0.0)
-        a_eq = np.zeros((1, 2 * m))
-        a_eq[0, :m] = 1.0
+        # Rising (r_i <= r_{i+1}) before the mode, falling from it on.
+        rising = np.where(i[:-1] < mode, 1.0, -1.0)
+        a_ub[2 * m + i[:-1], i[:-1]] = rising
+        a_ub[2 * m + i[:-1], i[:-1] + 1] = -rising
         res = linprog(
             cost,
-            A_ub=np.array(rows),
-            b_ub=np.array(rhs),
+            A_ub=a_ub,
+            b_ub=b_ub,
             A_eq=a_eq,
             b_eq=np.array([1.0]),
             bounds=[(0, None)] * (2 * m),
@@ -319,14 +315,17 @@ def paired_perturbation(
 
     Adjacent support points are paired and mass t * min(pair) moves within
     each pair in alternating directions, so totals are conserved exactly
-    and TV scales linearly in t.  Returns (distribution, exact l2^2).
+    and TV scales linearly in t.  The target must lie in [0, movable), the
+    movable mass being the sum of the pair minima.  Returns (distribution,
+    exact l2^2).
     """
     p = base.probs.copy()
     m = len(p)
     mins = np.minimum(p[0 : m - 1 : 2], p[1 : m + 1 : 2][: (m // 2)])
     movable = float(mins.sum())
-    if tv_target >= movable:
-        raise ValueError(f"tv_target {tv_target} exceeds movable mass {movable}")
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not 0.0 <= tv_target < movable:
+        raise ValueError(f"tv_target {tv_target} must lie in [0, movable mass {movable})")
     t = tv_target / movable
     deltas = t * mins
     p[0 : 2 * len(deltas) : 2] += deltas
@@ -335,14 +334,7 @@ def paired_perturbation(
     return ExplicitDistribution(base.lo, p, tail_slack=base.tail_slack), ell2_sq
 
 
-def calibration_report(
-    corpus=((50.0, 0.1), (25.0, 0.2), (16.0, 0.15)),
-    sample_const_grid=(10.0, 20.0, 40.0, 80.0, 160.0),
-    threshold_const_grid=(0.05, 0.1, 0.2, 0.4),
-    spread_cap: float = 0.05,
-    close_margin: float = 2.5,
-    far_margin: float = 1.5,
-) -> dict:
+def calibration_report() -> dict:
     """Closed-form sweep that fixes the two statistic constants.
 
     The corpus pairs a shifted-Poisson pivot with its paired perturbation
@@ -353,7 +345,12 @@ def calibration_report(
     the smallest grid value that keeps the far-corpus spread Var/E^2 at or
     under ``spread_cap`` while the acceptance threshold clears the
     close-case statistic noise by ``close_margin`` standard deviations.
+    The report echoes the corpus and the three margins.
     """
+    corpus = ((50.0, 0.1), (25.0, 0.2), (16.0, 0.15))
+    sample_const_grid = (10.0, 20.0, 40.0, 80.0, 160.0)
+    threshold_const_grid = (0.05, 0.1, 0.2, 0.4)
+    spread_cap, close_margin, far_margin = 0.05, 2.5, 1.5
     cases = []
     for sigma_hat, eps in corpus:
         logt = truncated_log(1.0 / eps)

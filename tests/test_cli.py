@@ -309,6 +309,20 @@ class TestStatCommand:
         assert captured.err.startswith("pbdtest: error")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ([], "one of the arguments --samples --draw is required"),
+            (["--samples", "s.txt", "--draw", "5"], "not allowed with argument"),
+            (["--draw", "5"], "--draw requires --emit PATH"),
+        ],
+    )
+    def test_needs_exactly_one_mode(self, binomial_spec, capsys, mode, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["stat", "--spec", binomial_spec, "--seed", "0", *mode])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
     def test_negative_sample_exits_1(self, binomial_spec, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
         samples.write_text("200\n-1\n")

@@ -25,6 +25,7 @@ from pbdtest.distributions import (
     translated_poisson_pmf,
     truncated_log,
     tv_distance,
+    unimodal_distance_exceeds,
     unimodal_distance_lb,
 )
 from pbdtest.distspec import normalize_spec
@@ -529,3 +530,97 @@ class TestUnimodalCertificateForms:
         d = ExplicitDistribution(0, probs)
         assert merged_unimodal_distance_lb(d) == unimodal_distance_lb(d) == 0.25
         assert merged_unimodal_distance_lb(binomial_pmf(30, 0.5)) == 0.0
+
+
+def _certificate_pin_cases():
+    """Eight fixed Philox laws, the odd ones with runs of exact zeros, each
+    with three windows: none, an inner one, and one reaching past the low end."""
+    rng = np.random.Generator(np.random.Philox(2323))
+    cases = []
+    for i in range(8):
+        m = int(rng.integers(4, 90))
+        p = rng.random(m) ** 2
+        if i % 2:
+            for _ in range(3):
+                a = int(rng.integers(0, m))
+                p[a : a + int(rng.integers(2, 9))] = 0.0
+        p[m // 2] += 0.1
+        d = ExplicitDistribution(int(rng.integers(0, 50)), p / p.sum())
+        for window in (None, (d.lo + m // 4, d.lo + 3 * m // 4), (d.lo - 5, d.lo + m // 2)):
+            cases.append((i, d, window))
+    return cases
+
+
+def _exceeds_levels(lb: float) -> tuple[float, ...]:
+    # Two levels well below the value, so both passes stop early, the value's
+    # neighbour below it, the value itself, and one above it.
+    return (0.01, lb / 4, math.nextafter(lb, 0.0), lb, 2 * lb + 0.01)
+
+
+# Taken at the parent of the change that merged the two unimodal splits into
+# one: (unimodal_distance_lb(d, window).hex(), unimodal_distance_exceeds at
+# ``_exceeds_levels`` as T/F), one entry per case; and
+# merged_unimodal_distance_lb(d).hex() per law.
+CERTIFICATE_PINS = [
+    ("0x1.2c9ac98ae32bcp-2", "TTTFF"),
+    ("0x1.1cc5dbb605a8ep-3", "TTTFF"),
+    ("0x1.f72a10852465ap-4", "TTTFF"),
+    ("0x1.1fac543b39e5fp-2", "TTTFF"),
+    ("0x1.1dcdfe8144781p-4", "TTTFF"),
+    ("0x1.d5be56823f12ap-5", "TTTFF"),
+    ("0x1.5ddd175163a2cp-2", "TTTFF"),
+    ("0x1.12f3862babc4dp-3", "TTTFF"),
+    ("0x1.4dacefde31cf7p-3", "TTTFF"),
+    ("0x1.ebdcc8f7150eap-3", "TTTFF"),
+    ("0x1.7ad783e05fb47p-5", "TTTFF"),
+    ("0x1.ebdcc8f7150eap-3", "TTTFF"),
+    ("0x1.4f0e140fda28cp-2", "TTTFF"),
+    ("0x1.014f6affc539bp-3", "TTTFF"),
+    ("0x1.211d4fecf84f6p-3", "TTTFF"),
+    ("0x1.31b77dae828b3p-2", "TTTFF"),
+    ("0x1.34795f4003d21p-3", "TTTFF"),
+    ("0x1.8a6ff3a03fc77p-4", "TTTFF"),
+    ("0x1.f3d72a2522ea7p-3", "TTTFF"),
+    ("0x1.108f3a53135ccp-4", "TTTFF"),
+    ("0x1.0aa185a68fc0ap-3", "TTTFF"),
+    ("0x1.6eeba72c6ab6ap-2", "TTTFF"),
+    ("0x1.8acc51c2a2a4ep-3", "TTTFF"),
+    ("0x1.352d38e63c3f7p-3", "TTTFF"),
+]
+MERGED_PINS = [
+    "0x1.2c9ac98ae32bcp-2", "0x1.16547ec94a4cfp-2", "0x1.5ddd175163a2cp-2",
+    "0x1.6474448616fe7p-3", "0x1.4f0e140fda28cp-2", "0x1.fa249edcd099ap-3",
+    "0x1.f3d72a2522ea7p-3", "0x1.4d85ef1968e6fp-2",
+]
+
+
+@pinned_versions
+class TestCertificatePins:
+    """The certificate's value and decision forms, pinned bit for bit.
+
+    The golden artifacts reach the certificate only through the detection
+    experiment's decision form, and never take the learner's sparse route,
+    which reads the zero-merged value; these pins hold the value, the
+    zero-merged value, and the decision at levels on both sides of the value.
+    """
+
+    def test_value_and_decision(self):
+        got = []
+        for _, d, window in _certificate_pin_cases():
+            lb = unimodal_distance_lb(d, window)
+            flags = "".join(
+                "T" if unimodal_distance_exceeds(d, level, window) else "F"
+                for level in _exceeds_levels(lb)
+            )
+            got.append((lb.hex(), flags))
+        assert got == CERTIFICATE_PINS
+
+    def test_merged_value(self):
+        laws = {i: d for i, d, _ in _certificate_pin_cases()}
+        assert [merged_unimodal_distance_lb(d).hex() for d in laws.values()] == MERGED_PINS
+
+    def test_window_past_the_support_is_zero(self):
+        for _, d, _ in _certificate_pin_cases():
+            window = (d.hi + 3, d.hi + 10)
+            assert unimodal_distance_lb(d, window) == 0.0
+            assert not unimodal_distance_exceeds(d, 0.0, window)

@@ -127,6 +127,29 @@ class TestRealize:
         )
         assert d.probs.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("Pbd", {"kind": "pbd", "ps": [0.1, 0.5, 0.9]}),
+            (
+                "PerturbedBinomial",
+                {"kind": "perturbed_binomial", "n": 4, "c": 1.0, "eps": 0.5, "z": [1, -1]},
+            ),
+        ],
+    )
+    def test_builds_each_object_once(self, monkeypatch, name, spec):
+        """``realize`` validates a spec by building its object, then uses that object."""
+        built = []
+
+        class Counting(getattr(distspec, name)):
+            def __post_init__(self):
+                built.append(name)
+                super().__post_init__()
+
+        monkeypatch.setattr(distspec, name, Counting)
+        distspec.realize(spec)
+        assert built == [name]
+
     def test_explicit_spec_of_distribution(self):
         d = binomial_pmf(5, 0.3)
         spec = distspec.explicit_spec(d)

@@ -179,3 +179,30 @@ REMOVED_FROM_ROOT = (
 
 def test_removed_names_stay_out_of_the_root():
     assert [name for name in REMOVED_FROM_ROOT if hasattr(pbdtest, name)] == []
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function and lambda, ``self`` and ``cls``
+    aside, is loaded somewhere in its body: a knob that no code reads goes."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.stem}.{name}({a.arg})"
+                for a in params
+                if a.arg not in ("self", "cls") and a.arg not in loaded
+            ]
+    assert unread == []

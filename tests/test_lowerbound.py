@@ -380,7 +380,8 @@ class TestChi2Bound:
 
 class TestDetectionExperiment:
     def test_zero_trials_empty(self):
-        rows, meta = detection_experiment(64, 1.0, 0.2, [10.0], trials=0, seed=0)
+        cfg = TestConfig(eps=0.2, delta=0.5)
+        rows, meta = detection_experiment(64, 1.0, 0.2, [10.0], trials=0, config=cfg, seed=0)
         assert rows == []
         assert meta["trials"] == 0
 

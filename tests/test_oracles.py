@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+# Skips under numpy/scipy versions other than those the golden hashes pin.
+from test_golden import pytestmark as pinned_versions
 
 from pbdtest.calibrated import TestConfig
 from pbdtest.distributions import (
@@ -80,6 +82,31 @@ class TestTvToPbdClass:
         with pytest.raises(ValueError):
             exact_tv_to_pbd_class(d, 2, 0.001)
 
+    @pytest.mark.parametrize("grid_step", [2.0, math.inf, math.nan, 1.0001, 0.0099, 0.0, -0.5])
+    def test_grid_step_outside_the_cap_is_refused(self, grid_step):
+        # 2.0 and inf used to give a zero-point grid and return nan.
+        with pytest.raises(ValueError, match=r"grid_step must lie in \[0.01, 1\]"):
+            exact_tv_to_pbd_class(binomial_pmf(2, 0.5), 2, grid_step)
+
+    def test_grid_never_coarser_than_its_step(self):
+        # 0.7 used to search {0, 1} alone, a step of 1, and put Binomial(2,
+        # 1/2) at 0.5 from the class it belongs to; its grid is now {0, 1/2, 1}.
+        d = binomial_pmf(2, 0.5)
+        assert exact_tv_to_pbd_class(d, 2, 0.7) == exact_tv_to_pbd_class(d, 2, 0.5) == 0.0
+        assert exact_tv_to_pbd_class(d, 2, 1.0) == 0.5
+
+
+# exact_tv_to_unimodal on ``test_values_pinned``'s laws, in order.
+LP_PINS = [
+    "0x1.4a95861dbe44bp-3", "0x1.3d4c605920685p-4", "0x1.694dfdf66be39p-4",
+    "0x1.1c3f2ef067a61p-2", "0x1.7d80edf9c733ep-3", "0x1.21776bac73bcbp-3",
+    "0x0.0p+0", "0x1.0ae7fabe7a4c3p-3", "0x1.46e0a9843fd8ep-5",
+    "0x1.80ab4c4844082p-2", "0x1.18984f9f86bbdp-3", "0x1.60628ac1e9bffp-3",
+    "0x1.5f85f229330fbp-3", "0x1.6a4ca31b2fb8ep-3", "0x0.0p+0",
+    "0x1.0f692d367c17cp-2", "0x1.189fe005eefa6p-3", "0x1.27bc9d2a85a5bp-3",
+    "0x1.236680a70aa67p-4", "0x0.0p+0",
+]
+
 
 class TestTvToUnimodal:
     def test_unimodal_is_zero(self):
@@ -92,6 +119,25 @@ class TestTvToUnimodal:
     def test_support_cap(self):
         with pytest.raises(ValueError, match="support"):
             exact_tv_to_unimodal(ExplicitDistribution(0, np.full(61, 1.0 / 61.0)))
+
+    @pinned_versions
+    def test_values_pinned(self):
+        """HiGHS's value on 20 fixed Philox laws, by ``float.hex``.
+
+        Taken while each constraint row was still built by a Python loop,
+        before the matrix was built in numpy blocks: the LP handed to HiGHS
+        must not change.
+        """
+        rng = np.random.Generator(np.random.Philox(2324))
+        got = []
+        for i in range(20):
+            m = int(rng.integers(2, 21))
+            p = rng.random(m)
+            if i % 3 == 0:
+                p[rng.random(m) < 0.3] = 0.0
+            p[m // 2] += 0.05
+            got.append(exact_tv_to_unimodal(ExplicitDistribution(0, p / p.sum())).hex())
+        assert got == LP_PINS
 
 
 class TestTnMoments:
@@ -127,6 +173,17 @@ class TestPairedPerturbation:
         base = binomial_pmf(6, 0.5)
         with pytest.raises(ValueError, match="movable"):
             paired_perturbation(base, 0.9)
+
+    @pytest.mark.parametrize("tv_target", [-0.1, -1e-300, math.nan, -math.inf, math.inf])
+    def test_target_outside_zero_to_movable(self, tv_target):
+        # -0.1 used to return a law at TV 0.1, and NaN failed later on its mass.
+        with pytest.raises(ValueError, match="movable"):
+            paired_perturbation(binomial_pmf(4, 0.5), tv_target)
+
+    def test_zero_target_is_the_base(self):
+        base = binomial_pmf(4, 0.5)
+        far, ell2 = paired_perturbation(base, 0.0)
+        assert np.array_equal(far.probs, base.probs) and ell2 == 0.0
 
 
 class TestCalibrationReport:
