@@ -31,7 +31,7 @@ from .oracles import (
     monte_carlo_moment_check,
 )
 from .sampling import SampleStream
-from .tester import Verdict, l2_statistic_counts, test_pbd
+from .tester import Verdict, l2_statistic, test_pbd
 
 __all__ = ["main"]
 
@@ -79,12 +79,15 @@ def _read_samples(path: str) -> np.ndarray:
     return xs
 
 
+def _read_spec(path: str) -> ExplicitDistribution:
+    with open(path) as fh:
+        return distspec.realize(json.load(fh))
+
+
 def _make_stream(args, seed: int) -> SampleStream:
     """The source of ``test`` and ``learn``; the library checks that it lies in [0, n]."""
     if args.spec:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-        return SampleStream.from_distribution(distspec.realize(spec), seed)
+        return SampleStream.from_distribution(_read_spec(args.spec), seed)
     return SampleStream.from_samples(_read_samples(args.samples), seed)
 
 
@@ -120,7 +123,7 @@ def _cmd_learn(args) -> int:
         "command": "learn",
         "eps": args.eps,
         "seed": args.seed,
-        "hypothesis": distspec.normalize_spec(hyp_spec),
+        "hypothesis": hyp_spec,
         "samples_used": learned.samples_used,
         "mu_hat": learned.mu_hat,
         "sigma2_hat": learned.sigma2_hat,
@@ -130,24 +133,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_stat(args) -> int:
-    with open(args.spec) as fh:
-        q = distspec.realize(json.load(fh))
-    if args.draw is not None:
-        stream = SampleStream.from_distribution(q, args.seed)
-        xs = stream.draw(args.draw)
-        with open(args.emit, "w") as fh:
-            fh.writelines(f"{x}\n" for x in xs)
-        _emit(
-            {
-                "schema": "pbdtest.stat/1",
-                "command": "stat",
-                "emitted": int(args.draw),
-                "seed": args.seed,
-                "path": args.emit,
-            },
-            args.out,
-        )
-        return 0
+    q = _read_spec(args.spec)
     xs = _read_samples(args.samples)
     rate = args.rate if args.rate is not None else float(xs.size)
     # Through a pool stream, which refuses negative samples.
@@ -157,10 +143,25 @@ def _cmd_stat(args) -> int:
         "command": "stat",
         "samples": int(xs.size),
         "rate": rate,
-        "t_n": l2_statistic_counts(hist.counts, hist.lo, q, rate),
+        "t_n": l2_statistic(hist.counts, hist.lo, q, rate),
         "tv_empirical_vs_spec": tv_distance(hist.to_empirical(), q),
     }
     _emit(artifact, args.out)
+    return 0
+
+
+def _cmd_draw(args) -> int:
+    xs = SampleStream.from_distribution(_read_spec(args.spec), args.seed).draw(args.count)
+    with open(args.emit, "w") as fh:
+        fh.writelines(f"{x}\n" for x in xs)
+    record = {
+        "schema": "pbdtest.draw/1",
+        "command": "draw",
+        "emitted": args.count,
+        "seed": args.seed,
+        "path": args.emit,
+    }
+    _emit(record, None)
     return 0
 
 
@@ -175,7 +176,6 @@ def _cmd_lowerbound(args) -> int:
         args.trials,
         config=config,
         seed=args.seed,
-        threads=args.threads,
     )
     lines = [
         "# pbdtest.lowerbound/1",
@@ -269,16 +269,19 @@ def _build_parser() -> _Parser:
     l.add_argument("--eps", type=float, required=True)
     l.set_defaults(fn=_cmd_learn)
 
-    s = sub.add_parser("stat", help="statistics against a known spec, or emit samples")
+    s = sub.add_parser("stat", help="statistics of a sample file against a known spec")
     s.add_argument("--spec", required=True)
-    mode = s.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--samples", help="compute statistics for these samples")
-    mode.add_argument("--draw", type=int, help="emit this many samples instead")
-    s.add_argument("--rate", type=float, help="nominal Poissonized rate (defaults to count)")
-    s.add_argument("--emit", help="sample output path (with --draw)")
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--samples", required=True, help="sample file, one integer per line")
+    s.add_argument("--rate", type=float, help="Poisson rate of the samples (defaults to count)")
     s.add_argument("--out")
     s.set_defaults(fn=_cmd_stat)
+
+    d = sub.add_parser("draw", help="write samples drawn from a spec, one per line")
+    d.add_argument("--spec", required=True)
+    d.add_argument("--count", type=int, required=True, help="how many samples")
+    d.add_argument("--emit", required=True, help="sample output path")
+    d.add_argument("--seed", type=int, required=True)
+    d.set_defaults(fn=_cmd_draw)
 
     lb = sub.add_parser("lowerbound", help="indistinguishability detection curve")
     lb.add_argument("--n", type=int, required=True)
@@ -287,7 +290,6 @@ def _build_parser() -> _Parser:
     lb.add_argument("--k-grid", required=True, help="comma-separated sample budgets")
     lb.add_argument("--trials", type=int, required=True)
     lb.add_argument("--seed", type=int, required=True)
-    lb.add_argument("--threads", type=int, default=1)
     lb.add_argument("--config")
     lb.add_argument("--out", help="CSV output path")
     lb.set_defaults(fn=_cmd_lowerbound)
@@ -306,10 +308,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "stat" and args.draw is not None and not args.emit:
-        parser.error("--draw requires --emit PATH")
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, RuntimeError) as exc:

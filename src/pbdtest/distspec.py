@@ -9,18 +9,16 @@ A spec is a plain dict with a ``kind`` field::
     {"kind": "perturbed_binomial", "n": 8, "c": 1.0, "eps": 0.2, "z": [1, -1, ...]}
 
 Each kind takes exactly the fields shown (an explicit spec's ``lo``
-defaults to 0).  ``normalize_spec`` validates and returns a canonical
-copy in plain python types; ``realize`` turns a spec into an
-ExplicitDistribution.  Both validate once, in one numpy pass per list
-field, by building the kind's object (``Pbd``, ``PerturbedBinomial``,
-...); ``realize`` builds the law from those same objects and never builds
-the canonical list form.
+defaults to 0).  ``realize`` validates a spec and turns it into an
+ExplicitDistribution: it checks each list field in one numpy pass and
+builds the kind's object (``Pbd``, ``PerturbedBinomial``, ...) once,
+then the law from that object.  ``explicit_spec`` writes a law back as a
+spec.
 """
 
 from __future__ import annotations
 
 import numbers
-from collections.abc import Callable
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .distributions import (
     translated_poisson_pmf,
 )
 
-__all__ = ["KINDS", "normalize_spec", "realize", "explicit_spec"]
+__all__ = ["KINDS", "realize", "explicit_spec"]
 
 # The fields each kind takes besides ``kind``.
 _FIELDS = {
@@ -82,11 +80,11 @@ def _list_field(obj: dict, name: str, integer: bool = False) -> np.ndarray:
     return arr if integer else arr.astype(float, copy=False)
 
 
-def _checked(obj: dict) -> tuple[dict, Callable[[], ExplicitDistribution]]:
-    """Validate a spec dict once.
+def realize(obj: dict) -> ExplicitDistribution:
+    """Turn a spec into an ExplicitDistribution (pbd and tp drop at most 1e-9 mass).
 
-    Returns its fields, list fields as arrays, and a builder of the law
-    over the objects that validation built.
+    A missing field, one of the wrong JSON type, or one the kind does not
+    define raises ``ValueError`` naming the field.
     """
     if not isinstance(obj, dict):
         raise ValueError("distribution spec must be a JSON object")
@@ -97,45 +95,24 @@ def _checked(obj: dict) -> tuple[dict, Callable[[], ExplicitDistribution]]:
     if stray:
         raise ValueError(f"{kind} spec has unknown field(s) {', '.join(map(repr, stray))}")
     if kind == "pbd":
-        pbd = Pbd(_list_field(obj, "ps"))
-        return {"kind": "pbd", "ps": pbd.ps}, lambda: pbd_pmf(pbd, tail_cut=1e-9)
+        return pbd_pmf(Pbd(_list_field(obj, "ps")), tail_cut=1e-9)
     if kind == "binomial":
         n = _field(obj, "n", integer=True)
         p = _field(obj, "p")
         if n < 0 or not 0.0 <= p <= 1.0:
             raise ValueError("binomial spec requires n >= 0 and p in [0, 1]")
-        return {"kind": "binomial", "n": n, "p": p}, lambda: binomial_pmf(n, p)
+        return binomial_pmf(n, p)
     if kind == "tp":
         tp = TranslatedPoissonParams(_field(obj, "mu"), _field(obj, "sigma2"))
-        fields = {"kind": "tp", "mu": tp.mu, "sigma2": tp.sigma2}
-        return fields, lambda: translated_poisson_pmf(tp, tail_cut=1e-9)
+        return translated_poisson_pmf(tp, tail_cut=1e-9)
     if kind == "explicit":
         lo = _field(obj, "lo", integer=True, default=0)
-        probs = _list_field(obj, "probs")
-        dist = ExplicitDistribution(lo, probs)
-        return {"kind": "explicit", "lo": lo, "probs": probs}, lambda: dist
+        return ExplicitDistribution(lo, _list_field(obj, "probs"))
     # perturbed_binomial
     n = _field(obj, "n", integer=True)
     z = _list_field(obj, "z", integer=True)
     pb = PerturbedBinomial(n, _field(obj, "c"), _field(obj, "eps"), z)
-    fields = {"kind": "perturbed_binomial", "n": n, "c": pb.c, "eps": pb.eps, "z": pb.z}
-    return fields, lambda: construct_perturbed_binomial(pb)
-
-
-def normalize_spec(obj: dict) -> dict:
-    """Validate a spec dict and return a canonical copy (plain python types).
-
-    A missing field, one of the wrong JSON type, or one the kind does not
-    define raises ``ValueError`` naming the field.
-    """
-    spec, _ = _checked(obj)
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in spec.items()}
-
-
-def realize(obj: dict) -> ExplicitDistribution:
-    """Turn a spec into an ExplicitDistribution (pbd and tp drop at most 1e-9 mass)."""
-    _, build = _checked(obj)
-    return build()
+    return construct_perturbed_binomial(pb)
 
 
 def explicit_spec(dist: ExplicitDistribution) -> dict:

@@ -15,9 +15,11 @@ for a Poisson(k) sample size, and ``draw(k)`` the multinomial counts of
 the counts every order is equally likely, so these are i.i.d. samples.
 A stream over a file pool hands out the pool's samples in file order.
 
-A histogram drawn from a stream spans exactly its observed range, from the
-smallest sample to the largest, so every later stage works on the points
-drawn rather than the source's whole array.  A distribution stream
+A ``SampleHistogram`` is only its counts and their offset ``lo``: a
+Poissonized draw's rate stays with the caller that chose it.  A histogram
+drawn from a stream spans exactly its observed range, from the smallest
+sample to the largest, so every later stage works on the points drawn
+rather than the source's whole array.  A distribution stream
 normalises its source once, when it is built, and keeps only the stretch
 that carries mass; draws from it are the same as from the whole array.
 
@@ -56,17 +58,14 @@ class StreamExhausted(RuntimeError):
 class SampleHistogram:
     """Per-symbol counts from one sampling stage.
 
-    ``counts[i]`` is the number of samples equal to ``lo + i``; ``total``
-    is the realized sample count K and ``nominal_rate`` the requested k
-    (the Poisson mean when ``poissonized``).  A histogram drawn from a
-    stream spans its observed range: ``counts[0]`` and ``counts[-1]`` are
-    nonzero, or, for zero samples, ``counts`` is one zero bin.
+    ``counts[i]`` is the number of samples equal to ``lo + i``, and
+    ``total`` the sample count.  A histogram drawn from a stream spans its
+    observed range: ``counts[0]`` and ``counts[-1]`` are nonzero, or, for
+    zero samples, ``counts`` is one zero bin.
     """
 
     lo: int
     counts: np.ndarray
-    nominal_rate: float
-    poissonized: bool = False
 
     def __post_init__(self):
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
@@ -75,8 +74,6 @@ class SampleHistogram:
         if counts.min(initial=0) < 0:
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
-        if not self.poissonized and self.total != round(self.nominal_rate):
-            raise ValueError("fixed-size histogram must contain round(k) samples")
 
     @property
     def total(self) -> int:
@@ -260,8 +257,7 @@ class SampleStream:
         """Counts of k fresh i.i.d. samples (one multinomial draw)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        lo, counts = self._counts(k)
-        return SampleHistogram(lo, counts, nominal_rate=float(k))
+        return SampleHistogram(*self._counts(k))
 
     def draw_poissonized(self, k: float) -> SampleHistogram:
         """Histogram of K ~ Poisson(k) fresh samples.
@@ -272,5 +268,4 @@ class SampleStream:
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        lo, counts = self._counts(int(self._generator().poisson(k)))
-        return SampleHistogram(lo, counts, nominal_rate=k, poissonized=True)
+        return SampleHistogram(*self._counts(int(self._generator().poisson(k))))

@@ -9,7 +9,9 @@ law is unimodal), and otherwise branches on the hypothesis's variance:
 * heavy branch - pivot through the shifted Poisson matched to estimated
   moments, reject on an impossible variance or a hypothesis that sits far
   from the pivot, otherwise decide with the unbiased squared-l2 count
-  statistic under Poissonized sampling.
+  statistic under Poissonized sampling.  ``l2_statistic`` reads plain
+  counts and the rate they were drawn at, so ``pbdtest stat`` computes the
+  same number from a sample file.
 
 ``test_pbd`` amplifies the base test by majority over independent
 sub-streams and stops once the majority is decided.  Every stage draws
@@ -44,7 +46,6 @@ __all__ = [
     "TestVerdict",
     "simple_tolerant_identity_test",
     "l2_statistic",
-    "l2_statistic_counts",
     "heavy_case_test",
     "run_budgeted_test",
     "test_pbd",
@@ -121,11 +122,14 @@ def simple_tolerant_identity_test(
     return tv < 0.25 * config.eps, tv
 
 
-def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
-    """The unbiased squared-l2 statistic from raw per-symbol counts.
+def l2_statistic(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
+    """The unbiased squared-l2 statistic of per-symbol counts against a known q.
 
-    Sums (K_i - k Q(i))^2 - K_i over the union of the observed range and
-    q's support; q is 0 outside its support.  May be negative.
+    ``counts[i]`` counts the samples equal to ``lo + i`` and ``k`` is the
+    Poisson rate they were drawn at; under that Poissonized sampling its
+    mean is l2^2(P, q).  Sums (K_i - k Q(i))^2 - K_i over the union of the
+    observed range and q's support, over k^2; q is 0 outside its support.
+    May be negative.
     """
     # Written so that NaN, which fails every comparison, is rejected too.
     if not 0.0 < k < math.inf:
@@ -136,13 +140,6 @@ def l2_statistic_counts(counts: np.ndarray, lo: int, q: ExplicitDistribution, k:
     c = _on_interval(counts, lo, u_lo, u_hi)
     lam_p = k * _on_interval(q.probs, q.lo, u_lo, u_hi)
     return float((((c - lam_p) ** 2) - c).sum() / (k * k))
-
-
-def l2_statistic(hist: SampleHistogram, q: ExplicitDistribution) -> float:
-    """Statistic for a Poissonized histogram against a known q; E = l2^2(P, q)."""
-    if not hist.poissonized:
-        raise ValueError("the statistic requires Poissonized sampling")
-    return l2_statistic_counts(hist.counts, hist.lo, q, hist.nominal_rate)
 
 
 def heavy_case_test(
@@ -187,7 +184,7 @@ def heavy_case_test(
     k = config.l2_sample_rate(sigma_hat)
     diag["k_poissonized"] = k
     hist = stream.draw_poissonized(float(k))
-    t_n = l2_statistic(hist, pivot)
+    t_n = l2_statistic(hist.counts, hist.lo, pivot, float(k))
     threshold = config.l2_threshold(sigma_hat)
     diag.update({"realized_count": hist.total, "t_n": t_n, "t_n_threshold": threshold})
     return Verdict.YES_PBD if t_n <= threshold else Verdict.NO_PBD

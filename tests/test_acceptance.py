@@ -40,7 +40,7 @@ from pbdtest.oracles import (
     tp_pair_tv_bound,
 )
 from pbdtest.sampling import SampleStream
-from pbdtest.tester import Branch, TestConfig, Verdict, l2_statistic_counts
+from pbdtest.tester import Branch, TestConfig, Verdict, l2_statistic
 from pbdtest.tester import test_pbd as run_membership_test
 
 
@@ -171,7 +171,7 @@ def test_criterion_05_statistic_spread_in_far_regime():
     lam = k * far.probs
     counts = rng.poisson(lam, size=(trials, far.support_len))
     t_vals = np.array(
-        [l2_statistic_counts(counts[t], far.lo, pivot, float(k)) for t in range(trials)]
+        [l2_statistic(counts[t], far.lo, pivot, float(k)) for t in range(trials)]
     )
     ratio = t_vals.var(ddof=1) / t_vals.mean() ** 2
     assert ratio <= 0.075

@@ -266,18 +266,18 @@ class TestStatCommand:
     def test_emit_then_consume(self, binomial_spec, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
         code = run(
-            [
-                "stat", "--spec", binomial_spec, "--draw", "5000",
-                "--emit", str(samples), "--seed", "9",
-            ]
+            ["draw", "--spec", binomial_spec, "--count", "5000", "--emit", str(samples),
+             "--seed", "9"]
         )
         assert code == 0
         lines = samples.read_text().splitlines()
         assert len(lines) == 5000 and all(int(v) >= 0 for v in lines)
-        capsys.readouterr()
-        code = run(
-            ["stat", "--spec", binomial_spec, "--samples", str(samples), "--seed", "9"]
-        )
+        record = json.loads(capsys.readouterr().out)
+        assert record == {
+            "schema": "pbdtest.draw/1", "command": "draw", "emitted": 5000, "seed": 9,
+            "path": str(samples),
+        }
+        code = run(["stat", "--spec", binomial_spec, "--samples", str(samples)])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["samples"] == 5000
@@ -288,7 +288,7 @@ class TestStatCommand:
         spec.write_text(json.dumps({"kind": "explicit", "probs": [0.5, 0.5]}))
         samples = tmp_path / "samples.txt"
         samples.write_text("0\n1\n9\n")
-        code = run(["stat", "--spec", str(spec), "--samples", str(samples), "--seed", "0"])
+        code = run(["stat", "--spec", str(spec), "--samples", str(samples)])
         assert code == 0
         # 1/6 short at each of 0 and 1, and 1/3 at 9 where the spec has none.
         report = json.loads(capsys.readouterr().out)
@@ -299,10 +299,7 @@ class TestStatCommand:
         samples = tmp_path / "samples.txt"
         samples.write_text("200\n201\n")
         code = run(
-            [
-                "stat", "--spec", binomial_spec, "--samples", str(samples), "--rate", rate,
-                "--seed", "0",
-            ]
+            ["stat", "--spec", binomial_spec, "--samples", str(samples), "--rate", rate]
         )
         captured = capsys.readouterr()
         assert code == 1
@@ -310,23 +307,53 @@ class TestStatCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "mode, message",
+        "command, extra, message",
         [
-            ([], "one of the arguments --samples --draw is required"),
-            (["--samples", "s.txt", "--draw", "5"], "not allowed with argument"),
-            (["--draw", "5"], "--draw requires --emit PATH"),
+            ("stat", ["--draw", "5"], "unrecognized arguments: --draw 5"),
+            ("stat", ["--emit", "e.txt"], "unrecognized arguments: --emit e.txt"),
+            ("stat", ["--seed", "0"], "unrecognized arguments: --seed 0"),
+            ("draw", ["--samples", "s.txt"], "unrecognized arguments: --samples s.txt"),
+            ("draw", ["--rate", "3"], "unrecognized arguments: --rate 3"),
         ],
     )
-    def test_needs_exactly_one_mode(self, binomial_spec, capsys, mode, message):
+    def test_refuses_the_other_commands_options(
+        self, binomial_spec, tmp_path, capsys, command, extra, message
+    ):
+        own = {
+            "stat": ["--samples", str(tmp_path / "s.txt")],
+            "draw": ["--count", "5", "--emit", str(tmp_path / "e.txt"), "--seed", "0"],
+        }
         with pytest.raises(SystemExit) as exc:
-            run(["stat", "--spec", binomial_spec, "--seed", "0", *mode])
+            run([command, "--spec", binomial_spec, *own[command], *extra])
         assert exc.value.code == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "e.txt").exists()
+
+    def test_draw_zero_writes_an_empty_file(self, binomial_spec, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        code = run(
+            ["draw", "--spec", binomial_spec, "--count", "0", "--emit", str(samples),
+             "--seed", "0"]
+        )
+        assert code == 0
+        assert samples.read_bytes() == b""
+        assert json.loads(capsys.readouterr().out)["emitted"] == 0
+
+    def test_draw_negative_count_exits_1(self, binomial_spec, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        code = run(
+            ["draw", "--spec", binomial_spec, "--count", "-1", "--emit", str(samples),
+             "--seed", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("pbdtest: error")
+        assert not samples.exists()
 
     def test_negative_sample_exits_1(self, binomial_spec, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
         samples.write_text("200\n-1\n")
-        code = run(["stat", "--spec", binomial_spec, "--samples", str(samples), "--seed", "0"])
+        code = run(["stat", "--spec", binomial_spec, "--samples", str(samples)])
         assert code == 1
         assert "nonnegative" in capsys.readouterr().err
 
@@ -336,10 +363,8 @@ class TestStatCommand:
         # single-repetition test can finish on it.
         samples = tmp_path / "samples.txt"
         run(
-            [
-                "stat", "--spec", binomial_spec, "--draw", "4000",
-                "--emit", str(samples), "--seed", "13",
-            ]
+            ["draw", "--spec", binomial_spec, "--count", "4000", "--emit", str(samples),
+             "--seed", "13"]
         )
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
@@ -399,6 +424,17 @@ class TestLowerboundCommand:
         assert code == 1
         assert captured.err.startswith("pbdtest: error")
 
+    def test_threads_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                [
+                    "lowerbound", "--n", "64", "--c", "2.0", "--eps", "0.2", "--k-grid", "20",
+                    "--trials", "4", "--seed", "0", "--threads", "2",
+                ]
+            )
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_pmf_suite(self, capsys):
@@ -450,7 +486,7 @@ class TestOracleCommand:
 
 class TestReadmeExamples:
     def test_sample_file_example_runs_as_written(self, tmp_path, monkeypatch, capsys):
-        """The README's spec, ``stat --draw`` and ``test --samples`` lines, verbatim."""
+        """The README's spec, ``draw``, ``test --samples`` and ``stat`` lines, verbatim."""
         lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
 
         def readme_line(prefix, *parts):
@@ -459,10 +495,24 @@ class TestReadmeExamples:
         spec, spec_path = re.fullmatch(r"echo '(.*)' > (\S+)", readme_line("echo ")).groups()
         monkeypatch.chdir(tmp_path)
         Path(spec_path).write_text(spec)
-        assert run(shlex.split(readme_line("pbdtest stat", "--draw"))[1:]) == 0
+        assert run(shlex.split(readme_line("pbdtest draw"))[1:]) == 0
         assert run(shlex.split(readme_line("pbdtest test --samples"))[1:]) == 0
         verdict = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert verdict["verdict"] == "yes_pbd"
+        assert run(shlex.split(readme_line("pbdtest stat"))[1:]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 50_000
+
+    def test_every_cli_line_parses(self):
+        """Every ``pbdtest`` line of the README's CLI block, continued lines joined,
+        is accepted by the parser."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+        joined = block.replace("\\\n", " ").splitlines()
+        lines = [ln for ln in joined if ln.startswith("pbdtest ")]
+        assert len(lines) >= 9
+        for line in lines:
+            args = shlex.split(line, comments=True)[1:]
+            assert cli._build_parser().parse_args(args).fn is not None, line
 
     def test_majority_run_counts_match_the_config(self):
         """The README's planned runs at delta = 0.1, and the agreeing runs

@@ -28,7 +28,7 @@ from pbdtest.distributions import (
     unimodal_distance_exceeds,
     unimodal_distance_lb,
 )
-from pbdtest.distspec import normalize_spec
+from pbdtest.distspec import realize
 from pbdtest.oracles import brute_force_pbd_pmf, ell2_sq_distance, ell_inf_distance
 
 
@@ -97,7 +97,7 @@ class TestPbdPmf:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_probabilities(self, bad):
         with pytest.raises(ValueError, match=r"all p_i must lie in \[0, 1\]"):
-            normalize_spec({"kind": "pbd", "ps": [0.5, bad]})
+            realize({"kind": "pbd", "ps": [0.5, bad]})
         with pytest.raises(ValueError, match=r"all p_i must lie in \[0, 1\]"):
             pbd_pmf(Pbd(np.array([bad, 0.5])))
 
@@ -228,7 +228,7 @@ class TestPerturbedBinomialValidation:
     )
     def test_rejects_non_finite_c_and_eps(self, c, eps):
         with pytest.raises(ValueError, match="c and eps must be finite and nonnegative"):
-            normalize_spec({"kind": "perturbed_binomial", "n": 4, "c": c, "eps": eps, "z": [1, -1]})
+            realize({"kind": "perturbed_binomial", "n": 4, "c": c, "eps": eps, "z": [1, -1]})
         with pytest.raises(ValueError, match="c and eps must be finite and nonnegative"):
             PerturbedBinomial(4, c, eps, np.array([1, -1], dtype=np.int8))
 

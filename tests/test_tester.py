@@ -35,7 +35,6 @@ from pbdtest.tester import (
     Verdict,
     heavy_case_test,
     l2_statistic,
-    l2_statistic_counts,
     run_budgeted_test,
     simple_tolerant_identity_test,
 )
@@ -169,14 +168,14 @@ ANY_COUNT = TestConfig(eps=0.5, delta=0.1, tolerant_sample_const=1e-6)
 class TestSimpleTolerantIdentityTest:
     def test_exact_match_is_close(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
-        hist = SampleHistogram(0, np.array([500, 500]), nominal_rate=1000.0)
+        hist = SampleHistogram(0, np.array([500, 500]))
         close, tv = simple_tolerant_identity_test(q, (q.lo, q.hi), hist, TOL_CFG)
         assert close is True
         assert tv == 0.0
 
     def test_sample_count_enforced(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
-        hist = SampleHistogram(0, np.array([2, 1]), 3.0)
+        hist = SampleHistogram(0, np.array([2, 1]))
         with pytest.raises(ValueError, match="samples"):
             simple_tolerant_identity_test(q, (q.lo, q.hi), hist, TOL_CFG)
 
@@ -187,9 +186,9 @@ class TestSimpleTolerantIdentityTest:
         need = cfg.tolerant_samples(10)
         assert need == math.ceil(0.25 * 10 / 0.5**2)
         assert need < cfg.tolerant_samples(q.support_len)
-        enough = SampleHistogram(50, np.array([need]), nominal_rate=float(need))
+        enough = SampleHistogram(50, np.array([need]))
         simple_tolerant_identity_test(q, interval, enough, cfg)
-        short = SampleHistogram(50, np.array([need - 1]), nominal_rate=float(need - 1))
+        short = SampleHistogram(50, np.array([need - 1]))
         with pytest.raises(ValueError, match=f"need at least {need} samples"):
             simple_tolerant_identity_test(q, interval, short, cfg)
         with pytest.raises(ValueError, match="empty"):
@@ -235,7 +234,7 @@ class TestSimpleTolerantIdentityTest:
                 h_lo, h_hi = (a - 1 - r1 - 30, a - 1 - r1) if trial % 2 else (b + 1 + r2, b + 9)
             counts = rng.integers(0, 50, size=h_hi - h_lo + 1)
             counts[[0, -1]] += 1
-            hist = SampleHistogram(h_lo, counts, nominal_rate=float(counts.sum()))
+            hist = SampleHistogram(h_lo, counts)
             covers = h_lo <= a and h_hi >= b
             misses = h_hi < a or h_lo > b
             assert placement == ("cover" if covers else "miss" if misses else "overlap")
@@ -303,7 +302,7 @@ class TestCoarsen:
         d = binomial_pmf(10, 0.5)
         lo, hi = effective_support_interval(d, 0.5 / 5)
         assert 0 < lo and hi < 10
-        hist = SampleHistogram(0, np.array([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]), nominal_rate=4.0)
+        hist = SampleHistogram(0, np.array([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]))
         # Every sample lands on the lumped outside point, so the coarsened TV
         # is q's mass on the interval.
         _, tv = simple_tolerant_identity_test(d, (lo, hi), hist, ANY_COUNT)
@@ -313,20 +312,13 @@ class TestCoarsen:
 class TestL2Statistic:
     def test_single_symbol_plugin(self):
         q = ExplicitDistribution(0, np.array([1.0]))
-        hist = SampleHistogram(0, np.array([100]), nominal_rate=100.0, poissonized=True)
-        assert l2_statistic(hist, q) == pytest.approx(-0.01)
-
-    def test_requires_poissonized(self):
-        q = ExplicitDistribution(0, np.array([1.0]))
-        hist = SampleHistogram(0, np.array([100]), nominal_rate=100.0)
-        with pytest.raises(ValueError, match="Poissonized"):
-            l2_statistic(hist, q)
+        assert l2_statistic(np.array([100]), 0, q, 100.0) == pytest.approx(-0.01)
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
     def test_rate_must_be_positive_and_finite(self, k):
         q = ExplicitDistribution(0, np.array([1.0]))
         with pytest.raises(ValueError, match="k must be positive and finite"):
-            l2_statistic_counts(np.array([3]), 0, q, k)
+            l2_statistic(np.array([3]), 0, q, k)
 
     def test_counts_route_matches_independent_arithmetic(self):
         rng = np.random.Generator(np.random.Philox(3))
@@ -342,7 +334,7 @@ class TestL2Statistic:
             qi = q.probs[i - q.lo] if q.lo <= i <= q.hi else 0.0
             tn += (ci - k * qi) ** 2 - ci
         tn /= k * k
-        assert l2_statistic_counts(counts, lo, q, k) == pytest.approx(tn, rel=1e-12)
+        assert l2_statistic(counts, lo, q, k) == pytest.approx(tn, rel=1e-12)
 
     def test_unbiasedness_quick(self):
         # Full-scale moment validation lives in the acceptance suite.
@@ -351,7 +343,7 @@ class TestL2Statistic:
         k = 50.0
         rng = np.random.Generator(np.random.Philox(5))
         counts = rng.poisson(k * p.probs, size=(trials, p.support_len))
-        vals = np.array([l2_statistic_counts(c, 0, p, k) for c in counts[:2000]])
+        vals = np.array([l2_statistic(c, 0, p, k) for c in counts[:2000]])
         mean_cf, var_cf = tn_closed_form_moments(p, p, k)
         assert mean_cf == 0.0
         se = vals.std(ddof=1) / math.sqrt(len(vals))
