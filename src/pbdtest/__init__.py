@@ -16,7 +16,6 @@ from .distributions import (
     TranslatedPoissonParams,
     binomial_pmf,
     effective_support_interval,
-    ell1_distance,
     pbd_pmf,
     translated_poisson_pmf,
     truncated_log,
@@ -24,7 +23,6 @@ from .distributions import (
 )
 from .learner import (
     LearnedPbd,
-    MomentEstimates,
     estimate_mean_var,
     learn_pbd,
 )

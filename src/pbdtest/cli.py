@@ -30,7 +30,7 @@ from .oracles import (
     learning_calibration_report,
     monte_carlo_moment_check,
 )
-from .sampling import SampleStream
+from .sampling import SampleStream, seeded_generator
 from .tester import Verdict, l2_statistic, test_pbd
 
 __all__ = ["main"]
@@ -84,17 +84,17 @@ def _read_spec(path: str) -> ExplicitDistribution:
         return distspec.realize(json.load(fh))
 
 
-def _make_stream(args, seed: int) -> SampleStream:
-    """The source of ``test`` and ``learn``; the library checks that it lies in [0, n]."""
+def _make_stream(args) -> SampleStream:
+    """The ``--seed`` source of ``test`` and ``learn``; the library checks it lies in [0, n]."""
     if args.spec:
-        return SampleStream.from_distribution(_read_spec(args.spec), seed)
-    return SampleStream.from_samples(_read_samples(args.samples), seed)
+        return SampleStream.from_distribution(_read_spec(args.spec), args.seed)
+    return SampleStream.from_samples(_read_samples(args.samples), args.seed)
 
 
 def _cmd_test(args) -> int:
     overrides = _load_config_overrides(args.config)
     config = TestConfig(eps=args.eps, delta=args.delta, seed=args.seed, **overrides)
-    stream = _make_stream(args, args.seed)
+    stream = _make_stream(args)
     verdict = test_pbd(stream, args.n, config)
     artifact = {
         "schema": "pbdtest.verdict/1",
@@ -111,7 +111,7 @@ def _cmd_test(args) -> int:
 def _cmd_learn(args) -> int:
     # Learning reads no delta; the config only checks and carries the constants.
     config = TestConfig(eps=args.eps, delta=0.5, **_load_config_overrides(args.config))
-    stream = _make_stream(args, args.seed)
+    stream = _make_stream(args)
     learned = learn_pbd(stream, args.n, args.eps, config)
     if learned.binomial is None:
         hyp_spec = distspec.explicit_spec(learned.dist)
@@ -124,7 +124,7 @@ def _cmd_learn(args) -> int:
         "eps": args.eps,
         "seed": args.seed,
         "hypothesis": hyp_spec,
-        "samples_used": learned.samples_used,
+        "samples_used": stream.samples_drawn,
         "mu_hat": learned.mu_hat,
         "sigma2_hat": learned.sigma2_hat,
     }
@@ -192,7 +192,7 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _oracle_suite(name: str, seed: int) -> list[dict]:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_generator(seed)
     if name == "pmf":
         reports = []
         for case in range(20):

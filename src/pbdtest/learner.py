@@ -41,7 +41,6 @@ from .distributions import (
 from .sampling import SampleStream
 
 __all__ = [
-    "MomentEstimates",
     "LearnedPbd",
     "estimate_mean_var",
     "fit_binomial_by_moments",
@@ -50,12 +49,6 @@ __all__ = [
 ]
 
 FIT_CHECK_MULT = 3.0  # binomial fit accepted, unimodality refused, at this many noise widths
-
-
-@dataclass(frozen=True)
-class MomentEstimates:
-    mu_hat: float
-    sigma2_hat: float
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,6 @@ class LearnedPbd:
 
     dist: ExplicitDistribution
     binomial: tuple[int, float] | None
-    samples_used: int
     mu_hat: float
     sigma2_hat: float
     # Sparse route only: the learning sample's unimodal certificate and the
@@ -89,8 +81,8 @@ class LearnedPbd:
         return n * p * (1.0 - p)
 
 
-def estimate_mean_var(stream: SampleStream, k: int) -> MomentEstimates:
-    """Empirical mean and unbiased variance of k samples.
+def estimate_mean_var(stream: SampleStream, k: int) -> tuple[float, float]:
+    """``(mu_hat, sigma2_hat)``: the empirical mean and unbiased variance of k samples.
 
     At the heavy branch's k, ``config.moment_samples(n)``, the estimates
     for a Bernoulli-sum source satisfy |mu - mu_hat| < eps' * sigma and
@@ -98,8 +90,7 @@ def estimate_mean_var(stream: SampleStream, k: int) -> MomentEstimates:
     frequency >= 0.99 at the default ``moment_sample_const`` (Monte Carlo
     checked).
     """
-    mu, var = stream.draw_histogram(k).moments()
-    return MomentEstimates(mu, var)
+    return stream.draw_histogram(k).moments()
 
 
 def fit_binomial_by_moments(mu_hat: float, sigma2_hat: float, n: int) -> tuple[int, float]:
@@ -190,14 +181,14 @@ def learn_pbd(
     if budget < 1:
         # Degenerate budget: fall back to the point mass at 0 so callers
         # never see a half-built hypothesis.
-        return LearnedPbd(ExplicitDistribution(0, np.array([1.0])), None, 0, 0.0, 0.0)
+        return LearnedPbd(ExplicitDistribution(0, np.array([1.0])), None, 0.0, 0.0)
     hist = stream.draw_histogram(budget)
     mu_hat, sigma2_hat = hist.moments()
 
     def binomial_fit() -> LearnedPbd:
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
         dist = binomial_pmf(*fit, tail_cut=config.tail_cut)
-        return LearnedPbd(dist, fit, budget, mu_hat, sigma2_hat)
+        return LearnedPbd(dist, fit, mu_hat, sigma2_hat)
 
     if sigma2_hat >= config.learn_sparse_threshold_const / eps**6:
         return binomial_fit()
@@ -223,7 +214,6 @@ def learn_pbd(
     return LearnedPbd(
         ExplicitDistribution(lo, projected),
         None,
-        budget,
         mu_hat,
         sigma2_hat,
         unimodal_lb=merged_unimodal_distance_lb(emp),

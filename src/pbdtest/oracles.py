@@ -45,7 +45,7 @@ from .distributions import (
 )
 from .learner import learn_pbd
 from .lowerbound import random_sign_vector
-from .sampling import SampleStream
+from .sampling import SampleStream, seeded_generator
 from .tester import Verdict, run_budgeted_test
 
 __all__ = [
@@ -147,7 +147,7 @@ def exact_tv_to_pbd_class(p: ExplicitDistribution, n: int, grid_step: float) -> 
     lo = min(p.lo, 0)
     hi = max(p.hi, n)
     target = np.zeros(hi - lo + 1)
-    target[p.lo - lo : p.lo - lo + p.support_len] = p.probs
+    target[p.lo - lo : p.lo - lo + len(p.probs)] = p.probs
     cand = np.zeros((len(pmfs), hi - lo + 1))
     cand[:, -lo : -lo + n + 1] = pmfs
     return float(0.5 * np.abs(cand - target).sum(axis=1).min())
@@ -160,7 +160,7 @@ def exact_tv_to_unimodal(p: ExplicitDistribution) -> float:
     half the l1 residual over distributions rising up to the mode and
     falling after.  The reported distance is the minimum over modes.
     """
-    m = p.support_len
+    m = len(p.probs)
     if m > 60:
         raise ValueError("exact unimodal projection is capped at support 60")
     q = p.probs
@@ -207,8 +207,8 @@ def _union_lambdas(
     hi = max(p.hi, q.hi)
     lam = np.zeros(hi - lo + 1)
     lam_p = np.zeros(hi - lo + 1)
-    lam[p.lo - lo : p.lo - lo + p.support_len] = k * p.probs
-    lam_p[q.lo - lo : q.lo - lo + q.support_len] = k * q.probs
+    lam[p.lo - lo : p.lo - lo + len(p.probs)] = k * p.probs
+    lam_p[q.lo - lo : q.lo - lo + len(q.probs)] = k * q.probs
     return lam, lam_p
 
 
@@ -284,7 +284,7 @@ def monte_carlo_moment_check(
     if trials < 10_000:
         raise ValueError("trials must be at least 10^4")
     lam, lam_p = _union_lambdas(p, q, k)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_generator(seed)
     t_vals = np.empty(trials)
     chunk = max(1, min(trials, 200_000_000 // max(len(lam), 1) // 8))
     done = 0
@@ -426,12 +426,12 @@ def _learning_corpus(
     run down the heavy branch: Binomial(n, 1/2), and the paired
     perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_generator(seed)
     default = TestConfig(eps=eps, delta=0.1)
     heavy = default.replace(var_threshold_const=1e-12)
     bimodal = np.zeros(n + 1)
     bimodal[0] = bimodal[n] = 0.5
-    z = random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
+    z = random_sign_vector(n, seeded_generator(12))
     pivot = translated_poisson_pmf(TranslatedPoissonParams(n / 2, n / 4), tail_cut=1e-9)
     paired, _ = paired_perturbation(pivot, 0.35 * eps)
     return [

@@ -1,11 +1,13 @@
 """Deterministic, seeded sample generation and empirical distributions.
 
-Randomness comes from the Philox counter-based 64-bit generator.  Streams
-are split explicitly: ``stream.split(i)`` derives an independent child via
-the seed sequence spawn key, so every stage and Monte Carlo trial owns its
-own reproducible randomness regardless of execution order.  A stream's
-generator is seeded on its first draw and shared with its capped views,
-so a stream whose draws all go through its splits never builds one.
+Randomness comes from the Philox counter-based 64-bit generator, which
+``seeded_generator`` alone builds, for streams and every other caller.
+Streams are split explicitly: ``stream.split(i)`` derives an independent
+child via the seed sequence spawn key, so every stage and Monte Carlo
+trial owns its own reproducible randomness regardless of execution order.
+A stream's generator is seeded on its first draw and shared with its
+capped views, so a stream whose draws all go through its splits never
+builds one.
 
 All draws follow one law, deterministic given the stream and the call
 sequence: ``draw_histogram(k)`` returns the per-symbol counts of k i.i.d.
@@ -29,9 +31,9 @@ A root stream and all its splits share one count of samples drawn
 raises ``StreamExhausted`` before drawing anything.  Because of the shared
 count, never use splits of one stream on parallel threads.
 
-A root stream also knows its support, the smallest and largest value it
-can draw, and its splits carry it; ``require_within(n)`` is the one check
-that a source lies in [0, n].
+A root stream also knows the smallest and largest value it can draw, and
+its splits carry them; ``require_within(n)`` is the one check that a
+source lies in [0, n].
 """
 
 from __future__ import annotations
@@ -44,10 +46,16 @@ import numpy as np
 from .distributions import ExplicitDistribution
 
 __all__ = [
+    "seeded_generator",
     "StreamExhausted",
     "SampleHistogram",
     "SampleStream",
 ]
+
+
+def seeded_generator(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """The Philox generator of ``SeedSequence(seed, spawn_key=spawn_key)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 class StreamExhausted(RuntimeError):
@@ -108,7 +116,7 @@ class SampleStream:
 
     def __init__(self, *, _law, _seed, _spawn_key, _support, _pool=None):
         self._law = _law  # (lo, pvals) of a distribution, shared by all splits
-        self._support = _support
+        self._support = _support  # (smallest, largest) drawable value; None if none
         self._seed = _seed
         self._spawn_key = tuple(_spawn_key)
         self._pool = _pool
@@ -181,14 +189,6 @@ class SampleStream:
         view._ceiling = ceiling if self._ceiling is None else min(ceiling, self._ceiling)
         return view
 
-    @property
-    def support(self) -> tuple[int, int] | None:
-        """(smallest, largest) value this stream can draw; None for an empty pool.
-
-        The ends of a distribution's nonzero mass, or the min and max of a pool.
-        """
-        return self._support
-
     def require_within(self, n: int) -> None:
         """Raise ``ValueError`` unless every value this stream can draw lies in [0, n]."""
         if self._support is None:
@@ -206,8 +206,7 @@ class SampleStream:
 
     def _generator(self) -> np.random.Generator:
         if self._rng[0] is None:
-            ss = np.random.SeedSequence(entropy=self._seed, spawn_key=self._spawn_key)
-            self._rng[0] = np.random.Generator(np.random.Philox(ss))
+            self._rng[0] = seeded_generator(self._seed, self._spawn_key)
         return self._rng[0]
 
     def _take(self, k: int) -> np.ndarray | None:

@@ -32,11 +32,12 @@ from .distributions import (
     ExplicitDistribution,
     TranslatedPoissonParams,
     _on_interval,
+    _on_union,
     effective_support_interval,
     translated_poisson_pmf,
     tv_distance,
 )
-from .learner import MomentEstimates, estimate_mean_var, learn_pbd
+from .learner import estimate_mean_var, learn_pbd
 from .sampling import SampleHistogram, SampleStream, StreamExhausted
 
 __all__ = [
@@ -129,16 +130,13 @@ def l2_statistic(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float)
     Poisson rate they were drawn at; under that Poissonized sampling its
     mean is l2^2(P, q).  Sums (K_i - k Q(i))^2 - K_i over the union of the
     observed range and q's support, over k^2; q is 0 outside its support.
-    May be negative.
+    May be negative.  A union too wide to align raises ``ValueError``.
     """
     # Written so that NaN, which fails every comparison, is rejected too.
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
-    counts = np.ascontiguousarray(counts, dtype=np.float64)
-    u_lo = min(lo, q.lo)
-    u_hi = max(lo + len(counts) - 1, q.hi)
-    c = _on_interval(counts, lo, u_lo, u_hi)
-    lam_p = k * _on_interval(q.probs, q.lo, u_lo, u_hi)
+    c, q_on = _on_union(lo, np.ascontiguousarray(counts, dtype=np.float64), q.lo, q.probs)
+    lam_p = k * q_on
     return float((((c - lam_p) ** 2) - c).sum() / (k * k))
 
 
@@ -146,11 +144,12 @@ def heavy_case_test(
     stream: SampleStream,
     n: int,
     config: TestConfig,
-    moments: MomentEstimates,
+    moments: tuple[float, float],
     hypothesis: ExplicitDistribution,
     diag: dict,
 ) -> Verdict:
-    """Heavy-branch decision given moment estimates and the learned hypothesis.
+    """Heavy-branch decision given the ``(mu_hat, sigma2_hat)`` moment
+    estimates and the learned hypothesis.
 
     Rejects when the pivot sits far from the hypothesis or the variance
     estimate exceeds n/2; otherwise thresholds the Poissonized statistic.
@@ -159,12 +158,13 @@ def heavy_case_test(
     Poissonized draw still holds the earlier ones.  The samples drawn are
     counted by the stream, not returned.
     """
-    diag.update(mu_hat=moments.mu_hat, sigma2_hat=moments.sigma2_hat)
+    mu_hat, sigma2_hat = moments
+    diag.update(mu_hat=mu_hat, sigma2_hat=sigma2_hat)
     diag["moment_samples"] = config.moment_samples(n)
-    if moments.sigma2_hat <= 0.0:
+    if sigma2_hat <= 0.0:
         diag["reason"] = "nonpositive variance estimate in heavy branch"
         return Verdict.NO_PBD
-    if moments.sigma2_hat > n / 2.0:
+    if sigma2_hat > n / 2.0:
         # No Bernoulli-sum law on [0, n] has variance beyond n/4.
         diag["reason"] = "variance above n/2"
         return Verdict.NO_PBD
@@ -173,14 +173,14 @@ def heavy_case_test(
     # fit in the learner), which moves the TV by at most 2 tail_cut, far
     # inside the eps/5 budget.
     pivot = translated_poisson_pmf(
-        TranslatedPoissonParams(moments.mu_hat, moments.sigma2_hat), tail_cut=config.tail_cut
+        TranslatedPoissonParams(mu_hat, sigma2_hat), tail_cut=config.tail_cut
     )
     d_tv = tv_distance(pivot, hypothesis)
     diag["d_tv_pivot_vs_hypothesis"] = d_tv
     if d_tv > config.eps / 2.0:
         diag["reason"] = "pivot far from hypothesis"
         return Verdict.NO_PBD
-    sigma_hat = math.sqrt(moments.sigma2_hat)
+    sigma_hat = math.sqrt(sigma2_hat)
     k = config.l2_sample_rate(sigma_hat)
     diag["k_poissonized"] = k
     hist = stream.draw_poissonized(float(k))
@@ -237,7 +237,7 @@ def run_budgeted_test(
         "hypothesis_kind": "sparse" if learned.binomial is None else "binomial",
         "hypothesis_variance": hyp_var,
         "variance_threshold": config.variance_threshold(),
-        "learn_samples": learned.samples_used,
+        "learn_samples": stream.samples_drawn - start,
     }
     branch = Branch.SPARSE if hyp_var < config.variance_threshold() else Branch.HEAVY
     if learned.unimodal_lb is not None:

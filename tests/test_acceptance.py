@@ -80,7 +80,7 @@ def test_criterion_02_tn_moments():
     ]
     details = []
     for i, (p, q, k) in enumerate(triples):
-        assert max(p.support_len, q.support_len) <= 30
+        assert max(len(p.probs), len(q.probs)) <= 30
         mean_rep, var_rep = monte_carlo_moment_check(p, q, k, trials=100_000, seed=200 + i)
         assert mean_rep.abs_error <= 4.0 * mean_rep.std_error, f"triple {i} mean"
         assert var_rep.abs_error <= max(
@@ -169,7 +169,7 @@ def test_criterion_05_statistic_spread_in_far_regime():
     trials = 10_000
     rng = np.random.Generator(np.random.Philox(505))
     lam = k * far.probs
-    counts = rng.poisson(lam, size=(trials, far.support_len))
+    counts = rng.poisson(lam, size=(trials, len(far.probs)))
     t_vals = np.array(
         [l2_statistic(counts[t], far.lo, pivot, float(k)) for t in range(trials)]
     )

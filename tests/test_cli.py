@@ -52,6 +52,16 @@ class TestTestCommand:
         assert artifact["diagnostics"]["config"]["seed"] == 7
         assert json.loads(capsys.readouterr().out) == artifact
 
+    def test_tp_spec_runs(self, tmp_path, capsys):
+        spec = tmp_path / "tp.json"
+        spec.write_text(json.dumps({"kind": "tp", "mu": 12.5, "sigma2": 9.0}))
+        code = run(
+            ["test", "--spec", str(spec), "--n", "100", "--eps", "0.2", "--delta", "0.3",
+             "--seed", "7"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == "pbdtest.verdict/1"
+
     def test_same_seed_byte_identical(self, binomial_spec, tmp_path, capsys):
         outs = []
         for name in ("a.json", "b.json"):
@@ -293,6 +303,19 @@ class TestStatCommand:
         # 1/6 short at each of 0 and 1, and 1/3 at 9 where the spec has none.
         report = json.loads(capsys.readouterr().out)
         assert report["tv_empirical_vs_spec"] == pytest.approx(1 / 3, abs=1e-15)
+
+    def test_union_too_wide_to_align_exits_1(self, tmp_path, capsys):
+        # Samples at 0 and 1 against a point mass at 10^9: the aligner both
+        # statistics share refuses the union before allocating a billion floats.
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"kind": "explicit", "lo": 1_000_000_000, "probs": [1.0]}))
+        samples = tmp_path / "samples.txt"
+        samples.write_text("0\n1\n")
+        code = run(["stat", "--spec", str(spec), "--samples", str(samples)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "union support of width 1000000001 is too large to align" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
     def test_bad_rate_exits_1(self, binomial_spec, tmp_path, capsys, rate):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from pbdtest import distspec
-from pbdtest.distributions import Pbd, binomial_pmf, pbd_pmf, tv_distance
+from pbdtest.distributions import (
+    Pbd,
+    TranslatedPoissonParams,
+    binomial_pmf,
+    pbd_pmf,
+    translated_poisson_pmf,
+    tv_distance,
+)
 
 
 class TestValidation:
@@ -87,6 +94,12 @@ class TestRealize:
             np.testing.assert_array_equal(d.probs, ref.probs)
         with pytest.raises(TypeError):
             distspec.realize({"kind": "pbd", "ps": ps}, tail_cut=1e-6)
+
+    def test_tp_realized_at_fixed_tail_cut(self):
+        d = distspec.realize({"kind": "tp", "mu": 12.5, "sigma2": 9.0})
+        ref = translated_poisson_pmf(TranslatedPoissonParams(12.5, 9.0), tail_cut=1e-9)
+        assert (d.lo, d.tail_slack) == (ref.lo, ref.tail_slack)
+        np.testing.assert_array_equal(d.probs, ref.probs)
 
     def test_perturbed(self):
         d = distspec.realize(

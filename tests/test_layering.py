@@ -167,7 +167,9 @@ REMOVED_FROM_ROOT = (
     "BinomialHypothesis",
     "BoundReport",
     "Closeness",
+    "MomentEstimates",
     "SparseHypothesis",
+    "ell1_distance",
     "ell2_sq_distance",
     "ell_inf_distance",
     "indicator_chernoff_bound",
@@ -175,6 +177,27 @@ REMOVED_FROM_ROOT = (
     "tp_approx_bounds",
     "tp_pair_tv_bound",
 )
+
+
+def test_only_sampling_builds_a_generator():
+    """Seeded generators come from ``sampling.seeded_generator`` alone."""
+    builders = {"Philox", "SeedSequence", "default_rng"}
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "sampling":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name in builders:
+                named.append(f"{path.stem}.{name}")
+    assert named == []
 
 
 def test_removed_names_stay_out_of_the_root():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pbdtest.learner as learner
 import pbdtest.tester as tester
 from pbdtest.distributions import (
     ExplicitDistribution,
@@ -31,8 +32,8 @@ K_05 = TestConfig(eps=0.05, delta=0.1).moment_samples(4)
 class TestEstimateMeanVar:
     def test_point_mass(self):
         d = ExplicitDistribution(3, np.array([1.0]))
-        m = estimate_mean_var(SampleStream.from_distribution(d, seed=0), CFG.moment_samples(4))
-        assert m.mu_hat == 3.0 and m.sigma2_hat == 0.0
+        stream = SampleStream.from_distribution(d, seed=0)
+        assert estimate_mean_var(stream, CFG.moment_samples(4)) == (3.0, 0.0)
 
     def test_sample_count_formula(self):
         stream = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
@@ -53,9 +54,9 @@ class TestEstimateMeanVar:
         hits = 0
         trials = 100
         for t in range(trials):
-            m = estimate_mean_var(root.split(t), K_05)
-            ok_mu = abs(m.mu_hat - 5000.0) < 0.05 * 50.0
-            ok_var = abs(m.sigma2_hat - 2500.0) < 0.05 * 2500.0 * math.sqrt(4.0 + 1.0 / 2500.0)
+            mu_hat, sigma2_hat = estimate_mean_var(root.split(t), K_05)
+            ok_mu = abs(mu_hat - 5000.0) < 0.05 * 50.0
+            ok_var = abs(sigma2_hat - 2500.0) < 0.05 * 2500.0 * math.sqrt(4.0 + 1.0 / 2500.0)
             hits += ok_mu and ok_var
         assert hits >= 99
 
@@ -111,13 +112,13 @@ class TestLearnPbd:
     def test_draws_the_calibrated_budget(self, eps):
         # ceil(A_L logt^2(1/eps) / eps^2) samples, A_L the calibrated default.
         stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
-        lr = learn_pbd(stream, 20, eps, CFG)
-        assert lr.samples_used == stream.samples_drawn == CFG.learn_samples(eps)
+        learn_pbd(stream, 20, eps, CFG)
+        assert stream.samples_drawn == CFG.learn_samples(eps)
 
     def test_sample_budget_cap(self):
         stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
-        lr = learn_pbd(stream, 20, 0.1, CFG, max_samples=100)
-        assert lr.samples_used == stream.samples_drawn == 100
+        learn_pbd(stream, 20, 0.1, CFG, max_samples=100)
+        assert stream.samples_drawn == 100
 
     def test_binomial_source_gets_binomial_fit(self):
         src = binomial_pmf(10_000, 0.3)
@@ -165,7 +166,33 @@ class TestLearnPbd:
         wide = ExplicitDistribution(0, probs / probs.sum())
         lr = learn_pbd(SampleStream.from_distribution(wide, seed=9), 3 * cap, eps, CFG)
         if lr.binomial is None:
-            assert lr.dist.support_len <= cap
+            assert len(lr.dist.probs) <= cap
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_length_cap_keeps_the_densest_window(self, seed):
+        # Half/half on {0, 5000}: the 1 - eps/10 interval spans both points,
+        # wider than the cap, so the hypothesis sits on a capped window.
+        # Seed 0 draws more 5000s than 0s, seeds 1 and 2 the reverse.
+        n, eps = 5000, 0.1
+        probs = np.zeros(n + 1)
+        probs[0] = probs[n] = 0.5
+        src = ExplicitDistribution(0, probs)
+        lr = learn_pbd(SampleStream.from_distribution(src, seed=seed), n, eps, CFG)
+        # The learner's one histogram, drawn again from the same seed.
+        redraw = SampleStream.from_distribution(src, seed=seed)
+        emp = redraw.draw_histogram(CFG.learn_samples(eps)).to_empirical()
+        cap = math.ceil(CFG.sparse_len_const / eps**3)
+        masses = [emp.probs[s : s + cap].sum() for s in range(len(emp.probs) - cap + 1)]
+        start = emp.lo + masses.index(max(masses))
+        assert lr.binomial is None
+        assert len(lr.dist.probs) == cap == 4000
+        assert (lr.dist.lo, lr.dist.hi) == (start, start + cap - 1)
+
+    def test_densest_window_ties_go_to_the_first(self):
+        # Its windows of length 2 hold 0.5, 0.25, 0, 0.25 and 0.5.
+        law = ExplicitDistribution(10, np.array([0.25, 0.25, 0.0, 0.0, 0.25, 0.25]))
+        assert learner._densest_window(law, 2) == (10, 11)
+        assert learner._densest_window(law, 6) == (10, 15)
 
     def test_far_source_still_returns_wellformed(self):
         n = 2000
@@ -182,8 +209,9 @@ class TestLearnPbd:
 
     def test_zero_budget_degenerates_gracefully(self):
         d = binomial_pmf(6, 0.5)
-        lr = learn_pbd(SampleStream.from_distribution(d, seed=0), 6, 0.1, CFG, max_samples=0)
-        assert lr.samples_used == 0
+        stream = SampleStream.from_distribution(d, seed=0)
+        lr = learn_pbd(stream, 6, 0.1, CFG, max_samples=0)
+        assert stream.samples_drawn == 0
         d = lr.dist
         assert (d.lo, d.probs[0]) == (0, 1.0)
 
@@ -205,7 +233,7 @@ class TestBinomialFitWindow:
         (learned,) = learned_fits
         assert learned.binomial is not None
         hyp = learned.dist
-        assert hyp.support_len < 1000
+        assert len(hyp.probs) < 1000
         assert hyp.tail_slack <= cfg.tail_cut
         # The sparse stage's interval is the one the full support gives.
         full = binomial_pmf(*learned.binomial)

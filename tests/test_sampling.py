@@ -372,17 +372,25 @@ class TestExternalPool:
         np.testing.assert_array_equal(h.counts, [2, 1, 1])
 
 
+def assert_support(stream, lo, hi):
+    """``require_within`` accepts [0, hi] and, refusing [0, hi - 1], names [lo, hi]."""
+    stream.require_within(hi)
+    with pytest.raises(ValueError, match=rf"its support is \[{lo}, {hi}\]$"):
+        stream.require_within(hi - 1)
+
+
 class TestSupport:
     def test_distribution_support_is_its_nonzero_mass(self):
         root = SampleStream.from_distribution(make_dist([0, 0, 1, 3, 0, 2, 0], lo=-2), seed=0)
-        assert root.support == (0, 3)
+        assert_support(root, 0, 3)
         # Splits and capped views carry the root's support.
-        assert root.split(4).split(1).support == (0, 3)
-        assert root.capped(10).support == (0, 3)
+        assert_support(root.split(4).split(1), 0, 3)
+        assert_support(root.capped(10), 0, 3)
 
     def test_pool_support_is_its_range(self):
-        assert SampleStream.from_samples([7, 2, 9, 2]).split(0).support == (2, 9)
-        assert SampleStream.from_samples([]).support is None
+        assert_support(SampleStream.from_samples([7, 2, 9, 2]).split(0), 2, 9)
+        # An empty pool draws nothing, so no range refuses it.
+        SampleStream.from_samples([]).require_within(-1)
 
     def test_negative_pool_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -396,7 +404,7 @@ class TestSupport:
     def test_integral_pools_accepted(self):
         for pool in ([1.0, 2.0, 2.0], np.array([1, 2, 2], dtype=np.int32), [1, 2, 2]):
             stream = SampleStream.from_samples(pool)
-            assert stream.support == (1, 2)
+            assert_support(stream, 1, 2)
             np.testing.assert_array_equal(stream.draw(3), [1, 2, 2])
 
     @pytest.mark.parametrize("n, ok", [(3, True), (10, True), (2, False)])

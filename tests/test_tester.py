@@ -20,11 +20,12 @@ from pbdtest.distributions import (
     translated_poisson_pmf,
     tv_distance,
 )
-from pbdtest.learner import MomentEstimates, estimate_mean_var, fit_binomial_by_moments
+from pbdtest.learner import estimate_mean_var, fit_binomial_by_moments
 from pbdtest.lowerbound import random_sign_vector
 from pbdtest.oracles import (
     _learning_corpus,
     ell2_sq_distance,
+    exact_tv_to_pbd_class,
     paired_perturbation,
     tn_closed_form_moments,
 )
@@ -54,8 +55,7 @@ def heavy_inputs(src, n, eps, seed):
     root = SampleStream.from_distribution(src, seed=seed)
     k = TestConfig(eps=eps, delta=0.1).moment_samples(n)
     moments = estimate_mean_var(root.split(0), k)
-    hyp_moments = estimate_mean_var(root.split(1), k)
-    fit = fit_binomial_by_moments(hyp_moments.mu_hat, hyp_moments.sigma2_hat, n)
+    fit = fit_binomial_by_moments(*estimate_mean_var(root.split(1), k), n)
     return root, moments, binomial_pmf(*fit)
 
 
@@ -185,7 +185,7 @@ class TestSimpleTolerantIdentityTest:
         interval = (45, 54)  # 10 of q's 101 points
         need = cfg.tolerant_samples(10)
         assert need == math.ceil(0.25 * 10 / 0.5**2)
-        assert need < cfg.tolerant_samples(q.support_len)
+        assert need < cfg.tolerant_samples(len(q.probs))
         enough = SampleHistogram(50, np.array([need]))
         simple_tolerant_identity_test(q, interval, enough, cfg)
         short = SampleHistogram(50, np.array([need - 1]))
@@ -222,8 +222,8 @@ class TestSimpleTolerantIdentityTest:
             slacked += q.tail_slack > 0.0
             # Intervals inside q's support, as the sparse stage forms them,
             # and intervals that reach past it.
-            a = q.lo + int(rng.integers(-3, q.support_len))
-            b = a + 1 + int(rng.integers(0, min(q.support_len, 60) + 3))
+            a = q.lo + int(rng.integers(-3, len(q.probs)))
+            b = a + 1 + int(rng.integers(0, min(len(q.probs), 60) + 3))
             r1, r2 = (int(r) for r in rng.integers(0, 5, size=2))
             placement = ("cover", "overlap", "miss")[trial % 3]
             if placement == "cover":
@@ -342,7 +342,7 @@ class TestL2Statistic:
         trials = 20_000
         k = 50.0
         rng = np.random.Generator(np.random.Philox(5))
-        counts = rng.poisson(k * p.probs, size=(trials, p.support_len))
+        counts = rng.poisson(k * p.probs, size=(trials, len(p.probs)))
         vals = np.array([l2_statistic(c, 0, p, k) for c in counts[:2000]])
         mean_cf, var_cf = tn_closed_form_moments(p, p, k)
         assert mean_cf == 0.0
@@ -367,10 +367,20 @@ class TestNumericTv:
 
 
 class TestHeavyCase:
+    def test_nonpositive_variance_rejects_without_drawing(self):
+        src = binomial_pmf(100, 0.5)
+        stream = SampleStream.from_distribution(src, seed=0)
+        diag = {}
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        verdict = heavy_case_test(stream, 100, cfg, (5.0, 0.0), src, diag)
+        assert verdict is Verdict.NO_PBD
+        assert diag["reason"] == "nonpositive variance estimate in heavy branch"
+        assert stream.samples_drawn == 0
+
     def test_variance_above_half_n_rejects(self):
         src = binomial_pmf(100, 0.5)
         stream = SampleStream.from_distribution(src, seed=0)
-        moments = MomentEstimates(mu_hat=50.0, sigma2_hat=60.0)
+        moments = (50.0, 60.0)
         diag = {}
         verdict = heavy_case_test(stream, 100, TestConfig(eps=0.1, delta=0.1), moments, src, diag)
         assert verdict is Verdict.NO_PBD
@@ -379,7 +389,7 @@ class TestHeavyCase:
     def test_pivot_far_from_hypothesis_rejects(self):
         n = 10_000
         hyp = binomial_pmf(n, 0.5)
-        moments = MomentEstimates(mu_hat=2000.0, sigma2_hat=1600.0)
+        moments = (2000.0, 1600.0)
         stream = SampleStream.from_distribution(hyp, seed=0)
         diag = {}
         verdict = heavy_case_test(stream, n, TestConfig(eps=0.1, delta=0.1), moments, hyp, diag)
@@ -425,11 +435,11 @@ class TestHeavyCase:
         hits = 0
         trials = 40
         for t in range(trials):
-            m = estimate_mean_var(root.split(t), cfg.moment_samples(n))
+            mu_hat, sigma2_hat = estimate_mean_var(root.split(t), cfg.moment_samples(n))
             pivot = translated_poisson_pmf(
-                TranslatedPoissonParams(m.mu_hat, m.sigma2_hat), tail_cut=1e-9
+                TranslatedPoissonParams(mu_hat, sigma2_hat), tail_cut=1e-9
             )
-            sigma_hat = math.sqrt(m.sigma2_hat)
+            sigma_hat = math.sqrt(sigma2_hat)
             # 10.0 is the paper's pivot closeness constant C'.
             ceiling = (5.3 / sigma_hat) * (2.0 * eps**2 / (10.0 * math.sqrt(cfg.logt)))
             hits += ell2_sq_distance(src, pivot) <= ceiling
@@ -865,3 +875,37 @@ class TestLearningSampleCertificate:
         res = run_budgeted_test(stream, 10_000, cfg)
         assert res.diagnostics["hypothesis_kind"] == "binomial"
         assert "unimodal_lb" not in res.diagnostics
+
+
+class TestUniformLawsFarFromEveryPbd:
+    """ROADMAP item 15: unimodal laws far from every PBD pass the sparse route.
+
+    Uniform laws on W points centred at n/2 (the first on all of {0, 1, 2}).
+    Every PBD on [0, n] has variance at most n/4, so by Chebyshev it puts at
+    least 1 - n/(4 t^2) of its mass on a 2t-point window, where a uniform law
+    on W points puts at most 2t/W: the three wide laws sit at least 0.42,
+    0.32 and 0.25 from every PBD.
+    """
+
+    LAWS = ((3, 3), (1000, 200), (4096, 300), (10_000, 400))
+
+    def test_uniform_on_three_points_is_far_at_eps_0_1(self):
+        uniform = ExplicitDistribution(0, np.full(3, 1.0 / 3.0))
+        tv = exact_tv_to_pbd_class(uniform, 3, 0.01)
+        assert tv == pytest.approx(0.1378, abs=5e-5)
+        # The grid value is within n * grid_step = 0.03 of the true infimum.
+        assert tv - 3 * 0.01 > 0.1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15")
+    def test_far_uniform_laws_are_rejected(self):
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        rejections = 0
+        for n, width in self.LAWS:
+            lo = n // 2 - width // 2
+            law = ExplicitDistribution(lo, np.full(width, 1.0 / width))
+            for seed in range(5):
+                stream = SampleStream.from_distribution(law, seed=seed)
+                res = run_membership_test(stream, n, cfg.replace(seed=seed))
+                rejections += res.verdict is Verdict.NO_PBD
+        # At delta = 0.1 each run rejects a far law with frequency >= 0.9.
+        assert rejections >= 18
