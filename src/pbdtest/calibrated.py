@@ -111,7 +111,6 @@ class TestConfig:
     moment_sample_const: float = 200.0  # A_m: see moment_samples
     learn_sample_const: float = 2.0  # A_L: see learn_samples
     learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
-    learn_sparse_threshold_const: float = 16.0  # A_t: binomial route at sigma2_hat >= A_t/eps^6
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
     amplification_reps: int | None = None  # R: majority runs; None plans them from delta
     tail_cut: float = 1e-9

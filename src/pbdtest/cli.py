@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -73,7 +74,10 @@ def _load_config_overrides(path: str | None) -> dict:
 
 
 def _read_samples(path: str) -> np.ndarray:
-    xs = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    with warnings.catch_warnings():
+        # numpy warns on an empty file; the check below refuses it in one line.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        xs = np.loadtxt(path, dtype=np.int64, ndmin=1)
     if xs.size == 0:
         raise ValueError("sample file is empty")
     return xs

@@ -34,6 +34,7 @@ from scipy.special import gammaln
 
 __all__ = [
     "MASS_TOL",
+    "MAX_WIDTH",
     "ExplicitDistribution",
     "Pbd",
     "TranslatedPoissonParams",
@@ -53,8 +54,10 @@ __all__ = [
 # Mass-conservation tolerance beyond any declared truncation slack.
 MASS_TOL = 1e-9
 
-# Refuse to materialise union supports wider than this in distance code.
-_MAX_ALIGN_WIDTH = 1 << 26
+# The widest array of points the package builds from outside input: a
+# binomial or shifted-Poisson PMF, a sample pool's histogram, or two laws
+# aligned on their union.  Each is refused before it is allocated.
+MAX_WIDTH = 1 << 26
 
 # Coins per leaf of the product tree in ``pbd_pmf``.
 _PBD_BLOCK = 64
@@ -143,8 +146,10 @@ class TranslatedPoissonParams:
             raise ValueError("mu and sigma2 must be finite")
         if self.sigma2 <= 0.0:
             raise ValueError("sigma2 must be positive")
-        if self.rate <= 0.0 or not math.isfinite(self.rate):
-            raise ValueError("derived Poisson rate must be positive and finite")
+        # Then the shift is an integer and the rate, sigma2 plus a fraction
+        # in [0, 1), is positive and finite.
+        if not math.isfinite(self.mu - self.sigma2):
+            raise ValueError("mu - sigma2 must be finite")
 
     @property
     def shift(self) -> int:
@@ -268,6 +273,8 @@ def binomial_pmf(n: int, p: float, tail_cut: float = 0.0) -> ExplicitDistributio
         # so at p = 1/2 the two ends are computed from the same float.
         lo = max(0, math.floor(n * p - t) - 1)
         hi = n - max(0, math.floor(n * (1.0 - p) - t) - 1)
+    if hi - lo + 1 > MAX_WIDTH:
+        raise ValueError(f"binomial window of width {hi - lo + 1} is too large to build")
     if p == 0.0 or p == 1.0:
         probs = np.zeros(hi - lo + 1)
         probs[int(n * p) - lo] = 1.0
@@ -300,6 +307,8 @@ def translated_poisson_pmf(
     level = math.log(2.0 / tail_cut)
     z_lo = max(0, math.floor(lam - math.sqrt(2.0 * lam * level)) - 1)
     z_hi = math.ceil(lam + level + math.sqrt(level * level + 2.0 * lam * level)) + 1
+    if z_hi - z_lo + 1 > MAX_WIDTH:
+        raise ValueError(f"shifted-Poisson window of width {z_hi - z_lo + 1} is too large to build")
     zs = np.arange(z_lo, z_hi + 1, dtype=np.float64)
     log_pmf = zs * math.log(lam) - lam - gammaln(zs + 1.0)
     probs = np.exp(log_pmf)
@@ -320,10 +329,10 @@ def _on_union(
     a_lo: int, a: np.ndarray, b_lo: int, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``a`` and ``b``, whose first entries sit at ``a_lo`` and ``b_lo``, zero-padded
-    onto the union of their ranges; a union wider than ``_MAX_ALIGN_WIDTH`` raises."""
+    onto the union of their ranges; a union wider than ``MAX_WIDTH`` raises."""
     lo = min(a_lo, b_lo)
     hi = max(a_lo + len(a), b_lo + len(b)) - 1
-    if hi - lo + 1 > _MAX_ALIGN_WIDTH:
+    if hi - lo + 1 > MAX_WIDTH:
         raise ValueError(f"union support of width {hi - lo + 1} is too large to align")
     return _on_interval(a, a_lo, lo, hi), _on_interval(b, b_lo, lo, hi)
 

@@ -1,10 +1,13 @@
 """Moment estimation and a learning stage for Bernoulli-sum laws.
 
 ``learn_pbd`` mirrors the interface of the cited Õ(1/eps^2) learner: its
-hypothesis is either a sparse explicit distribution on a short interval or
-a binomial fit, and when the source really is a Bernoulli sum the
+hypothesis is either a binomial fit or a sparse explicit distribution on a
+short interval, and when the source really is a Bernoulli sum the
 hypothesis is eps-close in TV with high frequency (checked by Monte Carlo,
 not guaranteed per call).  Either way it is handed on as one explicit PMF.
+One check picks the route: the moment-matched binomial is kept when it
+explains the learning sample within noise, and the sparse route takes
+every other sample, however large its variance.
 
 The sparse hypothesis is the empirical distribution projected onto the
 unimodal cone.  Unimodality keeps the downstream membership test sound in
@@ -149,10 +152,13 @@ def learn_pbd(
     route, the empirical distribution; a single pool keeps the total inside
     the advertised sample budget.
 
-    Routing: variance at or above A_t / eps^6 forces a binomial fit;
-    otherwise the moment fit is kept when it explains the empirical within
-    noise, and the fallback is the empirical distribution on at most
-    ceil(A_s / eps^3) points, projected onto the unimodal cone.  A
+    Routing: at a sample variance of at least 1 the moment fit is kept
+    when it explains the empirical within max(eps / 8, ``FIT_CHECK_MULT``
+    noise widths); otherwise the hypothesis is the empirical distribution
+    on at most ceil(A_s / eps^3) points, projected onto the unimodal cone.
+    This check is the only route to the fit: a source so wide that its
+    samples rarely repeat passes it, since ``FIT_CHECK_MULT`` noise widths
+    then pass 1, the largest TV.  A
     binomial is itself a Bernoulli-sum law, but the projection keeps only
     sources far from every unimodal law far from the hypothesis: a unimodal
     source far from every Bernoulli-sum law can pass the downstream
@@ -184,24 +190,15 @@ def learn_pbd(
         return LearnedPbd(ExplicitDistribution(0, np.array([1.0])), None, 0.0, 0.0)
     hist = stream.draw_histogram(budget)
     mu_hat, sigma2_hat = hist.moments()
-
-    def binomial_fit() -> LearnedPbd:
-        fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
-        dist = binomial_pmf(*fit, tail_cut=config.tail_cut)
-        return LearnedPbd(dist, fit, mu_hat, sigma2_hat)
-
-    if sigma2_hat >= config.learn_sparse_threshold_const / eps**6:
-        return binomial_fit()
-
     emp = hist.to_empirical()
     # Plug-in width of E TV(empirical, source) ~ sum_i sqrt(p_i / (2 pi k)):
     # points never drawn add nothing, however far the histogram is padded.
     noise = 0.4 * float(np.sqrt(emp.probs).sum()) / math.sqrt(budget)
     if sigma2_hat >= 1.0:
-        learned = binomial_fit()
-        tolerance = max(eps / 8.0, FIT_CHECK_MULT * noise)
-        if tv_distance(emp, learned.dist) <= tolerance:
-            return learned
+        fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
+        dist = binomial_pmf(*fit, tail_cut=config.tail_cut)
+        if tv_distance(emp, dist) <= max(eps / 8.0, FIT_CHECK_MULT * noise):
+            return LearnedPbd(dist, fit, mu_hat, sigma2_hat)
 
     lo, hi = effective_support_interval(emp, eps / 10.0)
     cap = math.ceil(config.sparse_len_const / eps**3)

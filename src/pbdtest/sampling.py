@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ExplicitDistribution
+from .distributions import MAX_WIDTH, ExplicitDistribution
 
 __all__ = [
     "seeded_generator",
@@ -147,7 +147,9 @@ class SampleStream:
     def from_samples(cls, samples, seed: int = 0) -> "SampleStream":
         """A stream over a pool of integer samples, handed out in order.
 
-        Integer-valued floats are accepted; any other value raises ``ValueError``.
+        Integer-valued floats are accepted; any other value raises
+        ``ValueError``, as does a pool whose histogram, from its smallest
+        to its largest sample, would span more than ``MAX_WIDTH`` points.
         """
         raw = np.asarray(samples)
         if raw.dtype.kind == "f":
@@ -161,6 +163,8 @@ class SampleStream:
         support = (int(pool.min()), int(pool.max())) if pool.size else None
         if support is not None and support[0] < 0:
             raise ValueError(f"sample pool holds {support[0]}; samples must be nonnegative")
+        if support is not None and support[1] - support[0] + 1 > MAX_WIDTH:
+            raise ValueError(f"sample pool spans [{support[0]}, {support[1]}], too wide to count")
         return cls(_law=None, _seed=seed, _spawn_key=(), _support=support, _pool=pool)
 
     def split(self, index: int) -> "SampleStream":

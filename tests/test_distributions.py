@@ -13,6 +13,7 @@ from test_golden import pytestmark as pinned_versions
 
 import pbdtest.lowerbound as lowerbound
 from pbdtest.distributions import (
+    MAX_WIDTH,
     ExplicitDistribution,
     Pbd,
     PerturbedBinomial,
@@ -43,6 +44,18 @@ class TestExplicitDistribution:
     def test_tail_slack_widens_total_window(self):
         d = ExplicitDistribution(0, np.array([0.5, 0.4999999]), tail_slack=1e-6)
         assert d.probs.sum() < 1.0
+
+    @pytest.mark.parametrize(
+        "probs, tail_slack, message",
+        [
+            ([], 0.0, "probs must be a 1-D array with at least one entry"),
+            ([[1.0]], 0.0, "probs must be a 1-D array with at least one entry"),
+            ([1.0], -1e-12, "tail_slack must be nonnegative"),
+        ],
+    )
+    def test_rejects_malformed_fields(self, probs, tail_slack, message):
+        with pytest.raises(ValueError, match=message):
+            ExplicitDistribution(0, np.array(probs), tail_slack=tail_slack)
 
     def test_overflow_field_is_gone(self):
         with pytest.raises(TypeError, match="overflow"):
@@ -92,6 +105,10 @@ class TestPbdPmf:
     def test_deterministic_p_one(self):
         d = pbd_pmf(Pbd(np.array([1.0, 1.0, 1.0])))
         assert d.probs[3 - d.lo] == pytest.approx(1.0)
+
+    def test_rejects_a_two_dimensional_vector(self):
+        with pytest.raises(ValueError, match="ps must be 1-D"):
+            Pbd(np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_probabilities(self, bad):
@@ -272,6 +289,12 @@ class TestBinomialPmf:
         with pytest.raises(ValueError):
             binomial_pmf(3, 1.5)
 
+    @pytest.mark.parametrize("p", [0.5, 0.0])
+    def test_support_wider_than_max_width_is_refused(self, p):
+        # 10^10 + 1 points would take 75 GiB; the check comes before any array.
+        with pytest.raises(ValueError, match="binomial window of width 10000000001 is too large"):
+            binomial_pmf(10**10, p)
+
 
 class TestWindowedBinomialPmf:
     CUTS = [1e-9, 1e-6]
@@ -349,6 +372,30 @@ class TestTranslatedPoissonPmf:
     def test_requires_positive_variance(self):
         with pytest.raises(ValueError):
             TranslatedPoissonParams(3.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "mu, sigma2, message",
+        [
+            (math.nan, 1.0, "mu and sigma2 must be finite"),
+            (1.0, math.inf, "mu and sigma2 must be finite"),
+            # Both finite, but mu - sigma2 overflows to -inf.
+            (-1.7e308, 1.7e308, "mu - sigma2 must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_moments(self, mu, sigma2, message):
+        with pytest.raises(ValueError, match=message):
+            TranslatedPoissonParams(mu, sigma2)
+
+    @pytest.mark.parametrize("tail_cut", [0.0, 2e-6])
+    def test_tail_cut_out_of_range_rejected(self, tail_cut):
+        with pytest.raises(ValueError, match=r"tail_cut must lie in \(0, 1e-6\]"):
+            translated_poisson_pmf(TranslatedPoissonParams(4.0, 4.0), tail_cut=tail_cut)
+
+    def test_window_wider_than_max_width_is_refused(self):
+        # At sigma2 = 1e15 the window would hold about 4 * 10^8 points (3 GiB).
+        with pytest.raises(ValueError, match="shifted-Poisson window of width 413921883"):
+            translated_poisson_pmf(TranslatedPoissonParams(10.0, 1e15))
+        assert 413921883 > MAX_WIDTH
 
 
 class TestMomentsAndDistances:
@@ -462,6 +509,11 @@ class TestEffectiveSupport:
         for n, eps in [(400, 0.1), (1600, 0.05)]:
             lo, hi = effective_support_interval(binomial_pmf(n, 0.5), eps)
             assert hi - lo + 1 <= 8.0 * math.sqrt(n * math.log(2.0 / eps))
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
+    def test_eps_out_of_range_rejected(self, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            effective_support_interval(binomial_pmf(10, 0.5), eps)
 
     def test_unreachable_mass_raises(self):
         d = ExplicitDistribution(0, np.array([0.5]), tail_slack=0.5)

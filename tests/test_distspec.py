@@ -23,6 +23,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             distspec.realize({"kind": "pbd", "ps": [0.5, 1.5]})
 
+    @pytest.mark.parametrize("spec", [[{"kind": "pbd"}], "pbd", None])
+    def test_spec_must_be_an_object(self, spec):
+        with pytest.raises(ValueError, match="distribution spec must be a JSON object"):
+            distspec.realize(spec)
+
+    @pytest.mark.parametrize("n, p", [(-1, 0.5), (10, 1.5), (10, -0.1)])
+    def test_binomial_parameters_out_of_range(self, n, p):
+        with pytest.raises(ValueError, match=r"binomial spec requires n >= 0 and p in \[0, 1\]"):
+            distspec.realize({"kind": "binomial", "n": n, "p": p})
+
     @pytest.mark.parametrize(
         "spec, field",
         [

@@ -75,6 +75,10 @@ class TestBinomialFit:
     def test_one_trial_fits_the_mean(self, mu_hat, p):
         assert fit_binomial_by_moments(mu_hat, 0.25, 1) == (1, p)
 
+    def test_no_trials_refused(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            fit_binomial_by_moments(1.0, 0.5, 0)
+
     def test_one_trial_run_completes(self):
         # The fit at n = 1 itself is checked above; a source on [0, 1]
         # runs end to end (a wider one is refused, see test_tester.py).
@@ -158,16 +162,6 @@ class TestLearnPbd:
             assert (a.binomial is None) == (b.binomial is None), seed
             assert tv_distance(a.dist, b.dist) < 1e-12, seed
 
-    def test_sparse_support_cap(self):
-        # A wide far source must still respect the sparse support-length cap.
-        eps = 0.35
-        cap = math.ceil(4.0 / eps**3)
-        probs = np.ones(3 * cap)
-        wide = ExplicitDistribution(0, probs / probs.sum())
-        lr = learn_pbd(SampleStream.from_distribution(wide, seed=9), 3 * cap, eps, CFG)
-        if lr.binomial is None:
-            assert len(lr.dist.probs) <= cap
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_length_cap_keeps_the_densest_window(self, seed):
         # Half/half on {0, 5000}: the 1 - eps/10 interval spans both points,
@@ -207,6 +201,20 @@ class TestLearnPbd:
         # bimodal source; the membership test's soundness rests on this.
         assert tv_distance(hyp, ExplicitDistribution(0, probs)) > 0.2
 
+    @pytest.mark.parametrize(
+        "n, eps, message",
+        [
+            (20, 0.0, r"eps must lie in \(0, 1\)"),
+            (20, 1.0, r"eps must lie in \(0, 1\)"),
+            (-1, 0.1, "n must be nonnegative"),
+        ],
+    )
+    def test_bad_arguments_refused_before_any_draw(self, n, eps, message):
+        stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
+        with pytest.raises(ValueError, match=message):
+            learn_pbd(stream, n, eps, CFG)
+        assert stream.samples_drawn == 0
+
     def test_zero_budget_degenerates_gracefully(self):
         d = binomial_pmf(6, 0.5)
         stream = SampleStream.from_distribution(d, seed=0)
@@ -239,17 +247,16 @@ class TestBinomialFitWindow:
         full = binomial_pmf(*learned.binomial)
         assert res.diagnostics["interval"] == list(effective_support_interval(full, eps / 5.0))
 
-    def test_forced_binomial_route_builds_the_fit_at_tail_cut(self):
-        # A tiny sparse threshold sends every learning sample to the binomial
-        # fit; its PMF is the one binomial_pmf builds at the config's tail_cut.
-        cfg = TestConfig(eps=0.1, delta=0.1, learn_sparse_threshold_const=1e-12)
+    def test_fit_checked_route_builds_the_fit_at_tail_cut(self):
+        # Binomial(200, 0.3) passes the fit check at seed 7; the hypothesis
+        # PMF is the one binomial_pmf builds at the config's tail_cut.
+        cfg = TestConfig(eps=0.1, delta=0.1)
         n = 200
         stream = SampleStream.from_distribution(binomial_pmf(n, 0.3), seed=7)
         learned = learn_pbd(stream, n, 0.1, cfg)
-        assert learned.binomial is not None
         assert learned.unimodal_lb is None and not learned.not_unimodal
         trials, p = learned.binomial
-        assert 1 <= trials <= n and 0.0 < p < 1.0
+        assert trials == n and p == pytest.approx(0.29945, abs=1e-5)
         want = binomial_pmf(*learned.binomial, tail_cut=cfg.tail_cut)
         assert learned.dist.lo == want.lo
         assert learned.dist.probs.tobytes() == want.probs.tobytes()

@@ -329,9 +329,16 @@ class TestChi2Bound:
             probs = binomial_pmf(n, 0.5).probs
             assert s <= probs.max() <= 1.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("n", [0, -4, 7])
+    def test_half_square_sum_needs_a_positive_even_n(self, n):
+        with pytest.raises(ValueError, match="n must be a positive even integer"):
+            half_square_sum(n)
+
     def test_limits(self):
         assert chi2_indistinguishability_bound(100, 1.0, 0.0, 50.0) == 0.0
         assert chi2_indistinguishability_bound(100, 1.0, 0.1, 0.0) == 0.0
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            chi2_indistinguishability_bound(100, 1.0, 0.1, -1.0)
 
     def test_monotone_in_k(self):
         ks = [1.0, 10.0, 100.0, 1e4, 1e6]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pbdtest.distributions import ExplicitDistribution, binomial_pmf, tv_distance
+from pbdtest.distributions import MAX_WIDTH, ExplicitDistribution, binomial_pmf, tv_distance
 from pbdtest.sampling import SampleHistogram, SampleStream, StreamExhausted
 
 
@@ -318,6 +318,22 @@ class TestHistogram:
         assert mu == pytest.approx(xs.mean())
         assert var == pytest.approx(xs.var(ddof=1))
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([], "counts must be a 1-D array with at least one entry"),
+            ([[1, 2]], "counts must be a 1-D array with at least one entry"),
+            ([3, -1], "counts must be nonnegative"),
+        ],
+    )
+    def test_rejects_malformed_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            SampleHistogram(0, np.array(counts, dtype=np.int64))
+
+    def test_zero_samples_have_no_moments(self):
+        with pytest.raises(ValueError, match="empty histogram has no moments"):
+            hist_of([]).moments()
+
     def test_to_empirical(self):
         h = SampleHistogram(2, np.array([2, 0, 2]))
         emp = h.to_empirical()
@@ -370,6 +386,29 @@ class TestExternalPool:
         h = s.draw_histogram(4)
         assert h.lo == 4
         np.testing.assert_array_equal(h.counts, [2, 1, 1])
+
+    def test_pool_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="sample pool must be 1-D"):
+            SampleStream.from_samples([[1, 2], [3, 4]])
+
+    def test_pool_wider_than_max_width_is_refused(self):
+        # Its histograms would span every point from the smallest sample to
+        # the largest: at 0 and 2^33 that is 64 GiB of counts.
+        SampleStream.from_samples([5, 5 + MAX_WIDTH - 1])
+        for top in (MAX_WIDTH, 2**33):
+            with pytest.raises(ValueError, match=rf"spans \[0, {top}\], too wide to count"):
+                SampleStream.from_samples([0, top])
+
+    @pytest.mark.parametrize(
+        "draw, k",
+        [("draw", -1), ("draw_histogram", -1), ("draw_poissonized", 0.0),
+         ("draw_poissonized", -1.0)],
+    )
+    def test_draw_sizes_out_of_range_are_refused(self, draw, k):
+        s = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
+        with pytest.raises(ValueError, match="k must be"):
+            getattr(s, draw)(k)
+        assert s.samples_drawn == 0
 
 
 def assert_support(stream, lo, hi):

