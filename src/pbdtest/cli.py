@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -248,6 +249,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args reads and writes no parser state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pbdtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

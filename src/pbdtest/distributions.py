@@ -7,6 +7,11 @@ law, hence to every Bernoulli-sum law, which the learner reads on its
 learning sample.  The lower-bound experiment only asks whether each family
 member's certificate exceeds eps; ``unimodal_distance_exceeds`` answers
 that exactly, with prefix passes that stop once their cost passes 2 eps.
+It first tries the window's mass core, the shortest stretch holding all
+but eps of the window's mass: the certificate on the core is at most the
+window's, and the window's at most the core's plus half the mass outside
+the core.  On the c = 8 members at n = 4096 the core is about a fifth of
+the centre window and decides alone.
 
 Everything here is a pure function of immutable values; no global state,
 safe to call concurrently.  All PMFs live in linear space.  The binomial
@@ -55,8 +60,9 @@ __all__ = [
 MASS_TOL = 1e-9
 
 # The widest array of points the package builds from outside input: a
-# binomial or shifted-Poisson PMF, a sample pool's histogram, or two laws
-# aligned on their union.  Each is refused before it is allocated.
+# binomial or shifted-Poisson PMF, a sample pool's histogram, two laws
+# aligned on their union, or an array of drawn samples.  Each is refused
+# before it is allocated.
 MAX_WIDTH = 1 << 26
 
 # Coins per leaf of the product tree in ``pbd_pmf``.
@@ -356,13 +362,21 @@ def effective_support_interval(p: ExplicitDistribution, eps: float) -> tuple[int
     cs = np.concatenate(([0.0], np.cumsum(p.probs)))
     if cs[-1] < target:
         raise ValueError("no contiguous interval reaches 1 - eps mass")
-    # A shortest interval starts on mass: one starting on a zero ends where
+    start, end = _shortest_stretch(p.probs, cs, target)
+    return p.lo + start, p.lo + end - 1
+
+
+def _shortest_stretch(probs: np.ndarray, cs: np.ndarray, target: float) -> tuple[int, int]:
+    """``[start, end)`` of the shortest stretch of ``probs`` holding ``target``
+    mass, the first of equal ones.  ``cs`` is ``probs``' cumulative sum after
+    a leading 0.0, and ``0 < target <= cs[-1]``."""
+    # A shortest stretch starts on mass: one starting on a zero ends where
     # the next start with mass ends, so it is longer.
-    starts = np.flatnonzero(p.probs)
+    starts = np.flatnonzero(probs)
     ends = np.searchsorted(cs, cs[starts] + target, side="left")
-    lengths = np.where(ends <= len(p.probs), ends - starts, np.iinfo(np.int64).max)
+    lengths = np.where(ends <= len(probs), ends - starts, np.iinfo(np.int64).max)
     best = int(np.argmin(lengths))
-    return p.lo + int(starts[best]), p.lo + int(ends[best]) - 1
+    return int(starts[best]), int(ends[best])
 
 
 def _isotonic_l1_prefix(y: np.ndarray, stop_above: float = math.inf) -> np.ndarray:
@@ -441,9 +455,38 @@ def unimodal_distance_lb(
 def unimodal_distance_exceeds(
     q: ExplicitDistribution, level: float, window: tuple[int, int] | None = None
 ) -> bool:
-    """Exactly ``unimodal_distance_lb(q, window) > level``, from passes that
-    stop once their cost exceeds 2 * level (see ``_half_unimodal_l1``)."""
-    return _half_unimodal_l1(_in_window(q, window), level) > level
+    """Exactly ``unimodal_distance_lb(q, window) > level``, with less work.
+
+    Write cert(X) for the certificate on a stretch X, W for the window and
+    S for its mass core: the shortest stretch of W holding all but
+    ``level`` of W's mass.  Two facts hold: cert(S) <= cert(W), since a
+    unimodal sequence stays unimodal on a stretch, and cert(W) <= cert(S)
+    + r / 2, with r the mass of W outside S, since S's best fit padded
+    with zeros stays unimodal.  So the answer is True when cert(S) exceeds
+    ``level``, and False when cert(S) + r / 2 falls short of it, each by a
+    relative margin of 4 (w + 2) 2^-53 on a w-point window: every cost,
+    and r, is a float sum of at most w + 1 rounded nonnegative terms, so
+    it lies within a quarter of that margin of its exact value.
+    Otherwise, and for a level below the smallest normal float or a window
+    wider than ``MAX_WIDTH``, it decides on W.  Each decision comes from
+    passes that stop once their cost exceeds twice the level they are
+    held to (see ``_half_unimodal_l1``).
+    """
+    p = _in_window(q, window)
+    if level >= sys.float_info.min and len(p) <= MAX_WIDTH:
+        cs = np.concatenate(([0.0], np.cumsum(p)))
+        target = cs[-1] - level
+        if target > 0.0:
+            start, end = _shortest_stretch(p, cs, target)
+            margin = (len(p) + 2) * 2.0**-51
+            high = level * (1.0 + margin)
+            core = _half_unimodal_l1(p[start:end], high)
+            if core > high:
+                return True
+            outside = float(p[:start].sum()) + float(p[end:].sum())
+            if core + 0.5 * outside < level * (1.0 - margin):
+                return False
+    return _half_unimodal_l1(p, level) > level
 
 
 def merged_unimodal_distance_lb(q: ExplicitDistribution) -> float:

@@ -23,7 +23,12 @@ drawn from a stream spans exactly its observed range, from the smallest
 sample to the largest, so every later stage works on the points drawn
 rather than the source's whole array.  A distribution stream
 normalises its source once, when it is built, and keeps only the stretch
-that carries mass; draws from it are the same as from the whole array.
+that carries mass.  A draw of k samples also skips the lead of points
+with k p <= 2^-55, which numpy's multinomial would draw as zeros, and
+advances the generator past the raw numbers it would read on them
+instead; so draws are the same as from the whole array, and cost time in
+the stretch from the first point past that lead to the largest sample.
+``draw`` refuses more samples than ``MAX_WIDTH`` before drawing anything.
 
 A root stream and all its splits share one count of samples drawn
 (``samples_drawn``, also the cursor of a file pool), which
@@ -51,6 +56,11 @@ __all__ = [
     "SampleHistogram",
     "SampleStream",
 ]
+
+
+# A category of probability p with k p at most this is skipped by a draw of
+# k samples (see ``SampleStream._counts``).
+_NEGLIGIBLE = 2.0**-55
 
 
 def seeded_generator(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -115,7 +125,7 @@ class SampleStream:
     """Single-owner source of i.i.d. samples from a distribution or a file pool."""
 
     def __init__(self, *, _law, _seed, _spawn_key, _support, _pool=None):
-        self._law = _law  # (lo, pvals) of a distribution, shared by all splits
+        self._law = _law  # (lo, pvals, running max) of a distribution, shared by all splits
         self._support = _support  # (smallest, largest) drawable value; None if none
         self._seed = _seed
         self._spawn_key = tuple(_spawn_key)
@@ -138,8 +148,8 @@ class SampleStream:
         # trailing zero: the multinomial draws a binomial for every category
         # but the last and none for a leading zero, so the cut law consumes
         # the same random numbers and gives the same counts.
-        pvals = dist.probs / dist.probs.sum()
-        law = (dist.lo + first, pvals[first : last + 2])
+        pvals = (dist.probs / dist.probs.sum())[first : last + 2]
+        law = (dist.lo + first, pvals, np.maximum.accumulate(pvals))
         support = (dist.lo + first, dist.lo + last)
         return cls(_law=law, _seed=seed, _spawn_key=spawn_key, _support=support)
 
@@ -233,10 +243,22 @@ class SampleStream:
         if k == 0:
             return 0, np.zeros(1, dtype=np.int64)
         if xs is None:
-            lo, pvals = self._law
-            counts = self._generator().multinomial(k, pvals)
+            lo, pvals, peak = self._law
+            # numpy draws category j as Binomial(remaining, p_j / rest), rest
+            # starting at exactly 1.0.  Over the lead where k p_j <= 2^-55,
+            # 1 - p_j rounds to 1.0, so rest stays 1.0, and the inversion
+            # sampler's q^k, exp(k log1p(-p_j)) >= exp(-2^-55), rounds to
+            # exactly 1.0: it reads one raw number and gives 0, and a zero
+            # p_j reads nothing.  So the lead's raw numbers are skipped
+            # instead.  A lead fixed in p alone would not do: q^k falls below
+            # 1.0 once k p_j passes about 2^-54.  The lead ends before the
+            # largest p, hence before the last category.
+            lead = int(peak.searchsorted(_NEGLIGIBLE / k, side="right"))
+            rng = self._generator()
+            rng.bit_generator.random_raw(np.count_nonzero(pvals[:lead]), output=False)
+            counts = rng.multinomial(k, pvals[lead:])
             seen = np.flatnonzero(counts)
-            return lo + int(seen[0]), counts[seen[0] : seen[-1] + 1]
+            return lo + lead + int(seen[0]), counts[seen[0] : seen[-1] + 1]
         lo = int(xs.min())
         return lo, np.bincount(xs - lo)
 
@@ -247,9 +269,13 @@ class SampleStream:
 
         From a distribution: the multinomial counts of ``draw_histogram(k)``
         in random order.  From a pool: its next k samples in file order.
+        A k above ``MAX_WIDTH`` raises ``ValueError`` before anything is
+        drawn or counted.
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
+        if k > MAX_WIDTH:
+            raise ValueError(f"{k} samples are too many to hold; the limit is {MAX_WIDTH}")
         if self._pool is not None:
             return self._take(k).copy()
         lo, counts = self._counts(k)

@@ -12,7 +12,7 @@ import pytest
 
 from pbdtest import TestConfig, cli, oracles
 from pbdtest.cli import main
-from pbdtest.distributions import binomial_pmf, effective_support_interval
+from pbdtest.distributions import MAX_WIDTH, binomial_pmf, effective_support_interval
 
 
 @pytest.fixture()
@@ -96,6 +96,24 @@ class TestTestCommand:
         )
         capsys.readouterr()
         assert code == 1
+
+    def test_reused_parser_carries_nothing_between_calls(self, bimodal_spec, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"amplification_reps": 1}))
+        out = tmp_path / "v.json"
+        base = ["test", "--spec", bimodal_spec, "--n", "400", "--eps", "0.2", "--delta", "0.3",
+                "--seed", "3"]
+        cli._build_parser.cache_clear()
+        assert run(base + ["--assert-yes", "--out", str(out), "--config", str(cfg)]) == 2
+        out.unlink()
+        capsys.readouterr()
+        assert run(base) == 0
+        reused = capsys.readouterr().out
+        assert cli._build_parser.cache_info().hits == 1
+        cli._build_parser.cache_clear()
+        assert run(base) == 0
+        assert capsys.readouterr().out == reused
+        assert not out.exists()
 
     def test_config_file_override(self, binomial_spec, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -420,6 +438,20 @@ class TestStatCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("pbdtest: error")
+        assert not samples.exists()
+
+    def test_draw_count_past_the_width_limit_exits_1(self, binomial_spec, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        code = run(
+            ["draw", "--spec", binomial_spec, "--count", "1000000000000", "--emit",
+             str(samples), "--seed", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "pbdtest: error: 1000000000000 samples are too many to hold;"
+            f" the limit is {MAX_WIDTH}\n"
+        )
         assert not samples.exists()
 
     def test_negative_sample_exits_1(self, binomial_spec, tmp_path, capsys):

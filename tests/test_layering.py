@@ -179,9 +179,9 @@ REMOVED_FROM_ROOT = (
 )
 
 
-def test_only_sampling_builds_a_generator():
-    """Seeded generators come from ``sampling.seeded_generator`` alone."""
-    builders = {"Philox", "SeedSequence", "default_rng"}
+def named_outside_sampling(names: set[str]) -> list[str]:
+    """``module.name`` for each of ``names`` that a module other than
+    ``sampling`` writes as a name, an attribute or an import."""
     named = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "sampling":
@@ -195,9 +195,20 @@ def test_only_sampling_builds_a_generator():
                 name = node.name.rpartition(".")[2]
             else:
                 continue
-            if name in builders:
+            if name in names:
                 named.append(f"{path.stem}.{name}")
-    assert named == []
+    return named
+
+
+def test_only_sampling_builds_a_generator():
+    """Seeded generators come from ``sampling.seeded_generator`` alone."""
+    assert named_outside_sampling({"Philox", "SeedSequence", "default_rng"}) == []
+
+
+def test_only_sampling_draws_counts():
+    """Multinomial counts come from ``SampleStream`` alone, the one place
+    that skips a source's negligible lead, and skips it exactly."""
+    assert named_outside_sampling({"multinomial", "random_raw"}) == []
 
 
 def test_removed_names_stay_out_of_the_root():

@@ -271,6 +271,52 @@ class TestDecisionMatchesValue:
             assert not unimodal_distance_exceeds(d, 0.1, window)
 
 
+class TestMassCoreScreen:
+    """``unimodal_distance_exceeds`` first decides on the window's mass core:
+    each of its three routes runs and gives the value's answer."""
+
+    @staticmethod
+    def record_passes(monkeypatch) -> list[int]:
+        """The lengths of the arrays the certificate runs on, in call order."""
+        lengths = []
+        run = distributions._half_unimodal_l1
+
+        def recording(p, level=math.inf):
+            lengths.append(len(p))
+            return run(p, level)
+
+        monkeypatch.setattr(distributions, "_half_unimodal_l1", recording)
+        return lengths
+
+    @pytest.mark.parametrize("c, far", [(8.0, True), (0.3, False)], ids=["core-far", "core-near"])
+    def test_members_are_decided_on_the_core_alone(self, monkeypatch, c, far):
+        n = 4096
+        window = _center_window(n)
+        rng = np.random.Generator(np.random.Philox(31))
+        members = [
+            construct_perturbed_binomial(PerturbedBinomial(n, c, 0.1, random_sign_vector(n, rng)))
+            for _ in range(10)
+        ]
+        assert [unimodal_distance_lb(q, window) > 0.1 for q in members] == [far] * 10
+        lengths = self.record_passes(monkeypatch)
+        for q in members:
+            lengths.clear()
+            assert unimodal_distance_exceeds(q, 0.1, window) is far
+            # One pass pair on a core of about +-1.65 sigma, a fifth of the window.
+            assert len(lengths) == 1 and lengths[0] < (window[1] - window[0] + 1) / 4
+
+    def test_a_level_in_the_band_is_decided_on_the_window(self, monkeypatch):
+        # cert = 0.15 on the window and on its core [0.4, 0.1, 0.45], whose
+        # outside mass is 0.05: at the value the core settles nothing.
+        d = ExplicitDistribution(0, np.array([0.05, 0.4, 0.1, 0.45]))
+        lb = unimodal_distance_lb(d)
+        lengths = self.record_passes(monkeypatch)
+        for level, far in ((lb, False), (np.nextafter(lb, 0.0), True)):
+            lengths.clear()
+            assert unimodal_distance_exceeds(d, level, None) == far
+            assert lengths == [3, 4]
+
+
 class TestRegressionCertificate:
     """The l1-regression certificate: hand values, never below the matching
     bound nor above the exact distance, and it certifies the members the

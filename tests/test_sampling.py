@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pbdtest.distributions import MAX_WIDTH, ExplicitDistribution, binomial_pmf, tv_distance
+from pbdtest.distributions import (
+    MAX_WIDTH,
+    ExplicitDistribution,
+    PerturbedBinomial,
+    binomial_pmf,
+    construct_perturbed_binomial,
+    tv_distance,
+)
 from pbdtest.sampling import SampleHistogram, SampleStream, StreamExhausted
 
 
@@ -233,6 +240,82 @@ class TestObservedRange:
             SampleStream.from_distribution(d, seed=0)
 
 
+def lead_with_zeros():
+    """A law summing to exactly 1.0 whose lead below 2^-54 holds zeros
+    between points from 1e-300 to 4e-17."""
+    lead = [1e-300, 0.0, 30 * 2.0**-63, 0.0, 0.0, 2e-18, 0.0, 2.0**-54, 0.0, 4e-17]
+    return ExplicitDistribution(-4, np.array(lead + [0.25, 0.0, 0.75]))
+
+
+def c8_member():
+    z = 2 * np.random.Generator(np.random.Philox(12)).integers(0, 2, 2048) - 1
+    return construct_perturbed_binomial(PerturbedBinomial(4096, 8.0, 0.1, z))
+
+
+# Laws with a long lead below 2^-54, and laws with none (Binomial(50, 0.1), the halves).
+LEADS = [
+    binomial_pmf(10**4, 0.5),
+    binomial_pmf(10**4, 0.3),
+    binomial_pmf(4096, 0.5),
+    c8_member(),
+    binomial_pmf(50, 0.1),
+    halves_on_ends(10**4),
+    lead_with_zeros(),
+    # Drawn, 2^-52 lowers the rest below 1.0, and numpy then draws the next
+    # point, 0.5 / rest > 1/2, by its mirror: skipping it would change the counts.
+    make_dist([2.0**-52, 0.5, 0.5 - 2.0**-52]),
+]
+LEAD_IDS = [
+    "binomial-1e4", "binomial-1e4-0.3", "binomial-4096", "member-c8", "binomial-50", "halves",
+    "zeros-in-lead", "light-point-drawn",
+]
+
+
+class TestNegligibleLead:
+    """A stream skips its source's lead of categories too light to be drawn,
+    and every draw still equals the multinomial on the whole normalised law,
+    as does the generator's next draw."""
+
+    @pytest.mark.parametrize("d", LEADS, ids=LEAD_IDS)
+    def test_draws_equal_the_whole_law_draw(self, d):
+        for seed in range(40):
+            stream = SampleStream.from_distribution(d, seed=seed, spawn_key=(5,))
+            rng = reference_generator(seed, (5,))
+            for k in (1, 2, 5, 100, 20_823, 233_000):
+                h = stream.draw_histogram(k)
+                lo, counts = cut_to_observed(*reference_counts(rng, k, d))
+                assert (h.lo, h.counts.tolist()) == (lo, counts.tolist())
+                h = stream.draw_poissonized(float(k))
+                total = int(rng.poisson(k))
+                lo, counts = (0, [0]) if total == 0 else cut_to_observed(
+                    *reference_counts(rng, total, d)
+                )
+                assert (h.lo, h.counts.tolist()) == (lo, list(counts))
+                if k > 10**5 and seed >= 5:
+                    continue  # the expand-and-permute of 233,000 samples costs 9 ms a side
+                lo, counts = reference_counts(rng, k, d)
+                xs = np.repeat(np.arange(lo, lo + len(counts), dtype=np.int64), counts)
+                np.testing.assert_array_equal(stream.draw(k), rng.permutation(xs))
+            # The state each draw leaves is pinned by the next one; this pins the last.
+            lo, counts = cut_to_observed(*reference_counts(rng, 7, d))
+            h = stream.draw_histogram(7)
+            assert (h.lo, h.counts.tolist()) == (lo, counts.tolist())
+
+    def test_draws_of_10_to_the_18_equal_the_whole_law_draw(self):
+        # At 10^18 samples only the 1e-300 point is negligible: the 2^-54
+        # and 4e-17 points get dozens of samples and the lighter ones a few.
+        d = lead_with_zeros()
+        for seed in range(10):
+            stream = SampleStream.from_distribution(d, seed=seed)
+            rng = reference_generator(seed, ())
+            h = stream.draw_histogram(10**18)
+            lo, counts = cut_to_observed(*reference_counts(rng, 10**18, d))
+            assert (h.lo, h.counts.tolist()) == (lo, counts.tolist())
+            h = stream.draw_poissonized(1e18)
+            lo, counts = cut_to_observed(*reference_counts(rng, int(rng.poisson(1e18)), d))
+            assert (h.lo, h.counts.tolist()) == (lo, counts.tolist())
+
+
 class TestCapped:
     def test_refuses_poisson_total_before_drawing(self):
         d = make_dist([0.3, 0.7])
@@ -409,6 +492,13 @@ class TestExternalPool:
         with pytest.raises(ValueError, match="k must be"):
             getattr(s, draw)(k)
         assert s.samples_drawn == 0
+
+    def test_draw_past_the_width_limit_is_refused(self):
+        for s in (SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0),
+                  SampleStream.from_samples(np.zeros(3, dtype=np.int64))):
+            with pytest.raises(ValueError, match=rf"too many to hold; the limit is {MAX_WIDTH}$"):
+                s.draw(MAX_WIDTH + 1)
+            assert s.samples_drawn == 0
 
 
 def assert_support(stream, lo, hi):
