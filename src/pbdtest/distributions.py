@@ -11,7 +11,12 @@ It first tries the window's mass core, the shortest stretch holding all
 but eps of the window's mass: the certificate on the core is at most the
 window's, and the window's at most the core's plus half the mass outside
 the core.  On the c = 8 members at n = 4096 the core is about a fifth of
-the centre window and decides alone.
+the centre window and decides alone.  Every form of the certificate runs
+its forward and backward passes to the split at the mode, and on past it
+only while a later split can still win: 1.16-1.35 m heap steps on the
+m-point learning histograms of Binomial(n, 1/2) and the c = 8 members,
+against 2 m for two full passes, with every cost the float a full pass
+computes.
 
 Everything here is a pure function of immutable values; no global state,
 safe to call concurrently.  All PMFs live in linear space.  The binomial
@@ -32,7 +37,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from heapq import heappush, heappushpop
+from heapq import heappush, heapreplace
+from operator import add
 
 import numpy as np
 from scipy.special import gammaln
@@ -379,27 +385,36 @@ def _shortest_stretch(probs: np.ndarray, cs: np.ndarray, target: float) -> tuple
     return int(starts[best]), int(ends[best])
 
 
-def _isotonic_l1_prefix(y: np.ndarray, stop_above: float = math.inf) -> np.ndarray:
-    """out[t] = least l1 distance from y[:t] to a nondecreasing sequence.
+class _PrefixPass:
+    """The least l1 distances from the prefixes of y to nondecreasing sequences.
 
-    One pass with a max-heap of kept values (Stout, *Unimodal regression
-    via prefix isotonic regression*, CSDA 2008): a new value below the
-    largest kept one pays the gap, and that kept value is lowered to it.
-    heapq is a min-heap, so the heap holds negated values.  The pass stops
-    after the first t whose cost exceeds ``stop_above``, so ``out`` may be
-    shorter than ``len(y) + 1``; the costs it holds are the full pass's.
+    ``costs[t]`` is the distance for y[:t].  One pass with a max-heap of
+    kept values (Stout, *Unimodal regression via prefix isotonic
+    regression*, CSDA 2008): a new value below the largest kept one pays
+    the gap, and that kept value is lowered to it.  heapq is a min-heap, so
+    the heap holds negated values.  The pass is resumable: ``run`` takes it
+    on from where it stopped, heap and cost included, so every cost is the
+    float a single pass over y computes.
     """
-    heap: list[float] = []
-    cost = 0.0
-    out = [cost]
-    for x in (-y).tolist():
-        # Pops the largest kept value when it exceeds the new one, else x itself.
-        cost += x - heappushpop(heap, x)
-        heappush(heap, x)
-        out.append(cost)
-        if cost > stop_above:
-            break
-    return np.array(out)
+
+    def __init__(self, y: np.ndarray):
+        self._xs = (-y).tolist()
+        self._heap: list[float] = []
+        self.costs = [0.0]
+
+    def run(self, end: int, stop_above: float = math.inf) -> None:
+        """Take the pass on to ``costs[end]``, but no step past a cost above
+        ``stop_above``."""
+        heap, costs = self._heap, self.costs
+        cost = costs[-1]
+        for x in self._xs[len(costs) - 1 : end]:
+            if cost > stop_above:
+                return
+            if heap and x > heap[0]:
+                # The largest kept value exceeds the new one: pay the gap and lower it.
+                cost += x - heapreplace(heap, x)
+            heappush(heap, x)
+            costs.append(cost)
 
 
 def _in_window(q: ExplicitDistribution, window: tuple[int, int] | None) -> np.ndarray:
@@ -415,25 +430,41 @@ def _half_unimodal_l1(p: np.ndarray, level: float = math.inf) -> float:
     """Half the least l1 distance from p to a unimodal sequence, up to ``level``.
 
     A split at t fits p[:t] nondecreasing and p[t:] nonincreasing, at cost
-    f[t] + g[t] from a forward and a backward prefix pass.  Each pass stops
-    once its cost exceeds 2 * level.  The forward cost f[t] never falls as
-    t grows, nor the backward cost g[t] as t falls, and adding a
-    nonnegative float never lowers a sum, so every split past either stop
-    already sums above 2 * level.  Only the splits that both passes reached
-    are summed, so the value is exact when it is at most ``level`` and
-    above ``level`` otherwise; it is inf when no split was reached by both.
-    Doubling the level and halving a sum above it are exact once the level
-    is at least the smallest normal float; below that both passes run in
-    full, as they do at the default level, where every split is summed.
+    f[t] + g[t] from a forward and a backward prefix pass.  The forward
+    cost f[t] never falls as t grows, nor the backward cost g[t] as t
+    falls, and adding a nonnegative float never lowers a sum, so a pass can
+    stop after its first cost above the least sum found so far, or above
+    2 * level: no split past that stop gives a smaller sum, nor one at most
+    2 * level.  The passes first run to the split at the mode, the first
+    largest entry, where they meet after m steps in all; then the forward
+    pass runs on while its cost is at most the least sum and 2 * level, and
+    the backward pass after it.  On histograms close to unimodal that is
+    1.16-1.35 m steps, against 2 m for two full passes.  The value is exact
+    when it is at most ``level`` and above ``level`` otherwise; it is inf
+    when no split was reached by both.  Since a sum above 2 * level never
+    lowers the stops, the value is bit for bit that of two passes each
+    stopped only by 2 * level.  Doubling the level and halving a sum above
+    it are exact once the level is at least the smallest normal float;
+    below that, and at the default level, only the least sum stops a pass.
     """
     bound = 2.0 * level if level >= sys.float_info.min else math.inf
-    f = _isotonic_l1_prefix(p, bound)  # f[t] for t in [0, i]
-    h = _isotonic_l1_prefix(p[::-1], bound)  # g[t] = h[m - t] for t in [m - j, m]
-    m, i, j = len(p), len(f) - 1, len(h) - 1
-    if m - j > i:
-        return math.inf
-    both = f[m - j : i + 1] + h[m - i : j + 1][::-1]
-    return 0.5 * float(both.min())
+    m = len(p)
+    f = _PrefixPass(p)  # f[t] = f.costs[t]
+    h = _PrefixPass(p[::-1])  # g[t] = h.costs[m - t]
+
+    def least_sum() -> float:
+        # Over the splits t in [m - j, i] that both passes reached.
+        i, j = len(f.costs) - 1, len(h.costs) - 1
+        if m - j > i:
+            return math.inf
+        return min(map(add, f.costs[m - j : i + 1], reversed(h.costs[m - i : j + 1])))
+
+    mode = int(p.argmax()) if m else 0
+    f.run(mode, bound)
+    h.run(m - mode, bound)
+    f.run(m, min(least_sum(), bound))
+    h.run(m, min(least_sum(), bound))
+    return 0.5 * least_sum()
 
 
 def unimodal_distance_lb(
@@ -486,7 +517,7 @@ def unimodal_distance_exceeds(
             outside = float(p[:start].sum()) + float(p[end:].sum())
             if core + 0.5 * outside < level * (1.0 - margin):
                 return False
-    return _half_unimodal_l1(p, level) > level
+    return bool(_half_unimodal_l1(p, level) > level)
 
 
 def merged_unimodal_distance_lb(q: ExplicitDistribution) -> float:

@@ -23,11 +23,15 @@ drawn from a stream spans exactly its observed range, from the smallest
 sample to the largest, so every later stage works on the points drawn
 rather than the source's whole array.  A distribution stream
 normalises its source once, when it is built, and keeps only the stretch
-that carries mass.  A draw of k samples also skips the lead of points
-with k p <= 2^-55, which numpy's multinomial would draw as zeros, and
-advances the generator past the raw numbers it would read on them
-instead; so draws are the same as from the whole array, and cost time in
-the stretch from the first point past that lead to the largest sample.
+that carries mass; when that stretch has zeros inside, it keeps only its
+points with mass and its last point, since numpy's multinomial draws a
+zero-probability category as 0 without reading a random number.  A draw
+of k samples also skips the lead of points with k p <= 2^-55, which
+numpy's multinomial would draw as zeros, and advances the generator past
+the raw numbers it would read on them instead; so draws are the same as
+from the whole array, and cost time in the points kept from the first
+one past that lead to the largest sample, plus one pass over the
+observed range.
 ``draw`` refuses more samples than ``MAX_WIDTH`` before drawing anything.
 
 A root stream and all its splits share one count of samples drawn
@@ -125,7 +129,9 @@ class SampleStream:
     """Single-owner source of i.i.d. samples from a distribution or a file pool."""
 
     def __init__(self, *, _law, _seed, _spawn_key, _support, _pool=None):
-        self._law = _law  # (lo, pvals, running max) of a distribution, shared by all splits
+        # (lo, pvals, running max, categories kept or None) of a distribution,
+        # shared by all splits
+        self._law = _law
         self._support = _support  # (smallest, largest) drawable value; None if none
         self._seed = _seed
         self._spawn_key = tuple(_spawn_key)
@@ -149,7 +155,17 @@ class SampleStream:
         # but the last and none for a leading zero, so the cut law consumes
         # the same random numbers and gives the same counts.
         pvals = (dist.probs / dist.probs.sum())[first : last + 2]
-        law = (dist.lo + first, pvals, np.maximum.accumulate(pvals))
+        cats = None
+        if mass.size < last - first + 1:
+            # Zeros inside the mass: numpy draws a p = 0 category as 0 without
+            # reading a random number, and takes 0.0 off the rest exactly, so
+            # the law keeps only its categories with mass and its last one,
+            # which takes the remainder; ``cats`` maps them back.
+            cats = mass - first
+            if cats[-1] < len(pvals) - 1:
+                cats = np.append(cats, len(pvals) - 1)
+            pvals = pvals[cats]
+        law = (dist.lo + first, pvals, np.maximum.accumulate(pvals), cats)
         support = (dist.lo + first, dist.lo + last)
         return cls(_law=law, _seed=seed, _spawn_key=spawn_key, _support=support)
 
@@ -243,7 +259,7 @@ class SampleStream:
         if k == 0:
             return 0, np.zeros(1, dtype=np.int64)
         if xs is None:
-            lo, pvals, peak = self._law
+            lo, pvals, peak, cats = self._law
             # numpy draws category j as Binomial(remaining, p_j / rest), rest
             # starting at exactly 1.0.  Over the lead where k p_j <= 2^-55,
             # 1 - p_j rounds to 1.0, so rest stays 1.0, and the inversion
@@ -258,7 +274,12 @@ class SampleStream:
             rng.bit_generator.random_raw(np.count_nonzero(pvals[:lead]), output=False)
             counts = rng.multinomial(k, pvals[lead:])
             seen = np.flatnonzero(counts)
-            return lo + lead + int(seen[0]), counts[seen[0] : seen[-1] + 1]
+            if cats is None:
+                return lo + lead + int(seen[0]), counts[seen[0] : seen[-1] + 1]
+            at = cats[lead + seen]
+            observed = np.zeros(at[-1] - at[0] + 1, dtype=np.int64)
+            observed[at - at[0]] = counts[seen]
+            return lo + int(at[0]), observed
         lo = int(xs.min())
         return lo, np.bincount(xs - lo)
 

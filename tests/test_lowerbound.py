@@ -1,6 +1,8 @@
 """Unit tests for the adversarial family and its certificates."""
 
 import math
+import sys
+from heapq import heappush, heappushpop
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ import pbdtest.distributions as distributions
 import pbdtest.lowerbound as lowerbound
 from pbdtest.distributions import (
     ExplicitDistribution,
-    _isotonic_l1_prefix,
+    _half_unimodal_l1,
     _perturb_fair_binomial,
+    _PrefixPass,
     binomial_pmf,
+    merged_unimodal_distance_lb,
     unimodal_distance_exceeds,
 )
 from pbdtest.lowerbound import (
@@ -25,6 +29,7 @@ from pbdtest.lowerbound import (
     unimodal_distance_lb,
 )
 from pbdtest.oracles import exact_tv_to_unimodal
+from pbdtest.sampling import SampleStream
 from pbdtest.tester import TestConfig
 
 # Supports up to this size get the exact LP distance as an upper reference.
@@ -54,6 +59,35 @@ def distinct_value_unimodal_lb(q, window=None):
     f = distinct_value_isotonic_l1_prefix(p)
     g = distinct_value_isotonic_l1_prefix(p[::-1])[::-1]
     return 0.5 * float((f + g).min())
+
+
+def full_pass_isotonic_l1_prefix(y, stop_above=math.inf):
+    """Reference: out[t] is the least l1 distance from y[:t] to a nondecreasing
+    sequence, from one heap pass over y that stops after the first cost above
+    ``stop_above``."""
+    heap = []
+    cost = 0.0
+    out = [cost]
+    for x in (-y).tolist():
+        cost += x - heappushpop(heap, x)
+        heappush(heap, x)
+        out.append(cost)
+        if cost > stop_above:
+            break
+    return np.array(out)
+
+
+def full_pass_half_unimodal_l1(p, level=math.inf):
+    """Reference: the certificate from a forward and a backward pass that each
+    run until their cost passes 2 * level, summed on every split both reached."""
+    bound = 2.0 * level if level >= sys.float_info.min else math.inf
+    f = full_pass_isotonic_l1_prefix(p, bound)
+    h = full_pass_isotonic_l1_prefix(p[::-1], bound)
+    m, i, j = len(p), len(f) - 1, len(h) - 1
+    if m - j > i:
+        return math.inf
+    both = f[m - j : i + 1] + h[m - i : j + 1][::-1]
+    return 0.5 * float(both.min())
 
 
 def loop_max_matching_prefix(weights):
@@ -270,6 +304,17 @@ class TestDecisionMatchesValue:
             assert not unimodal_distance_exceeds(d, 0.0, window)
             assert not unimodal_distance_exceeds(d, 0.1, window)
 
+    def test_answer_is_a_python_bool_at_a_numpy_level(self):
+        # The same law as the band test below: at its value the core settles
+        # nothing, so the last comparison, with the numpy level, answers.
+        d = ExplicitDistribution(0, np.array([0.05, 0.4, 0.1, 0.45]))
+        lb = np.float64(unimodal_distance_lb(d))
+        assert unimodal_distance_exceeds(d, np.nextafter(lb, 0.0)) is True
+        assert unimodal_distance_exceeds(d, lb) is False
+        # And on the routes the core decides.
+        assert unimodal_distance_exceeds(d, np.float64(0.01)) is True
+        assert unimodal_distance_exceeds(d, np.float64(0.3)) is False
+
 
 class TestMassCoreScreen:
     """``unimodal_distance_exceeds`` first decides on the window's mass core:
@@ -317,6 +362,114 @@ class TestMassCoreScreen:
             assert lengths == [3, 4]
 
 
+class TestSweepMatchesFullPasses:
+    """``_half_unimodal_l1``, whose passes meet at the mode and run on only
+    while a split can still win, gives bit for bit the value of two full
+    passes, at every level."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.Generator(np.random.Philox(53))
+        # Every array of length 0 to 3 over {0, 1, 2}.
+        for m in range(4):
+            for values in np.ndindex(*(3,) * m):
+                yield np.array(values, dtype=float)
+        for _ in range(600):
+            m = int(rng.integers(1, 60))
+            kind = int(rng.integers(0, 5))
+            if kind == 0:  # ties
+                p = rng.integers(0, 4, size=m).astype(float)
+            elif kind == 1:  # runs of zeros and plateaus
+                p = rng.random(m)
+                for _ in range(int(rng.integers(1, 4))):
+                    a = int(rng.integers(0, m))
+                    p[a : a + int(rng.integers(2, 9))] = 0.0 if rng.random() < 0.5 else rng.random()
+            elif kind == 2:  # two equal peaks
+                p = rng.random(m)
+                p[rng.choice(m, size=min(m, 2), replace=False)] = 1.5
+            else:  # the mode at the low or the high end
+                p = np.sort(rng.random(m)) + 0.05 * rng.random(m)
+                p[-1] = 2.0
+                if kind == 4:
+                    p = p[::-1].copy()
+            yield p
+
+    @staticmethod
+    def levels(value):
+        # Below the value, just below, at, just above, above, and below the
+        # smallest normal float.
+        return (
+            0.0,
+            value / 2,
+            math.nextafter(value, 0.0),
+            value,
+            math.nextafter(value, math.inf),
+            2 * value + 0.01,
+            5e-324,
+            sys.float_info.min / 2,
+        )
+
+    def test_values_equal_the_full_passes(self):
+        for p in self.inputs():
+            value = full_pass_half_unimodal_l1(p)
+            assert _half_unimodal_l1(p) == value
+            for level in self.levels(value):
+                assert _half_unimodal_l1(p, level) == full_pass_half_unimodal_l1(p, level)
+
+    def test_decisions_equal_the_full_passes(self):
+        for p in self.inputs():
+            if p.sum() == 0.0:
+                continue
+            p = p / p.sum()
+            d = ExplicitDistribution(0, p)
+            value = full_pass_half_unimodal_l1(p)
+            for level in self.levels(value):
+                assert unimodal_distance_exceeds(d, level) is (value > level)
+
+
+class TestSweepWork:
+    """The certificate on a learning histogram takes at most 1.5 m heap steps
+    on m points, where two full passes take 2 m."""
+
+    @staticmethod
+    def learning_histograms():
+        config = TestConfig(eps=0.1, delta=0.1)
+        k = config.learn_samples(config.eps / config.learn_accuracy_const)
+        for n in (10**4, 4096):
+            z = random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
+            member = construct_perturbed_binomial(PerturbedBinomial(n, 8.0, 0.1, z))
+            for d in (member, binomial_pmf(n, 0.5)):
+                for seed in range(30):
+                    stream = SampleStream.from_distribution(d, seed=seed)
+                    yield stream.draw_histogram(k).to_empirical()
+
+    def test_steps_per_call(self, monkeypatch):
+        steps = [0]
+        sizes = []
+        step = distributions.heappush
+        run = distributions._half_unimodal_l1
+
+        def counting(heap, x):
+            steps[0] += 1
+            return step(heap, x)
+
+        def recording(p, level=math.inf):
+            sizes.append(len(p))
+            return run(p, level)
+
+        monkeypatch.setattr(distributions, "heappush", counting)
+        monkeypatch.setattr(distributions, "_half_unimodal_l1", recording)
+        calls = 0
+        for emp in self.learning_histograms():
+            steps[0] = 0
+            sizes.clear()
+            merged_unimodal_distance_lb(emp)
+            assert len(sizes) == 1 and sizes[0] > 100
+            assert steps[0] <= 1.5 * sizes[0]
+            calls += 1
+        assert calls == 120
+
+
 class TestRegressionCertificate:
     """The l1-regression certificate: hand values, never below the matching
     bound nor above the exact distance, and it certifies the members the
@@ -331,13 +484,28 @@ class TestRegressionCertificate:
         z = random_sign_vector(n, np.random.Generator(np.random.Philox(seq)))
         return construct_perturbed_binomial(PerturbedBinomial(n, 8.0, 0.1, z))
 
+    @staticmethod
+    def _prefix_costs(y, *ends):
+        run = _PrefixPass(np.array(y))
+        for end in ends or (len(y),):
+            run.run(end)
+        return run.costs
+
     def test_isotonic_prefix_hand_values(self):
         # A decreasing run costs its distances to the median; a rising one is free.
-        assert _isotonic_l1_prefix(np.array([3.0, 2.0, 1.0, 0.0])).tolist() == [
-            0.0, 0.0, 1.0, 2.0, 4.0
-        ]
-        assert _isotonic_l1_prefix(np.array([0.0, 1.0, 1.0, 5.0])).tolist() == [0.0] * 5
-        assert _isotonic_l1_prefix(np.array([])).tolist() == [0.0]
+        assert self._prefix_costs([3.0, 2.0, 1.0, 0.0]) == [0.0, 0.0, 1.0, 2.0, 4.0]
+        assert self._prefix_costs([0.0, 1.0, 1.0, 5.0]) == [0.0] * 5
+        assert self._prefix_costs([]) == [0.0]
+        # Resumed at any point, the pass gives the same costs.
+        assert self._prefix_costs([3.0, 2.0, 1.0, 0.0], 1, 3, 4) == [0.0, 0.0, 1.0, 2.0, 4.0]
+
+    def test_isotonic_prefix_stops_past_its_bound(self):
+        run = _PrefixPass(np.array([3.0, 2.0, 1.0, 0.0]))
+        run.run(4, 0.5)
+        # The first cost above 0.5 is the last step taken, and a stopped pass stays put.
+        assert run.costs == [0.0, 0.0, 1.0]
+        run.run(4, 0.5)
+        assert run.costs == [0.0, 0.0, 1.0]
 
     def test_between_matching_bound_and_exact_distance(self):
         rng = np.random.Generator(np.random.Philox(31))

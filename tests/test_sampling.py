@@ -247,6 +247,14 @@ def lead_with_zeros():
     return ExplicitDistribution(-4, np.array(lead + [0.25, 0.0, 0.75]))
 
 
+def binomial_on_even_points(n):
+    """2 X for X ~ Binomial(n, 1/2), on [0, 2 n + 1]: zeros between every two
+    points with mass and one after the last."""
+    probs = np.zeros(2 * n + 2)
+    probs[::2] = binomial_pmf(n, 0.5).probs
+    return ExplicitDistribution(0, probs)
+
+
 def c8_member():
     z = 2 * np.random.Generator(np.random.Philox(12)).integers(0, 2, 2048) - 1
     return construct_perturbed_binomial(PerturbedBinomial(4096, 8.0, 0.1, z))
@@ -264,10 +272,16 @@ LEADS = [
     # Drawn, 2^-52 lowers the rest below 1.0, and numpy then draws the next
     # point, 0.5 / rest > 1/2, by its mirror: skipping it would change the counts.
     make_dist([2.0**-52, 0.5, 0.5 - 2.0**-52]),
+    # Zeros inside the mass, which a stream drops from its law: a lattice law
+    # on the even points (a trailing zero after its last point), a last point
+    # after a run of zeros, and mass ending on the array's last entry.
+    binomial_on_even_points(200),
+    make_dist([0, 3, 1, 4, 0, 0, 0, 0, 0, 2, 0, 0], lo=5),
+    make_dist([1, 0, 2, 0, 0, 7, 1e-17, 0, 3]),
 ]
 LEAD_IDS = [
     "binomial-1e4", "binomial-1e4-0.3", "binomial-4096", "member-c8", "binomial-50", "halves",
-    "zeros-in-lead", "light-point-drawn",
+    "zeros-in-lead", "light-point-drawn", "even-lattice", "last-after-zeros", "mass-at-end",
 ]
 
 
