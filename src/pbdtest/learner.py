@@ -23,12 +23,18 @@ That is the whole guarantee: the projection is unimodal, not a
 Bernoulli-sum law, so a unimodal source far from every Bernoulli-sum law,
 such as the uniform law on {0, 1, 2} at n = 3, can be learned closely and
 then accepted.  The learner is proper on the binomial route only.
+
+The certificate is decided when ``learn_pbd`` returns; the sparse
+hypothesis is projected only on the first read of ``LearnedPbd.dist``,
+so a sample rejected on its certificate is never projected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -60,10 +66,12 @@ class LearnedPbd:
 
     ``binomial`` is the (trials, p) of a binomial fit, whose PMF ``dist``
     is built on the window missing at most ``config.tail_cut`` mass; it is
-    ``None`` for a sparse hypothesis, which ``dist`` holds as it is.
+    ``None`` for a sparse hypothesis.  A sparse ``dist`` is projected the
+    first time it is read and kept from then on, so a caller that stops at
+    ``not_unimodal`` never pays for the projection.
     """
 
-    dist: ExplicitDistribution
+    _build: Callable[[], ExplicitDistribution] = field(repr=False)
     binomial: tuple[int, float] | None
     mu_hat: float
     sigma2_hat: float
@@ -71,6 +79,10 @@ class LearnedPbd:
     # limit above which the sample is certifiably not from a unimodal law.
     unimodal_lb: float | None = None
     unimodal_lb_threshold: float | None = None
+
+    @cached_property
+    def dist(self) -> ExplicitDistribution:
+        return self._build()
 
     @property
     def not_unimodal(self) -> bool:
@@ -170,7 +182,10 @@ def learn_pbd(
     The result's ``dist`` is the hypothesis either way: a binomial fit's
     PMF is built here, once, on the window missing at most
     ``config.tail_cut`` mass (see ``binomial_pmf``), and ``binomial``
-    keeps its (trials, p).
+    keeps its (trials, p).  The certificate is decided here too, but the
+    sparse hypothesis (interval search, length cap and projection) is
+    built the first time ``dist`` is read, from the learning sample held
+    until then; a caller that rejects on ``not_unimodal`` never builds it.
 
     Always returns a well-formed hypothesis; distance guarantees are
     conditional on the source being a Bernoulli-sum law.  A stream that
@@ -187,7 +202,8 @@ def learn_pbd(
     if budget < 1:
         # Degenerate budget: fall back to the point mass at 0 so callers
         # never see a half-built hypothesis.
-        return LearnedPbd(ExplicitDistribution(0, np.array([1.0])), None, 0.0, 0.0)
+        point = ExplicitDistribution(0, np.array([1.0]))
+        return LearnedPbd(lambda: point, None, 0.0, 0.0)
     hist = stream.draw_histogram(budget)
     mu_hat, sigma2_hat = hist.moments()
     emp = hist.to_empirical()
@@ -198,24 +214,31 @@ def learn_pbd(
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
         dist = binomial_pmf(*fit, tail_cut=config.tail_cut)
         if tv_distance(emp, dist) <= max(eps / 8.0, FIT_CHECK_MULT * noise):
-            return LearnedPbd(dist, fit, mu_hat, sigma2_hat)
+            return LearnedPbd(lambda: dist, fit, mu_hat, sigma2_hat)
 
-    lo, hi = effective_support_interval(emp, eps / 10.0)
-    cap = math.ceil(config.sparse_len_const / eps**3)
-    if hi - lo + 1 > cap:
-        lo, hi = _densest_window(emp, cap)
-    window = emp.probs[lo - emp.lo : hi - emp.lo + 1]
-    projected = unimodal_projection(window)
     # Every Bernoulli-sum law P is unimodal, so the certificate is at most
     # TV(empirical, P), which stays within a few noise widths.
     return LearnedPbd(
-        ExplicitDistribution(lo, projected),
+        partial(_sparse_hypothesis, emp, eps, config),
         None,
         mu_hat,
         sigma2_hat,
         unimodal_lb=merged_unimodal_distance_lb(emp),
         unimodal_lb_threshold=FIT_CHECK_MULT * noise,
     )
+
+
+def _sparse_hypothesis(
+    emp: ExplicitDistribution, eps: float, config: TestConfig
+) -> ExplicitDistribution:
+    """The empirical on its eps / 10 interval, capped at ceil(A_s / eps^3)
+    points, projected onto the unimodal cone."""
+    lo, hi = effective_support_interval(emp, eps / 10.0)
+    cap = math.ceil(config.sparse_len_const / eps**3)
+    if hi - lo + 1 > cap:
+        lo, hi = _densest_window(emp, cap)
+    window = emp.probs[lo - emp.lo : hi - emp.lo + 1]
+    return ExplicitDistribution(lo, unimodal_projection(window))
 
 
 def _densest_window(dist: ExplicitDistribution, length: int) -> tuple[int, int]:

@@ -2,7 +2,9 @@
 
 The base test learns a hypothesis.  It rejects at once when the learner
 flags its learning sample as certifiably not unimodal (every Bernoulli-sum
-law is unimodal), and otherwise branches on the hypothesis's variance:
+law is unimodal), without building the hypothesis: such a run reports no
+``hypothesis_variance``, and its branch is the one its learning sample's
+variance picks.  Otherwise it branches on the hypothesis's variance:
 
 * sparse branch - coarsen both the unknown and the hypothesis to a short
   high-mass interval and run the simple tolerant identity test there;
@@ -216,14 +218,18 @@ def run_budgeted_test(
     on the heavy one.  When the learner flags its sample as certifiably not
     unimodal (see ``learn_pbd``), the run returns ``NO_PBD`` on that sample
     alone, with the certificate and its threshold in the diagnostics; no
-    later stage runs, so ``samples_used`` is the learning draw.  A later
-    stage that does not fit what is left draws nothing, and the run returns
-    ``YES_PBD`` with ``budget_exhausted`` (a starved run has no evidence
-    against membership): a run may reject on its learning sample, but it
-    never decides on a clipped later stage.  Without a budget, a stream
-    that runs out, such as a short sample file, raises ``StreamExhausted``.
-    A stream that can draw a value outside [0, n] raises ``ValueError``
-    from the learning stage, before any draw.
+    later stage runs, so ``samples_used`` is the learning draw.  Such a run
+    never reads ``learned.dist``, so a sparse hypothesis is not projected:
+    its diagnostics hold no ``hypothesis_variance``, and its branch is the
+    one the learning sample's variance ``sigma2_hat`` picks against
+    ``variance_threshold``, as the hypothesis variance does for every other
+    run.  A later stage that does not fit what is left draws nothing, and
+    the run returns ``YES_PBD`` with ``budget_exhausted`` (a starved run
+    has no evidence against membership): a run may reject on its learning
+    sample, but it never decides on a clipped later stage.  Without a
+    budget, a stream that runs out, such as a short sample file, raises
+    ``StreamExhausted``.  A stream that can draw a value outside [0, n]
+    raises ``ValueError`` from the learning stage, before any draw.
     """
     start = stream.samples_drawn
     if sample_budget is not None:
@@ -232,18 +238,20 @@ def run_budgeted_test(
     learned = learn_pbd(
         stream.split(_STAGE_LEARN), n, config.eps / config.learn_accuracy_const, config, learn_cap
     )
-    hyp_var = learned.variance()
-    diag: dict = {
-        "hypothesis_kind": "sparse" if learned.binomial is None else "binomial",
-        "hypothesis_variance": hyp_var,
-        "variance_threshold": config.variance_threshold(),
-        "learn_samples": stream.samples_drawn - start,
-    }
-    branch = Branch.SPARSE if hyp_var < config.variance_threshold() else Branch.HEAVY
+    rejected = learned.not_unimodal
+    # A rejected run reads no hypothesis, so the learning sample's own
+    # variance picks its branch.
+    var = learned.sigma2_hat if rejected else learned.variance()
+    diag: dict = {"hypothesis_kind": "sparse" if learned.binomial is None else "binomial"}
+    if not rejected:
+        diag["hypothesis_variance"] = var
+    diag["variance_threshold"] = config.variance_threshold()
+    diag["learn_samples"] = stream.samples_drawn - start
+    branch = Branch.SPARSE if var < config.variance_threshold() else Branch.HEAVY
     if learned.unimodal_lb is not None:
         diag["unimodal_lb"] = learned.unimodal_lb
         diag["unimodal_lb_threshold"] = learned.unimodal_lb_threshold
-    if learned.not_unimodal:
+    if rejected:
         diag["reason"] = "learning sample not unimodal"
         return TestVerdict(Verdict.NO_PBD, branch, stream.samples_drawn - start, diag)
     try:

@@ -1,4 +1,5 @@
-"""Golden artifacts: the README's CLI artifacts at seed 7, pinned by sha256.
+"""Golden artifacts: the README's CLI artifacts at seed 7, pinned by sha256,
+and the membership workload's verdicts and far-source ``learn`` artifacts.
 
 Criterion 11 checks that two runs of the same code write the same bytes;
 these tests check that the bytes stay the same from one commit to the next.
@@ -18,6 +19,16 @@ import pytest
 import scipy
 
 from pbdtest.cli import main
+from pbdtest.distributions import (
+    ExplicitDistribution,
+    PerturbedBinomial,
+    binomial_pmf,
+    construct_perturbed_binomial,
+)
+from pbdtest.lowerbound import random_sign_vector
+from pbdtest.sampling import SampleStream
+from pbdtest.tester import TestConfig
+from pbdtest.tester import test_pbd as run_membership_test
 
 PINNED_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
 
@@ -95,3 +106,85 @@ def test_sparse_route_learn_is_pinned(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(artifact).hexdigest() == SPARSE_LEARN_SHA256, (
         f"`pbdtest {SPARSE_LEARN}` wrote different bytes than the pinned artifact."
     )
+
+
+# The amplified test's whole verdict on the membership workload's four
+# sources at n = 10^4 (two binomials, the half/half law on {0, n} and
+# criterion 07's c = 8 member), as ``json.dumps(to_dict(), sort_keys=True)``.
+# The two far sources reject every run on its learning sample.  These were
+# taken before such runs stopped building their hypothesis, with
+# ``hypothesis_variance`` dropped from those runs and nothing else.
+MEMBERSHIP_SHA256 = {
+    ("binomial-0.5", 0): "c42ee225612a05691b78136c87ad24bcfb8fc6af753d192447c986ece7a956ab",
+    ("binomial-0.5", 1): "80f1866a9f31f2841f5afa3c421eb4ef10418c09973cb525eb1c3cb02378d90c",
+    ("binomial-0.5", 2): "aa7fac8966ff91e723c28369f6d087d6202596d1d10166c66d7144e051a84020",
+    ("binomial-0.3", 0): "5c5240c891573ec1acabccec30b188b3b95ef3fbc5cbf568868e10dc5cb6dcdb",
+    ("binomial-0.3", 1): "2fc3fae13de3e97b34dfa24259bd9c53efa66f2e897c7a14551a71b2be814a1b",
+    ("binomial-0.3", 2): "c5cb5c17dcb16d962a524e727abedae5501df2f13ffa8f5becdce778ee9550e4",
+    ("half-half", 0): "4f2ec980868bba4f9a1288d16a5f377af7cc9521675c76eb154a2fb6c805ade7",
+    ("half-half", 1): "89107308500278a278b05e8b7bf082182d21b37a1117d80d037d5515738e3a22",
+    ("half-half", 2): "a57853b603316bdad2d13e4a9f5086453caed78c7f0e8b9d13519aa9af2b3599",
+    ("c8-member", 0): "925d15fcc6eb623f750d8e6cbfb58d2d7ea96568509fbc4e42e7befcb52a96ab",
+    ("c8-member", 1): "ee03feeb5971c01e87bd7ce4b84c03e4d05d01c396ca77b0cfe3f95766f2e459",
+    ("c8-member", 2): "5be8e541d403b06356110ff43733ebcdd22cc96da50ccf03fe41112a80d7b64d",
+}
+N_MEMBERSHIP = 10_000
+
+
+def _half_half_probs(n):
+    probs = np.zeros(n + 1)
+    probs[0] = probs[n] = 0.5
+    return probs
+
+
+def _c8_signs(n):
+    return random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
+
+
+@pytest.fixture(scope="module")
+def membership_sources():
+    n = N_MEMBERSHIP
+    return {
+        "binomial-0.5": binomial_pmf(n, 0.5),
+        "binomial-0.3": binomial_pmf(n, 0.3),
+        "half-half": ExplicitDistribution(0, _half_half_probs(n)),
+        "c8-member": construct_perturbed_binomial(PerturbedBinomial(n, 8.0, 0.1, _c8_signs(n))),
+    }
+
+
+@pytest.mark.parametrize("source, seed", list(MEMBERSHIP_SHA256))
+def test_membership_verdict_is_pinned(source, seed, membership_sources):
+    stream = SampleStream.from_distribution(membership_sources[source], seed=seed)
+    res = run_membership_test(stream, N_MEMBERSHIP, TestConfig(eps=0.1, delta=0.1, seed=seed))
+    digest = hashlib.sha256(json.dumps(res.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == MEMBERSHIP_SHA256[source, seed]
+
+
+# ``learn --spec`` at seed 7 on the two far sources, written as an explicit
+# spec (the half/half law, which takes the sparse route) and as a
+# ``perturbed_binomial`` spec (the c = 8 member, which a binomial fits at
+# the learner's eps = 0.1).
+FAR_LEARN = "learn --spec far.json --n 10000 --eps 0.1 --seed 7 --out learn-far.json"
+FAR_LEARN_SHA256 = {
+    "half-half": "a36bc967f46a24146390b5ae7221bfd3aafb4640417f5713cc180ca699eb1e0c",
+    "c8-member": "afa9eebc8ccd04143828e6f63469700ed97b196ea57595e1b5c3044e8342daaf",
+}
+
+
+@pytest.mark.parametrize("source", list(FAR_LEARN_SHA256))
+def test_far_source_learn_is_pinned(source, tmp_path, monkeypatch, capsys):
+    n = N_MEMBERSHIP
+    spec = {
+        "half-half": {"kind": "explicit", "lo": 0, "probs": _half_half_probs(n).tolist()},
+        "c8-member": {
+            "kind": "perturbed_binomial", "n": n, "c": 8.0, "eps": 0.1, "z": _c8_signs(n).tolist()
+        },
+    }[source]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "far.json").write_text(json.dumps(spec))
+    assert main(FAR_LEARN.split()) == 0
+    capsys.readouterr()
+    artifact = (tmp_path / "learn-far.json").read_bytes()
+    kind = json.loads(artifact)["hypothesis"]["kind"]
+    assert kind == ("explicit" if source == "half-half" else "binomial")
+    assert hashlib.sha256(artifact).hexdigest() == FAR_LEARN_SHA256[source]

@@ -234,14 +234,19 @@ class TestCertificateMatchesLoopReference:
             self.check(d, window, exact_tv_to_unimodal(d) if m <= _LP_MAX_SUPPORT else None)
 
     def test_family_members_with_and_without_window(self):
+        # The distinct-value recurrence checks each member's 513-point centre
+        # window.  On the whole 4097-point member it would take about 130 ms a
+        # call, so there the full heap passes check the value bit for bit.
         n = 4096
         rng = np.random.Generator(np.random.Philox(23))
         for _ in range(50):
             q = construct_perturbed_binomial(
                 PerturbedBinomial(n, 8.0, 0.1, random_sign_vector(n, rng))
             )
-            for window in (_center_window(n), None):
-                self.check(q, window)
+            self.check(q, _center_window(n))
+            lb = unimodal_distance_lb(q)
+            assert lb == full_pass_half_unimodal_l1(q.probs)
+            assert loop_unimodal_distance_lb(q) <= lb + 1e-12
 
     def test_prebuilt_base_gives_same_member(self):
         n = 256

@@ -12,11 +12,13 @@ import pbdtest.learner as learner
 import pbdtest.tester as tester
 from pbdtest.distributions import (
     ExplicitDistribution,
+    Pbd,
     PerturbedBinomial,
     TranslatedPoissonParams,
     binomial_pmf,
     construct_perturbed_binomial,
     effective_support_interval,
+    pbd_pmf,
     translated_poisson_pmf,
     tv_distance,
 )
@@ -921,6 +923,87 @@ class TestLearningSampleCertificate:
         res = run_budgeted_test(stream, 10_000, cfg)
         assert res.diagnostics["hypothesis_kind"] == "binomial"
         assert "unimodal_lb" not in res.diagnostics
+
+
+def _half_half_law(n):
+    probs = np.zeros(n + 1)
+    probs[0] = probs[n] = 0.5
+    return ExplicitDistribution(0, probs)
+
+
+def _c8_member(n):
+    # Criterion 07's certified-far member.
+    z = random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
+    return construct_perturbed_binomial(PerturbedBinomial(n, 8.0, 0.1, z))
+
+
+class TestRejectedRunBuildsNoHypothesis:
+    """The sparse hypothesis is projected on the first read of
+    ``LearnedPbd.dist`` and never by a run rejected on its learning sample."""
+
+    @pytest.fixture()
+    def projections(self, monkeypatch):
+        calls = []
+
+        def counting(probs, _orig=learner.unimodal_projection):
+            calls.append(len(probs))
+            return _orig(probs)
+
+        monkeypatch.setattr(learner, "unimodal_projection", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("law", [_half_half_law, _c8_member], ids=["half-half", "c8"])
+    def test_far_source_projects_nothing(self, projections, law, seed):
+        n = 10_000
+        stream = SampleStream.from_distribution(law(n), seed=seed)
+        res = run_membership_test(stream, n, TestConfig(eps=0.1, delta=0.1, seed=seed))
+        assert res.verdict is Verdict.NO_PBD
+        reasons = {run["diagnostics"]["reason"] for run in res.diagnostics["runs"]}
+        assert reasons == {"learning sample not unimodal"}
+        assert projections == []
+
+    def test_each_tolerant_run_projects_once(self, projections):
+        # Ten 0.05 coins and ten 0.95 coins: no binomial fits them, so every
+        # run takes the sparse route, passes the certificate and reads its
+        # hypothesis in the tolerant stage.
+        source = pbd_pmf(Pbd(np.array([0.05] * 10 + [0.95] * 10)))
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        root = SampleStream.from_distribution(source, seed=6)
+        for t in range(10):
+            before = len(projections)
+            res = run_budgeted_test(root.split(t), 20, cfg)
+            assert res.diagnostics["hypothesis_kind"] == "sparse"
+            assert "tolerant_samples" in res.diagnostics
+            assert len(projections) == before + 1
+
+    def test_first_read_projects_once(self, projections):
+        n = 10_000
+        stream = SampleStream.from_distribution(_half_half_law(n), seed=0)
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        learned = learner.learn_pbd(stream, n, 0.1 / cfg.learn_accuracy_const, cfg)
+        assert learned.not_unimodal and projections == []
+        assert learned.dist is learned.dist
+        assert len(projections) == 1
+
+    @pytest.mark.parametrize("var_const, branch", [(None, Branch.SPARSE), (1e-12, Branch.HEAVY)])
+    def test_rejected_run_reports_its_sample_variance_branch(self, var_const, branch):
+        # A rejected run holds no hypothesis variance; its learning sample's
+        # variance, about n^2 / 4, picks its branch against the threshold.
+        n = 10_000
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        if var_const is not None:
+            cfg = cfg.replace(var_threshold_const=var_const)
+        root = SampleStream.from_distribution(_half_half_law(n), seed=1)
+        for t in range(3):
+            res = run_budgeted_test(root.split(t), n, cfg)
+            diag = res.diagnostics
+            assert res.verdict is Verdict.NO_PBD
+            assert diag["reason"] == "learning sample not unimodal"
+            assert "hypothesis_variance" not in diag
+            assert diag["hypothesis_kind"] == "sparse"
+            assert diag["unimodal_lb"] > diag["unimodal_lb_threshold"]
+            assert res.branch is branch
 
 
 class TestUniformLawsFarFromEveryPbd:
