@@ -26,7 +26,9 @@ then accepted.  The learner is proper on the binomial route only.
 
 The certificate is decided when ``learn_pbd`` returns; the sparse
 hypothesis is projected only on the first read of ``LearnedPbd.dist``,
-so a sample rejected on its certificate is never projected.
+so a sample rejected on its certificate is never projected.  The
+projection imports ``scipy.optimize`` on its first call, so a process
+that builds no sparse hypothesis never loads it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .calibrated import TestConfig
 from .distributions import (
@@ -135,6 +136,9 @@ def unimodal_projection(probs: np.ndarray) -> np.ndarray:
     fit (least squares), the mode takes the larger of the two boundary
     values, and the result is rescaled to total mass 1.
     """
+    # Imported here, not at module level: scipy.optimize costs 130-185 ms and 22 MB.
+    from scipy.optimize import isotonic_regression
+
     m = len(probs)
     if m <= 2:
         return probs / probs.sum()

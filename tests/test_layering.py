@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pbdtest
@@ -240,3 +243,37 @@ def test_every_parameter_is_read():
                 if a.arg not in ("self", "cls") and a.arg not in loaded
             ]
     assert unread == []
+
+
+# Run in a fresh interpreter: a verdict that builds no sparse hypothesis
+# never loads scipy.optimize, and the first projection does.
+COLD_START = """
+import json, sys
+import numpy as np
+import pbdtest, pbdtest.cli, pbdtest.oracles
+from pbdtest import ExplicitDistribution, SampleStream, TestConfig, binomial_pmf, learner, test_pbd
+
+cfg = TestConfig(eps=0.1, delta=0.1)
+half_half = np.zeros(1001)
+half_half[0] = half_half[1000] = 0.5
+for law in (binomial_pmf(1000, 0.5), ExplicitDistribution(0, half_half)):
+    test_pbd(SampleStream.from_distribution(law, seed=0), 1000, cfg)
+pbdtest.cli.main(["test", "--spec", sys.argv[1], "--n", "1000", "--eps", "0.2", "--delta", "0.1",
+                  "--seed", "7"])
+before = "scipy.optimize" in sys.modules
+learner.unimodal_projection(np.array([0.2, 0.5, 0.3]))
+print(json.dumps([before, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_verdict_path_never_loads_scipy_optimize(tmp_path):
+    spec = tmp_path / "binomial.json"
+    spec.write_text('{"kind": "binomial", "n": 1000, "p": 0.5}')
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(spec)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[false, true]"

@@ -7,6 +7,7 @@ import pytest
 # Skips under numpy/scipy versions other than those the golden hashes pin.
 from test_golden import pytestmark as pinned_versions
 
+from pbdtest import distributions
 from pbdtest.calibrated import TestConfig
 from pbdtest.distributions import (
     ExplicitDistribution,
@@ -315,6 +316,15 @@ class TestDistances:
         for dist in (ell2_sq_distance, ell_inf_distance):
             assert dist(a, b) == dist(b, a) > 0.0
             assert dist(a, a) == 0.0
+
+    def test_union_wider_than_max_width_raises(self, monkeypatch):
+        # The distances align through ``distributions._on_union``, which
+        # refuses a union wider than MAX_WIDTH before allocating it.
+        monkeypatch.setattr(distributions, "MAX_WIDTH", 64)
+        d0 = ExplicitDistribution(0, np.array([1.0]))
+        d1 = ExplicitDistribution(100, np.array([1.0]))
+        with pytest.raises(ValueError, match="too large to align"):
+            ell2_sq_distance(d0, d1)
 
 
 class TestApproximationBounds:
