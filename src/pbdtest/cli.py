@@ -23,7 +23,7 @@ from . import distspec
 from .calibrated import TestConfig
 from .distributions import ExplicitDistribution, Pbd, binomial_pmf, pbd_pmf, tv_distance
 from .learner import learn_pbd
-from .lowerbound import detection_experiment, unimodal_distance_lb
+from .lowerbound import DetectionRow, detection_experiment, unimodal_distance_lb
 from .oracles import (
     LEARNING_SWEEPS,
     brute_force_pbd_pmf,
@@ -182,16 +182,9 @@ def _cmd_lowerbound(args) -> int:
         config=config,
         seed=args.seed,
     )
-    lines = [
-        "# pbdtest.lowerbound/1",
-        "# meta " + _dump(meta),
-        "k,detect_rate,false_reject_rate,advantage,chi2_bound,certified_far_rate,trials",
-    ]
-    for r in rows:
-        lines.append(
-            f"{r.k!r},{r.detect_rate!r},{r.false_reject_rate!r},"
-            f"{r.advantage!r},{r.chi2_bound!r},{r.certified_far_rate!r},{r.trials}"
-        )
+    names = [f.name for f in dataclasses.fields(DetectionRow)]
+    lines = ["# pbdtest.lowerbound/1", "# meta " + _dump(meta), ",".join(names)]
+    lines += [",".join(repr(getattr(r, name)) for name in names) for r in rows]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -215,7 +215,7 @@ def learn_pbd(
     # points never drawn add nothing, however far the histogram is padded.
     noise = 0.4 * float(np.sqrt(emp.probs).sum()) / math.sqrt(budget)
     if sigma2_hat >= 1.0:
-        fit = fit_binomial_by_moments(mu_hat, sigma2_hat, max(n, 1))
+        fit = fit_binomial_by_moments(mu_hat, sigma2_hat, n)
         dist = binomial_pmf(*fit, tail_cut=config.tail_cut)
         if tv_distance(emp, dist) <= max(eps / 8.0, FIT_CHECK_MULT * noise):
             return LearnedPbd(lambda: dist, fit, mu_hat, sigma2_hat)
@@ -248,8 +248,6 @@ def _sparse_hypothesis(
 def _densest_window(dist: ExplicitDistribution, length: int) -> tuple[int, int]:
     """Length-capped window of maximal mass (first such window)."""
     p = dist.probs
-    if len(p) <= length:
-        return dist.lo, dist.hi
     cs = np.concatenate(([0.0], np.cumsum(p)))
     masses = cs[length:] - cs[: len(p) - length + 1]
     start = int(np.argmax(masses))

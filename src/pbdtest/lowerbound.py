@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,9 +119,12 @@ def detection_experiment(
     frequencies over ``trials`` runs per arm; ``advantage = detect -
     false_reject``; ``certified_far_rate`` is the share of members whose
     ``unimodal_distance_lb`` on the centre window exceeds eps, decided
-    exactly by ``unimodal_distance_exceeds`` without the value.  Only the
-    constants of ``config`` are read: each run is a single
-    ``run_budgeted_test``, which neither amplifies nor reads the seed.
+    exactly by ``unimodal_distance_exceeds`` without the value.  The runs
+    test at ``eps``, the family's own, whatever ``config.eps`` says; of
+    ``config`` only the constants are read otherwise, since each run is a
+    single ``run_budgeted_test``, which neither amplifies nor reads the
+    seed.  The trials run one after another on the calling thread:
+    ``threads`` takes only the value 1 and any other raises.
 
     The asymptotic regime wants c > 200 and eps > 100 / sqrt(n); at desk
     scale that forces c * eps >= 1, so the harness scales c down to keep
@@ -131,6 +134,9 @@ def detection_experiment(
         raise ValueError("n must be a positive even integer")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if threads != 1:
+        raise ValueError("the detection experiment runs on one thread")
+    config = config.replace(eps=eps)
     c_used = c
     scaled = False
     if c * eps >= 1.0:
@@ -151,36 +157,33 @@ def detection_experiment(
     rows: list[DetectionRow] = []
     if trials == 0:
         return rows, meta
-
-    def run_cell(k_idx: int, k: float, trial: int) -> tuple[bool, bool, bool]:
-        # Arm indices 0/1 drive the budget and sign draws, 2/3 the two
-        # sample streams; keeping them disjoint keeps every stream independent.
-        budget_rng = seeded_generator(seed, (k_idx, trial, 0))
-        sign_rng = seeded_generator(seed, (k_idx, trial, 1))
-        pb = PerturbedBinomial(n, c_used, eps, random_sign_vector(n, sign_rng))
-        q = _perturb_fair_binomial(pb, p0)
-        certified = unimodal_distance_exceeds(q, eps, _center_window(n))
-        budget_p0 = int(budget_rng.poisson(k))
-        budget_q = int(budget_rng.poisson(k))
-        s0 = SampleStream.from_distribution(p0, seed, spawn_key=(k_idx, trial, 2))
-        v0 = run_budgeted_test(s0, n, config, sample_budget=budget_p0)
-        sq = SampleStream.from_distribution(q, seed, spawn_key=(k_idx, trial, 3))
-        vq = run_budgeted_test(sq, n, config, sample_budget=budget_q)
-        return v0.verdict is Verdict.NO_PBD, vq.verdict is Verdict.NO_PBD, certified
-
+    window = _center_window(n)
     for k_idx, k in enumerate(k_grid):
-        cells = _map_trials(partial(run_cell, k_idx, float(k)), trials, threads)
-        false_rej = sum(fr for fr, _, _ in cells) / trials
-        detect = sum(d for _, d, _ in cells) / trials
-        cert = sum(cf for _, _, cf in cells) / trials
+        k = float(k)
+        false_rej = detect = cert = 0
+        for trial in range(trials):
+            # Arm indices 0/1 drive the budget and sign draws, 2/3 the two
+            # sample streams; keeping them disjoint keeps every stream independent.
+            budget_rng = seeded_generator(seed, (k_idx, trial, 0))
+            sign_rng = seeded_generator(seed, (k_idx, trial, 1))
+            pb = PerturbedBinomial(n, c_used, eps, random_sign_vector(n, sign_rng))
+            q = _perturb_fair_binomial(pb, p0)
+            cert += unimodal_distance_exceeds(q, eps, window)
+            s0 = SampleStream.from_distribution(p0, seed, spawn_key=(k_idx, trial, 2))
+            v0 = run_budgeted_test(s0, n, config, sample_budget=int(budget_rng.poisson(k)))
+            false_rej += v0.verdict is Verdict.NO_PBD
+            sq = SampleStream.from_distribution(q, seed, spawn_key=(k_idx, trial, 3))
+            vq = run_budgeted_test(sq, n, config, sample_budget=int(budget_rng.poisson(k)))
+            detect += vq.verdict is Verdict.NO_PBD
+        detect_rate, false_reject_rate = detect / trials, false_rej / trials
         rows.append(
             DetectionRow(
-                k=float(k),
-                detect_rate=detect,
-                false_reject_rate=false_rej,
-                advantage=detect - false_rej,
-                chi2_bound=chi2_indistinguishability_bound(n, c_used, eps, float(k)),
-                certified_far_rate=cert,
+                k=k,
+                detect_rate=detect_rate,
+                false_reject_rate=false_reject_rate,
+                advantage=detect_rate - false_reject_rate,
+                chi2_bound=chi2_indistinguishability_bound(n, c_used, eps, k),
+                certified_far_rate=cert / trials,
                 trials=trials,
             )
         )
@@ -192,12 +195,3 @@ def _center_window(n: int) -> tuple[int, int]:
     # that sign flips force local modes.
     half_width = int(4 * math.sqrt(n))
     return n // 2 - half_width, n // 2 + half_width
-
-
-def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(t) for t in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))

@@ -23,7 +23,7 @@ sources whose membership is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -85,44 +85,35 @@ class OracleReport:
         return 0.0 if scale == 0.0 else self.abs_error / scale
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "oracle_value": self.oracle_value,
-            "fast_value": self.fast_value,
-            "std_error": self.std_error,
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
-        }
+        return {**asdict(self), "abs_error": self.abs_error, "rel_error": self.rel_error}
 
 
 def brute_force_pbd_pmf(ps) -> ExplicitDistribution:
     """Exact Bernoulli-sum PMF by summing over all 2^n outcome vectors (n <= 20)."""
-    ps = np.ascontiguousarray(ps, dtype=np.float64)
-    n = len(ps)
-    if n > 20:
+    ps = np.asarray(ps, dtype=np.float64)
+    if len(ps) > 20:
         raise ValueError("brute force enumeration is capped at n = 20")
-    if n == 0:
-        return ExplicitDistribution(0, np.array([1.0]))
-    out = np.zeros(n + 1)
+    return ExplicitDistribution(0, _enumerated_pmf_rows(ps[None, :])[0])
+
+
+def _enumerated_pmf_rows(grid: np.ndarray) -> np.ndarray:
+    """PMF rows, shape (K, n + 1), of the Bernoulli sums whose p-vectors are
+    the rows of ``grid`` (shape (K, n)), summed over all 2^n outcome vectors.
+
+    Each chunk of outcome vectors is summed per outcome count in mask
+    order into a zeroed buffer, which is then added to the total: one
+    summation order, so a p-vector's row is the same floats in any grid.
+    """
+    k, n = grid.shape
+    out = np.zeros((k, n + 1))
     chunk = 1 << 16
     for start in range(0, 1 << n, chunk):
         idx = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
         bits = ((idx[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(bool)
-        weights = np.where(bits, ps, 1.0 - ps).prod(axis=1)
-        out += np.bincount(bits.sum(axis=1), weights=weights, minlength=n + 1)
-    return ExplicitDistribution(0, out)
-
-
-def _tiny_pbd_pmf_columns(grid: np.ndarray) -> np.ndarray:
-    """PMF rows for every p-vector in ``grid`` (shape (K, n)); closed products."""
-    k, n = grid.shape
-    out = np.zeros((k, n + 1))
-    for mask in range(1 << n):
-        bits = [(mask >> j) & 1 for j in range(n)]
-        cols = np.ones(k)
-        for j, b in enumerate(bits):
-            cols = cols * (grid[:, j] if b else 1.0 - grid[:, j])
-        out[:, sum(bits)] += cols
+        weights = np.where(bits[:, None, :], grid, 1.0 - grid).prod(axis=2)
+        part = np.zeros((n + 1, k))
+        np.add.at(part, bits.sum(axis=1), weights)
+        out += part.T
     return out
 
 
@@ -142,8 +133,7 @@ def exact_tv_to_pbd_class(p: ExplicitDistribution, n: int, grid_step: float) -> 
     # The 1e-9 keeps a step that divides 1, such as 0.05, at m = 1/step.
     m = math.ceil(1.0 / grid_step - 1e-9)
     pts = np.arange(m + 1) / m
-    combos = np.array(list(combinations_with_replacement(pts, n))) if n else np.zeros((1, 0))
-    pmfs = _tiny_pbd_pmf_columns(combos)
+    pmfs = _enumerated_pmf_rows(np.array(list(combinations_with_replacement(pts, n))))
     lo = min(p.lo, 0)
     hi = max(p.hi, n)
     target = np.zeros(hi - lo + 1)
@@ -362,21 +352,19 @@ def calibration_report() -> dict:
             }
         )
     floor = min(case["implied_threshold_const"] for case in cases)
-    chosen_c = max((c for c in threshold_const_grid if c <= floor / far_margin), default=None)
-    # TestConfig refuses a zero l2_far_const, so no chosen constant means a zero threshold.
-    far_const = {} if chosen_c is None else {"l2_far_const": chosen_c}
+    chosen_c = max(c for c in threshold_const_grid if c <= floor / far_margin)
     chosen_c1 = None
     diagnostics = {}
     for c1 in sample_const_grid:
         ok = True
         per_case = []
         for case in cases:
-            cfg = TestConfig(eps=case["eps"], delta=0.5, l2_sample_const=c1, **far_const)
+            cfg = TestConfig(eps=case["eps"], delta=0.5, l2_sample_const=c1, l2_far_const=chosen_c)
             k = cfg.l2_sample_rate(case["sigma_hat"])
             mean, var = tn_closed_form_moments(case["far"], case["pivot"], float(k))
             spread = var / mean**2
             sd_close = math.sqrt(2.0 * float((case["pivot"].probs ** 2).sum())) / k
-            thr = 0.0 if chosen_c is None else cfg.l2_threshold(case["sigma_hat"])
+            thr = cfg.l2_threshold(case["sigma_hat"])
             per_case.append({"k": k, "spread": spread, "close_z": thr / sd_close})
             if spread > spread_cap or thr < close_margin * sd_close:
                 ok = False

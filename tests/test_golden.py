@@ -108,6 +108,22 @@ def test_sparse_route_learn_is_pinned(tmp_path, monkeypatch, capsys):
     )
 
 
+# The README's ``oracle --suite pmf`` line: twenty outcome-enumeration PMFs
+# against the product-tree ``pbd_pmf``, error bits included.
+ORACLE_PMF = "oracle --suite pmf --seed 3 --out oracle-pmf.jsonl"
+ORACLE_PMF_SHA256 = "ac0f4d683dd46596c792e0fb2da5a8ae5fd472fa8711ac88fe64af3d18aaafc1"
+
+
+def test_pmf_oracle_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(ORACLE_PMF.split()) == 0
+    capsys.readouterr()
+    artifact = (tmp_path / "oracle-pmf.jsonl").read_bytes()
+    assert hashlib.sha256(artifact).hexdigest() == ORACLE_PMF_SHA256, (
+        f"`pbdtest {ORACLE_PMF}` wrote different bytes than the pinned artifact."
+    )
+
+
 # The amplified test's whole verdict on the membership workload's four
 # sources at n = 10^4 (two binomials, the half/half law on {0, n} and
 # criterion 07's c = 8 member), as ``json.dumps(to_dict(), sort_keys=True)``.

@@ -73,6 +73,28 @@ def test_public_names_resolve():
     assert missing == []
 
 
+# Splits of one ``SampleStream`` share one draw count, so no run may go
+# on a parallel thread or process.
+CONCURRENCY = {"concurrent", "threading", "multiprocessing", "_thread"}
+
+
+def test_nothing_runs_in_parallel():
+    """No module of the package imports a thread or process pool, even inside a function."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.stem} -> {name}" for name in names if name.split(".")[0] in CONCURRENCY
+            ]
+    assert found == []
+
+
 # PMF builders whose ``tail_cut`` default (full support, or the shifted
 # Poisson's truncation) is their own contract, not the test's constant.
 PMF_BUILDERS = {"pbd_pmf", "binomial_pmf", "translated_poisson_pmf"}

@@ -30,7 +30,7 @@ from pbdtest.lowerbound import (
 )
 from pbdtest.oracles import exact_tv_to_unimodal
 from pbdtest.sampling import SampleStream
-from pbdtest.tester import TestConfig
+from pbdtest.tester import TestConfig, run_budgeted_test
 
 # Supports up to this size get the exact LP distance as an upper reference.
 _LP_MAX_SUPPORT = 6
@@ -623,11 +623,22 @@ class TestDetectionExperiment:
         b = detection_experiment(128, 2.0, 0.2, [50.0, 500.0], trials=5, config=cfg, seed=3)
         assert a == b
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = TestConfig(eps=0.2, delta=0.5, seed=3, amplification_reps=1)
-        a = detection_experiment(128, 2.0, 0.2, [500.0], trials=6, config=cfg, seed=3, threads=1)
-        b = detection_experiment(128, 2.0, 0.2, [500.0], trials=6, config=cfg, seed=3, threads=3)
-        assert a == b
+    def test_more_than_one_thread_is_refused(self):
+        cfg = TestConfig(eps=0.2, delta=0.5)
+        with pytest.raises(ValueError, match="one thread"):
+            detection_experiment(128, 2.0, 0.2, [500.0], trials=2, config=cfg, threads=2)
+
+    def test_runs_test_at_the_family_eps(self, monkeypatch):
+        tested_at = []
+
+        def recording(stream, n, config, sample_budget):
+            tested_at.append(config.eps)
+            return run_budgeted_test(stream, n, config, sample_budget=sample_budget)
+
+        monkeypatch.setattr(lowerbound, "run_budgeted_test", recording)
+        cfg = TestConfig(eps=0.4, delta=0.5)
+        detection_experiment(128, 2.0, 0.2, [50.0], trials=2, config=cfg, seed=3)
+        assert tested_at == [0.2] * 4
 
     def test_advantage_bounded_at_tiny_budget(self):
         cfg = TestConfig(eps=0.2, delta=0.5, seed=1, amplification_reps=1)

@@ -20,6 +20,7 @@ from pbdtest.distributions import (
 )
 from pbdtest.oracles import (
     OracleReport,
+    _enumerated_pmf_rows,
     brute_force_pbd_pmf,
     calibration_report,
     ell2_sq_distance,
@@ -55,6 +56,16 @@ class TestBruteForcePmf:
             a = brute_force_pbd_pmf(ps)
             b = pbd_pmf(Pbd(ps))
             assert np.abs(a.probs - b.probs).max(initial=0.0) <= 1e-12
+
+    def test_enumerated_rows_match_convolution(self):
+        """The enumeration shared with the grid search, on random (K, n) grids."""
+        rng = np.random.Generator(np.random.Philox(4))
+        for n in range(4):
+            grid = rng.random((int(rng.integers(1, 40)), n))
+            rows = _enumerated_pmf_rows(grid)
+            assert rows.shape == (len(grid), n + 1)
+            for ps, row in zip(grid, rows):
+                assert np.abs(row - pbd_pmf(Pbd(ps)).probs).max() <= 1e-12
 
 
 class TestTvToPbdClass:
