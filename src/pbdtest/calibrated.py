@@ -96,12 +96,14 @@ class TestConfig:
     must stay within eps/5.
     ``seed`` is never read by the test: verdicts follow the stream's seed,
     and the field is only echoed into the artifact's ``config`` block.
+    ``delta`` is read only by ``repetitions``, to plan the majority, so a
+    config that learns or runs single base tests may leave it ``None``.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     eps: float
-    delta: float
+    delta: float | None = None
     seed: int = 0
     var_threshold_const: float = 4.0  # C: sparse/heavy variance split
     l2_sample_const: float = 80.0  # C1: Poissonized rate multiplier, see l2_sample_rate
@@ -118,7 +120,7 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not (_is_real(self.tail_cut) and 0.0 < self.tail_cut <= 1e-6):
             raise ValueError(f"tail_cut must be a number in (0, 1e-6], got {self.tail_cut!r}")
@@ -174,7 +176,8 @@ class TestConfig:
     def repetitions(self) -> int:
         """The majority's planned runs: ``amplification_reps`` when set, else
         the smallest R whose vote errs with probability at most delta when
-        each base run errs with probability at most ``BASE_ERROR``.
+        each base run errs with probability at most ``BASE_ERROR``; with
+        neither set, it raises ``ValueError``.
 
         A member loses with probability P[Bin(R, q) >= ceil(R/2)] (a tie
         rejects) and a far source wins with P[Bin(R, q) > R/2]; both tails
@@ -187,6 +190,8 @@ class TestConfig:
         """
         if self.amplification_reps is not None:
             return self.amplification_reps
+        if self.delta is None:
+            raise ValueError("planning the majority needs delta or amplification_reps")
         a, b = BASE_ERROR.numerator, BASE_ERROR.denominator
         delta = Fraction(self.delta)
         reps, tail = 1, a  # P[Bin(1, q) >= 1] * b

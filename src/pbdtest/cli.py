@@ -114,15 +114,14 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    # Learning reads no delta; the config only checks and carries the constants.
-    config = TestConfig(eps=args.eps, delta=0.5, **_load_config_overrides(args.config))
+    config = TestConfig(eps=args.eps, **_load_config_overrides(args.config))
     stream = _make_stream(args)
     learned = learn_pbd(stream, args.n, args.eps, config)
-    if learned.binomial is None:
-        hyp_spec = distspec.explicit_spec(learned.dist)
-    else:
+    if learned.binomial is not None:
         trials, p = learned.binomial
         hyp_spec = {"kind": "binomial", "n": trials, "p": p}
+    else:
+        hyp_spec = None if learned.not_unimodal else distspec.explicit_spec(learned.dist)
     artifact = {
         "schema": "pbdtest.hypothesis/1",
         "command": "learn",
@@ -133,6 +132,10 @@ def _cmd_learn(args) -> int:
         "mu_hat": learned.mu_hat,
         "sigma2_hat": learned.sigma2_hat,
     }
+    if learned.not_unimodal:
+        # No hypothesis: the certificate that refused the sample stands in for it.
+        artifact["unimodal_lb"] = learned.unimodal_lb
+        artifact["unimodal_lb_threshold"] = learned.unimodal_lb_threshold
     _emit(artifact, args.out)
     return 0
 
@@ -172,7 +175,7 @@ def _cmd_draw(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     k_grid = [float(v) for v in args.k_grid.split(",") if v]
-    config = TestConfig(eps=args.eps, delta=0.5, **_load_config_overrides(args.config))
+    config = TestConfig(eps=args.eps, **_load_config_overrides(args.config))
     rows, meta = detection_experiment(
         args.n,
         args.c,

@@ -4,7 +4,8 @@
 hypothesis is either a binomial fit or a sparse explicit distribution on a
 short interval, and when the source really is a Bernoulli sum the
 hypothesis is eps-close in TV with high frequency (checked by Monte Carlo,
-not guaranteed per call).  Either way it is handed on as one explicit PMF.
+not guaranteed per call).  Either way it is handed on as one explicit PMF,
+unless the learning sample settles the question first (below).
 One check picks the route: the moment-matched binomial is kept when it
 explains the learning sample within noise, and the sparse route takes
 every other sample, however large its variance.
@@ -14,29 +15,26 @@ unimodal cone.  Unimodality keeps the downstream membership test sound in
 two ways, since every Bernoulli-sum law is log-concave hence unimodal.
 On the sparse route the learner reads the unimodal certificate
 (``distributions.merged_unimodal_distance_lb``) of its own learning
-sample, and flags the draw as not unimodal when the certificate clears
-``FIT_CHECK_MULT`` plug-in noise widths: the tester then rejects on that
-sample alone.  Otherwise the projection keeps a source that is far from
-every unimodal law far from the hypothesis, while for true sources it
-moves the empirical by at most the order of its own estimation error.
+sample.  When the certificate clears ``FIT_CHECK_MULT`` plug-in noise
+widths, the sample cannot come from a Bernoulli-sum law: ``learn_pbd``
+returns no hypothesis (``dist=None``) and builds nothing, and the tester
+rejects on that sample alone.  Otherwise the projection keeps a source
+that is far from every unimodal law far from the hypothesis, while for
+true sources it moves the empirical by at most the order of its own
+estimation error.
 That is the whole guarantee: the projection is unimodal, not a
 Bernoulli-sum law, so a unimodal source far from every Bernoulli-sum law,
 such as the uniform law on {0, 1, 2} at n = 3, can be learned closely and
 then accepted.  The learner is proper on the binomial route only.
 
-The certificate is decided when ``learn_pbd`` returns; the sparse
-hypothesis is projected only on the first read of ``LearnedPbd.dist``,
-so a sample rejected on its certificate is never projected.  The
-projection imports ``scipy.optimize`` on its first call, so a process
+The projection imports ``scipy.optimize`` on its first call, so a process
 that builds no sparse hypothesis never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,16 +61,16 @@ FIT_CHECK_MULT = 3.0  # binomial fit accepted, unimodality refused, at this many
 
 @dataclass(frozen=True)
 class LearnedPbd:
-    """Learner output: the hypothesis as one explicit PMF.
+    """Learner output: the hypothesis as one explicit PMF, or none.
 
     ``binomial`` is the (trials, p) of a binomial fit, whose PMF ``dist``
     is built on the window missing at most ``config.tail_cut`` mass; it is
-    ``None`` for a sparse hypothesis.  A sparse ``dist`` is projected the
-    first time it is read and kept from then on, so a caller that stops at
-    ``not_unimodal`` never pays for the projection.
+    ``None`` for a sparse hypothesis.  ``dist`` is ``None`` when the
+    learning sample is certifiably not unimodal, which ``not_unimodal``
+    names; ``variance`` then has no hypothesis to read.
     """
 
-    _build: Callable[[], ExplicitDistribution] = field(repr=False)
+    dist: ExplicitDistribution | None
     binomial: tuple[int, float] | None
     mu_hat: float
     sigma2_hat: float
@@ -81,13 +79,9 @@ class LearnedPbd:
     unimodal_lb: float | None = None
     unimodal_lb_threshold: float | None = None
 
-    @cached_property
-    def dist(self) -> ExplicitDistribution:
-        return self._build()
-
     @property
     def not_unimodal(self) -> bool:
-        return self.unimodal_lb is not None and self.unimodal_lb > self.unimodal_lb_threshold
+        return self.dist is None
 
     def variance(self) -> float:
         """The hypothesis variance; exact n p (1 - p) for a binomial fit."""
@@ -151,7 +145,6 @@ def unimodal_projection(probs: np.ndarray) -> np.ndarray:
     out[:j] = left[:-1]
     out[j + 1 :] = right[1:]
     out[j] = max(left[-1], right[0])
-    out = np.maximum(out, 0.0)
     return out / out.sum()
 
 
@@ -180,20 +173,17 @@ def learn_pbd(
     source far from every Bernoulli-sum law can pass the downstream
     membership test (a known gap).  The sparse route also records the
     zero-merged unimodal certificate of the histogram and its threshold,
-    ``FIT_CHECK_MULT`` plug-in noise widths; ``not_unimodal`` is set when
-    the certificate exceeds it.
+    ``FIT_CHECK_MULT`` plug-in noise widths.
 
-    The result's ``dist`` is the hypothesis either way: a binomial fit's
-    PMF is built here, once, on the window missing at most
-    ``config.tail_cut`` mass (see ``binomial_pmf``), and ``binomial``
-    keeps its (trials, p).  The certificate is decided here too, but the
-    sparse hypothesis (interval search, length cap and projection) is
-    built the first time ``dist`` is read, from the learning sample held
-    until then; a caller that rejects on ``not_unimodal`` never builds it.
-
-    Always returns a well-formed hypothesis; distance guarantees are
-    conditional on the source being a Bernoulli-sum law.  A stream that
-    can draw a value outside [0, n] raises ``ValueError`` before any draw.
+    Returns a hypothesis or none.  A certificate above its threshold
+    settles the sample as not from a Bernoulli-sum law: the result has
+    ``dist=None`` (``not_unimodal``), and nothing is projected.  Otherwise
+    ``dist`` is built here: a binomial fit's PMF on the window missing at
+    most ``config.tail_cut`` mass (see ``binomial_pmf``), with ``binomial``
+    keeping its (trials, p), or the projected sparse hypothesis.  Distance
+    guarantees are conditional on the source being a Bernoulli-sum law.  A
+    stream that can draw a value outside [0, n] raises ``ValueError``
+    before any draw.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -206,8 +196,7 @@ def learn_pbd(
     if budget < 1:
         # Degenerate budget: fall back to the point mass at 0 so callers
         # never see a half-built hypothesis.
-        point = ExplicitDistribution(0, np.array([1.0]))
-        return LearnedPbd(lambda: point, None, 0.0, 0.0)
+        return LearnedPbd(ExplicitDistribution(0, np.array([1.0])), None, 0.0, 0.0)
     hist = stream.draw_histogram(budget)
     mu_hat, sigma2_hat = hist.moments()
     emp = hist.to_empirical()
@@ -218,31 +207,21 @@ def learn_pbd(
         fit = fit_binomial_by_moments(mu_hat, sigma2_hat, n)
         dist = binomial_pmf(*fit, tail_cut=config.tail_cut)
         if tv_distance(emp, dist) <= max(eps / 8.0, FIT_CHECK_MULT * noise):
-            return LearnedPbd(lambda: dist, fit, mu_hat, sigma2_hat)
+            return LearnedPbd(dist, fit, mu_hat, sigma2_hat)
 
     # Every Bernoulli-sum law P is unimodal, so the certificate is at most
     # TV(empirical, P), which stays within a few noise widths.
-    return LearnedPbd(
-        partial(_sparse_hypothesis, emp, eps, config),
-        None,
-        mu_hat,
-        sigma2_hat,
-        unimodal_lb=merged_unimodal_distance_lb(emp),
-        unimodal_lb_threshold=FIT_CHECK_MULT * noise,
-    )
-
-
-def _sparse_hypothesis(
-    emp: ExplicitDistribution, eps: float, config: TestConfig
-) -> ExplicitDistribution:
-    """The empirical on its eps / 10 interval, capped at ceil(A_s / eps^3)
-    points, projected onto the unimodal cone."""
+    lb, threshold = merged_unimodal_distance_lb(emp), FIT_CHECK_MULT * noise
+    if lb > threshold:
+        return LearnedPbd(None, None, mu_hat, sigma2_hat, lb, threshold)
+    # The empirical on its eps / 10 interval, capped at ceil(A_s / eps^3) points.
     lo, hi = effective_support_interval(emp, eps / 10.0)
     cap = math.ceil(config.sparse_len_const / eps**3)
     if hi - lo + 1 > cap:
         lo, hi = _densest_window(emp, cap)
     window = emp.probs[lo - emp.lo : hi - emp.lo + 1]
-    return ExplicitDistribution(lo, unimodal_projection(window))
+    hyp = ExplicitDistribution(lo, unimodal_projection(window))
+    return LearnedPbd(hyp, None, mu_hat, sigma2_hat, lb, threshold)
 
 
 def _densest_window(dist: ExplicitDistribution, length: int) -> tuple[int, int]:

@@ -74,12 +74,19 @@ def chi2_indistinguishability_bound(n: int, c: float, eps: float, k: float) -> f
     The likelihood-ratio expectation is at most exp(2 c^4 eps^4 k^2 S) with
     S the exact half square sum (not the 1/sqrt(n) cap); inverting through
     the Pinsker-style inequality 2 TV^2 <= log E[Q/P] and capping at 1
-    gives the bound.  Monotone nondecreasing in k.
+    gives the bound.  Monotone nondecreasing in k; a negative or non-finite
+    k raises ``ValueError``.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_budget(k)
     s = half_square_sum(n)
     return min(1.0, c * c * eps * eps * k * math.sqrt(s))
+
+
+def _check_budget(k: float) -> float:
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not 0.0 <= k < math.inf:
+        raise ValueError(f"sample budget k must be nonnegative and finite, got {k!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -124,7 +131,9 @@ def detection_experiment(
     ``config`` only the constants are read otherwise, since each run is a
     single ``run_budgeted_test``, which neither amplifies nor reads the
     seed.  The trials run one after another on the calling thread:
-    ``threads`` takes only the value 1 and any other raises.
+    ``threads`` takes only the value 1 and any other raises.  A budget in
+    ``k_grid`` that is negative or not finite raises ``ValueError`` before
+    the first trial.
 
     The asymptotic regime wants c > 200 and eps > 100 / sqrt(n); at desk
     scale that forces c * eps >= 1, so the harness scales c down to keep
@@ -136,6 +145,7 @@ def detection_experiment(
         raise ValueError("trials must be nonnegative")
     if threads != 1:
         raise ValueError("the detection experiment runs on one thread")
+    k_grid = [_check_budget(float(k)) for k in k_grid]
     config = config.replace(eps=eps)
     c_used = c
     scaled = False
@@ -159,7 +169,6 @@ def detection_experiment(
         return rows, meta
     window = _center_window(n)
     for k_idx, k in enumerate(k_grid):
-        k = float(k)
         false_rej = detect = cert = 0
         for trial in range(trials):
             # Arm indices 0/1 drive the budget and sign draws, 2/3 the two

@@ -359,7 +359,7 @@ def calibration_report() -> dict:
         ok = True
         per_case = []
         for case in cases:
-            cfg = TestConfig(eps=case["eps"], delta=0.5, l2_sample_const=c1, l2_far_const=chosen_c)
+            cfg = TestConfig(eps=case["eps"], l2_sample_const=c1, l2_far_const=chosen_c)
             k = cfg.l2_sample_rate(case["sigma_hat"])
             mean, var = tn_closed_form_moments(case["far"], case["pivot"], float(k))
             spread = var / mean**2
@@ -406,7 +406,7 @@ def _learning_corpus(
     perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps.
     """
     rng = seeded_generator(seed)
-    default = TestConfig(eps=eps, delta=0.1)
+    default = TestConfig(eps=eps)
     heavy = default.replace(var_threshold_const=1e-12)
     bimodal = np.zeros(n + 1)
     bimodal[0] = bimodal[n] = 0.5
@@ -463,7 +463,8 @@ def learning_calibration_report(
     samples drawn.  When ``learn_pbd`` reads ``field``, it also runs
     ``runs`` ``learn_pbd`` calls on every member at the learner's own eps
     (the point's eps, as ``pbdtest learn --eps 0.1`` does) and records the
-    miss rate: the share of hypotheses more than eps from the source in TV.
+    miss rate: the share of calls that return no hypothesis or one more
+    than eps from the source in TV.
     Run ``t`` of a source reads the same split at every grid value, so the
     values are compared on common samples.
 
@@ -501,11 +502,8 @@ def learning_calibration_report(
                 row = {"error_rate": errors / runs, "mean_samples": root.samples_drawn / runs}
                 if member and learner_reads:
                     learn_root = SampleStream.from_distribution(source, seed, spawn_key=(1, j, i))
-                    misses = sum(
-                        tv_distance(learn_pbd(learn_root.split(t), n, eps, cfg).dist, source)
-                        > eps
-                        for t in range(runs)
-                    )
+                    hyps = (learn_pbd(learn_root.split(t), n, eps, cfg).dist for t in range(runs))
+                    misses = sum(h is None or tv_distance(h, source) > eps for h in hyps)
                     row["learn_miss_rate"] = misses / runs
                 sources[name] = row
             passes = all(

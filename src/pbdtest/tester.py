@@ -1,8 +1,8 @@
 """The membership test: is the sampled distribution a Bernoulli-sum law?
 
 The base test learns a hypothesis.  It rejects at once when the learner
-flags its learning sample as certifiably not unimodal (every Bernoulli-sum
-law is unimodal), without building the hypothesis: such a run reports no
+returns none, having certified its learning sample not unimodal (every
+Bernoulli-sum law is unimodal): such a run reports no
 ``hypothesis_variance``, and its branch is the one its learning sample's
 variance picks.  Otherwise it branches on the hypothesis's variance:
 
@@ -215,15 +215,14 @@ def run_budgeted_test(
     ``learn_samples(eps / D)``, capped at half the budget (it may degrade),
     then ``tolerant_samples(m)`` on the sparse branch, or
     ``moment_samples(n)`` and a Poisson total at ``l2_sample_rate(sigma_hat)``
-    on the heavy one.  When the learner flags its sample as certifiably not
-    unimodal (see ``learn_pbd``), the run returns ``NO_PBD`` on that sample
-    alone, with the certificate and its threshold in the diagnostics; no
-    later stage runs, so ``samples_used`` is the learning draw.  Such a run
-    never reads ``learned.dist``, so a sparse hypothesis is not projected:
-    its diagnostics hold no ``hypothesis_variance``, and its branch is the
-    one the learning sample's variance ``sigma2_hat`` picks against
-    ``variance_threshold``, as the hypothesis variance does for every other
-    run.  A later stage that does not fit what is left draws nothing, and
+    on the heavy one.  When the learner certifies its sample not unimodal
+    and so returns no hypothesis (see ``learn_pbd``), the run returns
+    ``NO_PBD`` on that sample alone, with the certificate and its threshold
+    in the diagnostics; no later stage runs, so ``samples_used`` is the
+    learning draw.  Its diagnostics hold no ``hypothesis_variance``, and
+    its branch is the one the learning sample's variance ``sigma2_hat``
+    picks against ``variance_threshold``, as the hypothesis variance does
+    for every other run.  A later stage that does not fit what is left draws nothing, and
     the run returns ``YES_PBD`` with ``budget_exhausted`` (a starved run
     has no evidence against membership): a run may reject on its learning
     sample, but it never decides on a clipped later stage.  Without a
@@ -239,7 +238,7 @@ def run_budgeted_test(
         stream.split(_STAGE_LEARN), n, config.eps / config.learn_accuracy_const, config, learn_cap
     )
     rejected = learned.not_unimodal
-    # A rejected run reads no hypothesis, so the learning sample's own
+    # A rejected run has no hypothesis, so the learning sample's own
     # variance picks its branch.
     var = learned.sigma2_hat if rejected else learned.variance()
     diag: dict = {"hypothesis_kind": "sparse" if learned.binomial is None else "binomial"}

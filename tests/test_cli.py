@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pbdtest import TestConfig, cli, oracles
+from pbdtest import TestConfig, cli, lowerbound, oracles
 from pbdtest.cli import main
 from pbdtest.distributions import MAX_WIDTH, binomial_pmf, effective_support_interval
 
@@ -336,6 +336,30 @@ class TestLearnCommand:
         artifact = json.loads(out.read_text())
         assert artifact["schema"] == "pbdtest.hypothesis/1"
         assert artifact["hypothesis"]["kind"] in ("binomial", "explicit")
+        assert "unimodal_lb" not in artifact
+        capsys.readouterr()
+
+    def test_sample_certified_not_unimodal_gets_no_hypothesis(self, tmp_path, capsys):
+        # The half/half law on {0, 10^4}: the artifact carries the
+        # certificate that refused the learning sample in place of a hypothesis.
+        n = 10_000
+        probs = [0.0] * (n + 1)
+        probs[0] = probs[n] = 0.5
+        spec = tmp_path / "half-half.json"
+        spec.write_text(json.dumps({"kind": "explicit", "lo": 0, "probs": probs}))
+        out = tmp_path / "hyp.json"
+        code = run(
+            [
+                "learn", "--spec", str(spec), "--n", str(n), "--eps", "0.1",
+                "--seed", "7", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        artifact = json.loads(out.read_text())
+        assert artifact["schema"] == "pbdtest.hypothesis/1"
+        assert artifact["hypothesis"] is None
+        assert artifact["unimodal_lb"] > artifact["unimodal_lb_threshold"] > 0.0
+        assert artifact["samples_used"] == TestConfig(eps=0.1).learn_samples(0.1)
         capsys.readouterr()
 
 
@@ -527,6 +551,20 @@ class TestLowerboundCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("pbdtest: error")
+
+    @pytest.mark.parametrize("k", ["nan", "-5", "inf"])
+    def test_bad_budget_exits_1_before_any_trial(self, capsys, monkeypatch, k):
+        calls = []
+        monkeypatch.setattr(lowerbound, "run_budgeted_test", lambda *a, **kw: calls.append(a))
+        code = run(
+            [
+                "lowerbound", "--n", "64", "--c", "2.0", "--eps", "0.2", "--k-grid", f"5,{k}",
+                "--trials", "4", "--seed", "0",
+            ]
+        )
+        assert code == 1
+        assert f"got {float(k)!r}" in capsys.readouterr().err
+        assert calls == []
 
     def test_threads_flag_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

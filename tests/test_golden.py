@@ -177,12 +177,13 @@ def test_membership_verdict_is_pinned(source, seed, membership_sources):
 
 
 # ``learn --spec`` at seed 7 on the two far sources, written as an explicit
-# spec (the half/half law, which takes the sparse route) and as a
+# spec (the half/half law, whose learning sample is certified not unimodal,
+# so the artifact holds no hypothesis, only the certificate) and as a
 # ``perturbed_binomial`` spec (the c = 8 member, which a binomial fits at
 # the learner's eps = 0.1).
 FAR_LEARN = "learn --spec far.json --n 10000 --eps 0.1 --seed 7 --out learn-far.json"
 FAR_LEARN_SHA256 = {
-    "half-half": "a36bc967f46a24146390b5ae7221bfd3aafb4640417f5713cc180ca699eb1e0c",
+    "half-half": "a7935491f90044f261cc5081b08dcc723b93d6a44aa6eba7e73e1e0478d8878a",
     "c8-member": "afa9eebc8ccd04143828e6f63469700ed97b196ea57595e1b5c3044e8342daaf",
 }
 
@@ -201,6 +202,10 @@ def test_far_source_learn_is_pinned(source, tmp_path, monkeypatch, capsys):
     assert main(FAR_LEARN.split()) == 0
     capsys.readouterr()
     artifact = (tmp_path / "learn-far.json").read_bytes()
-    kind = json.loads(artifact)["hypothesis"]["kind"]
-    assert kind == ("explicit" if source == "half-half" else "binomial")
+    learned = json.loads(artifact)
+    if source == "half-half":
+        assert learned["hypothesis"] is None
+        assert learned["unimodal_lb"] > learned["unimodal_lb_threshold"]
+    else:
+        assert learned["hypothesis"]["kind"] == "binomial"
     assert hashlib.sha256(artifact).hexdigest() == FAR_LEARN_SHA256[source]

@@ -559,6 +559,12 @@ class TestChi2Bound:
         with pytest.raises(ValueError, match="k must be nonnegative"):
             chi2_indistinguishability_bound(100, 1.0, 0.1, -1.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_budget_is_refused(self, k):
+        # min(1.0, nan) is 1.0, so a NaN budget would otherwise pass as a bound.
+        with pytest.raises(ValueError, match=f"finite, got {k!r}"):
+            chi2_indistinguishability_bound(100, 1.0, 0.1, k)
+
     def test_monotone_in_k(self):
         ks = [1.0, 10.0, 100.0, 1e4, 1e6]
         vals = [chi2_indistinguishability_bound(10_000, 1.0, 0.1, k) for k in ks]
@@ -627,6 +633,15 @@ class TestDetectionExperiment:
         cfg = TestConfig(eps=0.2, delta=0.5)
         with pytest.raises(ValueError, match="one thread"):
             detection_experiment(128, 2.0, 0.2, [500.0], trials=2, config=cfg, threads=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, -5.0, math.inf])
+    def test_bad_budget_is_refused_before_the_first_trial(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(lowerbound, "run_budgeted_test", lambda *a, **kw: calls.append(a))
+        cfg = TestConfig(eps=0.2)
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            detection_experiment(64, 2.0, 0.2, [5.0, bad], trials=2, config=cfg, seed=0)
+        assert calls == []
 
     def test_runs_test_at_the_family_eps(self, monkeypatch):
         tested_at = []

@@ -7,7 +7,7 @@ import pytest
 # Skips under numpy/scipy versions other than those the golden hashes pin.
 from test_golden import pytestmark as pinned_versions
 
-from pbdtest import distributions
+from pbdtest import distributions, oracles
 from pbdtest.calibrated import TestConfig
 from pbdtest.distributions import (
     ExplicitDistribution,
@@ -18,6 +18,7 @@ from pbdtest.distributions import (
     translated_poisson_pmf,
     tv_distance,
 )
+from pbdtest.learner import LearnedPbd
 from pbdtest.oracles import (
     OracleReport,
     _enumerated_pmf_rows,
@@ -272,6 +273,21 @@ class TestLearningCalibration:
         assert report["largest_failing_learn_accuracy_const"] == 1.5
         assert report["smallest_passing_learn_accuracy_const"] == 3.0
         assert report["chosen_learn_accuracy_const"] == 10.0
+
+    def test_no_hypothesis_counts_as_a_miss(self, monkeypatch):
+        # A learner that certifies every sample not unimodal returns no
+        # hypothesis, and the sweep counts each such call as a miss.
+        monkeypatch.setattr(
+            oracles, "learn_pbd", lambda *a, **kw: LearnedPbd(None, None, 0.0, 0.0)
+        )
+        report = learning_calibration_report(5, grid=(2.0,), runs=2)
+        (row,) = report["sweep"]
+        members = [name for name, member in report["members"].items() if member]
+        sources = row["points"][0]["sources"]
+        assert {name: sources[name]["learn_miss_rate"] for name in members} == dict.fromkeys(
+            members, 1.0
+        )
+        assert not row["passes"]
 
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -110,6 +110,18 @@ class TestConfigValidation:
         for reps in (1, 2, 22, 300):
             assert TestConfig(eps=0.1, delta=delta, amplification_reps=reps).repetitions() == reps
 
+    def test_delta_is_needed_only_to_plan_the_majority(self):
+        # A config that learns or runs single base tests sets no delta.
+        cfg = TestConfig(eps=0.1)
+        assert cfg.delta is None
+        with pytest.raises(ValueError, match="needs delta or amplification_reps"):
+            cfg.repetitions()
+        assert cfg.replace(amplification_reps=3).repetitions() == 3
+        stream = SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=0)
+        with pytest.raises(ValueError, match="needs delta or amplification_reps"):
+            run_membership_test(stream, 100, cfg)
+        assert stream.samples_drawn == 0
+
     def test_hoeffding_constant_is_gone(self):
         with pytest.raises(TypeError, match="amplification_const"):
             TestConfig(eps=0.1, delta=0.1, amplification_const=18.0)
@@ -896,7 +908,10 @@ class TestLearningSampleCertificate:
             assert diag["unimodal_lb"] > diag["unimodal_lb_threshold"]
             assert res.samples_used == diag["learn_samples"]
             assert "tolerant_samples" not in diag and "moment_samples" not in diag
-        amplified = run_membership_test(SampleStream.from_distribution(source, seed=4), n, cfg)
+        # The corpus configs set no delta: the majority is planned at 0.1.
+        amplified = run_membership_test(
+            SampleStream.from_distribution(source, seed=4), n, cfg.replace(delta=0.1)
+        )
         assert amplified.verdict is Verdict.NO_PBD
         learned = [r["diagnostics"]["learn_samples"] for r in amplified.diagnostics["runs"]]
         assert amplified.samples_used == sum(learned)
@@ -938,8 +953,8 @@ def _c8_member(n):
 
 
 class TestRejectedRunBuildsNoHypothesis:
-    """The sparse hypothesis is projected on the first read of
-    ``LearnedPbd.dist`` and never by a run rejected on its learning sample."""
+    """The learner projects a sparse hypothesis for every sample it does not
+    certify as not unimodal, and never for one it does."""
 
     @pytest.fixture()
     def projections(self, monkeypatch):
@@ -977,14 +992,13 @@ class TestRejectedRunBuildsNoHypothesis:
             assert "tolerant_samples" in res.diagnostics
             assert len(projections) == before + 1
 
-    def test_first_read_projects_once(self, projections):
+    def test_flagged_sample_gets_no_hypothesis(self, projections):
         n = 10_000
         stream = SampleStream.from_distribution(_half_half_law(n), seed=0)
         cfg = TestConfig(eps=0.1, delta=0.1)
         learned = learner.learn_pbd(stream, n, 0.1 / cfg.learn_accuracy_const, cfg)
-        assert learned.not_unimodal and projections == []
-        assert learned.dist is learned.dist
-        assert len(projections) == 1
+        assert learned.not_unimodal and learned.dist is None
+        assert projections == []
 
     @pytest.mark.parametrize("var_const, branch", [(None, Branch.SPARSE), (1e-12, Branch.HEAVY)])
     def test_rejected_run_reports_its_sample_variance_branch(self, var_const, branch):
