@@ -117,11 +117,19 @@ def _cmd_learn(args) -> int:
     config = TestConfig(eps=args.eps, **_load_config_overrides(args.config))
     stream = _make_stream(args)
     learned = learn_pbd(stream, args.n, args.eps, config)
-    if learned.binomial is not None:
+    extra = {}
+    if learned.not_unimodal:
+        # No hypothesis: the certificate that refused the sample stands in for it.
+        hyp_spec = None
+        extra = {
+            "unimodal_lb": learned.unimodal_lb,
+            "unimodal_lb_threshold": learned.unimodal_lb_threshold,
+        }
+    elif learned.binomial is None:
+        hyp_spec = distspec.explicit_spec(learned.dist)
+    else:
         trials, p = learned.binomial
         hyp_spec = {"kind": "binomial", "n": trials, "p": p}
-    else:
-        hyp_spec = None if learned.not_unimodal else distspec.explicit_spec(learned.dist)
     artifact = {
         "schema": "pbdtest.hypothesis/1",
         "command": "learn",
@@ -131,11 +139,8 @@ def _cmd_learn(args) -> int:
         "samples_used": stream.samples_drawn,
         "mu_hat": learned.mu_hat,
         "sigma2_hat": learned.sigma2_hat,
+        **extra,
     }
-    if learned.not_unimodal:
-        # No hypothesis: the certificate that refused the sample stands in for it.
-        artifact["unimodal_lb"] = learned.unimodal_lb
-        artifact["unimodal_lb_threshold"] = learned.unimodal_lb_threshold
     _emit(artifact, args.out)
     return 0
 

@@ -46,7 +46,7 @@ from .distributions import (
     merged_unimodal_distance_lb,
     tv_distance,
 )
-from .sampling import SampleStream
+from .sampling import SampleHistogram, SampleStream
 
 __all__ = [
     "LearnedPbd",
@@ -218,16 +218,17 @@ def learn_pbd(
     lo, hi = effective_support_interval(emp, eps / 10.0)
     cap = math.ceil(config.sparse_len_const / eps**3)
     if hi - lo + 1 > cap:
-        lo, hi = _densest_window(emp, cap)
+        lo, hi = _densest_window(hist, cap)
     window = emp.probs[lo - emp.lo : hi - emp.lo + 1]
     hyp = ExplicitDistribution(lo, unimodal_projection(window))
     return LearnedPbd(hyp, None, mu_hat, sigma2_hat, lb, threshold)
 
 
-def _densest_window(dist: ExplicitDistribution, length: int) -> tuple[int, int]:
-    """Length-capped window of maximal mass (first such window)."""
-    p = dist.probs
-    cs = np.concatenate(([0.0], np.cumsum(p)))
-    masses = cs[length:] - cs[: len(p) - length + 1]
-    start = int(np.argmax(masses))
-    return dist.lo + start, dist.lo + start + length - 1
+def _densest_window(hist: SampleHistogram, length: int) -> tuple[int, int]:
+    """Length-capped window holding the most samples (the first such window).
+
+    Windows are compared on integer counts, so equal counts tie exactly.
+    """
+    cs = np.concatenate(([0], np.cumsum(hist.counts)))
+    start = int(np.argmax(cs[length:] - cs[: len(hist.counts) - length + 1]))
+    return hist.lo + start, hist.lo + start + length - 1

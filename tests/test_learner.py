@@ -21,7 +21,7 @@ from pbdtest.learner import (
     learn_pbd,
     unimodal_projection,
 )
-from pbdtest.sampling import SampleStream
+from pbdtest.sampling import SampleHistogram, SampleStream
 from pbdtest.tester import TestConfig, run_budgeted_test
 
 CFG = TestConfig(eps=0.1, delta=0.1)  # the learner reads its constants, not its eps
@@ -175,21 +175,20 @@ class TestLearnPbd:
         lr = learn_pbd(SampleStream.from_distribution(src, seed=seed), n, eps, CFG)
         assert lr.unimodal_lb <= lr.unimodal_lb_threshold
         # The learner's one histogram, drawn again from the same seed.  Many
-        # windows hold the same count, so the check is on counts, which are
-        # exact, not on which of the tied windows comes first.
+        # windows hold the same count; the learner keeps the first of them.
         redraw = SampleStream.from_distribution(src, seed=seed)
         hist = redraw.draw_histogram(CFG.learn_samples(eps))
         cap = math.ceil(CFG.sparse_len_const / eps**3)
         held = [int(hist.counts[s : s + cap].sum()) for s in range(len(hist.counts) - cap + 1)]
         assert lr.binomial is None
         assert len(lr.dist.probs) == cap == 4000
-        assert held[lr.dist.lo - hist.lo] == max(held)
+        assert lr.dist.lo - hist.lo == held.index(max(held))
 
     def test_densest_window_ties_go_to_the_first(self):
-        # Its windows of length 2 hold 0.5, 0.25, 0, 0.25 and 0.5.
-        law = ExplicitDistribution(10, np.array([0.25, 0.25, 0.0, 0.0, 0.25, 0.25]))
-        assert learner._densest_window(law, 2) == (10, 11)
-        assert learner._densest_window(law, 6) == (10, 15)
+        # Its windows of length 2 hold 2, 1, 0, 1 and 2 samples.
+        hist = SampleHistogram(10, np.array([1, 1, 0, 0, 1, 1]))
+        assert learner._densest_window(hist, 2) == (10, 11)
+        assert learner._densest_window(hist, 6) == (10, 15)
 
     def test_far_source_gets_no_hypothesis(self):
         # The half/half law on {0, n} is far from every unimodal law, and its
