@@ -66,9 +66,9 @@ __all__ = [
 MASS_TOL = 1e-9
 
 # The widest array of points the package builds from outside input: a
-# binomial or shifted-Poisson PMF, a sample pool's histogram, two laws
-# aligned on their union, or an array of drawn samples.  Each is refused
-# before it is allocated.
+# binomial or shifted-Poisson PMF, a sample pool's histogram, a coarse
+# draw's interval, two laws aligned on their union, or an array of drawn
+# samples.  Each is refused before it is allocated.
 MAX_WIDTH = 1 << 26
 
 # Coins per leaf of the product tree in ``pbd_pmf``.

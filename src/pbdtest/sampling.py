@@ -15,23 +15,30 @@ samples (one multinomial draw), ``draw_poissonized(k)`` the same counts
 for a Poisson(k) sample size, and ``draw(k)`` the multinomial counts of
 ``draw_histogram(k)`` expanded into k samples put in random order.  Given
 the counts every order is equally likely, so these are i.i.d. samples.
-A stream over a file pool hands out the pool's samples in file order.
+``draw_histogram(k, within=(a, b))`` draws the same k samples coarsened
+to [a, b]: the counts on its points and one count of the samples outside
+it, as one multinomial on those b - a + 2 categories with the outside
+lump last, so that numpy gives it the remainder and no 1 - sum(p) is
+rounded.  A stream over a file pool hands out the pool's samples in file
+order, and its coarse draw is exactly its full histogram coarsened.
 
-A ``SampleHistogram`` is only its counts and their offset ``lo``: a
-Poissonized draw's rate stays with the caller that chose it.  A histogram
-drawn from a stream spans exactly its observed range, from the smallest
-sample to the largest, so every later stage works on the points drawn
-rather than the source's whole array.  A distribution stream
-normalises its source once, when it is built, and keeps only the stretch
-that carries mass; when that stretch has zeros inside, it keeps only its
-points with mass and its last point, since numpy's multinomial draws a
-zero-probability category as 0 without reading a random number.  A draw
-of k samples also skips the lead of points with k p <= 2^-55, which
+A ``SampleHistogram`` is its counts, their offset ``lo`` and the count
+``outside`` of samples it does not place (0 but for a coarse draw): a
+Poissonized draw's rate stays with the caller that chose it.  A full
+histogram drawn from a stream spans exactly its observed range, from the
+smallest sample to the largest, so every later stage works on the points
+drawn rather than the source's whole array; a coarse one covers its
+interval, whatever was observed.  A distribution stream normalises its
+source once, when it is built, and keeps only the stretch that carries
+mass; when that stretch has zeros inside, it keeps only its points with
+mass and its last point, since numpy's multinomial draws a
+zero-probability category as 0 without reading a random number.  A full
+draw of k samples also skips the lead of points with k p <= 2^-55, which
 numpy's multinomial would draw as zeros, and advances the generator past
 the raw numbers it would read on them instead; so draws are the same as
 from the whole array, and cost time in the points kept from the first
 one past that lead to the largest sample, plus one pass over the
-observed range.
+observed range.  A coarse draw costs time in the interval's points alone.
 ``draw`` refuses more samples than ``MAX_WIDTH`` before drawing anything.
 
 A root stream and all its splits share one count of samples drawn
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MAX_WIDTH, ExplicitDistribution
+from .distributions import MAX_WIDTH, ExplicitDistribution, _on_interval
 
 __all__ = [
     "seeded_generator",
@@ -80,33 +87,44 @@ class StreamExhausted(RuntimeError):
 class SampleHistogram:
     """Per-symbol counts from one sampling stage.
 
-    ``counts[i]`` is the number of samples equal to ``lo + i``, and
-    ``total`` the sample count.  A histogram drawn from a stream spans its
-    observed range: ``counts[0]`` and ``counts[-1]`` are nonzero, or, for
-    zero samples, ``counts`` is one zero bin.
+    ``counts[i]`` is the number of samples equal to ``lo + i``,
+    ``outside`` the number of samples not placed in ``counts``, and
+    ``total`` the sample count, ``outside`` included.  A full histogram
+    drawn from a stream spans its observed range: ``counts[0]`` and
+    ``counts[-1]`` are nonzero, or, for zero samples, ``counts`` is one
+    zero bin.  A coarse one (``draw_histogram(k, within=(a, b))``) covers
+    exactly [a, b], whatever was observed, and counts the rest in
+    ``outside``; it cannot give moments or an empirical law.
     """
 
     lo: int
     counts: np.ndarray
+    outside: int = 0
 
     def __post_init__(self):
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a 1-D array with at least one entry")
-        if counts.min(initial=0) < 0:
+        if counts.min(initial=0) < 0 or self.outside < 0:
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "outside", int(self.outside))
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self.counts.sum()) + self.outside
 
     @property
     def hi(self) -> int:
         return self.lo + len(self.counts) - 1
 
+    def _require_full(self, what: str) -> None:
+        if self.outside:
+            raise ValueError(f"a coarse histogram ({self.outside} samples outside) has no {what}")
+
     def moments(self) -> tuple[float, float]:
         """Sample mean and unbiased sample variance."""
+        self._require_full("moments")
         k = self.total
         if k == 0:
             raise ValueError("empty histogram has no moments")
@@ -119,6 +137,7 @@ class SampleHistogram:
 
     def to_empirical(self) -> ExplicitDistribution:
         """Empirical PMF on the histogram's range [lo, hi]."""
+        self._require_full("empirical distribution")
         k = self.total
         if k == 0:
             raise ValueError("cannot form an empirical distribution from zero samples")
@@ -283,6 +302,18 @@ class SampleStream:
         lo = int(xs.min())
         return lo, np.bincount(xs - lo)
 
+    def _law_on(self, a: int, b: int) -> np.ndarray:
+        """The source's probabilities on [a, b], then a 0.0 for the outside lump."""
+        lo, pvals, _, cats = self._law
+        out = np.zeros(b - a + 2)
+        if cats is None:
+            out[:-1] = _on_interval(pvals, lo, a, b)
+        else:
+            at = lo + cats
+            i, j = at.searchsorted(a), at.searchsorted(b, side="right")
+            out[at[i:j] - a] = pvals[i:j]
+        return out
+
     # -- draws ---------------------------------------------------------------
 
     def draw(self, k: int) -> np.ndarray:
@@ -303,11 +334,29 @@ class SampleStream:
         xs = np.repeat(np.arange(lo, lo + len(counts), dtype=np.int64), counts)
         return self._generator().permutation(xs)
 
-    def draw_histogram(self, k: int) -> SampleHistogram:
-        """Counts of k fresh i.i.d. samples (one multinomial draw)."""
+    def draw_histogram(self, k: int, *, within: tuple[int, int] | None = None) -> SampleHistogram:
+        """Counts of k fresh i.i.d. samples (one multinomial draw).
+
+        With ``within=(a, b)``, the counts cover exactly [a, b] and
+        ``outside`` counts the rest of the k samples; an empty interval
+        (b < a), or one wider than ``MAX_WIDTH``, raises ``ValueError``
+        before anything is drawn or counted.
+        """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        return SampleHistogram(*self._counts(k))
+        if within is None:
+            return SampleHistogram(*self._counts(k))
+        a, b = within
+        if b < a:
+            raise ValueError(f"interval [{a}, {b}] is empty")
+        if b - a + 1 > MAX_WIDTH:
+            raise ValueError(f"interval [{a}, {b}] is too wide to count")
+        xs = self._take(k)
+        if xs is None:
+            counts = self._generator().multinomial(k, self._law_on(a, b))
+            return SampleHistogram(a, counts[:-1], int(counts[-1]))
+        inside = xs[(xs >= a) & (xs <= b)]
+        return SampleHistogram(a, np.bincount(inside - a, minlength=b - a + 1), k - inside.size)
 
     def draw_poissonized(self, k: float) -> SampleHistogram:
         """Histogram of K ~ Poisson(k) fresh samples.

@@ -97,7 +97,10 @@ def simple_tolerant_identity_test(
 
     Coarsening keeps the m points of ``interval`` and lumps everything
     outside it into one point: q's outside mass is ``1 - tail_slack`` less
-    its mass inside, the empirical's the share of samples outside.  Returns
+    its mass inside, the empirical's the share of samples outside.  ``hist``
+    may be a full histogram, which is coarsened here, or one already drawn
+    on ``interval`` (``draw_histogram(k, within=interval)``), whose
+    ``outside`` is that share's count; both give the same result.  Returns
     whether it is close and the TV distance between the two (m + 1)-point
     laws, eps being ``config.eps``.  Distinguishes TV <= eps/10 from TV >
     2 eps/5 with frequency >= 0.99 given ``config.tolerant_samples(m)``
@@ -107,8 +110,8 @@ def simple_tolerant_identity_test(
     no argument puts a member within eps/10 of q; the rate in use is
     measured.  In the learning sweep at D = 3 (``pbdtest oracle --suite
     learning --seed 0``: n = 10^4, 200 base runs per source), the sparse
-    branch rejected no member at eps = 0.1 and one run in 200 of the
-    0.05/0.95 coins at eps = 0.05.
+    branch rejected no member but the 0.05/0.95 coins, two runs in 200 of
+    them at eps = 0.1 and one at eps = 0.05.
     """
     a, b = interval
     if b < a:
@@ -199,7 +202,7 @@ def _sparse_case(
     k_tol = config.tolerant_samples(i_hi - i_lo + 1)
     diag["interval"] = [i_lo, i_hi]
     diag["tolerant_samples"] = k_tol
-    hist = stream.draw_histogram(k_tol)
+    hist = stream.draw_histogram(k_tol, within=(i_lo, i_hi))
     close, tv = simple_tolerant_identity_test(hypothesis, (i_lo, i_hi), hist, config)
     diag["tv_empirical_vs_hypothesis"] = tv
     diag["tolerant_outcome"] = "close" if close else "far"

@@ -50,7 +50,7 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "e9ba25849565d7b0ee959338c0c8f2649e67acccbc1db7fe9200a6b4c56769a9",
+    "test --spec": "add0388ed4d0c0cf134066cbe2408aefbb674d0cfade9d0a55d0c7ac98638e71",
     "draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
     "test --samples": "2c487af3627f5ffca345d555add3c7e7f9f704f3a955dc86d38efa01db99b003",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
@@ -129,14 +129,17 @@ def test_pmf_oracle_is_pinned(tmp_path, monkeypatch, capsys):
 # criterion 07's c = 8 member), as ``json.dumps(to_dict(), sort_keys=True)``.
 # The two far sources reject every run on its learning sample.  These were
 # taken before such runs stopped building their hypothesis, with
-# ``hypothesis_variance`` dropped from those runs and nothing else.
+# ``hypothesis_variance`` dropped from those runs and nothing else.  The
+# binomial pins were re-taken when the tolerant stage began drawing only
+# its interval's counts and the count outside it: their
+# ``tv_empirical_vs_hypothesis`` moved, and no verdict or sample count did.
 MEMBERSHIP_SHA256 = {
-    ("binomial-0.5", 0): "c42ee225612a05691b78136c87ad24bcfb8fc6af753d192447c986ece7a956ab",
-    ("binomial-0.5", 1): "80f1866a9f31f2841f5afa3c421eb4ef10418c09973cb525eb1c3cb02378d90c",
-    ("binomial-0.5", 2): "aa7fac8966ff91e723c28369f6d087d6202596d1d10166c66d7144e051a84020",
-    ("binomial-0.3", 0): "5c5240c891573ec1acabccec30b188b3b95ef3fbc5cbf568868e10dc5cb6dcdb",
-    ("binomial-0.3", 1): "2fc3fae13de3e97b34dfa24259bd9c53efa66f2e897c7a14551a71b2be814a1b",
-    ("binomial-0.3", 2): "c5cb5c17dcb16d962a524e727abedae5501df2f13ffa8f5becdce778ee9550e4",
+    ("binomial-0.5", 0): "262fec2787413d103b4aeba7ecfe84bdd3ac027be6944542dad3bf3483ae3bf0",
+    ("binomial-0.5", 1): "1347eb20402a2fc6179be0dc9c1e0fe47b5cebedbccfe81d994bb5f7b541df39",
+    ("binomial-0.5", 2): "e3f429681be9b3dc146bdfc6dfdef3cb9f7f1db83deaa130393c367be35126ed",
+    ("binomial-0.3", 0): "e42ed23b26440d96e12a9e9a0c9737470e1eaac120b900858cce33b8cdf5a385",
+    ("binomial-0.3", 1): "ba76abdf9734c48007ded879026cbb8af36313bd53aa5723fefd1c0222b10551",
+    ("binomial-0.3", 2): "a9c967a64200195bd55d15f5ed774f7ae2ea299f0c3cb033a758eaa0415ceb45",
     ("half-half", 0): "4f2ec980868bba4f9a1288d16a5f377af7cc9521675c76eb154a2fb6c805ade7",
     ("half-half", 1): "89107308500278a278b05e8b7bf082182d21b37a1117d80d037d5515738e3a22",
     ("half-half", 2): "a57853b603316bdad2d13e4a9f5086453caed78c7f0e8b9d13519aa9af2b3599",

@@ -253,10 +253,11 @@ class TestLearningCalibration:
 
     def test_accuracy_sweep_passes_only_where_every_point_passes(self):
         # At D = 1 the tester learns at its own eps and rejects the twenty
-        # skewed coins on most runs; at D = 1.5 it rejects them on one of the
-        # four runs at eps = 0.1 and on none at eps = 0.05.
+        # skewed coins on most runs; at D = 1.4 it rejects them, and the
+        # sixteen fair coins, on one of the four runs at eps = 0.1 and
+        # nothing at eps = 0.05, so that row's two points disagree.
         report = learning_calibration_report(
-            5, "learn_accuracy_const", grid=(1.0, 1.5, 3.0, 10.0), runs=4
+            5, "learn_accuracy_const", grid=(1.0, 1.4, 3.0, 10.0), runs=4
         )
         assert report["field"] == "learn_accuracy_const"
         assert report["points"] == [{"n": 10_000, "eps": 0.1}, {"n": 10_000, "eps": 0.05}]
@@ -270,7 +271,7 @@ class TestLearningCalibration:
         assert report["max_learn_miss_rate"] is None
         assert [p["passes"] for p in report["sweep"][1]["points"]] == [False, True]
         assert [row["passes"] for row in report["sweep"]] == [False, False, True, True]
-        assert report["largest_failing_learn_accuracy_const"] == 1.5
+        assert report["largest_failing_learn_accuracy_const"] == 1.4
         assert report["smallest_passing_learn_accuracy_const"] == 3.0
         assert report["chosen_learn_accuracy_const"] == 10.0
 

@@ -330,6 +330,118 @@ class TestNegligibleLead:
             assert (h.lo, h.counts.tolist()) == (lo, counts.tolist())
 
 
+def coarsened(hist, a, b):
+    """``hist`` coarsened to [a, b]: its counts there and the count of the rest."""
+    inside = np.array([hist.counts[x - hist.lo] if hist.lo <= x <= hist.hi else 0
+                       for x in range(a, b + 1)], dtype=np.int64)
+    return inside, hist.total - int(inside.sum())
+
+
+def binomial_fit_p_value(draws, k, p, cells=10):
+    """Chi-square p-value of ``draws`` against Binomial(k, p), on cells cut at
+    the law's deciles, so that no cell is nearly empty."""
+    edges = np.unique(stats.binom.ppf(np.linspace(0.0, 1.0, cells + 1)[1:-1], k, p))
+    probs = np.diff(np.concatenate([[0.0], stats.binom.cdf(edges, k, p), [1.0]]))
+    # Cell i holds the draws in (edges[i - 1], edges[i]]; the last, those above edges[-1].
+    observed = np.bincount(np.searchsorted(edges, draws), minlength=len(probs))
+    expected = len(draws) * probs
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return float(stats.chi2.sf(chi2, len(probs) - 1))
+
+
+class TestCoarseDraw:
+    """``draw_histogram(k, within=(a, b))``: the counts on [a, b] and the count
+    outside it, as the full histogram coarsened."""
+
+    POOL = np.array([12, 15, 15, 20, 31, 40, 12, 18, 25, 25, 40, 39, 16, 12, 33] * 3)
+    # Inside the pool's range [12, 40], straddling either end, covering it,
+    # and wholly below or above it.
+    INTERVALS = [(15, 25), (16, 16), (0, 14), (38, 60), (5, 50), (0, 11), (41, 45)]
+
+    @pytest.mark.parametrize("a, b", INTERVALS)
+    def test_pool_draw_is_the_full_histogram_coarsened(self, a, b):
+        full = SampleStream.from_samples(self.POOL)
+        coarse = SampleStream.from_samples(self.POOL)
+        for k in (0, 1, 7, 20, 0, 17):
+            drawn = coarse.samples_drawn
+            h = coarse.draw_histogram(k, within=(a, b))
+            assert coarse.samples_drawn == drawn + k
+            inside, outside = coarsened(full.draw_histogram(k), a, b)
+            assert (h.lo, h.hi, h.total) == (a, b, k)
+            np.testing.assert_array_equal(h.counts, inside)
+            assert h.outside == outside
+
+    @pytest.mark.parametrize("d", LEADS, ids=LEAD_IDS)
+    def test_draw_is_the_multinomial_on_the_interval_and_a_last_lump(self, d):
+        # Bit for bit: the source's normalised values on [a, b], then 0.0 for
+        # the lump, which numpy gives the remainder; also for intervals that
+        # reach past either end of the source's array.
+        probs = d.probs / d.probs.sum()
+        for a, b in [(d.lo, d.hi), (d.lo - 3, d.lo + 2), (d.hi - 2, d.hi + 5),
+                     ((d.lo + d.hi) // 2 - 5, (d.lo + d.hi) // 2 + 5), (d.hi + 1, d.hi + 4)]:
+            stream = SampleStream.from_distribution(d, seed=17, spawn_key=(2,))
+            rng = reference_generator(17, (2,))
+            p = np.array([probs[x - d.lo] if d.lo <= x <= d.hi else 0.0 for x in range(a, b + 1)])
+            for k in (0, 1, 1000, 233_000):
+                h = stream.draw_histogram(k, within=(a, b))
+                counts = rng.multinomial(k, np.append(p, 0.0))
+                assert (h.lo, h.counts.tolist(), h.outside) == (a, counts[:-1].tolist(), counts[-1])
+            assert stream.samples_drawn == 234_001
+
+    # (source, interval, points whose counts are checked): Binomial(10^4, 1/2)
+    # around its mode; a law on the even points, whose stream keeps only its
+    # points with mass (a zero at 201); a law with zeros inside on an interval
+    # past its support, and one on an interval that starts below it.
+    LAW_CASES = [
+        (binomial_pmf(10**4, 0.5), (4950, 5050), (4950, 5000, 5037)),
+        (binomial_on_even_points(200), (190, 215), (200, 201, 210)),
+        (make_dist([0, 3, 1, 4, 0, 0, 0, 0, 0, 2, 0, 0], lo=5), (10, 20), (14, 15, 20)),
+        (make_dist([1, 2, 3, 4], lo=10), (5, 11), (5, 10, 11)),
+    ]
+
+    @pytest.mark.parametrize("d, interval, points", LAW_CASES,
+                             ids=["binomial", "even-lattice", "past-support", "below-support"])
+    def test_counts_have_the_multinomial_marginals(self, d, interval, points):
+        # Each count of k samples is Binomial(k, p): p the source's mass at the
+        # point, or off the interval for ``outside``.  Over 1000 seeded draws,
+        # each marginal's chi-square p-value must exceed 1e-4.
+        a, b = interval
+        k, trials = 1000, 1000
+        mass = {x: float(d.probs[x - d.lo]) if d.lo <= x <= d.hi else 0.0 for x in range(a, b + 1)}
+        root = SampleStream.from_distribution(d, seed=23)
+        draws = [root.split(t).draw_histogram(k, within=interval) for t in range(trials)]
+        assert all(h.total == k and h.lo == a and h.hi == b for h in draws)
+        assert root.samples_drawn == k * trials
+        marginals = [(np.array([h.counts[x - a] for h in draws]), mass[x]) for x in points]
+        marginals.append((np.array([h.outside for h in draws]), 1.0 - sum(mass.values())))
+        for observed, p in marginals:
+            if p <= 1e-15:
+                assert not observed.any()
+                continue
+            assert binomial_fit_p_value(observed, k, p) > 1e-4, p
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_refusals_count_nothing(self, pooled):
+        def fresh():
+            if pooled:
+                return SampleStream.from_samples(np.arange(100))
+            return SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=3)
+
+        s = fresh()
+        with pytest.raises(ValueError, match=r"interval \[50, 49\] is empty"):
+            s.draw_histogram(10, within=(50, 49))
+        with pytest.raises(ValueError, match="too wide to count"):
+            s.draw_histogram(10, within=(0, MAX_WIDTH))
+        capped = s.capped(9)
+        with pytest.raises(StreamExhausted, match="need 10, have 9 left"):
+            capped.draw_histogram(10, within=(40, 60))
+        assert s.samples_drawn == capped.samples_drawn == 0
+        # Nothing was drawn either: the next draw is a fresh stream's first.
+        h = capped.draw_histogram(9, within=(40, 60))
+        twin = fresh().draw_histogram(9, within=(40, 60))
+        assert (h.counts.tolist(), h.outside) == (twin.counts.tolist(), twin.outside)
+
+
 class TestCapped:
     def test_refuses_poisson_total_before_drawing(self):
         d = make_dist([0.3, 0.7])
@@ -436,6 +548,34 @@ class TestHistogram:
         emp = h.to_empirical()
         assert emp.lo == 2
         np.testing.assert_allclose(emp.probs, [0.5, 0.0, 0.5])
+
+    def test_outside_counts_in_the_total(self):
+        h = SampleHistogram(2, np.array([2, 0, 2]), 5)
+        assert (h.total, h.outside, h.hi) == (9, 5, 4)
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            SampleHistogram(2, np.array([2, 0, 2]), -1)
+
+    # A coarse histogram's counts are a window of the sample: a full-histogram
+    # reader (the learner, the moment stage, ``pbdtest stat``) cannot take it.
+    def test_coarse_histogram_has_no_moments(self):
+        h = SampleStream.from_samples([1, 2, 2, 9]).draw_histogram(4, within=(0, 3))
+        assert h.outside == 1
+        with pytest.raises(ValueError, match=r"coarse histogram \(1 samples outside\) has no moments"):
+            h.moments()
+
+    def test_coarse_histogram_has_no_empirical_law(self):
+        h = SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=2).draw_histogram(
+            50, within=(50, 50)
+        )
+        assert h.outside > 0
+        with pytest.raises(ValueError, match="has no empirical distribution"):
+            h.to_empirical()
+
+    def test_coarse_histogram_with_nothing_outside_is_full(self):
+        h = SampleStream.from_samples([1, 2, 2, 3]).draw_histogram(4, within=(0, 3))
+        assert h.outside == 0
+        assert h.moments() == hist_of([1, 2, 2, 3]).moments()
+        np.testing.assert_array_equal(h.to_empirical().probs, [0.0, 0.25, 0.5, 0.25])
 
 
 class TestEmpiricalDistribution:

@@ -21,6 +21,7 @@ from pbdtest.distributions import (
     pbd_pmf,
     translated_poisson_pmf,
     tv_distance,
+    unimodal_distance_lb,
 )
 from pbdtest.learner import estimate_mean_var, fit_binomial_by_moments
 from pbdtest.lowerbound import random_sign_vector
@@ -275,6 +276,18 @@ class TestSimpleTolerantIdentityTest:
             assert abs(tv - self._coarsened_tv(q, (a, b), hist)) <= 1e-15
         assert slacked >= 100
 
+    @pytest.mark.parametrize("interval", [(45, 54), (30, 70), (0, 44), (101, 110)])
+    def test_a_coarse_histogram_gives_the_full_histogram_statistic(self, interval):
+        # The same pool drawn whole and drawn on the interval: bit-equal results.
+        q = binomial_pmf(100, 0.5)
+        xs = SampleStream.from_distribution(q, seed=4).draw(2_000)
+        full = SampleStream.from_samples(xs).draw_histogram(xs.size)
+        coarse = SampleStream.from_samples(xs).draw_histogram(xs.size, within=interval)
+        assert coarse.lo == interval[0] and full.lo != coarse.lo
+        assert simple_tolerant_identity_test(q, interval, coarse, ANY_COUNT) == (
+            simple_tolerant_identity_test(q, interval, full, ANY_COUNT)
+        )
+
     def test_close_and_far_rates(self):
         m, eps = 50, TOL_CFG.eps
         probs = np.linspace(1.0, 2.0, m)
@@ -317,6 +330,23 @@ class TestSimpleTolerantIdentityTest:
         for (close, tv), run in zip(calls, runs):
             assert run["diagnostics"]["tv_empirical_vs_hypothesis"] == tv
             assert run["diagnostics"]["tolerant_outcome"] == ("close" if close else "far")
+
+
+class TestTolerantStageOnACertifiedFarSource:
+    def test_zigzag_binomial_is_rejected_by_the_tolerant_stage(self):
+        # Binomial(10^4, 1/2) with mass moved within each pair of adjacent
+        # points, in alternating directions: certified 0.105 > eps from every
+        # unimodal law, hence from every PBD.  A binomial fits its learning
+        # sample, so the run reaches the sparse stage, whose coarse draw sees
+        # the zigzag.
+        n, cfg = 10**4, TestConfig(eps=0.1)
+        far, _ = paired_perturbation(binomial_pmf(n, 0.5), 0.11)
+        assert unimodal_distance_lb(far) > cfg.eps
+        root = SampleStream.from_distribution(far, seed=11)
+        for r in range(20):
+            res = run_budgeted_test(root.split(r), n, cfg)
+            assert (res.verdict, res.branch) == (Verdict.NO_PBD, Branch.SPARSE)
+            assert res.diagnostics["tolerant_outcome"] == "far"
 
 
 class TestCoarsen:
