@@ -16,8 +16,8 @@ are checked with.  They justify the heavy branch; no run reads them.
 
 ``learning_calibration_report`` is the Monte-Carlo sweep that fixes the
 learning constants (the learner's sample constant and the accuracy the
-tester learns at): it runs the base test itself, seeded, on a corpus of
-sources whose membership is known.
+tester learns at) and the tolerant stage's sample constant: it runs the
+base test itself, seeded, on a corpus of sources whose membership is known.
 """
 
 from __future__ import annotations
@@ -401,9 +401,14 @@ def _learning_corpus(
     narrow law no binomial fits, which the learner must take down its
     sparse route.  Far sources: the half/half law on {0, n} and
     the certified c = 8 member of the perturbed family (acceptance
-    criterion 07).  Under ``var_threshold_const=1e-12``, which sends every
-    run down the heavy branch: Binomial(n, 1/2), and the paired
-    perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps.
+    criterion 07), which the learning certificate rejects.  Under
+    ``var_threshold_const=1e-12``, which sends every run down the heavy
+    branch: Binomial(n, 1/2), and the paired perturbation of the (n/2, n/4)
+    shifted-Poisson pivot at TV 0.35 eps.  Last, a far source for the
+    tolerant stage: the zigzag of Binomial(n, 1/2), its paired
+    perturbation at TV 1.1 eps, which a binomial fits on the learning
+    sample but ``unimodal_distance_lb`` certifies more than eps from every
+    unimodal law (0.1051 at eps = 0.1, 0.0506 at eps = 0.05, n = 10^4).
     """
     rng = seeded_generator(seed)
     default = TestConfig(eps=eps)
@@ -413,6 +418,7 @@ def _learning_corpus(
     z = random_sign_vector(n, seeded_generator(12))
     pivot = translated_poisson_pmf(TranslatedPoissonParams(n / 2, n / 4), tail_cut=1e-9)
     paired, _ = paired_perturbation(pivot, 0.35 * eps)
+    zigzag, _ = paired_perturbation(binomial_pmf(n, 0.5), 1.1 * eps)
     return [
         ("binomial-0.5", binomial_pmf(n, 0.5), True, default),
         ("binomial-0.3", binomial_pmf(n, 0.3), True, default),
@@ -424,6 +430,7 @@ def _learning_corpus(
          default),
         ("heavy-binomial-0.5", binomial_pmf(n, 0.5), True, heavy),
         ("heavy-paired", paired, False, heavy),
+        ("zigzag", zigzag, False, default),
     ]
 
 
@@ -441,6 +448,11 @@ LEARNING_SWEEPS = {
         ((10_000, 0.1), (10_000, 0.05)),
         False,
     ),
+    "tolerant_sample_const": (
+        (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0),
+        ((10_000, 0.1), (10_000, 0.05)),
+        False,
+    ),
 }
 
 
@@ -451,12 +463,13 @@ def learning_calibration_report(
     points=None,
     runs: int = 200,
 ) -> dict:
-    """Monte-Carlo sweep that fixes one learning constant of ``TestConfig``.
+    """Monte-Carlo sweep that fixes one sample or accuracy constant of ``TestConfig``.
 
-    ``field`` is a key of ``LEARNING_SWEEPS``: ``learn_sample_const`` (A_L)
-    or ``learn_accuracy_const`` (D); ``grid`` and ``points`` default to its
-    entry there.  At every corpus point (n, eps), for every value of the
-    ascending ``grid`` and every source of the corpus (see
+    ``field`` is a key of ``LEARNING_SWEEPS``: ``learn_sample_const`` (A_L),
+    ``learn_accuracy_const`` (D) or ``tolerant_sample_const`` (A_tol);
+    ``grid`` and ``points`` default to its entry there.  At every corpus
+    point (n, eps), for every value of the ascending ``grid`` and every
+    source of the corpus (see
     ``_learning_corpus``), runs ``runs`` unamplified ``run_budgeted_test``
     calls with ``field`` set to the value and records the base-run error
     rate (rejections of a member, acceptances of a far source) and the mean

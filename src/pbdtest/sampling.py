@@ -40,6 +40,8 @@ from the whole array, and cost time in the points kept from the first
 one past that lead to the largest sample, plus one pass over the
 observed range.  A coarse draw costs time in the interval's points alone.
 ``draw`` refuses more samples than ``MAX_WIDTH`` before drawing anything.
+Every draw refuses a k that is not a nonnegative integer (a bool is not
+one), and ``capped`` such a budget, before anything is counted.
 
 A root stream and all its splits share one count of samples drawn
 (``samples_drawn``, also the cursor of a file pool), which
@@ -72,6 +74,13 @@ __all__ = [
 # A category of probability p with k p at most this is skipped by a draw of
 # k samples (see ``SampleStream._counts``).
 _NEGLIGIBLE = 2.0**-55
+
+
+def _require_count(k, what: str = "k") -> int:
+    """k as an int; ``ValueError`` unless it is a nonnegative integer (a bool is not one)."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {k!r}")
+    return int(k)
 
 
 def seeded_generator(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -229,10 +238,11 @@ class SampleStream:
         """This stream, with at most ``budget`` more samples for it and its splits.
 
         The view shares this stream's generator, built on whichever of the
-        two draws first, so their draws continue one sequence.
+        two draws first, so their draws continue one sequence.  A budget
+        that is not a nonnegative integer (NaN, 2.5, True) raises
+        ``ValueError``.
         """
-        if budget < 0:
-            raise ValueError(f"sample budget must be nonnegative, got {budget}")
+        budget = _require_count(budget, "sample budget")
         view = copy.copy(self)
         ceiling = self.samples_drawn + budget
         view._ceiling = ceiling if self._ceiling is None else min(ceiling, self._ceiling)
@@ -321,11 +331,10 @@ class SampleStream:
 
         From a distribution: the multinomial counts of ``draw_histogram(k)``
         in random order.  From a pool: its next k samples in file order.
-        A k above ``MAX_WIDTH`` raises ``ValueError`` before anything is
-        drawn or counted.
+        A k that is not a nonnegative integer, or is above ``MAX_WIDTH``,
+        raises ``ValueError`` before anything is drawn or counted.
         """
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        k = _require_count(k)
         if k > MAX_WIDTH:
             raise ValueError(f"{k} samples are too many to hold; the limit is {MAX_WIDTH}")
         if self._pool is not None:
@@ -338,12 +347,12 @@ class SampleStream:
         """Counts of k fresh i.i.d. samples (one multinomial draw).
 
         With ``within=(a, b)``, the counts cover exactly [a, b] and
-        ``outside`` counts the rest of the k samples; an empty interval
-        (b < a), or one wider than ``MAX_WIDTH``, raises ``ValueError``
-        before anything is drawn or counted.
+        ``outside`` counts the rest of the k samples.  A k that is not a
+        nonnegative integer, an empty interval (b < a), or one wider than
+        ``MAX_WIDTH`` raises ``ValueError`` before anything is drawn or
+        counted.
         """
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        k = _require_count(k)
         if within is None:
             return SampleHistogram(*self._counts(k))
         a, b = within

@@ -102,16 +102,28 @@ def simple_tolerant_identity_test(
     on ``interval`` (``draw_histogram(k, within=interval)``), whose
     ``outside`` is that share's count; both give the same result.  Returns
     whether it is close and the TV distance between the two (m + 1)-point
-    laws, eps being ``config.eps``.  Distinguishes TV <= eps/10 from TV >
-    2 eps/5 with frequency >= 0.99 given ``config.tolerant_samples(m)``
-    samples; a histogram of fewer raises ``ValueError``.
+    laws, eps being ``config.eps``.  It needs ``config.tolerant_samples(m)``
+    samples, k = A_tol m / eps^2; a histogram of fewer raises
+    ``ValueError``.
+
+    The two sides rest on different ground.  Far side: TV is convex in the
+    empirical law, so by Jensen's inequality the statistic's mean is at
+    least the source's coarsened TV to q; above 2 eps/5 that mean clears
+    the threshold at any A_tol, and a smaller A_tol only widens the spread
+    about it.  Close side: sampling noise adds up to about
+    eps / sqrt(2 pi A_tol) to the mean (all m + 1 points equally likely),
+    0.178 eps at A_tol = 5, so a law at eps/10 from q may average above
+    0.25 eps, and no rate follows from k.  The close-side rate is measured.
 
     In ``run_budgeted_test`` q is learned at eps / D (D = 3 by default), so
-    no argument puts a member within eps/10 of q; the rate in use is
-    measured.  In the learning sweep at D = 3 (``pbdtest oracle --suite
-    learning --seed 0``: n = 10^4, 200 base runs per source), the sparse
-    branch rejected no member but the 0.05/0.95 coins, two runs in 200 of
-    them at eps = 0.1 and one at eps = 0.05.
+    no argument puts a member within eps/10 of q either.  In the learning
+    sweep at D = 3 and A_tol = 5 (``pbdtest oracle --suite learning --seed
+    0``: n = 10^4, 200 base runs per source), the statistic on the two
+    binomials and the heterogeneous member had a median of about 0.17 eps
+    and a maximum of 0.21 eps.  The sparse branch rejected no member but
+    the 0.05/0.95 coins (17 runs in 200 at eps = 0.1, 12 at eps = 0.05)
+    and the 16 fair coins (9 and 3), and it rejected the zigzag on every
+    run.
     """
     a, b = interval
     if b < a:
@@ -213,6 +225,9 @@ def run_budgeted_test(
     stream: SampleStream, n: int, config: TestConfig, sample_budget: int | None = None
 ) -> TestVerdict:
     """One unamplified run; ``sample_budget`` is a hard cap on the samples it draws.
+
+    A budget that is not a nonnegative integer raises ``ValueError`` before
+    the first draw.
 
     Each stage draws the count ``config`` plans for it: learning
     ``learn_samples(eps / D)``, capped at half the budget (it may degrade),

@@ -40,7 +40,7 @@ COMMANDS = {
     "draw": "draw --spec binomial.json --count 50000 --emit samples.txt --seed 7",
     "test --samples": "test --samples samples.txt --n 10000 --eps 0.5 --delta 0.9 --seed 7 --out test-samples.json",
     "learn": "learn --spec binomial.json --n 10000 --eps 0.1 --seed 7 --out learn.json",
-    "lowerbound": "lowerbound --n 4096 --c 8 --eps 0.1 --k-grid 5,100,5000,50000,100000,150000,169823 --trials 20 --seed 7 --out curve.csv",
+    "lowerbound": "lowerbound --n 4096 --c 8 --eps 0.1 --k-grid 5,100,5000,25000,50000,75000,95323 --trials 20 --seed 7 --out curve.csv",
 }
 ARTIFACTS = {
     "test --spec": "test-spec.json",
@@ -50,11 +50,11 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "add0388ed4d0c0cf134066cbe2408aefbb674d0cfade9d0a55d0c7ac98638e71",
+    "test --spec": "778b67c889ec36a6aa5dc52e90438f81832cb07af67953fb724ec337b6ebec70",
     "draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
-    "test --samples": "2c487af3627f5ffca345d555add3c7e7f9f704f3a955dc86d38efa01db99b003",
+    "test --samples": "141661dd8b30bd48b1635462bf9ebea5956c405e2f023cc51347aad2abdd6e65",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
-    "lowerbound": "b9c15f0fb3601b6177931c9bcb49dca502df8e40bc0515985d7f08128ddec962",
+    "lowerbound": "4b7b649ab2c4557f88434b737aa32f0aab6db24035c946f56572dbdac92c0176",
 }
 
 pytestmark = pytest.mark.skipif(
@@ -133,19 +133,22 @@ def test_pmf_oracle_is_pinned(tmp_path, monkeypatch, capsys):
 # binomial pins were re-taken when the tolerant stage began drawing only
 # its interval's counts and the count outside it: their
 # ``tv_empirical_vs_hypothesis`` moved, and no verdict or sample count did.
+# All twelve were re-taken at calibration version 4 (A_tol 10 -> 5): every
+# ``config`` block moved, and so did the binomials' tolerant draws and
+# sample counts; no verdict, run count or per-run outcome did.
 MEMBERSHIP_SHA256 = {
-    ("binomial-0.5", 0): "262fec2787413d103b4aeba7ecfe84bdd3ac027be6944542dad3bf3483ae3bf0",
-    ("binomial-0.5", 1): "1347eb20402a2fc6179be0dc9c1e0fe47b5cebedbccfe81d994bb5f7b541df39",
-    ("binomial-0.5", 2): "e3f429681be9b3dc146bdfc6dfdef3cb9f7f1db83deaa130393c367be35126ed",
-    ("binomial-0.3", 0): "e42ed23b26440d96e12a9e9a0c9737470e1eaac120b900858cce33b8cdf5a385",
-    ("binomial-0.3", 1): "ba76abdf9734c48007ded879026cbb8af36313bd53aa5723fefd1c0222b10551",
-    ("binomial-0.3", 2): "a9c967a64200195bd55d15f5ed774f7ae2ea299f0c3cb033a758eaa0415ceb45",
-    ("half-half", 0): "4f2ec980868bba4f9a1288d16a5f377af7cc9521675c76eb154a2fb6c805ade7",
-    ("half-half", 1): "89107308500278a278b05e8b7bf082182d21b37a1117d80d037d5515738e3a22",
-    ("half-half", 2): "a57853b603316bdad2d13e4a9f5086453caed78c7f0e8b9d13519aa9af2b3599",
-    ("c8-member", 0): "925d15fcc6eb623f750d8e6cbfb58d2d7ea96568509fbc4e42e7befcb52a96ab",
-    ("c8-member", 1): "ee03feeb5971c01e87bd7ce4b84c03e4d05d01c396ca77b0cfe3f95766f2e459",
-    ("c8-member", 2): "5be8e541d403b06356110ff43733ebcdd22cc96da50ccf03fe41112a80d7b64d",
+    ("binomial-0.5", 0): "57b7de649f2753a37cef925496d7077cdb56d0caa606e0bf8fcd9da7bdca80a3",
+    ("binomial-0.5", 1): "f10dc37425c28bd44c0c80a96e3e9d2c67e76ebee5af558979bc3019d985043d",
+    ("binomial-0.5", 2): "929872c5960975849e53497860a63ccaef2b73eeedca9141fa74cba25d4d632b",
+    ("binomial-0.3", 0): "f31467510c28a12c18a042a8670ba2325bb7b6d593c63e33c4c53e263a0d1529",
+    ("binomial-0.3", 1): "a0177a815315ab29b1fc53c06ad5e0e946ea3a69e1a53eac64ff2b9534f11650",
+    ("binomial-0.3", 2): "10ad23642dfeaadc4040ffa61b5bf7cb7571f7a98536eab9995d9521a659e43c",
+    ("half-half", 0): "a9809db9204b5ee21d9883fe01cc6f42bb800ae21b508949a1667a753097d695",
+    ("half-half", 1): "b72882bd989a8cbf20d700ee33d8cf27768dc077b33d9b40d480288451c737d2",
+    ("half-half", 2): "8dacf6dd507067f7f96d47dae87097d1bb83eaa499bbc87ecf7c70e21a5ec988",
+    ("c8-member", 0): "db751a58b8ca1bb39ada34024da70e250d6e6056a3c39df459ea9a9f321310e5",
+    ("c8-member", 1): "220ee372e0c4c6270281bac8c9834a6219c43c460e2776964f634c5cff9eab3d",
+    ("c8-member", 2): "09ebf2866e7c2869f50e0aba93ccf5e90051aeb083951d8bdb4ac88a33bd4fb2",
 }
 N_MEMBERSHIP = 10_000
 

@@ -124,6 +124,13 @@ class TestLearnPbd:
         learn_pbd(stream, 20, 0.1, CFG, max_samples=100)
         assert stream.samples_drawn == 100
 
+    def test_non_integer_cap_is_refused_before_drawing(self):
+        # min(budget, 2.5) reaches the draw, which refuses it before counting.
+        stream = SampleStream.from_distribution(binomial_pmf(20, 0.5), seed=0)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            learn_pbd(stream, 20, 0.1, CFG, max_samples=2.5)
+        assert stream.samples_drawn == 0
+
     def test_binomial_source_gets_binomial_fit(self):
         src = binomial_pmf(10_000, 0.3)
         sigma2 = 10_000 * 0.3 * 0.7

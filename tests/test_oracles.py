@@ -226,7 +226,8 @@ class TestLearningCalibration:
     def test_default_learn_accuracy_const_keeps_every_rate(self):
         # Drift guard: 100 base runs per corpus source at the calibrated D,
         # at both corpus points (seed 1, apart from the sweep's seed 0), stay
-        # within the sweep's rule.
+        # within the sweep's rule.  The A_tol sweep has the same points, so
+        # these runs guard the calibrated A_tol too.
         default = TestConfig.learn_accuracy_const
         report = learning_calibration_report(1, "learn_accuracy_const", grid=(default,), runs=100)
         (row,) = report["sweep"]
@@ -238,26 +239,28 @@ class TestLearningCalibration:
 
     def test_rule_takes_the_next_grid_value_above_the_edge(self):
         # At A_L = 0.01 the learner sees 6 samples and misses on most runs.
-        report = learning_calibration_report(5, grid=(0.01, 2.0, 5.0), runs=4)
+        # Four runs pass a value only when no source errs, so the seed is one
+        # where A_L = 2 and 5 see no error at all.
+        report = learning_calibration_report(12, grid=(0.01, 2.0, 5.0), runs=4)
         assert [row["passes"] for row in report["sweep"]] == [False, True, True]
-        assert all(len(row["points"][0]["sources"]) == 9 for row in report["sweep"])
+        assert all(len(row["points"][0]["sources"]) == 10 for row in report["sweep"])
         assert report["largest_failing_learn_sample_const"] == 0.01
         assert report["smallest_passing_learn_sample_const"] == 2.0
         assert report["chosen_learn_sample_const"] == 5.0
         # A passing last value is its own choice: the grid has nothing above it.
-        report = learning_calibration_report(5, grid=(0.01, 2.0), runs=4)
+        report = learning_calibration_report(12, grid=(0.01, 2.0), runs=4)
         assert report["chosen_learn_sample_const"] == 2.0
-        report = learning_calibration_report(5, grid=(0.01,), runs=4)
+        report = learning_calibration_report(12, grid=(0.01,), runs=4)
         assert report["smallest_passing_learn_sample_const"] is None
         assert report["chosen_learn_sample_const"] is None
 
     def test_accuracy_sweep_passes_only_where_every_point_passes(self):
-        # At D = 1 the tester learns at its own eps and rejects the twenty
-        # skewed coins on most runs; at D = 1.4 it rejects them, and the
-        # sixteen fair coins, on one of the four runs at eps = 0.1 and
-        # nothing at eps = 0.05, so that row's two points disagree.
+        # At D = 1 the tester learns at its own eps and rejects members at
+        # both points; at D = 1.4 it rejects the twenty skewed coins on two
+        # of the four runs at eps = 0.1 and nothing at eps = 0.05, so that
+        # row's two points disagree.
         report = learning_calibration_report(
-            5, "learn_accuracy_const", grid=(1.0, 1.4, 3.0, 10.0), runs=4
+            12, "learn_accuracy_const", grid=(1.0, 1.4, 3.0, 10.0), runs=4
         )
         assert report["field"] == "learn_accuracy_const"
         assert report["points"] == [{"n": 10_000, "eps": 0.1}, {"n": 10_000, "eps": 0.05}]
@@ -265,7 +268,7 @@ class TestLearningCalibration:
             assert [p["eps"] for p in row["points"]] == [0.1, 0.05]
             assert row["passes"] == all(p["passes"] for p in row["points"])
             for point in row["points"]:
-                assert len(point["sources"]) == 9
+                assert len(point["sources"]) == 10
                 # learn_pbd does not read D, so the learner's own miss rate is not run.
                 assert all("learn_miss_rate" not in r for r in point["sources"].values())
         assert report["max_learn_miss_rate"] is None
@@ -295,8 +298,8 @@ class TestLearningCalibration:
             learning_calibration_report(0, grid=(2.0, 1.0), runs=1)
 
     def test_unknown_field_is_refused(self):
-        with pytest.raises(ValueError, match="tolerant_sample_const"):
-            learning_calibration_report(0, "tolerant_sample_const", runs=1)
+        with pytest.raises(ValueError, match="moment_sample_const"):
+            learning_calibration_report(0, "moment_sample_const", runs=1)
 
 
 class TestOracleReport:

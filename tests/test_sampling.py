@@ -81,6 +81,37 @@ class TestDrawBasics:
         assert s.samples_drawn == 30
 
 
+class TestSampleCountsAreIntegers:
+    """A draw of a count that is not a nonnegative integer is refused before
+    anything is counted, so the shared count stays an int that equals the
+    samples drawn."""
+
+    BAD = [2.5, 2.0, True, np.float64(3.0), "3", None, -1]
+
+    def streams(self):
+        yield SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
+        yield SampleStream.from_samples(np.arange(10) % 4)
+
+    @pytest.mark.parametrize("k", BAD)
+    def test_every_draw_refuses_before_counting(self, k):
+        for stream in self.streams():
+            draws = (
+                stream.draw,
+                stream.draw_histogram,
+                lambda k: stream.draw_histogram(k, within=(1, 2)),
+            )
+            for draw in draws:
+                with pytest.raises(ValueError, match="nonnegative integer"):
+                    draw(k)
+            assert stream.samples_drawn == 0 and type(stream.samples_drawn) is int
+
+    def test_numpy_integers_are_counts(self):
+        for stream in self.streams():
+            assert stream.draw_histogram(np.int64(3)).total == 3
+            assert len(stream.draw(np.int32(2))) == 2
+            assert type(stream.samples_drawn) is int and stream.samples_drawn == 5
+
+
 class TestSamplerFidelity:
     @pytest.mark.parametrize("n, p, seed", [(100, 0.5, 1234), (30, 0.3, 77)])
     def test_draw_chi2(self, n, p, seed):
@@ -513,10 +544,12 @@ class TestCapped:
         np.testing.assert_array_equal(view.split(4).draw(20), twin.split(4).draw(20))
 
     def test_negative_budget_is_refused(self):
+        # So is any budget that is not an integer; a NaN one used to cap nothing.
         root = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            root.capped(-5)
-        assert root.capped(0).samples_drawn == 0
+        for budget in (-5, math.nan, math.inf, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="sample budget must be a nonnegative integer"):
+                root.capped(budget)
+        assert root.capped(np.int64(4)).capped(0).samples_drawn == 0
 
 
 class TestHistogram:

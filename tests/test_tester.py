@@ -26,6 +26,7 @@ from pbdtest.distributions import (
 from pbdtest.learner import estimate_mean_var, fit_binomial_by_moments
 from pbdtest.lowerbound import random_sign_vector
 from pbdtest.oracles import (
+    LEARNING_SWEEPS,
     _learning_corpus,
     ell2_sq_distance,
     exact_tv_to_pbd_class,
@@ -174,10 +175,10 @@ class TestSampleCounts:
     # n: (tolerant stage on Binomial(n, 1/2)'s eps/5 interval, moments + l2
     # at sigma_hat = sqrt(n/4)), at eps = 0.1 and the default constants.
     QUOTED = {
-        10**3: (74_000, 127_799),
-        4096: (149_000, 181_809),
-        10**4: (233_000, 227_261),
-        10**5: (736_000, 404_133),
+        10**3: (37_000, 127_799),
+        4096: (74_500, 181_809),
+        10**4: (116_500, 227_261),
+        10**5: (368_000, 404_133),
     }
 
     def test_counts_match_the_quoted_figures(self):
@@ -347,6 +348,57 @@ class TestTolerantStageOnACertifiedFarSource:
             res = run_budgeted_test(root.split(r), n, cfg)
             assert (res.verdict, res.branch) == (Verdict.NO_PBD, Branch.SPARSE)
             assert res.diagnostics["tolerant_outcome"] == "far"
+
+
+def deciding_stage(res) -> str:
+    """The stage whose decision a base run returned."""
+    diag = res.diagnostics
+    if diag.get("reason") == "learning sample not unimodal":
+        return "learning certificate"
+    if "tolerant_outcome" in diag:
+        return "tolerant"
+    if "t_n" in diag:
+        return "heavy statistic"
+    return diag["reason"]  # a heavy-branch check that reads no constant
+
+
+class TestEveryDecidingStageHasAFarSource:
+    """Each stage that can reject a run and reads a calibrated constant has a
+    certified far source in the learning corpus that it rejects, so the
+    sweep of that constant is bounded by a far-side error rate and not by
+    member false rejects alone."""
+
+    # The constants each stage reads.  The learning sweep calibrates its own
+    # fields, and ``oracles.calibration_report`` the heavy statistic's C1 and c.
+    STAGE_CONSTANTS = {
+        "learning certificate": ("learn_sample_const", "learn_accuracy_const"),
+        "tolerant": ("tolerant_sample_const",),
+        "heavy statistic": ("moment_sample_const", "l2_sample_const", "l2_far_const"),
+    }
+    CALIBRATED = set(LEARNING_SWEEPS) | {"l2_sample_const", "l2_far_const"}
+    EXPECTED = {
+        "bimodal": "learning certificate",
+        "perturbed-c8": "learning certificate",
+        "heavy-paired": "heavy statistic",
+        "zigzag": "tolerant",
+    }
+
+    def test_far_sources_of_the_seed_0_corpus(self):
+        # The learning sweep's own first 20 runs per far source at eps = 0.1.
+        n = 10_000
+        stages = {}
+        for i, (name, source, member, cfg) in enumerate(_learning_corpus(0, n, 0.1)):
+            if member:
+                continue
+            root = SampleStream.from_distribution(source, 0, spawn_key=(0, 0, i))
+            runs = [run_budgeted_test(root.split(t), n, cfg) for t in range(20)]
+            assert all(res.verdict is Verdict.NO_PBD for res in runs), name
+            stages[name] = {deciding_stage(res) for res in runs}
+        assert stages == {name: {stage} for name, stage in self.EXPECTED.items()}
+        decided = set(self.EXPECTED.values())
+        for stage, constants in self.STAGE_CONSTANTS.items():
+            if self.CALIBRATED.intersection(constants):
+                assert stage in decided, f"no far source is decided by the {stage} stage"
 
 
 class TestCoarsen:
@@ -782,10 +834,14 @@ class TestSampleAccounting:
         assert res.diagnostics["learn_samples"] == need == drawn[0]
 
     def test_negative_budget_is_refused(self, drawn):
+        # So is any budget that is not an integer: a NaN budget used to give
+        # a cap that refused nothing (the run drew 44,823 samples and
+        # accepted), and 2.5 a float samples_used.
         cfg = TestConfig(eps=0.1, delta=0.5, seed=1, amplification_reps=1)
         stream = SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            run_budgeted_test(stream, 100, cfg, sample_budget=-5)
+        for budget in (-5, math.nan, 2.5):
+            with pytest.raises(ValueError, match="sample budget must be a nonnegative integer"):
+                run_budgeted_test(stream, 100, cfg, sample_budget=budget)
         assert drawn == [] and stream.samples_drawn == 0
 
 
