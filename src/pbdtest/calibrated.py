@@ -21,24 +21,27 @@ and eps in {0.1, 0.15, 0.2}:
   constant, 0.177) divided by a 1.5x safety margin and rounded down to
   0.1, leaving the far cases 5.7+ standard deviations above threshold.
 
-The two learning constants and the tolerant stage's sample constant were
-fixed by the Monte-Carlo sweeps in ``oracles.learning_calibration_report``
-(regenerate all three via ``pbdtest oracle --suite learning --seed 0``,
-about 40 s on 2 vCPUs).  A sweep runs, for every value of its grid, 200
-seeded unamplified base tests per source of a ten-source corpus:
+The two learning constants and the sample constants of the tolerant and
+moments stages were fixed by the Monte-Carlo sweeps in
+``oracles.learning_calibration_report`` (regenerate all four via
+``pbdtest oracle --suite learning --seed 0``, about 60 s on 2 vCPUs).  A
+sweep runs, for every value of its grid, 200 seeded unamplified base tests
+per source of an eleven-source corpus:
 Binomial(n, 1/2), Binomial(n, 0.3), a heterogeneous Bernoulli sum with
 p_i ~ U(0.05, 0.95), 16 fair coins and ten coins at 0.05 with ten at 0.95
 as members; the half/half law on {0, n} and the certified c = 8 perturbed
 binomial as far sources, which the learning certificate rejects; with
 every run sent down the heavy branch, Binomial(n, 1/2) and a paired
 perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps, which
-the l2 statistic rejects; and the zigzag of Binomial(n, 1/2), its paired
+the l2 statistic rejects; the zigzag of Binomial(n, 1/2), its paired
 perturbation at TV 1.1 eps, certified far (``unimodal_distance_lb``
 0.1051 at eps = 0.1, 0.0506 at eps = 0.05), which the tolerant stage
-rejects.  A grid value passes when every base-run error rate is at most
-0.2 and, for a constant the learner reads, every learner miss rate at most
-0.1; the rule takes the smallest value from which every larger one passes
-and chooses the next grid value above it, as a margin.
+rejects; and the heterogeneous Bernoulli sum again, with every run sent
+down the heavy branch, as a second heavy-branch member.  A grid value
+passes when every base-run error rate is at most 0.2 and, for a constant
+the learner reads, every learner miss rate at most 0.1; the rule takes
+the smallest value from which every larger one passes and chooses the
+next grid value above it, as a margin.
 
 * The learner's sample constant A_L (``learn_sample_const``) is swept
   over {0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200} at n = 10^4 and
@@ -55,10 +58,11 @@ and chooses the next grid value above it, as a margin.
   fails: at A_tol = 5 it rejects the 0.05/0.95 coins on 66.5% of runs at
   eps = 0.1 (38% at 0.05).  D = 2 passes (at most 14.5%), and the choice
   is 3 (it was 10 before calibration version 3), whose largest error
-  rate is 8.5%, on the 0.05/0.95 coins (6% and 7% at D = 10).  At
-  A_tol = 10 the sweep chose 3 as well, with the same edge, and a base
-  run on Binomial(n, 1/2) at eps = 0.1 drew about 253k samples, 21k of
-  them to learn, instead of 657k at D = 10.
+  rate on the sparse branch is 8.5%, on the 0.05/0.95 coins (6% and 7% at
+  D = 10); the heavy-branch heterogeneous law's 10% at eps = 0.05 does
+  not move with D.  At A_tol = 10 the sweep chose 3 as well, with the
+  same edge, and a base run on Binomial(n, 1/2) at eps = 0.1 drew about
+  253k samples, 21k of them to learn, instead of 657k at D = 10.
 * The tolerant stage's sample constant A_tol (``tolerant_sample_const``;
   the sparse branch draws ceil(A_tol m / eps^2) samples on its interval
   of m points) is swept over {1, 1.5, 2, 3, 4, 5, 6, 8, 10} at n = 10^4
@@ -72,6 +76,21 @@ and chooses the next grid value above it, as a margin.
   4.5%.  A base run on Binomial(n, 1/2) at eps = 0.1 now draws 137,323
   samples, 116,500 of them in the tolerant stage, instead of 253,823.
   The A_L and D sweeps, rerun at A_tol = 5, still choose 2 and 3.
+* The moments stage's sample constant A_m (``moment_sample_const``; the
+  heavy branch estimates the mean and variance from
+  ceil(A_m (n/4)^(1/4) / eps^2) samples) is swept over
+  {1, 2, 5, 10, 20, 50, 100, 200} at n = 10^4 with eps = 0.1 and with
+  eps = 0.05, and passes only where it passes at both; ``learn_pbd`` does
+  not read it.  The paired perturbation is rejected on every run at every
+  value, so the two heavy-branch members' false rejections bind: 5 fails
+  (at eps = 0.05 the heterogeneous law is rejected on 29.5% of runs and
+  Binomial(n, 1/2) on 24.5%), 10 passes (at most 15.5%), and the choice is
+  20 (it was 200, never calibrated, before calibration version 5), where
+  they are rejected on at most 10% of runs.  A heavy base run on
+  Binomial(n, 1/2) at eps = 0.1 now draws about 121k samples, 14,143 of
+  them for the moments, instead of about 248k (141,422).  The A_L, D and
+  A_tol sweeps, rerun with the eleventh source at A_m = 20, still choose
+  2, 3 and 5, with the same edges.
 
 The majority is not calibrated: ``BASE_ERROR`` is the base test's
 guarantee, an error of at most 1/3 per run, and ``TestConfig.repetitions``
@@ -81,7 +100,7 @@ delta (15 runs at delta = 0.1, where Hoeffding's ceil(18 ln(1/delta)) gave
 
 Bump CALIBRATION_VERSION whenever a calibrated value changes (version 2:
 A_L from 200 to 2; version 3: D from 10 to 3; version 4: A_tol from 10
-to 5).
+to 5; version 5: A_m from 200 to 20).
 """
 
 from __future__ import annotations
@@ -94,7 +113,7 @@ from .distributions import truncated_log
 
 __all__ = ["CALIBRATION_VERSION", "TestConfig"]
 
-CALIBRATION_VERSION = 4
+CALIBRATION_VERSION = 5
 
 # q: the base test's error bound that the majority is planned for.
 BASE_ERROR = Fraction(1, 3)
@@ -130,7 +149,7 @@ class TestConfig:
     # c: acceptance threshold 0.25 * c * eps^2 / (sigma_hat * sqrt(logt(1/eps)))
     l2_far_const: float = 0.1
     tolerant_sample_const: float = 5.0  # A_tol: see tolerant_samples
-    moment_sample_const: float = 200.0  # A_m: see moment_samples
+    moment_sample_const: float = 20.0  # A_m: see moment_samples
     learn_sample_const: float = 2.0  # A_L: see learn_samples
     learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)

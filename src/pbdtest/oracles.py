@@ -409,6 +409,9 @@ def _learning_corpus(
     perturbation at TV 1.1 eps, which a binomial fits on the learning
     sample but ``unimodal_distance_lb`` certifies more than eps from every
     unimodal law (0.1051 at eps = 0.1, 0.0506 at eps = 0.05, n = 10^4).
+    Then a second heavy-branch member: the heterogeneous law under the
+    heavy config.  Each source is appended after the earlier ones, so they
+    keep their streams.
     """
     rng = seeded_generator(seed)
     default = TestConfig(eps=eps)
@@ -419,10 +422,11 @@ def _learning_corpus(
     pivot = translated_poisson_pmf(TranslatedPoissonParams(n / 2, n / 4), tail_cut=1e-9)
     paired, _ = paired_perturbation(pivot, 0.35 * eps)
     zigzag, _ = paired_perturbation(binomial_pmf(n, 0.5), 1.1 * eps)
+    heterogeneous = pbd_pmf(Pbd(rng.uniform(0.05, 0.95, size=n)), 1e-9)
     return [
         ("binomial-0.5", binomial_pmf(n, 0.5), True, default),
         ("binomial-0.3", binomial_pmf(n, 0.3), True, default),
-        ("heterogeneous", pbd_pmf(Pbd(rng.uniform(0.05, 0.95, size=n)), 1e-9), True, default),
+        ("heterogeneous", heterogeneous, True, default),
         ("fair-coins-16", pbd_pmf(Pbd(np.full(16, 0.5))), True, default),
         ("skewed-20", pbd_pmf(Pbd(np.repeat([0.05, 0.95], 10))), True, default),
         ("bimodal", ExplicitDistribution(0, bimodal), False, default),
@@ -431,6 +435,7 @@ def _learning_corpus(
         ("heavy-binomial-0.5", binomial_pmf(n, 0.5), True, heavy),
         ("heavy-paired", paired, False, heavy),
         ("zigzag", zigzag, False, default),
+        ("heavy-heterogeneous", heterogeneous, True, heavy),
     ]
 
 
@@ -453,6 +458,11 @@ LEARNING_SWEEPS = {
         ((10_000, 0.1), (10_000, 0.05)),
         False,
     ),
+    "moment_sample_const": (
+        (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0),
+        ((10_000, 0.1), (10_000, 0.05)),
+        False,
+    ),
 }
 
 
@@ -466,7 +476,8 @@ def learning_calibration_report(
     """Monte-Carlo sweep that fixes one sample or accuracy constant of ``TestConfig``.
 
     ``field`` is a key of ``LEARNING_SWEEPS``: ``learn_sample_const`` (A_L),
-    ``learn_accuracy_const`` (D) or ``tolerant_sample_const`` (A_tol);
+    ``learn_accuracy_const`` (D), ``tolerant_sample_const`` (A_tol) or
+    ``moment_sample_const`` (A_m);
     ``grid`` and ``points`` default to its entry there.  At every corpus
     point (n, eps), for every value of the ascending ``grid`` and every
     source of the corpus (see

@@ -41,7 +41,9 @@ one past that lead to the largest sample, plus one pass over the
 observed range.  A coarse draw costs time in the interval's points alone.
 ``draw`` refuses more samples than ``MAX_WIDTH`` before drawing anything.
 Every draw refuses a k that is not a nonnegative integer (a bool is not
-one), and ``capped`` such a budget, before anything is counted.
+one), ``draw_poissonized`` a rate that is not a positive finite real, and
+``capped`` a budget that is not a nonnegative integer, before anything is
+counted.
 
 A root stream and all its splits share one count of samples drawn
 (``samples_drawn``, also the cursor of a file pool), which
@@ -57,6 +59,7 @@ source lies in [0, n].
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,8 +375,11 @@ class SampleStream:
 
         Under this draw the per-symbol counts are independent Poisson
         variables with means k * P(i); tests check that equivalence.  A
-        total K past the cap raises ``StreamExhausted`` before any draw.
+        total K past the cap raises ``StreamExhausted`` before any draw.  A
+        rate that is not a positive finite real (0, NaN, inf, True) raises
+        ``ValueError`` before anything is drawn.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
+        real = isinstance(k, (int, float, np.integer, np.floating)) and not isinstance(k, bool)
+        if not (real and 0 < k < math.inf):
+            raise ValueError(f"k must be a positive finite rate, got {k!r}")
         return SampleHistogram(*self._counts(int(self._generator().poisson(k))))

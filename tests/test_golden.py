@@ -50,9 +50,9 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "778b67c889ec36a6aa5dc52e90438f81832cb07af67953fb724ec337b6ebec70",
+    "test --spec": "c8595e32192b8db0522552e0e82ca6a801cc4cc9e436e792fa265600b87177ba",
     "draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
-    "test --samples": "141661dd8b30bd48b1635462bf9ebea5956c405e2f023cc51347aad2abdd6e65",
+    "test --samples": "bd866fe77b297b28631e3e4c066ff2032b6308beb8114f2a963bb0f0278dbae1",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
     "lowerbound": "4b7b649ab2c4557f88434b737aa32f0aab6db24035c946f56572dbdac92c0176",
 }
@@ -135,20 +135,22 @@ def test_pmf_oracle_is_pinned(tmp_path, monkeypatch, capsys):
 # ``tv_empirical_vs_hypothesis`` moved, and no verdict or sample count did.
 # All twelve were re-taken at calibration version 4 (A_tol 10 -> 5): every
 # ``config`` block moved, and so did the binomials' tolerant draws and
-# sample counts; no verdict, run count or per-run outcome did.
+# sample counts; no verdict, run count or per-run outcome did.  They were
+# re-taken again at calibration version 5 (A_m 200 -> 20): only the
+# ``config`` block moved, since none of these runs takes the heavy branch.
 MEMBERSHIP_SHA256 = {
-    ("binomial-0.5", 0): "57b7de649f2753a37cef925496d7077cdb56d0caa606e0bf8fcd9da7bdca80a3",
-    ("binomial-0.5", 1): "f10dc37425c28bd44c0c80a96e3e9d2c67e76ebee5af558979bc3019d985043d",
-    ("binomial-0.5", 2): "929872c5960975849e53497860a63ccaef2b73eeedca9141fa74cba25d4d632b",
-    ("binomial-0.3", 0): "f31467510c28a12c18a042a8670ba2325bb7b6d593c63e33c4c53e263a0d1529",
-    ("binomial-0.3", 1): "a0177a815315ab29b1fc53c06ad5e0e946ea3a69e1a53eac64ff2b9534f11650",
-    ("binomial-0.3", 2): "10ad23642dfeaadc4040ffa61b5bf7cb7571f7a98536eab9995d9521a659e43c",
-    ("half-half", 0): "a9809db9204b5ee21d9883fe01cc6f42bb800ae21b508949a1667a753097d695",
-    ("half-half", 1): "b72882bd989a8cbf20d700ee33d8cf27768dc077b33d9b40d480288451c737d2",
-    ("half-half", 2): "8dacf6dd507067f7f96d47dae87097d1bb83eaa499bbc87ecf7c70e21a5ec988",
-    ("c8-member", 0): "db751a58b8ca1bb39ada34024da70e250d6e6056a3c39df459ea9a9f321310e5",
-    ("c8-member", 1): "220ee372e0c4c6270281bac8c9834a6219c43c460e2776964f634c5cff9eab3d",
-    ("c8-member", 2): "09ebf2866e7c2869f50e0aba93ccf5e90051aeb083951d8bdb4ac88a33bd4fb2",
+    ("binomial-0.5", 0): "0ee19ba7525af2c285e83b3b141a77ad3032cce80e87b7ead3db7ca3b27a76c4",
+    ("binomial-0.5", 1): "a912a30d552aab8a42d870522a1f9884f3c3cd5544f501e4d4ea7da6038686cf",
+    ("binomial-0.5", 2): "bdda1a76af137218dcd491bdb90cecb54eabd2ba632bedde0361d85a4734684b",
+    ("binomial-0.3", 0): "4968be874d06c933564e2724402cda3350ad26f05fbb04f9878e6b8ebc2ce607",
+    ("binomial-0.3", 1): "367edb4e01fb713f493cabaedc9aa691a00b8b1bebec3da6c49173660b31cf81",
+    ("binomial-0.3", 2): "42868a7feed2f79da7c0e76af8486a216cfcb1ff6c542501a3b1d715e8fa0b3d",
+    ("half-half", 0): "baeba112671c763871f771da437357fe3820279ac63dcd36cba05050742af221",
+    ("half-half", 1): "1fe998f4f4da12e2fc601a0a90eb41fef3e19e729656ca906099691f79df1cd9",
+    ("half-half", 2): "cbadb5bed01c471209db8bca4b38928a7cfcb033958cecd399e70e45a644f836",
+    ("c8-member", 0): "aa538e966dab8432d2a4c980c34e5e9d4c367cd41b6fa1f7dc03e90d2aecdf06",
+    ("c8-member", 1): "c42d908e482f74d8679596fb90019d36e67fe95b33c1ca344953df1f55e47452",
+    ("c8-member", 2): "0cf455a5978aa617231307b89090f0c62535b2f9a6ae377a5ec4c3d633799c7b",
 }
 N_MEMBERSHIP = 10_000
 

@@ -38,14 +38,14 @@ class TestEstimateMeanVar:
     def test_sample_count_formula(self):
         stream = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
         estimate_mean_var(stream, K_05)
-        assert stream.samples_drawn == K_05 == math.ceil(200 / 0.05**2)
+        assert stream.samples_drawn == K_05 == math.ceil(20 / 0.05**2)
 
     def test_heavy_branch_sample_count(self):
         # eps' = eps / (n/4)^(1/8) turns the budget into ceil(A_m (n/4)^(1/4) / eps^2).
         n, eps = 10_000, 0.1
         stream = SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1)
         estimate_mean_var(stream, TestConfig(eps=eps, delta=0.1).moment_samples(n))
-        assert stream.samples_drawn == math.ceil(200.0 * (n / 4.0) ** 0.25 / eps**2)
+        assert stream.samples_drawn == math.ceil(20.0 * (n / 4.0) ** 0.25 / eps**2)
 
     def test_accuracy_rate_on_binomial(self):
         # |mu - mu_hat| < eps' sigma should hold almost always at this scale.

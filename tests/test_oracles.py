@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracles themselves."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from pbdtest.oracles import (
     tp_approx_bounds,
     tp_pair_tv_bound,
 )
+from pbdtest.tester import Verdict
 
 
 class TestBruteForcePmf:
@@ -206,6 +208,48 @@ class TestCalibrationReport:
         assert report["chosen_threshold_const"] == TestConfig.l2_far_const
 
 
+class _SourceStream:
+    """Stands in for a corpus source's stream in the sweep: it knows the
+    source's place in the corpus and draws nothing."""
+
+    samples_drawn = 0
+
+    def __init__(self, source, spawn_key):
+        self.source = source
+        self.index = spawn_key[-1]
+
+    @classmethod
+    def from_distribution(cls, source, seed, spawn_key):
+        return cls(source, spawn_key)
+
+    def split(self, t):
+        return self
+
+
+def stub_sweep_runs(monkeypatch, field, errs):
+    """Make every run of the ``field`` sweep a fixed function of its source
+    and the swept value.
+
+    A base run on a source errs (rejects a member, accepts a far source)
+    exactly when ``errs(name, eps, value)``, so it errs on every run of the
+    source or on none; the learner returns the source itself, so it never
+    misses.
+    """
+    corpus = [(name, member) for name, _, member, _ in oracles._learning_corpus(0, 10_000, 0.1)]
+
+    def run_budgeted_test(stream, n, cfg):
+        name, member = corpus[stream.index]
+        accepts = member != errs(name, cfg.eps, getattr(cfg, field))
+        return SimpleNamespace(verdict=Verdict.YES_PBD if accepts else Verdict.NO_PBD)
+
+    def learn_pbd(stream, n, eps, cfg):
+        return LearnedPbd(stream.source, None, 0.0, 0.0)
+
+    monkeypatch.setattr(oracles, "SampleStream", _SourceStream)
+    monkeypatch.setattr(oracles, "run_budgeted_test", run_budgeted_test)
+    monkeypatch.setattr(oracles, "learn_pbd", learn_pbd)
+
+
 class TestLearningCalibration:
     def test_default_learn_sample_const_keeps_every_rate(self):
         # Drift guard: 100 base runs and 100 learner runs per corpus source at
@@ -237,30 +281,40 @@ class TestLearningCalibration:
             assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
         assert row["passes"]
 
-    def test_rule_takes_the_next_grid_value_above_the_edge(self):
-        # At A_L = 0.01 the learner sees 6 samples and misses on most runs.
-        # Four runs pass a value only when no source errs, so the seed is one
-        # where A_L = 2 and 5 see no error at all.
-        report = learning_calibration_report(12, grid=(0.01, 2.0, 5.0), runs=4)
+    def test_rule_takes_the_next_grid_value_above_the_edge(self, monkeypatch):
+        # Every source errs below A_L = 1 and none from there up.
+        stub_sweep_runs(monkeypatch, "learn_sample_const", lambda name, eps, value: value < 1.0)
+        report = learning_calibration_report(0, grid=(0.01, 2.0, 5.0), runs=4)
         assert [row["passes"] for row in report["sweep"]] == [False, True, True]
-        assert all(len(row["points"][0]["sources"]) == 10 for row in report["sweep"])
+        assert all(len(row["points"][0]["sources"]) == 11 for row in report["sweep"])
         assert report["largest_failing_learn_sample_const"] == 0.01
         assert report["smallest_passing_learn_sample_const"] == 2.0
         assert report["chosen_learn_sample_const"] == 5.0
         # A passing last value is its own choice: the grid has nothing above it.
-        report = learning_calibration_report(12, grid=(0.01, 2.0), runs=4)
+        report = learning_calibration_report(0, grid=(0.01, 2.0), runs=4)
         assert report["chosen_learn_sample_const"] == 2.0
-        report = learning_calibration_report(12, grid=(0.01,), runs=4)
+        report = learning_calibration_report(0, grid=(0.01,), runs=4)
         assert report["smallest_passing_learn_sample_const"] is None
         assert report["chosen_learn_sample_const"] is None
+        # A failing value above a passing one moves the edge above it.
+        stub_sweep_runs(
+            monkeypatch, "learn_sample_const", lambda name, eps, value: value in (0.01, 2.0)
+        )
+        report = learning_calibration_report(0, grid=(0.01, 1.0, 2.0, 5.0, 10.0), runs=4)
+        assert [row["passes"] for row in report["sweep"]] == [False, True, False, True, True]
+        assert report["largest_failing_learn_sample_const"] == 2.0
+        assert report["chosen_learn_sample_const"] == 10.0
 
-    def test_accuracy_sweep_passes_only_where_every_point_passes(self):
-        # At D = 1 the tester learns at its own eps and rejects members at
-        # both points; at D = 1.4 it rejects the twenty skewed coins on two
-        # of the four runs at eps = 0.1 and nothing at eps = 0.05, so that
-        # row's two points disagree.
+    def test_accuracy_sweep_passes_only_where_every_point_passes(self, monkeypatch):
+        # At D = 1 every source errs at both points; below D = 2 the twenty
+        # skewed coins are rejected at eps = 0.1 alone, so the D = 1.4 row's
+        # two points disagree.
+        def errs(name, eps, value):
+            return value < 1.2 or (name == "skewed-20" and eps == 0.1 and value < 2.0)
+
+        stub_sweep_runs(monkeypatch, "learn_accuracy_const", errs)
         report = learning_calibration_report(
-            12, "learn_accuracy_const", grid=(1.0, 1.4, 3.0, 10.0), runs=4
+            0, "learn_accuracy_const", grid=(1.0, 1.4, 3.0, 10.0), runs=4
         )
         assert report["field"] == "learn_accuracy_const"
         assert report["points"] == [{"n": 10_000, "eps": 0.1}, {"n": 10_000, "eps": 0.05}]
@@ -268,7 +322,7 @@ class TestLearningCalibration:
             assert [p["eps"] for p in row["points"]] == [0.1, 0.05]
             assert row["passes"] == all(p["passes"] for p in row["points"])
             for point in row["points"]:
-                assert len(point["sources"]) == 10
+                assert len(point["sources"]) == 11
                 # learn_pbd does not read D, so the learner's own miss rate is not run.
                 assert all("learn_miss_rate" not in r for r in point["sources"].values())
         assert report["max_learn_miss_rate"] is None
@@ -298,8 +352,8 @@ class TestLearningCalibration:
             learning_calibration_report(0, grid=(2.0, 1.0), runs=1)
 
     def test_unknown_field_is_refused(self):
-        with pytest.raises(ValueError, match="moment_sample_const"):
-            learning_calibration_report(0, "moment_sample_const", runs=1)
+        with pytest.raises(ValueError, match="no learning sweep for 'sparse_len_const'"):
+            learning_calibration_report(0, "sparse_len_const", runs=1)
 
 
 class TestOracleReport:

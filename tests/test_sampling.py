@@ -111,6 +111,21 @@ class TestSampleCountsAreIntegers:
             assert len(stream.draw(np.int32(2))) == 2
             assert type(stream.samples_drawn) is int and stream.samples_drawn == 5
 
+    @pytest.mark.parametrize("rate", [True, np.nan, np.inf, 0, -1, "3", None])
+    def test_poissonized_draw_refuses_a_rate_that_is_not_positive_and_finite(self, rate):
+        # At True numpy would draw at rate 1, and at NaN or inf it would
+        # raise an error that does not name the rate.
+        for stream in self.streams():
+            with pytest.raises(ValueError, match=rf"k must be a positive finite rate, got {rate!r}$"):
+                stream.draw_poissonized(rate)
+            assert stream.samples_drawn == 0
+
+    def test_poissonized_draw_takes_any_positive_real_rate(self):
+        for stream in self.streams():
+            for rate in (2, 1.5, np.float64(2.0), np.int64(1)):
+                stream.split(0).draw_poissonized(rate)
+            assert type(stream.samples_drawn) is int
+
 
 class TestSamplerFidelity:
     @pytest.mark.parametrize("n, p, seed", [(100, 0.5, 1234), (30, 0.3, 77)])

@@ -46,7 +46,7 @@ from pbdtest.tester import (
 from pbdtest.tester import test_pbd as run_membership_test
 
 # A heavy run at n = 4096, eps = 0.1 stops at its l2 draw on this budget: it
-# pays for learning at eps / D and for the moments stage (113,138 samples),
+# pays for learning at eps / D and for the moments stage (11,314 samples),
 # not for the l2 stage's Poisson total (about 69,000).
 _CFG = TestConfig(eps=0.1, delta=0.5)
 STOPS_AT_L2 = (
@@ -175,10 +175,10 @@ class TestSampleCounts:
     # n: (tolerant stage on Binomial(n, 1/2)'s eps/5 interval, moments + l2
     # at sigma_hat = sqrt(n/4)), at eps = 0.1 and the default constants.
     QUOTED = {
-        10**3: (37_000, 127_799),
-        4096: (74_500, 181_809),
-        10**4: (116_500, 227_261),
-        10**5: (368_000, 404_133),
+        10**3: (37_000, 56_224),
+        4096: (74_500, 79_985),
+        10**4: (116_500, 99_982),
+        10**5: (368_000, 177_795),
     }
 
     def test_counts_match_the_quoted_figures(self):
@@ -186,7 +186,7 @@ class TestSampleCounts:
         config's methods, the one place each formula is written."""
         cfg = TestConfig(eps=0.1, delta=0.1)
         assert cfg.learn_samples(0.1 / 3) == 20_823
-        assert cfg.moment_samples(4096) == 113_138
+        assert cfg.moment_samples(4096) == 11_314
         assert cfg.l2_sample_rate(32.0) == 68_671
         for n, (tolerant, heavy) in self.QUOTED.items():
             lo, hi = effective_support_interval(binomial_pmf(n, 0.5), cfg.eps / 5.0)
