@@ -23,7 +23,6 @@ from .distributions import (
 )
 from .learner import (
     LearnedPbd,
-    estimate_mean_var,
     learn_pbd,
 )
 from .lowerbound import (

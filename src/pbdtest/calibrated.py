@@ -2,9 +2,9 @@
 
 ``TestConfig``'s field defaults are the only place a tunable constant is
 written.  Its methods derive the thresholds and each stage's sample count
-(``learn_samples``, ``tolerant_samples``, ``moment_samples`` and
-``l2_sample_rate``); the learner and every stage read both from the
-config they are handed, and draw exactly those counts.
+(``learn_samples``, ``tolerant_samples`` and ``l2_sample_rate``); the
+learner and every stage read both from the config they are handed, and
+draw exactly those counts.
 
 The two statistic constants were fixed by the pre-build sweep in
 ``oracles.calibration_report`` (regenerate via
@@ -21,12 +21,11 @@ and eps in {0.1, 0.15, 0.2}:
   constant, 0.177) divided by a 1.5x safety margin and rounded down to
   0.1, leaving the far cases 5.7+ standard deviations above threshold.
 
-The two learning constants and the sample constants of the tolerant and
-moments stages were fixed by the Monte-Carlo sweeps in
-``oracles.learning_calibration_report`` (regenerate all four via
-``pbdtest oracle --suite learning --seed 0``, about 60 s on 2 vCPUs).  A
-sweep runs, for every value of its grid, 200 seeded unamplified base tests
-per source of an eleven-source corpus:
+The two learning constants and the tolerant stage's sample constant were
+fixed by the Monte-Carlo sweeps in ``oracles.learning_calibration_report``
+(regenerate all three via ``pbdtest oracle --suite learning --seed 0``,
+about 40 s on 2 vCPUs).  A sweep runs, for every value of its grid, 200
+seeded unamplified base tests per source of a twelve-source corpus:
 Binomial(n, 1/2), Binomial(n, 0.3), a heterogeneous Bernoulli sum with
 p_i ~ U(0.05, 0.95), 16 fair coins and ten coins at 0.05 with ten at 0.95
 as members; the half/half law on {0, n} and the certified c = 8 perturbed
@@ -36,8 +35,10 @@ perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps, which
 the l2 statistic rejects; the zigzag of Binomial(n, 1/2), its paired
 perturbation at TV 1.1 eps, certified far (``unimodal_distance_lb``
 0.1051 at eps = 0.1, 0.0506 at eps = 0.05), which the tolerant stage
-rejects; and the heterogeneous Bernoulli sum again, with every run sent
-down the heavy branch, as a second heavy-branch member.  A grid value
+rejects; the heterogeneous Bernoulli sum again, with every run sent
+down the heavy branch, as a second heavy-branch member; and the zigzag
+again, with every run sent down the heavy branch, which the l2 statistic
+rejects.  A grid value
 passes when every base-run error rate is at most 0.2 and, for a constant
 the learner reads, every learner miss rate at most 0.1; the rule takes
 the smallest value from which every larger one passes and chooses the
@@ -59,8 +60,9 @@ next grid value above it, as a margin.
   eps = 0.1 (38% at 0.05).  D = 2 passes (at most 14.5%), and the choice
   is 3 (it was 10 before calibration version 3), whose largest error
   rate on the sparse branch is 8.5%, on the 0.05/0.95 coins (6% and 7% at
-  D = 10); the heavy-branch heterogeneous law's 10% at eps = 0.05 does
-  not move with D.  At A_tol = 10 the sweep chose 3 as well, with the
+  D = 10).  D also sizes the heavy pivot's moments sample (below): at
+  D = 1 the heavy-branch members are rejected on 30.5-47% of runs, at
+  D = 3 on at most 2%.  At A_tol = 10 the sweep chose 3 as well, with the
   same edge, and a base run on Binomial(n, 1/2) at eps = 0.1 drew about
   253k samples, 21k of them to learn, instead of 657k at D = 10.
 * The tolerant stage's sample constant A_tol (``tolerant_sample_const``;
@@ -76,21 +78,20 @@ next grid value above it, as a margin.
   4.5%.  A base run on Binomial(n, 1/2) at eps = 0.1 now draws 137,323
   samples, 116,500 of them in the tolerant stage, instead of 253,823.
   The A_L and D sweeps, rerun at A_tol = 5, still choose 2 and 3.
-* The moments stage's sample constant A_m (``moment_sample_const``; the
-  heavy branch estimates the mean and variance from
-  ceil(A_m (n/4)^(1/4) / eps^2) samples) is swept over
-  {1, 2, 5, 10, 20, 50, 100, 200} at n = 10^4 with eps = 0.1 and with
-  eps = 0.05, and passes only where it passes at both; ``learn_pbd`` does
-  not read it.  The paired perturbation is rejected on every run at every
-  value, so the two heavy-branch members' false rejections bind: 5 fails
-  (at eps = 0.05 the heterogeneous law is rejected on 29.5% of runs and
-  Binomial(n, 1/2) on 24.5%), 10 passes (at most 15.5%), and the choice is
-  20 (it was 200, never calibrated, before calibration version 5), where
-  they are rejected on at most 10% of runs.  A heavy base run on
-  Binomial(n, 1/2) at eps = 0.1 now draws about 121k samples, 14,143 of
-  them for the moments, instead of about 248k (141,422).  The A_L, D and
-  A_tol sweeps, rerun with the eleventh source at A_m = 20, still choose
-  2, 3 and 5, with the same edges.
+* Calibration version 6 deleted the moments stage and its sample
+  constant A_m (20 at version 5, 200 before).  The heavy branch reads the
+  mean and variance of the learning sample, and its pivot is the binomial
+  matched to them, so A_L and D now set the pivot's moments too.  Both
+  the pivot's l2 error from moment noise and the l2 threshold scale as
+  1/sigma, so a sample of order 1/eps^2 suffices at every n.  In the A_L
+  sweep the heavy-branch members (Binomial(n, 1/2) and the heterogeneous
+  law) are rejected on 4% and 2.5% of runs at A_L = 1, on 8% and 10% at
+  0.5, and on 2% and 1% at the chosen 2 (0.5% and 1% at eps = 0.05, D =
+  3), against 4%, 2%, 5.5% and 10% with the version-5 moments stage.  Both
+  heavy far sources are rejected on every run at every value.  A heavy
+  base run on Binomial(n, 1/2) at eps = 0.1 draws about 107k samples
+  instead of about 121k.  The three sweeps still choose 2, 3 and 5, with
+  the same edges.
 
 The majority is not calibrated: ``BASE_ERROR`` is the base test's
 guarantee, an error of at most 1/3 per run, and ``TestConfig.repetitions``
@@ -100,7 +101,8 @@ delta (15 runs at delta = 0.1, where Hoeffding's ceil(18 ln(1/delta)) gave
 
 Bump CALIBRATION_VERSION whenever a calibrated value changes (version 2:
 A_L from 200 to 2; version 3: D from 10 to 3; version 4: A_tol from 10
-to 5; version 5: A_m from 200 to 20).
+to 5; version 5: A_m from 200 to 20; version 6: the moments stage and
+A_m deleted, the heavy pivot fitted to the learning sample).
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ from .distributions import truncated_log
 
 __all__ = ["CALIBRATION_VERSION", "TestConfig"]
 
-CALIBRATION_VERSION = 5
+CALIBRATION_VERSION = 6
 
 # q: the base test's error bound that the majority is planned for.
 BASE_ERROR = Fraction(1, 3)
@@ -149,7 +151,6 @@ class TestConfig:
     # c: acceptance threshold 0.25 * c * eps^2 / (sigma_hat * sqrt(logt(1/eps)))
     l2_far_const: float = 0.1
     tolerant_sample_const: float = 5.0  # A_tol: see tolerant_samples
-    moment_sample_const: float = 20.0  # A_m: see moment_samples
     learn_sample_const: float = 2.0  # A_L: see learn_samples
     learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
@@ -199,11 +200,6 @@ class TestConfig:
     def tolerant_samples(self, m: int) -> int:
         """The sparse branch's draw on an interval of m points: ceil(A_tol m / eps^2)."""
         return math.ceil(self.tolerant_sample_const * m / self.eps**2)
-
-    def moment_samples(self, n: int) -> int:
-        """The heavy branch's moments draw: ceil(A_m / eps'^2), eps' = eps / max(n/4, 1)^(1/8)."""
-        eps_prime = self.eps / max(n / 4.0, 1.0) ** 0.125
-        return math.ceil(self.moment_sample_const / eps_prime**2)
 
     def l2_sample_rate(self, sigma_hat: float) -> int:
         """The heavy branch's Poissonized rate: ceil(C1 sqrt(sigma_hat logt) / eps^2)."""

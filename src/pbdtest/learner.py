@@ -50,7 +50,6 @@ from .sampling import SampleHistogram, SampleStream
 
 __all__ = [
     "LearnedPbd",
-    "estimate_mean_var",
     "fit_binomial_by_moments",
     "unimodal_projection",
     "learn_pbd",
@@ -94,12 +93,13 @@ class LearnedPbd:
 def estimate_mean_var(stream: SampleStream, k: int) -> tuple[float, float]:
     """``(mu_hat, sigma2_hat)``: the empirical mean and unbiased variance of k samples.
 
-    At the heavy branch's k, ``config.moment_samples(n)``, the estimates
-    for a Bernoulli-sum source satisfy |mu - mu_hat| < eps' * sigma and
-    |sigma^2 - sigma2_hat| < eps' * sigma^2 * sqrt(4 + 1/sigma^2) with
-    frequency >= 0.99 at the default ``moment_sample_const`` (Monte Carlo
-    checked on Binomial(10^4, 1/2) at eps' = 0.05, where k = 8,000: all of
-    100 seeded runs hold both bounds).
+    No stage of the test calls it: the heavy branch reads the learning
+    sample's moments (``LearnedPbd.mu_hat``, ``.sigma2_hat``).  At k =
+    8,000, eps' = 0.05, the estimates for a Bernoulli-sum source satisfy
+    |mu - mu_hat| < eps' * sigma and |sigma^2 - sigma2_hat| < eps' *
+    sigma^2 * sqrt(4 + 1/sigma^2) with frequency >= 0.99 (Monte Carlo
+    checked on Binomial(10^4, 1/2): all of 100 seeded runs hold both
+    bounds).
     """
     return stream.draw_histogram(k).moments()
 

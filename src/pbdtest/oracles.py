@@ -404,12 +404,14 @@ def _learning_corpus(
     criterion 07), which the learning certificate rejects.  Under
     ``var_threshold_const=1e-12``, which sends every run down the heavy
     branch: Binomial(n, 1/2), and the paired perturbation of the (n/2, n/4)
-    shifted-Poisson pivot at TV 0.35 eps.  Last, a far source for the
+    shifted-Poisson pivot at TV 0.35 eps.  Then a far source for the
     tolerant stage: the zigzag of Binomial(n, 1/2), its paired
     perturbation at TV 1.1 eps, which a binomial fits on the learning
     sample but ``unimodal_distance_lb`` certifies more than eps from every
     unimodal law (0.1051 at eps = 0.1, 0.0506 at eps = 0.05, n = 10^4).
     Then a second heavy-branch member: the heterogeneous law under the
+    heavy config; and a far source for the heavy statistic that is
+    certified far from every Bernoulli-sum law: the same zigzag under the
     heavy config.  Each source is appended after the earlier ones, so they
     keep their streams.
     """
@@ -436,6 +438,7 @@ def _learning_corpus(
         ("heavy-paired", paired, False, heavy),
         ("zigzag", zigzag, False, default),
         ("heavy-heterogeneous", heterogeneous, True, heavy),
+        ("heavy-zigzag", zigzag, False, heavy),
     ]
 
 
@@ -458,11 +461,6 @@ LEARNING_SWEEPS = {
         ((10_000, 0.1), (10_000, 0.05)),
         False,
     ),
-    "moment_sample_const": (
-        (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0),
-        ((10_000, 0.1), (10_000, 0.05)),
-        False,
-    ),
 }
 
 
@@ -476,8 +474,7 @@ def learning_calibration_report(
     """Monte-Carlo sweep that fixes one sample or accuracy constant of ``TestConfig``.
 
     ``field`` is a key of ``LEARNING_SWEEPS``: ``learn_sample_const`` (A_L),
-    ``learn_accuracy_const`` (D), ``tolerant_sample_const`` (A_tol) or
-    ``moment_sample_const`` (A_m);
+    ``learn_accuracy_const`` (D) or ``tolerant_sample_const`` (A_tol);
     ``grid`` and ``points`` default to its entry there.  At every corpus
     point (n, eps), for every value of the ascending ``grid`` and every
     source of the corpus (see

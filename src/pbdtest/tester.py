@@ -8,12 +8,14 @@ variance picks.  Otherwise it branches on the hypothesis's variance:
 
 * sparse branch - coarsen both the unknown and the hypothesis to a short
   high-mass interval and run the simple tolerant identity test there;
-* heavy branch - pivot through the shifted Poisson matched to estimated
-  moments, reject on an impossible variance or a hypothesis that sits far
-  from the pivot, otherwise decide with the unbiased squared-l2 count
-  statistic under Poissonized sampling.  ``l2_statistic`` reads plain
-  counts and the rate they were drawn at, so ``pbdtest stat`` computes the
-  same number from a sample file.
+* heavy branch - pivot through the binomial matched to the learning
+  sample's mean and variance, reject on an impossible variance or a
+  hypothesis that sits far from the pivot, otherwise decide with the
+  unbiased squared-l2 count statistic under Poissonized sampling.  The
+  pivot is itself a Bernoulli-sum law, so a source the statistic accepts
+  is l2-close to one.  ``l2_statistic`` reads plain counts and the rate
+  they were drawn at, so ``pbdtest stat`` computes the same number from a
+  sample file.
 
 ``test_pbd`` amplifies the base test by majority over independent
 sub-streams and stops once the majority is decided.  Every stage draws
@@ -32,14 +34,13 @@ import numpy as np
 from .calibrated import TestConfig
 from .distributions import (
     ExplicitDistribution,
-    TranslatedPoissonParams,
     _on_interval,
     _on_union,
+    binomial_pmf,
     effective_support_interval,
-    translated_poisson_pmf,
     tv_distance,
 )
-from .learner import estimate_mean_var, learn_pbd
+from .learner import fit_binomial_by_moments, learn_pbd
 from .sampling import SampleHistogram, SampleStream, StreamExhausted
 
 __all__ = [
@@ -68,7 +69,8 @@ class Branch(str, Enum):
 # Stage indices for stream splitting inside one base run.
 _STAGE_LEARN = 0
 _STAGE_TOLERANT = 1
-_STAGE_MOMENTS = 2
+# Split 2 fed a separate moments draw, which the learning sample's moments
+# replaced; the l2 stage keeps split 3 so that its stream does not move.
 _STAGE_L2 = 3
 
 
@@ -168,16 +170,17 @@ def heavy_case_test(
     """Heavy-branch decision given the ``(mu_hat, sigma2_hat)`` moment
     estimates and the learned hypothesis.
 
-    Rejects when the pivot sits far from the hypothesis or the variance
-    estimate exceeds n/2; otherwise thresholds the Poissonized statistic.
-    A tie at the threshold resolves to acceptance.  Diagnostics go into
-    ``diag`` as they are known, so a caller whose stream runs out at the
-    Poissonized draw still holds the earlier ones.  The samples drawn are
-    counted by the stream, not returned.
+    The pivot is the binomial matched to the moments
+    (``fit_binomial_by_moments``), on at most n trials.  Rejects when the
+    pivot sits more than eps/2 from the hypothesis or the variance estimate
+    exceeds n/2; otherwise thresholds the Poissonized statistic against the
+    pivot.  A tie at the threshold resolves to acceptance.  Diagnostics go
+    into ``diag`` as they are known, so a caller whose stream runs out at
+    the Poissonized draw still holds the earlier ones.  The samples drawn
+    are counted by the stream, not returned.
     """
     mu_hat, sigma2_hat = moments
     diag.update(mu_hat=mu_hat, sigma2_hat=sigma2_hat)
-    diag["moment_samples"] = config.moment_samples(n)
     if sigma2_hat <= 0.0:
         diag["reason"] = "nonpositive variance estimate in heavy branch"
         return Verdict.NO_PBD
@@ -186,12 +189,11 @@ def heavy_case_test(
         diag["reason"] = "variance above n/2"
         return Verdict.NO_PBD
     # Pivot and hypothesis are both explicit, so their TV costs no samples.
-    # Each may drop up to tail_cut off its ends (the pivot here, a binomial
-    # fit in the learner), which moves the TV by at most 2 tail_cut, far
-    # inside the eps/5 budget.
-    pivot = translated_poisson_pmf(
-        TranslatedPoissonParams(mu_hat, sigma2_hat), tail_cut=config.tail_cut
-    )
+    # A binomial hypothesis is the learner's fit to these same moments, so
+    # the two are one PMF and the TV is 0.  A sparse one is the projected
+    # empirical; each side may drop up to tail_cut off its ends, which
+    # moves the TV by at most 2 tail_cut, far inside the eps/2 limit.
+    pivot = binomial_pmf(*fit_binomial_by_moments(mu_hat, sigma2_hat, n), tail_cut=config.tail_cut)
     d_tv = tv_distance(pivot, hypothesis)
     diag["d_tv_pivot_vs_hypothesis"] = d_tv
     if d_tv > config.eps / 2.0:
@@ -231,16 +233,18 @@ def run_budgeted_test(
 
     Each stage draws the count ``config`` plans for it: learning
     ``learn_samples(eps / D)``, capped at half the budget (it may degrade),
-    then ``tolerant_samples(m)`` on the sparse branch, or
-    ``moment_samples(n)`` and a Poisson total at ``l2_sample_rate(sigma_hat)``
-    on the heavy one.  When the learner certifies its sample not unimodal
-    and so returns no hypothesis (see ``learn_pbd``), the run returns
-    ``NO_PBD`` on that sample alone, with the certificate and its threshold
-    in the diagnostics; no later stage runs, so ``samples_used`` is the
-    learning draw.  Its diagnostics hold no ``hypothesis_variance``, and
-    its branch is the one the learning sample's variance ``sigma2_hat``
-    picks against ``variance_threshold``, as the hypothesis variance does
-    for every other run.  A later stage that does not fit what is left draws nothing, and
+    then ``tolerant_samples(m)`` on the sparse branch, or a Poisson total
+    at ``l2_sample_rate(sigma_hat)`` on the heavy one, whose pivot and
+    sigma_hat come from the learning sample's mean and variance: the heavy
+    branch draws no separate moments sample.  When the learner certifies
+    its sample not unimodal and so returns no hypothesis (see
+    ``learn_pbd``), the run returns ``NO_PBD`` on that sample alone, with
+    the certificate and its threshold in the diagnostics; no later stage
+    runs, so ``samples_used`` is the learning draw.  Its diagnostics hold
+    no ``hypothesis_variance``, and its branch is the one the learning
+    sample's variance ``sigma2_hat`` picks against ``variance_threshold``,
+    as the hypothesis variance does for every other run.  A later stage
+    that does not fit what is left draws nothing, and
     the run returns ``YES_PBD`` with ``budget_exhausted`` (a starved run
     has no evidence against membership): a run may reject on its learning
     sample, but it never decides on a clipped later stage.  Without a
@@ -275,7 +279,7 @@ def run_budgeted_test(
         if branch is Branch.SPARSE:
             verdict = _sparse_case(stream.split(_STAGE_TOLERANT), config, learned.dist, diag)
         else:
-            moments = estimate_mean_var(stream.split(_STAGE_MOMENTS), config.moment_samples(n))
+            moments = (learned.mu_hat, learned.sigma2_hat)
             verdict = heavy_case_test(
                 stream.split(_STAGE_L2), n, config, moments, learned.dist, diag
             )

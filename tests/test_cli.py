@@ -143,7 +143,7 @@ class TestTestCommand:
         assert code == 0
         diagnostics = json.loads(out.read_text())["diagnostics"]
         assert diagnostics["config"]["learn_accuracy_const"] == 6.0
-        assert diagnostics["config"]["calibration_version"] == 5
+        assert diagnostics["config"]["calibration_version"] == 6
         # The run learned at eps / 6 = 1/30: A_L logt^2(30) 30^2 samples.
         (only,) = diagnostics["runs"]
         fields = {k: v for k, v in diagnostics["config"].items() if k != "calibration_version"}
@@ -598,7 +598,6 @@ class TestOracleCommand:
             "learn_sample_const": (0.01, 2.0),
             "learn_accuracy_const": (1.0, 3.0),
             "tolerant_sample_const": (1.0, 5.0),
-            "moment_sample_const": (1.0, 20.0),
         }
 
         def sweep(seed, field):
@@ -613,12 +612,11 @@ class TestOracleCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         reports = [json.loads(line) for line in outputs[0].splitlines()]
-        assert [r["suite"] for r in reports] == ["learning"] * 4
+        assert [r["suite"] for r in reports] == ["learning"] * 3
         assert [r["field"] for r in reports] == list(oracles.LEARNING_SWEEPS)
         assert reports[0]["chosen_learn_sample_const"] == 2.0
         assert reports[1]["chosen_learn_accuracy_const"] == 3.0
         assert reports[2]["chosen_tolerant_sample_const"] == 5.0
-        assert reports[3]["chosen_moment_sample_const"] == 20.0
 
     def test_unimodal_suite(self, capsys):
         code = run(["oracle", "--suite", "unimodal", "--seed", "2"])

@@ -50,9 +50,9 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "c8595e32192b8db0522552e0e82ca6a801cc4cc9e436e792fa265600b87177ba",
+    "test --spec": "7ff6b7bb37e69d2683e96337c2804920dd813a4a7907bcd5a8c0947982373e88",
     "draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
-    "test --samples": "bd866fe77b297b28631e3e4c066ff2032b6308beb8114f2a963bb0f0278dbae1",
+    "test --samples": "d5d3fc176a3b893845cd751228eb8bc17590087fa8cc84763740b87d5cb8fbdc",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
     "lowerbound": "4b7b649ab2c4557f88434b737aa32f0aab6db24035c946f56572dbdac92c0176",
 }
@@ -136,21 +136,22 @@ def test_pmf_oracle_is_pinned(tmp_path, monkeypatch, capsys):
 # All twelve were re-taken at calibration version 4 (A_tol 10 -> 5): every
 # ``config`` block moved, and so did the binomials' tolerant draws and
 # sample counts; no verdict, run count or per-run outcome did.  They were
-# re-taken again at calibration version 5 (A_m 200 -> 20): only the
-# ``config`` block moved, since none of these runs takes the heavy branch.
+# re-taken again at calibration version 5 (A_m 200 -> 20) and at version 6
+# (the moments stage and A_m gone): only the ``config`` block moved, since
+# none of these runs takes the heavy branch.
 MEMBERSHIP_SHA256 = {
-    ("binomial-0.5", 0): "0ee19ba7525af2c285e83b3b141a77ad3032cce80e87b7ead3db7ca3b27a76c4",
-    ("binomial-0.5", 1): "a912a30d552aab8a42d870522a1f9884f3c3cd5544f501e4d4ea7da6038686cf",
-    ("binomial-0.5", 2): "bdda1a76af137218dcd491bdb90cecb54eabd2ba632bedde0361d85a4734684b",
-    ("binomial-0.3", 0): "4968be874d06c933564e2724402cda3350ad26f05fbb04f9878e6b8ebc2ce607",
-    ("binomial-0.3", 1): "367edb4e01fb713f493cabaedc9aa691a00b8b1bebec3da6c49173660b31cf81",
-    ("binomial-0.3", 2): "42868a7feed2f79da7c0e76af8486a216cfcb1ff6c542501a3b1d715e8fa0b3d",
-    ("half-half", 0): "baeba112671c763871f771da437357fe3820279ac63dcd36cba05050742af221",
-    ("half-half", 1): "1fe998f4f4da12e2fc601a0a90eb41fef3e19e729656ca906099691f79df1cd9",
-    ("half-half", 2): "cbadb5bed01c471209db8bca4b38928a7cfcb033958cecd399e70e45a644f836",
-    ("c8-member", 0): "aa538e966dab8432d2a4c980c34e5e9d4c367cd41b6fa1f7dc03e90d2aecdf06",
-    ("c8-member", 1): "c42d908e482f74d8679596fb90019d36e67fe95b33c1ca344953df1f55e47452",
-    ("c8-member", 2): "0cf455a5978aa617231307b89090f0c62535b2f9a6ae377a5ec4c3d633799c7b",
+    ("binomial-0.5", 0): "3439965f3c8b67913684aa5f49c57f1c8ddb906d9f3b2a24cc61bda7ee9638ca",
+    ("binomial-0.5", 1): "30808ce2ed57dcc9ccecaffe83851f89cf6434ddf8b9319a2e400df4d5f8e67b",
+    ("binomial-0.5", 2): "18048a466c8589f52366a14257b8591295035acb9a2ec4c6f10a47b3c80c28bd",
+    ("binomial-0.3", 0): "d554f68ddf31e984461b27f03bb675d183659f961eca168c2d2e6342da1d428e",
+    ("binomial-0.3", 1): "43de8142fa0abf95ba28e78817f4d815cdc6da7c99b9ff6e6ff28e46b7f8b5ee",
+    ("binomial-0.3", 2): "cd7071c9b4fa92231ac79e6e6226fb9586379b3c1ca75f2e077fdd4964f08588",
+    ("half-half", 0): "e21f1e986cb1ef0409358d10bd690f2df303fffe02c611f821e16dafdfe568c4",
+    ("half-half", 1): "72a8055379e63e9100f6202342d7b13c096e123f141325f471877c39e1c7e85e",
+    ("half-half", 2): "d130a82d93aff0ac9ebd6d0d1bac3c732ed0f9d3a73016e166046dd0425317a3",
+    ("c8-member", 0): "7801443da834b6f9a4eea62ad288093d0cdc0796d95aef7bb5152df9d588dd0f",
+    ("c8-member", 1): "9d4d352f2a86384d9760c12db1a7fdfdc6230ba5f94e7fee68dbe53c2dab6445",
+    ("c8-member", 2): "643fb7b1fa1bb587ee2f2abe90ca709f46915667111be03ec84b27f3abf3e05c",
 }
 N_MEMBERSHIP = 10_000
 

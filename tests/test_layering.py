@@ -197,6 +197,7 @@ REMOVED_FROM_ROOT = (
     "ell1_distance",
     "ell2_sq_distance",
     "ell_inf_distance",
+    "estimate_mean_var",
     "indicator_chernoff_bound",
     "poisson_tail_bound",
     "tp_approx_bounds",

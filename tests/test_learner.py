@@ -25,27 +25,26 @@ from pbdtest.sampling import SampleHistogram, SampleStream
 from pbdtest.tester import TestConfig, run_budgeted_test
 
 CFG = TestConfig(eps=0.1, delta=0.1)  # the learner reads its constants, not its eps
-# The moments draw at eps' = 0.05: eps' is eps itself for n <= 4.
-K_05 = TestConfig(eps=0.05, delta=0.1).moment_samples(4)
+# A moments draw of 20 / eps'^2 samples at eps' = 0.05.
+K_05 = 8_000
 
 
 class TestEstimateMeanVar:
     def test_point_mass(self):
         d = ExplicitDistribution(3, np.array([1.0]))
         stream = SampleStream.from_distribution(d, seed=0)
-        assert estimate_mean_var(stream, CFG.moment_samples(4)) == (3.0, 0.0)
+        assert estimate_mean_var(stream, 2_000) == (3.0, 0.0)
 
     def test_sample_count_formula(self):
         stream = SampleStream.from_distribution(binomial_pmf(10, 0.5), seed=0)
         estimate_mean_var(stream, K_05)
         assert stream.samples_drawn == K_05 == math.ceil(20 / 0.05**2)
 
-    def test_heavy_branch_sample_count(self):
-        # eps' = eps / (n/4)^(1/8) turns the budget into ceil(A_m (n/4)^(1/4) / eps^2).
-        n, eps = 10_000, 0.1
-        stream = SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=1)
-        estimate_mean_var(stream, TestConfig(eps=eps, delta=0.1).moment_samples(n))
-        assert stream.samples_drawn == math.ceil(20.0 * (n / 4.0) ** 0.25 / eps**2)
+    def test_sample_count_on_a_wide_source(self):
+        # The draw is k samples however wide the source is.
+        stream = SampleStream.from_distribution(binomial_pmf(10_000, 0.5), seed=1)
+        estimate_mean_var(stream, 14_143)
+        assert stream.samples_drawn == 14_143
 
     def test_accuracy_rate_on_binomial(self):
         # |mu - mu_hat| < eps' sigma should hold almost always at this scale.

@@ -286,7 +286,7 @@ class TestLearningCalibration:
         stub_sweep_runs(monkeypatch, "learn_sample_const", lambda name, eps, value: value < 1.0)
         report = learning_calibration_report(0, grid=(0.01, 2.0, 5.0), runs=4)
         assert [row["passes"] for row in report["sweep"]] == [False, True, True]
-        assert all(len(row["points"][0]["sources"]) == 11 for row in report["sweep"])
+        assert all(len(row["points"][0]["sources"]) == 12 for row in report["sweep"])
         assert report["largest_failing_learn_sample_const"] == 0.01
         assert report["smallest_passing_learn_sample_const"] == 2.0
         assert report["chosen_learn_sample_const"] == 5.0
@@ -322,7 +322,7 @@ class TestLearningCalibration:
             assert [p["eps"] for p in row["points"]] == [0.1, 0.05]
             assert row["passes"] == all(p["passes"] for p in row["points"])
             for point in row["points"]:
-                assert len(point["sources"]) == 11
+                assert len(point["sources"]) == 12
                 # learn_pbd does not read D, so the learner's own miss rate is not run.
                 assert all("learn_miss_rate" not in r for r in point["sources"].values())
         assert report["max_learn_miss_rate"] is None

@@ -46,26 +46,26 @@ from pbdtest.tester import (
 from pbdtest.tester import test_pbd as run_membership_test
 
 # A heavy run at n = 4096, eps = 0.1 stops at its l2 draw on this budget: it
-# pays for learning at eps / D and for the moments stage (11,314 samples),
-# not for the l2 stage's Poisson total (about 69,000).
+# pays for learning at eps / D, not for the l2 stage's Poisson total (about
+# 69,000).
 _CFG = TestConfig(eps=0.1, delta=0.5)
-STOPS_AT_L2 = (
-    _CFG.learn_samples(0.1 / _CFG.learn_accuracy_const) + _CFG.moment_samples(4096) + 30_000
-)
+STOPS_AT_L2 = _CFG.learn_samples(0.1 / _CFG.learn_accuracy_const) + 30_000
 
 
 # The learner's deleted forced-binomial threshold, spelled in two parts so
 # that a search for the field name finds no reader of it.
 REMOVED_THRESHOLD = "learn_sparse_" "threshold_const"
+# Likewise the deleted moments stage's sample constant.
+REMOVED_MOMENT_CONST = "moment_" "sample_const"
 
 
 def heavy_inputs(src, n, eps, seed):
-    """Moments and a binomial hypothesis from fresh stream splits."""
+    """The learning sample's moments and hypothesis, as a heavy base run
+    gets them: learned at eps / D from a fresh stream split."""
     root = SampleStream.from_distribution(src, seed=seed)
-    k = TestConfig(eps=eps, delta=0.1).moment_samples(n)
-    moments = estimate_mean_var(root.split(0), k)
-    fit = fit_binomial_by_moments(*estimate_mean_var(root.split(1), k), n)
-    return root, moments, binomial_pmf(*fit)
+    cfg = TestConfig(eps=eps, delta=0.1)
+    learned = learner.learn_pbd(root.split(0), n, eps / cfg.learn_accuracy_const, cfg)
+    return root, (learned.mu_hat, learned.sigma2_hat), learned.dist
 
 
 def exact_majority_runs(delta):
@@ -140,7 +140,14 @@ class TestConfigValidation:
     def test_forced_binomial_threshold_is_gone(self):
         with pytest.raises(TypeError, match=REMOVED_THRESHOLD):
             TestConfig(eps=0.1, delta=0.1, **{REMOVED_THRESHOLD: 16.0})
-        assert len(dataclasses.fields(TestConfig)) == 13
+        assert len(dataclasses.fields(TestConfig)) == 12
+
+    def test_moments_stage_constant_is_gone(self):
+        # The heavy branch reads the learning sample's moments: no moments
+        # draw, so no constant to size it.
+        with pytest.raises(TypeError, match=REMOVED_MOMENT_CONST):
+            TestConfig(eps=0.1, delta=0.1, **{REMOVED_MOMENT_CONST: 20.0})
+        assert not hasattr(TestConfig, "moment_" "samples")
 
     def test_truncated_log_reexport(self):
         assert pbdtest.truncated_log(0.5) == 1.0
@@ -172,13 +179,13 @@ class TestConfigValidation:
 
 
 class TestSampleCounts:
-    # n: (tolerant stage on Binomial(n, 1/2)'s eps/5 interval, moments + l2
-    # at sigma_hat = sqrt(n/4)), at eps = 0.1 and the default constants.
+    # n: (tolerant stage on Binomial(n, 1/2)'s eps/5 interval, l2 rate at
+    # sigma_hat = sqrt(n/4)), at eps = 0.1 and the default constants.
     QUOTED = {
-        10**3: (37_000, 56_224),
-        4096: (74_500, 79_985),
-        10**4: (116_500, 99_982),
-        10**5: (368_000, 177_795),
+        10**3: (37_000, 48_271),
+        4096: (74_500, 68_671),
+        10**4: (116_500, 85_839),
+        10**5: (368_000, 152_646),
     }
 
     def test_counts_match_the_quoted_figures(self):
@@ -186,12 +193,12 @@ class TestSampleCounts:
         config's methods, the one place each formula is written."""
         cfg = TestConfig(eps=0.1, delta=0.1)
         assert cfg.learn_samples(0.1 / 3) == 20_823
-        assert cfg.moment_samples(4096) == 11_314
         assert cfg.l2_sample_rate(32.0) == 68_671
+        assert cfg.l2_sample_rate(math.sqrt(10**6 / 4)) == 271_446
         for n, (tolerant, heavy) in self.QUOTED.items():
             lo, hi = effective_support_interval(binomial_pmf(n, 0.5), cfg.eps / 5.0)
             assert cfg.tolerant_samples(hi - lo + 1) == tolerant, n
-            assert cfg.moment_samples(n) + cfg.l2_sample_rate(math.sqrt(n / 4)) == heavy, n
+            assert cfg.l2_sample_rate(math.sqrt(n / 4)) == heavy, n
 
 
 # The tolerant stage at the default constants, and with a sample count so
@@ -373,7 +380,10 @@ class TestEveryDecidingStageHasAFarSource:
     STAGE_CONSTANTS = {
         "learning certificate": ("learn_sample_const", "learn_accuracy_const"),
         "tolerant": ("tolerant_sample_const",),
-        "heavy statistic": ("moment_sample_const", "l2_sample_const", "l2_far_const"),
+        # The heavy pivot's moments and sigma_hat come from the learning sample.
+        "heavy statistic": (
+            "learn_sample_const", "learn_accuracy_const", "l2_sample_const", "l2_far_const"
+        ),
     }
     CALIBRATED = set(LEARNING_SWEEPS) | {"l2_sample_const", "l2_far_const"}
     EXPECTED = {
@@ -381,6 +391,7 @@ class TestEveryDecidingStageHasAFarSource:
         "perturbed-c8": "learning certificate",
         "heavy-paired": "heavy statistic",
         "zigzag": "tolerant",
+        "heavy-zigzag": "heavy statistic",
     }
 
     def test_far_sources_of_the_seed_0_corpus(self):
@@ -399,6 +410,15 @@ class TestEveryDecidingStageHasAFarSource:
         for stage, constants in self.STAGE_CONSTANTS.items():
             if self.CALIBRATED.intersection(constants):
                 assert stage in decided, f"no far source is decided by the {stage} stage"
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    def test_heavy_zigzag_is_certified_far(self, eps):
+        # The heavy statistic's certified far source: more than eps from
+        # every unimodal law, hence from every Bernoulli-sum law.
+        corpus = {row[0]: row for row in _learning_corpus(0, 10_000, eps)}
+        _, source, member, cfg = corpus["heavy-zigzag"]
+        assert not member and cfg.var_threshold_const == 1e-12
+        assert unimodal_distance_lb(source) > eps
 
 
 class TestCoarsen:
@@ -523,8 +543,9 @@ class TestHeavyCase:
         assert hits >= 0.9 * trials
 
     def test_perturbed_source_rejected_through_statistic(self):
-        # Source at TV 0.35 eps from the moment-matched pivot: the distance
-        # gate passes and the count statistic has to do the rejecting.
+        # Source at TV 0.35 eps from the shifted Poisson matched to
+        # Binomial(n, 1/2): the distance gate passes and the count statistic
+        # has to do the rejecting.
         n, eps = 10_000, 0.1
         pivot = translated_poisson_pmf(TranslatedPoissonParams(5000.0, 2500.0), tail_cut=1e-9)
         far, _ = paired_perturbation(pivot, 0.35 * eps)
@@ -542,18 +563,18 @@ class TestHeavyCase:
 
     def test_close_case_l2_ceiling(self):
         # For Bernoulli-sum sources in the heavy regime, the exact squared-l2
-        # gap to the estimated pivot stays under (5.3/sigma)(2 eps^2 / (C' sqrt(logt))).
+        # gap to the pivot, the binomial matched to the learning sample's
+        # moments, stays under (5.3/sigma)(2 eps^2 / (C' sqrt(logt))).
         n, eps = 10_000, 0.1
         src = binomial_pmf(n, 0.5)
         cfg = TestConfig(eps=eps, delta=0.1)
         root = SampleStream.from_distribution(src, seed=31)
+        k = cfg.learn_samples(eps / cfg.learn_accuracy_const)
         hits = 0
         trials = 40
         for t in range(trials):
-            mu_hat, sigma2_hat = estimate_mean_var(root.split(t), cfg.moment_samples(n))
-            pivot = translated_poisson_pmf(
-                TranslatedPoissonParams(mu_hat, sigma2_hat), tail_cut=1e-9
-            )
+            mu_hat, sigma2_hat = estimate_mean_var(root.split(t), k)
+            pivot = binomial_pmf(*fit_binomial_by_moments(mu_hat, sigma2_hat, n), tail_cut=1e-9)
             sigma_hat = math.sqrt(sigma2_hat)
             # 10.0 is the paper's pivot closeness constant C'.
             ceiling = (5.3 / sigma_hat) * (2.0 * eps**2 / (10.0 * math.sqrt(cfg.logt)))
@@ -590,6 +611,45 @@ class TestHeavyCase:
         k = cfg.l2_sample_rate(sigma_hat)
         mean, var = tn_closed_form_moments(far, pivot, float(k))
         assert var / mean**2 <= 1.5 / 20.0
+
+
+class TestHeavyBranchPivot:
+    """The heavy pivot is the binomial matched to the learning sample's
+    moments, itself a Bernoulli-sum law."""
+
+    @pytest.mark.parametrize("n", [1_000, 4096])
+    def test_fair_binomial_is_accepted_at_eps_0_05(self, n):
+        # Where a shifted-Poisson pivot sat too far from the member in l2
+        # (at n = 10^3 its own error was 1.63x the threshold), most forced
+        # heavy runs rejected it.
+        cfg = TestConfig(eps=0.05, var_threshold_const=1e-12)
+        root = SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=0)
+        runs = [run_budgeted_test(root.split(t), n, cfg) for t in range(100)]
+        assert all(res.branch is Branch.HEAVY for res in runs)
+        assert sum(res.verdict is Verdict.NO_PBD for res in runs) <= 10
+
+    def test_binomial_route_pivot_is_the_hypothesis(self, monkeypatch):
+        built = []
+
+        def recording(trials, p, _orig=tester.binomial_pmf, **kw):
+            built.append((trials, p))
+            return _orig(trials, p, **kw)
+
+        monkeypatch.setattr(tester, "binomial_pmf", recording)
+        n = 1_000
+        cfg = TestConfig(eps=0.1, var_threshold_const=1e-12)
+        root = SampleStream.from_distribution(binomial_pmf(n, 0.3), seed=2)
+        for t in range(10):
+            res = run_budgeted_test(root.split(t), n, cfg)
+            diag = res.diagnostics
+            assert (res.branch, diag["hypothesis_kind"]) == (Branch.HEAVY, "binomial")
+            assert diag["d_tv_pivot_vs_hypothesis"] == 0.0
+            # The pivot is fitted to the moments the run reports, on at most n trials.
+            trials, p = built[-1]
+            assert (trials, p) == fit_binomial_by_moments(diag["mu_hat"], diag["sigma2_hat"], n)
+            assert 1 <= trials <= n
+            assert res.samples_used == diag["learn_samples"] + diag["realized_count"]
+        assert len(built) == 10
 
 
 class TestTestPbd:
@@ -675,15 +735,13 @@ class TestSampleAccounting:
     def _planned_draws(self, cfg, diag):
         """The draws a run's config plans for it, given what its diagnostics
         say it learned: the learning draw, then the tolerant draw on the
-        interval, or the moments draw and the Poisson total at the planned
-        rate."""
+        interval, or the Poisson total at the planned rate."""
         plan = [cfg.learn_samples(cfg.eps / cfg.learn_accuracy_const)]
         if diag.get("reason") == "learning sample not unimodal":
             return plan
         if "interval" in diag:
             lo, hi = diag["interval"]
             return plan + [cfg.tolerant_samples(hi - lo + 1)]
-        plan.append(cfg.moment_samples(self.N))
         if "k_poissonized" in diag:
             assert diag["k_poissonized"] == cfg.l2_sample_rate(math.sqrt(diag["sigma2_hat"]))
             plan.append(diag["realized_count"])
@@ -709,8 +767,9 @@ class TestSampleAccounting:
         assert poisson_rates == [diag["k_poissonized"] for diag in runs if "k_poissonized" in diag]
         for diag, plan in zip(runs, plans):
             assert diag["learn_samples"] == plan[0]
-            stage_key = "tolerant_samples" if branch is Branch.SPARSE else "moment_samples"
+            stage_key = "tolerant_samples" if branch is Branch.SPARSE else "realized_count"
             assert diag.get(stage_key) == (plan[1] if len(plan) > 1 else None)
+            assert "moment_samples" not in diag
         if source == "bimodal":
             assert all(len(plan) == 1 for plan in plans)
         else:
@@ -776,7 +835,7 @@ class TestSampleAccounting:
     def test_budgeted_heavy_run_stays_within_budget(self, drawn, budget):
         # The same operating point forced heavy; the l2 stage's Poisson
         # total (about 69,000 here) must fit what learning (at most half the
-        # budget) and the moments stage (about 113,000) left.
+        # budget) left.
         n = 4096
         cfg = TestConfig(
             eps=0.1, delta=0.5, seed=1, amplification_reps=1, var_threshold_const=1e-12
@@ -789,7 +848,7 @@ class TestSampleAccounting:
             assert res.branch is Branch.HEAVY
         self._assert_starved(res, budget, "binomial")
         if budget == STOPS_AT_L2:
-            # Out at the l2 draw: the finished moments stage still reports.
+            # Out at the l2 draw: the pivot check before it still reports.
             assert res.diagnostics["budget_exhausted"] is True
             for key in ("mu_hat", "d_tv_pivot_vs_hypothesis", "k_poissonized"):
                 assert key in res.diagnostics
@@ -993,7 +1052,7 @@ class TestLearningSampleCertificate:
             assert diag["reason"] == "learning sample not unimodal"
             assert diag["unimodal_lb"] > diag["unimodal_lb_threshold"]
             assert res.samples_used == diag["learn_samples"]
-            assert "tolerant_samples" not in diag and "moment_samples" not in diag
+            assert "tolerant_samples" not in diag and "mu_hat" not in diag
         # The corpus configs set no delta: the majority is planned at 0.1.
         amplified = run_membership_test(
             SampleStream.from_distribution(source, seed=4), n, cfg.replace(delta=0.1)
