@@ -37,9 +37,9 @@ from .tester import (
     Branch,
     TestVerdict,
     Verdict,
+    chi2_closeness_test,
     heavy_case_test,
     l2_statistic,
-    simple_tolerant_identity_test,
     test_pbd,
 )
 

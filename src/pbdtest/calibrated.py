@@ -2,7 +2,7 @@
 
 ``TestConfig``'s field defaults are the only place a tunable constant is
 written.  Its methods derive the thresholds and each stage's sample count
-(``learn_samples``, ``tolerant_samples`` and ``l2_sample_rate``); the
+(``learn_samples``, ``chi2_sample_rate`` and ``l2_sample_rate``); the
 learner and every stage read both from the config they are handed, and
 draw exactly those counts.
 
@@ -21,10 +21,10 @@ and eps in {0.1, 0.15, 0.2}:
   constant, 0.177) divided by a 1.5x safety margin and rounded down to
   0.1, leaving the far cases 5.7+ standard deviations above threshold.
 
-The two learning constants and the tolerant stage's sample constant were
-fixed by the Monte-Carlo sweeps in ``oracles.learning_calibration_report``
+The two learning constants and the chi^2 stage's sample constant were
+measured by the Monte-Carlo sweeps in ``oracles.learning_calibration_report``
 (regenerate all three via ``pbdtest oracle --suite learning --seed 0``,
-about 40 s on 2 vCPUs).  A sweep runs, for every value of its grid, 200
+about 35 s on 2 vCPUs).  A sweep runs, for every value of its grid, 200
 seeded unamplified base tests per source of a twelve-source corpus:
 Binomial(n, 1/2), Binomial(n, 0.3), a heterogeneous Bernoulli sum with
 p_i ~ U(0.05, 0.95), 16 fair coins and ten coins at 0.05 with ten at 0.95
@@ -34,15 +34,17 @@ every run sent down the heavy branch, Binomial(n, 1/2) and a paired
 perturbation of the (n/2, n/4) shifted-Poisson pivot at TV 0.35 eps, which
 the l2 statistic rejects; the zigzag of Binomial(n, 1/2), its paired
 perturbation at TV 1.1 eps, certified far (``unimodal_distance_lb``
-0.1051 at eps = 0.1, 0.0506 at eps = 0.05), which the tolerant stage
+0.1051 at eps = 0.1, 0.0506 at eps = 0.05), which the chi^2 stage
 rejects; the heterogeneous Bernoulli sum again, with every run sent
 down the heavy branch, as a second heavy-branch member; and the zigzag
 again, with every run sent down the heavy branch, which the l2 statistic
 rejects.  A grid value
 passes when every base-run error rate is at most 0.2 and, for a constant
-the learner reads, every learner miss rate at most 0.1; the rule takes
-the smallest value from which every larger one passes and chooses the
-next grid value above it, as a margin.
+the learner reads, every learner miss rate at most 0.1, each with two
+binomial standard errors of its 200 runs to spare (since calibration
+version 7; the A_L and D choices and edges are the same under the bare
+bounds); the rule takes the smallest value from which every larger one
+passes and chooses the next grid value above it, as a margin.
 
 * The learner's sample constant A_L (``learn_sample_const``) is swept
   over {0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 200} at n = 10^4 and
@@ -50,34 +52,47 @@ next grid value above it, as a margin.
   at the learner's own eps = 0.1 and counts the hypotheses more than eps
   from the source in TV.  The learner's own accuracy binds: 0.5 fails
   (24% misses on the 0.05/0.95 coins), 1 passes (at most 1.5% misses and
-  11% base-run errors at A_tol = 5), and the choice is 2 (it was 200
+  4% base-run errors at A_chi = 20), and the choice is 2 (it was 200
   before calibration version 2).
 * The learning-accuracy divisor D (``learn_accuracy_const``; the tester
   learns at eps / D) is swept over {1, 2, 3, 4, 5, 6, 8, 10} at n = 10^4
   with eps = 0.1 and with eps = 0.05, and passes only where it passes at
   both.  ``learn_pbd`` does not read D, so no miss rate is run.  D = 1
-  fails: at A_tol = 5 it rejects the 0.05/0.95 coins on 66.5% of runs at
-  eps = 0.1 (38% at 0.05).  D = 2 passes (at most 14.5%), and the choice
-  is 3 (it was 10 before calibration version 3), whose largest error
-  rate on the sparse branch is 8.5%, on the 0.05/0.95 coins (6% and 7% at
-  D = 10).  D also sizes the heavy pivot's moments sample (below): at
+  fails: at A_chi = 20 it rejects the 0.05/0.95 coins on 87.5% of runs at
+  eps = 0.1 (52.5% at 0.05).  D = 2 passes (at most 10.5%), and the
+  choice is 3 (it was 10 before calibration version 3), whose largest
+  error rate on the sparse branch is 3%, on the 0.05/0.95 coins at
+  eps = 0.05 (none at D = 10).  D also sizes the heavy pivot's moments sample (below): at
   D = 1 the heavy-branch members are rejected on 30.5-47% of runs, at
   D = 3 on at most 2%.  At A_tol = 10 the sweep chose 3 as well, with the
   same edge, and a base run on Binomial(n, 1/2) at eps = 0.1 drew about
   253k samples, 21k of them to learn, instead of 657k at D = 10.
-* The tolerant stage's sample constant A_tol (``tolerant_sample_const``;
-  the sparse branch draws ceil(A_tol m / eps^2) samples on its interval
-  of m points) is swept over {1, 1.5, 2, 3, 4, 5, 6, 8, 10} at n = 10^4
-  with eps = 0.1 and with eps = 0.05, and passes only where it passes at
-  both; ``learn_pbd`` does not read it.  The zigzag is rejected on every
-  run at every value, so members' false rejections bind: 3 fails (the
-  0.05/0.95 coins rejected on 24% of runs at eps = 0.1), 4 passes only
-  just (19% there, against the 0.2 limit), and the choice is 5 (it was
-  10, never calibrated, before calibration version 4), where the
-  0.05/0.95 coins are rejected on 8.5% of runs and the 16 fair coins on
-  4.5%.  A base run on Binomial(n, 1/2) at eps = 0.1 now draws 137,323
-  samples, 116,500 of them in the tolerant stage, instead of 253,823.
-  The A_L and D sweeps, rerun at A_tol = 5, still choose 2 and 3.
+* The chi^2 stage's sample constant A_chi (``chi2_sample_const``; the
+  sparse branch draws a Poisson total at rate
+  ceil(A_chi sqrt(m + 1) / eps^2), coarsened to its interval of m points
+  and the lump outside it) is swept over {1, 2, 5, 10, 20, 50, 100} at
+  n = 10^4 with eps = 0.1 and with eps = 0.05, and passes only where it
+  passes at both; ``learn_pbd`` does not read it.  The zigzag is rejected
+  on every run from 2 on (at 1, 1 run in 200 accepts it; at 20 its
+  statistic is at least 12.1 times the threshold), so members'
+  false rejections bind: 2 fails (the 0.05/0.95 coins rejected on 40.5%
+  of runs at eps = 0.05), and so does 5 (19% there, under the 0.2 bound
+  by less than two standard errors, 2.8% each; the heterogeneous law
+  16.5% at eps = 0.1).  10 passes (at most 11.5%, on the 0.05/0.95 coins
+  at eps = 0.05), and the sweep chooses 20.  That margin also serves the
+  README's and the benchmark's ``pbdtest test`` at eps = 0.4 and
+  delta = 0.3, which plans a vote of only 3 runs: there base runs on a
+  heterogeneous 10^4-coin law reject a member on about 2.8% of runs at
+  A_chi = 10 and under 0.1% at 20 (``TestReadmeOperatingPoint``).  At 20
+  the largest member error rate on the sparse branch is 1% at eps = 0.1
+  and 3% at eps = 0.05, on the 0.05/0.95 coins (8.5% and 5.5% with the
+  version-6 TV stage).  Near q the statistic's spread is about
+  sqrt(2) eps^2 / A_chi at every m, so the rate grows as n^(1/4) on a
+  binomial's interval of about sqrt(n) points: a base run on
+  Binomial(n, 1/2) at eps = 0.1 draws 51,384 samples on average (20,823
+  to learn, a Poisson total at rate 30,595) instead of 137,323.  The A_L
+  and D sweeps, rerun at A_chi = 20, still choose 2 and 3, with the same
+  edges.
 * Calibration version 6 deleted the moments stage and its sample
   constant A_m (20 at version 5, 200 before).  The heavy branch reads the
   mean and variance of the learning sample, and its pivot is the binomial
@@ -90,8 +105,13 @@ next grid value above it, as a margin.
   3), against 4%, 2%, 5.5% and 10% with the version-5 moments stage.  Both
   heavy far sources are rejected on every run at every value.  A heavy
   base run on Binomial(n, 1/2) at eps = 0.1 draws about 107k samples
-  instead of about 121k.  The three sweeps still choose 2, 3 and 5, with
-  the same edges.
+  instead of about 121k.  The three sweeps still chose 2, 3 and 5 (then
+  A_tol), with the same edges.
+* Calibration version 7 replaced the sparse branch's TV tolerant stage,
+  which drew ceil(A_tol m / eps^2) samples (A_tol = 5 from version 4, 10
+  before), with the Poissonized chi^2 stage and its constant A_chi;
+  ``tolerant_sample_const`` is gone (a ``--config`` file naming it exits
+  1 as an unknown field).
 
 The majority is not calibrated: ``BASE_ERROR`` is the base test's
 guarantee, an error of at most 1/3 per run, and ``TestConfig.repetitions``
@@ -102,7 +122,9 @@ delta (15 runs at delta = 0.1, where Hoeffding's ceil(18 ln(1/delta)) gave
 Bump CALIBRATION_VERSION whenever a calibrated value changes (version 2:
 A_L from 200 to 2; version 3: D from 10 to 3; version 4: A_tol from 10
 to 5; version 5: A_m from 200 to 20; version 6: the moments stage and
-A_m deleted, the heavy pivot fitted to the learning sample).
+A_m deleted, the heavy pivot fitted to the learning sample; version 7:
+the TV tolerant stage and A_tol replaced by the chi^2 stage and
+A_chi = 20).
 """
 
 from __future__ import annotations
@@ -115,7 +137,7 @@ from .distributions import truncated_log
 
 __all__ = ["CALIBRATION_VERSION", "TestConfig"]
 
-CALIBRATION_VERSION = 6
+CALIBRATION_VERSION = 7
 
 # q: the base test's error bound that the majority is planned for.
 BASE_ERROR = Fraction(1, 3)
@@ -150,7 +172,7 @@ class TestConfig:
     l2_sample_const: float = 80.0  # C1: Poissonized rate multiplier, see l2_sample_rate
     # c: acceptance threshold 0.25 * c * eps^2 / (sigma_hat * sqrt(logt(1/eps)))
     l2_far_const: float = 0.1
-    tolerant_sample_const: float = 5.0  # A_tol: see tolerant_samples
+    chi2_sample_const: float = 20.0  # A_chi: see chi2_sample_rate
     learn_sample_const: float = 2.0  # A_L: see learn_samples
     learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
@@ -197,9 +219,10 @@ class TestConfig:
         """The learner's draw at its own eps: ceil(A_L logt^2(1/eps) / eps^2)."""
         return math.ceil(self.learn_sample_const * truncated_log(1.0 / eps) ** 2 / eps**2)
 
-    def tolerant_samples(self, m: int) -> int:
-        """The sparse branch's draw on an interval of m points: ceil(A_tol m / eps^2)."""
-        return math.ceil(self.tolerant_sample_const * m / self.eps**2)
+    def chi2_sample_rate(self, m: int) -> int:
+        """The sparse branch's Poissonized rate on an interval of m points and
+        the lump outside it: ceil(A_chi sqrt(m + 1) / eps^2)."""
+        return math.ceil(self.chi2_sample_const * math.sqrt(m + 1) / self.eps**2)
 
     def l2_sample_rate(self, sigma_hat: float) -> int:
         """The heavy branch's Poissonized rate: ceil(C1 sqrt(sigma_hat logt) / eps^2)."""

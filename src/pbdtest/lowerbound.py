@@ -121,7 +121,7 @@ def detection_experiment(
     sample (at most k/2) when that sample is certifiably not unimodal;
     otherwise a run whose next stage does not fit its cap stops and accepts
     (``budget_exhausted``).  So the false-reject rate is 0 until the cap
-    covers the tolerant stage, while members whose learning sample shows
+    covers the chi^2 stage, while members whose learning sample shows
     their extra modes are detected from well below it.  Rates are NoPbd
     frequencies over ``trials`` runs per arm; ``advantage = detect -
     false_reject``; ``certified_far_rate`` is the share of members whose

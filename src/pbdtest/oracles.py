@@ -16,8 +16,8 @@ are checked with.  They justify the heavy branch; no run reads them.
 
 ``learning_calibration_report`` is the Monte-Carlo sweep that fixes the
 learning constants (the learner's sample constant and the accuracy the
-tester learns at) and the tolerant stage's sample constant: it runs the
-base test itself, seeded, on a corpus of sources whose membership is known.
+tester learns at) and the chi^2 stage's sample constant: it runs the base
+test itself, seeded, on a corpus of sources whose membership is known.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ def _learning_corpus(
     ``var_threshold_const=1e-12``, which sends every run down the heavy
     branch: Binomial(n, 1/2), and the paired perturbation of the (n/2, n/4)
     shifted-Poisson pivot at TV 0.35 eps.  Then a far source for the
-    tolerant stage: the zigzag of Binomial(n, 1/2), its paired
+    sparse branch's chi^2 stage: the zigzag of Binomial(n, 1/2), its paired
     perturbation at TV 1.1 eps, which a binomial fits on the learning
     sample but ``unimodal_distance_lb`` certifies more than eps from every
     unimodal law (0.1051 at eps = 0.1, 0.0506 at eps = 0.05, n = 10^4).
@@ -456,12 +456,22 @@ LEARNING_SWEEPS = {
         ((10_000, 0.1), (10_000, 0.05)),
         False,
     ),
-    "tolerant_sample_const": (
-        (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0),
+    "chi2_sample_const": (
+        (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
         ((10_000, 0.1), (10_000, 0.05)),
         False,
     ),
 }
+
+
+# Binomial standard errors that a swept rate must clear its bound by.
+RATE_MARGIN_SE = 2.0
+
+
+def _clears(rate: float, bound: float, runs: int) -> bool:
+    """Whether ``rate``, measured on ``runs`` runs, is at most ``bound`` with
+    ``RATE_MARGIN_SE`` standard errors to spare."""
+    return rate + RATE_MARGIN_SE * math.sqrt(rate * (1.0 - rate) / runs) <= bound
 
 
 def learning_calibration_report(
@@ -474,7 +484,7 @@ def learning_calibration_report(
     """Monte-Carlo sweep that fixes one sample or accuracy constant of ``TestConfig``.
 
     ``field`` is a key of ``LEARNING_SWEEPS``: ``learn_sample_const`` (A_L),
-    ``learn_accuracy_const`` (D) or ``tolerant_sample_const`` (A_tol);
+    ``learn_accuracy_const`` (D) or ``chi2_sample_const`` (A_chi);
     ``grid`` and ``points`` default to its entry there.  At every corpus
     point (n, eps), for every value of the ascending ``grid`` and every
     source of the corpus (see
@@ -490,7 +500,10 @@ def learning_calibration_report(
     values are compared on common samples.
 
     A value passes at a point when every error rate there is at most 0.2
-    and every miss rate at most 0.1 (the learner's 9/10 confidence), and
+    and every miss rate at most 0.1 (the learner's 9/10 confidence), each
+    with ``RATE_MARGIN_SE`` binomial standard errors to spare, so that a
+    rate measured on ``runs`` runs clears its bound only when its excess
+    over it is unlikely: r + 2 sqrt(r (1 - r) / runs) <= bound.  A value
     passes when it passes at every point.  The smallest passing value is
     the smallest from which every larger grid value passes too; the chosen
     value is the next grid value above it, as a margin (the passing value
@@ -528,8 +541,8 @@ def learning_calibration_report(
                     row["learn_miss_rate"] = misses / runs
                 sources[name] = row
             passes = all(
-                r["error_rate"] <= max_error_rate
-                and r.get("learn_miss_rate", 0.0) <= max_miss_rate
+                _clears(r["error_rate"], max_error_rate, runs)
+                and _clears(r.get("learn_miss_rate", 0.0), max_miss_rate, runs)
                 for r in sources.values()
             )
             at_points.append({"n": n, "eps": eps, "passes": passes, "sources": sources})
@@ -546,6 +559,7 @@ def learning_calibration_report(
         "runs": runs,
         "max_error_rate": max_error_rate,
         "max_learn_miss_rate": max_miss_rate if learner_reads else None,
+        "rate_margin_se": RATE_MARGIN_SE,
         "members": {name: member for name, _, member, _ in corpora[0]},
         "sweep": sweep,
         f"largest_failing_{field}": grid[edge - 1] if edge > 0 else None,

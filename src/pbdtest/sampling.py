@@ -15,12 +15,14 @@ samples (one multinomial draw), ``draw_poissonized(k)`` the same counts
 for a Poisson(k) sample size, and ``draw(k)`` the multinomial counts of
 ``draw_histogram(k)`` expanded into k samples put in random order.  Given
 the counts every order is equally likely, so these are i.i.d. samples.
-``draw_histogram(k, within=(a, b))`` draws the same k samples coarsened
-to [a, b]: the counts on its points and one count of the samples outside
-it, as one multinomial on those b - a + 2 categories with the outside
-lump last, so that numpy gives it the remainder and no 1 - sum(p) is
-rounded.  A stream over a file pool hands out the pool's samples in file
-order, and its coarse draw is exactly its full histogram coarsened.
+``draw_poissonized(k, within=(a, b))`` draws its Poisson(k) total K
+first and then those K samples coarsened to [a, b]: the counts on its
+points and one count of the samples outside it, as one multinomial on
+those b - a + 2 categories with the outside lump last, so that numpy
+gives it the remainder and no 1 - sum(p) is rounded; the b - a + 2
+counts are independent Poisson variables.  A stream over a file pool
+hands out the pool's samples in file order, and its coarse draw is
+exactly its full histogram coarsened.
 
 A ``SampleHistogram`` is its counts, their offset ``lo`` and the count
 ``outside`` of samples it does not place (0 but for a coarse draw): a
@@ -104,7 +106,7 @@ class SampleHistogram:
     ``total`` the sample count, ``outside`` included.  A full histogram
     drawn from a stream spans its observed range: ``counts[0]`` and
     ``counts[-1]`` are nonzero, or, for zero samples, ``counts`` is one
-    zero bin.  A coarse one (``draw_histogram(k, within=(a, b))``) covers
+    zero bin.  A coarse one (``draw_poissonized(k, within=(a, b))``) covers
     exactly [a, b], whatever was observed, and counts the rest in
     ``outside``; it cannot give moments or an empirical law.
     """
@@ -346,40 +348,43 @@ class SampleStream:
         xs = np.repeat(np.arange(lo, lo + len(counts), dtype=np.int64), counts)
         return self._generator().permutation(xs)
 
-    def draw_histogram(self, k: int, *, within: tuple[int, int] | None = None) -> SampleHistogram:
+    def draw_histogram(self, k: int) -> SampleHistogram:
         """Counts of k fresh i.i.d. samples (one multinomial draw).
 
-        With ``within=(a, b)``, the counts cover exactly [a, b] and
-        ``outside`` counts the rest of the k samples.  A k that is not a
-        nonnegative integer, an empty interval (b < a), or one wider than
-        ``MAX_WIDTH`` raises ``ValueError`` before anything is drawn or
-        counted.
+        A k that is not a nonnegative integer raises ``ValueError`` before
+        anything is drawn or counted.
         """
-        k = _require_count(k)
-        if within is None:
-            return SampleHistogram(*self._counts(k))
-        a, b = within
-        if b < a:
-            raise ValueError(f"interval [{a}, {b}] is empty")
-        if b - a + 1 > MAX_WIDTH:
-            raise ValueError(f"interval [{a}, {b}] is too wide to count")
-        xs = self._take(k)
-        if xs is None:
-            counts = self._generator().multinomial(k, self._law_on(a, b))
-            return SampleHistogram(a, counts[:-1], int(counts[-1]))
-        inside = xs[(xs >= a) & (xs <= b)]
-        return SampleHistogram(a, np.bincount(inside - a, minlength=b - a + 1), k - inside.size)
+        return SampleHistogram(*self._counts(_require_count(k)))
 
-    def draw_poissonized(self, k: float) -> SampleHistogram:
+    def draw_poissonized(
+        self, k: float, *, within: tuple[int, int] | None = None
+    ) -> SampleHistogram:
         """Histogram of K ~ Poisson(k) fresh samples.
 
         Under this draw the per-symbol counts are independent Poisson
-        variables with means k * P(i); tests check that equivalence.  A
-        total K past the cap raises ``StreamExhausted`` before any draw.  A
-        rate that is not a positive finite real (0, NaN, inf, True) raises
+        variables with means k * P(i); tests check that equivalence.  With
+        ``within=(a, b)``, the counts cover exactly [a, b] and ``outside``
+        counts the rest of the K samples, so the interval's counts and the
+        outside count are independent Poisson variables too.  A total K past
+        the cap raises ``StreamExhausted`` before any sample is drawn.  A
+        rate that is not a positive finite real (0, NaN, inf, True), an
+        empty interval (b < a), or one wider than ``MAX_WIDTH`` raises
         ``ValueError`` before anything is drawn.
         """
         real = isinstance(k, (int, float, np.integer, np.floating)) and not isinstance(k, bool)
         if not (real and 0 < k < math.inf):
             raise ValueError(f"k must be a positive finite rate, got {k!r}")
-        return SampleHistogram(*self._counts(int(self._generator().poisson(k))))
+        if within is None:
+            return SampleHistogram(*self._counts(int(self._generator().poisson(k))))
+        a, b = within
+        if b < a:
+            raise ValueError(f"interval [{a}, {b}] is empty")
+        if b - a + 1 > MAX_WIDTH:
+            raise ValueError(f"interval [{a}, {b}] is too wide to count")
+        total = int(self._generator().poisson(k))
+        xs = self._take(total)
+        if xs is None:
+            counts = self._generator().multinomial(total, self._law_on(a, b))
+            return SampleHistogram(a, counts[:-1], int(counts[-1]))
+        inside = xs[(xs >= a) & (xs <= b)]
+        return SampleHistogram(a, np.bincount(inside - a, minlength=b - a + 1), total - inside.size)

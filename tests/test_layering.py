@@ -200,6 +200,7 @@ REMOVED_FROM_ROOT = (
     "estimate_mean_var",
     "indicator_chernoff_bound",
     "poisson_tail_bound",
+    "simple_tolerant_identity_test",
     "tp_approx_bounds",
     "tp_pair_tv_bound",
 )

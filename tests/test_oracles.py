@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracles themselves."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,8 +271,8 @@ class TestLearningCalibration:
     def test_default_learn_accuracy_const_keeps_every_rate(self):
         # Drift guard: 100 base runs per corpus source at the calibrated D,
         # at both corpus points (seed 1, apart from the sweep's seed 0), stay
-        # within the sweep's rule.  The A_tol sweep has the same points, so
-        # these runs guard the calibrated A_tol too.
+        # within the sweep's rule.  The A_chi sweep has the same points, so
+        # these runs guard the shipped A_chi too.
         default = TestConfig.learn_accuracy_const
         report = learning_calibration_report(1, "learn_accuracy_const", grid=(default,), runs=100)
         (row,) = report["sweep"]
@@ -331,6 +332,33 @@ class TestLearningCalibration:
         assert report["largest_failing_learn_accuracy_const"] == 1.4
         assert report["smallest_passing_learn_accuracy_const"] == 3.0
         assert report["chosen_learn_accuracy_const"] == 10.0
+
+    def test_a_rate_must_clear_its_bound_by_two_standard_errors(self, monkeypatch):
+        # The skewed coins are rejected on 19 of 100 runs at D = 1: under the
+        # 0.2 bound, but by less than two standard errors (0.039), so D = 1
+        # fails.  At D = 2, 10 of 100 clear it (0.10 + 0.06).
+        stub_sweep_runs(monkeypatch, "learn_accuracy_const", lambda name, eps, value: False)
+        corpus = [(name, member) for name, _, member, _ in oracles._learning_corpus(0, 10_000, 0.1)]
+        wrong = {1.0: 19, 2.0: 10, 3.0: 0}
+        seen = Counter()
+
+        def run_budgeted_test(stream, n, cfg):
+            name, member = corpus[stream.index]
+            key = (name, cfg.eps, cfg.learn_accuracy_const)
+            errs = name == "skewed-20" and seen[key] < wrong[cfg.learn_accuracy_const]
+            seen[key] += 1
+            return SimpleNamespace(verdict=Verdict.YES_PBD if member != errs else Verdict.NO_PBD)
+
+        monkeypatch.setattr(oracles, "run_budgeted_test", run_budgeted_test)
+        report = learning_calibration_report(
+            0, "learn_accuracy_const", grid=(1.0, 2.0, 3.0), runs=100
+        )
+        assert report["rate_margin_se"] == 2.0
+        rates = [row["points"][0]["sources"]["skewed-20"]["error_rate"] for row in report["sweep"]]
+        assert rates == [0.19, 0.1, 0.0] and rates[0] <= report["max_error_rate"]
+        assert [row["passes"] for row in report["sweep"]] == [False, True, True]
+        assert report["largest_failing_learn_accuracy_const"] == 1.0
+        assert report["chosen_learn_accuracy_const"] == 3.0
 
     def test_no_hypothesis_counts_as_a_miss(self, monkeypatch):
         # A learner that certifies every sample not unimodal returns no

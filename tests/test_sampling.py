@@ -1,5 +1,6 @@
 """Unit tests for seeded sampling, histograms and empirical distributions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -95,12 +96,7 @@ class TestSampleCountsAreIntegers:
     @pytest.mark.parametrize("k", BAD)
     def test_every_draw_refuses_before_counting(self, k):
         for stream in self.streams():
-            draws = (
-                stream.draw,
-                stream.draw_histogram,
-                lambda k: stream.draw_histogram(k, within=(1, 2)),
-            )
-            for draw in draws:
+            for draw in (stream.draw, stream.draw_histogram):
                 with pytest.raises(ValueError, match="nonnegative integer"):
                     draw(k)
             assert stream.samples_drawn == 0 and type(stream.samples_drawn) is int
@@ -383,11 +379,11 @@ def coarsened(hist, a, b):
     return inside, hist.total - int(inside.sum())
 
 
-def binomial_fit_p_value(draws, k, p, cells=10):
-    """Chi-square p-value of ``draws`` against Binomial(k, p), on cells cut at
-    the law's deciles, so that no cell is nearly empty."""
-    edges = np.unique(stats.binom.ppf(np.linspace(0.0, 1.0, cells + 1)[1:-1], k, p))
-    probs = np.diff(np.concatenate([[0.0], stats.binom.cdf(edges, k, p), [1.0]]))
+def fit_p_value(draws, law, cells=10):
+    """Chi-square p-value of ``draws`` against the frozen scipy law ``law``, on
+    cells cut at its deciles, so that no cell is nearly empty."""
+    edges = np.unique(law.ppf(np.linspace(0.0, 1.0, cells + 1)[1:-1]))
+    probs = np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]]))
     # Cell i holds the draws in (edges[i - 1], edges[i]]; the last, those above edges[-1].
     observed = np.bincount(np.searchsorted(edges, draws), minlength=len(probs))
     expected = len(draws) * probs
@@ -395,44 +391,64 @@ def binomial_fit_p_value(draws, k, p, cells=10):
     return float(stats.chi2.sf(chi2, len(probs) - 1))
 
 
-class TestCoarseDraw:
-    """``draw_histogram(k, within=(a, b))``: the counts on [a, b] and the count
-    outside it, as the full histogram coarsened."""
+class TestCoarsePoissonized:
+    """``draw_poissonized(k, within=(a, b))``: a Poisson(k) total, then the
+    counts of that many samples on [a, b] and the count outside it."""
 
-    POOL = np.array([12, 15, 15, 20, 31, 40, 12, 18, 25, 25, 40, 39, 16, 12, 33] * 3)
+    # sha256 of the draws in ``test_full_draws_are_unchanged``, taken before
+    # ``within`` was added: the full Poissonized draw must not move.
+    FULL_DRAWS_SHA256 = "c3cf821d834cdae043dde02cec2b18cfbb668af8dd459d663546bcebb593899d"
+
+    POOL = np.array([12, 15, 15, 20, 31, 40, 12, 18, 25, 25, 40, 39, 16, 12, 33] * 10)
     # Inside the pool's range [12, 40], straddling either end, covering it,
     # and wholly below or above it.
     INTERVALS = [(15, 25), (16, 16), (0, 14), (38, 60), (5, 50), (0, 11), (41, 45)]
 
+    def test_full_draws_are_unchanged(self):
+        digest = hashlib.sha256()
+        for d in ZERO_ENDED:
+            root = SampleStream.from_distribution(d, seed=29)
+            for t, k in enumerate((1.0, 37.5, 1000.0, 233_000.0)):
+                h = root.split(t).draw_poissonized(k)
+                digest.update(np.array([h.lo, h.outside], dtype=np.int64).tobytes())
+                digest.update(h.counts.tobytes())
+        assert digest.hexdigest() == self.FULL_DRAWS_SHA256
+
     @pytest.mark.parametrize("a, b", INTERVALS)
     def test_pool_draw_is_the_full_histogram_coarsened(self, a, b):
-        full = SampleStream.from_samples(self.POOL)
-        coarse = SampleStream.from_samples(self.POOL)
-        for k in (0, 1, 7, 20, 0, 17):
+        # Twin pools on one seed draw the same totals and hand out the same
+        # samples, so the coarse draw is the full one coarsened.
+        full = SampleStream.from_samples(self.POOL, seed=7)
+        coarse = SampleStream.from_samples(self.POOL, seed=7)
+        for k in (0.5, 1.0, 7.0, 20.0, 17.0):
             drawn = coarse.samples_drawn
-            h = coarse.draw_histogram(k, within=(a, b))
-            assert coarse.samples_drawn == drawn + k
-            inside, outside = coarsened(full.draw_histogram(k), a, b)
-            assert (h.lo, h.hi, h.total) == (a, b, k)
+            h = coarse.draw_poissonized(k, within=(a, b))
+            assert coarse.samples_drawn == drawn + h.total
+            inside, outside = coarsened(full.draw_poissonized(k), a, b)
+            assert (h.lo, h.hi) == (a, b) and full.samples_drawn == coarse.samples_drawn
             np.testing.assert_array_equal(h.counts, inside)
             assert h.outside == outside
 
     @pytest.mark.parametrize("d", LEADS, ids=LEAD_IDS)
-    def test_draw_is_the_multinomial_on_the_interval_and_a_last_lump(self, d):
-        # Bit for bit: the source's normalised values on [a, b], then 0.0 for
-        # the lump, which numpy gives the remainder; also for intervals that
-        # reach past either end of the source's array.
+    def test_draw_is_a_poisson_total_then_the_coarse_multinomial(self, d):
+        # Bit for bit: K from the stream's generator, then the multinomial on
+        # the source's normalised values on [a, b] and 0.0 for the lump, which
+        # numpy gives the remainder; also for intervals that reach past either
+        # end of the source's array.
         probs = d.probs / d.probs.sum()
+        mid = (d.lo + d.hi) // 2
         for a, b in [(d.lo, d.hi), (d.lo - 3, d.lo + 2), (d.hi - 2, d.hi + 5),
-                     ((d.lo + d.hi) // 2 - 5, (d.lo + d.hi) // 2 + 5), (d.hi + 1, d.hi + 4)]:
-            stream = SampleStream.from_distribution(d, seed=17, spawn_key=(2,))
-            rng = reference_generator(17, (2,))
+                     (mid - 5, mid + 5), (d.hi + 1, d.hi + 4)]:
+            stream = SampleStream.from_distribution(d, seed=17, spawn_key=(3,))
+            rng = reference_generator(17, (3,))
             p = np.array([probs[x - d.lo] if d.lo <= x <= d.hi else 0.0 for x in range(a, b + 1)])
-            for k in (0, 1, 1000, 233_000):
-                h = stream.draw_histogram(k, within=(a, b))
-                counts = rng.multinomial(k, np.append(p, 0.0))
+            total = 0
+            for k in (0.5, 1000.0, 233_000.0):
+                h = stream.draw_poissonized(k, within=(a, b))
+                counts = rng.multinomial(int(rng.poisson(k)), np.append(p, 0.0))
                 assert (h.lo, h.counts.tolist(), h.outside) == (a, counts[:-1].tolist(), counts[-1])
-            assert stream.samples_drawn == 234_001
+                total += h.total
+            assert stream.samples_drawn == total
 
     # (source, interval, points whose counts are checked): Binomial(10^4, 1/2)
     # around its mode; a law on the even points, whose stream keeps only its
@@ -447,45 +463,53 @@ class TestCoarseDraw:
 
     @pytest.mark.parametrize("d, interval, points", LAW_CASES,
                              ids=["binomial", "even-lattice", "past-support", "below-support"])
-    def test_counts_have_the_multinomial_marginals(self, d, interval, points):
-        # Each count of k samples is Binomial(k, p): p the source's mass at the
-        # point, or off the interval for ``outside``.  Over 1000 seeded draws,
-        # each marginal's chi-square p-value must exceed 1e-4.
+    def test_counts_are_poisson_at_k_times_the_mass(self, d, interval, points):
+        # Each count is Poisson(k p): p the source's mass at the point, or off
+        # the interval for ``outside``.  Over 1000 seeded draws, each count's
+        # chi-square p-value must exceed 1e-4, and its mean must lie within 4
+        # standard errors of k p (a Poisson count's variance is its mean).
         a, b = interval
-        k, trials = 1000, 1000
+        k, trials = 1000.0, 1000
         mass = {x: float(d.probs[x - d.lo]) if d.lo <= x <= d.hi else 0.0 for x in range(a, b + 1)}
         root = SampleStream.from_distribution(d, seed=23)
-        draws = [root.split(t).draw_histogram(k, within=interval) for t in range(trials)]
-        assert all(h.total == k and h.lo == a and h.hi == b for h in draws)
-        assert root.samples_drawn == k * trials
-        marginals = [(np.array([h.counts[x - a] for h in draws]), mass[x]) for x in points]
-        marginals.append((np.array([h.outside for h in draws]), 1.0 - sum(mass.values())))
-        for observed, p in marginals:
+        draws = [root.split(t).draw_poissonized(k, within=interval) for t in range(trials)]
+        assert all(h.lo == a and h.hi == b for h in draws)
+        assert root.samples_drawn == sum(h.total for h in draws)
+        counts = [(np.array([h.counts[x - a] for h in draws]), mass[x]) for x in points]
+        counts.append((np.array([h.outside for h in draws]), 1.0 - sum(mass.values())))
+        for observed, p in counts:
             if p <= 1e-15:
                 assert not observed.any()
                 continue
-            assert binomial_fit_p_value(observed, k, p) > 1e-4, p
+            assert abs(observed.mean() - k * p) <= 4.0 * math.sqrt(k * p / trials), p
+            assert fit_p_value(observed, stats.poisson(k * p)) > 1e-4, p
 
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_refusals_count_nothing(self, pooled):
+    def test_refusals_draw_and_count_nothing(self, pooled):
         def fresh():
             if pooled:
-                return SampleStream.from_samples(np.arange(100))
+                return SampleStream.from_samples(np.arange(100) % 60, seed=3)
             return SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=3)
 
         s = fresh()
-        with pytest.raises(ValueError, match=r"interval \[50, 49\] is empty"):
-            s.draw_histogram(10, within=(50, 49))
-        with pytest.raises(ValueError, match="too wide to count"):
-            s.draw_histogram(10, within=(0, MAX_WIDTH))
-        capped = s.capped(9)
-        with pytest.raises(StreamExhausted, match="need 10, have 9 left"):
-            capped.draw_histogram(10, within=(40, 60))
-        assert s.samples_drawn == capped.samples_drawn == 0
-        # Nothing was drawn either: the next draw is a fresh stream's first.
-        h = capped.draw_histogram(9, within=(40, 60))
-        twin = fresh().draw_histogram(9, within=(40, 60))
+        for within, match in [((50, 49), r"interval \[50, 49\] is empty"),
+                              ((0, MAX_WIDTH), "too wide to count")]:
+            with pytest.raises(ValueError, match=match):
+                s.draw_poissonized(10.0, within=within)
+        assert s.samples_drawn == 0
+        # Nothing was drawn either, not even the total: the next draw is a
+        # fresh stream's first.
+        h = s.draw_poissonized(10.0, within=(40, 60))
+        twin = fresh().draw_poissonized(10.0, within=(40, 60))
         assert (h.counts.tolist(), h.outside) == (twin.counts.tolist(), twin.outside)
+        if pooled:  # a pool hands out its next K samples, coarsened
+            inside, outside = coarsened(fresh().draw_histogram(h.total), 40, 60)
+            assert (h.counts.tolist(), h.outside) == (inside.tolist(), outside)
+        # A total past the cap is refused before any sample is counted.
+        capped = fresh().capped(h.total - 1)
+        with pytest.raises(StreamExhausted, match=f"need {h.total}, have {h.total - 1} left"):
+            capped.draw_poissonized(10.0, within=(40, 60))
+        assert capped.samples_drawn == 0
 
 
 class TestCapped:
@@ -606,22 +630,20 @@ class TestHistogram:
     # A coarse histogram's counts are a window of the sample: a full-histogram
     # reader (the learner, the moment stage, ``pbdtest stat``) cannot take it.
     def test_coarse_histogram_has_no_moments(self):
-        h = SampleStream.from_samples([1, 2, 2, 9]).draw_histogram(4, within=(0, 3))
-        assert h.outside == 1
+        h = SampleHistogram(0, np.array([0, 1, 2, 0]), 1)
         with pytest.raises(ValueError, match=r"coarse histogram \(1 samples outside\) has no moments"):
             h.moments()
 
     def test_coarse_histogram_has_no_empirical_law(self):
-        h = SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=2).draw_histogram(
-            50, within=(50, 50)
+        h = SampleStream.from_distribution(binomial_pmf(100, 0.5), seed=2).draw_poissonized(
+            50.0, within=(50, 50)
         )
         assert h.outside > 0
         with pytest.raises(ValueError, match="has no empirical distribution"):
             h.to_empirical()
 
     def test_coarse_histogram_with_nothing_outside_is_full(self):
-        h = SampleStream.from_samples([1, 2, 2, 3]).draw_histogram(4, within=(0, 3))
-        assert h.outside == 0
+        h = SampleHistogram(0, np.array([0, 1, 2, 1]))
         assert h.moments() == hist_of([1, 2, 2, 3]).moments()
         np.testing.assert_array_equal(h.to_empirical().probs, [0.0, 0.25, 0.5, 0.25])
 

@@ -33,15 +33,15 @@ from pbdtest.oracles import (
     paired_perturbation,
     tn_closed_form_moments,
 )
-from pbdtest.sampling import SampleHistogram, SampleStream, StreamExhausted
+from pbdtest.sampling import SampleHistogram, SampleStream, StreamExhausted, seeded_generator
 from pbdtest.tester import (
     Branch,
     TestConfig,
     Verdict,
+    chi2_closeness_test,
     heavy_case_test,
     l2_statistic,
     run_budgeted_test,
-    simple_tolerant_identity_test,
 )
 from pbdtest.tester import test_pbd as run_membership_test
 
@@ -57,6 +57,8 @@ STOPS_AT_L2 = _CFG.learn_samples(0.1 / _CFG.learn_accuracy_const) + 30_000
 REMOVED_THRESHOLD = "learn_sparse_" "threshold_const"
 # Likewise the deleted moments stage's sample constant.
 REMOVED_MOMENT_CONST = "moment_" "sample_const"
+# And the deleted TV tolerant stage's.
+REMOVED_TOLERANT_CONST = "tolerant_" "sample_const"
 
 
 def heavy_inputs(src, n, eps, seed):
@@ -149,6 +151,12 @@ class TestConfigValidation:
             TestConfig(eps=0.1, delta=0.1, **{REMOVED_MOMENT_CONST: 20.0})
         assert not hasattr(TestConfig, "moment_" "samples")
 
+    def test_tolerant_stage_constant_is_gone(self):
+        # The chi^2 stage's rate constant replaced the TV tolerant stage's.
+        with pytest.raises(TypeError, match=REMOVED_TOLERANT_CONST):
+            TestConfig(eps=0.1, delta=0.1, **{REMOVED_TOLERANT_CONST: 5.0})
+        assert not hasattr(TestConfig, "tolerant_" "samples")
+
     def test_truncated_log_reexport(self):
         assert pbdtest.truncated_log(0.5) == 1.0
         assert not hasattr(tester, "truncated_log")  # the package root is its one re-export
@@ -179,13 +187,13 @@ class TestConfigValidation:
 
 
 class TestSampleCounts:
-    # n: (tolerant stage on Binomial(n, 1/2)'s eps/5 interval, l2 rate at
+    # n: (chi^2 rate on Binomial(n, 1/2)'s eps/5 interval, l2 rate at
     # sigma_hat = sqrt(n/4)), at eps = 0.1 and the default constants.
     QUOTED = {
-        10**3: (37_000, 48_271),
-        4096: (74_500, 68_671),
-        10**4: (116_500, 85_839),
-        10**5: (368_000, 152_646),
+        10**3: (17_321, 48_271),
+        4096: (24_495, 68_671),
+        10**4: (30_595, 85_839),
+        10**5: (54_296, 152_646),
     }
 
     def test_counts_match_the_quoted_figures(self):
@@ -195,61 +203,83 @@ class TestSampleCounts:
         assert cfg.learn_samples(0.1 / 3) == 20_823
         assert cfg.l2_sample_rate(32.0) == 68_671
         assert cfg.l2_sample_rate(math.sqrt(10**6 / 4)) == 271_446
-        for n, (tolerant, heavy) in self.QUOTED.items():
+        for n, (chi2, heavy) in self.QUOTED.items():
             lo, hi = effective_support_interval(binomial_pmf(n, 0.5), cfg.eps / 5.0)
-            assert cfg.tolerant_samples(hi - lo + 1) == tolerant, n
+            assert cfg.chi2_sample_rate(hi - lo + 1) == chi2, n
             assert cfg.l2_sample_rate(math.sqrt(n / 4)) == heavy, n
 
+    def test_sparse_need_grows_as_the_fourth_root_of_n(self):
+        # The interval holds about sqrt(n) points and the rate grows as the
+        # root of its length.  The full-support binomial_pmf fails its mass
+        # check at n = 10^6 (ROADMAP item 3), so both n use the tail_cut window.
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        rates = {}
+        for n in (10**4, 10**6):
+            law = binomial_pmf(n, 0.5, tail_cut=1e-9)
+            lo, hi = effective_support_interval(law, cfg.eps / 5.0)
+            rates[n] = cfg.chi2_sample_rate(hi - lo + 1)
+        assert rates == {10**4: 30_595, 10**6: 96_499}
+        assert rates[10**6] / rates[10**4] == pytest.approx(math.sqrt(10), rel=0.05)
 
-# The tolerant stage at the default constants, and with a sample count so
-# small that any histogram meets it.
-TOL_CFG = TestConfig(eps=0.2, delta=0.1)
-ANY_COUNT = TestConfig(eps=0.5, delta=0.1, tolerant_sample_const=1e-6)
+
+# The chi^2 stage at the default constants.
+CHI2_CFG = TestConfig(eps=0.2, delta=0.1)
 
 
-class TestSimpleTolerantIdentityTest:
+def reference_chi2(q, interval, hist, k, eps):
+    """Reference: both (m + 1)-point laws built point by point, q mixed with
+    eps/50 of uniform mass, and the statistic summed exactly."""
+    a, b = interval
+    q_pts = [q.probs[i - q.lo] if q.lo <= i <= q.hi else 0.0 for i in range(a, b + 1)]
+    c_pts = [int(hist.counts[i - hist.lo]) if hist.lo <= i <= hist.hi else 0
+             for i in range(a, b + 1)]
+    q_pts.append(max(0.0, 1.0 - q.tail_slack - math.fsum(q_pts)))
+    c_pts.append(hist.total - sum(c_pts))
+    gamma = eps / 50.0
+    q_mix = [(1.0 - gamma) * x + gamma / len(q_pts) for x in q_pts]
+    return math.fsum(((c - k * x) ** 2 - c) / (k * k * x) for c, x in zip(c_pts, q_mix))
+
+
+def coarse_chi2_divergence(p, q, interval, eps):
+    """chi^2(p_I || q'): the statistic's mean, from the two explicit laws."""
+    a, b = interval
+    p_in = [p.probs[i - p.lo] if p.lo <= i <= p.hi else 0.0 for i in range(a, b + 1)]
+    q_in = [q.probs[i - q.lo] if q.lo <= i <= q.hi else 0.0 for i in range(a, b + 1)]
+    p_pts = p_in + [max(0.0, 1.0 - math.fsum(p_in))]
+    q_pts = q_in + [max(0.0, 1.0 - q.tail_slack - math.fsum(q_in))]
+    gamma = eps / 50.0
+    q_mix = [(1.0 - gamma) * x + gamma / len(q_pts) for x in q_pts]
+    return math.fsum((x - y) ** 2 / y for x, y in zip(p_pts, q_mix))
+
+
+class TestChi2ClosenessTest:
     def test_exact_match_is_close(self):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         hist = SampleHistogram(0, np.array([500, 500]))
-        close, tv = simple_tolerant_identity_test(q, (q.lo, q.hi), hist, TOL_CFG)
+        close, z = chi2_closeness_test(q, (q.lo, q.hi), hist, 1000.0, CHI2_CFG.eps)
         assert close is True
-        assert tv == 0.0
+        assert z == pytest.approx(reference_chi2(q, (0, 1), hist, 1000.0, CHI2_CFG.eps))
+        assert z < 0.32 * CHI2_CFG.eps**2
 
-    def test_sample_count_enforced(self):
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+    def test_rate_must_be_positive_and_finite(self, k):
         q = ExplicitDistribution(0, np.array([0.5, 0.5]))
         hist = SampleHistogram(0, np.array([2, 1]))
-        with pytest.raises(ValueError, match="samples"):
-            simple_tolerant_identity_test(q, (q.lo, q.hi), hist, TOL_CFG)
+        with pytest.raises(ValueError, match="k must be positive and finite"):
+            chi2_closeness_test(q, (q.lo, q.hi), hist, k, CHI2_CFG.eps)
 
-    def test_sample_count_uses_the_interval_length(self):
+    def test_rate_uses_the_interval_length(self):
         q = binomial_pmf(100, 0.5)
-        cfg = TestConfig(eps=0.5, delta=0.1, tolerant_sample_const=0.25)
-        interval = (45, 54)  # 10 of q's 101 points
-        need = cfg.tolerant_samples(10)
-        assert need == math.ceil(0.25 * 10 / 0.5**2)
-        assert need < cfg.tolerant_samples(len(q.probs))
-        enough = SampleHistogram(50, np.array([need]))
-        simple_tolerant_identity_test(q, interval, enough, cfg)
-        short = SampleHistogram(50, np.array([need - 1]))
-        with pytest.raises(ValueError, match=f"need at least {need} samples"):
-            simple_tolerant_identity_test(q, interval, short, cfg)
+        cfg = TestConfig(eps=0.5, delta=0.1, chi2_sample_const=0.25)
+        rate = cfg.chi2_sample_rate(10)  # 10 of q's 101 points, and the lump
+        assert rate == math.ceil(0.25 * math.sqrt(11) / 0.5**2)
+        assert rate < cfg.chi2_sample_rate(len(q.probs))
+        hist = SampleHistogram(50, np.array([rate]))
+        chi2_closeness_test(q, (45, 54), hist, float(rate), cfg.eps)
         with pytest.raises(ValueError, match="empty"):
-            simple_tolerant_identity_test(q, (54, 45), enough, cfg)
+            chi2_closeness_test(q, (54, 45), hist, float(rate), cfg.eps)
 
-    @staticmethod
-    def _coarsened_tv(q, interval, hist):
-        """Reference: build both (m + 1)-point laws point by point, in exact sums."""
-        a, b = interval
-        k = hist.total
-        q_pts = [q.probs[i - q.lo] if q.lo <= i <= q.hi else 0.0 for i in range(a, b + 1)]
-        e_pts = [hist.counts[i - hist.lo] / k if hist.lo <= i <= hist.hi else 0.0
-                 for i in range(a, b + 1)]
-        outside = sum(int(c) for i, c in enumerate(hist.counts) if not a <= hist.lo + i <= b)
-        q_pts.append(max(0.0, 1.0 - q.tail_slack - math.fsum(q_pts)))
-        e_pts.append(outside / k)
-        return 0.5 * math.fsum(abs(e - f) for e, f in zip(e_pts, q_pts))
-
-    def test_coarsened_tv_matches_reference(self):
+    def test_statistic_matches_reference(self):
         rng = np.random.Generator(np.random.Philox(41))
         slacked = 0
         for trial in range(300):
@@ -280,27 +310,32 @@ class TestSimpleTolerantIdentityTest:
             covers = h_lo <= a and h_hi >= b
             misses = h_hi < a or h_lo > b
             assert placement == ("cover" if covers else "miss" if misses else "overlap")
-            _, tv = simple_tolerant_identity_test(q, (a, b), hist, ANY_COUNT)
-            assert abs(tv - self._coarsened_tv(q, (a, b), hist)) <= 1e-15
+            k = float(rng.uniform(0.5, 2.0) * hist.total)
+            eps = float(rng.uniform(0.05, 0.5))
+            _, z = chi2_closeness_test(q, (a, b), hist, k, eps)
+            assert z == pytest.approx(reference_chi2(q, (a, b), hist, k, eps), rel=1e-12, abs=1e-12)
         assert slacked >= 100
 
     @pytest.mark.parametrize("interval", [(45, 54), (30, 70), (0, 44), (101, 110)])
     def test_a_coarse_histogram_gives_the_full_histogram_statistic(self, interval):
-        # The same pool drawn whole and drawn on the interval: bit-equal results.
+        # Twin pools drawn whole and drawn on the interval take the same
+        # Poisson total and the same samples: bit-equal results.
         q = binomial_pmf(100, 0.5)
-        xs = SampleStream.from_distribution(q, seed=4).draw(2_000)
-        full = SampleStream.from_samples(xs).draw_histogram(xs.size)
-        coarse = SampleStream.from_samples(xs).draw_histogram(xs.size, within=interval)
+        xs = SampleStream.from_distribution(q, seed=4).draw(3_000)
+        full = SampleStream.from_samples(xs, seed=4).draw_poissonized(2_000.0)
+        coarse = SampleStream.from_samples(xs, seed=4).draw_poissonized(2_000.0, within=interval)
         assert coarse.lo == interval[0] and full.lo != coarse.lo
-        assert simple_tolerant_identity_test(q, interval, coarse, ANY_COUNT) == (
-            simple_tolerant_identity_test(q, interval, full, ANY_COUNT)
+        assert coarse.total == full.total
+        assert chi2_closeness_test(q, interval, coarse, 2_000.0, 0.5) == (
+            chi2_closeness_test(q, interval, full, 2_000.0, 0.5)
         )
 
     def test_close_and_far_rates(self):
-        m, eps = 50, TOL_CFG.eps
+        m, eps = 50, CHI2_CFG.eps
         probs = np.linspace(1.0, 2.0, m)
         q = ExplicitDistribution(0, probs / probs.sum())
-        k = TOL_CFG.tolerant_samples(m)
+        k = float(CHI2_CFG.chi2_sample_rate(m))
+        interval = (q.lo, q.hi)
         close_hits = 0
         far_hits = 0
         trials = 60
@@ -313,31 +348,57 @@ class TestSimpleTolerantIdentityTest:
         assert tv_distance(far, q) > 2 * eps / 5
         root_far = SampleStream.from_distribution(far, seed=9)
         for t in range(trials):
-            xs = root_q.split(t).draw_histogram(k)
-            close_hits += simple_tolerant_identity_test(q, (q.lo, q.hi), xs, TOL_CFG)[0]
-            ys = root_far.split(t).draw_histogram(k)
-            far_hits += not simple_tolerant_identity_test(q, (q.lo, q.hi), ys, TOL_CFG)[0]
+            xs = root_q.split(t).draw_poissonized(k, within=interval)
+            close_hits += chi2_closeness_test(q, interval, xs, k, eps)[0]
+            ys = root_far.split(t).draw_poissonized(k, within=interval)
+            far_hits += not chi2_closeness_test(q, interval, ys, k, eps)[0]
         assert close_hits >= 0.95 * trials
         assert far_hits >= 0.95 * trials
+
+    @pytest.mark.parametrize("source", ["member", "zigzag"])
+    def test_statistic_is_unbiased(self, source):
+        # Over Poissonized coarse draws its mean is chi^2(p_I || q'), for a
+        # source equal to q and for the zigzag, certified far from q.
+        n, eps = 1_000, 0.1
+        q = binomial_pmf(n, 0.5)
+        p = q if source == "member" else paired_perturbation(q, 1.1 * eps)[0]
+        interval = effective_support_interval(q, eps / 5.0)
+        k = float(TestConfig(eps=eps).chi2_sample_rate(interval[1] - interval[0] + 1))
+        root = SampleStream.from_distribution(p, seed=21)
+        trials = 2_000
+        zs = np.array([
+            chi2_closeness_test(q, interval, root.split(t).draw_poissonized(k, within=interval),
+                                k, eps)[1]
+            for t in range(trials)
+        ])
+        expected = coarse_chi2_divergence(p, q, interval, eps)
+        se = zs.std(ddof=1) / math.sqrt(trials)
+        assert abs(zs.mean() - expected) <= 4.0 * se
+        if source == "zigzag":
+            assert expected > 0.32 * eps**2
 
     def test_sparse_stage_runs_it_once_per_sparse_run(self, monkeypatch):
         calls = []
 
-        def counting(*args, _orig=tester.simple_tolerant_identity_test, **kw):
+        def counting(*args, _orig=tester.chi2_closeness_test, **kw):
             out = _orig(*args, **kw)
             calls.append(out)
             return out
 
-        monkeypatch.setattr(tester, "simple_tolerant_identity_test", counting)
+        monkeypatch.setattr(tester, "chi2_closeness_test", counting)
         cfg = TestConfig(eps=0.2, delta=0.3, seed=5, amplification_reps=3)
         stream = SampleStream.from_distribution(binomial_pmf(2_000, 0.5), seed=5)
         res = run_membership_test(stream, 2_000, cfg)
         runs = res.diagnostics["runs"]
         assert res.diagnostics["branch_counts"] == {"sparse": len(runs), "heavy": 0}
         assert len(calls) == len(runs) == res.diagnostics["repetitions_run"]
-        for (close, tv), run in zip(calls, runs):
-            assert run["diagnostics"]["tv_empirical_vs_hypothesis"] == tv
-            assert run["diagnostics"]["tolerant_outcome"] == ("close" if close else "far")
+        for (close, z), run in zip(calls, runs):
+            diag = run["diagnostics"]
+            lo, hi = diag["interval"]
+            assert diag["k_poissonized"] == cfg.chi2_sample_rate(hi - lo + 1)
+            assert diag["chi2"] == z
+            assert diag["chi2_threshold"] == pytest.approx(0.32 * cfg.eps**2)
+            assert diag["tolerant_outcome"] == ("close" if close else "far")
 
 
 class TestTolerantStageOnACertifiedFarSource:
@@ -345,8 +406,8 @@ class TestTolerantStageOnACertifiedFarSource:
         # Binomial(10^4, 1/2) with mass moved within each pair of adjacent
         # points, in alternating directions: certified 0.105 > eps from every
         # unimodal law, hence from every PBD.  A binomial fits its learning
-        # sample, so the run reaches the sparse stage, whose coarse draw sees
-        # the zigzag.
+        # sample, so the run reaches the sparse branch's chi^2 stage, whose
+        # coarse draw sees the zigzag.
         n, cfg = 10**4, TestConfig(eps=0.1)
         far, _ = paired_perturbation(binomial_pmf(n, 0.5), 0.11)
         assert unimodal_distance_lb(far) > cfg.eps
@@ -355,6 +416,7 @@ class TestTolerantStageOnACertifiedFarSource:
             res = run_budgeted_test(root.split(r), n, cfg)
             assert (res.verdict, res.branch) == (Verdict.NO_PBD, Branch.SPARSE)
             assert res.diagnostics["tolerant_outcome"] == "far"
+            assert res.diagnostics["chi2"] > res.diagnostics["chi2_threshold"]
 
 
 def deciding_stage(res) -> str:
@@ -379,7 +441,7 @@ class TestEveryDecidingStageHasAFarSource:
     # fields, and ``oracles.calibration_report`` the heavy statistic's C1 and c.
     STAGE_CONSTANTS = {
         "learning certificate": ("learn_sample_const", "learn_accuracy_const"),
-        "tolerant": ("tolerant_sample_const",),
+        "tolerant": ("chi2_sample_const",),
         # The heavy pivot's moments and sigma_hat come from the learning sample.
         "heavy statistic": (
             "learn_sample_const", "learn_accuracy_const", "l2_sample_const", "l2_far_const"
@@ -438,10 +500,15 @@ class TestCoarsen:
         lo, hi = effective_support_interval(d, 0.5 / 5)
         assert 0 < lo and hi < 10
         hist = SampleHistogram(0, np.array([2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]))
-        # Every sample lands on the lumped outside point, so the coarsened TV
-        # is q's mass on the interval.
-        _, tv = simple_tolerant_identity_test(d, (lo, hi), hist, ANY_COUNT)
-        assert tv == pytest.approx(d.probs[lo : hi + 1].sum(), abs=1e-15)
+        # Every sample lands on the lumped outside point, so each interval
+        # point adds its mixed mass q'_i, and the lump its own term.
+        eps, k = 0.5, 4.0
+        _, z = chi2_closeness_test(d, (lo, hi), hist, k, eps)
+        gamma, m = eps / 50.0, hi - lo + 1
+        q_in = (1.0 - gamma) * d.probs[lo : hi + 1] + gamma / (m + 1)
+        q_out = 1.0 - q_in.sum()
+        expected = q_in.sum() + ((4 - k * q_out) ** 2 - 4) / (k * k * q_out)
+        assert z == pytest.approx(expected, rel=1e-12)
 
 
 class TestL2Statistic:
@@ -734,15 +801,17 @@ class TestSampleAccounting:
 
     def _planned_draws(self, cfg, diag):
         """The draws a run's config plans for it, given what its diagnostics
-        say it learned: the learning draw, then the tolerant draw on the
-        interval, or the Poisson total at the planned rate."""
+        say it learned: the learning draw, then the Poisson total at the
+        rate planned for the sparse branch's interval or the heavy branch's
+        sigma_hat."""
         plan = [cfg.learn_samples(cfg.eps / cfg.learn_accuracy_const)]
         if diag.get("reason") == "learning sample not unimodal":
             return plan
         if "interval" in diag:
             lo, hi = diag["interval"]
-            return plan + [cfg.tolerant_samples(hi - lo + 1)]
-        if "k_poissonized" in diag:
+            assert diag["k_poissonized"] == cfg.chi2_sample_rate(hi - lo + 1)
+            plan.append(diag["realized_count"])
+        elif "k_poissonized" in diag:
             assert diag["k_poissonized"] == cfg.l2_sample_rate(math.sqrt(diag["sigma2_hat"]))
             plan.append(diag["realized_count"])
         return plan
@@ -767,8 +836,7 @@ class TestSampleAccounting:
         assert poisson_rates == [diag["k_poissonized"] for diag in runs if "k_poissonized" in diag]
         for diag, plan in zip(runs, plans):
             assert diag["learn_samples"] == plan[0]
-            stage_key = "tolerant_samples" if branch is Branch.SPARSE else "realized_count"
-            assert diag.get(stage_key) == (plan[1] if len(plan) > 1 else None)
+            assert diag.get("realized_count") == (plan[1] if len(plan) > 1 else None)
             assert "moment_samples" not in diag
         if source == "bimodal":
             assert all(len(plan) == 1 for plan in plans)
@@ -788,8 +856,8 @@ class TestSampleAccounting:
         assert res.samples_used == pool.samples_drawn < len(xs)
         np.testing.assert_array_equal(pool.draw(1), xs[res.samples_used : res.samples_used + 1])
 
-    # Budgets below every testing stage's full count (the tolerant stage
-    # alone needs about 149,000 samples here).  Such a run may reject on its
+    # Budgets below every testing stage's full count (the chi^2 stage
+    # alone draws about 24,500 samples here).  Such a run may reject on its
     # learning sample, but it must never decide on a clipped later stage:
     # it stops and accepts instead.
     STARVED = (1, 5, 100, 5_000, 10**4)
@@ -873,7 +941,7 @@ class TestSampleAccounting:
 
     def test_unbudgeted_run_raises_when_its_pool_runs_out_after_learning(self, drawn):
         # The pool holds the learning draw and nothing more: without a budget
-        # there is no starved-run rule, so the tolerant stage's refusal surfaces.
+        # there is no starved-run rule, so the chi^2 stage's refusal surfaces.
         cfg = TestConfig(eps=self.EPS, delta=0.5, amplification_reps=1)
         need = cfg.learn_samples(self.EPS / cfg.learn_accuracy_const)
         pool = SampleStream.from_distribution(binomial_pmf(self.N, 0.5), seed=2).draw(need)
@@ -1052,7 +1120,7 @@ class TestLearningSampleCertificate:
             assert diag["reason"] == "learning sample not unimodal"
             assert diag["unimodal_lb"] > diag["unimodal_lb_threshold"]
             assert res.samples_used == diag["learn_samples"]
-            assert "tolerant_samples" not in diag and "mu_hat" not in diag
+            assert "k_poissonized" not in diag and "mu_hat" not in diag
         # The corpus configs set no delta: the majority is planned at 0.1.
         amplified = run_membership_test(
             SampleStream.from_distribution(source, seed=4), n, cfg.replace(delta=0.1)
@@ -1126,7 +1194,7 @@ class TestRejectedRunBuildsNoHypothesis:
     def test_each_tolerant_run_projects_once(self, projections):
         # Ten 0.05 coins and ten 0.95 coins: no binomial fits them, so every
         # run takes the sparse route, passes the certificate and reads its
-        # hypothesis in the tolerant stage.
+        # hypothesis in the chi^2 stage.
         source = pbd_pmf(Pbd(np.array([0.05] * 10 + [0.95] * 10)))
         cfg = TestConfig(eps=0.1, delta=0.1)
         root = SampleStream.from_distribution(source, seed=6)
@@ -1134,7 +1202,7 @@ class TestRejectedRunBuildsNoHypothesis:
             before = len(projections)
             res = run_budgeted_test(root.split(t), 20, cfg)
             assert res.diagnostics["hypothesis_kind"] == "sparse"
-            assert "tolerant_samples" in res.diagnostics
+            assert "chi2" in res.diagnostics
             assert len(projections) == before + 1
 
     def test_flagged_sample_gets_no_hypothesis(self, projections):
@@ -1163,6 +1231,25 @@ class TestRejectedRunBuildsNoHypothesis:
             assert diag["hypothesis_kind"] == "sparse"
             assert diag["unimodal_lb"] > diag["unimodal_lb_threshold"]
             assert res.branch is branch
+
+
+class TestReadmeOperatingPoint:
+    """eps = 0.4, delta = 0.3, the README's example and the benchmark's
+    ``pbdtest test --spec`` workload, plans a vote of only 3 runs, so the
+    base runs must almost never reject a member."""
+
+    def test_heterogeneous_member_is_almost_never_rejected(self):
+        # At A_chi = 10 these runs, continued to 2,000, rejected 58; at the
+        # shipped 20, 1 in 2,000, and 8 in 12,000 over three laws and two
+        # other stream seeds.
+        n = 10_000
+        law = pbd_pmf(Pbd(seeded_generator(0).uniform(0.05, 0.95, size=n)), tail_cut=1e-9)
+        cfg = TestConfig(eps=0.4, delta=0.3)
+        assert cfg.repetitions() == 3
+        root = SampleStream.from_distribution(law, seed=0)
+        runs = [run_budgeted_test(root.split(t), n, cfg) for t in range(1_000)]
+        assert all(res.branch is Branch.SPARSE for res in runs)
+        assert sum(res.verdict is Verdict.NO_PBD for res in runs) <= 2
 
 
 class TestUniformLawsFarFromEveryPbd:
