@@ -113,11 +113,16 @@ passes and chooses the next grid value above it, as a margin.
   ``tolerant_sample_const`` is gone (a ``--config`` file naming it exits
   1 as an unknown field).
 
-The majority is not calibrated: ``BASE_ERROR`` is the base test's
-guarantee, an error of at most 1/3 per run, and ``TestConfig.repetitions``
-plans the smallest vote whose exact binomial tail at that error is at most
-delta (15 runs at delta = 0.1, where Hoeffding's ceil(18 ln(1/delta)) gave
-42).
+The vote is not calibrated: ``BASE_ERROR`` is the base test's guarantee,
+an error of at most 1/3 per run, and ``TestConfig.vote_plan`` plans from
+it, in exact arithmetic, both the smallest majority R whose binomial tail
+at that error is at most delta (``majority_runs``: 15 runs at delta = 0.1,
+where Hoeffding's ceil(18 ln(1/delta)) gave 42) and the smallest decisive
+lead A at which a vote that stops once one side leads by A, or once R's
+majority is decided, still errs with probability at most delta
+(``decisive_lead``: 4 at delta = 0.1, so a unanimous vote stops after 4
+runs instead of 8).  Neither plan is a calibrated value, so neither moves
+CALIBRATION_VERSION.
 
 Bump CALIBRATION_VERSION whenever a calibrated value changes (version 2:
 A_L from 200 to 2; version 3: D from 10 to 3; version 4: A_tol from 10
@@ -129,17 +134,25 @@ A_chi = 20).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 from .distributions import truncated_log
 
-__all__ = ["CALIBRATION_VERSION", "TestConfig"]
+__all__ = [
+    "CALIBRATION_VERSION",
+    "TestConfig",
+    "decisive_lead",
+    "majority_runs",
+    "vote_error",
+    "vote_outcome",
+]
 
 CALIBRATION_VERSION = 7
 
-# q: the base test's error bound that the majority is planned for.
+# q: the base test's error bound that the vote is planned for.
 BASE_ERROR = Fraction(1, 3)
 
 
@@ -159,8 +172,9 @@ class TestConfig:
     must stay within eps/5.
     ``seed`` is never read by the test: verdicts follow the stream's seed,
     and the field is only echoed into the artifact's ``config`` block.
-    ``delta`` is read only by ``repetitions``, to plan the majority, so a
-    config that learns or runs single base tests may leave it ``None``.
+    ``delta`` is read only by ``repetitions`` and ``vote_plan``, to plan the
+    vote, so a config that learns or runs single base tests may leave it
+    ``None``.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -176,7 +190,7 @@ class TestConfig:
     learn_sample_const: float = 2.0  # A_L: see learn_samples
     learn_accuracy_const: float = 3.0  # D: the tester learns at eps / D
     sparse_len_const: float = 4.0  # A_s: sparse support cap ceil(A_s / eps^3)
-    amplification_reps: int | None = None  # R: majority runs; None plans them from delta
+    amplification_reps: int | None = None  # R: plain majority runs; None plans R and A from delta
     tail_cut: float = 1e-9
 
     def __post_init__(self):
@@ -232,29 +246,104 @@ class TestConfig:
         return 0.25 * self.l2_far_const * self.eps**2 / (sigma_hat * math.sqrt(self.logt))
 
     def repetitions(self) -> int:
-        """The majority's planned runs: ``amplification_reps`` when set, else
-        the smallest R whose vote errs with probability at most delta when
-        each base run errs with probability at most ``BASE_ERROR``; with
-        neither set, it raises ``ValueError``.
-
-        A member loses with probability P[Bin(R, q) >= ceil(R/2)] (a tie
-        rejects) and a far source wins with P[Bin(R, q) > R/2]; both tails
-        grow with q, so the bound holds for every base error up to q.  The first tail is the
-        larger, and at even R = 2m it is at least its value at 2m - 1, so the
-        smallest R is odd, where the two tails are equal.  From odd R to
-        R + 2 the tail falls by C(R, m) (q(1 - q))^(m+1) (1 - 2q), m = (R-1)/2,
-        which the scan subtracts in exact integers scaled by the denominator
-        of q to the power R.
-        """
+        """The vote's planned runs R: ``amplification_reps`` when set, else
+        ``majority_runs(delta)``; with neither set, it raises ``ValueError``."""
         if self.amplification_reps is not None:
             return self.amplification_reps
         if self.delta is None:
             raise ValueError("planning the majority needs delta or amplification_reps")
-        a, b = BASE_ERROR.numerator, BASE_ERROR.denominator
-        delta = Fraction(self.delta)
-        reps, tail = 1, a  # P[Bin(1, q) >= 1] * b
-        while tail * delta.denominator > delta.numerator * b**reps:
-            m = reps // 2
-            tail = tail * b * b - math.comb(reps, m) * (a * (b - a)) ** (m + 1) * (b - 2 * a)
-            reps += 2
-        return reps
+        return majority_runs(self.delta)
+
+    def vote_plan(self) -> tuple[int, int | None]:
+        """The vote's planned runs R and decisive lead A: ``repetitions()``
+        and, when R is planned from delta, ``decisive_lead(delta)``.  With
+        ``amplification_reps`` set, A is ``None`` and the vote is a plain
+        majority of R."""
+        reps = self.repetitions()
+        return reps, None if self.amplification_reps is not None else decisive_lead(self.delta)
+
+
+def vote_outcome(yes: int, no: int, reps: int, lead: int | None) -> bool | None:
+    """The vote after ``yes`` accepting and ``no`` rejecting runs: ``True``
+    accepts, ``False`` rejects and ``None`` runs on.
+
+    It stops as soon as one side leads the other by ``lead`` (``None``: never)
+    or the runs left cannot change the majority of ``reps``; a tie rejects.
+    """
+    if 2 * yes > reps or (lead is not None and yes - no >= lead):
+        return True
+    if 2 * no >= reps or (lead is not None and no - yes >= lead):
+        return False
+    return None
+
+
+def vote_error(
+    reps: int, lead: int | None, base_error=BASE_ERROR, *, member: bool = True
+) -> Fraction:
+    """The exact probability that the vote of ``vote_outcome`` ends on the
+    wrong side when each run errs independently with probability
+    ``base_error``: rejecting a member (``member``) or accepting a far source.
+
+    The walk runs over the open (yes, no) states, weighting a step by the
+    numerator of its probability, so a state's weight after t runs is its
+    probability times the denominator of ``base_error`` to the power t.
+    """
+    q = Fraction(base_error)
+    a, b = q.numerator, q.denominator
+    w_yes, w_no = (b - a, a) if member else (a, b - a)
+    open_states = {(0, 0): 1}
+    wrong = 0  # scaled by b**reps
+    for t in range(1, reps + 1):
+        stepped: dict[tuple[int, int], int] = {}
+        for (yes, no), w in open_states.items():
+            for state, step in (((yes + 1, no), w_yes), ((yes, no + 1), w_no)):
+                stepped[state] = stepped.get(state, 0) + w * step
+        open_states = {}
+        for state, w in stepped.items():
+            outcome = vote_outcome(*state, reps, lead)
+            if outcome is None:
+                open_states[state] = w
+            elif outcome is not member:
+                wrong += w * b ** (reps - t)
+    return Fraction(wrong, b**reps)
+
+
+@functools.lru_cache(maxsize=256)
+def majority_runs(delta: float) -> int:
+    """The smallest R whose plain majority errs with probability at most
+    delta when each run errs with probability at most ``BASE_ERROR`` = q
+    (15 at delta = 0.1).
+
+    A member loses with probability P[Bin(R, q) >= ceil(R/2)] (a tie
+    rejects) and a far source wins with P[Bin(R, q) > R/2].  The first tail
+    is the larger, and at even R = 2m it is at least its value at 2m - 1, so
+    the smallest R is odd, where the two tails are equal.  From odd R to
+    R + 2 the tail falls by C(R, m) (q(1 - q))^(m+1) (1 - 2q), m = (R-1)/2,
+    which the scan subtracts in exact integers scaled by the denominator of
+    q to the power R.
+    """
+    a, b = BASE_ERROR.numerator, BASE_ERROR.denominator
+    bound = Fraction(delta)
+    reps, tail = 1, a  # P[Bin(1, q) >= 1] * b
+    while tail * bound.denominator > bound.numerator * b**reps:
+        m = reps // 2
+        tail = tail * b * b - math.comb(reps, m) * (a * (b - a)) ** (m + 1) * (b - 2 * a)
+        reps += 2
+    return reps
+
+
+@functools.lru_cache(maxsize=256)
+def decisive_lead(delta: float) -> int:
+    """The vote's decisive lead A at error delta: the smallest whose
+    ``vote_error`` at R = ``majority_runs(delta)`` is at most delta (4 at
+    delta = 0.1, where R = 15).  Cached, so no op pays for the plan.
+
+    A = R never stops a vote before its majority is decided, so some A <= R
+    passes.  R is odd, where the stop rule treats both sides alike, so the
+    member's error bounds the far source's too.  Flipping any run's vote
+    toward the truth moves the yes count and the lead up pointwise, so the
+    vote can only stop earlier on the right side: the error grows with the
+    base error, and the plan holds for every base error up to q.
+    """
+    reps, bound = majority_runs(delta), Fraction(delta)
+    return next(lead for lead in range(1, reps + 1) if vote_error(reps, lead) <= bound)

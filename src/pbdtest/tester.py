@@ -24,8 +24,9 @@ Both branches end in one count statistic, sum_i w_i [(N_i - k q_i)^2 -
 N_i] / k^2 over Poissonized counts N_i at rate k: w = 1 gives the
 squared-l2 statistic, w = 1/q the chi^2 one.
 
-``test_pbd`` amplifies the base test by majority over independent
-sub-streams and stops once the majority is decided.  Every stage draws
+``test_pbd`` amplifies the base test by a vote over independent
+sub-streams that stops once one side leads by a planned margin or the
+majority is decided.  Every stage draws
 from its own split of the caller's stream, so verdicts replay bit-for-bit
 from (seed, config).
 """
@@ -38,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .calibrated import TestConfig
+from .calibrated import TestConfig, vote_outcome
 from .distributions import (
     ExplicitDistribution,
     _on_interval,
@@ -150,14 +151,22 @@ def chi2_closeness_test(
         raise ValueError(f"interval [{a}, {b}] is empty")
     if not 0.0 < k < math.inf:
         raise ValueError("k must be positive and finite")
+    threshold = _chi2_threshold(eps)
+    m = b - a + 1
+    # One float64 array of m + 1 points each: the interval, then the lump.
+    counts = np.empty(m + 1)
     counts_in = _on_interval(hist.counts, hist.lo, a, b)
-    counts = np.append(counts_in, hist.total - counts_in.sum()).astype(np.float64)
+    counts[:m] = counts_in
+    counts[m] = hist.total - counts_in.sum()
+    q_mix = np.empty(m + 1)
     q_in = _on_interval(q.probs, q.lo, a, b)
-    q_coarse = np.append(q_in, max(0.0, 1.0 - q.tail_slack - float(q_in.sum())))
+    q_mix[:m] = q_in
+    q_mix[m] = max(0.0, 1.0 - q.tail_slack - float(q_in.sum()))
     gamma = eps / 50.0
-    q_mix = (1.0 - gamma) * q_coarse + gamma / q_coarse.size
+    q_mix *= 1.0 - gamma
+    q_mix += gamma / (m + 1)
     z = _count_statistic(counts, q_mix, k, 1.0 / q_mix)
-    return z <= _chi2_threshold(eps), z
+    return z <= threshold, z
 
 
 def l2_statistic(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float) -> float:
@@ -314,20 +323,27 @@ def run_budgeted_test(
 
 
 def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
-    """Majority-amplified membership test, stopped once the majority is decided.
+    """Amplified membership test, stopped once one side leads by a planned
+    margin or the majority is decided.
 
-    Plans ``config.repetitions()`` runs of the base test on fresh
-    sub-streams (the smallest odd count whose exact binomial tail at base
-    error 1/3 is at most delta: 15 at delta = 0.1) and returns their
-    majority verdict (a tie counts as rejection).  Run ``r`` always
-    reads ``stream.split(r)``, so stopping as soon as the
-    remaining runs cannot change the majority gives the verdict of all
-    planned runs, for every seed.  ``repetitions`` is the planned count and
-    ``repetitions_run`` the number run; ``runs``, ``yes_votes``,
-    ``branch_counts`` and ``samples_used`` cover the runs made.  A stream
-    with values outside [0, n] raises ``ValueError`` before any draw.
+    Runs the base test on fresh sub-streams, run ``r`` always on
+    ``stream.split(r)``, under ``config.vote_plan()``: R runs at most (the
+    smallest odd count whose exact binomial tail at base error 1/3 is at
+    most delta: 15 at delta = 0.1) and a decisive lead A (the smallest
+    whose exact error at base error 1/3 is at most delta: 4 at delta = 0.1).
+    The vote stops at the first run after which one side leads the other by
+    A, or the runs left cannot change R's majority (a tie rejects), and
+    returns that side (``vote_outcome``).  So it never makes more runs than
+    the majority alone, and may end on a verdict the majority of all R runs
+    would not give, with probability inside delta.  With
+    ``amplification_reps`` set, the vote is a plain majority of that many
+    runs, stopped once decided, and its diagnostics have no ``lead``.
+    ``repetitions`` is R, ``lead`` is A and ``repetitions_run`` the number
+    run; ``runs``, ``yes_votes``, ``branch_counts`` and ``samples_used``
+    cover the runs made.  A stream with values outside [0, n] raises
+    ``ValueError`` before any draw.
     """
-    reps = config.repetitions()
+    reps, lead = config.vote_plan()
     runs = []
     yes_votes = 0
     samples = 0
@@ -339,10 +355,10 @@ def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
         branches[res.branch] += 1
         if res.verdict is Verdict.YES_PBD:
             yes_votes += 1
-        # The runs left cannot change a decided majority; a tie rejects.
-        if yes_votes * 2 > reps or (len(runs) - yes_votes) * 2 >= reps:
+        accepted = vote_outcome(yes_votes, len(runs) - yes_votes, reps, lead)
+        if accepted is not None:
             break
-    verdict = Verdict.YES_PBD if yes_votes * 2 > reps else Verdict.NO_PBD
+    verdict = Verdict.YES_PBD if accepted else Verdict.NO_PBD
     branch = Branch.SPARSE if branches[Branch.SPARSE] >= branches[Branch.HEAVY] else Branch.HEAVY
     diag = {
         "repetitions": reps,
@@ -352,4 +368,6 @@ def test_pbd(stream: SampleStream, n: int, config: TestConfig) -> TestVerdict:
         "runs": [r.to_dict() for r in runs],
         "config": config.to_dict(),
     }
+    if lead is not None:
+        diag["lead"] = lead
     return TestVerdict(verdict, branch, samples, diag)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from pbdtest import TestConfig, cli, lowerbound, oracles
+from pbdtest.calibrated import vote_error
 from pbdtest.cli import main
 from pbdtest.distributions import MAX_WIDTH, binomial_pmf, effective_support_interval
 
@@ -666,15 +667,25 @@ class TestReadmeExamples:
             assert cli._build_parser().parse_args(args).fn is not None, line
 
     def test_majority_run_counts_match_the_config(self):
-        """The README's planned runs at delta = 0.1, and the agreeing runs
-        that decide the vote, are the default config's."""
+        """The README's planned runs and lead at delta = 0.1, the runs that
+        decide a unanimous vote, and its table of plans and their exact errors
+        are the default config's."""
         text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
         planned = int(re.search(r"\(`repetitions`, (\d+) at delta = 0\.1", text).group(1))
-        decided, of = map(int, re.search(r"the first (\d+) agreeing runs of (\d+)", text).groups())
+        lead = int(re.search(r"\(`lead`, (\d+) at delta = 0\.1", text).group(1))
+        unanimous = re.search(r"ends after the first (\d+) runs of (\d+)", text)
+        decided, of = map(int, unanimous.groups())
+        waited = int(re.search(r"where the majority alone waits for (\d+)", text).group(1))
         run_all = int(re.search(r"had it run all (\d+)", text).group(1))
-        reps = TestConfig(eps=0.1, delta=0.1).repetitions()
+        reps, planned_lead = TestConfig(eps=0.1, delta=0.1).vote_plan()
         assert planned == of == run_all == reps
-        assert decided == reps // 2 + 1
+        assert lead == decided == planned_lead
+        assert waited == reps // 2 + 1
+        rows = re.findall(r"\| (0\.\d+) \| (\d+) \| (\d+) \| (0\.\d{4}) \|", text)
+        assert len(rows) == 4
+        for delta, r, a, error in rows:
+            assert TestConfig(eps=0.1, delta=float(delta)).vote_plan() == (int(r), int(a))
+            assert f"{float(vote_error(int(r), int(a))):.4f}" == error
 
     def test_lowerbound_example_ends_above_a_runs_full_need(self):
         """The README ``lowerbound`` grid's last point covers one run's full need at

@@ -50,9 +50,9 @@ ARTIFACTS = {
     "lowerbound": "curve.csv",
 }
 GOLDEN_SHA256 = {
-    "test --spec": "a72eef94ca63e4fcb4be404b34631d7158db1f4a9f1723b7ab42009d0fbebfa6",
+    "test --spec": "9c360b6ee239269737b3dc4548e4d70e09322917262a44f2b8ec760158e3f099",
     "draw": "d72050956620a4044d7113278dd73aca883cf190b6d1e3f5d123e63ca021f050",
-    "test --samples": "671e1f66b853a8788f2f0ab52451857137f197d142f4d7750c372ec0a11d15e3",
+    "test --samples": "2343328abbba1f2e7b25ee81d44f058e5df8a2ce81d8c4f2d5ac1074ef0f0410",
     "learn": "bdae426057d988347e424b584d38aabe96364358fa421115969f966a7bd5114c",
     "lowerbound": "4b7b649ab2c4557f88434b737aa32f0aab6db24035c946f56572dbdac92c0176",
 }
@@ -143,19 +143,23 @@ def test_pmf_oracle_is_pinned(tmp_path, monkeypatch, capsys):
 # diagnostics and sample counts moved (1.10M -> 0.41M samples at
 # binomial-0.5 seed 0), not their verdicts or run counts; the far sources
 # reject on their learning samples, so only their ``config`` block moved.
+# All twelve were re-taken when the vote began stopping once one side leads
+# by its planned margin (4 at delta = 0.1): each gained a ``lead`` key and
+# now ends after 4 runs instead of 8, a prefix of the old runs (205,452
+# samples at binomial-0.5 seed 0); no verdict moved.
 MEMBERSHIP_SHA256 = {
-    ("binomial-0.5", 0): "86c70610967ad13f95caf3b2c01bccb3f14f04851ff1fc7b7d04fc016187ee8e",
-    ("binomial-0.5", 1): "ddf4a81b44b9ab11b10d9fd06ea3f62edfeab7f2126e6debb0911cb5b853d8b3",
-    ("binomial-0.5", 2): "57f6a7a734d32e09e53a88657bd6c2ffaf2e4bd4708113711c8ffbef678557b5",
-    ("binomial-0.3", 0): "8493b13eac5c0149cf4e224b4a47b92790af9e25c5bd94789e3a0432b5599770",
-    ("binomial-0.3", 1): "c9c13689eb1a0b4e9260af61796d7021ac3e5579dbc9a8a0cba407115f84ee14",
-    ("binomial-0.3", 2): "b0061c6d4c5598aeeeea68a42ad88332182e913e3e77b29726ebe60ae679b68a",
-    ("half-half", 0): "50a125a110ceb97c84794b7ff8279a98b67aaf8a8b3bcf6dadf6041c666ff55f",
-    ("half-half", 1): "445f650d906d102174428513d7053a7c8e884112df60b2f0c2c0b455cd98031a",
-    ("half-half", 2): "3f32c0d2f89ac0db019c1f29000f63e2e22919828c19d3e7f43b57375957908e",
-    ("c8-member", 0): "f647d5ece90d09f98dd770f859946808d8d32e0d32a75cc1a77309927e525d0a",
-    ("c8-member", 1): "ae803181bc6002d75ed63ce67687928f8cd6d4d169098339897b175166cf6713",
-    ("c8-member", 2): "d66e23c04cfce525beadc47a2981a1b83cf84f3b9e184b393f3a63849981e5e2",
+    ("binomial-0.5", 0): "af8ce2c917c73accbb94c6841241712577a78fab52948a573fd8879b170e98d5",
+    ("binomial-0.5", 1): "c20236e569a8f8cd53371462268e129b9e65a3faeb28c4aa1c8a866fb2f112d2",
+    ("binomial-0.5", 2): "2a0970d4833a8bc347126eca756ee8d04d7c1a7b3f87914682c6f647e9542355",
+    ("binomial-0.3", 0): "ddf439111c492f0869ee5e04767a46d74b7cb03f4c7b0d15e878631d53ce0185",
+    ("binomial-0.3", 1): "5c3c3b66f73326c9df432efa141dd1b0686c91c2958bdfdd1280a91c02687177",
+    ("binomial-0.3", 2): "40276a98c0c0b6b5a72ab9c1770b0dbf95e2b4b8d7da97366ed5ea75a75a16c4",
+    ("half-half", 0): "3dcbb6147fa2a843b03b278e0e863f05879c30a40d7d66b77802c371b858bbe6",
+    ("half-half", 1): "5278c32190b271be98178c7d51f1e30805918ac40fb5a49d69ae729d53810313",
+    ("half-half", 2): "e65c4df7d4a59379a2b0c96fa58f70d951e306b17eef8f8c7a748d62833fcf82",
+    ("c8-member", 0): "486ebedf84d21ea3e3748db757a7ba4bf84badeeb7e35d161f2b518917299b15",
+    ("c8-member", 1): "3dbc0d25256e7e7ed531c169f884bea0e4bda06d18beee7c225a4f21b1c2724b",
+    ("c8-member", 2): "4f312f4059cdeac7965fd9d894e8aac2c8e7eb2f3b346f85f0f7f12671dd7040",
 }
 N_MEMBERSHIP = 10_000
 

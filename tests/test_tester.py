@@ -10,6 +10,7 @@ import pytest
 import pbdtest
 import pbdtest.learner as learner
 import pbdtest.tester as tester
+from pbdtest.calibrated import decisive_lead, majority_runs, vote_error, vote_outcome
 from pbdtest.distributions import (
     ExplicitDistribution,
     Pbd,
@@ -184,6 +185,68 @@ class TestConfigValidation:
     def test_bad_constant_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TestConfig(eps=0.1, delta=0.1, **{field: value})
+
+
+class TestVotePlan:
+    """The decisive lead A: the smallest whose exact vote error at base
+    error 1/3 is at most delta, next to the majority's R."""
+
+    PLANS = {0.3: (3, 2), 0.1: (15, 4), 0.05: (23, 6), 0.01: (47, 9)}
+    GRID = np.geomspace(1e-6, 0.99, 40)
+
+    @pytest.mark.parametrize("delta", list(PLANS))
+    def test_plan_at_the_documented_deltas(self, delta):
+        assert TestConfig(eps=0.1, delta=delta).vote_plan() == self.PLANS[delta]
+
+    def test_planned_lead_errs_within_delta_on_both_sides(self):
+        for delta in self.GRID:
+            reps, lead = TestConfig(eps=0.1, delta=delta).vote_plan()
+            assert reps == majority_runs(delta) and 1 <= lead <= reps
+            for member in (True, False):
+                assert vote_error(reps, lead, member=member) <= Fraction(delta)
+            if lead > 1:
+                assert vote_error(reps, lead - 1) > Fraction(delta)
+
+    @pytest.mark.parametrize("delta", list(PLANS))
+    def test_error_grows_with_the_base_error(self, delta):
+        reps, lead = self.PLANS[delta]
+        for member in (True, False):
+            errors = [vote_error(reps, lead, Fraction(i, 300), member=member) for i in range(101)]
+            assert errors[0] == 0 and errors[-1] <= Fraction(delta)
+            assert all(a <= b for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("delta", [0.3, 0.1, 0.05])
+    def test_stop_rule_errs_within_delta_by_monte_carlo(self, delta):
+        # A member's runs each reject with probability 1/3.
+        reps, lead = self.PLANS[delta]
+        trials = 20_000
+        rejects = seeded_generator(int(1 / delta)).random((trials, reps)) < 1 / 3
+        errors = 0
+        for votes in rejects:
+            yes = no = 0
+            for reject in votes:
+                no += reject
+                yes += not reject
+                accepted = vote_outcome(yes, no, reps, lead)
+                if accepted is not None:
+                    break
+            errors += not accepted
+        se = math.sqrt(delta * (1 - delta) / trials)
+        assert errors / trials <= delta + 3 * se
+
+    def test_forced_runs_plan_a_plain_majority(self):
+        for reps in (1, 2, 22):
+            cfg = TestConfig(eps=0.1, delta=0.1, amplification_reps=reps)
+            assert cfg.vote_plan() == (reps, None)
+        with pytest.raises(ValueError, match="needs delta or amplification_reps"):
+            TestConfig(eps=0.1).vote_plan()
+
+    def test_plan_is_cached(self):
+        cfg = TestConfig(eps=0.1, delta=0.1)
+        cfg.vote_plan()
+        hits = decisive_lead.cache_info().hits
+        assert cfg.replace(seed=9).vote_plan() == (15, 4)
+        assert decisive_lead.cache_info().hits == hits + 1
 
 
 class TestSampleCounts:
@@ -981,7 +1044,9 @@ def full_majority(stream, n, config):
 
 
 class TestEarlyStoppedMajority:
-    """The stopped vote gives the full majority's verdict from a prefix of its runs."""
+    """With ``amplification_reps`` set, or at delta = 0.3, where the lead of
+    2 stops the vote exactly when its majority of 3 is decided, the stopped
+    vote gives the full majority's verdict from a prefix of its runs."""
 
     N, EPS = 2_000, 0.2
 
@@ -1032,6 +1097,57 @@ class TestEarlyStoppedMajority:
             yes_before = sum(r["verdict"] == "yes_pbd" for r in runs[:-1])
             left = planned - (made - 1)
             assert 2 * (yes_before + left) > planned and 2 * yes_before <= planned
+
+
+class TestLeadStoppedVote:
+    """At delta = 0.1 the planned vote stops at the first run after which one
+    side leads by A = 4 or R = 15's majority is decided, on a prefix of the
+    full plan's runs.  Its verdict may differ from the full majority's
+    (within delta), so the count of such seeds is reported, not asserted."""
+
+    DELTA = 0.1
+
+    @pytest.mark.parametrize(
+        "name", ["binomial", "bimodal", "criterion-07-member", "heavy-far", "heavy-boundary"]
+    )
+    def test_runs_are_the_first_decisive_prefix(self, name, record_property):
+        src, heavy = TestEarlyStoppedMajority()._sources()[name]
+        n = TestEarlyStoppedMajority.N
+        differing = 0
+        for seed in range(50):
+            cfg = TestConfig(eps=TestEarlyStoppedMajority.EPS, delta=self.DELTA, seed=seed)
+            if heavy:
+                cfg = cfg.replace(var_threshold_const=1e-12)
+            reps, lead = cfg.vote_plan()
+            res = run_membership_test(SampleStream.from_distribution(src, seed=seed), n, cfg)
+            full_verdict, full_runs = full_majority(
+                SampleStream.from_distribution(src, seed=seed), n, cfg
+            )
+            diag = res.diagnostics
+            runs = diag["runs"]
+            made = len(runs)
+            assert (diag["repetitions"], diag["lead"]) == (reps, lead)
+            assert diag["repetitions_run"] == made
+            assert runs == [r.to_dict() for r in full_runs[:made]]
+            assert res.samples_used == sum(r.samples_used for r in full_runs[:made])
+            # The majority alone stops at its first decided prefix.
+            yes = [0]
+            for r in full_runs:
+                yes.append(yes[-1] + (r.verdict is Verdict.YES_PBD))
+            majority_made = next(
+                j for j in range(1, reps + 1) if 2 * yes[j] > reps or 2 * (j - yes[j]) >= reps
+            )
+            assert made <= majority_made
+            # No shorter prefix has a lead of A or a decided majority; this one does.
+            for j in range(1, made + 1):
+                y, no = yes[j], j - yes[j]
+                decided = abs(y - no) >= lead or 2 * y > reps or 2 * no >= reps
+                assert decided is (j == made)
+            accepted = yes[made] - (made - yes[made]) >= lead or 2 * yes[made] > reps
+            assert res.verdict is (Verdict.YES_PBD if accepted else Verdict.NO_PBD)
+            differing += res.verdict is not full_verdict
+        record_property("verdicts_differing_from_the_full_majority", differing)
+        print(f"{name}: {differing} of 50 verdicts differ from the full majority's")
 
 
 class TestSourceSupport:
@@ -1133,15 +1249,16 @@ class TestLearningSampleCertificate:
     def test_wide_half_half_law_rejects_on_its_learning_draws(self, seed):
         # Half/half on {0, 10^4} at eps = 0.3: its variance is far above any
         # member's, yet no binomial fits the learning draw, so every run
-        # rejects on the certificate and the vote ends after 8 of them,
-        # 1,061 samples each.
+        # rejects on the certificate and the vote ends after 4 of them, its
+        # planned lead at delta = 0.1, 1,061 samples each.
         n = 10_000
         probs = np.zeros(n + 1)
         probs[0] = probs[n] = 0.5
         stream = SampleStream.from_distribution(ExplicitDistribution(0, probs), seed=seed)
         res = run_membership_test(stream, n, TestConfig(eps=0.3, delta=0.1))
         assert res.verdict is Verdict.NO_PBD
-        assert res.samples_used == 8 * 1061 == 8488
+        assert res.diagnostics["lead"] == 4
+        assert res.samples_used == 4 * 1061 == 4244
         reasons = {run["diagnostics"]["reason"] for run in res.diagnostics["runs"]}
         assert reasons == {"learning sample not unimodal"}
 
