@@ -27,7 +27,6 @@ from .lowerbound import DetectionRow, detection_experiment, unimodal_distance_lb
 from .oracles import (
     LEARNING_SWEEPS,
     brute_force_pbd_pmf,
-    calibration_report,
     exact_tv_to_unimodal,
     learning_calibration_report,
     monte_carlo_moment_check,
@@ -233,8 +232,6 @@ def _oracle_suite(name: str, seed: int) -> list[dict]:
                 }
             )
         return reports
-    if name == "calibration":
-        return [{"case": "calibration", **calibration_report()}]
     if name == "learning":
         return [
             {"case": "learning", **learning_calibration_report(seed, field)}
@@ -305,7 +302,7 @@ def _build_parser() -> _Parser:
     o.add_argument(
         "--suite",
         required=True,
-        choices=["pmf", "tn-moments", "unimodal", "calibration", "learning"],
+        choices=["pmf", "tn-moments", "unimodal", "learning"],
     )
     o.add_argument("--seed", type=int, required=True)
     o.add_argument("--out")

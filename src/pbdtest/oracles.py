@@ -14,10 +14,11 @@ approximation bounds (Röllin, *Translated Poisson approximation using
 exchangeable pair couplings*, 2007) and the l2 and l_inf distances they
 are checked with.  They justify the heavy branch; no run reads them.
 
-``learning_calibration_report`` is the Monte-Carlo sweep that fixes the
-learning constants (the learner's sample constant and the accuracy the
-tester learns at) and the chi^2 stage's sample constant: it runs the base
-test itself, seeded, on a corpus of sources whose membership is known.
+``learning_calibration_report`` is the one calibration procedure: the
+Monte-Carlo sweep that fixes the learning constants (the learner's sample
+constant and the accuracy the tester learns at) and the chi^2 stage's
+sample constant, which decides on both branches.  It runs the base test
+itself, seeded, on a corpus of sources whose membership is known.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .distributions import (
     _on_union,
     binomial_pmf,
     construct_perturbed_binomial,
-    effective_support_interval,
     pbd_pmf,
     translated_poisson_pmf,
-    truncated_log,
     tv_distance,
 )
 from .learner import learn_pbd
@@ -60,7 +59,6 @@ __all__ = [
     "tp_pair_tv_bound",
     "monte_carlo_moment_check",
     "paired_perturbation",
-    "calibration_report",
     "LEARNING_SWEEPS",
     "learning_calibration_report",
 ]
@@ -315,84 +313,11 @@ def paired_perturbation(
     return ExplicitDistribution(base.lo, p, tail_slack=base.tail_slack), ell2_sq
 
 
-def calibration_report() -> dict:
-    """Closed-form sweep that fixes the two statistic constants.
-
-    The corpus pairs a shifted-Poisson pivot with its paired perturbation
-    at TV = 0.35 eps, for several (sigma_hat, eps).  The threshold
-    constant is the smallest implied constant on the far corpus (restricted
-    squared l2 over the pivot's high-mass interval, rescaled) divided by
-    ``far_margin`` and rounded down to the grid.  The sample constant is
-    the smallest grid value that keeps the far-corpus spread Var/E^2 at or
-    under ``spread_cap`` while the acceptance threshold clears the
-    close-case statistic noise by ``close_margin`` standard deviations.
-    The report echoes the corpus and the three margins.
-    """
-    corpus = ((50.0, 0.1), (25.0, 0.2), (16.0, 0.15))
-    sample_const_grid = (10.0, 20.0, 40.0, 80.0, 160.0)
-    threshold_const_grid = (0.05, 0.1, 0.2, 0.4)
-    spread_cap, close_margin, far_margin = 0.05, 2.5, 1.5
-    cases = []
-    for sigma_hat, eps in corpus:
-        logt = truncated_log(1.0 / eps)
-        pivot = translated_poisson_pmf(
-            TranslatedPoissonParams(sigma_hat**2 + 7.0, sigma_hat**2), tail_cut=1e-9
-        )
-        far, _ = paired_perturbation(pivot, 0.35 * eps)
-        i_lo, i_hi = effective_support_interval(pivot, eps / 10.0)
-        a, b = i_lo - pivot.lo, i_hi - pivot.lo
-        restricted = float(((far.probs - pivot.probs)[a : b + 1] ** 2).sum())
-        cases.append(
-            {
-                "sigma_hat": sigma_hat,
-                "eps": eps,
-                "pivot": pivot,
-                "far": far,
-                "implied_threshold_const": restricted * sigma_hat * math.sqrt(logt) / eps**2,
-            }
-        )
-    floor = min(case["implied_threshold_const"] for case in cases)
-    chosen_c = max(c for c in threshold_const_grid if c <= floor / far_margin)
-    chosen_c1 = None
-    diagnostics = {}
-    for c1 in sample_const_grid:
-        ok = True
-        per_case = []
-        for case in cases:
-            cfg = TestConfig(eps=case["eps"], l2_sample_const=c1, l2_far_const=chosen_c)
-            k = cfg.l2_sample_rate(case["sigma_hat"])
-            mean, var = tn_closed_form_moments(case["far"], case["pivot"], float(k))
-            spread = var / mean**2
-            sd_close = math.sqrt(2.0 * float((case["pivot"].probs ** 2).sum())) / k
-            thr = cfg.l2_threshold(case["sigma_hat"])
-            per_case.append({"k": k, "spread": spread, "close_z": thr / sd_close})
-            if spread > spread_cap or thr < close_margin * sd_close:
-                ok = False
-        diagnostics[c1] = per_case
-        if ok and chosen_c1 is None:
-            chosen_c1 = c1
-    return {
-        "corpus": [(case["sigma_hat"], case["eps"]) for case in cases],
-        "far_floor_threshold_const": floor,
-        "chosen_threshold_const": chosen_c,
-        "chosen_sample_const": chosen_c1,
-        "spread_cap": spread_cap,
-        "close_margin": close_margin,
-        "far_margin": far_margin,
-        "per_sample_const": {
-            str(c1): [
-                {k: (round(v, 6) if isinstance(v, float) else v) for k, v in entry.items()}
-                for entry in per
-            ]
-            for c1, per in diagnostics.items()
-        },
-    }
-
-
 def _learning_corpus(
     seed: int, n: int, eps: float
-) -> list[tuple[str, ExplicitDistribution, bool, TestConfig]]:
-    """The sources of the learner sweep: (name, law, is a member, config).
+) -> list[tuple[str, ExplicitDistribution, bool | None, TestConfig]]:
+    """The sources of the learner sweep: (name, law, is a member, config);
+    ``None`` marks a source the contract lets the tester accept or reject.
 
     Members under the default config:
     Binomial(n, 1/2), Binomial(n, 0.3), a heterogeneous Bernoulli sum with
@@ -404,16 +329,18 @@ def _learning_corpus(
     criterion 07), which the learning certificate rejects.  Under
     ``var_threshold_const=1e-12``, which sends every run down the heavy
     branch: Binomial(n, 1/2), and the paired perturbation of the (n/2, n/4)
-    shifted-Poisson pivot at TV 0.35 eps.  Then a far source for the
-    sparse branch's chi^2 stage: the zigzag of Binomial(n, 1/2), its paired
-    perturbation at TV 1.1 eps, which a binomial fits on the learning
-    sample but ``unimodal_distance_lb`` certifies more than eps from every
-    unimodal law (0.1051 at eps = 0.1, 0.0506 at eps = 0.05, n = 10^4).
-    Then a second heavy-branch member: the heterogeneous law under the
-    heavy config; and a far source for the heavy statistic that is
-    certified far from every Bernoulli-sum law: the same zigzag under the
-    heavy config.  Each source is appended after the earlier ones, so they
-    keep their streams.
+    shifted-Poisson pivot at TV 0.35 eps, undecided: it lies about 0.35 eps
+    from Binomial(n, 1/2) (0.0350 at eps = 0.1, 0.0176 at eps = 0.05,
+    n = 10^4), so a Bernoulli-sum law lies within eps of it.  Then a far
+    source for the sparse branch's chi^2 stage: the zigzag of
+    Binomial(n, 1/2), its paired perturbation at TV 1.1 eps, which a
+    binomial fits on the learning sample but ``unimodal_distance_lb``
+    certifies more than eps from every unimodal law (0.1051 at eps = 0.1,
+    0.0506 at eps = 0.05, n = 10^4).  Then a second heavy-branch member:
+    the heterogeneous law under the heavy config; and a far source for the
+    heavy branch's chi^2 stage that is certified far from every
+    Bernoulli-sum law: the same zigzag under the heavy config.  Each source
+    is appended after the earlier ones, so they keep their streams.
     """
     rng = seeded_generator(seed)
     default = TestConfig(eps=eps)
@@ -435,7 +362,7 @@ def _learning_corpus(
         ("perturbed-c8", construct_perturbed_binomial(PerturbedBinomial(n, 8.0, eps, z)), False,
          default),
         ("heavy-binomial-0.5", binomial_pmf(n, 0.5), True, heavy),
-        ("heavy-paired", paired, False, heavy),
+        ("heavy-paired", paired, None, heavy),
         ("zigzag", zigzag, False, default),
         ("heavy-heterogeneous", heterogeneous, True, heavy),
         ("heavy-zigzag", zigzag, False, heavy),
@@ -491,10 +418,11 @@ def learning_calibration_report(
     ``_learning_corpus``), runs ``runs`` unamplified ``run_budgeted_test``
     calls with ``field`` set to the value and records the base-run error
     rate (rejections of a member, acceptances of a far source) and the mean
-    samples drawn.  When ``learn_pbd`` reads ``field``, it also runs
-    ``runs`` ``learn_pbd`` calls on every member at the learner's own eps
-    (the point's eps, as ``pbdtest learn --eps 0.1`` does) and records the
-    miss rate: the share of calls that return no hypothesis or one more
+    samples drawn; on an undecided source (member ``None``) it records the
+    rejection rate instead, which no bound reads.  When ``learn_pbd`` reads
+    ``field``, it also runs ``runs`` ``learn_pbd`` calls on every member at
+    the learner's own eps (the point's eps, as ``pbdtest learn --eps 0.1``
+    does) and records the miss rate: the share of calls that return no hypothesis or one more
     than eps from the source in TV.
     Run ``t`` of a source reads the same split at every grid value, so the
     values are compared on common samples.
@@ -529,11 +457,15 @@ def learning_calibration_report(
             for i, (name, source, member, config) in enumerate(corpus):
                 root = SampleStream.from_distribution(source, seed, spawn_key=(0, j, i))
                 cfg = config.replace(**{field: value})
-                errors = 0
-                for t in range(runs):
-                    res = run_budgeted_test(root.split(t), n, cfg)
-                    errors += (res.verdict is Verdict.YES_PBD) != member
-                row = {"error_rate": errors / runs, "mean_samples": root.samples_drawn / runs}
+                rejected = sum(
+                    run_budgeted_test(root.split(t), n, cfg).verdict is Verdict.NO_PBD
+                    for t in range(runs)
+                )
+                if member is None:
+                    row = {"rejection_rate": rejected / runs}
+                else:
+                    row = {"error_rate": (rejected if member else runs - rejected) / runs}
+                row["mean_samples"] = root.samples_drawn / runs
                 if member and learner_reads:
                     learn_root = SampleStream.from_distribution(source, seed, spawn_key=(1, j, i))
                     hyps = (learn_pbd(learn_root.split(t), n, eps, cfg).dist for t in range(runs))
@@ -541,7 +473,7 @@ def learning_calibration_report(
                     row["learn_miss_rate"] = misses / runs
                 sources[name] = row
             passes = all(
-                _clears(r["error_rate"], max_error_rate, runs)
+                _clears(r.get("error_rate", 0.0), max_error_rate, runs)
                 and _clears(r.get("learn_miss_rate", 0.0), max_miss_rate, runs)
                 for r in sources.values()
             )

@@ -12,15 +12,15 @@ variance picks.  Otherwise it branches on the hypothesis's variance:
   coarsened hypothesis mixed with a little uniform mass
   (``chi2_closeness_test``), at a rate that grows as sqrt(m);
 * heavy branch - pivot through the binomial matched to the learning
-  sample's mean and variance, reject on an impossible variance or a
-  hypothesis that sits far from the pivot, otherwise decide with the
-  unbiased squared-l2 count statistic under Poissonized sampling.  The
-  pivot is itself a Bernoulli-sum law, so a source the statistic accepts
-  is l2-close to one.  ``l2_statistic`` reads plain counts and the rate
-  they were drawn at, so ``pbdtest stat`` computes the same number from a
-  sample file.
+  sample's mean and variance (on the binomial route, the learner's own
+  hypothesis), reject on an impossible variance or a hypothesis that sits
+  far from the pivot, otherwise decide with the same chi^2 stage against
+  the pivot.  The pivot is itself a Bernoulli-sum law, so a source the
+  stage accepts is, coarsened to the pivot's interval and the lump outside
+  it, close to one.
 
-Both branches end in one count statistic, sum_i w_i [(N_i - k q_i)^2 -
+The chi^2 statistic and ``l2_statistic``, which ``pbdtest stat`` computes
+from a sample file, share one count statistic, sum_i w_i [(N_i - k q_i)^2 -
 N_i] / k^2 over Poissonized counts N_i at rate k: w = 1 gives the
 squared-l2 statistic, w = 1/q the chi^2 one.
 
@@ -48,7 +48,7 @@ from .distributions import (
     effective_support_interval,
     tv_distance,
 )
-from .learner import fit_binomial_by_moments, learn_pbd
+from .learner import LearnedPbd, fit_binomial_by_moments, learn_pbd
 from .sampling import SampleHistogram, SampleStream, StreamExhausted
 
 __all__ = [
@@ -77,9 +77,6 @@ class Branch(str, Enum):
 # Stage indices for stream splitting inside one base run.
 _STAGE_LEARN = 0
 _STAGE_CHI2 = 1
-# Split 2 fed a separate moments draw, which the learning sample's moments
-# replaced; the l2 stage keeps split 3 so that its stream does not move.
-_STAGE_L2 = 3
 
 
 @dataclass(frozen=True)
@@ -186,26 +183,22 @@ def l2_statistic(counts: np.ndarray, lo: int, q: ExplicitDistribution, k: float)
 
 
 def heavy_case_test(
-    stream: SampleStream,
-    n: int,
-    config: TestConfig,
-    moments: tuple[float, float],
-    hypothesis: ExplicitDistribution,
-    diag: dict,
+    stream: SampleStream, n: int, config: TestConfig, learned: LearnedPbd, diag: dict
 ) -> Verdict:
-    """Heavy-branch decision given the ``(mu_hat, sigma2_hat)`` moment
-    estimates and the learned hypothesis.
+    """Heavy-branch decision on the learner's output, which holds a hypothesis.
 
-    The pivot is the binomial matched to the moments
-    (``fit_binomial_by_moments``), on at most n trials.  Rejects when the
-    pivot sits more than eps/2 from the hypothesis or the variance estimate
-    exceeds n/2; otherwise thresholds the Poissonized statistic against the
-    pivot.  A tie at the threshold resolves to acceptance.  Diagnostics go
-    into ``diag`` as they are known, so a caller whose stream runs out at
-    the Poissonized draw still holds the earlier ones.  The samples drawn
-    are counted by the stream, not returned.
+    The pivot is the binomial matched to the learning sample's
+    ``(mu_hat, sigma2_hat)`` (``fit_binomial_by_moments``), on at most n
+    trials; on the binomial route that fit is the learner's hypothesis, so
+    its PMF is handed on rather than built again.  Rejects when the variance
+    estimate is not positive or exceeds n/2, or when the pivot sits more
+    than eps/2 from the hypothesis; otherwise decides with the chi^2 stage
+    against the pivot, as the sparse branch does against its hypothesis.
+    Diagnostics go into ``diag`` as they are known, so a caller whose
+    stream runs out at the Poissonized draw still holds the earlier ones.
+    The samples drawn are counted by the stream, not returned.
     """
-    mu_hat, sigma2_hat = moments
+    mu_hat, sigma2_hat = learned.mu_hat, learned.sigma2_hat
     diag.update(mu_hat=mu_hat, sigma2_hat=sigma2_hat)
     if sigma2_hat <= 0.0:
         diag["reason"] = "nonpositive variance estimate in heavy branch"
@@ -214,36 +207,35 @@ def heavy_case_test(
         # No Bernoulli-sum law on [0, n] has variance beyond n/4.
         diag["reason"] = "variance above n/2"
         return Verdict.NO_PBD
-    # Pivot and hypothesis are both explicit, so their TV costs no samples.
-    # A binomial hypothesis is the learner's fit to these same moments, so
-    # the two are one PMF and the TV is 0.  A sparse one is the projected
-    # empirical; each side may drop up to tail_cut off its ends, which
-    # moves the TV by at most 2 tail_cut, far inside the eps/2 limit.
-    pivot = binomial_pmf(*fit_binomial_by_moments(mu_hat, sigma2_hat, n), tail_cut=config.tail_cut)
-    d_tv = tv_distance(pivot, hypothesis)
+    # A binomial hypothesis is the pivot itself, so the TV is 0.  A sparse
+    # one is the projected empirical, and both are explicit, so their TV
+    # costs no samples; each side may drop up to tail_cut off its ends,
+    # which moves the TV by at most 2 tail_cut, far inside the eps/2 limit.
+    if learned.binomial is None:
+        fit = fit_binomial_by_moments(mu_hat, sigma2_hat, n)
+        pivot = binomial_pmf(*fit, tail_cut=config.tail_cut)
+        d_tv = tv_distance(pivot, learned.dist)
+    else:
+        pivot, d_tv = learned.dist, 0.0
     diag["d_tv_pivot_vs_hypothesis"] = d_tv
     if d_tv > config.eps / 2.0:
         diag["reason"] = "pivot far from hypothesis"
         return Verdict.NO_PBD
-    sigma_hat = math.sqrt(sigma2_hat)
-    k = config.l2_sample_rate(sigma_hat)
-    diag["k_poissonized"] = k
-    hist = stream.draw_poissonized(float(k))
-    t_n = l2_statistic(hist.counts, hist.lo, pivot, float(k))
-    threshold = config.l2_threshold(sigma_hat)
-    diag.update({"realized_count": hist.total, "t_n": t_n, "t_n_threshold": threshold})
-    return Verdict.YES_PBD if t_n <= threshold else Verdict.NO_PBD
+    return _chi2_stage(stream, config, pivot, diag)
 
 
-def _sparse_case(
-    stream: SampleStream, config: TestConfig, hypothesis: ExplicitDistribution, diag: dict
+def _chi2_stage(
+    stream: SampleStream, config: TestConfig, q: ExplicitDistribution, diag: dict
 ) -> Verdict:
-    i_lo, i_hi = effective_support_interval(hypothesis, config.eps / 5.0)
+    """Both branches' deciding stage: a Poisson total at
+    ``chi2_sample_rate(m)`` on q's eps/5 interval of m points, and
+    ``chi2_closeness_test`` against q."""
+    i_lo, i_hi = effective_support_interval(q, config.eps / 5.0)
     k = config.chi2_sample_rate(i_hi - i_lo + 1)
     diag["interval"] = [i_lo, i_hi]
     diag["k_poissonized"] = k
     hist = stream.draw_poissonized(float(k), within=(i_lo, i_hi))
-    close, z = chi2_closeness_test(hypothesis, (i_lo, i_hi), hist, float(k), config.eps)
+    close, z = chi2_closeness_test(q, (i_lo, i_hi), hist, float(k), config.eps)
     diag.update(
         realized_count=hist.total,
         chi2=z,
@@ -263,10 +255,10 @@ def run_budgeted_test(
 
     Each stage draws the count ``config`` plans for it: learning
     ``learn_samples(eps / D)``, capped at half the budget (it may degrade),
-    then a Poisson total at ``chi2_sample_rate(m)`` on the sparse branch's
-    interval of m points, or at ``l2_sample_rate(sigma_hat)`` on the heavy
-    branch, whose pivot and sigma_hat come from the learning sample's mean
-    and variance: the heavy branch draws no separate moments sample.  When
+    then a Poisson total at ``chi2_sample_rate(m)`` on the eps/5 interval
+    of m points of the sparse branch's hypothesis or of the heavy branch's
+    pivot, which comes from the learning sample's mean and variance: the
+    heavy branch draws no separate moments sample.  When
     the learner certifies its sample not unimodal and so returns no
     hypothesis (see
     ``learn_pbd``), the run returns ``NO_PBD`` on that sample alone, with
@@ -308,12 +300,9 @@ def run_budgeted_test(
         return TestVerdict(Verdict.NO_PBD, branch, stream.samples_drawn - start, diag)
     try:
         if branch is Branch.SPARSE:
-            verdict = _sparse_case(stream.split(_STAGE_CHI2), config, learned.dist, diag)
+            verdict = _chi2_stage(stream.split(_STAGE_CHI2), config, learned.dist, diag)
         else:
-            moments = (learned.mu_hat, learned.sigma2_hat)
-            verdict = heavy_case_test(
-                stream.split(_STAGE_L2), n, config, moments, learned.dist, diag
-            )
+            verdict = heavy_case_test(stream.split(_STAGE_CHI2), n, config, learned, diag)
     except StreamExhausted:
         if sample_budget is None:
             raise

@@ -16,9 +16,9 @@ from pbdtest.distributions import (
     Pbd,
     TranslatedPoissonParams,
     binomial_pmf,
+    effective_support_interval,
     pbd_pmf,
     translated_poisson_pmf,
-    truncated_log,
     tv_distance,
 )
 from pbdtest.lowerbound import (
@@ -39,8 +39,8 @@ from pbdtest.oracles import (
     tp_approx_bounds,
     tp_pair_tv_bound,
 )
-from pbdtest.sampling import SampleStream
-from pbdtest.tester import Branch, TestConfig, Verdict, l2_statistic
+from pbdtest.sampling import SampleHistogram, SampleStream
+from pbdtest.tester import Branch, TestConfig, Verdict, chi2_closeness_test
 from pbdtest.tester import test_pbd as run_membership_test
 
 
@@ -154,7 +154,7 @@ def test_criterion_04_empirical_learning_rate():
 
 
 def test_criterion_05_statistic_spread_in_far_regime():
-    """Var/E^2 of the statistic <= 0.075 at the calibrated rate, TV = 0.35 eps."""
+    """Var/E^2 of the chi^2 statistic <= 0.075 at the calibrated rate, TV = 0.35 eps."""
     eps, sigma_hat = 0.2, 25.0
     cfg = TestConfig(eps=eps, delta=0.1)
     pivot = translated_poisson_pmf(
@@ -162,20 +162,28 @@ def test_criterion_05_statistic_spread_in_far_regime():
     )
     far, _ = paired_perturbation(pivot, 0.35 * eps)
     assert tv_distance(far, pivot) == pytest.approx(0.35 * eps, rel=1e-9)
-    k = cfg.l2_sample_rate(sigma_hat)
-    assert k == math.ceil(
-        cfg.l2_sample_const * math.sqrt(sigma_hat * truncated_log(1 / eps)) / eps**2
-    )
+    # The stage's interval and rate on this pivot: the eps/5 interval of m
+    # points, and a Poisson total at chi2_sample_rate(m).
+    a, b = effective_support_interval(pivot, eps / 5.0)
+    m = b - a + 1
+    k = cfg.chi2_sample_rate(m)
+    assert k == math.ceil(cfg.chi2_sample_const * math.sqrt(m + 1) / eps**2)
     trials = 10_000
     rng = np.random.Generator(np.random.Philox(505))
-    lam = k * far.probs
-    counts = rng.poisson(lam, size=(trials, len(far.probs)))
-    t_vals = np.array(
-        [l2_statistic(counts[t], far.lo, pivot, float(k)) for t in range(trials)]
+    counts = rng.poisson(k * far.probs, size=(trials, len(far.probs)))
+    inside = counts[:, a - far.lo : b - far.lo + 1]
+    outside = counts.sum(axis=1) - inside.sum(axis=1)
+    z_vals = np.array(
+        [
+            chi2_closeness_test(
+                pivot, (a, b), SampleHistogram(a, inside[t], int(outside[t])), float(k), eps
+            )[1]
+            for t in range(trials)
+        ]
     )
-    ratio = t_vals.var(ddof=1) / t_vals.mean() ** 2
+    ratio = z_vals.var(ddof=1) / z_vals.mean() ** 2
     assert ratio <= 0.075
-    report("criterion-05", f"Var/E^2 = {ratio:.4f} at k={k} over {trials} trials")
+    report("criterion-05", f"Var/E^2 = {ratio:.4f} at m={m}, k={k} over {trials} trials")
 
 
 def test_criterion_06_end_to_end_completeness():
@@ -272,8 +280,6 @@ def test_criterion_10_indistinguishability_experiment():
     cfg = TestConfig(eps=eps, delta=0.5, seed=0, amplification_reps=1)
     k_learn = cfg.learn_samples(eps / cfg.learn_accuracy_const)  # a run learns at eps / D
     p0 = binomial_pmf(n, 0.5)
-    from pbdtest.distributions import effective_support_interval
-
     i_lo, i_hi = effective_support_interval(p0, eps / 5.0)
     k_chi2 = cfg.chi2_sample_rate(i_hi - i_lo + 1)
     # The chi^2 stage draws a Poisson total at that rate from what a Poisson

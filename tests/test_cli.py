@@ -144,7 +144,7 @@ class TestTestCommand:
         assert code == 0
         diagnostics = json.loads(out.read_text())["diagnostics"]
         assert diagnostics["config"]["learn_accuracy_const"] == 6.0
-        assert diagnostics["config"]["calibration_version"] == 7
+        assert diagnostics["config"]["calibration_version"] == 8
         # The run learned at eps / 6 = 1/30: A_L logt^2(30) 30^2 samples.
         (only,) = diagnostics["runs"]
         fields = {k: v for k, v in diagnostics["config"].items() if k != "calibration_version"}
@@ -169,12 +169,13 @@ class TestTestCommand:
 
     def test_unknown_config_field_rejected(self, binomial_spec, tmp_path, capsys):
         # Deleted constants may linger in old files: amplification_const
-        # (Hoeffding's), the learner's forced-binomial threshold and the TV
-        # tolerant stage's sample constant, the last two spelled in two parts
-        # so that a search for them finds no reader.
+        # (Hoeffding's), the learner's forced-binomial threshold, the TV
+        # tolerant stage's sample constant and the heavy l2 stage's rate and
+        # threshold constants, the last four spelled in two parts so that a
+        # search for them finds no reader.
         for field in (
             "not_a_field", "amplification_const", "learn_sparse_" "threshold_const",
-            "tolerant_" "sample_const",
+            "tolerant_" "sample_const", "l2_" "sample_const", "l2_" "far_const",
         ):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({field: 18.0}))
@@ -590,11 +591,13 @@ class TestOracleCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(json.loads(line)["ok"] for line in lines)
 
-    def test_calibration_suite(self, capsys):
-        code = run(["oracle", "--suite", "calibration", "--seed", "0"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["chosen_sample_const"] is not None
+    def test_calibration_suite_is_gone(self, capsys):
+        # The closed-form sweep of the deleted l2 stage's constants went with
+        # them; the learning sweep calibrates every deciding constant.
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", "--suite", "calibration", "--seed", "0"])
+        assert exc.value.code == 1
+        assert "invalid choice: 'calibration'" in capsys.readouterr().err
 
     def test_learning_suite_is_deterministic(self, capsys, monkeypatch):
         # One seed, one line per swept field, byte for byte.  The full

@@ -1,6 +1,7 @@
 """Layering guard: no module of the package imports from a layer above it."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -137,6 +138,28 @@ def test_constants_live_in_test_config():
                 f"{path.stem}.{node.name}({a.arg}=...)" for a in defaulted if a.arg == "tail_cut"
             ]
     assert stray == []
+
+
+# The ``*_const`` fields of ``TestConfig`` that no sweep calibrates.  Every
+# other one is a key of ``oracles.LEARNING_SWEEPS``, the one calibration
+# procedure.
+UNCALIBRATED_CONSTS = {
+    # C, the sparse/heavy variance split: it picks a branch, and both
+    # branches decide with the same chi^2 stage.
+    "var_threshold_const",
+    # A_s, the sparse hypothesis's support cap ceil(A_s / eps^3).
+    "sparse_len_const",
+}
+
+
+def test_every_constant_is_swept_or_listed_uncalibrated():
+    from pbdtest.calibrated import TestConfig
+    from pbdtest.oracles import LEARNING_SWEEPS
+
+    consts = {f.name for f in dataclasses.fields(TestConfig) if f.name.endswith("_const")}
+    assert consts - UNCALIBRATED_CONSTS == set(LEARNING_SWEEPS)
+    assert UNCALIBRATED_CONSTS <= consts
+    assert not UNCALIBRATED_CONSTS & set(LEARNING_SWEEPS)
 
 
 # Layers 0-3: the modules a run of the test reads.

@@ -25,7 +25,6 @@ from pbdtest.oracles import (
     OracleReport,
     _enumerated_pmf_rows,
     brute_force_pbd_pmf,
-    calibration_report,
     ell2_sq_distance,
     ell_inf_distance,
     exact_tv_to_pbd_class,
@@ -202,13 +201,6 @@ class TestPairedPerturbation:
         assert np.array_equal(far.probs, base.probs) and ell2 == 0.0
 
 
-class TestCalibrationReport:
-    def test_report_reproduces_frozen_constants(self):
-        report = calibration_report()
-        assert report["chosen_sample_const"] == TestConfig.l2_sample_const
-        assert report["chosen_threshold_const"] == TestConfig.l2_far_const
-
-
 class _SourceStream:
     """Stands in for a corpus source's stream in the sweep: it knows the
     source's place in the corpus and draws nothing."""
@@ -262,7 +254,7 @@ class TestLearningCalibration:
         (point,) = row["points"]
         sources = point["sources"]
         assert row["passes"], sources
-        rates = {name: r["error_rate"] for name, r in sources.items()}
+        rates = {name: r["error_rate"] for name, r in sources.items() if "error_rate" in r}
         assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
         misses = {n: r["learn_miss_rate"] for n, r in sources.items() if "learn_miss_rate" in r}
         assert set(misses) == {name for name, member in report["members"].items() if member}
@@ -278,7 +270,7 @@ class TestLearningCalibration:
         (row,) = report["sweep"]
         assert [(p["n"], p["eps"]) for p in row["points"]] == [(10_000, 0.1), (10_000, 0.05)]
         for point in row["points"]:
-            rates = {name: r["error_rate"] for name, r in point["sources"].items()}
+            rates = {n: r["error_rate"] for n, r in point["sources"].items() if "error_rate" in r}
             assert all(rate <= report["max_error_rate"] for rate in rates.values()), rates
         assert row["passes"]
 
@@ -374,6 +366,32 @@ class TestLearningCalibration:
             members, 1.0
         )
         assert not row["passes"]
+
+    def test_undecided_source_is_reported_but_not_counted(self, monkeypatch):
+        # heavy-paired lies about 0.35 eps from Binomial(n, 1/2), so the
+        # tester may accept it: the sweep records its rejection rate and no
+        # bound reads it.  Here it is accepted on every run and every other
+        # source gets the right verdict, so the value passes.
+        corpus = {name: member for name, _, member, _ in oracles._learning_corpus(0, 10_000, 0.1)}
+        assert corpus["heavy-paired"] is None
+        assert [name for name, member in corpus.items() if member is None] == ["heavy-paired"]
+        stub_sweep_runs(monkeypatch, "chi2_sample_const", lambda name, eps, value: False)
+        names = list(corpus)
+
+        def run_budgeted_test(stream, n, cfg):
+            accepts = corpus[names[stream.index]] is not False
+            return SimpleNamespace(verdict=Verdict.YES_PBD if accepts else Verdict.NO_PBD)
+
+        monkeypatch.setattr(oracles, "run_budgeted_test", run_budgeted_test)
+        report = learning_calibration_report(0, "chi2_sample_const", grid=(20.0,), runs=4)
+        assert report["members"]["heavy-paired"] is None
+        (row,) = report["sweep"]
+        for point in row["points"]:
+            paired = point["sources"]["heavy-paired"]
+            assert paired == {"rejection_rate": 0.0, "mean_samples": 0.0}
+            others = [r for name, r in point["sources"].items() if name != "heavy-paired"]
+            assert all(r["error_rate"] == 0.0 for r in others)
+        assert row["passes"] and report["chosen_chi2_sample_const"] == 20.0
 
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):

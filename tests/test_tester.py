@@ -24,7 +24,7 @@ from pbdtest.distributions import (
     tv_distance,
     unimodal_distance_lb,
 )
-from pbdtest.learner import estimate_mean_var, fit_binomial_by_moments
+from pbdtest.learner import LearnedPbd, estimate_mean_var, fit_binomial_by_moments
 from pbdtest.lowerbound import random_sign_vector
 from pbdtest.oracles import (
     LEARNING_SWEEPS,
@@ -46,11 +46,11 @@ from pbdtest.tester import (
 )
 from pbdtest.tester import test_pbd as run_membership_test
 
-# A heavy run at n = 4096, eps = 0.1 stops at its l2 draw on this budget: it
-# pays for learning at eps / D, not for the l2 stage's Poisson total (about
-# 69,000).
+# A heavy run at n = 4096, eps = 0.1 stops at its chi^2 draw on this budget:
+# half of it pays for learning at eps / D, and the rest not for the chi^2
+# stage's Poisson total (about 24,500).
 _CFG = TestConfig(eps=0.1, delta=0.5)
-STOPS_AT_L2 = _CFG.learn_samples(0.1 / _CFG.learn_accuracy_const) + 30_000
+STOPS_AT_CHI2 = _CFG.learn_samples(0.1 / _CFG.learn_accuracy_const) + 22_000
 
 
 # The learner's deleted forced-binomial threshold, spelled in two parts so
@@ -60,15 +60,16 @@ REMOVED_THRESHOLD = "learn_sparse_" "threshold_const"
 REMOVED_MOMENT_CONST = "moment_" "sample_const"
 # And the deleted TV tolerant stage's.
 REMOVED_TOLERANT_CONST = "tolerant_" "sample_const"
+# And the deleted heavy l2 stage's rate and threshold constants.
+REMOVED_L2_CONSTS = ("l2_" "sample_const", "l2_" "far_const")
 
 
 def heavy_inputs(src, n, eps, seed):
-    """The learning sample's moments and hypothesis, as a heavy base run
-    gets them: learned at eps / D from a fresh stream split."""
+    """The learner's output, as a heavy base run gets it: learned at
+    eps / D from a fresh stream split."""
     root = SampleStream.from_distribution(src, seed=seed)
     cfg = TestConfig(eps=eps, delta=0.1)
-    learned = learner.learn_pbd(root.split(0), n, eps / cfg.learn_accuracy_const, cfg)
-    return root, (learned.mu_hat, learned.sigma2_hat), learned.dist
+    return root, learner.learn_pbd(root.split(0), n, eps / cfg.learn_accuracy_const, cfg)
 
 
 def exact_majority_runs(delta):
@@ -143,7 +144,7 @@ class TestConfigValidation:
     def test_forced_binomial_threshold_is_gone(self):
         with pytest.raises(TypeError, match=REMOVED_THRESHOLD):
             TestConfig(eps=0.1, delta=0.1, **{REMOVED_THRESHOLD: 16.0})
-        assert len(dataclasses.fields(TestConfig)) == 12
+        assert len(dataclasses.fields(TestConfig)) == 10
 
     def test_moments_stage_constant_is_gone(self):
         # The heavy branch reads the learning sample's moments: no moments
@@ -157,6 +158,14 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match=REMOVED_TOLERANT_CONST):
             TestConfig(eps=0.1, delta=0.1, **{REMOVED_TOLERANT_CONST: 5.0})
         assert not hasattr(TestConfig, "tolerant_" "samples")
+
+    @pytest.mark.parametrize("field", REMOVED_L2_CONSTS)
+    def test_l2_stage_constants_are_gone(self, field):
+        # The heavy branch decides with the chi^2 stage against its pivot.
+        with pytest.raises(TypeError, match=field):
+            TestConfig(eps=0.1, delta=0.1, **{field: 1.0})
+        assert not hasattr(TestConfig, "l2_" "sample_rate")
+        assert not hasattr(TestConfig, "l2_" "threshold")
 
     def test_truncated_log_reexport(self):
         assert pbdtest.truncated_log(0.5) == 1.0
@@ -250,26 +259,18 @@ class TestVotePlan:
 
 
 class TestSampleCounts:
-    # n: (chi^2 rate on Binomial(n, 1/2)'s eps/5 interval, l2 rate at
-    # sigma_hat = sqrt(n/4)), at eps = 0.1 and the default constants.
-    QUOTED = {
-        10**3: (17_321, 48_271),
-        4096: (24_495, 68_671),
-        10**4: (30_595, 85_839),
-        10**5: (54_296, 152_646),
-    }
+    # n: the chi^2 rate on Binomial(n, 1/2)'s eps/5 interval, at eps = 0.1
+    # and the default constants; both branches draw it.
+    QUOTED = {10**3: 17_321, 4096: 24_495, 10**4: 30_595, 10**5: 54_296}
 
     def test_counts_match_the_quoted_figures(self):
         """The per-stage counts that README and ROADMAP quote come from the
         config's methods, the one place each formula is written."""
         cfg = TestConfig(eps=0.1, delta=0.1)
         assert cfg.learn_samples(0.1 / 3) == 20_823
-        assert cfg.l2_sample_rate(32.0) == 68_671
-        assert cfg.l2_sample_rate(math.sqrt(10**6 / 4)) == 271_446
-        for n, (chi2, heavy) in self.QUOTED.items():
+        for n, chi2 in self.QUOTED.items():
             lo, hi = effective_support_interval(binomial_pmf(n, 0.5), cfg.eps / 5.0)
             assert cfg.chi2_sample_rate(hi - lo + 1) == chi2, n
-            assert cfg.l2_sample_rate(math.sqrt(n / 4)) == heavy, n
 
     def test_sparse_need_grows_as_the_fourth_root_of_n(self):
         # The interval holds about sqrt(n) points and the rate grows as the
@@ -488,9 +489,7 @@ def deciding_stage(res) -> str:
     if diag.get("reason") == "learning sample not unimodal":
         return "learning certificate"
     if "tolerant_outcome" in diag:
-        return "tolerant"
-    if "t_n" in diag:
-        return "heavy statistic"
+        return "chi2"
     return diag["reason"]  # a heavy-branch check that reads no constant
 
 
@@ -500,23 +499,19 @@ class TestEveryDecidingStageHasAFarSource:
     sweep of that constant is bounded by a far-side error rate and not by
     member false rejects alone."""
 
-    # The constants each stage reads.  The learning sweep calibrates its own
-    # fields, and ``oracles.calibration_report`` the heavy statistic's C1 and c.
+    # The constants each stage reads, all of them calibrated by the learning
+    # sweep.  On the heavy branch the chi^2 stage reads the learning
+    # constants too, through the pivot's moments.
     STAGE_CONSTANTS = {
         "learning certificate": ("learn_sample_const", "learn_accuracy_const"),
-        "tolerant": ("chi2_sample_const",),
-        # The heavy pivot's moments and sigma_hat come from the learning sample.
-        "heavy statistic": (
-            "learn_sample_const", "learn_accuracy_const", "l2_sample_const", "l2_far_const"
-        ),
+        "chi2": ("chi2_sample_const", "learn_sample_const", "learn_accuracy_const"),
     }
-    CALIBRATED = set(LEARNING_SWEEPS) | {"l2_sample_const", "l2_far_const"}
+    # Far source: (deciding stage, branch).
     EXPECTED = {
-        "bimodal": "learning certificate",
-        "perturbed-c8": "learning certificate",
-        "heavy-paired": "heavy statistic",
-        "zigzag": "tolerant",
-        "heavy-zigzag": "heavy statistic",
+        "bimodal": ("learning certificate", "sparse"),
+        "perturbed-c8": ("learning certificate", "sparse"),
+        "zigzag": ("chi2", "sparse"),
+        "heavy-zigzag": ("chi2", "heavy"),
     }
 
     def test_far_sources_of_the_seed_0_corpus(self):
@@ -524,26 +519,34 @@ class TestEveryDecidingStageHasAFarSource:
         n = 10_000
         stages = {}
         for i, (name, source, member, cfg) in enumerate(_learning_corpus(0, n, 0.1)):
-            if member:
+            if member is not False:
                 continue
             root = SampleStream.from_distribution(source, 0, spawn_key=(0, 0, i))
             runs = [run_budgeted_test(root.split(t), n, cfg) for t in range(20)]
             assert all(res.verdict is Verdict.NO_PBD for res in runs), name
-            stages[name] = {deciding_stage(res) for res in runs}
+            stages[name] = {(deciding_stage(res), res.branch.value) for res in runs}
         assert stages == {name: {stage} for name, stage in self.EXPECTED.items()}
-        decided = set(self.EXPECTED.values())
+        decided = {stage for stage, _ in self.EXPECTED.values()}
         for stage, constants in self.STAGE_CONSTANTS.items():
-            if self.CALIBRATED.intersection(constants):
-                assert stage in decided, f"no far source is decided by the {stage} stage"
+            assert set(constants) <= set(LEARNING_SWEEPS), stage
+            assert stage in decided, f"no far source is decided by the {stage} stage"
 
     @pytest.mark.parametrize("eps", [0.1, 0.05])
-    def test_heavy_zigzag_is_certified_far(self, eps):
-        # The heavy statistic's certified far source: more than eps from
-        # every unimodal law, hence from every Bernoulli-sum law.
-        corpus = {row[0]: row for row in _learning_corpus(0, 10_000, eps)}
-        _, source, member, cfg = corpus["heavy-zigzag"]
-        assert not member and cfg.var_threshold_const == 1e-12
-        assert unimodal_distance_lb(source) > eps
+    def test_every_far_source_is_certified_far(self, eps):
+        # More than eps from every unimodal law, hence from every
+        # Bernoulli-sum law: 0.25 for the bimodal law, 0.296 and 0.140 for the
+        # c = 8 member, 0.1051 and 0.0506 for both zigzags.  The undecided
+        # heavy-paired source lies within eps of Binomial(n, 1/2) (0.0350 and
+        # 0.0176), so the tester may accept it.
+        n = 10_000
+        far = {}
+        for name, source, member, _ in _learning_corpus(0, n, eps):
+            if member is False:
+                far[name] = unimodal_distance_lb(source)
+            elif member is None:
+                assert tv_distance(source, binomial_pmf(n, 0.5)) < 0.4 * eps, name
+        assert set(far) == set(self.EXPECTED)
+        assert all(lb > eps for lb in far.values()), far
 
 
 class TestCoarsen:
@@ -637,7 +640,7 @@ class TestHeavyCase:
         stream = SampleStream.from_distribution(src, seed=0)
         diag = {}
         cfg = TestConfig(eps=0.1, delta=0.1)
-        verdict = heavy_case_test(stream, 100, cfg, (5.0, 0.0), src, diag)
+        verdict = heavy_case_test(stream, 100, cfg, LearnedPbd(src, None, 5.0, 0.0), diag)
         assert verdict is Verdict.NO_PBD
         assert diag["reason"] == "nonpositive variance estimate in heavy branch"
         assert stream.samples_drawn == 0
@@ -645,21 +648,23 @@ class TestHeavyCase:
     def test_variance_above_half_n_rejects(self):
         src = binomial_pmf(100, 0.5)
         stream = SampleStream.from_distribution(src, seed=0)
-        moments = (50.0, 60.0)
+        learned = LearnedPbd(src, None, 50.0, 60.0)
         diag = {}
-        verdict = heavy_case_test(stream, 100, TestConfig(eps=0.1, delta=0.1), moments, src, diag)
+        verdict = heavy_case_test(stream, 100, TestConfig(eps=0.1, delta=0.1), learned, diag)
         assert verdict is Verdict.NO_PBD
         assert diag["reason"] == "variance above n/2"
 
     def test_pivot_far_from_hypothesis_rejects(self):
+        # A sparse hypothesis whose moments the learning sample does not share.
         n = 10_000
         hyp = binomial_pmf(n, 0.5)
-        moments = (2000.0, 1600.0)
+        learned = LearnedPbd(hyp, None, 2000.0, 1600.0)
         stream = SampleStream.from_distribution(hyp, seed=0)
         diag = {}
-        verdict = heavy_case_test(stream, n, TestConfig(eps=0.1, delta=0.1), moments, hyp, diag)
+        verdict = heavy_case_test(stream, n, TestConfig(eps=0.1, delta=0.1), learned, diag)
         assert verdict is Verdict.NO_PBD
         assert diag["reason"] == "pivot far from hypothesis"
+        assert stream.samples_drawn == 0
 
     def test_binomial_source_accepted(self):
         n, eps = 10_000, 0.1
@@ -668,28 +673,24 @@ class TestHeavyCase:
         hits = 0
         trials = 40
         for t in range(trials):
-            root, moments, hyp = heavy_inputs(src, n, eps, seed=400 + t)
-            hits += heavy_case_test(root.split(2), n, cfg, moments, hyp, {}) is Verdict.YES_PBD
+            root, learned = heavy_inputs(src, n, eps, seed=400 + t)
+            hits += heavy_case_test(root.split(1), n, cfg, learned, {}) is Verdict.YES_PBD
         assert hits >= 0.9 * trials
 
-    def test_perturbed_source_rejected_through_statistic(self):
-        # Source at TV 0.35 eps from the shifted Poisson matched to
-        # Binomial(n, 1/2): the distance gate passes and the count statistic
-        # has to do the rejecting.
+    def test_certified_far_source_rejected_by_the_chi2_stage(self):
+        # The zigzag of Binomial(n, 1/2), certified 0.105 > eps from every
+        # unimodal law: a binomial fits its learning sample, so the pivot is
+        # the hypothesis, the distance gate passes and the chi^2 stage has to
+        # do the rejecting.
         n, eps = 10_000, 0.1
-        pivot = translated_poisson_pmf(TranslatedPoissonParams(5000.0, 2500.0), tail_cut=1e-9)
-        far, _ = paired_perturbation(pivot, 0.35 * eps)
+        far, _ = paired_perturbation(binomial_pmf(n, 0.5), 1.1 * eps)
         cfg = TestConfig(eps=eps, delta=0.1)
-        hits = 0
-        trials = 40
-        stat_path = 0
-        for t in range(trials):
-            root, moments, hyp = heavy_inputs(far, n, eps, seed=800 + t)
+        for t in range(20):
+            root, learned = heavy_inputs(far, n, eps, seed=800 + t)
             diag = {}
-            hits += heavy_case_test(root.split(2), n, cfg, moments, hyp, diag) is Verdict.NO_PBD
-            stat_path += "t_n" in diag
-        assert stat_path >= 0.9 * trials  # gate must not be doing the work
-        assert hits >= 0.9 * trials
+            assert heavy_case_test(root.split(1), n, cfg, learned, diag) is Verdict.NO_PBD
+            assert diag["d_tv_pivot_vs_hypothesis"] == 0.0
+            assert diag["chi2"] > diag["chi2_threshold"]
 
     def test_close_case_l2_ceiling(self):
         # For Bernoulli-sum sources in the heavy regime, the exact squared-l2
@@ -711,37 +712,6 @@ class TestHeavyCase:
             hits += ell2_sq_distance(src, pivot) <= ceiling
         assert hits >= 0.95 * trials
 
-    def test_far_corpus_clears_threshold_constant(self):
-        # Whenever the pivot is far (TV > 0.3 eps), the restricted squared-l2
-        # over the pivot's high-mass interval exceeds c eps^2/(sigma sqrt(logt)).
-        for sigma_hat, eps in [(50.0, 0.1), (25.0, 0.2), (16.0, 0.15)]:
-            cfg = TestConfig(eps=eps, delta=0.1)
-            pivot = translated_poisson_pmf(
-                TranslatedPoissonParams(sigma_hat**2 + 3.0, sigma_hat**2), tail_cut=1e-9
-            )
-            far, _ = paired_perturbation(pivot, 0.35 * eps)
-            assert tv_distance(far, pivot) > 0.3 * eps
-            from pbdtest.distributions import effective_support_interval
-
-            lo, hi = effective_support_interval(pivot, eps / 10.0)
-            a, b = lo - far.lo, hi - far.lo
-            restricted = float(((far.probs - pivot.probs)[a : b + 1] ** 2).sum())
-            floor = cfg.l2_far_const * eps**2 / (sigma_hat * math.sqrt(cfg.logt))
-            assert restricted > floor
-
-    def test_spread_in_far_regime(self):
-        # Var/E^2 of the statistic stays below 1.5x the 1/20 target at the
-        # calibrated sampling rate (closed form; empirical check in acceptance).
-        sigma_hat, eps = 25.0, 0.2
-        cfg = TestConfig(eps=eps, delta=0.1)
-        pivot = translated_poisson_pmf(
-            TranslatedPoissonParams(sigma_hat**2, sigma_hat**2), tail_cut=1e-9
-        )
-        far, _ = paired_perturbation(pivot, 0.35 * eps)
-        k = cfg.l2_sample_rate(sigma_hat)
-        mean, var = tn_closed_form_moments(far, pivot, float(k))
-        assert var / mean**2 <= 1.5 / 20.0
-
 
 class TestHeavyBranchPivot:
     """The heavy pivot is the binomial matched to the learning sample's
@@ -759,13 +729,20 @@ class TestHeavyBranchPivot:
         assert sum(res.verdict is Verdict.NO_PBD for res in runs) <= 10
 
     def test_binomial_route_pivot_is_the_hypothesis(self, monkeypatch):
-        built = []
+        # The learner's binomial is handed on as the pivot, not built again,
+        # and it is the PMF a fit to the moments the run reports would build.
+        built, pivots = [], []
 
         def recording(trials, p, _orig=tester.binomial_pmf, **kw):
             built.append((trials, p))
             return _orig(trials, p, **kw)
 
+        def stage(stream, config, q, diag, _orig=tester._chi2_stage):
+            pivots.append(q)
+            return _orig(stream, config, q, diag)
+
         monkeypatch.setattr(tester, "binomial_pmf", recording)
+        monkeypatch.setattr(tester, "_chi2_stage", stage)
         n = 1_000
         cfg = TestConfig(eps=0.1, var_threshold_const=1e-12)
         root = SampleStream.from_distribution(binomial_pmf(n, 0.3), seed=2)
@@ -774,12 +751,34 @@ class TestHeavyBranchPivot:
             diag = res.diagnostics
             assert (res.branch, diag["hypothesis_kind"]) == (Branch.HEAVY, "binomial")
             assert diag["d_tv_pivot_vs_hypothesis"] == 0.0
-            # The pivot is fitted to the moments the run reports, on at most n trials.
-            trials, p = built[-1]
-            assert (trials, p) == fit_binomial_by_moments(diag["mu_hat"], diag["sigma2_hat"], n)
-            assert 1 <= trials <= n
+            fit = fit_binomial_by_moments(diag["mu_hat"], diag["sigma2_hat"], n)
+            rebuilt = binomial_pmf(*fit, tail_cut=cfg.tail_cut)
+            assert pivots[-1].lo == rebuilt.lo and pivots[-1].tail_slack == rebuilt.tail_slack
+            assert np.array_equal(pivots[-1].probs, rebuilt.probs)
             assert res.samples_used == diag["learn_samples"] + diag["realized_count"]
-        assert len(built) == 10
+        assert built == [] and len(pivots) == 10
+
+    def test_sparse_route_pivot_is_the_moment_fit(self, monkeypatch):
+        # Ten coins at 0.05 and ten at 0.95: the learner takes its sparse
+        # route, so the heavy branch builds the pivot from the moments (here
+        # no binomial lies within eps/2 of the hypothesis, and the gate rejects).
+        built = []
+
+        def recording(trials, p, _orig=tester.binomial_pmf, **kw):
+            built.append((trials, p))
+            return _orig(trials, p, **kw)
+
+        monkeypatch.setattr(tester, "binomial_pmf", recording)
+        n = 20
+        cfg = TestConfig(eps=0.1, var_threshold_const=1e-12)
+        root = SampleStream.from_distribution(pbd_pmf(Pbd(np.repeat([0.05, 0.95], 10))), seed=4)
+        for t in range(5):
+            res = run_budgeted_test(root.split(t), n, cfg)
+            diag = res.diagnostics
+            assert (res.branch, diag["hypothesis_kind"]) == (Branch.HEAVY, "sparse")
+            assert built[-1] == fit_binomial_by_moments(diag["mu_hat"], diag["sigma2_hat"], n)
+            assert diag["d_tv_pivot_vs_hypothesis"] > 0.0
+        assert len(built) == 5
 
 
 class TestTestPbd:
@@ -865,17 +864,11 @@ class TestSampleAccounting:
     def _planned_draws(self, cfg, diag):
         """The draws a run's config plans for it, given what its diagnostics
         say it learned: the learning draw, then the Poisson total at the
-        rate planned for the sparse branch's interval or the heavy branch's
-        sigma_hat."""
+        rate planned for the chi^2 stage's interval, on either branch."""
         plan = [cfg.learn_samples(cfg.eps / cfg.learn_accuracy_const)]
-        if diag.get("reason") == "learning sample not unimodal":
-            return plan
         if "interval" in diag:
             lo, hi = diag["interval"]
             assert diag["k_poissonized"] == cfg.chi2_sample_rate(hi - lo + 1)
-            plan.append(diag["realized_count"])
-        elif "k_poissonized" in diag:
-            assert diag["k_poissonized"] == cfg.l2_sample_rate(math.sqrt(diag["sigma2_hat"]))
             plan.append(diag["realized_count"])
         return plan
 
@@ -961,11 +954,11 @@ class TestSampleAccounting:
 
     @pytest.mark.parametrize(
         "budget",
-        [0, 1, 5, 100, 5_000, 10**4, 10**5, STOPS_AT_L2, 5 * 10**6, 42_564_185, 10**8],
+        [0, 1, 5, 100, 5_000, 10**4, 10**5, STOPS_AT_CHI2, 5 * 10**6, 42_564_185, 10**8],
     )
     def test_budgeted_heavy_run_stays_within_budget(self, drawn, budget):
-        # The same operating point forced heavy; the l2 stage's Poisson
-        # total (about 69,000 here) must fit what learning (at most half the
+        # The same operating point forced heavy; the chi^2 stage's Poisson
+        # total (about 24,500 here) must fit what learning (at most half the
         # budget) left.
         n = 4096
         cfg = TestConfig(
@@ -978,21 +971,22 @@ class TestSampleAccounting:
         if budget >= 5:
             assert res.branch is Branch.HEAVY
         self._assert_starved(res, budget, "binomial")
-        if budget == STOPS_AT_L2:
-            # Out at the l2 draw: the pivot check before it still reports.
+        if budget == STOPS_AT_CHI2:
+            # Out at the chi^2 draw: the pivot check before it still reports.
             assert res.diagnostics["budget_exhausted"] is True
+            assert res.diagnostics["learn_samples"] == _CFG.learn_samples(0.1 / 3)
             for key in ("mu_hat", "d_tv_pivot_vs_hypothesis", "k_poissonized"):
                 assert key in res.diagnostics
-            assert "t_n" not in res.diagnostics
+            assert "chi2" not in res.diagnostics
         if budget == 10**8:
-            assert "t_n" in res.diagnostics
+            assert "chi2" in res.diagnostics
 
     @pytest.mark.parametrize("branch", [Branch.SPARSE, Branch.HEAVY])
     def test_exhausted_run_accepts_on_either_branch(self, branch):
         n = 4096
         cfg = TestConfig(eps=0.1, delta=0.5, seed=1, amplification_reps=1)
         # Budget 0 leaves nothing after learning; budget 10^4 leaves the
-        # heavy l2 stage too little for its Poisson total.
+        # heavy branch's chi^2 stage too little for its Poisson total.
         budget = 0
         if branch is Branch.HEAVY:
             cfg, budget = cfg.replace(var_threshold_const=1e-12), 10**4
@@ -1056,7 +1050,9 @@ class TestEarlyStoppedMajority:
         bimodal[0] = bimodal[n] = 0.5
         z = random_sign_vector(n, np.random.Generator(np.random.Philox(12)))
         pivot = translated_poisson_pmf(TranslatedPoissonParams(n / 2, n / 4))
-        near, _ = paired_perturbation(binomial_pmf(n, 0.5), 0.15 * eps)
+        # At 0.28 eps the heavy branch's chi^2 stage accepts about 46% of
+        # runs (at 0.15 eps, the l2 stage's boundary, it accepts every one).
+        near, _ = paired_perturbation(binomial_pmf(n, 0.5), 0.28 * eps)
         return {
             "binomial": (binomial_pmf(n, 0.5), False),
             "bimodal": (ExplicitDistribution(0, bimodal), False),
