@@ -304,8 +304,8 @@ def reference_chi2(q, interval, hist, k, eps):
     return math.fsum(((c - k * x) ** 2 - c) / (k * k * x) for c, x in zip(c_pts, q_mix))
 
 
-def coarse_chi2_divergence(p, q, interval, eps):
-    """chi^2(p_I || q'): the statistic's mean, from the two explicit laws."""
+def coarse_points(p, q, interval, eps):
+    """p and q coarsened to ``interval`` and its lump, and q mixed to q'."""
     a, b = interval
     p_in = [p.probs[i - p.lo] if p.lo <= i <= p.hi else 0.0 for i in range(a, b + 1)]
     q_in = [q.probs[i - q.lo] if q.lo <= i <= q.hi else 0.0 for i in range(a, b + 1)]
@@ -313,7 +313,26 @@ def coarse_chi2_divergence(p, q, interval, eps):
     q_pts = q_in + [max(0.0, 1.0 - q.tail_slack - math.fsum(q_in))]
     gamma = eps / 50.0
     q_mix = [(1.0 - gamma) * x + gamma / len(q_pts) for x in q_pts]
+    return p_pts, q_pts, q_mix
+
+
+def coarse_chi2_divergence(p, q, interval, eps):
+    """chi^2(p_I || q'): the statistic's mean, from the two explicit laws."""
+    p_pts, _, q_mix = coarse_points(p, q, interval, eps)
     return math.fsum((x - y) ** 2 / y for x, y in zip(p_pts, q_mix))
+
+
+def coarse_chi2_moments(p, q, interval, eps, k):
+    """Closed-form mean and variance of the statistic at Poisson rate k.
+
+    Each point's count N ~ Poisson(k p) gives (N - k q)^2 - N a variance of
+    2 k^2 p^2 + 4 k^3 p (p - q)^2, and Z sums them over k^2 q'.
+    """
+    p_pts, _, q_mix = coarse_points(p, q, interval, eps)
+    var = math.fsum(
+        (2.0 * x * x + 4.0 * k * x * (x - y) ** 2) / (k * k * y * y) for x, y in zip(p_pts, q_mix)
+    )
+    return coarse_chi2_divergence(p, q, interval, eps), var
 
 
 class TestChi2ClosenessTest:
@@ -440,6 +459,26 @@ class TestChi2ClosenessTest:
         assert abs(zs.mean() - expected) <= 4.0 * se
         if source == "zigzag":
             assert expected > 0.32 * eps**2
+
+    @pytest.mark.parametrize("source", ["member", "zigzag"])
+    def test_closed_form_moments_match_simulation(self, source):
+        # The closed forms the heavy-scale spread checks read, against Z on
+        # per-point Poisson counts at the stage's rate.
+        n, eps = 1_000, 0.1
+        q = binomial_pmf(n, 0.5)
+        p = q if source == "member" else paired_perturbation(q, 1.1 * eps)[0]
+        a, b = effective_support_interval(q, eps / 5.0)
+        k = float(TestConfig(eps=eps).chi2_sample_rate(b - a + 1))
+        trials = 4_000
+        rng = np.random.Generator(np.random.Philox(37))
+        counts = rng.poisson(k * p.probs, size=(trials, len(p.probs)))
+        inside = counts[:, a - p.lo : b - p.lo + 1]
+        outside = counts.sum(axis=1) - inside.sum(axis=1)
+        hists = [SampleHistogram(a, inside[t], int(outside[t])) for t in range(trials)]
+        zs = np.array([chi2_closeness_test(q, (a, b), hist, k, eps)[1] for hist in hists])
+        mean, var = coarse_chi2_moments(p, q, (a, b), eps, k)
+        assert abs(zs.mean() - mean) <= 4.0 * math.sqrt(var / trials)
+        assert zs.var(ddof=1) == pytest.approx(var, rel=0.12)
 
     def test_sparse_stage_runs_it_once_per_sparse_run(self, monkeypatch):
         calls = []
@@ -711,6 +750,87 @@ class TestHeavyCase:
             ceiling = (5.3 / sigma_hat) * (2.0 * eps**2 / (10.0 * math.sqrt(cfg.logt)))
             hits += ell2_sq_distance(src, pivot) <= ceiling
         assert hits >= 0.95 * trials
+
+    @staticmethod
+    def _far_from_pivot(sigma_hat, eps, tv):
+        """A heavy-scale shifted-Poisson pivot, a source at TV ``tv`` from
+        it, and the chi^2 stage's interval and rate on the pivot."""
+        pivot = translated_poisson_pmf(
+            TranslatedPoissonParams(sigma_hat**2 + 3.0, sigma_hat**2), tail_cut=1e-9
+        )
+        far, _ = paired_perturbation(pivot, tv)
+        assert tv_distance(far, pivot) == pytest.approx(tv, rel=1e-9)
+        a, b = effective_support_interval(pivot, eps / 5.0)
+        k = TestConfig(eps=eps, delta=0.1).chi2_sample_rate(b - a + 1)
+        return pivot, far, (a, b), float(k)
+
+    def test_spread_in_far_regime(self):
+        # Var/E^2 of the chi^2 statistic stays below 1.5x the 1/20 target at
+        # the calibrated rate, TV = 0.35 eps (closed form; criterion 05 draws
+        # it).
+        eps = 0.2
+        pivot, far, interval, k = self._far_from_pivot(25.0, eps, 0.35 * eps)
+        mean, var = coarse_chi2_moments(far, pivot, interval, eps, k)
+        assert var / mean**2 <= 1.5 / 20.0
+
+    @pytest.mark.parametrize("sigma_hat, eps", [(50.0, 0.1), (25.0, 0.2), (16.0, 0.15)])
+    def test_far_pivot_clears_the_chi2_threshold(self, sigma_hat, eps):
+        # A source whose coarsened TV to the pivot exceeds 2 eps/5 has a
+        # statistic mean of at least 1.8x the 0.32 eps^2 threshold, with a
+        # spread under the 1/20 target.
+        pivot, far, interval, k = self._far_from_pivot(sigma_hat, eps, 0.45 * eps)
+        p_pts, q_pts, _ = coarse_points(far, pivot, interval, eps)
+        assert 0.5 * math.fsum(abs(x - y) for x, y in zip(p_pts, q_pts)) > 0.4 * eps
+        mean, var = coarse_chi2_moments(far, pivot, interval, eps, k)
+        assert mean >= 1.8 * 0.32 * eps**2
+        assert var / mean**2 <= 1.0 / 20.0
+
+    @pytest.mark.parametrize("source", ["binomial", "near", "zigzag"])
+    def test_decides_as_the_sparse_stage_on_its_pivot(self, source):
+        # Past its checks the heavy branch is the sparse branch's stage run
+        # against the pivot on the same split: same verdict, same draws, same
+        # diagnostics, plus the three its checks report.
+        n, eps = 10_000, 0.1
+        member = binomial_pmf(n, 0.5)
+        src = {
+            "binomial": member,
+            "near": paired_perturbation(member, 0.28 * eps)[0],
+            "zigzag": paired_perturbation(member, 1.1 * eps)[0],
+        }[source]
+        cfg = TestConfig(eps=eps, delta=0.1)
+        root, learned = heavy_inputs(src, n, eps, seed=900)
+        heavy_stream, stage_stream = root.split(1), root.split(1)
+        heavy, stage = {}, {}
+        verdict = heavy_case_test(heavy_stream, n, cfg, learned, heavy)
+        assert verdict is tester._chi2_stage(stage_stream, cfg, learned.dist, stage)
+        assert heavy_stream.samples_drawn == stage_stream.samples_drawn > 0
+        assert {key: heavy[key] for key in stage} == stage
+        assert set(heavy) - set(stage) == {"mu_hat", "sigma2_hat", "d_tv_pivot_vs_hypothesis"}
+        if source == "zigzag":
+            assert verdict is Verdict.NO_PBD
+
+
+class TestBothBranchesReportTheChi2Stage:
+    @pytest.mark.parametrize("branch", [Branch.SPARSE, Branch.HEAVY])
+    def test_stage_diagnostics(self, branch):
+        # Both branches report the chi^2 stage's interval, rate, statistic,
+        # threshold and outcome, and neither the deleted l2 stage's statistic.
+        n, eps = 4096, 0.1
+        cfg = TestConfig(eps=eps, delta=0.1)
+        if branch is Branch.HEAVY:
+            cfg = cfg.replace(var_threshold_const=1e-12)
+        root = SampleStream.from_distribution(binomial_pmf(n, 0.5), seed=17)
+        res = run_budgeted_test(root, n, cfg)
+        diag = res.diagnostics
+        assert res.branch is branch
+        lo, hi = diag["interval"]
+        assert diag["k_poissonized"] == cfg.chi2_sample_rate(hi - lo + 1)
+        assert diag["chi2_threshold"] == pytest.approx(0.32 * eps**2)
+        close = diag["chi2"] <= diag["chi2_threshold"]
+        assert diag["tolerant_outcome"] == ("close" if close else "far")
+        assert res.verdict is (Verdict.YES_PBD if close else Verdict.NO_PBD)
+        assert res.samples_used == diag["learn_samples"] + diag["realized_count"]
+        assert not {"t_" "n", "t_" "n_threshold"} & set(diag)
 
 
 class TestHeavyBranchPivot:
